@@ -440,6 +440,15 @@ impl SetAssocCache {
         self.stats
     }
 
+    /// The valid lines as `(flat slot, tag, LRU stamp)` in slot order —
+    /// everything replacement decisions depend on, for state-equality
+    /// checks between two caches.
+    pub fn lines(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        (0..self.tags.len())
+            .filter(|&i| self.stamps[i] != 0)
+            .map(|i| (i, self.tags[i], self.stamps[i]))
+    }
+
     /// Resets the hit/miss counters (contents untouched).
     pub fn reset_stats(&mut self) {
         self.stats.reset();

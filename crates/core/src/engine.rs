@@ -6,8 +6,8 @@ use crate::batch::{
 };
 use crate::latency::{LatencyModel, TimingSim};
 use crate::tap::{
-    const_filter, degraded_probe, tap_ml, tap_pull, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff,
-    TlbOn,
+    const_filter, degraded_probe, tap_ml, tap_ml_miss, tap_pull, tap_pull_below_l1, L1Miss,
+    MissLog, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
 };
 use crate::telemetry::{EngineTelemetry, TelemetryOpts};
 use crate::{
@@ -62,11 +62,14 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Short human-readable description (used as series labels in the
-    /// experiment harness).
+    /// experiment harness). L2 sizes below 1 MB print in KB.
     pub fn label(&self) -> String {
         let l1kb = self.l1.size_bytes / 1024;
         match self.l2 {
             None => format!("{l1kb} KB L1, no L2"),
+            Some(l2) if l2.size_bytes < 1 << 20 => {
+                format!("{l1kb} KB L1, {} KB L2", l2.size_bytes >> 10)
+            }
             Some(l2) => format!("{l1kb} KB L1, {} MB L2", l2.size_bytes >> 20),
         }
     }
@@ -268,6 +271,10 @@ pub struct SimEngine {
     /// never mutates cache state, so behavioral results are bit-identical
     /// with and without it.
     timing: Option<Box<TimingSim>>,
+    /// The open frame's L1 misses in tap order, filled only while this
+    /// engine leads a [`try_run_frame_shared`](Self::try_run_frame_shared)
+    /// group (kept here so the buffer is reused from frame to frame).
+    miss_log: Vec<L1Miss>,
 }
 
 impl SimEngine {
@@ -316,6 +323,7 @@ impl SimEngine {
             frames: Vec::new(),
             tel: None,
             timing: None,
+            miss_log: Vec::new(),
         })
     }
 
@@ -1117,6 +1125,181 @@ impl SimEngine {
         }
     }
 
+    /// Whether `self` and `other` may replay as one
+    /// [`try_run_frame_shared`](Self::try_run_frame_shared) group: their
+    /// L1s see the same taps and nothing below either L1 can reach back
+    /// up into it. That takes equal L1 geometry and tiling over the same
+    /// textures, a fault-free host link on both (a failed download rolls
+    /// its L1 line back, so L1 state would depend on the link), and
+    /// neither telemetry nor timing attached (observers are fed per-tap
+    /// L1 events that a follower never generates).
+    pub fn shares_l1_with(&self, other: &SimEngine) -> bool {
+        let unobserved =
+            |e: &SimEngine| e.cfg.fault.is_none() && e.tel.is_none() && e.timing.is_none();
+        unobserved(self)
+            && unobserved(other)
+            && self.cfg.l1 == other.cfg.l1
+            && self.cfg.tiling == other.cfg.tiling
+            && self.dims == other.dims
+    }
+
+    /// Replays one frame through every engine of `group` with a single L1
+    /// pass. `group[0]` leads: it runs the wide frame loop of
+    /// [`try_run_frame_requests_batched`](Self::try_run_frame_requests_batched)
+    /// and logs its L1 misses in tap order. Every other member replays
+    /// that log through its own TLB, L2 and host link, then adopts the
+    /// leader's L1 counters and a clone of its L1. The hierarchy is
+    /// non-inclusive and everything below the L1 is conditional on an L1
+    /// miss (paper §5.4), so with a fault-free link each member ends the
+    /// frame state-identical to a solo batched replay. A group of one *is*
+    /// that solo replay.
+    ///
+    /// Every member must [share its L1](Self::shares_l1_with) with the
+    /// leader and have replayed the same frames so far.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`try_run_frame`](Self::try_run_frame), for every
+    /// member: on an unknown texture each one keeps the frame open with
+    /// the counters its solo replay would hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is empty or a member does not share the leader's
+    /// L1.
+    pub fn try_run_frame_shared<I>(
+        group: &mut [SimEngine],
+        filter: FilterMode,
+        requests: I,
+    ) -> Result<(), EngineError>
+    where
+        I: IntoIterator<Item = PixelRequest>,
+    {
+        let (leader, followers) = group
+            .split_first_mut()
+            .expect("a shared replay needs at least one engine");
+        if followers.is_empty() {
+            return leader.try_run_frame_requests_batched(filter, requests);
+        }
+        assert!(
+            followers.iter().all(|f| leader.shares_l1_with(f)),
+            "every member of a shared replay must share the leader's L1"
+        );
+        debug_assert!(
+            followers.iter().all(|f| f.l1.lines().eq(leader.l1.lines())),
+            "members of a shared replay must have replayed the same frames"
+        );
+        let replayed = match filter {
+            FilterMode::Point => leader.replay_frame_logged::<0, _>(requests),
+            FilterMode::Bilinear => leader.replay_frame_logged::<1, _>(requests),
+            FilterMode::Trilinear => leader.replay_frame_logged::<2, _>(requests),
+        };
+        for f in followers.iter_mut() {
+            f.replay_l1_misses(&leader.miss_log);
+            f.current.l1_accesses = leader.current.l1_accesses;
+            f.current.l1_hits = leader.current.l1_hits;
+            f.l1.clone_from(&leader.l1);
+        }
+        replayed?;
+        for e in group {
+            e.end_frame();
+        }
+        Ok(())
+    }
+
+    /// [`try_run_frame_shared`](Self::try_run_frame_shared) over a decoded
+    /// trace, as [`try_run_frame_as_batched`](Self::try_run_frame_as_batched)
+    /// is to its `_requests` form: callers replaying in-memory frames share
+    /// this crate's copy of the frame loops instead of instantiating their
+    /// own.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`try_run_frame_shared`](Self::try_run_frame_shared).
+    pub fn try_run_frame_shared_as(
+        group: &mut [SimEngine],
+        trace: &FrameTrace,
+        filter: FilterMode,
+    ) -> Result<(), EngineError> {
+        Self::try_run_frame_shared(group, filter, trace.requests.iter().copied())
+    }
+
+    /// The leader's half of a shared frame: the telemetry-off arms of
+    /// [`replay_frame_batched`](Self::replay_frame_batched) with the
+    /// [`MissLog`] sink in place of `TelOff`. The frame stays open.
+    fn replay_frame_logged<const F: u8, I>(&mut self, requests: I) -> Result<(), EngineError>
+    where
+        I: IntoIterator<Item = PixelRequest>,
+    {
+        let Self {
+            cfg,
+            layout,
+            dims,
+            l1,
+            l2,
+            tlb,
+            host,
+            current,
+            miss_log,
+            ..
+        } = self;
+        miss_log.clear();
+        let log = MissLog(miss_log);
+        let tables = layout.tables();
+        match (l2.as_mut(), tlb.as_mut()) {
+            (None, _) => {
+                replay_pull_batched::<F, _, _>(requests, cfg, dims, l1, host, current, log)
+            }
+            (Some(l2), None) => replay_ml_batched::<F, _, _, _>(
+                requests, cfg, tables, dims, l1, l2, host, current, TlbOff, log,
+            ),
+            (Some(l2), Some(tlb)) => replay_ml_batched::<F, _, _, _>(
+                requests,
+                cfg,
+                tables,
+                dims,
+                l1,
+                l2,
+                host,
+                current,
+                TlbOn(tlb),
+                log,
+            ),
+        }
+    }
+
+    /// A follower's half of a shared frame: the leader's L1 misses, in
+    /// order, through everything below the L1.
+    fn replay_l1_misses(&mut self, misses: &[L1Miss]) {
+        let Self {
+            cfg,
+            layout,
+            dims,
+            l1,
+            l2,
+            tlb,
+            host,
+            current,
+            ..
+        } = self;
+        let tables = layout.tables();
+        match (l2.as_mut(), tlb.as_mut()) {
+            (None, _) => {
+                let l1_bytes = cfg.l1.line_bytes() as u64;
+                for &(tid, m, u, v) in misses {
+                    let tid = TextureId::from_index(tid);
+                    tap_pull_below_l1(tid, m, u, v, l1_bytes, l1, host, current, &mut TelOff);
+                }
+            }
+            (Some(l2), None) => {
+                replay_misses_ml(misses, cfg, tables, dims, l1, l2, host, current, TlbOff)
+            }
+            (Some(l2), Some(tlb)) => {
+                replay_misses_ml(misses, cfg, tables, dims, l1, l2, host, current, TlbOn(tlb))
+            }
+        }
+    }
+
     /// Replays a frame prepared off-engine by [`FramePrep`]: lanes arrive
     /// already expanded and L1-translated (the pipeline's batch-translate
     /// stage), so this is pure cache simulation. The prep must have been
@@ -1403,6 +1586,11 @@ impl SimEngine {
         t
     }
 
+    /// The L1 cache (for hit statistics and line-level state comparison).
+    pub fn l1(&self) -> &L1TextureCache {
+        &self.l1
+    }
+
     /// The L2 cache, when configured (for clock statistics etc.).
     pub fn l2(&self) -> Option<&L2Cache> {
         self.l2.as_ref()
@@ -1526,6 +1714,49 @@ where
         }
     }
     Ok(())
+}
+
+/// Multi-level half of [`SimEngine::replay_l1_misses`]: per-frame constants
+/// hoisted exactly as in [`replay_ml`].
+#[allow(clippy::too_many_arguments)]
+fn replay_misses_ml<Tl: TlbMode>(
+    misses: &[L1Miss],
+    cfg: &EngineConfig,
+    tables: &TranslationTables,
+    dims: &[Option<Vec<(u32, u32)>>],
+    l1: &mut L1TextureCache,
+    l2: &mut L2Cache,
+    host: &mut HostLink,
+    current: &mut FrameCounters,
+    mut tlb: Tl,
+) {
+    let l1_bytes = cfg.l1.line_bytes() as u64;
+    let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
+    let dl_full_miss = if l2.config().sector_mapping {
+        l1_bytes
+    } else {
+        l2_block_bytes
+    };
+    let mut memo = TranslationMemo::default();
+    for &(tid, m, u, v) in misses {
+        tap_ml_miss(
+            TextureId::from_index(tid),
+            m,
+            u,
+            v,
+            l1_bytes,
+            dl_full_miss,
+            tables,
+            &mut memo,
+            dims,
+            l1,
+            l2,
+            host,
+            current,
+            &mut tlb,
+            &mut TelOff,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1819,6 +2050,168 @@ mod tests {
         assert_eq!(scalar.frames(), batched.frames());
         assert_eq!(scalar.frames(), pipelined.frames());
         assert_eq!(scalar.frame_stats().l1_accesses, 4, "one bilinear request");
+    }
+
+    /// Configurations that all sit on a 2 KB L1: pull, multi-level with
+    /// and without TLB, every replacement policy, sectors on and off.
+    fn shared_l1_configs() -> Vec<EngineConfig> {
+        let base = EngineConfig {
+            l1: L1Config::kb(2),
+            ..EngineConfig::default()
+        };
+        let ml = |size_bytes, policy, sector_mapping, tlb_entries| EngineConfig {
+            l2: Some(L2Config {
+                size_bytes,
+                policy,
+                sector_mapping,
+            }),
+            tlb_entries,
+            ..base
+        };
+        vec![
+            ml(2 << 20, crate::ReplacementPolicy::Clock, true, 0),
+            base,
+            ml(16 << 10, crate::ReplacementPolicy::Clock, true, 4),
+            ml(16 << 10, crate::ReplacementPolicy::Lru, false, 1),
+            ml(32 << 10, crate::ReplacementPolicy::Fifo, true, 16),
+        ]
+    }
+
+    /// Everything a replay leaves behind that a later frame could observe.
+    fn assert_same_state(a: &SimEngine, b: &SimEngine, ctx: &str) {
+        assert_eq!(a.frames(), b.frames(), "{ctx}: frame counters");
+        assert_eq!(
+            a.l2().map(|l2| (l2.clock_hand(), l2.clock_stats())),
+            b.l2().map(|l2| (l2.clock_hand(), l2.clock_stats())),
+            "{ctx}: clock state"
+        );
+        assert_eq!(a.host().transfers(), b.host().transfers(), "{ctx}: host");
+        assert_eq!(a.l1().stats(), b.l1().stats(), "{ctx}: L1 stats");
+        assert!(a.l1().lines().eq(b.l1().lines()), "{ctx}: L1 contents");
+    }
+
+    #[test]
+    fn shared_replay_is_state_identical_to_solo_replays() {
+        let reg = registry(3, 128);
+        let configs = shared_l1_configs();
+        for filter in [
+            FilterMode::Point,
+            FilterMode::Bilinear,
+            FilterMode::Trilinear,
+        ] {
+            let mut group: Vec<SimEngine> =
+                configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
+            let mut solo: Vec<SimEngine> =
+                configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
+            for f in 0..3 {
+                let trace = wavy_trace(f);
+                SimEngine::try_run_frame_shared(&mut group, filter, trace.requests.iter().copied())
+                    .unwrap();
+                for (i, e) in solo.iter_mut().enumerate() {
+                    e.try_run_frame_as_batched(&trace, filter).unwrap();
+                    assert_same_state(&group[i], e, &format!("{filter} frame {f} member {i}"));
+                }
+            }
+            let t = group[0].totals();
+            assert!(
+                t.l1_hits > 0 && t.l1_hits < t.l1_accesses,
+                "hits and misses"
+            );
+            assert!(
+                group[2].totals().l2_full_misses > 0,
+                "the small L2 must churn"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_replay_error_contract_matches_solo() {
+        let reg = registry(1, 64);
+        // Enough requests before the unknown texture to cross a footprint
+        // block, so the leader's drain-before-error order matters.
+        let mut t = FrameTrace::new(0, 8, 8, FilterMode::Point);
+        for i in 0..21u32 {
+            t.push(PixelRequest {
+                tid: TextureId::from_index(if i == 19 { 7 } else { 0 }),
+                u: (i * 5) as f32,
+                v: (i * 3) as f32,
+                lod: 0.0,
+            });
+        }
+        let expect = EngineError::UnknownTexture(TextureId::from_index(7));
+        let configs = shared_l1_configs();
+        let mut group: Vec<SimEngine> = configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
+        assert_eq!(
+            SimEngine::try_run_frame_shared(
+                &mut group,
+                FilterMode::Bilinear,
+                t.requests.iter().copied()
+            ),
+            Err(expect.clone())
+        );
+        for (member, &cfg) in group.iter_mut().zip(&configs) {
+            let mut solo = SimEngine::new(cfg, &reg);
+            assert_eq!(
+                solo.try_run_frame_as_batched(&t, FilterMode::Bilinear),
+                Err(expect.clone())
+            );
+            assert_eq!(member.frames().len(), 0, "frame must be left open");
+            member.end_frame();
+            solo.end_frame();
+            assert_same_state(member, &solo, &cfg.label());
+            assert_eq!(member.frame_stats().l1_accesses, 19 * 4);
+        }
+    }
+
+    #[test]
+    fn faults_observers_and_other_geometry_do_not_share_an_l1() {
+        let reg = registry(1, 64);
+        let base = shared_l1_configs()[0];
+        let plain = SimEngine::new(base, &reg);
+        assert!(plain.shares_l1_with(&SimEngine::new(shared_l1_configs()[1], &reg)));
+        let faulty = EngineConfig {
+            fault: FaultPlan::with_rate(1, 10_000),
+            ..base
+        };
+        let bigger = EngineConfig {
+            l1: L1Config::kb(4),
+            ..base
+        };
+        let tiled = EngineConfig {
+            tiling: TilingConfig::new(mltc_texture::TileSize::X32, mltc_texture::TileSize::X4)
+                .unwrap(),
+            ..base
+        };
+        for cfg in [faulty, bigger, tiled] {
+            let other = SimEngine::new(cfg, &reg);
+            assert!(!plain.shares_l1_with(&other), "{cfg:?}");
+            assert!(!other.shares_l1_with(&plain), "{cfg:?}");
+        }
+        let mut timed = SimEngine::new(base, &reg);
+        timed.attach_timing(LatencyModel::default());
+        assert!(!plain.shares_l1_with(&timed) && !timed.shares_l1_with(&plain));
+        let mut observed = SimEngine::new(base, &reg);
+        observed.attach_telemetry(&Recorder::enabled(), "observed", "test");
+        assert!(!plain.shares_l1_with(&observed) && !observed.shares_l1_with(&plain));
+        // Other textures expand the same requests to other taps.
+        assert!(!plain.shares_l1_with(&SimEngine::new(base, &registry(2, 64))));
+    }
+
+    #[test]
+    #[should_panic(expected = "share the leader's L1")]
+    fn shared_replay_rejects_a_member_with_another_l1() {
+        let reg = registry(1, 64);
+        let mut group = vec![
+            SimEngine::new(EngineConfig::default(), &reg),
+            SimEngine::new(
+                EngineConfig {
+                    l1: L1Config::kb(2),
+                    ..EngineConfig::default()
+                },
+                &reg,
+            ),
+        ];
+        let _ = SimEngine::try_run_frame_shared(&mut group, FilterMode::Point, std::iter::empty());
     }
 
     #[test]
@@ -2316,5 +2709,13 @@ mod tests {
             ..pull
         };
         assert_eq!(ml.label(), "2 KB L1, 4 MB L2");
+        let small = EngineConfig {
+            l2: Some(L2Config {
+                size_bytes: 64 << 10,
+                ..L2Config::mb(2)
+            }),
+            ..ml
+        };
+        assert_eq!(small.label(), "2 KB L1, 64 KB L2");
     }
 }

@@ -371,6 +371,12 @@ impl L1TextureCache {
         self.cache.stats()
     }
 
+    /// The valid lines ([`SetAssocCache::lines`]): two L1s with equal
+    /// lines answer every future access stream identically.
+    pub fn lines(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        self.cache.lines()
+    }
+
     /// Resets counters (contents untouched).
     pub fn reset_stats(&mut self) {
         self.cache.reset_stats();

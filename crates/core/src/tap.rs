@@ -20,9 +20,15 @@ use mltc_texture::{TextureId, TranslationMemo, TranslationTables};
 use mltc_trace::FilterMode;
 
 /// Compile-time telemetry switch: `TelOn` forwards to the attached
-/// [`EngineTelemetry`], `TelOff` erases the observation closures entirely.
+/// [`EngineTelemetry`], `TelOff` erases the observation closures entirely,
+/// and `MissLog` erases them too but records every L1 miss for a shared
+/// replay's followers.
 pub(crate) trait TelemetryMode {
     fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry));
+
+    /// Called once per L1 miss, before anything below the L1 runs.
+    #[inline(always)]
+    fn l1_miss(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32) {}
 }
 
 pub(crate) struct TelOn<'a>(pub(crate) &'a mut EngineTelemetry);
@@ -39,6 +45,25 @@ pub(crate) struct TelOff;
 impl TelemetryMode for TelOff {
     #[inline(always)]
     fn with(&mut self, _f: impl FnOnce(&mut EngineTelemetry)) {}
+}
+
+/// One L1 miss `(texture index, m, u, v)` as the leader of a shared replay
+/// logs it.
+pub(crate) type L1Miss = (u32, u32, u32, u32);
+
+/// The leader's sink in a shared replay
+/// ([`SimEngine::try_run_frame_shared`](crate::SimEngine::try_run_frame_shared)):
+/// telemetry off, L1 misses appended to the log in tap order.
+pub(crate) struct MissLog<'a>(pub(crate) &'a mut Vec<L1Miss>);
+
+impl TelemetryMode for MissLog<'_> {
+    #[inline(always)]
+    fn with(&mut self, _f: impl FnOnce(&mut EngineTelemetry)) {}
+
+    #[inline(always)]
+    fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
+        self.0.push((tid.index(), m, u, v));
+    }
 }
 
 /// Compile-time TLB switch mirroring the slow path's `Option<Tlb>` probe:
@@ -102,6 +127,26 @@ pub(crate) fn tap_pull<Te: TelemetryMode>(
         return;
     }
     tel.with(|t| t.on_l1_miss(tid, m, u, v));
+    tel.l1_miss(tid, m, u, v);
+    tap_pull_below_l1(tid, m, u, v, l1_bytes, l1, host, current, tel);
+}
+
+/// The below-L1 half of a pull tap (host transfer → rollback). Split out
+/// so a shared replay's followers can run it straight off the leader's L1
+/// miss log.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tap_pull_below_l1<Te: TelemetryMode>(
+    tid: TextureId,
+    m: u32,
+    u: u32,
+    v: u32,
+    l1_bytes: u64,
+    l1: &mut L1TextureCache,
+    host: &mut HostLink,
+    current: &mut FrameCounters,
+    tel: &mut Te,
+) {
     match host.transfer(tid) {
         Transfer::Delivered { retries } => {
             current.retries += retries as u64;
@@ -162,6 +207,48 @@ pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode>(
         return;
     }
     tel.with(|t| t.on_l1_miss(tid, m, u, v));
+    tel.l1_miss(tid, m, u, v);
+    tap_ml_miss(
+        tid,
+        m,
+        u,
+        v,
+        l1_bytes,
+        dl_full_miss,
+        tables,
+        memo,
+        dims,
+        l1,
+        l2,
+        host,
+        current,
+        tlb,
+        tel,
+    );
+}
+
+/// Everything a multi-level tap does after its L1 miss: translation, the
+/// TLB probe and the below-L1 half. Split out so a shared replay's
+/// followers can run it straight off the leader's L1 miss log.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tap_ml_miss<Tl: TlbMode, Te: TelemetryMode>(
+    tid: TextureId,
+    m: u32,
+    u: u32,
+    v: u32,
+    l1_bytes: u64,
+    dl_full_miss: u64,
+    tables: &TranslationTables,
+    memo: &mut TranslationMemo,
+    dims: &[Option<Vec<(u32, u32)>>],
+    l1: &mut L1TextureCache,
+    l2: &mut L2Cache,
+    host: &mut HostLink,
+    current: &mut FrameCounters,
+    tlb: &mut Tl,
+    tel: &mut Te,
+) {
     let (pt_index, l1_sub) = tables.lookup(memo, tid.index(), m, u, v);
     let tlb_hit = tlb.access(pt_index as u64);
     if let Some(hit) = tlb_hit {

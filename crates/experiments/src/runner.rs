@@ -6,8 +6,8 @@
 //! [`TraceStore`] for the trace and *replays* it. Three replay paths
 //! cover the store's handle states:
 //!
-//! * **memory** ([`TraceHandle::Memory`]): each configuration's worker
-//!   iterates the shared frames directly — no channels, no copies;
+//! * **memory** ([`TraceHandle::Memory`]): each worker iterates the shared
+//!   frames directly — no channels, no copies;
 //! * **disk** ([`TraceHandle::Disk`]): one reader streams frames out of
 //!   the persisted file and fans them out over bounded channels;
 //! * **uncached** ([`TraceHandle::Uncached`]): the workload renders live,
@@ -16,6 +16,13 @@
 //! Because stored traces are point-sampled (filter-independent — see the
 //! [store docs](crate::store)), replays apply the requested filter via
 //! [`SimEngine::try_run_frame_as`].
+//!
+//! A worker replays one *group*: from memory or a live render,
+//! configurations whose engines share an L1
+//! ([`SimEngine::shares_l1_with`]) make one L1 pass per frame between
+//! them ([`SimEngine::try_run_frame_shared`]); everything else, and every
+//! configuration of a disk-streamed replay, is a group of one. Each
+//! configuration still gets its own `Result`.
 
 use crate::store::{stream_trace_file_raw, trav_tag, StatsBundle, TraceHandle, TraceStore};
 use mltc_core::{EngineConfig, EngineError, FramePrep, PreparedFrame, SimEngine};
@@ -25,6 +32,7 @@ use mltc_texture::TextureRegistry;
 use mltc_trace::codec::frame_cursor;
 use mltc_trace::{FilterMode, FrameTrace};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -295,10 +303,11 @@ pub fn stats_run(store: &TraceStore, workload: &Workload) -> Arc<StatsBundle> {
 }
 
 /// Replays already-rendered frames through each cache configuration — one
-/// worker thread per configuration, every worker reading the same shared
-/// frames (the paper's rasterize-once, trace-driven methodology,
-/// parallelised across the *configurations*, never across frames: cache
-/// state must carry between frames to capture inter-frame locality).
+/// worker thread per group of configurations sharing an L1, every worker
+/// reading the same shared frames (the paper's rasterize-once, trace-driven
+/// methodology, parallelised across the *configurations*, never across
+/// frames: cache state must carry between frames to capture inter-frame
+/// locality).
 ///
 /// `filter` selects the tap expansion applied at simulation time; the
 /// frames themselves are filter-independent.
@@ -312,14 +321,13 @@ pub fn replay_run(
     filter: FilterMode,
     configs: &[EngineConfig],
 ) -> Vec<Result<SimEngine, RunError>> {
-    replay_with(
+    let plan = plan_replay(
         registry,
-        frames,
-        filter,
         configs,
-        &Recorder::disabled(),
-        &|cfg, reg| SimEngine::try_new(cfg, reg),
-    )
+        &|_, cfg, reg| SimEngine::try_new(cfg, reg),
+        shares_l1_passes(false),
+    );
+    replay_with(registry, frames, filter, plan, &Recorder::disabled())
 }
 
 /// Looks up (or renders once) the workload's trace and replays it through
@@ -362,7 +370,7 @@ pub fn engine_run_traversal(
         configs,
         zprepass,
         traversal,
-        &|cfg, reg| SimEngine::try_new(cfg, reg),
+        &|_, cfg, reg| SimEngine::try_new(cfg, reg),
     )
 }
 
@@ -397,8 +405,141 @@ pub fn engine_run_traversal_all(
 
 /// The engine-construction seam: tests inject factories that fail or panic
 /// to exercise worker isolation without needing a genuinely broken engine.
+/// The first argument is the configuration's position in the run.
 type EngineFactory<'a> =
-    dyn Fn(EngineConfig, &TextureRegistry) -> Result<SimEngine, EngineError> + Sync + 'a;
+    dyn Fn(usize, EngineConfig, &TextureRegistry) -> Result<SimEngine, EngineError> + Sync + 'a;
+
+/// One replay worker's engines: `engines[0]` leads and the rest share its
+/// L1 ([`SimEngine::shares_l1_with`]), so the worker makes one L1 pass per
+/// frame for all of them ([`SimEngine::try_run_frame_shared`]).
+/// `slots[i]` is `engines[i]`'s position in the run's configurations.
+struct Group {
+    slots: Vec<usize>,
+    engines: Vec<SimEngine>,
+    /// Telemetry label of the leader's configuration (names the worker's
+    /// span).
+    label: String,
+}
+
+/// A run's engines, built and grouped for replay.
+struct Plan {
+    /// Per configuration, why its engine could not be built.
+    failed: Vec<Option<RunError>>,
+    groups: Vec<Group>,
+}
+
+impl Plan {
+    /// Members that ride on another configuration's L1 pass.
+    fn shared_members(&self) -> usize {
+        self.groups.iter().map(|g| g.engines.len() - 1).sum()
+    }
+}
+
+/// A configuration's telemetry label within a run: its
+/// [`EngineConfig::label`] plus its position, because sweeps over anything
+/// the label leaves out (TLB entries, replacement policy) would otherwise
+/// all record under one name.
+fn slot_label(slot: usize, cfg: &EngineConfig) -> String {
+    format!("{} [{slot}]", cfg.label())
+}
+
+/// Whether a replay groups configurations that share an L1: on the batched
+/// path, from memory or a live render, not `streamed` from disk.
+///
+/// A trace streamed from disk keeps one worker per configuration. Grouping
+/// is exact there too and measured about three times the throughput on a
+/// six-configuration sweep, but it leaves the sweep two long L1-pass
+/// chains, one per thread, where the per-frame permits used to deal six
+/// workers' frames to whichever core was free: the replay then ends when
+/// the slower core does. On the two-core measurement box, whose cores swing
+/// ±15 % independently for seconds at a time, its best-of-run wall time
+/// spread 15 % from run to run against 8 % ungrouped — in taps/s three
+/// times as far again, more than the repo benchmark accepts as telling two
+/// commits apart (DESIGN.md §14).
+fn shares_l1_passes(streamed: bool) -> bool {
+    replay_path() == ReplayPath::Batched && !streamed
+}
+
+/// Builds every configuration's engine — each under its own
+/// `catch_unwind`, so an invalid or panicking configuration fails alone —
+/// and groups the survivors: with `share`, an engine joins the first group
+/// whose leader it shares an L1 with; everything else (faults, telemetry
+/// or timing attached) replays solo, as everything does without it.
+fn plan_replay(
+    registry: &TextureRegistry,
+    configs: &[EngineConfig],
+    factory: &EngineFactory<'_>,
+    share: bool,
+) -> Plan {
+    let mut failed = Vec::with_capacity(configs.len());
+    let mut groups: Vec<Group> = Vec::new();
+    for (slot, cfg) in configs.iter().enumerate() {
+        let built = catch_unwind(AssertUnwindSafe(|| factory(slot, *cfg, registry)))
+            .map_err(|payload| RunError::Panicked(panic_message(payload.as_ref())))
+            .and_then(|built| built.map_err(RunError::Engine));
+        let engine = match built {
+            Ok(engine) => engine,
+            Err(e) => {
+                failed.push(Some(e));
+                continue;
+            }
+        };
+        failed.push(None);
+        match groups
+            .iter_mut()
+            .find(|g| share && g.engines[0].shares_l1_with(&engine))
+        {
+            Some(g) => {
+                g.slots.push(slot);
+                g.engines.push(engine);
+            }
+            None => groups.push(Group {
+                slots: vec![slot],
+                engines: vec![engine],
+                label: slot_label(slot, cfg),
+            }),
+        }
+    }
+    Plan { failed, groups }
+}
+
+/// A group's worker: its members' slots, kept outside the thread so a
+/// panicking worker still fails exactly its own members.
+type GroupHandle<'scope> = (
+    Vec<usize>,
+    std::thread::ScopedJoinHandle<'scope, Result<Vec<SimEngine>, RunError>>,
+);
+
+/// Joins the group workers and lays their engines (or their one error,
+/// cloned to every member) back out in configuration order.
+fn join_groups(
+    failed: Vec<Option<RunError>>,
+    workers: Vec<GroupHandle<'_>>,
+) -> Vec<Result<SimEngine, RunError>> {
+    let mut results: Vec<_> = failed.into_iter().map(|e| e.map(Err)).collect();
+    for (slots, handle) in workers {
+        let joined = match handle.join() {
+            Ok(result) => result,
+            Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
+        };
+        match joined {
+            Ok(engines) => {
+                for (slot, engine) in slots.into_iter().zip(engines) {
+                    results[slot] = Some(Ok(engine));
+                }
+            }
+            Err(e) => {
+                for slot in slots {
+                    results[slot] = Some(Err(e.clone()));
+                }
+            }
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every configuration failed to build or joined a group"))
+        .collect()
+}
 
 fn engine_run_traversal_with(
     store: &TraceStore,
@@ -421,31 +562,28 @@ fn engine_run_traversal_with(
     );
     let _run_span = rec.span(&format!("run/{run_tag}"));
     let group = workload.kind.name();
-    let wrapped = |cfg: EngineConfig, reg: &TextureRegistry| -> Result<SimEngine, EngineError> {
-        let mut engine = factory(cfg, reg)?;
-        if rec.is_enabled() {
-            engine.attach_telemetry(&rec, &format!("{run_tag}/{}", cfg.label()), group);
-        }
-        Ok(engine)
-    };
+    let wrapped =
+        |slot: usize, cfg: EngineConfig, reg: &TextureRegistry| -> Result<SimEngine, EngineError> {
+            let mut engine = factory(slot, cfg, reg)?;
+            if rec.is_enabled() {
+                let label = format!("{run_tag}/{}", slot_label(slot, &cfg));
+                engine.attach_telemetry(&rec, &label, group);
+            }
+            Ok(engine)
+        };
     let handle = store.get_or_render(workload, zprepass, traversal);
     let start = Instant::now();
+    let registry = workload.registry();
+    let streamed = matches!(handle, TraceHandle::Disk(_));
+    let plan = plan_replay(registry, configs, &wrapped, shares_l1_passes(streamed));
+    store.note_l1_passes(plan.groups.len() as u64, plan.shared_members() as u64);
     let results = match &handle {
-        TraceHandle::Memory(set) => replay_with(
-            workload.registry(),
-            &set.frames,
-            filter,
-            configs,
-            &rec,
-            &wrapped,
-        ),
-        TraceHandle::Disk(path) => {
-            stream_replay_with(workload.registry(), path, filter, configs, &rec, &wrapped)
-        }
-        TraceHandle::Uncached => run_live(
-            workload, filter, configs, zprepass, traversal, &rec, &wrapped,
-        ),
+        TraceHandle::Memory(set) => replay_with(registry, &set.frames, filter, plan, &rec),
+        TraceHandle::Disk(path) => stream_replay_with(registry, path, filter, plan, &rec),
+        TraceHandle::Uncached => run_live(workload, filter, plan, zprepass, traversal, &rec),
     };
+    // Taps answered: a member that shared its leader's L1 pass counts the
+    // pass's taps again, exactly as its solo replay would have.
     let taps: u64 = results
         .iter()
         .filter_map(|r| r.as_ref().ok())
@@ -455,98 +593,116 @@ fn engine_run_traversal_with(
     results
 }
 
-/// Memory-resident replay: no frame channels — every worker walks the
-/// shared frame list at its own pace, taking a [`Gate`] permit per frame
-/// so at most [`max_replay_jobs`] configurations simulate at any
-/// instant. The [`replay_path`] selects the engine entry point; the
-/// pipelined path adds one prep thread per configuration (still
-/// permit-gated per frame).
+/// Memory-resident replay: no frame channels — every group's worker walks
+/// the shared frame list at its own pace, taking a [`Gate`] permit per
+/// frame so at most [`max_replay_jobs`] groups simulate at any instant.
+/// The [`replay_path`] selects the engine entry point; the pipelined path
+/// adds one prep thread per configuration (still permit-gated per frame).
 fn replay_with(
     registry: &TextureRegistry,
     frames: &[Arc<FrameTrace>],
     filter: FilterMode,
-    configs: &[EngineConfig],
+    plan: Plan,
     rec: &Recorder,
-    factory: &EngineFactory<'_>,
 ) -> Vec<Result<SimEngine, RunError>> {
     let gate = Gate::new(max_replay_jobs());
     let path = replay_path();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .iter()
-            .map(|cfg| {
-                let cfg = *cfg;
-                let rec = rec.clone();
+        let workers = plan
+            .groups
+            .into_iter()
+            .map(|group| {
+                let Group {
+                    slots,
+                    mut engines,
+                    label,
+                } = group;
                 let gate = &gate;
-                scope.spawn(move || -> Result<SimEngine, RunError> {
-                    let _span = rec.span(&format!("replay/{}", cfg.label()));
-                    let mut engine = factory(cfg, registry).map_err(RunError::Engine)?;
+                let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
+                    let _span = rec.span(&format!("replay/{label}"));
                     match path {
                         ReplayPath::Scalar => {
                             for trace in frames {
                                 let _permit = gate.acquire();
-                                engine
-                                    .try_run_frame_as(trace, filter)
-                                    .map_err(RunError::Engine)?;
+                                engines[0].try_run_frame_as(trace, filter)?;
                             }
                         }
                         ReplayPath::Batched => {
                             for trace in frames {
                                 let _permit = gate.acquire();
-                                engine
-                                    .try_run_frame_as_batched(trace, filter)
-                                    .map_err(RunError::Engine)?;
+                                SimEngine::try_run_frame_shared_as(&mut engines, trace, filter)?;
                             }
                         }
                         ReplayPath::Pipelined => {
-                            let prep = FramePrep::new(&engine.config(), registry);
-                            replay_pipelined(&mut engine, gate, frames.iter(), |trace, buf| {
-                                prep.prepare(filter, trace.requests.iter().copied(), buf);
-                                Ok(())
-                            })?;
+                            let prep = FramePrep::new(&engines[0].config(), registry);
+                            replay_pipelined(
+                                &mut engines[0],
+                                gate,
+                                frames.iter(),
+                                |trace, buf| {
+                                    prep.prepare(filter, trace.requests.iter().copied(), buf);
+                                    Ok(())
+                                },
+                            )?;
                         }
                     }
-                    Ok(engine)
-                })
+                    Ok(engines)
+                });
+                (slots, worker)
             })
             .collect();
-        handles.into_iter().map(join_worker).collect()
+        join_groups(plan.failed, workers)
     })
 }
 
+/// Sends `item` to every group still listening. A failed worker closes its
+/// receiver: drop its sender and keep feeding the survivors; the join
+/// reports the failure.
+fn fan_out<T: Clone>(senders: &mut [Option<SyncSender<T>>], item: &T) {
+    for slot in senders {
+        if let Some(tx) = slot {
+            if tx.send(item.clone()).is_err() {
+                *slot = None;
+            }
+        }
+    }
+}
+
 /// Disk streaming replay: one reader validates each encoded frame and fans
-/// the *raw bytes* out over bounded channels; workers decode in place with
-/// [`frame_cursor`] and feed the borrowed request iterator straight into
-/// the engine — no per-frame `Vec<PixelRequest>` is ever materialized, and
-/// the reader recycles frame buffers once every worker drops them.
+/// the *raw bytes* out over bounded channels, one per group; workers
+/// decode in place with [`frame_cursor`] and feed the borrowed request
+/// iterator straight into the engine — no per-frame `Vec<PixelRequest>` is
+/// ever materialized, and the reader recycles frame buffers once every
+/// worker drops them.
 ///
 /// A codec failure mid-stream taints every still-successful configuration
 /// with [`RunError::Trace`] — their engines only saw a prefix of the
 /// animation. The file is streamed and validated exactly once no matter
 /// how many configurations replay it; the [`Gate`] keeps at most
-/// [`max_replay_jobs`] of them simulating at any instant.
+/// [`max_replay_jobs`] groups simulating at any instant.
 fn stream_replay_with(
     registry: &TextureRegistry,
     path: &Path,
     filter: FilterMode,
-    configs: &[EngineConfig],
+    plan: Plan,
     rec: &Recorder,
-    factory: &EngineFactory<'_>,
 ) -> Vec<Result<SimEngine, RunError>> {
     let gate = Gate::new(max_replay_jobs());
     let rpath = replay_path();
     std::thread::scope(|scope| {
-        let mut senders: Vec<Option<SyncSender<Arc<Vec<u8>>>>> = Vec::with_capacity(configs.len());
-        let mut handles = Vec::with_capacity(configs.len());
-        for cfg in configs {
+        let mut senders = Vec::with_capacity(plan.groups.len());
+        let mut workers = Vec::with_capacity(plan.groups.len());
+        for group in plan.groups {
+            let Group {
+                slots,
+                mut engines,
+                label,
+            } = group;
             let (tx, rx) = sync_channel::<Arc<Vec<u8>>>(4);
             senders.push(Some(tx));
-            let cfg = *cfg;
-            let rec = rec.clone();
             let gate = &gate;
-            handles.push(scope.spawn(move || -> Result<SimEngine, RunError> {
-                let _span = rec.span(&format!("replay/{}", cfg.label()));
-                let mut engine = factory(cfg, registry).map_err(RunError::Engine)?;
+            let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
+                let _span = rec.span(&format!("replay/{label}"));
                 // The streamer already validated each frame end to end,
                 // so a decode error here is a logic bug, but report it
                 // as a tainted replay rather than panic.
@@ -556,46 +712,38 @@ fn stream_replay_with(
                         for bytes in rx {
                             let _permit = gate.acquire();
                             let (cursor, _) = frame_cursor(&bytes).map_err(decode_err)?;
-                            engine
-                                .try_run_frame_requests(filter, cursor.requests())
-                                .map_err(RunError::Engine)?;
+                            engines[0].try_run_frame_requests(filter, cursor.requests())?;
                         }
                     }
                     ReplayPath::Batched => {
                         for bytes in rx {
                             let _permit = gate.acquire();
                             let (cursor, _) = frame_cursor(&bytes).map_err(decode_err)?;
-                            engine
-                                .try_run_frame_requests_batched(filter, cursor.requests())
-                                .map_err(RunError::Engine)?;
+                            SimEngine::try_run_frame_shared(
+                                &mut engines,
+                                filter,
+                                cursor.requests(),
+                            )?;
                         }
                     }
                     ReplayPath::Pipelined => {
-                        let prep = FramePrep::new(&engine.config(), registry);
-                        replay_pipelined(&mut engine, gate, rx, |bytes, buf| {
+                        let prep = FramePrep::new(&engines[0].config(), registry);
+                        replay_pipelined(&mut engines[0], gate, rx, |bytes, buf| {
                             let (cursor, _) = frame_cursor(&bytes).map_err(decode_err)?;
                             prep.prepare(filter, cursor.requests(), buf);
                             Ok(())
                         })?;
                     }
                 }
-                Ok(engine)
-            }));
+                Ok(engines)
+            });
+            workers.push((slots, worker));
         }
         let stream_span = rec.span("replay/disk-stream");
-        let streamed = stream_trace_file_raw(path, |shared| {
-            for slot in &mut senders {
-                if let Some(tx) = slot {
-                    if tx.send(shared.clone()).is_err() {
-                        *slot = None;
-                    }
-                }
-            }
-        });
+        let streamed = stream_trace_file_raw(path, |shared| fan_out(&mut senders, shared));
         stream_span.end();
         drop(senders);
-        let mut results: Vec<Result<SimEngine, RunError>> =
-            handles.into_iter().map(join_worker).collect();
+        let mut results = join_groups(plan.failed, workers);
         if let Err(e) = streamed {
             let msg = format!("{}: {e}", path.display());
             for r in &mut results {
@@ -609,18 +757,17 @@ fn stream_replay_with(
 }
 
 /// Live-render replay for uncached traces: the pre-store code path,
-/// rendering with the requested filter and streaming frames to workers as
-/// they finish. The animation is rasterized exactly once no matter how
-/// many configurations consume it; the [`Gate`] keeps at most
-/// [`max_replay_jobs`] of them simulating at any instant.
+/// rendering with the requested filter and streaming frames to the group
+/// workers as they finish. The animation is rasterized exactly once no
+/// matter how many configurations consume it; the [`Gate`] keeps at most
+/// [`max_replay_jobs`] groups simulating at any instant.
 fn run_live(
     workload: &Workload,
     filter: FilterMode,
-    configs: &[EngineConfig],
+    plan: Plan,
     zprepass: bool,
     traversal: mltc_raster::Traversal,
     rec: &Recorder,
-    factory: &EngineFactory<'_>,
 ) -> Vec<Result<SimEngine, RunError>> {
     let gate = Gate::new(max_replay_jobs());
     // Live replays have no decode/translate stage worth pipelining — the
@@ -628,59 +775,39 @@ fn run_live(
     // falls back to the wide kernel here.
     let scalar = replay_path() == ReplayPath::Scalar;
     std::thread::scope(|scope| {
-        let mut senders: Vec<Option<SyncSender<Arc<FrameTrace>>>> =
-            Vec::with_capacity(configs.len());
-        let mut handles = Vec::with_capacity(configs.len());
-        for cfg in configs {
+        let mut senders = Vec::with_capacity(plan.groups.len());
+        let mut workers = Vec::with_capacity(plan.groups.len());
+        for group in plan.groups {
+            let Group {
+                slots,
+                mut engines,
+                label,
+            } = group;
             let (tx, rx) = sync_channel::<Arc<FrameTrace>>(4);
             senders.push(Some(tx));
-            let registry = workload.registry();
-            let cfg = *cfg;
-            let rec = rec.clone();
             let gate = &gate;
-            handles.push(scope.spawn(move || -> Result<SimEngine, RunError> {
-                let _span = rec.span(&format!("replay/{}", cfg.label()));
-                let mut engine = factory(cfg, registry).map_err(RunError::Engine)?;
+            let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
+                let _span = rec.span(&format!("replay/{label}"));
                 for trace in rx {
                     let _permit = gate.acquire();
                     if scalar {
-                        engine.try_run_frame(&trace).map_err(RunError::Engine)?;
+                        engines[0].try_run_frame(&trace)?;
                     } else {
-                        engine
-                            .try_run_frame_as_batched(&trace, trace.filter)
-                            .map_err(RunError::Engine)?;
+                        SimEngine::try_run_frame_shared_as(&mut engines, &trace, trace.filter)?;
                     }
                 }
-                Ok(engine)
-            }));
+                Ok(engines)
+            });
+            workers.push((slots, worker));
         }
         let render_span = rec.span("replay/live-render");
         workload.render_animation_traversal(filter, zprepass, traversal, |t| {
-            let shared = Arc::new(t);
-            for slot in &mut senders {
-                // A failed worker closes its receiver. Drop its sender
-                // and keep feeding the survivors; join() reports the
-                // failure.
-                if let Some(tx) = slot {
-                    if tx.send(shared.clone()).is_err() {
-                        *slot = None;
-                    }
-                }
-            }
+            fan_out(&mut senders, &Arc::new(t));
         });
         render_span.end();
         drop(senders);
-        handles.into_iter().map(join_worker).collect()
+        join_groups(plan.failed, workers)
     })
-}
-
-fn join_worker(
-    handle: std::thread::ScopedJoinHandle<'_, Result<SimEngine, RunError>>,
-) -> Result<SimEngine, RunError> {
-    match handle.join() {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
-    }
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -823,35 +950,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn bad_config_fails_alone_and_survivors_finish() {
-        let store = TraceStore::in_memory();
-        let w = tiny_village();
-        let configs = [
-            EngineConfig {
-                l1: L1Config::kb(2),
-                ..EngineConfig::default()
-            },
-            // 3 KB L1 = 24 sets: rejected as invalid geometry.
-            EngineConfig {
-                l1: L1Config {
-                    size_bytes: 3072,
-                    ..L1Config::kb(2)
-                },
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                l1: L1Config::kb(16),
-                ..EngineConfig::default()
-            },
-        ];
-        let results = engine_run(&store, &w, FilterMode::Bilinear, &configs, false);
-        assert_eq!(results.len(), 3);
-        assert!(matches!(
-            &results[1],
-            Err(RunError::Engine(EngineError::InvalidGeometry(_)))
-        ));
-        for idx in [0, 2] {
+    fn pull(l1_kb: usize) -> EngineConfig {
+        EngineConfig {
+            l1: L1Config::kb(l1_kb),
+            ..EngineConfig::default()
+        }
+    }
+
+    fn ml(l1_kb: usize, l2_bytes: usize, tlb_entries: usize) -> EngineConfig {
+        EngineConfig {
+            l2: Some(L2Config {
+                size_bytes: l2_bytes,
+                ..L2Config::mb(2)
+            }),
+            tlb_entries,
+            ..pull(l1_kb)
+        }
+    }
+
+    /// Each result must be what the configuration produces replayed on
+    /// its own.
+    fn assert_match_solo(
+        results: &[Result<SimEngine, RunError>],
+        w: &Workload,
+        filter: FilterMode,
+        survivors: &[usize],
+    ) {
+        let frames: Vec<Arc<FrameTrace>> = {
+            let mut v = Vec::new();
+            w.render_animation(FilterMode::Point, false, |t| v.push(Arc::new(t)));
+            v
+        };
+        for &idx in survivors {
             let e = results[idx]
                 .as_ref()
                 .unwrap_or_else(|e| panic!("config {idx}: {e}"));
@@ -860,55 +990,100 @@ mod tests {
                 w.frame_count as usize,
                 "survivor {idx} must see every frame"
             );
+            let solo = replay_run(w.registry(), &frames, filter, &[e.config()])
+                .remove(0)
+                .unwrap();
+            assert_eq!(e.frames(), solo.frames(), "survivor {idx} vs solo");
+            assert!(e.l1().lines().eq(solo.l1().lines()), "survivor {idx} L1");
         }
-        // And the all-or-nothing wrapper surfaces the failure.
-        assert!(engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).is_err());
+    }
+
+    /// The failure-isolation tests run twice: over three distinct L1s
+    /// (three workers) and over one shared L1 with the failing
+    /// configuration first, so its group has to promote a new leader.
+    /// Each set is `(configs, index of the one that fails)`.
+    fn isolation_sets(bad: EngineConfig) -> [([EngineConfig; 3], usize); 2] {
+        [
+            ([pull(2), bad, pull(16)], 1),
+            (
+                [
+                    EngineConfig {
+                        l1: L1Config::kb(2),
+                        ..bad
+                    },
+                    pull(2),
+                    ml(2, 2 << 20, 4),
+                ],
+                0,
+            ),
+        ]
+    }
+
+    #[test]
+    fn bad_config_fails_alone_and_survivors_finish() {
+        let store = TraceStore::in_memory();
+        let w = tiny_village();
+        // 3 KB L1 = 24 sets, or an L2 smaller than one block: both are
+        // rejected as invalid geometry.
+        let bad = [
+            EngineConfig {
+                l1: L1Config {
+                    size_bytes: 3072,
+                    ..L1Config::kb(2)
+                },
+                ..EngineConfig::default()
+            },
+            ml(2, 512, 0),
+        ];
+        for ((mut configs, bad_idx), bad) in isolation_sets(pull(2)).into_iter().zip(bad) {
+            configs[bad_idx] = bad;
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
+            });
+            assert_eq!(results.len(), 3);
+            assert!(matches!(
+                &results[bad_idx],
+                Err(RunError::Engine(EngineError::InvalidGeometry(_)))
+            ));
+            let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
+            assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
+            // And the all-or-nothing wrapper surfaces the failure.
+            assert!(engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).is_err());
+        }
     }
 
     #[test]
     fn panicking_worker_fails_alone_and_survivors_finish() {
         let store = TraceStore::in_memory();
         let w = tiny_village();
-        let configs = [
-            EngineConfig {
-                l1: L1Config::kb(2),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                l1: L1Config::kb(4),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                l1: L1Config::kb(16),
-                ..EngineConfig::default()
-            },
-        ];
-        // Suppress the expected panic's default stderr backtrace.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let results = engine_run_traversal_with(
-            &store,
-            &w,
-            FilterMode::Bilinear,
-            &configs,
-            false,
-            mltc_raster::Traversal::Scanline,
-            &|cfg, reg| {
-                if cfg.l1.size_bytes == 4096 {
-                    panic!("injected worker failure");
-                }
-                SimEngine::try_new(cfg, reg)
-            },
-        );
-        std::panic::set_hook(prev_hook);
-        assert_eq!(results.len(), 3);
-        match &results[1] {
-            Err(RunError::Panicked(msg)) => assert!(msg.contains("injected"), "{msg}"),
-            other => panic!("expected a panic report, got {other:?}"),
-        }
-        for idx in [0, 2] {
-            let e = results[idx].as_ref().expect("survivors must finish");
-            assert_eq!(e.frames().len(), w.frame_count as usize);
+        for (configs, bad_idx) in isolation_sets(pull(4)) {
+            // Suppress the expected panic's default stderr backtrace.
+            let prev_hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run_traversal_with(
+                    &store,
+                    &w,
+                    FilterMode::Bilinear,
+                    &configs,
+                    false,
+                    mltc_raster::Traversal::Scanline,
+                    &|slot, cfg, reg| {
+                        if slot == bad_idx {
+                            panic!("injected worker failure");
+                        }
+                        SimEngine::try_new(cfg, reg)
+                    },
+                )
+            });
+            std::panic::set_hook(prev_hook);
+            assert_eq!(results.len(), 3);
+            match &results[bad_idx] {
+                Err(RunError::Panicked(msg)) => assert!(msg.contains("injected"), "{msg}"),
+                other => panic!("expected a panic report, got {other:?}"),
+            }
+            let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
+            assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
         }
     }
 
@@ -934,7 +1109,10 @@ mod tests {
         // A tiny budget forces streaming; the truncated tail must surface
         // as RunError::Trace on every config, not a panic.
         let store = TraceStore::persistent(&dir).with_budget(64);
-        let results = engine_run(&store, &w, FilterMode::Point, &[cfg, cfg], false);
+        let results = with_path(ReplayPath::Batched, || {
+            engine_run(&store, &w, FilterMode::Point, &[cfg, cfg, pull(2)], false)
+        });
+        assert_eq!(results.len(), 3);
         for r in &results {
             match r {
                 Err(RunError::Trace(msg)) => assert!(msg.contains("mltct"), "{msg}"),
@@ -942,6 +1120,96 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn configs_sharing_an_l1_replay_in_one_pass_unless_streamed_from_disk() {
+        // fig11's shape: one L1, five TLB sizes — plus an outsider.
+        let mut configs: Vec<EngineConfig> = [1, 2, 4, 8, 16]
+            .iter()
+            .map(|&n| ml(2, 2 << 20, n))
+            .collect();
+        configs.push(pull(16));
+        let w = tiny_village();
+        let dir = std::env::temp_dir().join(format!("mltc-runner-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let all: Vec<usize> = (0..configs.len()).collect();
+        // Memory and live-render replays group; a disk stream keeps one
+        // worker per configuration.
+        for (store, passes) in [
+            (TraceStore::in_memory(), (2, 4)),
+            (TraceStore::persistent(&dir).with_budget(64), (6, 0)),
+            (TraceStore::in_memory().with_budget(64), (2, 4)),
+        ] {
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run(&store, &w, FilterMode::Trilinear, &configs, false)
+            });
+            assert_match_solo(&results, &w, FilterMode::Trilinear, &all);
+            let s = store.snapshot();
+            assert_eq!((s.l1_passes, s.l1_shared_members), passes);
+            let rates: Vec<f64> = results[..5]
+                .iter()
+                .map(|r| r.as_ref().unwrap().totals().tlb_hit_rate())
+                .collect();
+            assert!(rates.windows(2).all(|p| p[0] < p[1]), "{rates:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn faulty_and_timed_members_replay_solo_beside_a_shared_group() {
+        use mltc_core::{FaultPlan, LatencyModel};
+        let store = TraceStore::in_memory();
+        let w = tiny_village();
+        let faulty = EngineConfig {
+            fault: FaultPlan::with_rate(7, 50_000),
+            ..ml(2, 2 << 20, 0)
+        };
+        // Slot 3 gets a timing overlay; slots 0 and 2 are left to share.
+        let configs = [ml(2, 2 << 20, 0), faulty, pull(2), ml(2, 2 << 20, 4)];
+        let results = with_path(ReplayPath::Batched, || {
+            engine_run_traversal_with(
+                &store,
+                &w,
+                FilterMode::Bilinear,
+                &configs,
+                false,
+                mltc_raster::Traversal::Scanline,
+                &|slot, cfg, reg| {
+                    let mut engine = SimEngine::try_new(cfg, reg)?;
+                    if slot == 3 {
+                        engine.attach_timing(LatencyModel::default());
+                    }
+                    Ok(engine)
+                },
+            )
+        });
+        assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1, 2, 3]);
+        let s = store.snapshot();
+        assert_eq!((s.l1_passes, s.l1_shared_members), (3, 1));
+        let faulty = results[1].as_ref().unwrap();
+        assert!(faulty.totals().retries > 0, "the fault plan must bite");
+        let timed = results[3].as_ref().unwrap();
+        let timing = timed.timing().expect("the overlay survives the replay");
+        assert_eq!(timing.totals().taps, timed.totals().l1_accesses);
+    }
+
+    #[test]
+    fn only_the_batched_path_shares_an_l1() {
+        let w = tiny_village();
+        let configs = [ml(2, 2 << 20, 0), pull(2)];
+        for (path, passes) in [
+            (ReplayPath::Scalar, 2),
+            (ReplayPath::Pipelined, 2),
+            (ReplayPath::Batched, 1),
+        ] {
+            let store = TraceStore::in_memory();
+            let results = with_path(path, || {
+                engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
+            });
+            assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1]);
+            assert_eq!(store.snapshot().l1_passes, passes, "{path:?}");
+        }
     }
 
     #[test]
@@ -969,14 +1237,19 @@ mod tests {
             .iter()
             .any(|s| s.name.starts_with("run/village/")));
         assert!(snap.spans.iter().any(|s| s.name.starts_with("replay/")));
-        // One per-frame series row per animation frame, labelled by run+config.
+        // One per-frame series row per animation frame, labelled by run,
+        // config and the config's position in the run.
+        let label = format!("village/late/scanline/Bilinear/{} [0]", cfg.label());
         let series = snap
             .series
             .iter()
-            .find(|s| s.label.ends_with(&cfg.label()))
-            .unwrap_or_else(|| panic!("no series for {:?}", cfg.label()));
-        assert!(series.label.starts_with("village/late/scanline/Bilinear/"));
+            .find(|s| s.label == label)
+            .unwrap_or_else(|| panic!("no series {label:?}"));
         assert_eq!(series.rows.len(), w.frame_count as usize);
+        // The recorder saw a run that shared nothing: an observed engine
+        // runs its own L1 pass.
+        assert_eq!(snap.counters["replay/l1_passes"], 1);
+        assert_eq!(snap.counters["replay/l1_shared_members"], 0);
         // The L2 reuse-distance histogram is exported per workload.
         let reuse = &snap.hists["l2_reuse_pages/village"];
         assert_eq!(
@@ -1043,7 +1316,12 @@ mod tests {
 
     /// Runs `f` with the global replay path pinned, restoring the default
     /// afterwards (also on panic, so one failure can't skew later tests).
+    /// Pinned sections run one at a time; tests outside them may see any
+    /// path, which never changes a counter — only how configurations are
+    /// grouped, so tests that count L1 passes pin the path too.
     fn with_path<T>(path: ReplayPath, f: impl FnOnce() -> T) -> T {
+        static PINNED: Mutex<()> = Mutex::new(());
+        let _serial = lock_clean(&PINNED);
         struct Restore;
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -1126,22 +1404,23 @@ mod tests {
                 lod: 0.0,
             }],
         })];
+        // Two configurations on one L1 (one pass on the batched path) and
+        // one on its own: every member reports the error.
+        let configs = [pull(16), ml(16, 2 << 20, 4), pull(2)];
         for path in [
             ReplayPath::Scalar,
             ReplayPath::Batched,
             ReplayPath::Pipelined,
         ] {
             let results = with_path(path, || {
-                replay_run(
-                    registry,
-                    &frames,
-                    FilterMode::Bilinear,
-                    &[EngineConfig::default()],
-                )
+                replay_run(registry, &frames, FilterMode::Bilinear, &configs)
             });
-            match &results[0] {
-                Err(RunError::Engine(EngineError::UnknownTexture(t))) => assert_eq!(*t, bogus),
-                other => panic!("{path:?}: expected UnknownTexture, got {other:?}"),
+            assert_eq!(results.len(), configs.len());
+            for r in &results {
+                match r {
+                    Err(RunError::Engine(EngineError::UnknownTexture(t))) => assert_eq!(*t, bogus),
+                    other => panic!("{path:?}: expected UnknownTexture, got {other:?}"),
+                }
             }
         }
     }

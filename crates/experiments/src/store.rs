@@ -183,6 +183,8 @@ struct Counters {
     render_nanos: AtomicU64,
     taps_simulated: AtomicU64,
     sim_nanos: AtomicU64,
+    l1_passes: AtomicU64,
+    l1_shared_members: AtomicU64,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
     corrupt_files: AtomicU64,
@@ -214,6 +216,13 @@ pub struct StoreStats {
     pub taps_simulated: u64,
     /// Wall time spent simulating, in nanoseconds.
     pub sim_nanos: u64,
+    /// L1 passes the replays ran: one per group of configurations that
+    /// share an L1, so one per configuration when nothing shares.
+    pub l1_passes: u64,
+    /// Configurations that rode on another's L1 pass instead of running
+    /// their own (`l1_passes + l1_shared_members` = configurations
+    /// replayed).
+    pub l1_shared_members: u64,
     /// Bytes persisted to trace files.
     pub bytes_written: u64,
     /// Bytes loaded back from trace files.
@@ -245,7 +254,10 @@ impl StoreStats {
         per_sec(self.fragments_rasterized, self.render_nanos)
     }
 
-    /// Texture taps simulated per second of simulation wall time.
+    /// Texture taps *answered* per second of simulation wall time: a
+    /// configuration that shared another's L1 pass still counts every tap
+    /// of the trace, so this rises with
+    /// [`l1_shared_members`](Self::l1_shared_members).
     pub fn taps_per_sec(&self) -> f64 {
         per_sec(self.taps_simulated, self.sim_nanos)
     }
@@ -350,6 +362,8 @@ impl TraceStore {
             render_nanos: c.render_nanos.load(Relaxed),
             taps_simulated: c.taps_simulated.load(Relaxed),
             sim_nanos: c.sim_nanos.load(Relaxed),
+            l1_passes: c.l1_passes.load(Relaxed),
+            l1_shared_members: c.l1_shared_members.load(Relaxed),
             bytes_written: c.bytes_written.load(Relaxed),
             bytes_read: c.bytes_read.load(Relaxed),
             corrupt_files: c.corrupt_files.load(Relaxed),
@@ -368,6 +382,18 @@ impl TraceStore {
     pub fn note_sim(&self, taps: u64, nanos: u64) {
         self.inner.counters.taps_simulated.fetch_add(taps, Relaxed);
         self.inner.counters.sim_nanos.fetch_add(nanos, Relaxed);
+    }
+
+    /// Records how a replay's configurations were grouped (called by the
+    /// run machinery before each replay): `passes` L1 passes ran, and
+    /// `shared_members` further configurations rode on one of them.
+    pub fn note_l1_passes(&self, passes: u64, shared_members: u64) {
+        let c = &self.inner.counters;
+        c.l1_passes.fetch_add(passes, Relaxed);
+        c.l1_shared_members.fetch_add(shared_members, Relaxed);
+        let rec = self.recorder();
+        rec.counter("replay/l1_passes").add(passes);
+        rec.counter("replay/l1_shared_members").add(shared_members);
     }
 
     /// The memoized workload for `kind` at `params`: builds the scene at

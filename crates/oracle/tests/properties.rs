@@ -7,11 +7,12 @@
 //! a second time, modelling the next frame touching the same texels).
 
 use mltc_core::{
-    EngineConfig, FaultPlan, L1Config, L2Config, L2Outcome, LatencyModel, ReplacementPolicy,
-    SimEngine,
+    AccessTrace, EngineConfig, FaultPlan, FrameCounters, L1Config, L2Config, L2Outcome,
+    LatencyModel, ReplacementPolicy, SimEngine,
 };
-use mltc_oracle::{DiffHarness, OracleEngine, TexelAccess};
+use mltc_oracle::{expand_frame, DiffHarness, OracleEngine, TexelAccess};
 use mltc_texture::{synth, MipPyramid, TextureId, TextureRegistry};
+use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
 use proptest::prelude::*;
 
 const TEX_DIM: u32 = 64;
@@ -116,6 +117,36 @@ fn timing_model(sel: u8, latency_raw: u8, depth_raw: u8) -> LatencyModel {
     }
 }
 
+/// Adds one fault-free oracle access to the frame counters the engine
+/// would report for it.
+fn tally(c: &mut FrameCounters, t: &AccessTrace, line_bytes: u64) {
+    c.l1_accesses += 1;
+    if t.l1_hit {
+        c.l1_hits += 1;
+        return;
+    }
+    if let Some(hit) = t.tlb_hit {
+        c.tlb_accesses += 1;
+        c.tlb_hits += hit as u64;
+    }
+    c.host_bytes += t.host_bytes;
+    match t.l2 {
+        None => {}
+        Some(L2Outcome::FullHit) => {
+            c.l2_full_hits += 1;
+            c.l2_local_bytes += line_bytes;
+        }
+        Some(L2Outcome::PartialHit) => {
+            c.l2_partial_hits += 1;
+            c.l2_local_bytes += t.host_bytes;
+        }
+        Some(L2Outcome::FullMiss) => {
+            c.l2_full_misses += 1;
+            c.l2_local_bytes += t.host_bytes;
+        }
+    }
+}
+
 fn full_hits(cfg: EngineConfig, reg: &TextureRegistry, stream: &[TexelAccess]) -> u64 {
     let mut engine = SimEngine::new(cfg, reg);
     let mut hits = 0;
@@ -155,6 +186,72 @@ proptest! {
         if let Err(div) = harness.replay_mode(&stream, check_fast) {
             let shrunk = harness.shrink(&stream);
             prop_assert!(false, "{div}\nshrunk to {} accesses", shrunk.len());
+        }
+    }
+
+    /// Shared-L1 replay: any set of fault-free configurations on one L1,
+    /// replayed as one group — a single L1 pass, the leader's miss stream
+    /// fed to everyone else — leaves each member's per-frame counters and
+    /// clock hand exactly where the naive model puts that configuration
+    /// replayed on its own.
+    #[test]
+    fn shared_l1_groups_stay_in_lockstep_with_the_oracle_per_member(
+        raw in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..160),
+        members in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 2..6),
+        filter_sel in any::<u8>(),
+        frame_count in 1usize..4,
+    ) {
+        let reg = registry();
+        let filter = [FilterMode::Point, FilterMode::Bilinear, FilterMode::Trilinear]
+            [(filter_sel % 3) as usize];
+        // Coordinates run past the texture edge (wrapping) and the lod
+        // sweeps every level, fractions included.
+        let requests: Vec<PixelRequest> = raw
+            .iter()
+            .map(|&(tid_sel, lod_raw, u_raw, v_raw, _)| PixelRequest {
+                tid: TextureId::from_index(match tid_sel % 8 {
+                    0..=4 => 0,
+                    5 | 6 => 1,
+                    _ => 2,
+                }),
+                u: (u_raw % (4 * TEX_DIM)) as f32 * 0.5,
+                v: (v_raw % (4 * TEX_DIM)) as f32 * 0.5,
+                lod: (lod_raw % 40) as f32 / 8.0,
+            })
+            .collect();
+        let configs: Vec<EngineConfig> = members
+            .iter()
+            .map(|&(l2_sel, policy_sel, tlb_sel, sector)| config(l2_sel, policy_sel, tlb_sel, sector, 0))
+            .collect();
+        let mut group: Vec<SimEngine> = configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
+        let mut oracles: Vec<OracleEngine> =
+            configs.iter().map(|&c| OracleEngine::new(c, &reg)).collect();
+        let line_bytes = configs[0].l1.line_bytes() as u64;
+        let per_frame = requests.len().div_ceil(frame_count);
+        for (f, chunk) in requests.chunks(per_frame).enumerate() {
+            let mut trace = FrameTrace::new(f as u32, 8, 8, FilterMode::Point);
+            for &req in chunk {
+                trace.push(req);
+            }
+            SimEngine::try_run_frame_shared(&mut group, filter, trace.requests.iter().copied())
+                .expect("every texture is registered");
+            let mut accesses = Vec::new();
+            expand_frame(&trace, filter, &reg, &mut accesses).expect("every texture is registered");
+            for (i, (member, oracle)) in group.iter().zip(&mut oracles).enumerate() {
+                let mut want = FrameCounters::default();
+                for a in &accesses {
+                    let t = oracle.access_texel(TextureId::from_index(a.tid), a.m, a.u, a.v);
+                    tally(&mut want, &t, line_bytes);
+                }
+                prop_assert_eq!(
+                    member.frames()[f], want,
+                    "member {} ({:?}) frame {} under {:?}", i, configs[i], f, filter
+                );
+                prop_assert_eq!(
+                    member.l2().and_then(|l2| l2.clock_hand()), oracle.clock_hand(),
+                    "member {} clock hand after frame {}", i, f
+                );
+            }
         }
     }
 

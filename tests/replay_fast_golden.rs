@@ -6,13 +6,17 @@
 //! fast path monomorphizes over (L2 on/off, TLB on/off, telemetry
 //! on/off, all three filters). The frame-pipelined runner gets the same
 //! treatment at `--jobs 2`, where its prep thread genuinely overlaps the
-//! simulation.
+//! simulation. And the runner's shared-L1 replay — one L1 pass per group
+//! of configurations on the same L1 — must leave every member in the state
+//! its solo replay reaches, from every trace-handle kind.
 
 use mltc_core::{
     EngineConfig, FramePrep, L1Config, L2Config, PreparedFrame, ReplacementPolicy, SimEngine,
     TelemetryOpts,
 };
-use mltc_experiments::{replay_run, set_max_replay_jobs, set_replay_path, ReplayPath};
+use mltc_experiments::{
+    engine_run, replay_run, set_max_replay_jobs, set_replay_path, ReplayPath, TraceStore,
+};
 use mltc_oracle::TraceKey;
 use mltc_telemetry::Recorder;
 use mltc_trace::codec::TraceFileReader;
@@ -20,7 +24,11 @@ use mltc_trace::{FilterMode, FrameTrace};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// The replay path and the jobs cap are process-wide: tests that set them
+/// take this lock so they never see each other's values.
+static RUNNER_GLOBALS: Mutex<()> = Mutex::new(());
 
 fn traces_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/traces")
@@ -204,6 +212,9 @@ fn pipelined_runner_at_two_jobs_is_bit_identical_to_traced() {
     // The threaded handoff itself: the experiments runner's pipelined
     // path (prep thread + recycled PreparedFrames) at `--jobs 2`, so the
     // prep of frame N+1 really does overlap the simulation of frame N.
+    let _globals = RUNNER_GLOBALS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     set_max_replay_jobs(2);
     set_replay_path(ReplayPath::Pipelined);
     for (name, workload, frames) in committed_traces() {
@@ -243,6 +254,133 @@ fn pipelined_runner_at_two_jobs_is_bit_identical_to_traced() {
         }
     }
     set_replay_path(ReplayPath::default());
+    set_max_replay_jobs(0);
+}
+
+/// The sweeps whose configurations share an L1: `fig10`'s architecture set
+/// (four of five on a 2 KB L1), `fig11`/`table8`'s five TLB sizes and
+/// `ablate-replacement`'s three policies.
+fn sweep_sets() -> Vec<(&'static str, Vec<EngineConfig>)> {
+    let base = EngineConfig {
+        l1: L1Config::kb(2),
+        ..EngineConfig::default()
+    };
+    let ml = |l2: L2Config, tlb_entries| EngineConfig {
+        l2: Some(l2),
+        tlb_entries,
+        ..base
+    };
+    vec![
+        (
+            "fig10",
+            vec![
+                base,
+                EngineConfig {
+                    l1: L1Config::kb(16),
+                    ..base
+                },
+                ml(L2Config::mb(2), 0),
+                ml(L2Config::mb(4), 0),
+                ml(L2Config::mb(8), 0),
+            ],
+        ),
+        (
+            "fig11/table8",
+            [1, 2, 4, 8, 16]
+                .iter()
+                .map(|&n| ml(L2Config::mb(2), n))
+                .collect(),
+        ),
+        (
+            "ablate-replacement",
+            [
+                ReplacementPolicy::Clock,
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+            ]
+            .iter()
+            .map(|&policy| {
+                ml(
+                    L2Config {
+                        policy,
+                        ..L2Config::mb(2)
+                    },
+                    0,
+                )
+            })
+            .collect(),
+        ),
+    ]
+}
+
+#[test]
+fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
+    let _globals = RUNNER_GLOBALS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let dir = std::env::temp_dir().join(format!("mltc-golden-shared-{}", std::process::id()));
+    for (name, workload, frames) in committed_traces() {
+        for filter in [
+            FilterMode::Point,
+            FilterMode::Bilinear,
+            FilterMode::Trilinear,
+        ] {
+            for (set, configs) in sweep_sets() {
+                let solo: Vec<SimEngine> = configs
+                    .iter()
+                    .map(|&cfg| {
+                        let rec = Recorder::disabled();
+                        replay(cfg, &workload, &frames, filter, Mode::Batched, &rec)
+                    })
+                    .collect();
+                for jobs in [1, 2] {
+                    set_max_replay_jobs(jobs);
+                    let _ = std::fs::remove_dir_all(&dir);
+                    // A 64-byte budget keeps nothing resident: the
+                    // persistent store streams from disk (one worker per
+                    // configuration, nothing shared), the in-memory one
+                    // renders live.
+                    for (handle, store) in [
+                        ("memory", TraceStore::in_memory()),
+                        ("disk", TraceStore::persistent(&dir).with_budget(64)),
+                        ("uncached", TraceStore::in_memory().with_budget(64)),
+                    ] {
+                        let shared = engine_run(&store, &workload, filter, &configs, false);
+                        let stats = store.snapshot();
+                        if handle == "disk" {
+                            assert_eq!(stats.l1_shared_members, 0, "{set}: streamed replays");
+                        } else {
+                            assert!(
+                                stats.l1_shared_members >= 2,
+                                "{set} / {handle}: the sweep must actually share an L1 pass"
+                            );
+                        }
+                        for (i, (got, want)) in shared.iter().zip(&solo).enumerate() {
+                            let got = got.as_ref().expect("shared replay succeeds");
+                            let ctx = format!(
+                                "{name} / {set}[{i}] / {filter:?} / {handle} / jobs={jobs}"
+                            );
+                            assert_eq!(got.frames(), want.frames(), "{ctx}: frame counters");
+                            assert_eq!(got.totals(), want.totals(), "{ctx}: totals");
+                            assert_eq!(
+                                got.l2().map(|l2| (l2.clock_stats(), l2.clock_hand())),
+                                want.l2().map(|l2| (l2.clock_stats(), l2.clock_hand())),
+                                "{ctx}: clock state"
+                            );
+                            assert_eq!(
+                                got.host().transfers(),
+                                want.host().transfers(),
+                                "{ctx}: host transfer draws"
+                            );
+                            assert_eq!(got.l1().stats(), want.l1().stats(), "{ctx}: L1 stats");
+                            assert!(got.l1().lines().eq(want.l1().lines()), "{ctx}: L1 contents");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
     set_max_replay_jobs(0);
 }
 

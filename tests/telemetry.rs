@@ -238,3 +238,68 @@ fn attribution_only_adds_counters_never_perturbs() {
     let l1_heat: u64 = s_on.heatmaps["attrib/village/l1/miss_bins"].iter().sum();
     assert_eq!(l1_heat, t.l1_accesses - t.l1_hits);
 }
+
+/// A recorder-enabled sweep never shares an L1 pass: every configuration
+/// is observed tap by tap, so the recorder holds exactly what the same
+/// configurations record replayed one at a time — every engine counter,
+/// histogram and per-frame series — under labels that say which
+/// configuration of the run each series belongs to.
+#[test]
+fn recorded_sweep_observes_each_config_exactly_as_its_solo_replay() {
+    use mltc::experiments::{collect_frames, engine_run_all, TraceStore};
+    let w = tiny_village();
+    // fig11's shape: one L1, one L2, five TLB sizes — one label, and one
+    // L1 pass for all five when nobody is watching.
+    let configs: Vec<EngineConfig> = [1, 2, 4, 8, 16]
+        .iter()
+        .map(|&tlb_entries| EngineConfig {
+            tlb_entries,
+            ..cfg()
+        })
+        .collect();
+    let filter = FilterMode::Trilinear;
+
+    let rec = Recorder::enabled();
+    let store = TraceStore::in_memory().with_recorder(rec.clone());
+    let swept = engine_run_all(&store, &w, filter, &configs, false).unwrap();
+
+    let solo_rec = Recorder::enabled();
+    let frames = collect_frames(&store, &w).unwrap();
+    for (i, (cfg, swept)) in configs.iter().zip(&swept).enumerate() {
+        let mut solo = SimEngine::new(*cfg, w.registry());
+        let label = format!("village/late/scanline/Trilinear/{} [{i}]", cfg.label());
+        solo.attach_telemetry(&solo_rec, &label, "village");
+        for f in &frames {
+            solo.try_run_frame_as_batched(f, filter).unwrap();
+        }
+        assert!(swept.telemetry_attached());
+        assert_eq!(swept.frames(), solo.frames(), "config {i}");
+    }
+
+    let got = rec.snapshot();
+    let want = solo_rec.snapshot();
+    for (name, v) in &want.counters {
+        assert_eq!(got.counters.get(name), Some(v), "counter {name}");
+    }
+    for name in got.counters.keys() {
+        assert!(
+            want.counters.contains_key(name)
+                || name.starts_with("store/")
+                || name.starts_with("replay/"),
+            "unexpected counter {name}"
+        );
+    }
+    assert_eq!(got.hists, want.hists, "histograms");
+    assert_eq!(got.series, want.series, "per-frame series");
+    assert_eq!(got.series.len(), configs.len(), "one series per config");
+    assert_eq!(got.counters["replay/l1_passes"], configs.len() as u64);
+    assert_eq!(got.counters["replay/l1_shared_members"], 0);
+    // The same sweep unobserved is one pass.
+    let quiet = TraceStore::in_memory();
+    let unobserved = engine_run_all(&quiet, &w, filter, &configs, false).unwrap();
+    for (a, b) in unobserved.iter().zip(&swept) {
+        assert_eq!(a.frames(), b.frames());
+    }
+    let s = quiet.snapshot();
+    assert_eq!((s.l1_passes, s.l1_shared_members), (1, 4));
+}
