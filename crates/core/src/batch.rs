@@ -39,8 +39,13 @@
 //! frame N+1's decode/translate with frame N's cache simulation.
 
 use crate::engine::{EngineConfig, FrameCounters};
-use crate::tap::{const_filter, tap_ml, tap_pull, TelemetryMode, TlbMode};
+use crate::tap::{
+    const_filter, tap_ml, tap_pull, AdmissionMode, AdmitAll, TelOff, TelOn, TelemetryMode, TlbMode,
+    TlbOff, TlbOn,
+};
+use crate::telemetry::EngineTelemetry;
 use crate::{EngineError, HostLink, L1AddressMap, L1TextureCache, L2Cache};
+use mltc_cache::RoundRobinTlb;
 use mltc_texture::{L1BlockKey, TextureId, TextureRegistry, TranslationMemo, TranslationTables};
 use mltc_trace::{
     filter_tap_lanes, FilterMode, Footprint, FootprintBlock, LevelQuad, PixelRequest,
@@ -195,7 +200,11 @@ impl QuadKernel {
 }
 
 /// Pull-architecture frame loop over the wide path (no L2, no TLB).
-pub(crate) fn replay_pull_batched<const F: u8, I, Te>(
+// Never inlined: one loop per function keeps each instantiation's code
+// independent of how many others its dispatch site names.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn replay_pull_batched<const F: u8, I, Te, Ad>(
     requests: I,
     cfg: &EngineConfig,
     dims: &[Option<Vec<(u32, u32)>>],
@@ -203,10 +212,12 @@ pub(crate) fn replay_pull_batched<const F: u8, I, Te>(
     host: &mut HostLink,
     current: &mut FrameCounters,
     mut tel: Te,
+    mut ad: Ad,
 ) -> Result<(), EngineError>
 where
     I: IntoIterator<Item = PixelRequest>,
     Te: TelemetryMode,
+    Ad: AdmissionMode,
 {
     let l1_bytes = cfg.l1.line_bytes() as u64;
     let mut kern = QuadKernel::new(l1.address_map());
@@ -214,25 +225,30 @@ where
     let mut qbuf = [[LevelQuad::default(); 2]; FOOTPRINT_BLOCK];
     macro_rules! wide_or_scalar {
         ($tid:expr, $quads:expr, $nq:expr) => {
-            match kern.run($tid, &$quads, $nq, l1) {
-                Some(n) => {
-                    current.l1_accesses += n;
-                    current.l1_hits += n;
-                    tel.with(|t| {
-                        t.l1_hits.add(n);
+            if ad.admit(($nq * 4) as u64) {
+                match kern.run($tid, &$quads, $nq, l1) {
+                    Some(n) => {
+                        current.l1_accesses += n;
+                        current.l1_hits += n;
+                        tel.with(|t| {
+                            t.wide_commits.incr();
+                            t.l1_hits.add(n);
+                            for q in &$quads[..$nq] {
+                                t.on_l1_hit_quad($tid, q.m, q.xa, q.xb, q.ya, q.yb);
+                            }
+                        });
+                    }
+                    None => {
+                        tel.with(|t| t.wide_declines.incr());
                         for q in &$quads[..$nq] {
-                            t.on_l1_hit_quad($tid, q.m, q.xa, q.xb, q.ya, q.yb);
-                        }
-                    });
-                }
-                None => {
-                    for q in &$quads[..$nq] {
-                        let xs = [q.xa, q.xb, q.xa, q.xb];
-                        let ys = [q.ya, q.ya, q.yb, q.yb];
-                        for c in 0..4 {
-                            tap_pull(
-                                $tid, q.m, xs[c], ys[c], l1_bytes, l1, host, current, &mut tel,
-                            );
+                            let xs = [q.xa, q.xb, q.xa, q.xb];
+                            let ys = [q.ya, q.ya, q.yb, q.yb];
+                            for c in 0..4 {
+                                tap_pull(
+                                    $tid, q.m, xs[c], ys[c], l1_bytes, l1, host, current, &mut tel,
+                                    &mut ad,
+                                );
+                            }
                         }
                     }
                 }
@@ -277,7 +293,9 @@ where
             // A single tap has nothing to batch: the scalar body IS the path.
             Some(Footprint::Point { m, u, v }) => {
                 drain!();
-                tap_pull(req.tid, m, u, v, l1_bytes, l1, host, current, &mut tel);
+                tap_pull(
+                    req.tid, m, u, v, l1_bytes, l1, host, current, &mut tel, &mut ad,
+                );
             }
             Some(Footprint::Quads { quads, n: nq }) => {
                 drain!();
@@ -290,8 +308,9 @@ where
 }
 
 /// Multi-level frame loop over the wide path.
+#[inline(never)] // as `replay_pull_batched`
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_ml_batched<const F: u8, I, Tl, Te>(
+pub(crate) fn replay_ml_batched<const F: u8, I, Tl, Te, Ad>(
     requests: I,
     cfg: &EngineConfig,
     tables: &TranslationTables,
@@ -302,11 +321,13 @@ pub(crate) fn replay_ml_batched<const F: u8, I, Tl, Te>(
     current: &mut FrameCounters,
     mut tlb: Tl,
     mut tel: Te,
+    mut ad: Ad,
 ) -> Result<(), EngineError>
 where
     I: IntoIterator<Item = PixelRequest>,
     Tl: TlbMode,
     Te: TelemetryMode,
+    Ad: AdmissionMode,
 {
     let l1_bytes = cfg.l1.line_bytes() as u64;
     let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
@@ -321,39 +342,44 @@ where
     let mut qbuf = [[LevelQuad::default(); 2]; FOOTPRINT_BLOCK];
     macro_rules! wide_or_scalar {
         ($tid:expr, $quads:expr, $nq:expr) => {
-            match kern.run($tid, &$quads, $nq, l1) {
-                Some(n) => {
-                    current.l1_accesses += n;
-                    current.l1_hits += n;
-                    tel.with(|t| {
-                        t.l1_hits.add(n);
+            if ad.admit(($nq * 4) as u64) {
+                match kern.run($tid, &$quads, $nq, l1) {
+                    Some(n) => {
+                        current.l1_accesses += n;
+                        current.l1_hits += n;
+                        tel.with(|t| {
+                            t.wide_commits.incr();
+                            t.l1_hits.add(n);
+                            for q in &$quads[..$nq] {
+                                t.on_l1_hit_quad($tid, q.m, q.xa, q.xb, q.ya, q.yb);
+                            }
+                        });
+                    }
+                    None => {
+                        tel.with(|t| t.wide_declines.incr());
                         for q in &$quads[..$nq] {
-                            t.on_l1_hit_quad($tid, q.m, q.xa, q.xb, q.ya, q.yb);
-                        }
-                    });
-                }
-                None => {
-                    for q in &$quads[..$nq] {
-                        let xs = [q.xa, q.xb, q.xa, q.xb];
-                        let ys = [q.ya, q.ya, q.yb, q.yb];
-                        for c in 0..4 {
-                            tap_ml(
-                                $tid,
-                                q.m,
-                                xs[c],
-                                ys[c],
-                                l1_bytes,
-                                dl_full_miss,
-                                tables,
-                                &mut memo,
-                                dims,
-                                l1,
-                                l2,
-                                host,
-                                current,
-                                &mut tlb,
-                                &mut tel,
-                            );
+                            let xs = [q.xa, q.xb, q.xa, q.xb];
+                            let ys = [q.ya, q.ya, q.yb, q.yb];
+                            for c in 0..4 {
+                                tap_ml(
+                                    $tid,
+                                    q.m,
+                                    xs[c],
+                                    ys[c],
+                                    l1_bytes,
+                                    dl_full_miss,
+                                    tables,
+                                    &mut memo,
+                                    dims,
+                                    l1,
+                                    l2,
+                                    host,
+                                    current,
+                                    &mut tlb,
+                                    &mut tel,
+                                    &mut ad,
+                                );
+                            }
                         }
                     }
                 }
@@ -413,6 +439,7 @@ where
                     current,
                     &mut tlb,
                     &mut tel,
+                    &mut ad,
                 );
             }
             Some(Footprint::Quads { quads, n: nq }) => {
@@ -423,6 +450,62 @@ where
     }
     drain!();
     Ok(())
+}
+
+/// The one dispatch site of the wide frame loops: resolves filter × L2 ×
+/// TLB × telemetry once per frame and runs the matching instantiation
+/// under `ad`. [`SimEngine`](crate::SimEngine) passes its own levels with
+/// [`AdmitAll`]; a service [`ClientEngine`](crate::ClientEngine) passes
+/// its private L1/TLB/link, the L2 out of its `SharedL2` guard and its
+/// admission mode. The frame stays open.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn replay_frame_wide<I, Ad>(
+    filter: FilterMode,
+    requests: I,
+    cfg: &EngineConfig,
+    tables: &TranslationTables,
+    dims: &[Option<Vec<(u32, u32)>>],
+    l1: &mut L1TextureCache,
+    l2: Option<&mut L2Cache>,
+    tlb: Option<&mut RoundRobinTlb>,
+    host: &mut HostLink,
+    current: &mut FrameCounters,
+    tel: Option<&mut EngineTelemetry>,
+    ad: Ad,
+) -> Result<(), EngineError>
+where
+    I: IntoIterator<Item = PixelRequest>,
+    Ad: AdmissionMode,
+{
+    macro_rules! pull {
+        ($f:literal, $tel:expr) => {
+            replay_pull_batched::<$f, _, _, _>(requests, cfg, dims, l1, host, current, $tel, ad)
+        };
+    }
+    macro_rules! ml {
+        ($f:literal, $l2:expr, $tlb:expr, $tel:expr) => {
+            replay_ml_batched::<$f, _, _, _, _>(
+                requests, cfg, tables, dims, l1, $l2, host, current, $tlb, $tel, ad,
+            )
+        };
+    }
+    macro_rules! levels {
+        ($f:literal) => {
+            match (l2, tlb, tel) {
+                (None, _, None) => pull!($f, TelOff),
+                (None, _, Some(t)) => pull!($f, TelOn(t)),
+                (Some(l2), None, None) => ml!($f, l2, TlbOff, TelOff),
+                (Some(l2), None, Some(t)) => ml!($f, l2, TlbOff, TelOn(t)),
+                (Some(l2), Some(tlb), None) => ml!($f, l2, TlbOn(tlb), TelOff),
+                (Some(l2), Some(tlb), Some(t)) => ml!($f, l2, TlbOn(tlb), TelOn(t)),
+            }
+        };
+    }
+    match filter {
+        FilterMode::Point => levels!(0),
+        FilterMode::Bilinear => levels!(1),
+        FilterMode::Trilinear => levels!(2),
+    }
 }
 
 /// One frame's taps expanded and L1-translated off-engine, grouped per
@@ -613,6 +696,7 @@ pub(crate) fn run_prepared_pull<Te>(
                     host,
                     current,
                     &mut tel,
+                    &mut AdmitAll,
                 );
             }
         }
@@ -680,6 +764,7 @@ pub(crate) fn run_prepared_ml<Tl, Te>(
                     current,
                     &mut tlb,
                     &mut tel,
+                    &mut AdmitAll,
                 );
             }
         }

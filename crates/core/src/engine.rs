@@ -1,15 +1,15 @@
 //! The transaction-accurate multi-level cache simulator (paper §3.3, §5.3).
 
 use crate::batch::{
-    replay_ml_batched, replay_pull_batched, run_prepared_ml, run_prepared_pull, PreparedFrame,
-    BATCH_LANES,
+    replay_frame_wide, replay_ml_batched, replay_pull_batched, run_prepared_ml, run_prepared_pull,
+    PreparedFrame, BATCH_LANES,
 };
 use crate::latency::{LatencyModel, TimingSim};
 use crate::tap::{
-    const_filter, degraded_probe, tap_ml, tap_ml_miss, tap_pull, tap_pull_below_l1, L1Miss,
-    MissLog, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
+    const_filter, degraded_probe, tap_ml, tap_ml_miss, tap_pull, tap_pull_below_l1, AdmitAll,
+    L1Miss, MissLog, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
 };
-use crate::telemetry::{EngineTelemetry, TelemetryOpts};
+use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
     EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config, L2Outcome,
     Transfer,
@@ -361,17 +361,8 @@ impl SimEngine {
         self.tel = recorder.is_enabled().then(|| {
             let mut tel = EngineTelemetry::new(recorder, label, group);
             if opts.attribution {
-                tel.enable_attribution(
-                    recorder,
-                    group,
-                    crate::telemetry::AttributionParams {
-                        l1_map: self.l1.address_map(),
-                        l1_sets: self.cfg.l1.sets(),
-                        l1_ways: self.cfg.l1.ways as u64,
-                        l1_lines: self.cfg.l1.lines() as u64,
-                        l2_pages: self.l2.as_ref().map_or(0, |l2| l2.block_count() as u64),
-                    },
-                );
+                let params = AttributionParams::of(&self.cfg, self.l1.address_map());
+                tel.enable_attribution(recorder, group, params);
             }
             if opts.locality {
                 let tile_shift = self.cfg.l1.tile.shift();
@@ -894,6 +885,7 @@ impl SimEngine {
                         host,
                         current,
                         &mut tel,
+                        &mut AdmitAll,
                     );
                 }
             }};
@@ -924,6 +916,7 @@ impl SimEngine {
                         current,
                         &mut tlb,
                         &mut tel,
+                        &mut AdmitAll,
                     );
                 }
             }};
@@ -1022,6 +1015,7 @@ impl SimEngine {
                                 host,
                                 current,
                                 &mut tel,
+                                &mut AdmitAll,
                             );
                         }
                     }
@@ -1067,6 +1061,7 @@ impl SimEngine {
                                 current,
                                 &mut tlb,
                                 &mut tel,
+                                &mut AdmitAll,
                             );
                         }
                     }
@@ -1118,11 +1113,7 @@ impl SimEngine {
         if self.timing.is_some() {
             return self.run_frame_timed(filter, requests);
         }
-        match filter {
-            FilterMode::Point => self.replay_frame_batched::<0, _>(requests),
-            FilterMode::Bilinear => self.replay_frame_batched::<1, _>(requests),
-            FilterMode::Trilinear => self.replay_frame_batched::<2, _>(requests),
-        }
+        self.replay_frame_batched(filter, requests)
     }
 
     /// Whether `self` and `other` may replay as one
@@ -1247,13 +1238,13 @@ impl SimEngine {
         let log = MissLog(miss_log);
         let tables = layout.tables();
         match (l2.as_mut(), tlb.as_mut()) {
-            (None, _) => {
-                replay_pull_batched::<F, _, _>(requests, cfg, dims, l1, host, current, log)
-            }
-            (Some(l2), None) => replay_ml_batched::<F, _, _, _>(
-                requests, cfg, tables, dims, l1, l2, host, current, TlbOff, log,
+            (None, _) => replay_pull_batched::<F, _, _, _>(
+                requests, cfg, dims, l1, host, current, log, AdmitAll,
             ),
-            (Some(l2), Some(tlb)) => replay_ml_batched::<F, _, _, _>(
+            (Some(l2), None) => replay_ml_batched::<F, _, _, _, _>(
+                requests, cfg, tables, dims, l1, l2, host, current, TlbOff, log, AdmitAll,
+            ),
+            (Some(l2), Some(tlb)) => replay_ml_batched::<F, _, _, _, _>(
                 requests,
                 cfg,
                 tables,
@@ -1264,6 +1255,7 @@ impl SimEngine {
                 current,
                 TlbOn(tlb),
                 log,
+                AdmitAll,
             ),
         }
     }
@@ -1288,7 +1280,18 @@ impl SimEngine {
                 let l1_bytes = cfg.l1.line_bytes() as u64;
                 for &(tid, m, u, v) in misses {
                     let tid = TextureId::from_index(tid);
-                    tap_pull_below_l1(tid, m, u, v, l1_bytes, l1, host, current, &mut TelOff);
+                    tap_pull_below_l1(
+                        tid,
+                        m,
+                        u,
+                        v,
+                        l1_bytes,
+                        l1,
+                        host,
+                        current,
+                        &mut TelOff,
+                        &mut AdmitAll,
+                    );
                 }
             }
             (Some(l2), None) => {
@@ -1401,74 +1404,43 @@ impl SimEngine {
         Ok(())
     }
 
-    /// The monomorphized wide-path frame replay, mirroring
-    /// [`replay_frame`](Self::replay_frame) arm for arm.
-    fn replay_frame_batched<const F: u8, I>(&mut self, requests: I) -> Result<(), EngineError>
+    /// The wide-path frame replay: the shared dispatch of
+    /// [`replay_frame_wide`] over this engine's own levels, every tap
+    /// admitted.
+    fn replay_frame_batched<I>(
+        &mut self,
+        filter: FilterMode,
+        requests: I,
+    ) -> Result<(), EngineError>
     where
         I: IntoIterator<Item = PixelRequest>,
     {
-        {
-            let Self {
-                cfg,
-                layout,
-                dims,
-                l1,
-                l2,
-                tlb,
-                host,
-                current,
-                tel,
-                ..
-            } = self;
-            let tables = layout.tables();
-            match (l2.as_mut(), tlb.as_mut(), tel.as_deref_mut()) {
-                (None, _, None) => {
-                    replay_pull_batched::<F, _, _>(requests, cfg, dims, l1, host, current, TelOff)
-                }
-                (None, _, Some(t)) => {
-                    replay_pull_batched::<F, _, _>(requests, cfg, dims, l1, host, current, TelOn(t))
-                }
-                (Some(l2), None, None) => replay_ml_batched::<F, _, _, _>(
-                    requests, cfg, tables, dims, l1, l2, host, current, TlbOff, TelOff,
-                ),
-                (Some(l2), None, Some(t)) => replay_ml_batched::<F, _, _, _>(
-                    requests,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOff,
-                    TelOn(t),
-                ),
-                (Some(l2), Some(tlb), None) => replay_ml_batched::<F, _, _, _>(
-                    requests,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOn(tlb),
-                    TelOff,
-                ),
-                (Some(l2), Some(tlb), Some(t)) => replay_ml_batched::<F, _, _, _>(
-                    requests,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOn(tlb),
-                    TelOn(t),
-                ),
-            }?;
-        }
+        let Self {
+            cfg,
+            layout,
+            dims,
+            l1,
+            l2,
+            tlb,
+            host,
+            current,
+            tel,
+            ..
+        } = self;
+        replay_frame_wide(
+            filter,
+            requests,
+            cfg,
+            layout.tables(),
+            dims,
+            l1,
+            l2.as_mut(),
+            tlb.as_mut(),
+            host,
+            current,
+            tel.as_deref_mut(),
+            AdmitAll,
+        )?;
         self.end_frame();
         Ok(())
     }
@@ -1651,7 +1623,16 @@ where
         let taps = filter_taps(&req, const_filter::<F>(), levels, |m| d[m as usize]);
         for tap in &taps {
             tap_pull(
-                req.tid, tap.m, tap.u, tap.v, l1_bytes, l1, host, current, &mut tel,
+                req.tid,
+                tap.m,
+                tap.u,
+                tap.v,
+                l1_bytes,
+                l1,
+                host,
+                current,
+                &mut tel,
+                &mut AdmitAll,
             );
         }
     }
@@ -1710,6 +1691,7 @@ where
                 current,
                 &mut tlb,
                 &mut tel,
+                &mut AdmitAll,
             );
         }
     }
@@ -1755,6 +1737,7 @@ fn replay_misses_ml<Tl: TlbMode>(
             current,
             &mut tlb,
             &mut TelOff,
+            &mut AdmitAll,
         );
     }
 }

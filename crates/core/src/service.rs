@@ -18,9 +18,10 @@
 //!   [`L2PartitionMode::Partitioned`] each client owns a private L2
 //!   partition; a client's counters are then bit-identical to a solo
 //!   [`SimEngine`](crate::SimEngine) run of
-//!   [`TextureService::solo_config`] (the tap bodies are shared verbatim
-//!   with the engine), no matter what other clients do — including
-//!   panicking or running a 100 %-failure fault plan.
+//!   [`TextureService::solo_config`] (the client runs the engine's own
+//!   wide frame loops and tap bodies — there is no service copy of the
+//!   hierarchy), no matter what other clients do — including panicking
+//!   or running a 100 %-failure fault plan.
 //! * **Graceful degradation tiers** — [`AdmissionControl`] bounds each
 //!   client's per-frame host transfers: over the soft budget the client's
 //!   misses are served read-degraded from resident L2 data instead of
@@ -28,28 +29,27 @@
 //!   budget the rest of the frame is shed (tier 2, *shed frames*); too
 //!   many consecutive shed frames quarantine the client (tier 3), turning
 //!   every further [`ClientEngine::run_frame`] into
-//!   [`ServiceError::Quarantined`].
+//!   [`ServiceError::Quarantined`]. The tiers are an admission *mode* of
+//!   the shared frame loops (`AdmissionMode` in `crate::tap`), not a loop
+//!   of their own: `AdmitAll` when no budget is set, which compiles to the
+//!   engine's code, and `Budgeted` below otherwise.
 //!
 //! [`L2PartitionMode::Unified`] shares one L2 (and one page table) among
 //! all clients behind a single arbitration point, measured by
 //! [`SharedL2::contention`]; results then genuinely depend on client
 //! interleaving, which is why the conformance gates run partitioned.
 
+use crate::batch::replay_frame_wide;
 use crate::engine::FrameCounters;
-use crate::tap::{
-    degraded_probe, tap_ml, tap_pull, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
-};
+use crate::tap::{AdmitAll, Budgeted};
 use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
     EngineConfig, EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config,
-    L2Outcome,
 };
-use mltc_cache::RoundRobinTlb;
+use mltc_cache::{ClockStats, RoundRobinTlb};
 use mltc_telemetry::Recorder;
-use mltc_texture::{
-    PageTableLayout, TextureRegistry, TilingConfig, TranslationMemo, TranslationTables,
-};
-use mltc_trace::{filter_taps, FilterMode, FrameTrace};
+use mltc_texture::{PageTableLayout, TextureRegistry, TilingConfig};
+use mltc_trace::{FilterMode, FrameTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
@@ -226,9 +226,9 @@ pub struct ClientServiceStats {
     pub peak_tier: DegradeTier,
 }
 
-fn bump_tier(svc: &mut ClientServiceStats, tier: DegradeTier) {
-    if tier > svc.peak_tier {
-        svc.peak_tier = tier;
+impl ClientServiceStats {
+    pub(crate) fn bump_tier(&mut self, tier: DegradeTier) {
+        self.peak_tier = self.peak_tier.max(tier);
     }
 }
 
@@ -242,6 +242,10 @@ pub struct SharedL2Contention {
     /// Nanoseconds spent waiting on held locks (wall clock; observe-only,
     /// never fed back into simulation state).
     pub contended_nanos: u64,
+    /// Nanoseconds the locks were held, summed over all frames of all
+    /// clients (wall clock; observe-only). In unified mode this is the
+    /// serial section of the service.
+    pub held_nanos: u64,
 }
 
 /// The shared L2 level: one [`L2Cache`] per partition (or a single unified
@@ -256,6 +260,7 @@ pub struct SharedL2 {
     acquisitions: AtomicU64,
     contended: AtomicU64,
     contended_nanos: AtomicU64,
+    held_nanos: AtomicU64,
     /// Contended acquisitions per client id (observability: which client
     /// is stalling on the shared level, not just how often anyone does).
     client_stalls: Vec<AtomicU64>,
@@ -269,6 +274,7 @@ impl SharedL2 {
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             contended_nanos: AtomicU64::new(0),
+            held_nanos: AtomicU64::new(0),
             client_stalls: (0..clients).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -327,6 +333,7 @@ impl SharedL2 {
             acquisitions: self.acquisitions.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
             contended_nanos: self.contended_nanos.load(Ordering::Relaxed),
+            held_nanos: self.held_nanos.load(Ordering::Relaxed),
         }
     }
 }
@@ -474,40 +481,25 @@ impl TextureService {
                 self.clients
             )));
         }
-        let l1 = L1TextureCache::new(self.cfg.l1);
-        let attrib_params = AttributionParams {
-            l1_map: l1.address_map(),
-            l1_sets: self.cfg.l1.sets(),
-            l1_ways: self.cfg.l1.ways as u64,
-            l1_lines: self.cfg.l1.lines() as u64,
-            l2_pages: Self::client_l2(&self.cfg, self.clients).map_or(0, |l2| {
-                (l2.size_bytes / self.cfg.tiling.l2().cache_bytes()) as u64
-            }),
+        let cfg = EngineConfig {
+            fault,
+            ..self.solo_config(client)
         };
         Ok(ClientEngine {
             id: client,
             admission: self.cfg.admission,
-            l1_bytes: self.cfg.l1.line_bytes() as u64,
-            dl_full_miss: Self::client_l2(&self.cfg, self.clients)
-                .map(|l2| {
-                    if l2.sector_mapping {
-                        self.cfg.l1.line_bytes() as u64
-                    } else {
-                        self.cfg.tiling.l2().cache_bytes() as u64
-                    }
-                })
-                .unwrap_or(0),
+            cfg,
             layout: Arc::clone(&self.layout),
             dims: Arc::clone(&self.dims),
-            l1,
-            attrib_params,
-            tlb: (self.cfg.tlb_entries > 0).then(|| RoundRobinTlb::new(self.cfg.tlb_entries)),
+            l1: L1TextureCache::new(cfg.l1),
+            tlb: (cfg.tlb_entries > 0).then(|| RoundRobinTlb::new(cfg.tlb_entries)),
             host: HostLink::new(fault),
             current: FrameCounters::default(),
             frames: Vec::new(),
             svc: ClientServiceStats::default(),
             consecutive_shed: 0,
             quarantine: None,
+            l2_held_nanos: 0,
             tel: None,
         })
     }
@@ -520,12 +512,12 @@ impl TextureService {
 pub struct ClientEngine {
     id: u32,
     admission: AdmissionControl,
-    l1_bytes: u64,
-    dl_full_miss: u64,
+    /// This client's slice of the hierarchy as an engine configuration:
+    /// [`TextureService::solo_config`] with the client's fault plan.
+    cfg: EngineConfig,
     layout: Arc<PageTableLayout>,
     dims: SharedMipDims,
     l1: L1TextureCache,
-    attrib_params: AttributionParams,
     tlb: Option<RoundRobinTlb>,
     host: HostLink,
     current: FrameCounters,
@@ -533,6 +525,8 @@ pub struct ClientEngine {
     svc: ClientServiceStats,
     consecutive_shed: u32,
     quarantine: Option<QuarantineReason>,
+    /// Nanoseconds this client held its L2 lock (wall clock; observe-only).
+    l2_held_nanos: u64,
     tel: Option<Box<EngineTelemetry>>,
 }
 
@@ -563,7 +557,8 @@ impl ClientEngine {
         self.tel = recorder.is_enabled().then(|| {
             let mut tel = EngineTelemetry::new(recorder, label, group);
             if opts.attribution {
-                tel.enable_attribution(recorder, group, self.attrib_params);
+                let params = AttributionParams::of(&self.cfg, self.l1.address_map());
+                tel.enable_attribution(recorder, group, params);
             }
             Box::new(tel)
         });
@@ -573,7 +568,8 @@ impl ClientEngine {
     /// (`service/…` under the recorder's scope — pass the same
     /// [`Recorder::scoped`] recorder used for
     /// [`attach_telemetry`](Self::attach_telemetry)): shed/denied/degraded
-    /// work, queue and L2-lock stalls, and the p99 per-frame L1 miss rate.
+    /// work, queue and L2-lock stalls, the time this client held its L2
+    /// lock, and the p99 per-frame L1 miss rate.
     /// Last write wins, so call it after the client's final frame.
     pub fn publish_metrics(&self, recorder: &Recorder, shared: &SharedL2, queue_stalls: u64) {
         if !recorder.is_enabled() {
@@ -589,6 +585,7 @@ impl ClientEngine {
         g("dropped_taps", totals.dropped_taps as f64);
         g("queue_stalls", queue_stalls as f64);
         g("l2_lock_stalls", shared.client_stalls(self.id) as f64);
+        g("l2_lock_held_ms", self.l2_held_nanos as f64 / 1e6);
         g("peak_tier", self.svc.peak_tier as u64 as f64);
         let mut rates: Vec<f64> = self
             .frames
@@ -637,13 +634,14 @@ impl ClientEngine {
     /// Quarantines the client externally (the service layer calls this
     /// after catching a worker panic, preserving the payload).
     pub fn quarantine(&mut self, reason: QuarantineReason) {
-        bump_tier(&mut self.svc, DegradeTier::Quarantined);
+        self.svc.bump_tier(DegradeTier::Quarantined);
         self.quarantine = Some(reason);
     }
 
-    /// Replays one frame through this client's slice of the hierarchy,
+    /// Replays one frame through this client's slice of the hierarchy —
+    /// the engine's wide frame loops under this client's admission mode —
     /// holding the client's L2 partition lock for the duration of the
-    /// frame, then closes the frame.
+    /// replay, then closes the frame.
     ///
     /// # Errors
     ///
@@ -657,30 +655,95 @@ impl ClientEngine {
         trace: &FrameTrace,
         filter: FilterMode,
     ) -> Result<(), ServiceError> {
-        if let Some(reason) = self.quarantine.clone() {
-            return Err(ServiceError::Quarantined {
-                client: self.id,
-                reason,
-            });
-        }
+        self.check_quarantine()?;
         let mut shed_frame = false;
         let mut guard = shared.lock_for(self.id);
-        match guard.as_deref_mut() {
-            None => self.frame_pull(trace, filter, &mut shed_frame)?,
-            Some(l2) => self.frame_ml(l2, trace, filter, &mut shed_frame)?,
-        }
+        let locked = Instant::now();
+        let replayed = self.replay(guard.as_deref_mut(), trace, filter, &mut shed_frame);
         let clock = guard.as_deref().map(|l2| l2.clock_stats());
+        if let Some(guard) = guard {
+            drop(guard);
+            let held = locked.elapsed().as_nanos() as u64;
+            self.l2_held_nanos += held;
+            shared.held_nanos.fetch_add(held, Ordering::Relaxed);
+        }
+        replayed?;
+        self.close_frame(clock, shed_frame)
+    }
+
+    fn check_quarantine(&self) -> Result<(), ServiceError> {
+        match &self.quarantine {
+            None => Ok(()),
+            Some(reason) => Err(ServiceError::Quarantined {
+                client: self.id,
+                reason: reason.clone(),
+            }),
+        }
+    }
+
+    /// The frame body: the dispatch [`SimEngine`](crate::SimEngine)'s
+    /// batched replay uses, over this client's private levels and the L2
+    /// out of the [`SharedL2`] guard.
+    fn replay(
+        &mut self,
+        l2: Option<&mut L2Cache>,
+        trace: &FrameTrace,
+        filter: FilterMode,
+        shed_frame: &mut bool,
+    ) -> Result<(), EngineError> {
+        let Self {
+            admission,
+            cfg,
+            layout,
+            dims,
+            l1,
+            tlb,
+            host,
+            current,
+            svc,
+            tel,
+            ..
+        } = self;
+        let requests = trace.requests.iter().copied();
+        let (tables, tlb, tel) = (layout.tables(), tlb.as_mut(), tel.as_deref_mut());
+        if admission.soft_transfers_per_frame == 0 && admission.hard_transfers_per_frame == 0 {
+            return replay_frame_wide(
+                filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, AdmitAll,
+            );
+        }
+        let budgeted = Budgeted {
+            ctl: *admission,
+            // Whatever the frame attempted before an unknown texture left
+            // it open still counts against its budgets.
+            attempted: match l2 {
+                Some(_) => current.l2_partial_hits + current.l2_full_misses,
+                None => current.l1_accesses - current.l1_hits,
+            },
+            stats: svc,
+            shed_frame,
+        };
+        replay_frame_wide(
+            filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, budgeted,
+        )
+    }
+
+    /// Closes the frame the replay left open and applies the shed-frame
+    /// policy (tiers 2 and 3).
+    fn close_frame(
+        &mut self,
+        clock: Option<ClockStats>,
+        shed_frame: bool,
+    ) -> Result<(), ServiceError> {
         if let Some(tel) = &mut self.tel {
             tel.on_frame_end(self.frames.len() as u64, &self.current, clock);
         }
-        drop(guard);
         self.frames.push(self.current);
         self.current = FrameCounters::default();
         self.svc.frames_run += 1;
         if shed_frame {
             self.svc.shed_frames += 1;
             self.consecutive_shed += 1;
-            bump_tier(&mut self.svc, DegradeTier::ShedFrames);
+            self.svc.bump_tier(DegradeTier::ShedFrames);
         } else {
             self.consecutive_shed = 0;
         }
@@ -697,337 +760,311 @@ impl ClientEngine {
         }
         Ok(())
     }
-
-    fn frame_ml(
-        &mut self,
-        l2: &mut L2Cache,
-        trace: &FrameTrace,
-        filter: FilterMode,
-        shed_frame: &mut bool,
-    ) -> Result<(), EngineError> {
-        let Self {
-            admission,
-            l1_bytes,
-            dl_full_miss,
-            layout,
-            dims,
-            l1,
-            tlb,
-            host,
-            current,
-            svc,
-            tel,
-            ..
-        } = self;
-        let tables = layout.tables();
-        let dims: &[Option<Vec<(u32, u32)>>] = dims;
-        match (tlb.as_mut(), tel.as_deref_mut()) {
-            (None, None) => ml_loop(
-                trace,
-                filter,
-                admission,
-                tables,
-                dims,
-                *l1_bytes,
-                *dl_full_miss,
-                l1,
-                l2,
-                host,
-                current,
-                svc,
-                shed_frame,
-                TlbOff,
-                TelOff,
-            ),
-            (None, Some(t)) => ml_loop(
-                trace,
-                filter,
-                admission,
-                tables,
-                dims,
-                *l1_bytes,
-                *dl_full_miss,
-                l1,
-                l2,
-                host,
-                current,
-                svc,
-                shed_frame,
-                TlbOff,
-                TelOn(t),
-            ),
-            (Some(tlb), None) => ml_loop(
-                trace,
-                filter,
-                admission,
-                tables,
-                dims,
-                *l1_bytes,
-                *dl_full_miss,
-                l1,
-                l2,
-                host,
-                current,
-                svc,
-                shed_frame,
-                TlbOn(tlb),
-                TelOff,
-            ),
-            (Some(tlb), Some(t)) => ml_loop(
-                trace,
-                filter,
-                admission,
-                tables,
-                dims,
-                *l1_bytes,
-                *dl_full_miss,
-                l1,
-                l2,
-                host,
-                current,
-                svc,
-                shed_frame,
-                TlbOn(tlb),
-                TelOn(t),
-            ),
-        }
-    }
-
-    fn frame_pull(
-        &mut self,
-        trace: &FrameTrace,
-        filter: FilterMode,
-        shed_frame: &mut bool,
-    ) -> Result<(), EngineError> {
-        let Self {
-            admission,
-            l1_bytes,
-            dims,
-            l1,
-            host,
-            current,
-            svc,
-            tel,
-            ..
-        } = self;
-        let dims: &[Option<Vec<(u32, u32)>>] = dims;
-        match tel.as_deref_mut() {
-            None => pull_loop(
-                trace, filter, admission, dims, *l1_bytes, l1, host, current, svc, shed_frame,
-                TelOff,
-            ),
-            Some(t) => pull_loop(
-                trace,
-                filter,
-                admission,
-                dims,
-                *l1_bytes,
-                l1,
-                host,
-                current,
-                svc,
-                shed_frame,
-                TelOn(t),
-            ),
-        }
-    }
 }
 
-/// Multi-level frame loop with admission tiers. Under budget, every tap is
-/// the engine's own [`tap_ml`] — the bit-identity anchor. Over the soft
-/// budget, a miss is denied host access: the speculative install is rolled
-/// back exactly like a failed download and the tap is served degraded or
-/// dropped. Over the hard budget, taps are shed outright.
-#[allow(clippy::too_many_arguments)]
-fn ml_loop<Tl: TlbMode, Te: TelemetryMode>(
-    trace: &FrameTrace,
-    filter: FilterMode,
-    admission: &AdmissionControl,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1_bytes: u64,
-    dl_full_miss: u64,
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    svc: &mut ClientServiceStats,
-    shed_frame: &mut bool,
-    mut tlb: Tl,
-    mut tel: Te,
-) -> Result<(), EngineError> {
-    let mut memo = TranslationMemo::default();
-    for req in &trace.requests {
-        let d = dims
-            .get(req.tid.index() as usize)
-            .and_then(|d| d.as_ref())
-            .ok_or(EngineError::UnknownTexture(req.tid))?;
-        let levels = d.len() as u32;
-        let taps = filter_taps(req, filter, levels, |m| d[m as usize]);
-        for tap in &taps {
-            let transfers = current.l2_partial_hits + current.l2_full_misses;
-            if admission.hard_transfers_per_frame > 0
-                && transfers >= admission.hard_transfers_per_frame
-            {
-                svc.shed_taps += 1;
-                *shed_frame = true;
-                continue;
-            }
-            if admission.soft_transfers_per_frame > 0
-                && transfers >= admission.soft_transfers_per_frame
-            {
-                bump_tier(svc, DegradeTier::DegradedTaps);
-                current.l1_accesses += 1;
-                if l1.access(req.tid, tap.m, tap.u, tap.v) {
-                    current.l1_hits += 1;
-                    tel.with(|t| {
-                        t.l1_hits.incr();
-                        t.on_l1_hit(req.tid, tap.m, tap.u, tap.v);
-                    });
+/// The per-tap service frame loops this module had before it took the
+/// engine's wide path, kept as the independent reference the budget
+/// property checks the `Budgeted` admission mode against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::tap::{
+        degraded_probe, tap_ml, tap_pull, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
+    };
+    use crate::L2Outcome;
+    use mltc_texture::{TranslationMemo, TranslationTables};
+    use mltc_trace::filter_taps;
+
+    impl ClientEngine {
+        /// [`run_frame`](Self::run_frame) over the reference loops.
+        pub(super) fn run_frame_reference(
+            &mut self,
+            shared: &SharedL2,
+            trace: &FrameTrace,
+            filter: FilterMode,
+        ) -> Result<(), ServiceError> {
+            self.check_quarantine()?;
+            let mut shed_frame = false;
+            let mut guard = shared.lock_for(self.id);
+            let Self {
+                admission,
+                cfg,
+                layout,
+                dims,
+                l1,
+                tlb,
+                host,
+                current,
+                svc,
+                tel,
+                ..
+            } = self;
+            let l1_bytes = cfg.l1.line_bytes() as u64;
+            let shed = &mut shed_frame;
+            match guard.as_deref_mut() {
+                None => {
+                    macro_rules! pull {
+                        ($tel:expr) => {
+                            pull_loop(
+                                trace, filter, admission, dims, l1_bytes, l1, host, current, svc,
+                                shed, $tel,
+                            )
+                        };
+                    }
+                    match tel.as_deref_mut() {
+                        None => pull!(TelOff),
+                        Some(t) => pull!(TelOn(t)),
+                    }
+                }
+                Some(l2) => {
+                    let dl_full_miss = if l2.config().sector_mapping {
+                        l1_bytes
+                    } else {
+                        cfg.tiling.l2().cache_bytes() as u64
+                    };
+                    macro_rules! ml {
+                        ($tlb:expr, $tel:expr) => {
+                            ml_loop(
+                                trace,
+                                filter,
+                                admission,
+                                layout.tables(),
+                                dims,
+                                l1_bytes,
+                                dl_full_miss,
+                                l1,
+                                l2,
+                                host,
+                                current,
+                                svc,
+                                shed,
+                                $tlb,
+                                $tel,
+                            )
+                        };
+                    }
+                    match (tlb.as_mut(), tel.as_deref_mut()) {
+                        (None, None) => ml!(TlbOff, TelOff),
+                        (None, Some(t)) => ml!(TlbOff, TelOn(t)),
+                        (Some(tlb), None) => ml!(TlbOn(tlb), TelOff),
+                        (Some(tlb), Some(t)) => ml!(TlbOn(tlb), TelOn(t)),
+                    }
+                }
+            }?;
+            let clock = guard.as_deref().map(|l2| l2.clock_stats());
+            drop(guard);
+            self.close_frame(clock, shed_frame)
+        }
+    }
+
+    /// Reference multi-level frame loop with admission tiers, one tap at a
+    /// time (the service's own loop before it took the wide path). Under
+    /// budget, every tap is the engine's own [`tap_ml`]. Over the soft
+    /// budget, a miss is denied host access: the speculative install is rolled
+    /// back exactly like a failed download and the tap is served degraded or
+    /// dropped. Over the hard budget, taps are shed outright.
+    #[allow(clippy::too_many_arguments)]
+    fn ml_loop<Tl: TlbMode, Te: TelemetryMode>(
+        trace: &FrameTrace,
+        filter: FilterMode,
+        admission: &AdmissionControl,
+        tables: &TranslationTables,
+        dims: &[Option<Vec<(u32, u32)>>],
+        l1_bytes: u64,
+        dl_full_miss: u64,
+        l1: &mut L1TextureCache,
+        l2: &mut L2Cache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+        svc: &mut ClientServiceStats,
+        shed_frame: &mut bool,
+        mut tlb: Tl,
+        mut tel: Te,
+    ) -> Result<(), EngineError> {
+        let mut memo = TranslationMemo::default();
+        for req in &trace.requests {
+            let d = dims
+                .get(req.tid.index() as usize)
+                .and_then(|d| d.as_ref())
+                .ok_or(EngineError::UnknownTexture(req.tid))?;
+            let levels = d.len() as u32;
+            let taps = filter_taps(req, filter, levels, |m| d[m as usize]);
+            for tap in &taps {
+                let transfers = current.l2_partial_hits + current.l2_full_misses;
+                if admission.hard_transfers_per_frame > 0
+                    && transfers >= admission.hard_transfers_per_frame
+                {
+                    svc.shed_taps += 1;
+                    *shed_frame = true;
                     continue;
                 }
-                tel.with(|t| t.on_l1_miss(req.tid, tap.m, tap.u, tap.v));
-                let (pt_index, l1_sub) =
-                    tables.lookup(&mut memo, req.tid.index(), tap.m, tap.u, tap.v);
-                let tlb_hit = tlb.access(pt_index as u64);
-                if let Some(hit) = tlb_hit {
-                    current.tlb_accesses += 1;
-                    current.tlb_hits += hit as u64;
-                }
-                let l2_trace = l2.access_traced(pt_index, l1_sub);
-                let outcome = l2_trace.outcome;
-                let evicted_page = l2_trace.evicted_page;
-                if outcome == L2Outcome::FullHit {
-                    current.l2_full_hits += 1;
-                    current.l2_local_bytes += l1_bytes;
-                    tel.with(|t| {
-                        t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                        t.l2_full_hits.incr();
-                    });
-                    continue;
-                }
-                // The transfer the miss needs is denied: roll back the
-                // speculative install exactly like a failed download and
-                // fall back to resident coarser data.
-                match outcome {
-                    L2Outcome::PartialHit => current.l2_partial_hits += 1,
-                    L2Outcome::FullMiss => current.l2_full_misses += 1,
-                    L2Outcome::FullHit => unreachable!("full hits continue above"),
-                }
-                svc.denied_transfers += 1;
-                l2.fail_download(pt_index, l1_sub);
-                l1.invalidate(req.tid, tap.m, tap.u, tap.v);
-                let served = degraded_probe(tables, dims, l2, req.tid, tap.m, tap.u, tap.v);
-                if served {
-                    current.degraded_taps += 1;
-                    current.l2_local_bytes += l1_bytes;
-                } else {
-                    current.dropped_taps += 1;
-                }
-                tel.with(|t| {
-                    t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
+                if admission.soft_transfers_per_frame > 0
+                    && transfers >= admission.soft_transfers_per_frame
+                {
+                    svc.bump_tier(DegradeTier::DegradedTaps);
+                    current.l1_accesses += 1;
+                    if l1.access(req.tid, tap.m, tap.u, tap.v) {
+                        current.l1_hits += 1;
+                        tel.with(|t| {
+                            t.l1_hits.incr();
+                            t.on_l1_hit(req.tid, tap.m, tap.u, tap.v);
+                        });
+                        continue;
+                    }
+                    tel.with(|t| t.on_l1_miss(req.tid, tap.m, tap.u, tap.v));
+                    let (pt_index, l1_sub) =
+                        tables.lookup(&mut memo, req.tid.index(), tap.m, tap.u, tap.v);
+                    let tlb_hit = tlb.access(pt_index as u64);
+                    if let Some(hit) = tlb_hit {
+                        current.tlb_accesses += 1;
+                        current.tlb_hits += hit as u64;
+                    }
+                    let l2_trace = l2.access_traced(pt_index, l1_sub);
+                    let outcome = l2_trace.outcome;
+                    let evicted_page = l2_trace.evicted_page;
+                    if outcome == L2Outcome::FullHit {
+                        current.l2_full_hits += 1;
+                        current.l2_local_bytes += l1_bytes;
+                        tel.with(|t| {
+                            t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
+                            t.l2_full_hits.incr();
+                        });
+                        continue;
+                    }
+                    // The transfer the miss needs is denied: roll back the
+                    // speculative install exactly like a failed download and
+                    // fall back to resident coarser data.
                     match outcome {
-                        L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-                        L2Outcome::FullMiss => {
-                            t.l2_full_misses.incr();
-                            t.on_full_miss_sweep(l2.clock_stats());
-                        }
+                        L2Outcome::PartialHit => current.l2_partial_hits += 1,
+                        L2Outcome::FullMiss => current.l2_full_misses += 1,
                         L2Outcome::FullHit => unreachable!("full hits continue above"),
                     }
+                    svc.denied_transfers += 1;
+                    l2.fail_download(pt_index, l1_sub);
+                    l1.invalidate(req.tid, tap.m, tap.u, tap.v);
+                    let served = degraded_probe(tables, dims, l2, req.tid, tap.m, tap.u, tap.v);
                     if served {
-                        t.degraded_taps.incr();
+                        current.degraded_taps += 1;
+                        current.l2_local_bytes += l1_bytes;
                     } else {
-                        t.dropped_taps.incr();
+                        current.dropped_taps += 1;
                     }
-                    t.on_l1_rollback(req.tid, tap.m, tap.u, tap.v);
-                    t.on_l2_fault(pt_index as u64);
-                });
-                continue;
-            }
-            tap_ml(
-                req.tid,
-                tap.m,
-                tap.u,
-                tap.v,
-                l1_bytes,
-                dl_full_miss,
-                tables,
-                &mut memo,
-                dims,
-                l1,
-                l2,
-                host,
-                current,
-                &mut tlb,
-                &mut tel,
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Pull-architecture frame loop with admission tiers: without an L2 there
-/// is nothing to degrade to, so a denied transfer drops the tap.
-#[allow(clippy::too_many_arguments)]
-fn pull_loop<Te: TelemetryMode>(
-    trace: &FrameTrace,
-    filter: FilterMode,
-    admission: &AdmissionControl,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1_bytes: u64,
-    l1: &mut L1TextureCache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    svc: &mut ClientServiceStats,
-    shed_frame: &mut bool,
-    mut tel: Te,
-) -> Result<(), EngineError> {
-    for req in &trace.requests {
-        let d = dims
-            .get(req.tid.index() as usize)
-            .and_then(|d| d.as_ref())
-            .ok_or(EngineError::UnknownTexture(req.tid))?;
-        let levels = d.len() as u32;
-        let taps = filter_taps(req, filter, levels, |m| d[m as usize]);
-        for tap in &taps {
-            let transfers = current.l1_accesses - current.l1_hits;
-            if admission.hard_transfers_per_frame > 0
-                && transfers >= admission.hard_transfers_per_frame
-            {
-                svc.shed_taps += 1;
-                *shed_frame = true;
-                continue;
-            }
-            if admission.soft_transfers_per_frame > 0
-                && transfers >= admission.soft_transfers_per_frame
-            {
-                bump_tier(svc, DegradeTier::DegradedTaps);
-                current.l1_accesses += 1;
-                if l1.access(req.tid, tap.m, tap.u, tap.v) {
-                    current.l1_hits += 1;
                     tel.with(|t| {
-                        t.l1_hits.incr();
-                        t.on_l1_hit(req.tid, tap.m, tap.u, tap.v);
+                        t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
+                        match outcome {
+                            L2Outcome::PartialHit => t.l2_partial_hits.incr(),
+                            L2Outcome::FullMiss => {
+                                t.l2_full_misses.incr();
+                                t.on_full_miss_sweep(l2.clock_stats());
+                            }
+                            L2Outcome::FullHit => unreachable!("full hits continue above"),
+                        }
+                        if served {
+                            t.degraded_taps.incr();
+                        } else {
+                            t.dropped_taps.incr();
+                        }
+                        t.on_l1_rollback(req.tid, tap.m, tap.u, tap.v);
+                        t.on_l2_fault(pt_index as u64);
                     });
                     continue;
                 }
-                tel.with(|t| t.on_l1_miss(req.tid, tap.m, tap.u, tap.v));
-                svc.denied_transfers += 1;
-                l1.invalidate(req.tid, tap.m, tap.u, tap.v);
-                current.dropped_taps += 1;
-                tel.with(|t| {
-                    t.l1_misses.incr();
-                    t.dropped_taps.incr();
-                    t.on_l1_rollback(req.tid, tap.m, tap.u, tap.v);
-                });
-                continue;
+                tap_ml(
+                    req.tid,
+                    tap.m,
+                    tap.u,
+                    tap.v,
+                    l1_bytes,
+                    dl_full_miss,
+                    tables,
+                    &mut memo,
+                    dims,
+                    l1,
+                    l2,
+                    host,
+                    current,
+                    &mut tlb,
+                    &mut tel,
+                    &mut AdmitAll,
+                );
             }
-            tap_pull(
-                req.tid, tap.m, tap.u, tap.v, l1_bytes, l1, host, current, &mut tel,
-            );
         }
+        Ok(())
     }
-    Ok(())
+
+    /// Reference pull-architecture frame loop with admission tiers: without
+    /// an L2 there is nothing to degrade to, so a denied transfer drops the
+    /// tap.
+    #[allow(clippy::too_many_arguments)]
+    fn pull_loop<Te: TelemetryMode>(
+        trace: &FrameTrace,
+        filter: FilterMode,
+        admission: &AdmissionControl,
+        dims: &[Option<Vec<(u32, u32)>>],
+        l1_bytes: u64,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+        svc: &mut ClientServiceStats,
+        shed_frame: &mut bool,
+        mut tel: Te,
+    ) -> Result<(), EngineError> {
+        for req in &trace.requests {
+            let d = dims
+                .get(req.tid.index() as usize)
+                .and_then(|d| d.as_ref())
+                .ok_or(EngineError::UnknownTexture(req.tid))?;
+            let levels = d.len() as u32;
+            let taps = filter_taps(req, filter, levels, |m| d[m as usize]);
+            for tap in &taps {
+                let transfers = current.l1_accesses - current.l1_hits;
+                if admission.hard_transfers_per_frame > 0
+                    && transfers >= admission.hard_transfers_per_frame
+                {
+                    svc.shed_taps += 1;
+                    *shed_frame = true;
+                    continue;
+                }
+                if admission.soft_transfers_per_frame > 0
+                    && transfers >= admission.soft_transfers_per_frame
+                {
+                    svc.bump_tier(DegradeTier::DegradedTaps);
+                    current.l1_accesses += 1;
+                    if l1.access(req.tid, tap.m, tap.u, tap.v) {
+                        current.l1_hits += 1;
+                        tel.with(|t| {
+                            t.l1_hits.incr();
+                            t.on_l1_hit(req.tid, tap.m, tap.u, tap.v);
+                        });
+                        continue;
+                    }
+                    tel.with(|t| t.on_l1_miss(req.tid, tap.m, tap.u, tap.v));
+                    svc.denied_transfers += 1;
+                    l1.invalidate(req.tid, tap.m, tap.u, tap.v);
+                    current.dropped_taps += 1;
+                    tel.with(|t| {
+                        t.l1_misses.incr();
+                        t.dropped_taps.incr();
+                        t.on_l1_rollback(req.tid, tap.m, tap.u, tap.v);
+                    });
+                    continue;
+                }
+                tap_pull(
+                    req.tid,
+                    tap.m,
+                    tap.u,
+                    tap.v,
+                    l1_bytes,
+                    l1,
+                    host,
+                    current,
+                    &mut tel,
+                    &mut AdmitAll,
+                );
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1036,6 +1073,7 @@ mod tests {
     use crate::SimEngine;
     use mltc_texture::{synth, MipPyramid, TextureId};
     use mltc_trace::PixelRequest;
+    use proptest::prelude::*;
 
     fn registry(n: usize, dim: u32) -> TextureRegistry {
         let mut reg = TextureRegistry::new();
@@ -1113,11 +1151,20 @@ mod tests {
                     .run_frame(svc.shared_l2(), f, FilterMode::Trilinear)
                     .unwrap();
             }
-            let mut solo = SimEngine::try_new(svc.solo_config(c), &reg).unwrap();
+            // The client runs the wide path; hold it against both the wide
+            // and the scalar replay of its solo engine.
+            let mut scalar = SimEngine::try_new(svc.solo_config(c), &reg).unwrap();
+            let mut batched = SimEngine::try_new(svc.solo_config(c), &reg).unwrap();
             for f in &stream {
-                solo.try_run_frame_as(f, FilterMode::Trilinear).unwrap();
+                scalar.try_run_frame_as(f, FilterMode::Trilinear).unwrap();
+                batched
+                    .try_run_frame_as_batched(f, FilterMode::Trilinear)
+                    .unwrap();
             }
-            assert_eq!(client.frames(), solo.frames(), "client {c}");
+            assert_eq!(client.frames(), scalar.frames(), "client {c} vs scalar");
+            assert_eq!(client.frames(), batched.frames(), "client {c} vs batched");
+            assert!(client.l1.lines().eq(scalar.l1().lines()), "client {c} L1");
+            assert_eq!(client.host.transfers(), scalar.host().transfers());
             assert!(client.totals().retries > 0, "fault plan must have fired");
         }
     }
@@ -1202,7 +1249,7 @@ mod tests {
             );
         }
         assert_eq!(
-            client.totals().host_bytes / client.l1_bytes,
+            client.totals().host_bytes / client.cfg.l1.line_bytes() as u64,
             client
                 .frames()
                 .iter()
@@ -1253,7 +1300,7 @@ mod tests {
         assert!(s.denied_transfers > 0);
         assert_eq!(s.denied_transfers, client.totals().dropped_taps);
         assert_eq!(
-            client.totals().host_bytes / client.l1_bytes,
+            client.totals().host_bytes / client.cfg.l1.line_bytes() as u64,
             4,
             "only the admitted transfers moved bytes"
         );
@@ -1305,5 +1352,168 @@ mod tests {
             r.unwrap_err().to_string(),
             "client 0 quarantined: worker panicked: boom"
         );
+    }
+
+    /// Hit-and-miss-mixing synthetic frames: drifting coordinates over
+    /// three textures and a lod sweep, strides drawn from `seed`.
+    fn wavy_frames(seed: u64, n_frames: u32, per_frame: u32) -> Vec<FrameTrace> {
+        let (a, b) = (5 + (seed % 23) as u32 * 2, 7 + (seed / 23 % 31) as u32 * 2);
+        (0..n_frames)
+            .map(|f| {
+                let mut t = FrameTrace::new(f, 64, 64, FilterMode::Point);
+                for i in 0..per_frame {
+                    t.push(PixelRequest {
+                        tid: TextureId::from_index(i % 3),
+                        u: ((i * a + f * 7) % 512) as f32 * 0.25,
+                        v: ((i * b + f * 3) % 512) as f32 * 0.25,
+                        lod: (i % 40) as f32 / 10.0,
+                    });
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// Everything that must not tell the wide `Budgeted` loop from the
+    /// per-tap reference: counters, service stats, quarantine, L1 lines,
+    /// L2 replacement state and the host link (its `Debug` form carries
+    /// the RNG state and the transfer ordinal).
+    #[allow(clippy::type_complexity)]
+    fn observable_state(
+        c: &ClientEngine,
+        shared: &SharedL2,
+    ) -> (
+        Vec<FrameCounters>,
+        FrameCounters,
+        ClientServiceStats,
+        Option<QuarantineReason>,
+        Vec<(usize, u64, u64)>,
+        Option<(ClockStats, Option<usize>, usize)>,
+        String,
+    ) {
+        (
+            c.frames.clone(),
+            c.current,
+            c.svc,
+            c.quarantine.clone(),
+            c.l1.lines().collect(),
+            shared
+                .lock_for(c.id)
+                .map(|l2| (l2.clock_stats(), l2.clock_hand(), l2.blocks_in_use())),
+            format!("{:?}", c.host),
+        )
+    }
+
+    fn budget() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(1u64), 2u64..40, 40u64..400]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The budget tiers' reference test: the wide frame loops under
+        /// `Budgeted` equal the per-tap reference loops frame by frame,
+        /// for every filter and architecture, on a perfect and a lossy
+        /// link, with and without telemetry watching.
+        #[test]
+        fn budgeted_wide_loop_equals_the_per_tap_reference(
+            soft in budget(),
+            hard in budget(),
+            equal in any::<bool>(),
+            quarantine_after in 0u32..4,
+            seed in any::<u64>(),
+            observed in any::<bool>(),
+        ) {
+            let admission = AdmissionControl {
+                soft_transfers_per_frame: soft,
+                // Half the cases pin soft == hard, a boundary the two
+                // independent draws would almost never land on.
+                hard_transfers_per_frame: if equal { soft } else { hard },
+                quarantine_after_shed_frames: quarantine_after,
+            };
+            let reg = registry(3, 128);
+            let stream = wavy_frames(seed, 4, 500);
+            // 48 blocks: small enough that the clock sweeps and a
+            // degraded probe can come up empty.
+            let small_l2 = Some(L2Config { size_bytes: 48 << 10, ..L2Config::mb(2) });
+            for (l2, tlb_entries) in [(None, 0), (small_l2, 0), (small_l2, 4)] {
+                for fault in [FaultPlan::none(), FaultPlan::with_rate(seed, 150_000)] {
+                    for filter in [FilterMode::Point, FilterMode::Bilinear, FilterMode::Trilinear] {
+                        let cfg = ServiceConfig {
+                            l1: L1Config::kb(2),
+                            l2,
+                            tlb_entries,
+                            fault,
+                            admission,
+                            ..ServiceConfig::default()
+                        };
+                        let ctx = format!("{admission:?} / l2 {} / tlb {tlb_entries} / {fault:?} / {filter}", l2.is_some());
+                        let (svc_new, svc_ref) = (
+                            TextureService::try_new(cfg, &reg, 2).unwrap(),
+                            TextureService::try_new(cfg, &reg, 2).unwrap(),
+                        );
+                        let (mut new, mut reference) = (svc_new.client(1).unwrap(), svc_ref.client(1).unwrap());
+                        let (rec_new, rec_ref) = (Recorder::enabled(), Recorder::enabled());
+                        if observed {
+                            let opts = TelemetryOpts { attribution: true, ..TelemetryOpts::default() };
+                            new.attach_telemetry_opts(&rec_new, "c", "g", opts);
+                            reference.attach_telemetry_opts(&rec_ref, "c", "g", opts);
+                        }
+                        for f in &stream {
+                            let got = new.run_frame(svc_new.shared_l2(), f, filter);
+                            let want = reference.run_frame_reference(svc_ref.shared_l2(), f, filter);
+                            prop_assert_eq!(got, want, "{}: frame {} result", ctx, f.frame);
+                            prop_assert_eq!(
+                                observable_state(&new, svc_new.shared_l2()),
+                                observable_state(&reference, svc_ref.shared_l2()),
+                                "{}: frame {}", ctx, f.frame
+                            );
+                        }
+                        // Path efficacy is the one thing the paths differ in.
+                        let path_neutral = |rec: &Recorder| {
+                            let mut snap = rec.snapshot();
+                            snap.counters.retain(|name, _| !name.contains("/wide_"));
+                            snap
+                        };
+                        let (got, want) = (path_neutral(&rec_new), path_neutral(&rec_ref));
+                        prop_assert_eq!(got.counters, want.counters, "{}: telemetry counters", ctx);
+                        prop_assert_eq!(got.hists, want.hists, "{}: telemetry histograms", ctx);
+                        prop_assert_eq!(got.series, want.series, "{}: per-frame series", ctx);
+                        prop_assert_eq!(got.heatmaps, want.heatmaps, "{}: heat maps", ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The property above is only as strong as the tiers it reaches: the
+    /// same harness at a fixed budget must deny, shed and quarantine.
+    #[test]
+    fn reference_harness_reaches_every_tier() {
+        let reg = registry(3, 128);
+        let cfg = ServiceConfig {
+            l1: L1Config::kb(2),
+            l2: Some(L2Config {
+                size_bytes: 48 << 10,
+                ..L2Config::mb(2)
+            }),
+            admission: AdmissionControl {
+                soft_transfers_per_frame: 10,
+                hard_transfers_per_frame: 60,
+                quarantine_after_shed_frames: 3,
+            },
+            ..ServiceConfig::default()
+        };
+        let svc = TextureService::try_new(cfg, &reg, 1).unwrap();
+        let mut client = svc.client(0).unwrap();
+        let mut last = Ok(());
+        for f in &wavy_frames(1, 4, 500) {
+            last = client.run_frame_reference(svc.shared_l2(), f, FilterMode::Trilinear);
+        }
+        let s = client.service_stats();
+        assert!(s.denied_transfers > 0 && s.shed_taps > 0, "{s:?}");
+        assert!(client.totals().degraded_taps > 0 && client.totals().dropped_taps > 0);
+        assert!(matches!(last, Err(ServiceError::Quarantined { .. })));
+        assert_eq!(s.peak_tier, DegradeTier::Quarantined);
     }
 }

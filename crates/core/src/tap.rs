@@ -13,6 +13,7 @@
 //! tests and the multi-client containment tests all enforce this).
 
 use crate::engine::FrameCounters;
+use crate::service::{AdmissionControl, ClientServiceStats, DegradeTier};
 use crate::telemetry::EngineTelemetry;
 use crate::{HostLink, L1TextureCache, L2Cache, L2Outcome, Transfer};
 use mltc_cache::RoundRobinTlb;
@@ -90,6 +91,79 @@ impl TlbMode for TlbOff {
     }
 }
 
+/// Compile-time admission switch: the service's degradation tiers as a
+/// fourth mode beside filter, TLB and telemetry. [`AdmitAll`] erases both
+/// hooks, so every engine instantiation is the plain hierarchy; the
+/// service's [`Budgeted`] mode charges them against a client's per-frame
+/// transfer budgets.
+pub(crate) trait AdmissionMode {
+    /// Hard tier, asked before the next `n` taps touch anything: `false`
+    /// sheds them (taps counted by the mode, caches untouched). Every
+    /// tap body asks for itself; a wide batch asks once for all its
+    /// lanes, which is exact because only a host transfer moves a budget
+    /// and an all-hit batch makes none — a batch that declines the wide
+    /// commit replays through the tap bodies, which ask again per tap.
+    fn admit(&mut self, n: u64) -> bool;
+
+    /// Soft tier, asked at the transfer site once per L1 miss that needs
+    /// the host: `false` denies the link, and the tap takes the
+    /// failed-download rollback without any link statistics.
+    fn grant_transfer(&mut self) -> bool;
+}
+
+pub(crate) struct AdmitAll;
+
+impl AdmissionMode for AdmitAll {
+    #[inline(always)]
+    fn admit(&mut self, _n: u64) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn grant_transfer(&mut self) -> bool {
+        true
+    }
+}
+
+/// The admission mode of a service client with a budget set: charges the
+/// two hooks against its [`AdmissionControl`] for one frame.
+pub(crate) struct Budgeted<'a> {
+    pub(crate) ctl: AdmissionControl,
+    /// Transfers the open frame has attempted so far (delivered, failed
+    /// or denied): one per arrival at a transfer site.
+    pub(crate) attempted: u64,
+    pub(crate) stats: &'a mut ClientServiceStats,
+    pub(crate) shed_frame: &'a mut bool,
+}
+
+impl AdmissionMode for Budgeted<'_> {
+    #[inline(always)]
+    fn admit(&mut self, n: u64) -> bool {
+        let hard = self.ctl.hard_transfers_per_frame;
+        if hard > 0 && self.attempted >= hard {
+            self.stats.shed_taps += n;
+            *self.shed_frame = true;
+            return false;
+        }
+        let soft = self.ctl.soft_transfers_per_frame;
+        if soft > 0 && self.attempted >= soft {
+            // Every tap that arrives over the soft budget is in tier 1,
+            // whether or not it goes on to need the host.
+            self.stats.bump_tier(DegradeTier::DegradedTaps);
+        }
+        true
+    }
+
+    #[inline(always)]
+    fn grant_transfer(&mut self) -> bool {
+        let soft = self.ctl.soft_transfers_per_frame;
+        let denied = soft > 0 && self.attempted >= soft;
+        self.attempted += 1;
+        self.stats.denied_transfers += denied as u64;
+        !denied
+    }
+}
+
 /// Maps the replay loops' filter const back to the runtime enum (resolved
 /// at monomorphization time, so `filter_taps` sees a literal).
 #[inline(always)]
@@ -106,7 +180,7 @@ pub(crate) const fn const_filter<const F: u8>() -> FilterMode {
 /// line for line.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_pull<Te: TelemetryMode>(
+pub(crate) fn tap_pull<Te: TelemetryMode, Ad: AdmissionMode>(
     tid: TextureId,
     m: u32,
     u: u32,
@@ -116,7 +190,11 @@ pub(crate) fn tap_pull<Te: TelemetryMode>(
     host: &mut HostLink,
     current: &mut FrameCounters,
     tel: &mut Te,
+    ad: &mut Ad,
 ) {
+    if !ad.admit(1) {
+        return;
+    }
     current.l1_accesses += 1;
     if l1.access(tid, m, u, v) {
         current.l1_hits += 1;
@@ -128,15 +206,16 @@ pub(crate) fn tap_pull<Te: TelemetryMode>(
     }
     tel.with(|t| t.on_l1_miss(tid, m, u, v));
     tel.l1_miss(tid, m, u, v);
-    tap_pull_below_l1(tid, m, u, v, l1_bytes, l1, host, current, tel);
+    tap_pull_below_l1(tid, m, u, v, l1_bytes, l1, host, current, tel, ad);
 }
 
 /// The below-L1 half of a pull tap (host transfer → rollback). Split out
 /// so a shared replay's followers can run it straight off the leader's L1
-/// miss log.
+/// miss log. Without an L2 there is nothing to degrade to, so a failed or
+/// denied transfer drops the tap.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_pull_below_l1<Te: TelemetryMode>(
+pub(crate) fn tap_pull_below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
     tid: TextureId,
     m: u32,
     u: u32,
@@ -146,7 +225,13 @@ pub(crate) fn tap_pull_below_l1<Te: TelemetryMode>(
     host: &mut HostLink,
     current: &mut FrameCounters,
     tel: &mut Te,
+    ad: &mut Ad,
 ) {
+    // A denied transfer is a third outcome beside delivered and failed:
+    // the failed-download rollback, with the link never touched.
+    if !ad.grant_transfer() {
+        return pull_rollback(tid, m, u, v, None, l1, current, tel);
+    }
     match host.transfer(tid) {
         Transfer::Delivered { retries } => {
             current.retries += retries as u64;
@@ -161,17 +246,37 @@ pub(crate) fn tap_pull_below_l1<Te: TelemetryMode>(
         Transfer::Failed { retries } => {
             current.retries += retries as u64;
             current.failed_transfers += 1;
-            l1.invalidate(tid, m, u, v);
-            current.dropped_taps += 1;
-            tel.with(|t| {
-                t.l1_misses.incr();
-                t.host_failed.incr();
-                t.host_retries.add(retries as u64);
-                t.dropped_taps.incr();
-                t.on_l1_rollback(tid, m, u, v);
-            });
+            pull_rollback(tid, m, u, v, Some(retries), l1, current, tel);
         }
     }
+}
+
+/// A pull tap whose download did not arrive — the link `failed` it after
+/// that many retries, or admission denied it (`None`): the speculative L1
+/// install is rolled back and, with no L2 to degrade to, the tap dropped.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pull_rollback<Te: TelemetryMode>(
+    tid: TextureId,
+    m: u32,
+    u: u32,
+    v: u32,
+    failed: Option<u32>,
+    l1: &mut L1TextureCache,
+    current: &mut FrameCounters,
+    tel: &mut Te,
+) {
+    l1.invalidate(tid, m, u, v);
+    current.dropped_taps += 1;
+    tel.with(|t| {
+        t.l1_misses.incr();
+        if let Some(retries) = failed {
+            t.host_failed.incr();
+            t.host_retries.add(retries as u64);
+        }
+        t.dropped_taps.incr();
+        t.on_l1_rollback(tid, m, u, v);
+    });
 }
 
 /// One multi-level tap; mirrors the `Some(l2)` arm of
@@ -180,7 +285,7 @@ pub(crate) fn tap_pull_below_l1<Te: TelemetryMode>(
 /// one-entry memo.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode>(
+pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode, Ad: AdmissionMode>(
     tid: TextureId,
     m: u32,
     u: u32,
@@ -196,7 +301,11 @@ pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode>(
     current: &mut FrameCounters,
     tlb: &mut Tl,
     tel: &mut Te,
+    ad: &mut Ad,
 ) {
+    if !ad.admit(1) {
+        return;
+    }
     current.l1_accesses += 1;
     if l1.access(tid, m, u, v) {
         current.l1_hits += 1;
@@ -224,6 +333,7 @@ pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode>(
         current,
         tlb,
         tel,
+        ad,
     );
 }
 
@@ -232,7 +342,7 @@ pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode>(
 /// followers can run it straight off the leader's L1 miss log.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_ml_miss<Tl: TlbMode, Te: TelemetryMode>(
+pub(crate) fn tap_ml_miss<Tl: TlbMode, Te: TelemetryMode, Ad: AdmissionMode>(
     tid: TextureId,
     m: u32,
     u: u32,
@@ -248,6 +358,7 @@ pub(crate) fn tap_ml_miss<Tl: TlbMode, Te: TelemetryMode>(
     current: &mut FrameCounters,
     tlb: &mut Tl,
     tel: &mut Te,
+    ad: &mut Ad,
 ) {
     let (pt_index, l1_sub) = tables.lookup(memo, tid.index(), m, u, v);
     let tlb_hit = tlb.access(pt_index as u64);
@@ -272,16 +383,18 @@ pub(crate) fn tap_ml_miss<Tl: TlbMode, Te: TelemetryMode>(
         host,
         current,
         tel,
+        ad,
     );
 }
 
 /// The below-L1 half of a multi-level tap (L2 probe → host transfer →
-/// rollback / degradation), after translation and the TLB probe. Split out
-/// so the service layer's admission-controlled taps can reuse the exact
-/// miss semantics after making their own tier decision.
+/// rollback / degradation), after translation and the TLB probe. A
+/// transfer the admission mode denies takes the failed-download rollback
+/// — the speculative installs are torn down and the tap is served from a
+/// resident coarser mip or dropped — minus the link statistics.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_ml_below_l1<Te: TelemetryMode>(
+pub(crate) fn tap_ml_below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
     tid: TextureId,
     m: u32,
     u: u32,
@@ -298,6 +411,7 @@ pub(crate) fn tap_ml_below_l1<Te: TelemetryMode>(
     host: &mut HostLink,
     current: &mut FrameCounters,
     tel: &mut Te,
+    ad: &mut Ad,
 ) {
     let l2_trace = l2.access_traced(pt_index, l1_sub);
     let outcome = l2_trace.outcome;
@@ -321,6 +435,29 @@ pub(crate) fn tap_ml_below_l1<Te: TelemetryMode>(
             dl_full_miss
         }
     };
+    // A denied transfer is a third outcome beside delivered and failed:
+    // the failed-download rollback, with the link never touched.
+    if !ad.grant_transfer() {
+        return ml_rollback(
+            tid,
+            m,
+            u,
+            v,
+            pt_index,
+            l1_sub,
+            tlb_hit,
+            outcome,
+            evicted_page,
+            None,
+            l1_bytes,
+            tables,
+            dims,
+            l1,
+            l2,
+            current,
+            tel,
+        );
+    }
     match host.transfer(tid) {
         Transfer::Delivered { retries } => {
             current.retries += retries as u64;
@@ -344,37 +481,91 @@ pub(crate) fn tap_ml_below_l1<Te: TelemetryMode>(
         Transfer::Failed { retries } => {
             current.retries += retries as u64;
             current.failed_transfers += 1;
-            l2.fail_download(pt_index, l1_sub);
-            l1.invalidate(tid, m, u, v);
-            let served = degraded_probe(tables, dims, l2, tid, m, u, v);
-            if served {
-                current.degraded_taps += 1;
-                current.l2_local_bytes += l1_bytes;
-            } else {
-                current.dropped_taps += 1;
-            }
-            tel.with(|t| {
-                t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                match outcome {
-                    L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-                    L2Outcome::FullMiss => {
-                        t.l2_full_misses.incr();
-                        t.on_full_miss_sweep(l2.clock_stats());
-                    }
-                    L2Outcome::FullHit => unreachable!("full hits return above"),
-                }
-                t.host_failed.incr();
-                t.host_retries.add(retries as u64);
-                if served {
-                    t.degraded_taps.incr();
-                } else {
-                    t.dropped_taps.incr();
-                }
-                t.on_l1_rollback(tid, m, u, v);
-                t.on_l2_fault(pt_index as u64);
-            });
+            ml_rollback(
+                tid,
+                m,
+                u,
+                v,
+                pt_index,
+                l1_sub,
+                tlb_hit,
+                outcome,
+                evicted_page,
+                Some(retries),
+                l1_bytes,
+                tables,
+                dims,
+                l1,
+                l2,
+                current,
+                tel,
+            );
         }
     }
+}
+
+/// A multi-level tap whose download did not arrive — the link `failed`
+/// it after that many retries, or admission denied it (`None`): both
+/// speculative installs are torn down and the tap is served from a
+/// resident coarser mip (degraded) or dropped.
+///
+/// A function of its own rather than a shared tail of the transfer
+/// `match`: with the rollback out of the way of the delivered arm,
+/// `city_miss_path` (every fifth tap misses the L1) replays ≈ 20 %
+/// faster than with the two arms folded into one `Option<Transfer>`
+/// match (DESIGN.md §9, measured).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn ml_rollback<Te: TelemetryMode>(
+    tid: TextureId,
+    m: u32,
+    u: u32,
+    v: u32,
+    pt_index: u32,
+    l1_sub: u16,
+    tlb_hit: Option<bool>,
+    outcome: L2Outcome,
+    evicted_page: Option<u32>,
+    failed: Option<u32>,
+    l1_bytes: u64,
+    tables: &TranslationTables,
+    dims: &[Option<Vec<(u32, u32)>>],
+    l1: &mut L1TextureCache,
+    l2: &mut L2Cache,
+    current: &mut FrameCounters,
+    tel: &mut Te,
+) {
+    l2.fail_download(pt_index, l1_sub);
+    l1.invalidate(tid, m, u, v);
+    let served = degraded_probe(tables, dims, l2, tid, m, u, v);
+    if served {
+        current.degraded_taps += 1;
+        current.l2_local_bytes += l1_bytes;
+    } else {
+        current.dropped_taps += 1;
+    }
+    tel.with(|t| {
+        t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
+        match outcome {
+            L2Outcome::PartialHit => t.l2_partial_hits.incr(),
+            L2Outcome::FullMiss => {
+                t.l2_full_misses.incr();
+                t.on_full_miss_sweep(l2.clock_stats());
+            }
+            L2Outcome::FullHit => unreachable!("full hits return above"),
+        }
+        if let Some(retries) = failed {
+            t.host_failed.incr();
+            t.host_retries.add(retries as u64);
+        }
+        if served {
+            t.degraded_taps.incr();
+        } else {
+            t.dropped_taps.incr();
+        }
+        t.on_l1_rollback(tid, m, u, v);
+        t.on_l2_fault(pt_index as u64);
+    });
 }
 
 /// Read-only search for the nearest coarser mip level whose covering texel

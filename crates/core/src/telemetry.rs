@@ -19,7 +19,7 @@ use mltc_telemetry::{
 };
 use mltc_texture::TextureId;
 
-use crate::{FrameCounters, L1AddressMap, L2Outcome};
+use crate::{EngineConfig, FrameCounters, L1AddressMap, L2Outcome};
 
 /// Bin count the L2 page heat maps fold onto (pages can number in the
 /// thousands; per-set L1 maps use the true set count).
@@ -81,6 +81,12 @@ pub struct EngineTelemetry {
     pub(crate) host_retries: Counter,
     pub(crate) degraded_taps: Counter,
     pub(crate) dropped_taps: Counter,
+    /// Fragments the wide frame loops committed as one all-hit L1 batch,
+    /// and fragments that declined to the scalar tap bodies: fast-path
+    /// efficacy. The only engine counters that depend on the replay path
+    /// (the scalar and prepared paths leave both at zero).
+    pub(crate) wide_commits: Counter,
+    pub(crate) wide_declines: Counter,
     /// Host transfer sizes in bytes (per delivered transfer).
     pub(crate) transfer_bytes: Histogram,
     /// Clock sweep length (entries examined) per L2 full miss.
@@ -106,8 +112,7 @@ pub struct EngineTelemetry {
 }
 
 /// Cache geometry the attribution shadow models need, captured at attach
-/// time (the engine and the service client both build it from their own
-/// configuration).
+/// time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AttributionParams {
     /// The pure L1 tag/set function (for block keys and set bins).
@@ -121,6 +126,22 @@ pub(crate) struct AttributionParams {
     /// L2 capacity in blocks/pages (0 for the pull architecture, whose
     /// L2 attribution then never records).
     pub(crate) l2_pages: u64,
+}
+
+impl AttributionParams {
+    /// The geometry of `cfg` — an engine's own configuration, or a service
+    /// client's slice of the hierarchy (its L1 and its L2 *share*).
+    pub(crate) fn of(cfg: &EngineConfig, l1_map: L1AddressMap) -> Self {
+        Self {
+            l1_map,
+            l1_sets: cfg.l1.sets(),
+            l1_ways: cfg.l1.ways as u64,
+            l1_lines: cfg.l1.lines() as u64,
+            l2_pages: cfg.l2.map_or(0, |l2| {
+                (l2.size_bytes / cfg.tiling.l2().cache_bytes()) as u64
+            }),
+        }
+    }
 }
 
 /// Per-engine attribution state: one [`MissAttribution`] per cache level
@@ -158,6 +179,8 @@ impl EngineTelemetry {
             host_retries: c("host_retries"),
             degraded_taps: c("degraded_taps"),
             dropped_taps: c("dropped_taps"),
+            wide_commits: c("wide_commits"),
+            wide_declines: c("wide_declines"),
             transfer_bytes: recorder.histogram(&format!("host_transfer_bytes/{group}")),
             sweep_len: recorder.histogram(&format!("clock_sweep_len/{group}")),
             reuse_hist: recorder.histogram(&format!("l2_reuse_pages/{group}")),

@@ -9,7 +9,8 @@
 //! * the poisoned client must end up quarantined (exit 1 when it does
 //!   not, or when anything *else* was quarantined or errored);
 //! * with `--verify-containment` (partitioned mode), every survivor must
-//!   be bit-identical to its solo baseline (exit 2 on any divergence).
+//!   be bit-identical to its solo baseline on both the wide and the
+//!   scalar replay path (exit 2 on any divergence).
 //!
 //! A machine-readable summary lands in `<out>/multiclient_chaos.json`;
 //! `--telemetry <dir>` additionally exports the per-client scoped
@@ -24,8 +25,8 @@
 
 use mltc_core::{FaultPlan, L2PartitionMode, ServiceConfig};
 use mltc_experiments::{
-    collect_frames, experiment_service_config, run_multi_client, solo_baseline, ClientSpec,
-    MultiClientConfig, Scale, TraceStore,
+    collect_frames, experiment_service_config, run_multi_client, solo_baseline,
+    solo_baseline_scalar, ClientSpec, MultiClientConfig, Scale, TraceStore,
 };
 use mltc_telemetry::{export, Recorder};
 use mltc_trace::FilterMode;
@@ -43,7 +44,7 @@ fn usage() -> ExitCode {
          --partition <m>       L2 organisation (default partitioned)\n\
          --inject-panic <c>    panic client <c>'s worker before its frame 1\n\
          --fault-client <c>    give client <c> a 100%-failure host link\n\
-         --verify-containment  diff every survivor against its solo baseline\n\
+         --verify-containment  diff every survivor against its wide and scalar solo baselines\n\
          --out <dir>           where the JSON summary goes (default results)\n\
          --telemetry <dir>     export per-client telemetry into <dir>"
     );
@@ -194,15 +195,25 @@ fn main() -> ExitCode {
             println!("note: --verify-containment is a no-op in unified mode (shared state)");
         } else {
             for c in report.survivors() {
-                match solo_baseline(w.registry(), &frames, &specs, &cfg, c.id as usize) {
-                    Ok(solo) if solo.frames() == c.frames.as_slice() => {}
-                    Ok(_) => divergent.push(c.id),
-                    Err(e) => gate_failures.push(format!("solo baseline {} failed: {e}", c.id)),
+                let id = c.id as usize;
+                let diverged = [solo_baseline, solo_baseline_scalar]
+                    .iter()
+                    .any(
+                        |baseline| match baseline(w.registry(), &frames, &specs, &cfg, id) {
+                            Ok(solo) => solo.frames() != c.frames.as_slice(),
+                            Err(e) => {
+                                gate_failures.push(format!("solo baseline {id} failed: {e}"));
+                                false
+                            }
+                        },
+                    );
+                if diverged {
+                    divergent.push(c.id);
                 }
             }
             match divergent.as_slice() {
                 [] => println!(
-                    "containment verified: {} survivors bit-identical to solo baselines",
+                    "containment verified: {} survivors bit-identical to their wide and scalar solo baselines",
                     report.survivors().count()
                 ),
                 ids => gate_failures.push(format!("containment VIOLATED for clients {ids:?}")),
@@ -211,12 +222,27 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "fairness {:.4}, contention {}/{} acquisitions, {} stalls",
+        "fairness {:.4}, contention {}/{} acquisitions, {} stalls, L2 locks held {:.1} ms",
         report.fairness,
         report.contention.contended,
         report.contention.acquisitions,
-        report.clients.iter().map(|c| c.queue_stalls).sum::<u64>()
+        report.clients.iter().map(|c| c.queue_stalls).sum::<u64>(),
+        report.contention.held_nanos as f64 / 1e6
     );
+    if recorder.is_enabled() {
+        // Fast-path efficacy over all clients (`c<i>/engine/mc/wide_*`).
+        let snap = recorder.snapshot();
+        let sum = |name: &str| -> u64 {
+            let suffix = format!("/engine/mc/{name}");
+            let matching = snap.counters.iter().filter(|(k, _)| k.ends_with(&suffix));
+            matching.map(|(_, v)| v).sum()
+        };
+        let (commits, declines) = (sum("wide_commits"), sum("wide_declines"));
+        println!(
+            "wide kernel: {commits} commits, {declines} declines ({:.1} % of fragments committed wide)",
+            100.0 * commits as f64 / (commits + declines).max(1) as f64
+        );
+    }
 
     // Hand-rolled JSON summary (no serde in the workspace by design).
     let clients_json: Vec<String> = report

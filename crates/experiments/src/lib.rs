@@ -70,8 +70,8 @@ pub use matrix::conformance_matrix;
 pub use metrics::MetricsExport;
 pub use multiclient::{
     collect_frames, experiment_service_config, multiclient, run_multi_client,
-    set_multiclient_clients, set_multiclient_partition, solo_baseline, ClientReport, ClientSpec,
-    MultiClientConfig, MultiClientReport,
+    set_multiclient_clients, set_multiclient_partition, solo_baseline, solo_baseline_scalar,
+    ClientReport, ClientSpec, MultiClientConfig, MultiClientReport,
 };
 pub use outputs::{Outputs, TextTable};
 pub use runner::{

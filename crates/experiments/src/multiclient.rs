@@ -14,8 +14,9 @@
 //! Containment contract (enforced by tests here and in `tests/`):
 //!
 //! * **Partitioned** L2: every client is bit-identical to a solo
-//!   [`SimEngine`] running [`TextureService::solo_config`] — no matter
-//!   what the other clients do (panic, 100 % fault plans, shed frames).
+//!   [`SimEngine`] running [`TextureService::solo_config`] — on the wide
+//!   path the client itself runs and on the scalar path — no matter what
+//!   the other clients do (panic, 100 % fault plans, shed frames).
 //! * **Unified** L2: clients share one cache and one page table; a
 //!   [`Turnstile`] serialises frame execution in round-robin client
 //!   order so results are deterministic run to run (they still depend on
@@ -293,8 +294,9 @@ pub fn run_multi_client(
                 None => service.client(i as u32),
             }?;
             if recorder.is_enabled() {
-                // Attribution on: the service runs drive the scalar tap
-                // bodies, where 3C classification is exact.
+                // Attribution on: 3C classification hangs off the L1 miss
+                // site, which every replay path reaches through the same
+                // tap body, so it is exact on the wide path too.
                 engine.attach_telemetry_opts(
                     &recorder.scoped(&format!("c{i}")),
                     &format!("c{i}"),
@@ -430,15 +432,44 @@ pub fn run_multi_client(
 
 /// The solo baseline for client `i` of a would-be service over `frames`:
 /// a plain [`SimEngine`] under [`TextureService::solo_config`], fed the
-/// same phase-rotated stream. In partitioned mode the service client must
-/// match this bit for bit — the containment oracle used by the tests and
-/// the `multiclient` chaos binary.
+/// same phase-rotated stream through the wide (batched) frame loops — the
+/// path the service client itself runs. In partitioned mode the service
+/// client must match this bit for bit — the containment oracle used by
+/// the tests and the `multiclient` chaos binary, which hold every survivor
+/// against [`solo_baseline_scalar`] as well so the gate still covers both
+/// paths.
 pub fn solo_baseline(
     registry: &TextureRegistry,
     frames: &[Arc<FrameTrace>],
     specs: &[ClientSpec],
     cfg: &MultiClientConfig,
     client: usize,
+) -> Result<SimEngine, RunError> {
+    let run = SimEngine::try_run_frame_as_batched;
+    solo_replay(registry, frames, specs, cfg, client, run)
+}
+
+/// [`solo_baseline`] over the scalar path: one tap at a time through the
+/// canonical tap bodies, no wide kernel. The independent half of the
+/// containment oracle now that the service replays wide.
+pub fn solo_baseline_scalar(
+    registry: &TextureRegistry,
+    frames: &[Arc<FrameTrace>],
+    specs: &[ClientSpec],
+    cfg: &MultiClientConfig,
+    client: usize,
+) -> Result<SimEngine, RunError> {
+    let run = SimEngine::try_run_frame_as;
+    solo_replay(registry, frames, specs, cfg, client, run)
+}
+
+fn solo_replay(
+    registry: &TextureRegistry,
+    frames: &[Arc<FrameTrace>],
+    specs: &[ClientSpec],
+    cfg: &MultiClientConfig,
+    client: usize,
+    run: fn(&mut SimEngine, &FrameTrace, FilterMode) -> Result<(), EngineError>,
 ) -> Result<SimEngine, RunError> {
     let service = TextureService::try_new(cfg.service, registry, specs.len() as u32)?;
     let spec = &specs[client];
@@ -452,11 +483,7 @@ pub fn solo_baseline(
     let steps = cfg.steps.unwrap_or(frames.len());
     for step in 0..steps {
         let trace = &frames[(step + spec.phase_offset) % frames.len()];
-        // The wide (batched) kernel: the containment oracle then proves
-        // the service replay — which drives the scalar tap bodies —
-        // bit-identical to a batched replay, so the chaos gate covers
-        // both paths at once.
-        solo.try_run_frame_as_batched(trace, spec.filter)?;
+        run(&mut solo, trace, spec.filter)?;
     }
     Ok(solo)
 }

@@ -3,16 +3,18 @@
 //! poisoned client — whether its worker panics or its host link fails
 //! every transfer — must be quarantined and reported, while every
 //! survivor replays bit-identically to a solo engine given the same
-//! per-client slice of the hierarchy.
+//! per-client slice of the hierarchy — replayed wide, as the service
+//! client itself runs, and replayed one scalar tap at a time.
 
 use mltc::core::{FaultPlan, L2PartitionMode, QuarantineReason, ServiceConfig};
 use mltc::experiments::{
-    collect_frames, experiment_service_config, run_multi_client, solo_baseline, ClientSpec,
-    MultiClientConfig, TraceStore,
+    collect_frames, experiment_service_config, run_multi_client, solo_baseline,
+    solo_baseline_scalar, ClientReport, ClientSpec, MultiClientConfig, TraceStore,
 };
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::telemetry::Recorder;
-use mltc::trace::FilterMode;
+use mltc::trace::{FilterMode, FrameTrace};
+use std::sync::Arc;
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -44,6 +46,23 @@ fn chaos_cfg() -> MultiClientConfig {
     }
 }
 
+/// Both halves of the containment oracle: the client's frames against its
+/// solo engine on the wide path and on the scalar path.
+fn assert_matches_solo_baselines(
+    c: &ClientReport,
+    w: &Workload,
+    frames: &[Arc<FrameTrace>],
+    specs: &[ClientSpec],
+    cfg: &MultiClientConfig,
+) {
+    let id = c.id as usize;
+    let wide = solo_baseline(w.registry(), frames, specs, cfg, id).expect("wide solo replays");
+    let scalar =
+        solo_baseline_scalar(w.registry(), frames, specs, cfg, id).expect("scalar solo replays");
+    assert_eq!(c.frames, wide.frames(), "client {id} vs its wide solo");
+    assert_eq!(c.frames, scalar.frames(), "client {id} vs its scalar solo");
+}
+
 #[test]
 fn panicked_client_is_quarantined_and_survivors_match_solo_baselines() {
     let w = tiny_village();
@@ -71,14 +90,7 @@ fn panicked_client_is_quarantined_and_survivors_match_solo_baselines() {
     // engine over its own partition of the shared L2.
     for c in report.survivors() {
         assert_eq!(c.frames.len(), frames.len(), "survivor {} completed", c.id);
-        let solo = solo_baseline(w.registry(), &frames, &specs, &cfg, c.id as usize)
-            .expect("solo baseline replays");
-        assert_eq!(
-            c.frames,
-            solo.frames(),
-            "survivor {} diverged from its solo baseline",
-            c.id
-        );
+        assert_matches_solo_baselines(c, &w, &frames, &specs, &cfg);
     }
     assert_eq!(report.survivors().count(), 3);
 }
@@ -103,14 +115,7 @@ fn total_link_failure_is_scoped_to_the_faulted_client() {
     // A failing link degrades the client; it must not poison anyone else.
     for c in &report.clients {
         assert!(c.error.is_none(), "client {} errored: {:?}", c.id, c.error);
-        let solo = solo_baseline(w.registry(), &frames, &specs, &cfg, c.id as usize)
-            .expect("solo baseline replays");
-        assert_eq!(
-            c.frames,
-            solo.frames(),
-            "client {} diverged from its solo baseline",
-            c.id
-        );
+        assert_matches_solo_baselines(c, &w, &frames, &specs, &cfg);
     }
     let faulted = &report.clients[3];
     assert!(

@@ -3,11 +3,12 @@
 //! nothing on the texel path.
 
 use mltc::core::{
-    EngineConfig, L1Config, L2Config, SimEngine, TelemetryOpts, FRAME_SERIES_COLUMNS,
+    AdmissionControl, ClientEngine, DegradeTier, EngineConfig, FaultPlan, L1Config, L2Config,
+    ServiceConfig, ServiceError, SimEngine, TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
 };
 use mltc::raster::FilterMode;
 use mltc::scene::{Workload, WorkloadParams};
-use mltc::telemetry::{export, Recorder};
+use mltc::telemetry::{export, Recorder, TelemetrySnapshot};
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -302,4 +303,152 @@ fn recorded_sweep_observes_each_config_exactly_as_its_solo_replay() {
     }
     let s = quiet.snapshot();
     assert_eq!((s.l1_passes, s.l1_shared_members), (1, 4));
+}
+
+const ATTRIBUTED: TelemetryOpts = TelemetryOpts {
+    attribution: true,
+    locality: false,
+};
+
+/// A two-client partitioned service over a bursty link (2 of every 10
+/// transfers fail every attempt), so the observed stream includes
+/// failed-download rollbacks.
+fn service_cfg(admission: AdmissionControl) -> ServiceConfig {
+    ServiceConfig {
+        l1: L1Config::kb(2),
+        l2: Some(L2Config::mb(2)),
+        tlb_entries: 4,
+        fault: FaultPlan {
+            burst_period: 10,
+            burst_len: 2,
+            ..FaultPlan::with_rate(0x4d4c_5443, 50_000)
+        },
+        admission,
+        ..ServiceConfig::default()
+    }
+}
+
+/// Runs client 1 of `svc` over the whole animation, stopping at quarantine.
+fn run_client(
+    svc: &TextureService,
+    w: &Workload,
+    filter: FilterMode,
+    rec: &Recorder,
+) -> ClientEngine {
+    let mut client = svc.client(1).unwrap();
+    client.attach_telemetry_opts(rec, "client", "village", ATTRIBUTED);
+    for i in 0..w.frame_count {
+        match client.run_frame(svc.shared_l2(), &w.trace_frame(i, filter), filter) {
+            Ok(()) => {}
+            Err(ServiceError::Quarantined { .. }) => break,
+            Err(e) => panic!("client failed: {e}"),
+        }
+    }
+    client
+}
+
+/// Everything but the wide-kernel efficacy counters, the one export that
+/// is meant to differ between replay paths.
+fn path_neutral(rec: &Recorder) -> TelemetrySnapshot {
+    let mut snap = rec.snapshot();
+    snap.counters.retain(|name, _| !name.contains("/wide_"));
+    snap
+}
+
+/// The service client replays through the wide kernel; what it exports
+/// with counters and 3C attribution attached is what its solo engine
+/// exports replayed one scalar tap at a time with the same options.
+#[test]
+fn service_client_exports_what_its_scalar_solo_engine_exports() {
+    let w = tiny_village();
+    let filter = FilterMode::Bilinear;
+    let svc = TextureService::try_new(service_cfg(AdmissionControl::unlimited()), w.registry(), 2)
+        .unwrap();
+    let rec_client = Recorder::enabled();
+    let client = run_client(&svc, &w, filter, &rec_client);
+
+    let rec_solo = Recorder::enabled();
+    let mut solo = SimEngine::new(svc.solo_config(1), w.registry());
+    solo.attach_telemetry_opts(&rec_solo, "client", "village", ATTRIBUTED);
+    let mut fragments = 0;
+    for i in 0..w.frame_count {
+        let trace = w.trace_frame(i, filter);
+        fragments += trace.requests.len() as u64;
+        solo.try_run_frame_as(&trace, filter).unwrap();
+    }
+    assert_eq!(client.frames(), solo.frames());
+    assert!(client.totals().failed_transfers > 0, "the link must bite");
+
+    let (got, want) = (path_neutral(&rec_client), path_neutral(&rec_solo));
+    assert_eq!(got.counters, want.counters, "counters");
+    assert_eq!(got.hists, want.hists, "histograms");
+    assert_eq!(got.series, want.series, "per-frame series");
+    assert_eq!(got.heatmaps, want.heatmaps, "heat maps");
+
+    // Every bilinear fragment made exactly one wide attempt in the
+    // service, and none on the scalar path.
+    let wide =
+        |rec: &Recorder, name: &str| rec.snapshot().counters[&format!("engine/village/{name}")];
+    assert!(wide(&rec_client, "wide_commits") > 0);
+    assert_eq!(
+        wide(&rec_client, "wide_commits") + wide(&rec_client, "wide_declines"),
+        fragments
+    );
+    assert_eq!(
+        wide(&rec_solo, "wide_commits") + wide(&rec_solo, "wide_declines"),
+        0
+    );
+}
+
+/// Attaching a recorder changes nothing a service client computes —
+/// with every tap admitted, and under a budget that degrades taps, sheds
+/// frames and ends in quarantine.
+#[test]
+fn recorder_never_perturbs_a_service_client_in_any_admission_mode() {
+    let w = tiny_village();
+    let filter = FilterMode::Trilinear;
+    let all_tiers = AdmissionControl {
+        soft_transfers_per_frame: 8,
+        hard_transfers_per_frame: 64,
+        quarantine_after_shed_frames: 2,
+    };
+    for admission in [AdmissionControl::unlimited(), all_tiers] {
+        let svc = TextureService::try_new(service_cfg(admission), w.registry(), 2).unwrap();
+        let plain = run_client(&svc, &w, filter, &Recorder::disabled());
+        let svc = TextureService::try_new(service_cfg(admission), w.registry(), 2).unwrap();
+        let rec = Recorder::enabled();
+        let observed = run_client(&svc, &w, filter, &rec);
+
+        assert_eq!(plain.frames(), observed.frames(), "{admission:?}");
+        assert_eq!(
+            plain.service_stats(),
+            observed.service_stats(),
+            "{admission:?}"
+        );
+        assert_eq!(plain.quarantined(), observed.quarantined(), "{admission:?}");
+        let stats = observed.service_stats();
+        if admission == all_tiers {
+            assert!(
+                stats.denied_transfers > 0 && stats.shed_taps > 0,
+                "{stats:?}"
+            );
+            assert_eq!(stats.peak_tier, DegradeTier::Quarantined);
+            // Denied transfers took the rollback without touching the
+            // link: the recorder saw the drops but no failed transfer
+            // beyond the ones the link itself produced.
+            let snap = rec.snapshot();
+            assert_eq!(
+                snap.counters["engine/village/host_failed"],
+                observed.totals().failed_transfers
+            );
+            assert_eq!(
+                snap.counters["engine/village/degraded_taps"]
+                    + snap.counters["engine/village/dropped_taps"],
+                observed.totals().degraded_taps + observed.totals().dropped_taps
+            );
+        } else {
+            assert_eq!(stats.peak_tier, DegradeTier::Normal);
+            assert_eq!(observed.frames().len(), w.frame_count as usize);
+        }
+    }
 }
