@@ -33,15 +33,23 @@
 //! lockstep batched model and the conformance matrix all enforce the
 //! resulting bit-identity.
 //!
+//! **Timing sink:** with the timing overlay attached the same loops run
+//! under [`Timed`]: a wide commit reaches the overlay as one event for the
+//! whole fragment, a declined fragment's scalar taps one by one, each
+//! outcome read off the `FrameCounters` the unedited tap body moved
+//! (DESIGN.md §12). Every other instantiation compiles to the code it had
+//! without the sink's hooks (`scripts/kernel_identity.sh`).
+//!
 //! [`FramePrep`] additionally lets the tap expansion + translation of
 //! steps 1–2 run *off-engine* (on a pipeline prep thread) into a
 //! [`PreparedFrame`] of lanes that the engine later replays, overlapping
 //! frame N+1's decode/translate with frame N's cache simulation.
 
 use crate::engine::{EngineConfig, FrameCounters};
+use crate::latency::TimingSim;
 use crate::tap::{
-    const_filter, tap_ml, tap_pull, AdmissionMode, AdmitAll, TelOff, TelOn, TelemetryMode, TlbMode,
-    TlbOff, TlbOn,
+    const_filter, tap_ml, tap_pull, AdmissionMode, AdmitAll, TelOff, TelOn, TelemetryMode, Timed,
+    TlbMode, TlbOff, TlbOn,
 };
 use crate::telemetry::EngineTelemetry;
 use crate::{EngineError, HostLink, L1AddressMap, L1TextureCache, L2Cache};
@@ -199,6 +207,17 @@ impl QuadKernel {
     }
 }
 
+/// Lanes of a quad footprint that read its `j`-th distinct tag, from the
+/// kernel's last-lane list `last[..k]` alone. [`QuadKernel`] lays level
+/// `i`'s four corners at lanes `4i..4i + 4` and a level's corners split
+/// evenly over its 1, 2 or 4 blocks, so the count follows from how many of
+/// the `k` tags end in the same level.
+pub(crate) fn lanes_of_tag(last: &[u32; BATCH_LANES], k: usize, j: usize) -> u64 {
+    let level = last[j] / 4;
+    let tags = last[..k].iter().filter(|&&l| l / 4 == level).count();
+    4 / tags as u64
+}
+
 /// Pull-architecture frame loop over the wide path (no L2, no TLB).
 // Never inlined: one loop per function keeps each instantiation's code
 // independent of how many others its dispatch site names.
@@ -230,6 +249,7 @@ where
                     Some(n) => {
                         current.l1_accesses += n;
                         current.l1_hits += n;
+                        tel.wide_commit(&kern.uniq, &kern.last, kern.k, n);
                         tel.with(|t| {
                             t.wide_commits.incr();
                             t.l1_hits.add(n);
@@ -240,6 +260,7 @@ where
                     }
                     None => {
                         tel.with(|t| t.wide_declines.incr());
+                        tel.before_taps(current);
                         for q in &$quads[..$nq] {
                             let xs = [q.xa, q.xb, q.xa, q.xb];
                             let ys = [q.ya, q.ya, q.yb, q.yb];
@@ -248,6 +269,7 @@ where
                                     $tid, q.m, xs[c], ys[c], l1_bytes, l1, host, current, &mut tel,
                                     &mut ad,
                                 );
+                                tel.after_tap($tid, q.m, xs[c], ys[c], current);
                             }
                         }
                     }
@@ -293,9 +315,11 @@ where
             // A single tap has nothing to batch: the scalar body IS the path.
             Some(Footprint::Point { m, u, v }) => {
                 drain!();
+                tel.before_taps(current);
                 tap_pull(
                     req.tid, m, u, v, l1_bytes, l1, host, current, &mut tel, &mut ad,
                 );
+                tel.after_tap(req.tid, m, u, v, current);
             }
             Some(Footprint::Quads { quads, n: nq }) => {
                 drain!();
@@ -347,6 +371,7 @@ where
                     Some(n) => {
                         current.l1_accesses += n;
                         current.l1_hits += n;
+                        tel.wide_commit(&kern.uniq, &kern.last, kern.k, n);
                         tel.with(|t| {
                             t.wide_commits.incr();
                             t.l1_hits.add(n);
@@ -357,6 +382,7 @@ where
                     }
                     None => {
                         tel.with(|t| t.wide_declines.incr());
+                        tel.before_taps(current);
                         for q in &$quads[..$nq] {
                             let xs = [q.xa, q.xb, q.xa, q.xb];
                             let ys = [q.ya, q.ya, q.yb, q.yb];
@@ -379,6 +405,7 @@ where
                                     &mut tel,
                                     &mut ad,
                                 );
+                                tel.after_tap($tid, q.m, xs[c], ys[c], current);
                             }
                         }
                     }
@@ -423,6 +450,7 @@ where
             }
             Some(Footprint::Point { m, u, v }) => {
                 drain!();
+                tel.before_taps(current);
                 tap_ml(
                     req.tid,
                     m,
@@ -441,6 +469,7 @@ where
                     &mut tel,
                     &mut ad,
                 );
+                tel.after_tap(req.tid, m, u, v, current);
             }
             Some(Footprint::Quads { quads, n: nq }) => {
                 drain!();
@@ -453,11 +482,13 @@ where
 }
 
 /// The one dispatch site of the wide frame loops: resolves filter × L2 ×
-/// TLB × telemetry once per frame and runs the matching instantiation
-/// under `ad`. [`SimEngine`](crate::SimEngine) passes its own levels with
-/// [`AdmitAll`]; a service [`ClientEngine`](crate::ClientEngine) passes
-/// its private L1/TLB/link, the L2 out of its `SharedL2` guard and its
-/// admission mode. The frame stays open.
+/// TLB × telemetry × timing once per frame and runs the matching
+/// instantiation under `ad`. [`SimEngine`](crate::SimEngine) passes its
+/// own levels with [`AdmitAll`]; a service [`ClientEngine`]
+/// (crate::ClientEngine) passes its private L1/TLB/link, the L2 out of its
+/// `SharedL2` guard, its admission mode and no timing. With `timing` the
+/// loops run under the [`Timed`] sink — the one timed frame loop. The
+/// frame stays open.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_frame_wide<I, Ad>(
     filter: FilterMode,
@@ -471,6 +502,7 @@ pub(crate) fn replay_frame_wide<I, Ad>(
     host: &mut HostLink,
     current: &mut FrameCounters,
     tel: Option<&mut EngineTelemetry>,
+    timing: Option<&mut TimingSim>,
     ad: Ad,
 ) -> Result<(), EngineError>
 where
@@ -489,15 +521,23 @@ where
             )
         };
     }
+    macro_rules! arch {
+        ($f:literal, $tel:expr) => {
+            match (l2, tlb) {
+                (None, _) => pull!($f, $tel),
+                (Some(l2), None) => ml!($f, l2, TlbOff, $tel),
+                (Some(l2), Some(tlb)) => ml!($f, l2, TlbOn(tlb), $tel),
+            }
+        };
+    }
+    let has_l2 = l2.is_some();
     macro_rules! levels {
         ($f:literal) => {
-            match (l2, tlb, tel) {
-                (None, _, None) => pull!($f, TelOff),
-                (None, _, Some(t)) => pull!($f, TelOn(t)),
-                (Some(l2), None, None) => ml!($f, l2, TlbOff, TelOff),
-                (Some(l2), None, Some(t)) => ml!($f, l2, TlbOff, TelOn(t)),
-                (Some(l2), Some(tlb), None) => ml!($f, l2, TlbOn(tlb), TelOff),
-                (Some(l2), Some(tlb), Some(t)) => ml!($f, l2, TlbOn(tlb), TelOn(t)),
+            match (tel, timing) {
+                (None, None) => arch!($f, TelOff),
+                (Some(t), None) => arch!($f, TelOn(t)),
+                (None, Some(sim)) => arch!($f, Timed::new(TelOff, sim, has_l2)),
+                (Some(t), Some(sim)) => arch!($f, Timed::new(TelOn(t), sim, has_l2)),
             }
         };
     }

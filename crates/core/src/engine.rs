@@ -265,9 +265,10 @@ pub struct SimEngine {
     /// Telemetry handles; `None` (detached) keeps every dynamic path
     /// through [`access_texel`](Self::access_texel) at one extra branch.
     tel: Option<Box<EngineTelemetry>>,
-    /// Timing overlay; `None` (detached) keeps the fast replay paths
-    /// free of timing work entirely (they divert to a timed loop only
-    /// when attached). Timing observes the behavioral access stream and
+    /// Timing overlay; `None` (detached) keeps the replay paths free of
+    /// timing work entirely (attached, the wide frame loops run under a
+    /// compile-time sink that feeds it — other instantiations carry no
+    /// timing code). Timing observes the behavioral access stream and
     /// never mutates cache state, so behavioral results are bit-identical
     /// with and without it.
     timing: Option<Box<TimingSim>>,
@@ -411,9 +412,10 @@ impl SimEngine {
     /// the behavioral access stream and never mutates cache state, so
     /// counters, clock hands and host bytes stay bit-identical to an
     /// untimed engine — the golden matrix and the timing conformance
-    /// tests both enforce this. Frame replay entry points divert to a
-    /// timed loop (the canonical traced tap path plus per-request
-    /// fragment grouping); single accesses via
+    /// tests both enforce this. Frame replays feed the overlay from the
+    /// wide frame loops, one lookahead fragment per pixel request
+    /// ([`try_run_frame_as_traced`](Self::try_run_frame_as_traced) is the
+    /// per-tap reference they are tested against); single accesses via
     /// [`access_texel_traced`](Self::access_texel_traced) count as one
     /// fragment each.
     pub fn attach_timing(&mut self, model: LatencyModel) {
@@ -757,7 +759,9 @@ impl SimEngine {
         I: IntoIterator<Item = PixelRequest>,
     {
         if self.timing.is_some() {
-            return self.run_frame_timed(filter, requests);
+            // The wide loops are the one timed frame loop; behaviourally
+            // they are bit-identical to the scalar loops below.
+            return self.replay_frame_batched(filter, requests);
         }
         match filter {
             FilterMode::Point => self.replay_frame::<0, _>(requests),
@@ -766,49 +770,15 @@ impl SimEngine {
         }
     }
 
-    /// The timed frame loop every replay entry point diverts to when the
-    /// timing overlay is attached: requests expand through `filter`, each
-    /// request opens one lookahead fragment, and every tap runs the
-    /// canonical traced body — so behavioral state is bit-identical to
-    /// the untimed fast paths (which share those bodies), and timing sees
-    /// one well-defined fragment stream regardless of entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_run_frame`](Self::try_run_frame).
-    fn run_frame_timed<I>(&mut self, filter: FilterMode, requests: I) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
-        for req in requests {
-            let taps = {
-                let d = self
-                    .dims
-                    .get(req.tid.index() as usize)
-                    .and_then(|d| d.as_ref())
-                    .ok_or(EngineError::UnknownTexture(req.tid))?;
-                let levels = d.len() as u32;
-                filter_taps(&req, filter, levels, |m| d[m as usize])
-            };
-            if let Some(t) = &mut self.timing {
-                t.open_fragment();
-            }
-            for tap in &taps {
-                let trace = self.access_texel_inner(req.tid, tap.m, tap.u, tap.v);
-                if let Some(t) = &mut self.timing {
-                    t.observe(req.tid, tap.m, tap.u, tap.v, &trace);
-                }
-            }
-        }
-        self.end_frame();
-        Ok(())
-    }
-
     /// [`try_run_frame_as`](Self::try_run_frame_as) routed tap-by-tap
-    /// through [`access_texel_traced`](Self::access_texel_traced), the
-    /// canonical slow path. Counters, cache state and telemetry are
-    /// bit-identical to the monomorphized fast path — the golden replay
-    /// tests assert exactly that on every committed trace.
+    /// through the canonical slow path. Counters, cache state and
+    /// telemetry are bit-identical to the monomorphized fast path — the
+    /// golden replay tests assert exactly that on every committed trace.
+    ///
+    /// With timing attached this is also the overlay's per-tap reference:
+    /// each request opens one lookahead fragment and every tap is observed
+    /// on its own, the stream the wide loops' sink must reproduce cycle
+    /// for cycle.
     ///
     /// # Errors
     ///
@@ -818,11 +788,6 @@ impl SimEngine {
         trace: &FrameTrace,
         filter: FilterMode,
     ) -> Result<(), EngineError> {
-        if self.timing.is_some() {
-            // Timed: identical per-tap traced loop, plus the per-request
-            // fragment grouping every timed frame path shares.
-            return self.run_frame_timed(filter, trace.requests.iter().copied());
-        }
         for req in &trace.requests {
             let dims = self
                 .dims
@@ -831,8 +796,14 @@ impl SimEngine {
                 .ok_or(EngineError::UnknownTexture(req.tid))?;
             let levels = dims.len() as u32;
             let taps = filter_taps(req, filter, levels, |m| dims[m as usize]);
+            if let Some(t) = &mut self.timing {
+                t.open_fragment();
+            }
             for tap in &taps {
-                let _ = self.access_texel_traced(req.tid, tap.m, tap.u, tap.v);
+                let trace = self.access_texel_inner(req.tid, tap.m, tap.u, tap.v);
+                if let Some(t) = &mut self.timing {
+                    t.observe(req.tid, tap.m, tap.u, tap.v, &trace);
+                }
             }
         }
         self.end_frame();
@@ -943,11 +914,8 @@ impl SimEngine {
     /// Panics if a tap references a texture unknown to the engine.
     pub fn replay_taps_batched(&mut self, taps: &[(u32, u32, u32, u32)]) {
         if self.timing.is_some() {
-            // Timed: same diversion as `replay_taps` — the wide kernel's
-            // commit order is bit-identical to scalar order, so feeding
-            // timing from the scalar loop keeps cycle accounting equal
-            // across the fast paths (the timing conformance tests check
-            // exactly this equality).
+            // Timed: as `replay_taps` — this harness entry keeps its one
+            // fragment per tap, so there is no fragment to commit wide.
             for &(tid, m, u, v) in taps {
                 let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
             }
@@ -1110,9 +1078,6 @@ impl SimEngine {
     where
         I: IntoIterator<Item = PixelRequest>,
     {
-        if self.timing.is_some() {
-            return self.run_frame_timed(filter, requests);
-        }
         self.replay_frame_batched(filter, requests)
     }
 
@@ -1122,8 +1087,10 @@ impl SimEngine {
     /// up into it. That takes equal L1 geometry and tiling over the same
     /// textures, a fault-free host link on both (a failed download rolls
     /// its L1 line back, so L1 state would depend on the link), and
-    /// neither telemetry nor timing attached (observers are fed per-tap
-    /// L1 events that a follower never generates).
+    /// neither telemetry nor timing attached: a follower sees only the
+    /// leader's L1 misses, while telemetry records L1 hits too and the
+    /// timing overlay needs every fragment and every hit's tag (a hit on
+    /// a line whose fill is still in flight waits).
     pub fn shares_l1_with(&self, other: &SimEngine) -> bool {
         let unobserved =
             |e: &SimEngine| e.cfg.fault.is_none() && e.tel.is_none() && e.timing.is_none();
@@ -1317,7 +1284,7 @@ impl SimEngine {
         if self.timing.is_some() {
             // Timed: replay the prepared lanes through the traced tap
             // body, one lookahead fragment per source request group —
-            // the same fragment stream `run_frame_timed` produces.
+            // the fragment stream of `try_run_frame_as_traced`.
             let mut lane = 0usize;
             for &(tid_idx, n) in prepared.groups() {
                 let tid = TextureId::from_index(tid_idx);
@@ -1406,7 +1373,7 @@ impl SimEngine {
 
     /// The wide-path frame replay: the shared dispatch of
     /// [`replay_frame_wide`] over this engine's own levels, every tap
-    /// admitted.
+    /// admitted, under the timing sink when the overlay is attached.
     fn replay_frame_batched<I>(
         &mut self,
         filter: FilterMode,
@@ -1425,6 +1392,7 @@ impl SimEngine {
             host,
             current,
             tel,
+            timing,
             ..
         } = self;
         replay_frame_wide(
@@ -1439,6 +1407,7 @@ impl SimEngine {
             host,
             current,
             tel.as_deref_mut(),
+            timing.as_deref_mut(),
             AdmitAll,
         )?;
         self.end_frame();

@@ -196,6 +196,11 @@ impl Replacer {
         }
     }
 
+    // Cold (a failed download's teardown, a deleted texture) and reached
+    // from every wide frame loop through the rollback tail. Never inlined,
+    // so the loops' code does not depend on which codegen unit this module
+    // is merged into (`scripts/kernel_identity.sh`).
+    #[inline(never)]
     fn release(&mut self, b: usize) {
         match self {
             Replacer::Clock(c) => c.release(b),

@@ -30,6 +30,7 @@
 //!   waiting on any tap whose fill has not landed — those waits are the
 //!   `stall_cycles` the prefetcher exists to hide.
 
+use crate::batch::{lanes_of_tag, BATCH_LANES};
 use crate::engine::AccessTrace;
 use crate::mshr::MshrFile;
 use crate::{L1AddressMap, L2Outcome};
@@ -193,20 +194,67 @@ impl TimingCounters {
     }
 }
 
-/// One tap waiting in the lookahead window between tag check and retire.
+/// A run of one fragment's taps waiting in the lookahead window between
+/// tag check and retire. A tap that issued a fill is always a run of its
+/// own; taps that needed none reach the retire stage only through their
+/// number and their latest `ready`, so consecutive ones coalesce.
 #[derive(Debug, Clone, Copy)]
 struct PendingTap {
-    /// Cycle its data is consumable (issue-stage clock floor applied).
+    /// Cycle the run's data is consumable (issue-stage clock floor applied).
     ready: u64,
     /// Nominal fill cost in cycles (0 = no fill was needed).
     cost: u64,
     /// The fill was issued ahead of the retire point.
     prefetched: bool,
+    /// Taps in the run.
+    count: u32,
+}
+
+/// What the overlay reads of one behavioural L1 miss — the part of an
+/// [`AccessTrace`] that moves a clock. The wide frame loops build it from
+/// the tap's `FrameCounters` delta instead of a trace.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MissOutcome {
+    /// Served by an L2→L1 fill; otherwise a host download was attempted.
+    pub(crate) l2_full_hit: bool,
+    /// The hierarchy has an L2 (host downloads pay its fill as last hop).
+    pub(crate) has_l2: bool,
+    pub(crate) host_bytes: u64,
+    pub(crate) retries: u64,
+    pub(crate) failed: bool,
+}
+
+impl MissOutcome {
+    fn of(tr: &AccessTrace) -> Self {
+        Self {
+            l2_full_hit: tr.l2 == Some(L2Outcome::FullHit),
+            has_l2: tr.l2.is_some(),
+            host_bytes: tr.host_bytes,
+            retries: tr.retries as u64,
+            failed: tr.failed,
+        }
+    }
+}
+
+/// How the overlay was fed: the efficacy of the wide frame loops' timing
+/// sink. A per-tap replay ([`TimingSim::observe`]) leaves the two wide
+/// counts at zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SinkStats {
+    /// Fragments that committed wide and were retired as one event.
+    pub wide_fragments: u64,
+    /// Of those, fragments that found one of their lines' fills still in
+    /// flight (a behavioural hit that merges, and may wait, in timing).
+    pub wide_in_flight: u64,
+    /// Taps observed one at a time.
+    pub taps_observed: u64,
 }
 
 /// The timing overlay attached to a [`SimEngine`](crate::SimEngine).
 ///
-/// Fed one [`AccessTrace`] per behavioral tap (in behavioral order);
+/// Fed the behavioural access stream in behavioural order — one
+/// [`AccessTrace`] per tap through [`observe`](Self::observe), or whole
+/// all-hit fragments from the wide frame loops (DESIGN.md §12);
 /// fragment boundaries group taps into the units the lookahead window
 /// counts. Produces [`TimingCounters`] totals and per-frame deltas.
 #[derive(Debug, Clone)]
@@ -222,12 +270,13 @@ pub struct TimingSim {
     l1_mshrs: MshrFile,
     l2_mshrs: MshrFile,
     fill_queue: MshrFile,
-    /// Taps checked but not retired, oldest first.
+    /// Runs of taps checked but not retired, oldest first.
     pending: VecDeque<PendingTap>,
-    /// Tap count of each open fragment, oldest first (`window.len()` is
+    /// Run count of each open fragment, oldest first (`window.len()` is
     /// the lookahead distance currently in use).
     window: VecDeque<u32>,
     counters: TimingCounters,
+    sink: SinkStats,
     /// Totals at the last frame boundary.
     frame_mark: TimingCounters,
     frames: Vec<TimingCounters>,
@@ -251,6 +300,7 @@ impl TimingSim {
             pending: VecDeque::new(),
             window: VecDeque::new(),
             counters: TimingCounters::default(),
+            sink: SinkStats::default(),
             frame_mark: TimingCounters::default(),
             frames: Vec::new(),
         }
@@ -289,29 +339,144 @@ impl TimingSim {
     /// one fragment share the fragment's tag-check cycle; the issue clock
     /// only moves within a fragment on structural stalls (no free MSHR or
     /// fill-queue slot — the whole issue stage blocks under the hazard).
+    ///
+    /// This is the per-tap reference feed: every tap packs its tag, scans
+    /// the L1 MSHR file and waits in the window as a run of one. The wide
+    /// frame loops' sink ([`commit_hits`](Self::commit_hits),
+    /// [`observe_hit`](Self::observe_hit),
+    /// [`observe_miss`](Self::observe_miss)) is tested against it.
     pub fn observe(&mut self, tid: TextureId, m: u32, u: u32, v: u32, tr: &AccessTrace) {
         debug_assert!(!self.window.is_empty(), "observe() without open_fragment()");
+        self.sink.taps_observed += 1;
         let key = self.map.tag_of(tid, m, u, v);
-        let prefetching = self.window.len() > 1 || !self.pending.is_empty();
-        let (ready, cost, prefetched) = if tr.l1_hit {
-            // Behavioral hit; in timing the line may still be in flight
-            // (the fill that installed it has not landed) — a secondary
-            // reference that merges with the pending entry.
-            match self.l1_mshrs.merge_lookup(key, self.tc) {
-                Some(r) => {
-                    self.counters.l1_merges += 1;
-                    (r, 0, false)
-                }
-                None => (0, 0, false),
+        if !tr.l1_hit {
+            return self.issue_fill(key, MissOutcome::of(tr));
+        }
+        // Behavioral hit; in timing the line may still be in flight (the
+        // fill that installed it has not landed) — a secondary reference
+        // that merges with the pending entry.
+        let ready = match self.l1_mshrs.merge_lookup(key, self.tc) {
+            Some(r) => {
+                self.counters.l1_merges += 1;
+                r
             }
-        } else if tr.l2 == Some(L2Outcome::FullHit) {
+            // A tap can never be consumable before its own tag check.
+            None => self.tc,
+        };
+        self.push_run(PendingTap {
+            ready,
+            cost: 0,
+            prefetched: false,
+            count: 1,
+        });
+    }
+
+    /// Sink entry for a fragment the wide kernel committed: `n` L1 hits
+    /// over the distinct lines `uniq[..k]`, retired as *one* event. Hits
+    /// issue nothing and never move the issue clock, so the fragment's
+    /// taps all see the same `tc` and reach the retire stage only through
+    /// their count and their latest `ready` — a single run. With no fill
+    /// in flight (one compare) that `ready` is `tc`; otherwise each
+    /// distinct line is looked up once on behalf of its lanes, because a
+    /// behavioural hit on a line whose fill has not landed still merges
+    /// and waits.
+    pub(crate) fn commit_hits(
+        &mut self,
+        uniq: &[u64; BATCH_LANES],
+        last: &[u32; BATCH_LANES],
+        k: usize,
+        n: u64,
+    ) {
+        self.sink.wide_fragments += 1;
+        let mut ready = self.tc;
+        if !self.l1_mshrs.quiet_at(self.tc) {
+            let mut met = false;
+            for (j, &key) in uniq[..k].iter().enumerate() {
+                let lanes = lanes_of_tag(last, k, j);
+                if let Some(r) = self.l1_mshrs.merge_lookup_lanes(key, self.tc, lanes) {
+                    self.counters.l1_merges += lanes;
+                    ready = ready.max(r);
+                    met = true;
+                }
+            }
+            self.sink.wide_in_flight += met as u64;
+        }
+        self.push_hits(ready, n as u32);
+    }
+
+    /// Sink entry for a scalar tap (of a fragment that declined the wide
+    /// commit, or a point-sampled one) that hit the L1:
+    /// [`observe`](Self::observe) minus the work a quiet MSHR file makes
+    /// unnecessary, coalesced into the fragment's current run.
+    #[inline]
+    pub(crate) fn observe_hit(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
+        self.sink.taps_observed += 1;
+        let mut ready = self.tc;
+        if !self.l1_mshrs.quiet_at(self.tc) {
+            let key = self.map.tag_of(tid, m, u, v);
+            if let Some(r) = self.l1_mshrs.merge_lookup(key, self.tc) {
+                self.counters.l1_merges += 1;
+                ready = r;
+            }
+        }
+        self.push_hits(ready, 1);
+    }
+
+    /// Sink entry for a scalar tap that missed the L1: its fill issues
+    /// exactly as under [`observe`](Self::observe).
+    pub(crate) fn observe_miss(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        out: MissOutcome,
+    ) {
+        self.sink.taps_observed += 1;
+        self.issue_fill(self.map.tag_of(tid, m, u, v), out);
+    }
+
+    /// Queues `n` fill-less taps of the open fragment, consumable at
+    /// `ready`: folded into the fragment's newest run when that one carries
+    /// no fill either (retire takes the maximum `ready` and the tap count
+    /// of such runs, nothing else), a new run otherwise.
+    #[inline]
+    fn push_hits(&mut self, ready: u64, n: u32) {
+        if *self.window.back().expect("fragment is open") > 0 {
+            let back = self.pending.back_mut().expect("window counted this run");
+            if back.cost == 0 {
+                back.ready = back.ready.max(ready);
+                back.count += n;
+                return;
+            }
+        }
+        self.push_run(PendingTap {
+            ready,
+            cost: 0,
+            prefetched: false,
+            count: n,
+        });
+    }
+
+    /// Queues `run` as the open fragment's newest.
+    #[inline]
+    fn push_run(&mut self, run: PendingTap) {
+        self.pending.push_back(run);
+        *self.window.back_mut().expect("fragment is open") += 1;
+    }
+
+    /// Issues the fill of one L1 miss — from L2, or a host download
+    /// attempt — and queues the tap as a run of its own.
+    fn issue_fill(&mut self, key: u64, out: MissOutcome) {
+        let prefetched = self.window.len() > 1 || !self.pending.is_empty();
+        let (ready, cost) = if out.l2_full_hit {
             // L2→L1 fill: needs an L1 MSHR only.
             let stalled_from = self.tc;
             let issue = self.l1_mshrs.free_at(self.tc).max(self.tc);
             self.note_issue_stall(stalled_from, issue);
             let ready = issue + self.model.l2_fill_latency;
             self.l1_mshrs.insert(key, stalled_from, issue, ready);
-            (ready, self.model.l2_fill_latency, prefetching)
+            (ready, self.model.l2_fill_latency)
         } else {
             // Host download attempt (delivered or failed), through L2 in
             // the multi-level architecture or straight to L1 in pull. The
@@ -325,9 +490,13 @@ impl TimingSim {
             if self.l2_mshrs.merge_lookup(key, self.tc).is_some() {
                 self.counters.l2_merges += 1;
             }
-            let attempts = 1 + tr.retries as u64;
-            let bytes = tr.host_bytes;
-            let via_l2 = tr.l2.is_some() && !tr.failed;
+            let attempts = 1 + out.retries;
+            let bytes = out.host_bytes;
+            let l2_fill = if out.has_l2 && !out.failed {
+                self.model.l2_fill_latency
+            } else {
+                0
+            };
             let stalled_from = self.tc;
             let issue = self
                 .l1_mshrs
@@ -337,7 +506,7 @@ impl TimingSim {
                 .max(self.tc);
             self.note_issue_stall(stalled_from, issue);
             let request_done = issue + attempts * self.model.host_latency;
-            let (done, xfer) = if tr.failed {
+            let (done, xfer) = if out.failed {
                 // Failed attempts deliver nothing: the round trips are
                 // paid, the link streams no data.
                 (request_done, 0)
@@ -351,35 +520,22 @@ impl TimingSim {
                 self.counters.link_busy_cycles += xfer;
                 (done, xfer)
             };
-            let ready = done
-                + if via_l2 {
-                    self.model.l2_fill_latency
-                } else {
-                    0
-                };
+            let ready = done + l2_fill;
             self.l1_mshrs.insert(key, stalled_from, issue, ready);
             self.l2_mshrs.insert(key, stalled_from, issue, done);
             self.fill_queue.insert(key, stalled_from, issue, done);
-            let cost = attempts * self.model.host_latency
-                + xfer
-                + if via_l2 {
-                    self.model.l2_fill_latency
-                } else {
-                    0
-                };
-            (ready, cost, prefetching)
+            (ready, attempts * self.model.host_latency + xfer + l2_fill)
         };
-        // A tap can never be consumable before its own tag check.
-        let ready = ready.max(self.tc);
-        self.pending.push_back(PendingTap {
-            ready,
-            cost,
-            prefetched,
-        });
-        *self.window.back_mut().expect("fragment is open") += 1;
         if prefetched && cost > 0 {
             self.counters.prefetch_issued += 1;
         }
+        self.push_run(PendingTap {
+            // A tap can never be consumable before its own tag check.
+            ready: ready.max(self.tc),
+            cost,
+            prefetched,
+            count: 1,
+        });
     }
 
     fn note_issue_stall(&mut self, from: u64, to: u64) {
@@ -395,11 +551,11 @@ impl TimingSim {
     /// per cycle (its taps are consumed by parallel tap units), after
     /// waiting for its slowest tap's fill to land.
     fn retire_fragment(&mut self) {
-        let taps = self.window.pop_front().expect("window is non-empty");
+        let runs = self.window.pop_front().expect("window is non-empty");
         let arrive = self.rc + 1;
         let mut fragment_ready = arrive;
-        for _ in 0..taps {
-            let p = self.pending.pop_front().expect("window counted this tap");
+        for _ in 0..runs {
+            let p = self.pending.pop_front().expect("window counted this run");
             let wait = p.ready.saturating_sub(arrive);
             if p.prefetched && p.cost > 0 {
                 if wait == 0 {
@@ -411,7 +567,7 @@ impl TimingSim {
                 }
             }
             fragment_ready = fragment_ready.max(p.ready);
-            self.counters.taps += 1;
+            self.counters.taps += p.count as u64;
         }
         self.counters.stall_cycles += fragment_ready - arrive;
         self.rc = fragment_ready;
@@ -471,10 +627,30 @@ impl TimingSim {
         )
     }
 
+    /// How the overlay was fed so far (see [`SinkStats`]).
+    pub fn sink_stats(&self) -> &SinkStats {
+        &self.sink
+    }
+
+    /// [`sink_stats`](Self::sink_stats) as the shares a report prints: why
+    /// a timed replay was as fast as it was. Meaningful once drained.
+    pub fn feed_summary(&self) -> String {
+        let pct = |num: u64, den: u64| 100.0 * num as f64 / den.max(1) as f64;
+        let (fed, t) = (&self.sink, &self.counters);
+        format!(
+            "{:.2} % of fragments retired as one all-hit event ({:.2} % of those met a fill \
+             still in flight), {:.2} % of taps observed one at a time",
+            pct(fed.wide_fragments, t.fragments),
+            pct(fed.wide_in_flight, fed.wide_fragments),
+            pct(fed.taps_observed, t.taps),
+        )
+    }
+
     /// Publishes the timing counters on `recorder` under `group/…` (no-op
     /// on a disabled recorder): `cycles_total`, `stall_cycles`,
-    /// `mshr_occupancy` (peak, per file) and the `prefetch_*` quartet —
-    /// the names the Prometheus exporter then exposes.
+    /// `mshr_occupancy` (peak, per file), the `prefetch_*` quartet — the
+    /// names the Prometheus exporter then exposes — and the overlay's own
+    /// efficacy, `sink_*` ([`SinkStats`]).
     pub fn publish(&self, recorder: &Recorder, group: &str) {
         if !recorder.is_enabled() {
             return;
@@ -492,6 +668,12 @@ impl TimingSim {
         rec.counter("prefetch_useless").add(t.prefetch_useless);
         rec.counter("mshr_merges_l1").add(t.l1_merges);
         rec.counter("mshr_merges_host").add(t.l2_merges);
+        rec.counter("sink_wide_fragments")
+            .add(self.sink.wide_fragments);
+        rec.counter("sink_wide_in_flight")
+            .add(self.sink.wide_in_flight);
+        rec.counter("sink_taps_observed")
+            .add(self.sink.taps_observed);
         let (l1, host, queue) = self.peak_occupancy();
         rec.gauge("mshr_occupancy_l1_peak").set(l1 as f64);
         rec.gauge("mshr_occupancy_host_peak").set(host as f64);

@@ -73,7 +73,7 @@ pub use error::EngineError;
 pub use host_link::{FaultPlan, HostLink, TextureBlackout, Transfer};
 pub use l1::{L1AddressMap, L1Config, L1TextureCache, StorageFormat};
 pub use l2::{L2AccessTrace, L2Cache, L2Config, L2Outcome, L2Stats, ReplacementPolicy};
-pub use latency::{LatencyModel, TimingCounters, TimingSim};
+pub use latency::{LatencyModel, SinkStats, TimingCounters, TimingSim};
 pub use mshr::MshrFile;
 pub use push::PushArchitecture;
 pub use service::{

@@ -37,6 +37,11 @@ pub struct MshrFile {
     pub peak_occupancy: usize,
     /// Sum of post-allocation occupancies (for average occupancy).
     occupancy_sum: u64,
+    /// Latest `ready` cycle ever allocated. A register is only reused once
+    /// its fill has landed, so the entry holding this cycle is still in
+    /// the file while the clock is before it: the file has a fill in
+    /// flight at `now` exactly when `max_ready > now`.
+    max_ready: u64,
 }
 
 impl MshrFile {
@@ -57,6 +62,7 @@ impl MshrFile {
             stall_cycles: 0,
             peak_occupancy: 0,
             occupancy_sum: 0,
+            max_ready: 0,
         }
     }
 
@@ -79,15 +85,30 @@ impl MshrFile {
         }
     }
 
+    /// Whether no fill at all is in flight at cycle `now` — one compare,
+    /// and then no [`merge_lookup`](Self::merge_lookup) at `now` can find
+    /// anything.
+    #[inline]
+    pub fn quiet_at(&self, now: u64) -> bool {
+        self.max_ready <= now
+    }
+
     /// In-flight fill for `key` at cycle `now`: its ready cycle, if an
     /// entry is still pending. Records the secondary-reference merge.
     pub fn merge_lookup(&mut self, key: u64, now: u64) -> Option<u64> {
+        self.merge_lookup_lanes(key, now, 1)
+    }
+
+    /// [`merge_lookup`](Self::merge_lookup) on behalf of `lanes`
+    /// references to `key` made in the same cycle: one scan, every lane a
+    /// secondary reference.
+    pub fn merge_lookup_lanes(&mut self, key: u64, now: u64, lanes: u64) -> Option<u64> {
         let ready = self
             .entries
             .iter()
             .find(|e| e.key == key && e.ready > now)
             .map(|e| e.ready)?;
-        self.merges += 1;
+        self.merges += lanes;
         Some(ready)
     }
 
@@ -115,6 +136,7 @@ impl MshrFile {
             self.stall_cycles += issue - stalled_from;
         }
         let entry = Entry { key, ready };
+        self.max_ready = self.max_ready.max(ready);
         match self.entries.iter_mut().find(|e| e.ready <= issue) {
             Some(free) => *free = entry,
             None => {
@@ -144,6 +166,21 @@ mod tests {
         assert_eq!(f.merge_lookup(7, 100), None, "landed fills do not merge");
         assert_eq!(f.merge_lookup(9, 50), None, "other keys do not merge");
         assert_eq!((f.allocs, f.merges), (1, 1));
+        assert_eq!(f.merge_lookup_lanes(7, 99, 4), Some(100));
+        assert_eq!(f.merges, 5, "every lane of a shared lookup merges");
+    }
+
+    #[test]
+    fn quiet_exactly_when_no_lookup_can_merge() {
+        let mut f = MshrFile::new(2);
+        assert!(f.quiet_at(0));
+        f.insert(1, 0, 0, 30);
+        f.insert(2, 1, 1, 20);
+        f.insert(3, 25, 25, 28); // reuses the register that landed at 20
+        for now in 0..40 {
+            let any = [1, 2, 3].iter().any(|&k| f.merge_lookup(k, now).is_some());
+            assert_eq!(f.quiet_at(now), !any, "cycle {now}");
+        }
     }
 
     #[test]

@@ -708,7 +708,8 @@ impl ClientEngine {
         let (tables, tlb, tel) = (layout.tables(), tlb.as_mut(), tel.as_deref_mut());
         if admission.soft_transfers_per_frame == 0 && admission.hard_transfers_per_frame == 0 {
             return replay_frame_wide(
-                filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, AdmitAll,
+                filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, None,
+                AdmitAll,
             );
         }
         let budgeted = Budgeted {
@@ -723,7 +724,7 @@ impl ClientEngine {
             shed_frame,
         };
         replay_frame_wide(
-            filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, budgeted,
+            filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, None, budgeted,
         )
     }
 

@@ -12,7 +12,9 @@
 //! partitioned service client (the differential oracle, the golden trace
 //! tests and the multi-client containment tests all enforce this).
 
+use crate::batch::BATCH_LANES;
 use crate::engine::FrameCounters;
+use crate::latency::{MissOutcome, TimingSim};
 use crate::service::{AdmissionControl, ClientServiceStats, DegradeTier};
 use crate::telemetry::EngineTelemetry;
 use crate::{HostLink, L1TextureCache, L2Cache, L2Outcome, Transfer};
@@ -22,14 +24,44 @@ use mltc_trace::FilterMode;
 
 /// Compile-time telemetry switch: `TelOn` forwards to the attached
 /// [`EngineTelemetry`], `TelOff` erases the observation closures entirely,
-/// and `MissLog` erases them too but records every L1 miss for a shared
-/// replay's followers.
+/// `MissLog` erases them too but records every L1 miss for a shared
+/// replay's followers, and `Timed` wraps any of them to feed the timing
+/// overlay from the wide frame loops.
+///
+/// The hooks below `with` are empty unless a mode fills them, and their
+/// call sites pass nothing that costs anything to evaluate (whole arrays,
+/// never a slice: the bounds check of a slice argument survives in
+/// instantiations whose hook is empty), so every other instantiation
+/// compiles to the code it had without them.
 pub(crate) trait TelemetryMode {
     fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry));
 
     /// Called once per L1 miss, before anything below the L1 runs.
     #[inline(always)]
     fn l1_miss(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32) {}
+
+    /// A pixel request — one lookahead fragment — committed wide: `n` L1
+    /// hits over the distinct tags `uniq[..k]`, whose last lanes are
+    /// `last[..k]`.
+    #[inline(always)]
+    fn wide_commit(
+        &mut self,
+        _uniq: &[u64; BATCH_LANES],
+        _last: &[u32; BATCH_LANES],
+        _k: usize,
+        _n: u64,
+    ) {
+    }
+
+    /// A pixel request — one lookahead fragment — is about to replay as
+    /// scalar taps; the counters as they stand.
+    #[inline(always)]
+    fn before_taps(&mut self, _current: &FrameCounters) {}
+
+    /// Called after each of those scalar taps, with the counters as the
+    /// tap left them.
+    #[inline(always)]
+    fn after_tap(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32, _current: &FrameCounters) {}
 }
 
 pub(crate) struct TelOn<'a>(pub(crate) &'a mut EngineTelemetry);
@@ -64,6 +96,110 @@ impl TelemetryMode for MissLog<'_> {
     #[inline(always)]
     fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
         self.0.push((tid.index(), m, u, v));
+    }
+}
+
+/// The `FrameCounters` fields whose movement across one tap body is what
+/// the timing overlay reads of that tap.
+#[derive(Clone, Copy, Default)]
+struct TapMark {
+    l1_accesses: u64,
+    l1_hits: u64,
+    l2_full_hits: u64,
+    host_bytes: u64,
+    retries: u64,
+    failed_transfers: u64,
+}
+
+impl TapMark {
+    #[inline(always)]
+    fn of(c: &FrameCounters) -> Self {
+        Self {
+            l1_accesses: c.l1_accesses,
+            l1_hits: c.l1_hits,
+            l2_full_hits: c.l2_full_hits,
+            host_bytes: c.host_bytes,
+            retries: c.retries,
+            failed_transfers: c.failed_transfers,
+        }
+    }
+}
+
+/// The timing sink of the wide frame loops: telemetry as `Te` has it,
+/// plus the [`TimingSim`] fed one event per wide commit and one per scalar
+/// tap. A scalar tap's outcome is the movement of [`TapMark`] around the
+/// unedited tap body, so the bodies carry no timing code.
+pub(crate) struct Timed<'a, Te> {
+    tel: Te,
+    sim: &'a mut TimingSim,
+    has_l2: bool,
+    mark: TapMark,
+}
+
+impl<'a, Te> Timed<'a, Te> {
+    pub(crate) fn new(tel: Te, sim: &'a mut TimingSim, has_l2: bool) -> Self {
+        Self {
+            tel,
+            sim,
+            has_l2,
+            mark: TapMark::default(),
+        }
+    }
+}
+
+impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
+    #[inline(always)]
+    fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry)) {
+        self.tel.with(f);
+    }
+
+    #[inline(always)]
+    fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
+        self.tel.l1_miss(tid, m, u, v);
+    }
+
+    #[inline(always)]
+    fn wide_commit(
+        &mut self,
+        uniq: &[u64; BATCH_LANES],
+        last: &[u32; BATCH_LANES],
+        k: usize,
+        n: u64,
+    ) {
+        self.sim.open_fragment();
+        self.sim.commit_hits(uniq, last, k, n);
+    }
+
+    #[inline(always)]
+    fn before_taps(&mut self, current: &FrameCounters) {
+        self.sim.open_fragment();
+        self.mark = TapMark::of(current);
+    }
+
+    #[inline(always)]
+    fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
+        let was = std::mem::replace(&mut self.mark, TapMark::of(current));
+        let now = &self.mark;
+        if now.l1_hits != was.l1_hits {
+            return self.sim.observe_hit(tid, m, u, v);
+        }
+        // A tap the admission mode shed never reached the L1.
+        if now.l1_accesses == was.l1_accesses {
+            return;
+        }
+        self.sim.observe_miss(
+            tid,
+            m,
+            u,
+            v,
+            MissOutcome {
+                l2_full_hit: now.l2_full_hits != was.l2_full_hits,
+                has_l2: self.has_l2,
+                host_bytes: now.host_bytes - was.host_bytes,
+                retries: now.retries - was.retries,
+                failed: now.failed_transfers != was.failed_transfers,
+            },
+        );
     }
 }
 

@@ -84,7 +84,8 @@ pub struct EngineTelemetry {
     /// Fragments the wide frame loops committed as one all-hit L1 batch,
     /// and fragments that declined to the scalar tap bodies: fast-path
     /// efficacy. The only engine counters that depend on the replay path
-    /// (the scalar and prepared paths leave both at zero).
+    /// (the scalar and prepared paths leave both at zero — except that a
+    /// timed engine's scalar entry rides the wide loops and counts them).
     pub(crate) wide_commits: Counter,
     pub(crate) wide_declines: Counter,
     /// Host transfer sizes in bytes (per delivered transfer).

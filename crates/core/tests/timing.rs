@@ -1,7 +1,8 @@
 //! Property tests for the non-blocking timing overlay: MSHR invariants,
 //! link byte conservation, bandwidth accounting, prefetch bookkeeping,
-//! and — the contract everything else rests on — behavioral
-//! bit-identity with the untimed engine.
+//! — the contract everything else rests on — behavioral bit-identity
+//! with the untimed engine, and cycle-for-cycle identity of the wide frame
+//! loops' timing sink with the per-tap reference feed.
 //!
 //! Streams are shaped from raw integer tuples exactly like the oracle
 //! property suite (the vendored proptest supports basic strategies
@@ -12,7 +13,7 @@ use mltc_core::{
     EngineConfig, FaultPlan, L1Config, L2Config, LatencyModel, ReplacementPolicy, SimEngine,
 };
 use mltc_texture::{synth, MipPyramid, TextureId, TextureRegistry};
-use mltc_trace::{FilterMode, PixelRequest};
+use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
 use proptest::prelude::*;
 
 const TEX_DIM: u32 = 64;
@@ -117,6 +118,156 @@ fn run_timed(
     engine.replay_taps(taps);
     engine.end_frame();
     engine
+}
+
+/// A multi-frame request stream that walks the textures in waves:
+/// neighbouring fragments share lines (wide commits, and hits on lines
+/// whose fill is still in flight) while the walk keeps missing.
+fn wavy_frames(seed: u64, n_frames: u32, per_frame: u32) -> Vec<FrameTrace> {
+    let (a, b) = (5 + (seed % 23) as u32 * 2, 7 + (seed / 23 % 31) as u32 * 2);
+    (0..n_frames)
+        .map(|f| {
+            let mut t = FrameTrace::new(f, 64, 64, FilterMode::Point);
+            for i in 0..per_frame {
+                t.push(PixelRequest {
+                    tid: TextureId::from_index(i % TEX_COUNT),
+                    u: ((i * a + f * 7) % 512) as f32 * 0.25,
+                    v: ((i * b + f * 3) % 512) as f32 * 0.25,
+                    lod: (i % 40) as f32 / 10.0,
+                });
+            }
+            t
+        })
+        .collect()
+}
+
+/// The hierarchy shapes the sink is instantiated over: pull, L2, L2 + TLB,
+/// each behind a perfect or a lossy link.
+fn sink_config(levels: u8, lossy: bool) -> EngineConfig {
+    EngineConfig {
+        l1: L1Config::kb(2),
+        l2: (levels > 0).then(|| L2Config {
+            size_bytes: 16 * 1024,
+            ..L2Config::mb(2)
+        }),
+        tlb_entries: if levels > 1 { 4 } else { 0 },
+        fault: if lossy {
+            FaultPlan::with_rate(0x0bad_5eed, 150_000)
+        } else {
+            FaultPlan::none()
+        },
+        ..EngineConfig::default()
+    }
+}
+
+/// Replays `frames` timed through the per-tap reference
+/// (`try_run_frame_as_traced`) and through both entry points that ride the
+/// wide frame loops, requires every timing statistic to agree, and returns
+/// the reference's `(l1_merges, l2_merges, structural stalls)`.
+fn sink_equals_reference(
+    cfg: EngineConfig,
+    model: LatencyModel,
+    filter: FilterMode,
+    frames: &[FrameTrace],
+) -> Result<(u64, u64, u64), TestCaseError> {
+    let reg = registry();
+    let run = |entry: fn(&mut SimEngine, &FrameTrace, FilterMode)| {
+        let mut e = SimEngine::new(cfg, &reg);
+        e.attach_timing(model);
+        for t in frames {
+            entry(&mut e, t, filter);
+        }
+        e
+    };
+    let reference = run(|e, t, f| e.try_run_frame_as_traced(t, f).unwrap());
+    let rt = reference.timing().expect("timing attached");
+    for wide in [
+        run(|e, t, f| e.try_run_frame_as(t, f).unwrap()),
+        run(|e, t, f| e.try_run_frame_as_batched(t, f).unwrap()),
+    ] {
+        let wt = wide.timing().expect("timing attached");
+        prop_assert_eq!(wide.frames(), reference.frames());
+        prop_assert_eq!(wt.totals(), rt.totals());
+        prop_assert_eq!(wt.frames(), rt.frames());
+        prop_assert_eq!(wt.peak_occupancy(), rt.peak_occupancy());
+        prop_assert_eq!(wt.structural_stalls(), rt.structural_stalls());
+        prop_assert_eq!(
+            wt.mean_l1_occupancy().to_bits(),
+            rt.mean_l1_occupancy().to_bits()
+        );
+        prop_assert_eq!(wt.totals().link_bytes, wide.totals().host_bytes);
+    }
+    let (s1, s2, s3) = rt.structural_stalls();
+    Ok((rt.totals().l1_merges, rt.totals().l2_merges, s1 + s2 + s3))
+}
+
+/// The property below is only as strong as the hazards it reaches: a
+/// behavioural hit on a line whose fill is still in flight is exactly what
+/// an "all-hit fragment" shortcut would skip. The same harness at fixed
+/// points must merge at both levels and stall on a full file.
+#[test]
+fn sink_harness_reaches_merges_and_structural_stalls() {
+    let starved = LatencyModel {
+        host_latency: 300,
+        host_bytes_per_cycle: 1,
+        l2_fill_latency: 40,
+        l1_mshrs: 2,
+        l2_mshrs: 2,
+        fill_queue_depth: 2,
+        prefetch_depth: 16,
+    };
+    let (mut l1_merges, mut l2_merges, mut stalls) = (0, 0, 0);
+    for (levels, lossy) in [(0, true), (2, false), (2, true)] {
+        let (a, b, c) = sink_equals_reference(
+            sink_config(levels, lossy),
+            starved,
+            FilterMode::Trilinear,
+            &wavy_frames(11, 3, 400),
+        )
+        .unwrap();
+        l1_merges += a;
+        l2_merges += b;
+        stalls += c;
+    }
+    assert!(l1_merges > 0, "no hit ever met a line still in flight");
+    assert!(
+        l2_merges > 0,
+        "no re-download ever overlapped its predecessor"
+    );
+    assert!(stalls > 0, "no fill ever found its file full");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// With timing attached the frame entry points hand the overlay whole
+    /// all-hit fragments and coalesced hit runs; the per-tap reference
+    /// packs, scans and queues every tap on its own. Whatever the model,
+    /// hierarchy, link and filter, the two agree on every timing
+    /// statistic: totals, per-frame deltas, peak and mean occupancy,
+    /// structural stalls.
+    #[test]
+    fn wide_timed_replay_equals_the_per_tap_reference(
+        seed in any::<u64>(),
+        caps in (1usize..=8, 1usize..=8, 1usize..=8),
+        depth in 1usize..=32,
+        bandwidth in 0u64..=8,
+        latencies in (0u64..=400, 0u64..=400),
+        shape in (0u8..3, any::<bool>(), 0u8..3),
+    ) {
+        let model = LatencyModel {
+            host_latency: latencies.0,
+            host_bytes_per_cycle: bandwidth,
+            l2_fill_latency: latencies.1,
+            l1_mshrs: caps.0,
+            l2_mshrs: caps.1,
+            fill_queue_depth: caps.2,
+            prefetch_depth: depth,
+        };
+        let (levels, lossy, filter) = shape;
+        let filter = [FilterMode::Point, FilterMode::Bilinear, FilterMode::Trilinear][filter as usize];
+        sink_equals_reference(sink_config(levels, lossy), model, filter, &wavy_frames(seed, 3, 250))?;
+    }
 }
 
 proptest! {

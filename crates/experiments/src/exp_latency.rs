@@ -65,7 +65,8 @@ pub fn exp_latency(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
         "speedup",
     ]);
     let mut blocking_cpf = 0.0f64;
-    let mut reported: Option<(f64, f64)> = None; // (blocking cpf, best cpf) at 200 cycles
+    // (blocking cpf, best cpf, how the overlay was fed) at 200 cycles
+    let mut reported = None;
     for &latency in &LATENCIES {
         for &mshrs in &MSHRS {
             for &depth in &DEPTHS {
@@ -92,7 +93,7 @@ pub fn exp_latency(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
                 }
                 let speedup = blocking_cpf / cpf.max(1.0);
                 if latency == 200 && mshrs == 8 && depth == 32 {
-                    reported = Some((blocking_cpf, cpf));
+                    reported = Some((blocking_cpf, cpf, timing.feed_summary()));
                 }
                 t.row(vec![
                     latency.to_string(),
@@ -113,7 +114,7 @@ pub fn exp_latency(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
         "Latency sweep — MSHRs x host latency x lookahead (Village, 2KB L1 + 2MB L2)",
         &t,
     );
-    if let Some((blocking, best)) = reported {
+    if let Some((blocking, best, feed)) = reported {
         out.note(&format!(
             "At 200-cycle host latency, 8 MSHRs with depth-32 lookahead reach \
              {:.0} cycles/frame vs {:.0} blocking — {:.2}x the frame throughput. \
@@ -122,6 +123,8 @@ pub fn exp_latency(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
             blocking,
             blocking / best.max(1.0),
         ));
+        // Why the timed replay was as fast as it was.
+        out.note(&format!("Overlay feed at that point: {feed}."));
     }
     Ok(())
 }

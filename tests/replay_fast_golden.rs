@@ -393,10 +393,11 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
 
 #[test]
 fn timing_overlay_keeps_every_committed_trace_byte_identical() {
-    // The timing overlay diverts all replay entry points to the timed
-    // frame loop — behavioral counters, cache end state and host draws
-    // must still match the untimed traced baseline bit-for-bit, while
-    // the overlay's own cycle accounting runs on the side.
+    // With the timing overlay attached the frame entry points ride the
+    // wide frame loops under the timing sink — behavioral counters, cache
+    // end state and host draws must still match the untimed traced
+    // baseline bit-for-bit, while the overlay's own cycle accounting runs
+    // on the side.
     use mltc_core::LatencyModel;
     for (name, workload, frames) in committed_traces() {
         for (label, cfg) in matrix() {
@@ -444,6 +445,167 @@ fn timing_overlay_keeps_every_committed_trace_byte_identical() {
             }
         }
     }
+}
+
+/// Hierarchies the timing sink is checked on: the shapes of `matrix()`
+/// are not enough here, because what the sink can get wrong lives in the
+/// misses — lossy links (retries, failed downloads, rollbacks that re-miss
+/// a line still in flight), a one-set L1 that declines most fragments, and
+/// whole-block downloads.
+fn timed_matrix() -> Vec<(&'static str, EngineConfig)> {
+    use mltc_core::FaultPlan;
+    let lossy = FaultPlan::with_rate(0x0bad_5eed, 150_000);
+    let pull = EngineConfig {
+        l1: L1Config::kb(2),
+        ..EngineConfig::default()
+    };
+    let ml = EngineConfig {
+        l2: Some(L2Config::mb(2)),
+        ..pull
+    };
+    vec![
+        ("pull", pull),
+        (
+            "pull-lossy",
+            EngineConfig {
+                fault: lossy,
+                ..pull
+            },
+        ),
+        ("ml", ml),
+        (
+            "ml-tlb",
+            EngineConfig {
+                tlb_entries: 16,
+                ..ml
+            },
+        ),
+        (
+            "ml-tiny",
+            EngineConfig {
+                l1: L1Config {
+                    size_bytes: 128,
+                    ..L1Config::kb(2)
+                },
+                l2: Some(L2Config {
+                    size_bytes: 64 * 1024,
+                    ..L2Config::mb(2)
+                }),
+                tlb_entries: 2,
+                ..pull
+            },
+        ),
+        (
+            "ml-blocks-lossy",
+            EngineConfig {
+                l2: Some(L2Config {
+                    sector_mapping: false,
+                    ..L2Config::mb(2)
+                }),
+                fault: lossy,
+                ..pull
+            },
+        ),
+    ]
+}
+
+#[test]
+fn timing_sink_matches_the_per_tap_reference_cycle_for_cycle() {
+    // With timing attached the scalar and the batched entry points ride
+    // the wide frame loops, which hand the overlay whole all-hit fragments
+    // and coalesced hit runs. `try_run_frame_as_traced` keeps the per-tap
+    // feed (one tag pack, one MSHR scan, one window entry per tap): every
+    // timing statistic of the two must agree, not just the behaviour.
+    use mltc_core::LatencyModel;
+    let models = [
+        LatencyModel::default(),
+        LatencyModel::lockstep(),
+        LatencyModel::default().blocking(),
+        LatencyModel {
+            l1_mshrs: 2,
+            l2_mshrs: 1,
+            fill_queue_depth: 1,
+            ..LatencyModel::default()
+        },
+        LatencyModel {
+            host_bytes_per_cycle: 0,
+            prefetch_depth: 4,
+            ..LatencyModel::default()
+        },
+        LatencyModel {
+            host_latency: 1000,
+            l2_fill_latency: 40,
+            host_bytes_per_cycle: 1,
+            ..LatencyModel::default()
+        },
+    ];
+    let mut merges = 0;
+    for (name, workload, frames) in committed_traces() {
+        let registry = workload.scene().registry();
+        for (label, cfg) in timed_matrix() {
+            for filter in [
+                FilterMode::Point,
+                FilterMode::Bilinear,
+                FilterMode::Trilinear,
+            ] {
+                for model in models {
+                    let run = |entry: fn(&mut SimEngine, &FrameTrace, FilterMode)| {
+                        let mut e = SimEngine::try_new(cfg, registry).expect("valid config");
+                        e.attach_timing(model);
+                        for t in &frames {
+                            entry(&mut e, t, filter);
+                        }
+                        e
+                    };
+                    let reference = run(|e, t, f| e.try_run_frame_as_traced(t, f).expect("replay"));
+                    let rt = reference.timing().expect("timing attached");
+                    merges += rt.totals().l1_merges;
+                    for (entry, wide) in [
+                        (
+                            "scalar",
+                            run(|e, t, f| e.try_run_frame_as(t, f).expect("replay")),
+                        ),
+                        (
+                            "batched",
+                            run(|e, t, f| e.try_run_frame_as_batched(t, f).expect("replay")),
+                        ),
+                    ] {
+                        let ctx = format!(
+                            "{name} / {label} / {filter:?} / {} / {entry}",
+                            model.label()
+                        );
+                        let wt = wide.timing().expect("timing attached");
+                        assert_eq!(wide.frames(), reference.frames(), "{ctx}: frame counters");
+                        assert_eq!(wt.totals(), rt.totals(), "{ctx}: timing totals");
+                        assert_eq!(wt.frames(), rt.frames(), "{ctx}: per-frame timing");
+                        assert_eq!(wt.peak_occupancy(), rt.peak_occupancy(), "{ctx}: peaks");
+                        assert_eq!(
+                            wt.structural_stalls(),
+                            rt.structural_stalls(),
+                            "{ctx}: structural stalls"
+                        );
+                        assert_eq!(
+                            wt.mean_l1_occupancy().to_bits(),
+                            rt.mean_l1_occupancy().to_bits(),
+                            "{ctx}: mean L1 MSHR occupancy"
+                        );
+                        assert_eq!(
+                            wt.totals().link_bytes,
+                            wide.totals().host_bytes,
+                            "{ctx}: link byte conservation"
+                        );
+                        let fed = wt.sink_stats();
+                        assert_eq!(
+                            fed.wide_fragments > 0,
+                            filter != FilterMode::Point,
+                            "{ctx}: quad fragments, and only they, retire as one event"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(merges > 0, "no replay ever hit a line still in flight");
 }
 
 #[test]

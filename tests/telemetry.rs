@@ -4,7 +4,8 @@
 
 use mltc::core::{
     AdmissionControl, ClientEngine, DegradeTier, EngineConfig, FaultPlan, L1Config, L2Config,
-    ServiceConfig, ServiceError, SimEngine, TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
+    LatencyModel, ServiceConfig, ServiceError, SimEngine, TelemetryOpts, TextureService,
+    FRAME_SERIES_COLUMNS,
 };
 use mltc::raster::FilterMode;
 use mltc::scene::{Workload, WorkloadParams};
@@ -353,6 +354,59 @@ fn path_neutral(rec: &Recorder) -> TelemetrySnapshot {
     let mut snap = rec.snapshot();
     snap.counters.retain(|name, _| !name.contains("/wide_"));
     snap
+}
+
+/// Two observers on one engine stay out of each other's way. With
+/// counters and 3C attribution attached, attaching the timing overlay
+/// changes no recorder export on the batched entry — the wide-kernel
+/// efficacy counters included, which a timed replay counts like an untimed
+/// one now that it rides the same loops — and the overlay computes the
+/// same cycles whether the recorder is listening or not.
+#[test]
+fn timing_and_recorder_observe_without_seeing_each_other() {
+    let w = tiny_village();
+    let lossy = EngineConfig {
+        tlb_entries: 4,
+        fault: FaultPlan::with_rate(0x4d4c_5443, 100_000),
+        ..cfg()
+    };
+    for (cfg, filter) in [
+        (cfg(), FilterMode::Trilinear),
+        (lossy, FilterMode::Bilinear),
+    ] {
+        let run = |timed: bool, rec: &Recorder| {
+            let mut e = SimEngine::new(cfg, w.scene().registry());
+            e.attach_telemetry_opts(rec, "run", "village", ATTRIBUTED);
+            if timed {
+                e.attach_timing(LatencyModel::default());
+            }
+            for i in 0..w.frame_count {
+                e.try_run_frame_as_batched(&w.trace_frame(i, filter), filter)
+                    .unwrap();
+            }
+            e
+        };
+        let (rec_plain, rec_timed) = (Recorder::enabled(), Recorder::enabled());
+        let plain = run(false, &rec_plain);
+        let timed = run(true, &rec_timed);
+        let unrecorded = run(true, &Recorder::disabled());
+
+        assert_eq!(plain.frames(), timed.frames());
+        let (a, b) = (rec_plain.snapshot(), rec_timed.snapshot());
+        assert!(a.counters["engine/village/wide_commits"] > 0);
+        assert!(a.counters["engine/village/wide_declines"] > 0);
+        assert_eq!(a.counters, b.counters, "counters");
+        assert_eq!(a.hists, b.hists, "histograms");
+        assert_eq!(a.heatmaps, b.heatmaps, "heat maps");
+        assert_eq!(a.gauges, b.gauges, "gauges");
+        assert_eq!(a.series, b.series, "per-frame series");
+
+        let (t, u) = (timed.timing().unwrap(), unrecorded.timing().unwrap());
+        assert!(t.totals().cycles_total > 0);
+        assert_eq!(t.totals(), u.totals(), "timing totals");
+        assert_eq!(t.frames(), u.frames(), "per-frame timing");
+        assert_eq!(t.sink_stats(), u.sink_stats());
+    }
 }
 
 /// The service client replays through the wide kernel; what it exports
