@@ -21,6 +21,9 @@ use mltc_texture::{
 };
 use mltc_trace::{filter_taps, FilterMode, FrameTrace, PixelRequest};
 
+mod l1pass;
+pub use l1pass::{L1Pass, L1PassRecorder};
+
 /// Full configuration of a simulated architecture.
 ///
 /// * `l2: None` models the **pull** architecture (L1 misses download L1
@@ -272,9 +275,10 @@ pub struct SimEngine {
     /// never mutates cache state, so behavioral results are bit-identical
     /// with and without it.
     timing: Option<Box<TimingSim>>,
-    /// The open frame's L1 misses in tap order, filled only while this
+    /// The last frame's L1 misses in tap order, filled only while this
     /// engine leads a [`try_run_frame_shared`](Self::try_run_frame_shared)
-    /// group (kept here so the buffer is reused from frame to frame).
+    /// group or records an [`L1Pass`] (kept here so the buffer is reused
+    /// from frame to frame).
     miss_log: Vec<L1Miss>,
 }
 
@@ -1092,13 +1096,18 @@ impl SimEngine {
     /// timing overlay needs every fragment and every hit's tag (a hit on
     /// a line whose fill is still in flight waits).
     pub fn shares_l1_with(&self, other: &SimEngine) -> bool {
-        let unobserved =
-            |e: &SimEngine| e.cfg.fault.is_none() && e.tel.is_none() && e.timing.is_none();
-        unobserved(self)
-            && unobserved(other)
+        self.l1_stands_alone()
+            && other.l1_stands_alone()
             && self.cfg.l1 == other.cfg.l1
             && self.cfg.tiling == other.cfg.tiling
             && self.dims == other.dims
+    }
+
+    /// The per-engine half of [`shares_l1_with`](Self::shares_l1_with):
+    /// a fault-free link, so nothing below the L1 reaches back up into it,
+    /// and neither telemetry nor timing watching its hits.
+    fn l1_stands_alone(&self) -> bool {
+        self.cfg.fault.is_none() && self.tel.is_none() && self.timing.is_none()
     }
 
     /// Replays one frame through every engine of `group` with a single L1
@@ -1110,7 +1119,9 @@ impl SimEngine {
     /// non-inclusive and everything below the L1 is conditional on an L1
     /// miss (paper §5.4), so with a fault-free link each member ends the
     /// frame state-identical to a solo batched replay. A group of one *is*
-    /// that solo replay.
+    /// that solo replay — here; under
+    /// [`try_run_frame_recorded_as`](Self::try_run_frame_recorded_as) it
+    /// runs the logging loop too, so the pass it makes can be kept.
     ///
     /// Every member must [share its L1](Self::shares_l1_with) with the
     /// leader and have replayed the same frames so far.
@@ -1133,10 +1144,24 @@ impl SimEngine {
     where
         I: IntoIterator<Item = PixelRequest>,
     {
+        Self::run_frame_shared(group, filter, requests, false)
+    }
+
+    /// [`try_run_frame_shared`](Self::try_run_frame_shared); with
+    /// `log_alone` a leader without followers logs its misses too.
+    fn run_frame_shared<I>(
+        group: &mut [SimEngine],
+        filter: FilterMode,
+        requests: I,
+        log_alone: bool,
+    ) -> Result<(), EngineError>
+    where
+        I: IntoIterator<Item = PixelRequest>,
+    {
         let (leader, followers) = group
             .split_first_mut()
             .expect("a shared replay needs at least one engine");
-        if followers.is_empty() {
+        if followers.is_empty() && !log_alone {
             return leader.try_run_frame_requests_batched(filter, requests);
         }
         assert!(
@@ -1153,7 +1178,7 @@ impl SimEngine {
             FilterMode::Trilinear => leader.replay_frame_logged::<2, _>(requests),
         };
         for f in followers.iter_mut() {
-            f.replay_l1_misses(&leader.miss_log);
+            f.replay_l1_misses(leader.miss_log.iter().copied());
             f.current.l1_accesses = leader.current.l1_accesses;
             f.current.l1_hits = leader.current.l1_hits;
             f.l1.clone_from(&leader.l1);
@@ -1227,9 +1252,9 @@ impl SimEngine {
         }
     }
 
-    /// A follower's half of a shared frame: the leader's L1 misses, in
-    /// order, through everything below the L1.
-    fn replay_l1_misses(&mut self, misses: &[L1Miss]) {
+    /// A follower's half of a shared frame, and all of a stored pass's:
+    /// the leader's L1 misses, in order, through everything below the L1.
+    fn replay_l1_misses(&mut self, misses: impl Iterator<Item = L1Miss>) {
         let Self {
             cfg,
             layout,
@@ -1245,7 +1270,10 @@ impl SimEngine {
         match (l2.as_mut(), tlb.as_mut()) {
             (None, _) => {
                 let l1_bytes = cfg.l1.line_bytes() as u64;
-                for &(tid, m, u, v) in misses {
+                // Internal iteration: a stored pass's misses are a
+                // `flat_map` over texture runs, which `for_each` walks as
+                // the nested loops it is.
+                misses.for_each(|(tid, m, u, v)| {
                     let tid = TextureId::from_index(tid);
                     tap_pull_below_l1(
                         tid,
@@ -1259,7 +1287,7 @@ impl SimEngine {
                         &mut TelOff,
                         &mut AdmitAll,
                     );
-                }
+                });
             }
             (Some(l2), None) => {
                 replay_misses_ml(misses, cfg, tables, dims, l1, l2, host, current, TlbOff)
@@ -1671,7 +1699,7 @@ where
 /// hoisted exactly as in [`replay_ml`].
 #[allow(clippy::too_many_arguments)]
 fn replay_misses_ml<Tl: TlbMode>(
-    misses: &[L1Miss],
+    misses: impl Iterator<Item = L1Miss>,
     cfg: &EngineConfig,
     tables: &TranslationTables,
     dims: &[Option<Vec<(u32, u32)>>],
@@ -1689,7 +1717,7 @@ fn replay_misses_ml<Tl: TlbMode>(
         l2_block_bytes
     };
     let mut memo = TranslationMemo::default();
-    for &(tid, m, u, v) in misses {
+    misses.for_each(|(tid, m, u, v)| {
         tap_ml_miss(
             TextureId::from_index(tid),
             m,
@@ -1708,7 +1736,7 @@ fn replay_misses_ml<Tl: TlbMode>(
             &mut TelOff,
             &mut AdmitAll,
         );
-    }
+    });
 }
 
 #[cfg(test)]
@@ -1718,7 +1746,7 @@ mod tests {
     use mltc_texture::{synth, MipPyramid};
     use mltc_trace::{FilterMode, PixelRequest};
 
-    fn registry(n: usize, dim: u32) -> TextureRegistry {
+    pub(super) fn registry(n: usize, dim: u32) -> TextureRegistry {
         let mut reg = TextureRegistry::new();
         for i in 0..n {
             reg.load(
@@ -1866,7 +1894,7 @@ mod tests {
     /// lod sweep over several mip levels — enough working set to force a
     /// healthy mix of L1 hits, misses, L2 traffic and (with a fault plan)
     /// failed-transfer rollbacks.
-    fn wavy_trace(frame: u32) -> FrameTrace {
+    pub(super) fn wavy_trace(frame: u32) -> FrameTrace {
         let mut t = FrameTrace::new(frame, 64, 64, FilterMode::Point);
         for i in 0..2000u32 {
             t.push(PixelRequest {
@@ -2006,7 +2034,7 @@ mod tests {
 
     /// Configurations that all sit on a 2 KB L1: pull, multi-level with
     /// and without TLB, every replacement policy, sectors on and off.
-    fn shared_l1_configs() -> Vec<EngineConfig> {
+    pub(super) fn shared_l1_configs() -> Vec<EngineConfig> {
         let base = EngineConfig {
             l1: L1Config::kb(2),
             ..EngineConfig::default()
@@ -2030,7 +2058,7 @@ mod tests {
     }
 
     /// Everything a replay leaves behind that a later frame could observe.
-    fn assert_same_state(a: &SimEngine, b: &SimEngine, ctx: &str) {
+    pub(super) fn assert_same_state(a: &SimEngine, b: &SimEngine, ctx: &str) {
         assert_eq!(a.frames(), b.frames(), "{ctx}: frame counters");
         assert_eq!(
             a.l2().map(|l2| (l2.clock_hand(), l2.clock_stats())),

@@ -68,7 +68,7 @@ mod tap;
 mod telemetry;
 
 pub use batch::{FramePrep, PreparedFrame, BATCH_LANES};
-pub use engine::{AccessTrace, EngineConfig, FrameCounters, SimEngine};
+pub use engine::{AccessTrace, EngineConfig, FrameCounters, L1Pass, L1PassRecorder, SimEngine};
 pub use error::EngineError;
 pub use host_link::{FaultPlan, HostLink, TextureBlackout, Transfer};
 pub use l1::{L1AddressMap, L1Config, L1TextureCache, StorageFormat};

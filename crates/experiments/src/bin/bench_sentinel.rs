@@ -61,6 +61,10 @@ struct Run {
     /// Mean absolute hit-rate error (fraction) from the run's `model`
     /// fragment, when the run included the `explore` experiment.
     model_err: Option<f64>,
+    /// Configurations the run answered from stored L1 passes, in records
+    /// that say (DESIGN.md §14): `taps_per_sec` counts taps answered, so a
+    /// run that reuses passes outruns one that does not on the same code.
+    passes_reused: Option<f64>,
 }
 
 impl Run {
@@ -69,8 +73,12 @@ impl Run {
             .model_err
             .map(|e| format!(",\"model_mean_abs_err\":{e:.6}"))
             .unwrap_or_default();
+        let reused = self
+            .passes_reused
+            .map(|n| format!(",\"l1_passes_reused\":{n:.0}"))
+            .unwrap_or_default();
         format!(
-            "{{\"taps_per_sec\":{:.0},\"wall_seconds\":{:.3},\"scale\":\"{}\"{model}}}",
+            "{{\"taps_per_sec\":{:.0},\"wall_seconds\":{:.3},\"scale\":\"{}\"{reused}{model}}}",
             self.taps_per_sec, self.wall_seconds, self.scale
         )
     }
@@ -88,8 +96,8 @@ fn parse_runs(path: &str) -> Result<Vec<Run>, String> {
         .ok_or_else(|| format!("{path}: no \"runs\" array"))?;
     let mut out = Vec::with_capacity(runs.len());
     for (i, r) in runs.iter().enumerate() {
-        let taps = r
-            .get("store")
+        let store = r.get("store");
+        let taps = store
             .and_then(|s| s.get("taps_per_sec"))
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{path}: run {i} has no store.taps_per_sec"))?;
@@ -104,6 +112,9 @@ fn parse_runs(path: &str) -> Result<Vec<Run>, String> {
             model_err: r
                 .get("model")
                 .and_then(|m| m.get("mean_abs_err"))
+                .and_then(Json::as_f64),
+            passes_reused: store
+                .and_then(|s| s.get("l1_passes_reused"))
                 .and_then(Json::as_f64),
         });
     }

@@ -269,13 +269,17 @@ fn main() -> ExitCode {
         tap_rate / 1e6,
     );
     // Taps answered = configurations x trace taps: a configuration that
-    // rode on another's L1 pass counts its taps without an L1 pass of its
-    // own, which is what lifts the rate above the kernel's.
+    // rode on another's L1 pass, or replayed one stored beside the trace,
+    // counts its taps without an L1 pass of its own, which is what lifts
+    // the rate above the kernel's.
     println!(
-        "### replay: {} L1 passes answered {} configurations ({} shared a pass)",
+        "### replay: {} L1 passes answered {} configurations ({} shared a pass, \
+         {} replayed a stored one; {:.1} MB of passes held)",
         stats.l1_passes,
-        stats.l1_passes + stats.l1_shared_members,
+        stats.l1_passes + stats.l1_shared_members + stats.l1_passes_reused,
         stats.l1_shared_members,
+        stats.l1_passes_reused,
+        stats.pass_bytes as f64 / 1e6,
     );
     if stats.bytes_written + stats.bytes_read > 0 {
         println!(
@@ -381,7 +385,8 @@ impl Heartbeat {
             let s = store.snapshot();
             eprintln!(
                 "### heartbeat {:>6.0}s: {} renders, {} frames, {:.1} Mfrag/s, \
-                 {} mem hits, {} disk hits, {} healed, {} stalls, {:.1} Mtaps/s",
+                 {} mem hits, {} disk hits, {} healed, {} stalls, {:.1} Mtaps/s, \
+                 {} stored-pass replays, {:.1} MB of passes",
                 elapsed.as_secs_f64(),
                 s.renders,
                 s.frames_rendered,
@@ -391,6 +396,8 @@ impl Heartbeat {
                 s.healed_files,
                 s.build_stalls,
                 s.taps_per_sec() / 1e6,
+                s.l1_passes_reused,
+                s.pass_bytes as f64 / 1e6,
             );
             if let Some(m) = &metrics {
                 if let Err(e) = m.tick(elapsed) {
@@ -490,6 +497,7 @@ fn append_bench_run(
          \"taps_simulated\":{},\"taps_per_sec\":{:.0},\"sim_seconds\":{:.3},\
          \"taps_counted\":\"answered (configurations x trace taps)\",\
          \"l1_passes\":{},\"l1_shared_members\":{},\
+         \"l1_passes_reused\":{},\"pass_bytes\":{},\
          \"bytes_written\":{},\"bytes_read\":{},\"corrupt_files\":{},\
          \"stale_files\":{},\"io_errors\":{},\"evictions\":{},\"spills\":{},\
          \"resident_bytes\":{},\"healed_files\":{},\"build_stalls\":{}}}",
@@ -505,6 +513,8 @@ fn append_bench_run(
         stats.sim_nanos as f64 / 1e9,
         stats.l1_passes,
         stats.l1_shared_members,
+        stats.l1_passes_reused,
+        stats.pass_bytes,
         stats.bytes_written,
         stats.bytes_read,
         stats.corrupt_files,

@@ -7,7 +7,8 @@
 //! cover the store's handle states:
 //!
 //! * **memory** ([`TraceHandle::Memory`]): each worker iterates the shared
-//!   frames directly — no channels, no copies;
+//!   frames directly — no channels, no copies — or, where an earlier run
+//!   left its L1 pass beside them, that pass instead of the frames;
 //! * **disk** ([`TraceHandle::Disk`]): one reader streams frames out of
 //!   the persisted file and fans them out over bounded channels;
 //! * **uncached** ([`TraceHandle::Uncached`]): the workload renders live,
@@ -23,9 +24,19 @@
 //! them ([`SimEngine::try_run_frame_shared`]); everything else, and every
 //! configuration of a disk-streamed replay, is a group of one. Each
 //! configuration still gets its own `Result`.
+//!
+//! From memory the pass outlives the call: a run in which every
+//! configuration succeeded leaves each group's [`L1Pass`] beside the
+//! resident trace ([`TraceStore::keep_pass`]), and a later group on the same
+//! L1 — in any `engine_run*` call over that store — replays the stored pass,
+//! each member on a worker of its own, instead of the frames (DESIGN.md
+//! §14, "Stored passes"). Disk streams and live renders neither keep nor
+//! find passes.
 
-use crate::store::{stream_trace_file_raw, trav_tag, StatsBundle, TraceHandle, TraceStore};
-use mltc_core::{EngineConfig, EngineError, FramePrep, PreparedFrame, SimEngine};
+use crate::store::{
+    stream_trace_file_raw, trav_tag, StatsBundle, TraceHandle, TraceSet, TraceStore,
+};
+use mltc_core::{EngineConfig, EngineError, FramePrep, L1Pass, PreparedFrame, SimEngine};
 use mltc_scene::Workload;
 use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
@@ -327,7 +338,7 @@ pub fn replay_run(
         &|_, cfg, reg| SimEngine::try_new(cfg, reg),
         shares_l1_passes(false),
     );
-    replay_with(registry, frames, filter, plan, &Recorder::disabled())
+    replay_with(registry, frames, filter, plan, &Recorder::disabled()).0
 }
 
 /// Looks up (or renders once) the workload's trace and replays it through
@@ -419,6 +430,9 @@ struct Group {
     /// Telemetry label of the leader's configuration (names the worker's
     /// span).
     label: String,
+    /// A pass an earlier run stored that answers this group's L1: every
+    /// member replays it instead of the frames.
+    stored: Option<Arc<L1Pass>>,
 }
 
 /// A run's engines, built and grouped for replay.
@@ -426,12 +440,35 @@ struct Plan {
     /// Per configuration, why its engine could not be built.
     failed: Vec<Option<RunError>>,
     groups: Vec<Group>,
+    /// Whether the groups that run an L1 pass record it for the store.
+    record: bool,
 }
 
 impl Plan {
-    /// Members that ride on another configuration's L1 pass.
-    fn shared_members(&self) -> usize {
-        self.groups.iter().map(|g| g.engines.len() - 1).sum()
+    /// Replays over `set`, a resident trace: groups whose L1 pass an
+    /// earlier run left there replay that, the others record theirs.
+    fn use_stored_passes(&mut self, set: &TraceSet, filter: FilterMode) {
+        self.record = true;
+        for g in &mut self.groups {
+            g.stored = set.stored_pass(&g.engines[0], filter);
+        }
+    }
+
+    /// How the configurations are answered: L1 passes run, members riding
+    /// on one of those, members replaying a stored pass.
+    fn l1_passes(&self) -> (u64, u64, u64) {
+        let (mut run, mut shared, mut reused) = (0, 0, 0);
+        for g in &self.groups {
+            let members = g.engines.len() as u64;
+            match g.stored {
+                Some(_) => reused += members,
+                None => {
+                    run += 1;
+                    shared += members - 1;
+                }
+            }
+        }
+        (run, shared, reused)
     }
 }
 
@@ -497,10 +534,15 @@ fn plan_replay(
                 slots: vec![slot],
                 engines: vec![engine],
                 label: slot_label(slot, cfg),
+                stored: None,
             }),
         }
     }
-    Plan { failed, groups }
+    Plan {
+        failed,
+        groups,
+        record: false,
+    }
 }
 
 /// A group's worker: its members' slots, kept outside the thread so a
@@ -575,15 +617,30 @@ fn engine_run_traversal_with(
     let start = Instant::now();
     let registry = workload.registry();
     let streamed = matches!(handle, TraceHandle::Disk(_));
-    let plan = plan_replay(registry, configs, &wrapped, shares_l1_passes(streamed));
-    store.note_l1_passes(plan.groups.len() as u64, plan.shared_members() as u64);
+    let share = shares_l1_passes(streamed);
+    let mut plan = plan_replay(registry, configs, &wrapped, share);
+    if let (true, TraceHandle::Memory(set)) = (share, &handle) {
+        plan.use_stored_passes(set, filter);
+    }
+    let (run, shared, reused) = plan.l1_passes();
+    store.note_l1_passes(run, shared, reused);
     let results = match &handle {
-        TraceHandle::Memory(set) => replay_with(registry, &set.frames, filter, plan, &rec),
+        TraceHandle::Memory(set) => {
+            let (results, passes) = replay_with(registry, &set.frames, filter, plan, &rec);
+            // Only a run in which nothing failed leaves its passes behind.
+            if results.iter().all(Result::is_ok) {
+                for pass in passes {
+                    store.keep_pass(set, pass);
+                }
+            }
+            results
+        }
         TraceHandle::Disk(path) => stream_replay_with(registry, path, filter, plan, &rec),
         TraceHandle::Uncached => run_live(workload, filter, plan, zprepass, traversal, &rec),
     };
-    // Taps answered: a member that shared its leader's L1 pass counts the
-    // pass's taps again, exactly as its solo replay would have.
+    // Taps answered: a member that shared its leader's L1 pass, or replayed
+    // a stored one, counts the pass's taps again, exactly as its solo
+    // replay would have.
     let taps: u64 = results
         .iter()
         .filter_map(|r| r.as_ref().ok())
@@ -598,26 +655,54 @@ fn engine_run_traversal_with(
 /// frame so at most [`max_replay_jobs`] groups simulate at any instant.
 /// The [`replay_path`] selects the engine entry point; the pipelined path
 /// adds one prep thread per configuration (still permit-gated per frame).
+///
+/// A group with a stored pass has no frames to walk and no leader: its
+/// members are independent once the miss stream exists, so each replays
+/// the pass on a worker of its own, under the same per-frame permits.
+/// Returns the passes the other groups recorded to the end, when the plan
+/// asks for them, beside the results.
 fn replay_with(
     registry: &TextureRegistry,
     frames: &[Arc<FrameTrace>],
     filter: FilterMode,
     plan: Plan,
     rec: &Recorder,
-) -> Vec<Result<SimEngine, RunError>> {
+) -> (Vec<Result<SimEngine, RunError>>, Vec<L1Pass>) {
     let gate = Gate::new(max_replay_jobs());
     let path = replay_path();
-    std::thread::scope(|scope| {
+    let record = plan.record;
+    let recorded = Mutex::new(Vec::new());
+    let results = std::thread::scope(|scope| {
         let workers = plan
             .groups
             .into_iter()
-            .map(|group| {
+            .flat_map(|group| {
                 let Group {
                     slots,
                     mut engines,
                     label,
+                    stored,
                 } = group;
-                let gate = &gate;
+                let (gate, recorded) = (&gate, &recorded);
+                if let Some(pass) = stored {
+                    // No spans: a recorded run attaches telemetry to every
+                    // engine, and a stored pass answers no observed engine.
+                    return slots
+                        .into_iter()
+                        .zip(engines)
+                        .map(|(slot, mut engine)| {
+                            let pass = pass.clone();
+                            let worker = scope.spawn(move || {
+                                for frame in 0..pass.frame_count() {
+                                    let _permit = gate.acquire();
+                                    engine.replay_pass_frame(&pass, frame);
+                                }
+                                Ok(vec![engine])
+                            });
+                            (vec![slot], worker)
+                        })
+                        .collect();
+                }
                 let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
                     let _span = rec.span(&format!("replay/{label}"));
                     match path {
@@ -626,6 +711,18 @@ fn replay_with(
                                 let _permit = gate.acquire();
                                 engines[0].try_run_frame_as(trace, filter)?;
                             }
+                        }
+                        ReplayPath::Batched if record => {
+                            let mut pass = engines[0].record_l1_pass(filter);
+                            for trace in frames {
+                                let _permit = gate.acquire();
+                                SimEngine::try_run_frame_recorded_as(
+                                    &mut engines,
+                                    trace,
+                                    &mut pass,
+                                )?;
+                            }
+                            lock_clean(recorded).extend(pass.finish(&engines[0]));
                         }
                         ReplayPath::Batched => {
                             for trace in frames {
@@ -648,11 +745,13 @@ fn replay_with(
                     }
                     Ok(engines)
                 });
-                (slots, worker)
+                vec![(slots, worker)]
             })
             .collect();
         join_groups(plan.failed, workers)
-    })
+    });
+    let recorded = recorded.into_inner();
+    (results, recorded.unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Sends `item` to every group still listening. A failed worker closes its
@@ -697,6 +796,7 @@ fn stream_replay_with(
                 slots,
                 mut engines,
                 label,
+                ..
             } = group;
             let (tx, rx) = sync_channel::<Arc<Vec<u8>>>(4);
             senders.push(Some(tx));
@@ -782,6 +882,7 @@ fn run_live(
                 slots,
                 mut engines,
                 label,
+                ..
             } = group;
             let (tx, rx) = sync_channel::<Arc<FrameTrace>>(4);
             senders.push(Some(tx));
@@ -1050,6 +1151,14 @@ mod tests {
             // And the all-or-nothing wrapper surfaces the failure.
             assert!(engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).is_err());
         }
+        assert_no_pass_was_kept(&store);
+    }
+
+    /// A run in which anything failed leaves no pass behind, and so none
+    /// for a later run to find.
+    fn assert_no_pass_was_kept(store: &TraceStore) {
+        let s = store.snapshot();
+        assert_eq!((s.pass_bytes, s.l1_passes_reused), (0, 0));
     }
 
     #[test]
@@ -1084,6 +1193,47 @@ mod tests {
             }
             let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
             assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
+            assert_no_pass_was_kept(&store);
+        }
+        // The same sets with nobody failing: passes are kept, and found.
+        for (configs, _) in isolation_sets(pull(4)) {
+            let before = store.snapshot().l1_passes_reused;
+            for _ in 0..2 {
+                let results = with_path(ReplayPath::Batched, || {
+                    engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
+                });
+                assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1, 2]);
+            }
+            assert!(store.snapshot().l1_passes_reused >= before + 3);
+        }
+    }
+
+    #[test]
+    fn a_replay_that_ends_in_an_error_stores_no_pass_and_errs_again() {
+        let store = TraceStore::in_memory();
+        let w = tiny_village();
+        // Engines built over no textures at all: the first request of the
+        // trace names a texture they do not know.
+        let empty = TextureRegistry::new();
+        for _ in 0..2 {
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run_traversal_with(
+                    &store,
+                    &w,
+                    FilterMode::Bilinear,
+                    &[pull(2), pull(2), pull(16)],
+                    false,
+                    mltc_raster::Traversal::Scanline,
+                    &|_, cfg, _| SimEngine::try_new(cfg, &empty),
+                )
+            });
+            for r in &results {
+                assert!(
+                    matches!(r, Err(RunError::Engine(EngineError::UnknownTexture(_)))),
+                    "{r:?}"
+                );
+            }
+            assert_no_pass_was_kept(&store);
         }
     }
 
@@ -1147,11 +1297,41 @@ mod tests {
             assert_match_solo(&results, &w, FilterMode::Trilinear, &all);
             let s = store.snapshot();
             assert_eq!((s.l1_passes, s.l1_shared_members), passes);
+            assert_eq!(s.l1_passes_reused, 0);
             let rates: Vec<f64> = results[..5]
                 .iter()
                 .map(|r| r.as_ref().unwrap().totals().tlb_hit_rate())
                 .collect();
             assert!(rates.windows(2).all(|p| p[0] < p[1]), "{rates:?}");
+            // Again: the resident trace kept both passes and all six
+            // configurations replay them; a disk stream and a live render
+            // keep nothing and run as before.
+            let resident = matches!(
+                store.get_or_render(&w, false, mltc_raster::Traversal::Scanline),
+                TraceHandle::Memory(_)
+            );
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run(&store, &w, FilterMode::Trilinear, &configs, false)
+            });
+            assert_match_solo(&results, &w, FilterMode::Trilinear, &all);
+            let s = store.snapshot();
+            if resident {
+                assert_eq!((s.l1_passes, s.l1_shared_members), passes);
+                assert_eq!(s.l1_passes_reused, 6);
+                assert!(s.pass_bytes > 0 && s.pass_bytes < s.resident_bytes);
+            } else {
+                assert_eq!(
+                    (s.l1_passes, s.l1_shared_members),
+                    (2 * passes.0, 2 * passes.1)
+                );
+                assert_eq!((s.l1_passes_reused, s.pass_bytes), (0, 0));
+            }
+            // Another filter is another pass.
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
+            });
+            assert_match_solo(&results, &w, FilterMode::Bilinear, &all);
+            assert_eq!(store.snapshot().l1_passes_reused, s.l1_passes_reused);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1167,31 +1347,39 @@ mod tests {
         };
         // Slot 3 gets a timing overlay; slots 0 and 2 are left to share.
         let configs = [ml(2, 2 << 20, 0), faulty, pull(2), ml(2, 2 << 20, 4)];
-        let results = with_path(ReplayPath::Batched, || {
-            engine_run_traversal_with(
-                &store,
-                &w,
-                FilterMode::Bilinear,
-                &configs,
-                false,
-                mltc_raster::Traversal::Scanline,
-                &|slot, cfg, reg| {
-                    let mut engine = SimEngine::try_new(cfg, reg)?;
-                    if slot == 3 {
-                        engine.attach_timing(LatencyModel::default());
-                    }
-                    Ok(engine)
-                },
-            )
-        });
-        assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1, 2, 3]);
-        let s = store.snapshot();
-        assert_eq!((s.l1_passes, s.l1_shared_members), (3, 1));
-        let faulty = results[1].as_ref().unwrap();
-        assert!(faulty.totals().retries > 0, "the fault plan must bite");
-        let timed = results[3].as_ref().unwrap();
-        let timing = timed.timing().expect("the overlay survives the replay");
-        assert_eq!(timing.totals().taps, timed.totals().l1_accesses);
+        // Twice: the second run finds the store holding the 2 KB pass the
+        // first one's plain members left, and still only they replay it.
+        for (run, passes) in [(3, 1, 0), (5, 1, 2)].into_iter().enumerate() {
+            let results = with_path(ReplayPath::Batched, || {
+                engine_run_traversal_with(
+                    &store,
+                    &w,
+                    FilterMode::Bilinear,
+                    &configs,
+                    false,
+                    mltc_raster::Traversal::Scanline,
+                    &|slot, cfg, reg| {
+                        let mut engine = SimEngine::try_new(cfg, reg)?;
+                        if slot == 3 {
+                            engine.attach_timing(LatencyModel::default());
+                        }
+                        Ok(engine)
+                    },
+                )
+            });
+            assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1, 2, 3]);
+            let s = store.snapshot();
+            assert_eq!(
+                (s.l1_passes, s.l1_shared_members, s.l1_passes_reused),
+                passes,
+                "run {run}"
+            );
+            let faulty = results[1].as_ref().unwrap();
+            assert!(faulty.totals().retries > 0, "the fault plan must bite");
+            let timed = results[3].as_ref().unwrap();
+            let timing = timed.timing().expect("the overlay survives the replay");
+            assert_eq!(timing.totals().taps, timed.totals().l1_accesses);
+        }
     }
 
     #[test]
@@ -1208,7 +1396,19 @@ mod tests {
                 engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
             });
             assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1]);
-            assert_eq!(store.snapshot().l1_passes, passes, "{path:?}");
+            let s = store.snapshot();
+            assert_eq!(s.l1_passes, passes, "{path:?}");
+            // And only it keeps the pass, or would find one kept.
+            assert_eq!(s.pass_bytes > 0, path == ReplayPath::Batched, "{path:?}");
+            let stored = TraceStore::in_memory();
+            for then in [ReplayPath::Batched, path] {
+                let results = with_path(then, || {
+                    engine_run(&stored, &w, FilterMode::Bilinear, &configs, false)
+                });
+                assert_match_solo(&results, &w, FilterMode::Bilinear, &[0, 1]);
+            }
+            let reused = if path == ReplayPath::Batched { 2 } else { 0 };
+            assert_eq!(stored.snapshot().l1_passes_reused, reused, "{path:?}");
         }
     }
 

@@ -40,8 +40,21 @@
 //! Corrupt, truncated, or wrong-version files are never fatal: the codec
 //! reports a typed [`CodecError`], the store counts it and silently
 //! re-renders.
+//!
+//! # Stored L1 passes
+//!
+//! A resident trace also keeps the L1 passes replays have made over it
+//! ([`TraceStore::keep_pass`], DESIGN.md §14): the L1-filtered miss stream
+//! per (filter, L1, tiling), from which any later configuration on that L1
+//! is replayed without touching the frames. They hang off the [`TraceSet`],
+//! so they are keyed by [`TraceKey`] for free, count into the same byte
+//! budget (reported apart as [`StoreStats::pass_bytes`]), leave when the
+//! trace is demoted, and never exist for a [`TraceHandle::Disk`] or
+//! [`TraceHandle::Uncached`] trace. Nothing is persisted: a pass costs one
+//! replay to make again.
 
 use crate::runner::lock_clean;
+use mltc_core::{L1Pass, SimEngine};
 use mltc_raster::Traversal;
 use mltc_scene::{Workload, WorkloadKind, WorkloadParams};
 use mltc_telemetry::Recorder;
@@ -88,12 +101,62 @@ impl TraceKey {
 
 /// A fully decoded animation: every frame behind an [`Arc`] so replay
 /// workers share them without copying.
+///
+/// The L1 passes replays have made over the frames are kept beside them
+/// ([`TraceStore::keep_pass`]): a later configuration on the same L1 replays
+/// the stored pass instead of the frames. They live exactly as long as the
+/// trace is resident, so a trace streamed from disk or rendered live has
+/// none.
 #[derive(Debug)]
 pub struct TraceSet {
     /// The frames, in animation order.
     pub frames: Vec<Arc<FrameTrace>>,
     /// Approximate decoded size in bytes (for budget accounting).
     pub bytes: u64,
+    passes: Mutex<PassShelf>,
+}
+
+#[derive(Debug, Default)]
+struct PassShelf {
+    kept: Vec<Arc<L1Pass>>,
+    /// The trace has been demoted: a replay still holding it keeps no pass.
+    demoted: bool,
+}
+
+impl TraceSet {
+    fn new(frames: Vec<Arc<FrameTrace>>, bytes: u64) -> Self {
+        Self {
+            frames,
+            bytes,
+            passes: Mutex::default(),
+        }
+    }
+
+    /// The stored pass that answers `engine` replaying these frames under
+    /// `filter`, if a replay has left one.
+    pub(crate) fn stored_pass(
+        &self,
+        engine: &SimEngine,
+        filter: FilterMode,
+    ) -> Option<Arc<L1Pass>> {
+        let shelf = lock_clean(&self.passes);
+        shelf
+            .kept
+            .iter()
+            .find(|p| p.answers(engine, filter))
+            .cloned()
+    }
+
+    /// Drops the stored passes for good (the trace is being demoted) and
+    /// returns the bytes they held.
+    fn drop_passes(&self) -> u64 {
+        let mut shelf = lock_clean(&self.passes);
+        shelf.demoted = true;
+        std::mem::take(&mut shelf.kept)
+            .iter()
+            .map(|p| p.bytes())
+            .sum()
+    }
 }
 
 /// Where a requested trace currently lives.
@@ -185,6 +248,7 @@ struct Counters {
     sim_nanos: AtomicU64,
     l1_passes: AtomicU64,
     l1_shared_members: AtomicU64,
+    l1_passes_reused: AtomicU64,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
     corrupt_files: AtomicU64,
@@ -216,13 +280,17 @@ pub struct StoreStats {
     pub taps_simulated: u64,
     /// Wall time spent simulating, in nanoseconds.
     pub sim_nanos: u64,
-    /// L1 passes the replays ran: one per group of configurations that
-    /// share an L1, so one per configuration when nothing shares.
+    /// L1 passes the replays actually ran: one per group of configurations
+    /// that share an L1 and found no stored pass, so one per configuration
+    /// when nothing shares and nothing is stored.
     pub l1_passes: u64,
-    /// Configurations that rode on another's L1 pass instead of running
-    /// their own (`l1_passes + l1_shared_members` = configurations
-    /// replayed).
+    /// Configurations that rode on another's L1 pass in the same run
+    /// instead of running their own.
     pub l1_shared_members: u64,
+    /// Configurations that replayed a pass an earlier run had stored
+    /// beside the trace (`l1_passes + l1_shared_members +
+    /// l1_passes_reused` = configurations replayed).
+    pub l1_passes_reused: u64,
     /// Bytes persisted to trace files.
     pub bytes_written: u64,
     /// Bytes loaded back from trace files.
@@ -244,8 +312,10 @@ pub struct StoreStats {
     /// Requests that arrived while another thread was rendering the same
     /// key and had to block on its completion (queue stalls).
     pub build_stalls: u64,
-    /// Decoded bytes currently resident.
+    /// Decoded bytes currently resident, stored L1 passes included.
     pub resident_bytes: u64,
+    /// The part of `resident_bytes` that is stored L1 passes.
+    pub pass_bytes: u64,
 }
 
 impl StoreStats {
@@ -255,9 +325,11 @@ impl StoreStats {
     }
 
     /// Texture taps *answered* per second of simulation wall time: a
-    /// configuration that shared another's L1 pass still counts every tap
-    /// of the trace, so this rises with
-    /// [`l1_shared_members`](Self::l1_shared_members).
+    /// configuration that shared another's L1 pass, or replayed a stored
+    /// one, still counts every tap of the trace, so this rises with
+    /// [`l1_shared_members`](Self::l1_shared_members) and — by far more,
+    /// since no L1 pass runs at all —
+    /// [`l1_passes_reused`](Self::l1_passes_reused).
     pub fn taps_per_sec(&self) -> f64 {
         per_sec(self.taps_simulated, self.sim_nanos)
     }
@@ -276,6 +348,8 @@ struct StoreInner {
     budget: AtomicU64,
     clock: AtomicU64,
     mem_bytes: AtomicU64,
+    /// The part of `mem_bytes` that is stored L1 passes.
+    pass_bytes: AtomicU64,
     entries: Mutex<HashMap<TraceKey, Arc<KeyCell>>>,
     workloads: Mutex<HashMap<(WorkloadKind, WorkloadParams), Arc<Workload>>>,
     bundles: Mutex<HashMap<(WorkloadKind, WorkloadParams), Arc<StatsBundle>>>,
@@ -301,6 +375,7 @@ impl TraceStore {
                 budget: AtomicU64::new(DEFAULT_MEM_BUDGET),
                 clock: AtomicU64::new(0),
                 mem_bytes: AtomicU64::new(0),
+                pass_bytes: AtomicU64::new(0),
                 entries: Mutex::new(HashMap::new()),
                 workloads: Mutex::new(HashMap::new()),
                 bundles: Mutex::new(HashMap::new()),
@@ -364,6 +439,7 @@ impl TraceStore {
             sim_nanos: c.sim_nanos.load(Relaxed),
             l1_passes: c.l1_passes.load(Relaxed),
             l1_shared_members: c.l1_shared_members.load(Relaxed),
+            l1_passes_reused: c.l1_passes_reused.load(Relaxed),
             bytes_written: c.bytes_written.load(Relaxed),
             bytes_read: c.bytes_read.load(Relaxed),
             corrupt_files: c.corrupt_files.load(Relaxed),
@@ -374,6 +450,7 @@ impl TraceStore {
             healed_files: c.healed_files.load(Relaxed),
             build_stalls: c.build_stalls.load(Relaxed),
             resident_bytes: self.inner.mem_bytes.load(Relaxed),
+            pass_bytes: self.inner.pass_bytes.load(Relaxed),
         }
     }
 
@@ -384,16 +461,50 @@ impl TraceStore {
         self.inner.counters.sim_nanos.fetch_add(nanos, Relaxed);
     }
 
-    /// Records how a replay's configurations were grouped (called by the
-    /// run machinery before each replay): `passes` L1 passes ran, and
-    /// `shared_members` further configurations rode on one of them.
-    pub fn note_l1_passes(&self, passes: u64, shared_members: u64) {
+    /// Records how a replay's configurations were answered (called by the
+    /// run machinery before each replay): `passes` L1 passes ran,
+    /// `shared_members` further configurations rode on one of them, and
+    /// `reused` replayed a stored pass.
+    pub fn note_l1_passes(&self, passes: u64, shared_members: u64, reused: u64) {
         let c = &self.inner.counters;
         c.l1_passes.fetch_add(passes, Relaxed);
         c.l1_shared_members.fetch_add(shared_members, Relaxed);
+        c.l1_passes_reused.fetch_add(reused, Relaxed);
         let rec = self.recorder();
         rec.counter("replay/l1_passes").add(passes);
         rec.counter("replay/l1_shared_members").add(shared_members);
+        rec.counter("replay/l1_passes_reused").add(reused);
+    }
+
+    /// Keeps `pass`, made over `set`'s frames, beside them for later
+    /// replays ([`TraceSet::stored_pass`]). Its bytes count into the
+    /// store's budget like the trace's own, but a pass is an optimisation,
+    /// never worth a trace: one that does not fit is dropped and evicts
+    /// nothing. So are a second pass over the same L1 (two replays raced to
+    /// make it) and one whose trace has been demoted meanwhile.
+    pub(crate) fn keep_pass(&self, set: &TraceSet, pass: L1Pass) -> bool {
+        let mut shelf = lock_clean(&set.passes);
+        if shelf.demoted
+            || pass.frame_count() != set.frames.len()
+            || shelf.kept.iter().any(|p| p.same_l1_as(&pass))
+        {
+            return false;
+        }
+        let bytes = pass.bytes();
+        let budget = self.inner.budget.load(Relaxed);
+        let reserve = |held: u64| held.checked_add(bytes).filter(|&b| b <= budget);
+        if self
+            .inner
+            .mem_bytes
+            .fetch_update(Relaxed, Relaxed, reserve)
+            .is_err()
+        {
+            return false;
+        }
+        self.inner.pass_bytes.fetch_add(bytes, Relaxed);
+        self.recorder().counter("store/pass_bytes").add(bytes);
+        shelf.kept.push(Arc::new(pass));
+        true
     }
 
     /// The memoized workload for `kind` at `params`: builds the scene at
@@ -666,7 +777,7 @@ impl TraceStore {
         }
         c.disk_hits.fetch_add(1, Relaxed);
         c.bytes_read.fetch_add(file_len, Relaxed);
-        LoadResult::Loaded(TraceHandle::Memory(Arc::new(TraceSet { frames, bytes })))
+        LoadResult::Loaded(TraceHandle::Memory(Arc::new(TraceSet::new(frames, bytes))))
     }
 
     /// Renders the animation once, persisting frames as they stream out
@@ -785,7 +896,7 @@ impl TraceStore {
         }
 
         if keep_in_memory {
-            TraceHandle::Memory(Arc::new(TraceSet { frames, bytes }))
+            TraceHandle::Memory(Arc::new(TraceSet::new(frames, bytes)))
         } else if let Some(path) = persisted_path {
             TraceHandle::Disk(path)
         } else {
@@ -817,12 +928,15 @@ impl TraceStore {
             }
             let mut st = lock_clean(&cell.state);
             if let CellState::Ready(TraceHandle::Memory(set)) = &*st {
-                let freed = set.bytes;
+                // The passes made over a trace leave with it.
+                let passes = set.drop_passes();
+                let freed = set.bytes + passes;
                 *st = match self.file_path(&key) {
                     Some(path) if path.exists() => CellState::Ready(TraceHandle::Disk(path)),
                     _ => CellState::Empty,
                 };
                 drop(st);
+                self.inner.pass_bytes.fetch_sub(passes, Relaxed);
                 self.inner.mem_bytes.fetch_sub(freed, Relaxed);
                 self.inner.counters.evictions.fetch_add(1, Relaxed);
             }
@@ -1110,6 +1224,60 @@ mod tests {
         // The evicted key re-renders on demand (no file to demote to).
         store.get_or_render(&w, false, Traversal::Scanline);
         assert_eq!(store.snapshot().renders, 3);
+    }
+
+    #[test]
+    fn passes_are_kept_once_within_budget_and_only_beside_a_resident_trace() {
+        use mltc_core::{EngineConfig, L1Config};
+        let store = TraceStore::in_memory();
+        let w = tiny_village();
+        let TraceHandle::Memory(set) = store.get_or_render(&w, false, Traversal::Scanline) else {
+            panic!("expected a resident handle");
+        };
+        let engine = |kb| {
+            let cfg = EngineConfig {
+                l1: L1Config::kb(kb),
+                ..EngineConfig::default()
+            };
+            SimEngine::new(cfg, w.registry())
+        };
+        let record = |kb, frames: &[Arc<FrameTrace>]| {
+            let mut leader = [engine(kb)];
+            let mut recorder = leader[0].record_l1_pass(FilterMode::Bilinear);
+            for t in frames {
+                SimEngine::try_run_frame_recorded_as(&mut leader, t, &mut recorder).unwrap();
+            }
+            recorder.finish(&leader[0]).expect("a plain leader records")
+        };
+        let bytes = record(2, &set.frames).bytes();
+        assert!(store.keep_pass(&set, record(2, &set.frames)));
+        // Two replays raced to make the same pass: one is kept.
+        assert!(!store.keep_pass(&set, record(2, &set.frames)));
+        // A pass over other frames than the trace's is nobody's.
+        assert!(!store.keep_pass(&set, record(16, &set.frames[..1])));
+        let s = store.snapshot();
+        assert_eq!((s.pass_bytes, s.resident_bytes), (bytes, set.bytes + bytes));
+        assert!(set.stored_pass(&engine(2), FilterMode::Bilinear).is_some());
+        assert!(set.stored_pass(&engine(2), FilterMode::Point).is_none());
+        assert!(set.stored_pass(&engine(16), FilterMode::Bilinear).is_none());
+
+        // No room for a second one: it is dropped, and evicts nothing.
+        let store = store.with_budget(set.bytes + bytes + 16);
+        assert!(!store.keep_pass(&set, record(16, &set.frames)));
+        let s = store.snapshot();
+        assert_eq!((s.pass_bytes, s.evictions), (bytes, 0));
+
+        // The next trace demotes this one, and its pass leaves with it —
+        // also for a replay that still holds the frames.
+        let TraceHandle::Memory(next) = store.get_or_render(&w, true, Traversal::Scanline) else {
+            panic!("expected a resident handle");
+        };
+        let s = store.snapshot();
+        assert_eq!((s.evictions, s.pass_bytes), (1, 0));
+        assert_eq!(s.resident_bytes, next.bytes);
+        assert!(set.stored_pass(&engine(2), FilterMode::Bilinear).is_none());
+        assert!(!store.keep_pass(&set, record(2, &set.frames)));
+        assert_eq!(store.snapshot().resident_bytes, next.bytes);
     }
 
     #[test]

@@ -187,6 +187,39 @@ fn model_error_regression_exits_1_and_absent_fragment_skips() {
 }
 
 #[test]
+fn records_with_and_without_stored_pass_fields_compare() {
+    let dir = scratch("passes");
+    let base = dir.join("baseline.json");
+    let cur = dir.join("current.json");
+    // A committed record from before stored passes against a run that
+    // answered 84 configurations from them, and the other way round.
+    let with = "{\"runs\":[{\"scale\":\"quick\",\"wall_seconds\":1.0,\"store\":\
+                {\"taps_per_sec\":4000,\"l1_passes_reused\":84,\"pass_bytes\":27000000}}]}";
+    for (b, c, said) in [
+        (report(&[2000.0]), with.to_string(), "\"current\":{"),
+        (with.to_string(), report(&[3000.0]), "\"baseline\":{"),
+    ] {
+        fs::write(&base, b).unwrap();
+        fs::write(&cur, c).unwrap();
+        let out = sentinel()
+            .args(["--baseline", base.to_str().unwrap()])
+            .args(["--current", cur.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // The verdict says which side reused passes, and only that side.
+        assert_eq!(stdout.matches("\"l1_passes_reused\":84").count(), 1);
+        let side = &stdout[stdout.find(said).expect("side present")..];
+        assert!(
+            side[..side.find('}').unwrap()].contains("\"l1_passes_reused\":84"),
+            "got {stdout}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_usage_exits_2() {
     for args in [
         &["--threshold", "not-a-number"][..],

@@ -193,7 +193,8 @@ proptest! {
     /// replayed as one group — a single L1 pass, the leader's miss stream
     /// fed to everyone else — leaves each member's per-frame counters and
     /// clock hand exactly where the naive model puts that configuration
-    /// replayed on its own.
+    /// replayed on its own. So does replaying the pass the group recorded
+    /// into each configuration afresh, as a later run over a store would.
     #[test]
     fn shared_l1_groups_stay_in_lockstep_with_the_oracle_per_member(
         raw in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..160),
@@ -228,12 +229,15 @@ proptest! {
             configs.iter().map(|&c| OracleEngine::new(c, &reg)).collect();
         let line_bytes = configs[0].l1.line_bytes() as u64;
         let per_frame = requests.len().div_ceil(frame_count);
+        let mut recorder = group[0].record_l1_pass(filter);
+        // Per member, what the oracle says of each frame.
+        let mut model = vec![Vec::new(); configs.len()];
         for (f, chunk) in requests.chunks(per_frame).enumerate() {
             let mut trace = FrameTrace::new(f as u32, 8, 8, FilterMode::Point);
             for &req in chunk {
                 trace.push(req);
             }
-            SimEngine::try_run_frame_shared(&mut group, filter, trace.requests.iter().copied())
+            SimEngine::try_run_frame_recorded_as(&mut group, &trace, &mut recorder)
                 .expect("every texture is registered");
             let mut accesses = Vec::new();
             expand_frame(&trace, filter, &reg, &mut accesses).expect("every texture is registered");
@@ -250,6 +254,23 @@ proptest! {
                 prop_assert_eq!(
                     member.l2().and_then(|l2| l2.clock_hand()), oracle.clock_hand(),
                     "member {} clock hand after frame {}", i, f
+                );
+                model[i].push((want, oracle.clock_hand()));
+            }
+        }
+        let pass = recorder.finish(&group[0]).expect("a fault-free group records its pass");
+        for (i, (&cfg, frames)) in configs.iter().zip(&model).enumerate() {
+            prop_assert!(pass.answers(&SimEngine::new(cfg, &reg), filter));
+            let mut member = SimEngine::new(cfg, &reg);
+            for (f, &(want, hand)) in frames.iter().enumerate() {
+                member.replay_pass_frame(&pass, f);
+                prop_assert_eq!(
+                    member.frames()[f], want,
+                    "member {} ({:?}) frame {} from the stored pass under {:?}", i, cfg, f, filter
+                );
+                prop_assert_eq!(
+                    member.l2().and_then(|l2| l2.clock_hand()), hand,
+                    "member {} clock hand after stored frame {}", i, f
                 );
             }
         }

@@ -326,47 +326,72 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("mltc-golden-shared-{}", std::process::id()));
+    // The sweeps in suite order, then the first again: through one store,
+    // every run after the first finds its 2 KB pass already made, and the
+    // last finds the 16 KB one too.
+    let mut runs = sweep_sets();
+    runs.push(runs[0].clone());
     for (name, workload, frames) in committed_traces() {
         for filter in [
             FilterMode::Point,
             FilterMode::Bilinear,
             FilterMode::Trilinear,
         ] {
-            for (set, configs) in sweep_sets() {
-                let solo: Vec<SimEngine> = configs
-                    .iter()
-                    .map(|&cfg| {
-                        let rec = Recorder::disabled();
-                        replay(cfg, &workload, &frames, filter, Mode::Batched, &rec)
-                    })
-                    .collect();
-                for jobs in [1, 2] {
-                    set_max_replay_jobs(jobs);
-                    let _ = std::fs::remove_dir_all(&dir);
-                    // A 64-byte budget keeps nothing resident: the
-                    // persistent store streams from disk (one worker per
-                    // configuration, nothing shared), the in-memory one
-                    // renders live.
-                    for (handle, store) in [
-                        ("memory", TraceStore::in_memory()),
-                        ("disk", TraceStore::persistent(&dir).with_budget(64)),
-                        ("uncached", TraceStore::in_memory().with_budget(64)),
-                    ] {
-                        let shared = engine_run(&store, &workload, filter, &configs, false);
+            let solo: Vec<Vec<SimEngine>> = runs
+                .iter()
+                .map(|(_, configs)| {
+                    configs
+                        .iter()
+                        .map(|&cfg| {
+                            let rec = Recorder::disabled();
+                            replay(cfg, &workload, &frames, filter, Mode::Batched, &rec)
+                        })
+                        .collect()
+                })
+                .collect();
+            for jobs in [1, 2] {
+                set_max_replay_jobs(jobs);
+                let _ = std::fs::remove_dir_all(&dir);
+                // A 64-byte budget keeps nothing resident: the
+                // persistent store streams from disk (one worker per
+                // configuration, nothing shared), the in-memory one
+                // renders live. Neither has a trace to keep a pass beside.
+                for (handle, store) in [
+                    ("memory", TraceStore::in_memory()),
+                    ("disk", TraceStore::persistent(&dir).with_budget(64)),
+                    ("uncached", TraceStore::in_memory().with_budget(64)),
+                ] {
+                    let mut reused = 0;
+                    for (run, ((set, configs), solo)) in runs.iter().zip(&solo).enumerate() {
+                        let before = store.snapshot();
+                        let shared = engine_run(&store, &workload, filter, configs, false);
                         let stats = store.snapshot();
-                        if handle == "disk" {
-                            assert_eq!(stats.l1_shared_members, 0, "{set}: streamed replays");
+                        let ctx = format!("{name} / {set} (run {run}) / {filter:?} / {handle}");
+                        if handle == "memory" {
+                            // Every configuration of every run but the
+                            // first, which made both passes.
+                            if run > 0 {
+                                reused += configs.len() as u64;
+                            }
+                            assert!(stats.pass_bytes > 0, "{ctx}: passes held");
                         } else {
-                            assert!(
-                                stats.l1_shared_members >= 2,
-                                "{set} / {handle}: the sweep must actually share an L1 pass"
-                            );
+                            assert_eq!(stats.pass_bytes, 0, "{ctx}: nothing to keep a pass beside");
                         }
-                        for (i, (got, want)) in shared.iter().zip(&solo).enumerate() {
+                        assert_eq!(stats.l1_passes_reused, reused, "{ctx}: stored-pass replays");
+                        let shared_now = stats.l1_shared_members - before.l1_shared_members;
+                        match (handle, run) {
+                            ("disk", _) => assert_eq!(shared_now, 0, "{ctx}: streamed replays"),
+                            ("memory", 1..) => {
+                                assert_eq!(shared_now, 0, "{ctx}: all from the store")
+                            }
+                            _ => assert!(
+                                shared_now >= 2,
+                                "{ctx}: the sweep must actually share an L1 pass"
+                            ),
+                        }
+                        for (i, (got, want)) in shared.iter().zip(solo).enumerate() {
                             let got = got.as_ref().expect("shared replay succeeds");
-                            let ctx = format!(
-                                "{name} / {set}[{i}] / {filter:?} / {handle} / jobs={jobs}"
-                            );
+                            let ctx = format!("{ctx} [{i}] / jobs={jobs}");
                             assert_eq!(got.frames(), want.frames(), "{ctx}: frame counters");
                             assert_eq!(got.totals(), want.totals(), "{ctx}: totals");
                             assert_eq!(

@@ -245,9 +245,17 @@ fn attribution_only_adds_counters_never_perturbs() {
 /// is observed tap by tap, so the recorder holds exactly what the same
 /// configurations record replayed one at a time — every engine counter,
 /// histogram and per-frame series — under labels that say which
-/// configuration of the run each series belongs to.
+/// configuration of the run each series belongs to. Nor does it replay a
+/// stored one: the same holds, byte for byte, on a store that an unobserved
+/// run of the sweep has already left its pass in.
 #[test]
 fn recorded_sweep_observes_each_config_exactly_as_its_solo_replay() {
+    for prewarmed in [false, true] {
+        recorded_sweep_matches_solo_replays(prewarmed);
+    }
+}
+
+fn recorded_sweep_matches_solo_replays(prewarmed: bool) {
     use mltc::experiments::{collect_frames, engine_run_all, TraceStore};
     let w = tiny_village();
     // fig11's shape: one L1, one L2, five TLB sizes — one label, and one
@@ -262,8 +270,14 @@ fn recorded_sweep_observes_each_config_exactly_as_its_solo_replay() {
     let filter = FilterMode::Trilinear;
 
     let rec = Recorder::enabled();
-    let store = TraceStore::in_memory().with_recorder(rec.clone());
+    let store = TraceStore::in_memory();
+    if prewarmed {
+        engine_run_all(&store, &w, filter, &configs, false).unwrap();
+        assert!(store.snapshot().pass_bytes > 0, "the pass is there to find");
+    }
+    let store = store.with_recorder(rec.clone());
     let swept = engine_run_all(&store, &w, filter, &configs, false).unwrap();
+    assert_eq!(store.snapshot().l1_passes_reused, 0);
 
     let solo_rec = Recorder::enabled();
     let frames = collect_frames(&store, &w).unwrap();
@@ -296,6 +310,7 @@ fn recorded_sweep_observes_each_config_exactly_as_its_solo_replay() {
     assert_eq!(got.series.len(), configs.len(), "one series per config");
     assert_eq!(got.counters["replay/l1_passes"], configs.len() as u64);
     assert_eq!(got.counters["replay/l1_shared_members"], 0);
+    assert_eq!(got.counters["replay/l1_passes_reused"], 0);
     // The same sweep unobserved is one pass.
     let quiet = TraceStore::in_memory();
     let unobserved = engine_run_all(&quiet, &w, filter, &configs, false).unwrap();

@@ -2,10 +2,12 @@
 //! reloaded by a fresh store must drive the simulator to bit-identical
 //! counters, and damaged files — truncated, corrupted, or written by a
 //! different format version — must be rejected with a re-render, never a
-//! panic.
+//! panic. And the L1 passes replays leave beside a resident trace live and
+//! die with it, inside the same byte budget.
 
 use mltc::core::{EngineConfig, FrameCounters, L1Config, L2Config};
-use mltc::experiments::{engine_run_all, TraceStore};
+use mltc::experiments::{engine_run_all, TraceHandle, TraceStore};
+use mltc::raster::Traversal;
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::trace::FilterMode;
 use std::path::{Path, PathBuf};
@@ -213,4 +215,94 @@ fn crashed_writer_leftovers_are_swept_and_torn_files_healed() {
     assert_eq!(cold, reloaded);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The trace's own resident bytes (the handle request counts as a hit).
+fn trace_bytes(store: &TraceStore, w: &Workload, zprepass: bool) -> u64 {
+    match store.get_or_render(w, zprepass, Traversal::Scanline) {
+        TraceHandle::Memory(set) => set.bytes,
+        other => panic!("expected a resident trace, got {other:?}"),
+    }
+}
+
+fn sweep(store: &TraceStore, w: &Workload) -> Vec<FrameCounters> {
+    engine_run_all(store, w, FilterMode::Trilinear, &configs(), false)
+        .expect("valid configurations")
+        .iter()
+        .map(|e| e.totals())
+        .collect()
+}
+
+#[test]
+fn stored_passes_count_as_resident_and_leave_with_their_trace() {
+    let store = TraceStore::in_memory();
+    let w = tiny_village();
+    let first = sweep(&store, &w);
+    let s = store.snapshot();
+    assert_eq!((s.l1_passes, s.l1_shared_members), (1, 1));
+    assert!(s.pass_bytes > 0, "the sweep left its pass behind");
+    let village = trace_bytes(&store, &w, false);
+    assert_eq!(s.resident_bytes, village + s.pass_bytes);
+
+    // The next sweep replays the stored pass: no L1 pass runs.
+    assert_eq!(sweep(&store, &w), first);
+    let s = store.snapshot();
+    assert_eq!((s.l1_passes, s.l1_passes_reused), (1, 2));
+
+    // Room for one trace: rendering another demotes the village, and the
+    // pass goes with it.
+    let store = store.with_budget(village);
+    let other = trace_bytes(&store, &w, true);
+    let s = store.snapshot();
+    assert!(s.evictions >= 1, "{s:?}");
+    assert_eq!((s.pass_bytes, s.resident_bytes), (0, other));
+
+    // So the sweep after that runs its own pass again, to the same result.
+    assert_eq!(sweep(&store, &w), first);
+    let s = store.snapshot();
+    assert_eq!((s.l1_passes, s.l1_passes_reused), (2, 2));
+}
+
+#[test]
+fn a_pass_that_would_not_fit_the_budget_is_not_kept_and_evicts_nothing() {
+    let w = tiny_village();
+    let roomy = TraceStore::in_memory();
+    let first = sweep(&roomy, &w);
+    let pass = roomy.snapshot().pass_bytes;
+    // The trace fits with a few bytes to spare; its pass does not.
+    let village = trace_bytes(&roomy, &w, false);
+    let store = TraceStore::in_memory().with_budget(village + pass - 1);
+    for _ in 0..2 {
+        assert_eq!(sweep(&store, &w), first);
+    }
+    let s = store.snapshot();
+    assert_eq!((s.renders, s.evictions), (1, 0), "the trace stayed");
+    assert_eq!((s.pass_bytes, s.l1_passes_reused), (0, 0));
+    assert_eq!((s.l1_passes, s.resident_bytes), (2, village));
+}
+
+#[test]
+fn concurrent_sweeps_over_one_store_leave_one_pass_counted_once() {
+    let w = tiny_village();
+    let alone = TraceStore::in_memory();
+    let first = sweep(&alone, &w);
+    let store = TraceStore::in_memory();
+    trace_bytes(&store, &w, false);
+    // Both sweeps start on the resident trace together: whether one finds
+    // the other's pass or both make it, one is kept.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                start.wait();
+                assert_eq!(sweep(&store, &w), first);
+            });
+        }
+    });
+    let (s, want) = (store.snapshot(), alone.snapshot());
+    assert_eq!(s.pass_bytes, want.pass_bytes);
+    assert_eq!(s.resident_bytes, want.resident_bytes);
+    assert_eq!(s.l1_passes + s.l1_passes_reused / 2, 2);
+    assert_eq!(sweep(&store, &w), first);
+    assert_eq!(store.snapshot().l1_passes, s.l1_passes);
 }
