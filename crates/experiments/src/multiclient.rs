@@ -38,6 +38,7 @@ use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
 use mltc_trace::codec::frame_cursor;
 use mltc_trace::{FilterMode, FrameTrace};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -497,8 +498,14 @@ pub fn collect_frames(store: &TraceStore, w: &Workload) -> Result<Vec<Arc<FrameT
             let mut frames = Vec::new();
             let mut bad = None;
             stream_trace_file_raw(&path, |bytes| match frame_cursor(bytes) {
-                Ok((cursor, _)) => frames.push(Arc::new(cursor.into_frame())),
-                Err(e) => bad = Some(e),
+                Ok((cursor, _)) => {
+                    frames.push(Arc::new(cursor.into_frame()));
+                    ControlFlow::Continue(())
+                }
+                Err(e) => {
+                    bad = Some(e);
+                    ControlFlow::Break(())
+                }
             })
             .map_err(|e| RunError::Trace(format!("{}: {e}", path.display())))?;
             match bad {

@@ -1,10 +1,8 @@
 //! Shared run machinery: look up (or render once) a trace, replay it
 //! through many cache configurations.
 //!
-//! The historical shape — rasterize the animation inside every
-//! `engine_run` call — is gone: every entry point now asks the
-//! [`TraceStore`] for the trace and *replays* it. Three replay paths
-//! cover the store's handle states:
+//! Every entry point asks the [`TraceStore`] for the trace and *replays*
+//! it. Three replay paths cover the store's handle states:
 //!
 //! * **memory** ([`TraceHandle::Memory`]): each worker iterates the shared
 //!   frames directly — no channels, no copies — or, where an earlier run
@@ -18,12 +16,11 @@
 //! [store docs](crate::store)), replays apply the requested filter via
 //! [`SimEngine::try_run_frame_as`].
 //!
-//! A worker replays one *group*: from memory or a live render,
-//! configurations whose engines share an L1
+//! A worker replays one *group*: whichever of the three the frames come
+//! from, configurations whose engines share an L1
 //! ([`SimEngine::shares_l1_with`]) make one L1 pass per frame between
-//! them ([`SimEngine::try_run_frame_shared`]); everything else, and every
-//! configuration of a disk-streamed replay, is a group of one. Each
-//! configuration still gets its own `Result`.
+//! them ([`SimEngine::try_run_frame_shared`]); everything else is a group
+//! of one. Each configuration still gets its own `Result`.
 //!
 //! From memory the pass outlives the call: a run in which every
 //! configuration succeeded leaves each group's [`L1Pass`] beside the
@@ -43,12 +40,13 @@ use mltc_texture::TextureRegistry;
 use mltc_trace::codec::frame_cursor;
 use mltc_trace::{FilterMode, FrameTrace};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cap on concurrently replaying configurations; `0` means "ask the OS"
 /// (see [`max_replay_jobs`]).
@@ -332,12 +330,9 @@ pub fn replay_run(
     filter: FilterMode,
     configs: &[EngineConfig],
 ) -> Vec<Result<SimEngine, RunError>> {
-    let plan = plan_replay(
-        registry,
-        configs,
-        &|_, cfg, reg| SimEngine::try_new(cfg, reg),
-        shares_l1_passes(false),
-    );
+    let plan = plan_replay(registry, configs, &|_, cfg, reg| {
+        SimEngine::try_new(cfg, reg)
+    });
     replay_with(registry, frames, filter, plan, &Recorder::disabled()).0
 }
 
@@ -440,6 +435,8 @@ struct Plan {
     /// Per configuration, why its engine could not be built.
     failed: Vec<Option<RunError>>,
     groups: Vec<Group>,
+    /// Whether configurations sharing an L1 were grouped.
+    share: bool,
     /// Whether the groups that run an L1 pass record it for the store.
     record: bool,
 }
@@ -480,34 +477,18 @@ fn slot_label(slot: usize, cfg: &EngineConfig) -> String {
     format!("{} [{slot}]", cfg.label())
 }
 
-/// Whether a replay groups configurations that share an L1: on the batched
-/// path, from memory or a live render, not `streamed` from disk.
-///
-/// A trace streamed from disk keeps one worker per configuration. Grouping
-/// is exact there too and measured about three times the throughput on a
-/// six-configuration sweep, but it leaves the sweep two long L1-pass
-/// chains, one per thread, where the per-frame permits used to deal six
-/// workers' frames to whichever core was free: the replay then ends when
-/// the slower core does. On the two-core measurement box, whose cores swing
-/// ±15 % independently for seconds at a time, its best-of-run wall time
-/// spread 15 % from run to run against 8 % ungrouped — in taps/s three
-/// times as far again, more than the repo benchmark accepts as telling two
-/// commits apart (DESIGN.md §14).
-fn shares_l1_passes(streamed: bool) -> bool {
-    replay_path() == ReplayPath::Batched && !streamed
-}
-
 /// Builds every configuration's engine — each under its own
 /// `catch_unwind`, so an invalid or panicking configuration fails alone —
-/// and groups the survivors: with `share`, an engine joins the first group
-/// whose leader it shares an L1 with; everything else (faults, telemetry
-/// or timing attached) replays solo, as everything does without it.
+/// and groups the survivors: on the batched path, wherever the frames come
+/// from (DESIGN.md §14), an engine joins the first group whose leader it
+/// shares an L1 with; everything else (faults, telemetry or timing
+/// attached) replays solo, as everything does on the other paths.
 fn plan_replay(
     registry: &TextureRegistry,
     configs: &[EngineConfig],
     factory: &EngineFactory<'_>,
-    share: bool,
 ) -> Plan {
+    let share = replay_path() == ReplayPath::Batched;
     let mut failed = Vec::with_capacity(configs.len());
     let mut groups: Vec<Group> = Vec::new();
     for (slot, cfg) in configs.iter().enumerate() {
@@ -541,6 +522,7 @@ fn plan_replay(
     Plan {
         failed,
         groups,
+        share,
         record: false,
     }
 }
@@ -616,10 +598,8 @@ fn engine_run_traversal_with(
     let handle = store.get_or_render(workload, zprepass, traversal);
     let start = Instant::now();
     let registry = workload.registry();
-    let streamed = matches!(handle, TraceHandle::Disk(_));
-    let share = shares_l1_passes(streamed);
-    let mut plan = plan_replay(registry, configs, &wrapped, share);
-    if let (true, TraceHandle::Memory(set)) = (share, &handle) {
+    let mut plan = plan_replay(registry, configs, &wrapped);
+    if let (true, TraceHandle::Memory(set)) = (plan.share, &handle) {
         plan.use_stored_passes(set, filter);
     }
     let (run, shared, reused) = plan.l1_passes();
@@ -754,17 +734,20 @@ fn replay_with(
     (results, recorded.unwrap_or_else(PoisonError::into_inner))
 }
 
-/// Sends `item` to every group still listening. A failed worker closes its
-/// receiver: drop its sender and keep feeding the survivors; the join
-/// reports the failure.
-fn fan_out<T: Clone>(senders: &mut [Option<SyncSender<T>>], item: &T) {
+/// Sends `item` to every group still listening, and breaks once none is.
+/// A failed worker closes its receiver: drop its sender and keep feeding
+/// the survivors; the join reports the failure.
+fn fan_out<T: Clone>(senders: &mut [Option<SyncSender<T>>], item: &T) -> ControlFlow<()> {
+    let mut flow = ControlFlow::Break(());
     for slot in senders {
         if let Some(tx) = slot {
-            if tx.send(item.clone()).is_err() {
-                *slot = None;
+            match tx.send(item.clone()) {
+                Ok(()) => flow = ControlFlow::Continue(()),
+                Err(_) => *slot = None,
             }
         }
     }
+    flow
 }
 
 /// Disk streaming replay: one reader validates each encoded frame and fans
@@ -774,11 +757,16 @@ fn fan_out<T: Clone>(senders: &mut [Option<SyncSender<T>>], item: &T) {
 /// ever materialized, and the reader recycles frame buffers once every
 /// worker drops them.
 ///
-/// A codec failure mid-stream taints every still-successful configuration
-/// with [`RunError::Trace`] — their engines only saw a prefix of the
-/// animation. The file is streamed and validated exactly once no matter
-/// how many configurations replay it; the [`Gate`] keeps at most
-/// [`max_replay_jobs`] groups simulating at any instant.
+/// A group's leader reads the frames and its followers replay its miss log
+/// ([`SimEngine::try_run_frame_shared`]), so a leader's error fails exactly
+/// its group, and a codec failure mid-stream taints every still-successful
+/// configuration with [`RunError::Trace`] — their engines only saw a prefix
+/// of the animation. The file is streamed and validated exactly once no
+/// matter how many configurations replay it, and no further once no worker
+/// is left to read for; the [`Gate`] keeps at most [`max_replay_jobs`]
+/// groups simulating at any instant. An enabled recorder also gets the
+/// frames read (`replay/stream_frames`) and how long the reader sat in
+/// sends to full channels (`replay/stream_reader_blocked_us`).
 fn stream_replay_with(
     registry: &TextureRegistry,
     path: &Path,
@@ -840,8 +828,18 @@ fn stream_replay_with(
             workers.push((slots, worker));
         }
         let stream_span = rec.span("replay/disk-stream");
-        let streamed = stream_trace_file_raw(path, |shared| fan_out(&mut senders, shared));
+        let mut blocked = Duration::ZERO;
+        let streamed = stream_trace_file_raw(path, |shared| {
+            let sending = rec.is_enabled().then(Instant::now);
+            let flow = fan_out(&mut senders, shared);
+            blocked += sending.map_or(Duration::ZERO, |t| t.elapsed());
+            flow
+        });
         stream_span.end();
+        rec.counter("replay/stream_frames")
+            .add(streamed.as_ref().map_or(0, |&n| u64::from(n)));
+        rec.counter("replay/stream_reader_blocked_us")
+            .add(blocked.as_micros() as u64);
         drop(senders);
         let mut results = join_groups(plan.failed, workers);
         if let Err(e) = streamed {
@@ -902,8 +900,9 @@ fn run_live(
             workers.push((slots, worker));
         }
         let render_span = rec.span("replay/live-render");
+        // The renderer cannot be stopped early: it renders on for nobody.
         workload.render_animation_traversal(filter, zprepass, traversal, |t| {
-            fan_out(&mut senders, &Arc::new(t));
+            let _ = fan_out(&mut senders, &Arc::new(t));
         });
         render_span.end();
         drop(senders);
@@ -1035,15 +1034,12 @@ mod tests {
 
     #[test]
     fn disk_streamed_replay_matches_memory_replay() {
-        let dir = std::env::temp_dir().join(format!("mltc-runner-disk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, disk_store) = streaming_store("disk");
         let w = tiny_village();
         let cfg = EngineConfig::default();
         let mem_store = TraceStore::in_memory();
         let from_memory =
             engine_run_all(&mem_store, &w, FilterMode::Bilinear, &[cfg], false).unwrap();
-        // A tiny budget forces the persistent store to stream from disk.
-        let disk_store = TraceStore::persistent(&dir).with_budget(64);
         let from_disk =
             engine_run_all(&disk_store, &w, FilterMode::Bilinear, &[cfg], false).unwrap();
         assert_eq!(from_memory[0].totals(), from_disk[0].totals());
@@ -1099,10 +1095,20 @@ mod tests {
         }
     }
 
-    /// The failure-isolation tests run twice: over three distinct L1s
-    /// (three workers) and over one shared L1 with the failing
-    /// configuration first, so its group has to promote a new leader.
-    /// Each set is `(configs, index of the one that fails)`.
+    /// A persistent store whose 64-byte budget keeps nothing resident, so
+    /// every replay streams from disk. The caller removes the directory.
+    fn streaming_store(tag: &str) -> (std::path::PathBuf, TraceStore) {
+        let dir = std::env::temp_dir().join(format!("mltc-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = TraceStore::persistent(&dir).with_budget(64);
+        (dir, store)
+    }
+
+    /// The failure-isolation tests run twice per store, from memory and
+    /// streamed from disk: over three distinct L1s (three workers) and over
+    /// one shared L1 with the failing configuration first, so its group has
+    /// to promote a new leader. Each set is `(configs, index of the one that
+    /// fails)`.
     fn isolation_sets(bad: EngineConfig) -> [([EngineConfig; 3], usize); 2] {
         [
             ([pull(2), bad, pull(16)], 1),
@@ -1122,7 +1128,7 @@ mod tests {
 
     #[test]
     fn bad_config_fails_alone_and_survivors_finish() {
-        let store = TraceStore::in_memory();
+        let (dir, streaming) = streaming_store("bad-config");
         let w = tiny_village();
         // 3 KB L1 = 24 sets, or an L2 smaller than one block: both are
         // rejected as invalid geometry.
@@ -1136,22 +1142,25 @@ mod tests {
             },
             ml(2, 512, 0),
         ];
-        for ((mut configs, bad_idx), bad) in isolation_sets(pull(2)).into_iter().zip(bad) {
-            configs[bad_idx] = bad;
-            let results = with_path(ReplayPath::Batched, || {
-                engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
-            });
-            assert_eq!(results.len(), 3);
-            assert!(matches!(
-                &results[bad_idx],
-                Err(RunError::Engine(EngineError::InvalidGeometry(_)))
-            ));
-            let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
-            assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
-            // And the all-or-nothing wrapper surfaces the failure.
-            assert!(engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).is_err());
+        for store in [TraceStore::in_memory(), streaming] {
+            for ((mut configs, bad_idx), bad) in isolation_sets(pull(2)).into_iter().zip(bad) {
+                configs[bad_idx] = bad;
+                let results = with_path(ReplayPath::Batched, || {
+                    engine_run(&store, &w, FilterMode::Bilinear, &configs, false)
+                });
+                assert_eq!(results.len(), 3);
+                assert!(matches!(
+                    &results[bad_idx],
+                    Err(RunError::Engine(EngineError::InvalidGeometry(_)))
+                ));
+                let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
+                assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
+                // And the all-or-nothing wrapper surfaces the failure.
+                assert!(engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).is_err());
+            }
+            assert_no_pass_was_kept(&store);
         }
-        assert_no_pass_was_kept(&store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A run in which anything failed leaves no pass behind, and so none
@@ -1164,37 +1173,41 @@ mod tests {
     #[test]
     fn panicking_worker_fails_alone_and_survivors_finish() {
         let store = TraceStore::in_memory();
+        let (dir, streaming) = streaming_store("panicking");
         let w = tiny_village();
-        for (configs, bad_idx) in isolation_sets(pull(4)) {
-            // Suppress the expected panic's default stderr backtrace.
-            let prev_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let results = with_path(ReplayPath::Batched, || {
-                engine_run_traversal_with(
-                    &store,
-                    &w,
-                    FilterMode::Bilinear,
-                    &configs,
-                    false,
-                    mltc_raster::Traversal::Scanline,
-                    &|slot, cfg, reg| {
-                        if slot == bad_idx {
-                            panic!("injected worker failure");
-                        }
-                        SimEngine::try_new(cfg, reg)
-                    },
-                )
-            });
-            std::panic::set_hook(prev_hook);
-            assert_eq!(results.len(), 3);
-            match &results[bad_idx] {
-                Err(RunError::Panicked(msg)) => assert!(msg.contains("injected"), "{msg}"),
-                other => panic!("expected a panic report, got {other:?}"),
+        for store in [&store, &streaming] {
+            for (configs, bad_idx) in isolation_sets(pull(4)) {
+                // Suppress the expected panic's default stderr backtrace.
+                let prev_hook = std::panic::take_hook();
+                std::panic::set_hook(Box::new(|_| {}));
+                let results = with_path(ReplayPath::Batched, || {
+                    engine_run_traversal_with(
+                        store,
+                        &w,
+                        FilterMode::Bilinear,
+                        &configs,
+                        false,
+                        mltc_raster::Traversal::Scanline,
+                        &|slot, cfg, reg| {
+                            if slot == bad_idx {
+                                panic!("injected worker failure");
+                            }
+                            SimEngine::try_new(cfg, reg)
+                        },
+                    )
+                });
+                std::panic::set_hook(prev_hook);
+                assert_eq!(results.len(), 3);
+                match &results[bad_idx] {
+                    Err(RunError::Panicked(msg)) => assert!(msg.contains("injected"), "{msg}"),
+                    other => panic!("expected a panic report, got {other:?}"),
+                }
+                let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
+                assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
+                assert_no_pass_was_kept(store);
             }
-            let survivors: Vec<usize> = (0..3).filter(|&i| i != bad_idx).collect();
-            assert_match_solo(&results, &w, FilterMode::Bilinear, &survivors);
-            assert_no_pass_was_kept(&store);
         }
+        let _ = std::fs::remove_dir_all(&dir);
         // The same sets with nobody failing: passes are kept, and found.
         for (configs, _) in isolation_sets(pull(4)) {
             let before = store.snapshot().l1_passes_reused;
@@ -1239,14 +1252,12 @@ mod tests {
 
     #[test]
     fn mid_stream_corruption_taints_the_batch_with_typed_errors() {
-        let dir = std::env::temp_dir().join(format!("mltc-runner-taint-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, streaming) = streaming_store("taint");
         let w = tiny_village();
-        let cfg = EngineConfig::default();
         {
             // Persist the trace, then truncate it mid-body.
             let store = TraceStore::persistent(&dir);
-            engine_run_all(&store, &w, FilterMode::Point, &[cfg], false).unwrap();
+            engine_run_all(&store, &w, FilterMode::Point, &[pull(2)], false).unwrap();
         }
         let file = std::fs::read_dir(&dir)
             .unwrap()
@@ -1256,12 +1267,15 @@ mod tests {
             .path();
         let bytes = std::fs::read(&file).unwrap();
         std::fs::write(&file, &bytes[..bytes.len() - 7]).unwrap();
-        // A tiny budget forces streaming; the truncated tail must surface
-        // as RunError::Trace on every config, not a panic.
-        let store = TraceStore::persistent(&dir).with_budget(64);
+        // Two configurations on one L1 pass and an outsider: the truncated
+        // tail must surface as RunError::Trace on every member of both
+        // groups, not a panic.
+        let configs = [pull(2), ml(2, 2 << 20, 4), pull(16)];
         let results = with_path(ReplayPath::Batched, || {
-            engine_run(&store, &w, FilterMode::Point, &[cfg, cfg, pull(2)], false)
+            engine_run(&streaming, &w, FilterMode::Point, &configs, false)
         });
+        let s = streaming.snapshot();
+        assert_eq!((s.l1_passes, s.l1_shared_members), (2, 1));
         assert_eq!(results.len(), 3);
         for r in &results {
             match r {
@@ -1273,7 +1287,49 @@ mod tests {
     }
 
     #[test]
-    fn configs_sharing_an_l1_replay_in_one_pass_unless_streamed_from_disk() {
+    fn the_reader_stops_once_no_worker_is_left_to_read_for() {
+        let w = Workload::village(&WorkloadParams {
+            frames: 12,
+            ..WorkloadParams::tiny()
+        });
+        let rec = Recorder::enabled();
+        let (dir, streaming) = streaming_store("reader");
+        let streaming = streaming.with_recorder(rec.clone());
+        let configs = [pull(2), pull(2), pull(16)];
+        let frames_read = || rec.snapshot().counters["replay/stream_frames"];
+        // A healthy replay (which also persists the trace) reads it all.
+        engine_run_all(&streaming, &w, FilterMode::Bilinear, &configs, false).unwrap();
+        assert_eq!(frames_read(), 12);
+        // Engines built over no textures at all fail on frame 0. Each worker
+        // took that frame and left at most four more in its channel, so the
+        // sixth frame's sends find every receiver closed and end the stream.
+        let empty = TextureRegistry::new();
+        let results = engine_run_traversal_with(
+            &streaming,
+            &w,
+            FilterMode::Bilinear,
+            &configs,
+            false,
+            mltc_raster::Traversal::Scanline,
+            &|_, cfg, _| SimEngine::try_new(cfg, &empty),
+        );
+        for r in &results {
+            assert!(
+                matches!(r, Err(RunError::Engine(EngineError::UnknownTexture(_)))),
+                "{r:?}"
+            );
+        }
+        let after_the_failure = frames_read() - 12;
+        assert!((1..=6).contains(&after_the_failure), "{after_the_failure}");
+        assert!(rec
+            .snapshot()
+            .counters
+            .contains_key("replay/stream_reader_blocked_us"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn configs_sharing_an_l1_replay_in_one_pass_from_every_handle() {
         // fig11's shape: one L1, five TLB sizes — plus an outsider.
         let mut configs: Vec<EngineConfig> = [1, 2, 4, 8, 16]
             .iter()
@@ -1281,15 +1337,15 @@ mod tests {
             .collect();
         configs.push(pull(16));
         let w = tiny_village();
-        let dir = std::env::temp_dir().join(format!("mltc-runner-shared-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, streaming) = streaming_store("shared");
         let all: Vec<usize> = (0..configs.len()).collect();
-        // Memory and live-render replays group; a disk stream keeps one
-        // worker per configuration.
-        for (store, passes) in [
-            (TraceStore::in_memory(), (2, 4)),
-            (TraceStore::persistent(&dir).with_budget(64), (6, 0)),
-            (TraceStore::in_memory().with_budget(64), (2, 4)),
+        // Memory, disk-stream and live-render replays all make two L1
+        // passes for the six configurations.
+        let passes = (2, 4);
+        for store in [
+            TraceStore::in_memory(),
+            streaming,
+            TraceStore::in_memory().with_budget(64),
         ] {
             let results = with_path(ReplayPath::Batched, || {
                 engine_run(&store, &w, FilterMode::Trilinear, &configs, false)
@@ -1305,7 +1361,7 @@ mod tests {
             assert!(rates.windows(2).all(|p| p[0] < p[1]), "{rates:?}");
             // Again: the resident trace kept both passes and all six
             // configurations replay them; a disk stream and a live render
-            // keep nothing and run as before.
+            // keep nothing and make their two passes again.
             let resident = matches!(
                 store.get_or_render(&w, false, mltc_raster::Traversal::Scanline),
                 TraceHandle::Memory(_)
@@ -1481,37 +1537,33 @@ mod tests {
 
     #[test]
     fn jobs_cap_serializes_replay_without_changing_results() {
-        let store = TraceStore::in_memory();
+        let (dir, streaming) = streaming_store("jobs");
         let w = tiny_village();
-        let configs = [
-            EngineConfig {
-                l1: L1Config::kb(2),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                l1: L1Config::kb(4),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                l1: L1Config::kb(16),
-                ..EngineConfig::default()
-            },
-        ];
-        let unbounded = engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).unwrap();
-        set_max_replay_jobs(1);
-        let serial = engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).unwrap();
-        set_max_replay_jobs(0);
-        assert_eq!(serial.len(), unbounded.len());
-        for (a, b) in unbounded.iter().zip(&serial) {
-            assert_eq!(a.config().l1.size_bytes, b.config().l1.size_bytes);
-            assert_eq!(
-                a.totals(),
-                b.totals(),
-                "jobs cap must only affect scheduling"
-            );
-            assert_eq!(a.frames(), b.frames());
+        // Two workers' worth of solo configurations and one shared L1 pass.
+        let configs = [pull(2), pull(4), ml(2, 2 << 20, 4), pull(16)];
+        for store in [TraceStore::in_memory(), streaming] {
+            let run = || {
+                with_path(ReplayPath::Batched, || {
+                    engine_run_all(&store, &w, FilterMode::Bilinear, &configs, false).unwrap()
+                })
+            };
+            let unbounded = run();
+            set_max_replay_jobs(1);
+            let serial = run();
+            set_max_replay_jobs(0);
+            assert_eq!(serial.len(), unbounded.len());
+            for (a, b) in unbounded.iter().zip(&serial) {
+                assert_eq!(a.config(), b.config());
+                assert_eq!(
+                    a.totals(),
+                    b.totals(),
+                    "jobs cap must only affect scheduling"
+                );
+                assert_eq!(a.frames(), b.frames());
+            }
         }
         assert!(max_replay_jobs() >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Runs `f` with the global replay path pinned, restoring the default
@@ -1560,8 +1612,7 @@ mod tests {
 
     #[test]
     fn pipelined_disk_stream_matches_scalar_memory_replay() {
-        let dir = std::env::temp_dir().join(format!("mltc-runner-pipe-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, disk_store) = streaming_store("pipe");
         let w = tiny_village();
         let cfg = EngineConfig {
             l1: L1Config::kb(2),
@@ -1572,9 +1623,7 @@ mod tests {
         let baseline = with_path(ReplayPath::Scalar, || {
             engine_run_all(&mem_store, &w, FilterMode::Trilinear, &[cfg], false).unwrap()
         });
-        // A tiny budget forces streaming from disk; two jobs let the prep
-        // thread genuinely overlap the simulation.
-        let disk_store = TraceStore::persistent(&dir).with_budget(64);
+        // Two jobs let the prep thread genuinely overlap the simulation.
         set_max_replay_jobs(2);
         let piped = with_path(ReplayPath::Pipelined, || {
             engine_run_all(&disk_store, &w, FilterMode::Trilinear, &[cfg], false).unwrap()

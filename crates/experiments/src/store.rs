@@ -63,6 +63,7 @@ use mltc_trace::{FilterMode, FrameStatsCollector, FrameTrace, FrameWorkingSet, W
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -969,18 +970,20 @@ pub(crate) fn stream_trace_file(
 /// [`stream_trace_file`] without materializing frames at all: `visit`
 /// receives each frame's raw encoded bytes (already validated end to end),
 /// to be decoded in place by [`mltc_trace::codec::frame_cursor`] wherever
-/// they are consumed. Buffers are recycled through a small pool once every
-/// holder of a frame's `Arc` drops it, so a replay that keeps up allocates
-/// a handful of buffers total instead of one per frame.
+/// they are consumed, and ends the stream by breaking — the rest of the
+/// file is then neither read nor validated. Returns the frames visited.
+/// Buffers are recycled through a small pool once every holder of a
+/// frame's `Arc` drops it, so a replay that keeps up allocates a handful
+/// of buffers total instead of one per frame.
 pub(crate) fn stream_trace_file_raw(
     path: &Path,
-    mut visit: impl FnMut(&Arc<Vec<u8>>),
+    mut visit: impl FnMut(&Arc<Vec<u8>>) -> ControlFlow<()>,
 ) -> Result<u32, CodecError> {
     let file = File::open(path).map_err(CodecError::Io)?;
     let mut reader = TraceFileReader::new(BufReader::new(file))?;
     let n = reader.frame_count();
     let mut pool: Vec<Arc<Vec<u8>>> = Vec::new();
-    for _ in 0..n {
+    for visited in 0..n {
         // Reclaim a buffer nobody else holds any more, if there is one.
         let mut buf = match pool.iter().position(|a| Arc::strong_count(a) == 1) {
             // A lost race on the refcount just costs one pooled buffer.
@@ -989,7 +992,9 @@ pub(crate) fn stream_trace_file_raw(
         };
         reader.read_frame_into(&mut buf)?;
         let shared = Arc::new(buf);
-        visit(&shared);
+        if visit(&shared).is_break() {
+            return Ok(visited + 1);
+        }
         pool.push(shared);
     }
     Ok(n)
