@@ -1,9 +1,9 @@
 //! The wide (batched) replay path: fragment tap batches as fixed lanes.
 //!
-//! The monomorphized fast path of PR 5 removed the per-tap *dynamic*
-//! branches but still drives the cache one tap at a time. This module
-//! processes a fragment's taps (trilinear = 8 texel addresses) as a
-//! fixed-width lane batch instead:
+//! The scalar frame loop removed the per-tap *dynamic* branches but still
+//! drives the cache one tap at a time. This module processes a fragment's
+//! taps (trilinear = 8 texel addresses) as a fixed-width lane batch
+//! instead:
 //!
 //! 1. **Expand** the request address-only
 //!    ([`filter_tap_lanes`](mltc_trace::filter_tap_lanes)): the blend
@@ -26,15 +26,21 @@
 //!
 //! **Scalar fall-through contract:** if *any* lane misses the L1, the
 //! whole batch leaves the wide path untouched and every lane replays in
-//! order through the canonical per-tap bodies ([`tap_pull`]/[`tap_ml`],
-//! shared verbatim with the slow path) — translation, TLB, L2, host
-//! transfers, fault rollback and degradation therefore run exactly the
-//! scalar code, in the scalar order. The golden trace tests, the oracle's
-//! lockstep batched model and the conformance matrix all enforce the
-//! resulting bit-identity.
+//! order through the one tap body ([`Levels::tap`], the body the
+//! per-access entry and the scalar loops run too) — translation, TLB, L2,
+//! host transfers, fault rollback and degradation therefore run exactly
+//! the scalar code, in the scalar order. The golden trace tests, the
+//! oracle's lockstep batched model and the conformance matrix all enforce
+//! the resulting bit-identity.
+//!
+//! **One loop, generic over the architecture:** [`wide_frame_loop`] is
+//! written once over [`Levels`] — pull and multi-level differ only in what
+//! a declined lane finds below the L1 — and over the sink and the
+//! admission mode; [`WideFrame`] is its [`Replay`] form, instantiated by
+//! the one dispatch in `crate::tap`.
 //!
 //! **Timing sink:** with the timing overlay attached the same loops run
-//! under [`Timed`]: a wide commit reaches the overlay as one event for the
+//! under `Timed`: a wide commit reaches the overlay as one event for the
 //! whole fragment, a declined fragment's scalar taps one by one, each
 //! outcome read off the `FrameCounters` the unedited tap body moved
 //! (DESIGN.md §12). Every other instantiation compiles to the code it had
@@ -42,19 +48,14 @@
 //!
 //! [`FramePrep`] additionally lets the tap expansion + translation of
 //! steps 1–2 run *off-engine* (on a pipeline prep thread) into a
-//! [`PreparedFrame`] of lanes that the engine later replays, overlapping
-//! frame N+1's decode/translate with frame N's cache simulation.
+//! [`PreparedFrame`] of lanes that the engine later replays
+//! ([`PreparedLanes`]), overlapping frame N+1's decode/translate with
+//! frame N's cache simulation.
 
-use crate::engine::{EngineConfig, FrameCounters};
-use crate::latency::TimingSim;
-use crate::tap::{
-    const_filter, tap_ml, tap_pull, AdmissionMode, AdmitAll, TelOff, TelOn, TelemetryMode, Timed,
-    TlbMode, TlbOff, TlbOn,
-};
-use crate::telemetry::EngineTelemetry;
-use crate::{EngineError, HostLink, L1AddressMap, L1TextureCache, L2Cache};
-use mltc_cache::RoundRobinTlb;
-use mltc_texture::{L1BlockKey, TextureId, TextureRegistry, TranslationMemo, TranslationTables};
+use crate::engine::{mip_dims, EngineConfig, FrameCounters};
+use crate::tap::{const_filter, AdmissionMode, AdmitAll, Levels, MipDims, Replay, TelemetryMode};
+use crate::{EngineError, HostLink, L1AddressMap, L1TextureCache};
+use mltc_texture::{L1BlockKey, TextureId, TextureRegistry};
 use mltc_trace::{
     filter_tap_lanes, FilterMode, Footprint, FootprintBlock, LevelQuad, PixelRequest,
     FOOTPRINT_BLOCK, MAX_FILTER_TAPS,
@@ -218,15 +219,41 @@ pub(crate) fn lanes_of_tag(last: &[u32; BATCH_LANES], k: usize, j: usize) -> u64
     4 / tags as u64
 }
 
-/// Pull-architecture frame loop over the wide path (no L2, no TLB).
+/// Dedupes `tags` — one fragment's lanes, in lane order — to its distinct
+/// tags in first-occurrence order with each tag's last-occurrence lane (the
+/// shape [`SetAssocCache::access_all_hits_by_tag`]
+/// (mltc_cache::SetAssocCache::access_all_hits_by_tag) and the timing
+/// sink's `wide_commit` consume); returns the distinct-tag count.
+#[inline(always)]
+pub(crate) fn dedupe_lanes(
+    tags: impl Iterator<Item = u64>,
+    uniq: &mut [u64; BATCH_LANES],
+    last: &mut [u32; BATCH_LANES],
+) -> usize {
+    let mut k = 0usize;
+    for (i, tag) in tags.enumerate() {
+        let mut j = 0usize;
+        while j < k && uniq[j] != tag {
+            j += 1;
+        }
+        uniq[j] = tag;
+        last[j] = i as u32;
+        k = k.max(j + 1);
+    }
+    k
+}
+
+/// The wide frame loop: every request's taps probe the L1 as one lane
+/// batch and commit wide when they all hit, or replay one by one through
+/// [`Levels::tap`] when any misses.
 // Never inlined: one loop per function keeps each instantiation's code
 // independent of how many others its dispatch site names.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_pull_batched<const F: u8, I, Te, Ad>(
+fn wide_frame_loop<const F: u8, I, Lv, Te, Ad>(
     requests: I,
-    cfg: &EngineConfig,
-    dims: &[Option<Vec<(u32, u32)>>],
+    lv: Lv,
+    dims: &MipDims,
     l1: &mut L1TextureCache,
     host: &mut HostLink,
     current: &mut FrameCounters,
@@ -235,10 +262,14 @@ pub(crate) fn replay_pull_batched<const F: u8, I, Te, Ad>(
 ) -> Result<(), EngineError>
 where
     I: IntoIterator<Item = PixelRequest>,
+    Lv: Levels,
     Te: TelemetryMode,
     Ad: AdmissionMode,
 {
-    let l1_bytes = cfg.l1.line_bytes() as u64;
+    // A by-value struct arrives behind a pointer; moved into a local its
+    // fields (the translation memo, the L2 and table references) are
+    // registers again, as they were when they were arguments of their own.
+    let mut lv = lv;
     let mut kern = QuadKernel::new(l1.address_map());
     let mut block = FootprintBlock::new();
     let mut qbuf = [[LevelQuad::default(); 2]; FOOTPRINT_BLOCK];
@@ -265,9 +296,8 @@ where
                             let xs = [q.xa, q.xb, q.xa, q.xb];
                             let ys = [q.ya, q.ya, q.yb, q.yb];
                             for c in 0..4 {
-                                tap_pull(
-                                    $tid, q.m, xs[c], ys[c], l1_bytes, l1, host, current, &mut tel,
-                                    &mut ad,
+                                lv.tap(
+                                    $tid, q.m, xs[c], ys[c], l1, host, current, &mut tel, &mut ad,
                                 );
                                 tel.after_tap($tid, q.m, xs[c], ys[c], current);
                             }
@@ -316,9 +346,7 @@ where
             Some(Footprint::Point { m, u, v }) => {
                 drain!();
                 tel.before_taps(current);
-                tap_pull(
-                    req.tid, m, u, v, l1_bytes, l1, host, current, &mut tel, &mut ad,
-                );
+                lv.tap(req.tid, m, u, v, l1, host, current, &mut tel, &mut ad);
                 tel.after_tap(req.tid, m, u, v, current);
             }
             Some(Footprint::Quads { quads, n: nq }) => {
@@ -331,220 +359,49 @@ where
     Ok(())
 }
 
-/// Multi-level frame loop over the wide path.
-#[inline(never)] // as `replay_pull_batched`
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_ml_batched<const F: u8, I, Tl, Te, Ad>(
-    requests: I,
-    cfg: &EngineConfig,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    mut tlb: Tl,
-    mut tel: Te,
-    mut ad: Ad,
-) -> Result<(), EngineError>
-where
-    I: IntoIterator<Item = PixelRequest>,
-    Tl: TlbMode,
-    Te: TelemetryMode,
-    Ad: AdmissionMode,
-{
-    let l1_bytes = cfg.l1.line_bytes() as u64;
-    let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
-    let dl_full_miss = if l2.config().sector_mapping {
-        l1_bytes
-    } else {
-        l2_block_bytes
-    };
-    let mut kern = QuadKernel::new(l1.address_map());
-    let mut memo = TranslationMemo::default();
-    let mut block = FootprintBlock::new();
-    let mut qbuf = [[LevelQuad::default(); 2]; FOOTPRINT_BLOCK];
-    macro_rules! wide_or_scalar {
-        ($tid:expr, $quads:expr, $nq:expr) => {
-            if ad.admit(($nq * 4) as u64) {
-                match kern.run($tid, &$quads, $nq, l1) {
-                    Some(n) => {
-                        current.l1_accesses += n;
-                        current.l1_hits += n;
-                        tel.wide_commit(&kern.uniq, &kern.last, kern.k, n);
-                        tel.with(|t| {
-                            t.wide_commits.incr();
-                            t.l1_hits.add(n);
-                            for q in &$quads[..$nq] {
-                                t.on_l1_hit_quad($tid, q.m, q.xa, q.xb, q.ya, q.yb);
-                            }
-                        });
-                    }
-                    None => {
-                        tel.with(|t| t.wide_declines.incr());
-                        tel.before_taps(current);
-                        for q in &$quads[..$nq] {
-                            let xs = [q.xa, q.xb, q.xa, q.xb];
-                            let ys = [q.ya, q.ya, q.yb, q.yb];
-                            for c in 0..4 {
-                                tap_ml(
-                                    $tid,
-                                    q.m,
-                                    xs[c],
-                                    ys[c],
-                                    l1_bytes,
-                                    dl_full_miss,
-                                    tables,
-                                    &mut memo,
-                                    dims,
-                                    l1,
-                                    l2,
-                                    host,
-                                    current,
-                                    &mut tlb,
-                                    &mut tel,
-                                    &mut ad,
-                                );
-                                tel.after_tap($tid, q.m, xs[c], ys[c], current);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-    }
-    // Queued requests are older than whatever triggers the drain, so
-    // every drain point replays them first, preserving request order.
-    macro_rules! drain {
-        () => {
-            if !block.is_empty() {
-                let reqs = block.flush(&mut qbuf);
-                for (i, r) in reqs.iter().enumerate() {
-                    wide_or_scalar!(r.tid, qbuf[i], 2);
-                }
-            }
-        };
-    }
-    // Texture runs are long, so the pyramid-dimension lookup is hoisted
-    // out of the steady state and repeated only when the texture changes.
-    let mut cur_tid = u32::MAX;
-    let mut d: &[(u32, u32)] = &[];
-    for req in requests {
-        if req.tid.index() != cur_tid {
-            match dims.get(req.tid.index() as usize).and_then(|d| d.as_ref()) {
-                Some(found) => {
-                    d = found;
-                    cur_tid = req.tid.index();
-                }
-                None => {
-                    drain!();
-                    return Err(EngineError::UnknownTexture(req.tid));
-                }
-            }
-        }
-        match block.push(&req, const_filter::<F>(), d.len() as u32, |m| d[m as usize]) {
-            None => {
-                if block.is_full() {
-                    drain!();
-                }
-            }
-            Some(Footprint::Point { m, u, v }) => {
-                drain!();
-                tel.before_taps(current);
-                tap_ml(
-                    req.tid,
-                    m,
-                    u,
-                    v,
-                    l1_bytes,
-                    dl_full_miss,
-                    tables,
-                    &mut memo,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    &mut tlb,
-                    &mut tel,
-                    &mut ad,
-                );
-                tel.after_tap(req.tid, m, u, v, current);
-            }
-            Some(Footprint::Quads { quads, n: nq }) => {
-                drain!();
-                wide_or_scalar!(req.tid, quads, nq);
-            }
-        }
-    }
-    drain!();
-    Ok(())
+/// One frame's requests waiting for the wide frame loop, under the
+/// admission mode `ad`: [`SimEngine`](crate::SimEngine) replays with
+/// [`AdmitAll`](crate::tap::AdmitAll), a service
+/// [`ClientEngine`](crate::ClientEngine) with its budget. The frame stays
+/// open.
+pub(crate) struct WideFrame<I, Ad> {
+    pub(crate) filter: FilterMode,
+    pub(crate) requests: I,
+    pub(crate) ad: Ad,
 }
 
-/// The one dispatch site of the wide frame loops: resolves filter × L2 ×
-/// TLB × telemetry × timing once per frame and runs the matching
-/// instantiation under `ad`. [`SimEngine`](crate::SimEngine) passes its
-/// own levels with [`AdmitAll`]; a service [`ClientEngine`]
-/// (crate::ClientEngine) passes its private L1/TLB/link, the L2 out of its
-/// `SharedL2` guard, its admission mode and no timing. With `timing` the
-/// loops run under the [`Timed`] sink — the one timed frame loop. The
-/// frame stays open.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_frame_wide<I, Ad>(
-    filter: FilterMode,
-    requests: I,
-    cfg: &EngineConfig,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: Option<&mut L2Cache>,
-    tlb: Option<&mut RoundRobinTlb>,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    tel: Option<&mut EngineTelemetry>,
-    timing: Option<&mut TimingSim>,
-    ad: Ad,
-) -> Result<(), EngineError>
+impl<I, Ad> Replay for WideFrame<I, Ad>
 where
     I: IntoIterator<Item = PixelRequest>,
     Ad: AdmissionMode,
 {
-    macro_rules! pull {
-        ($f:literal, $tel:expr) => {
-            replay_pull_batched::<$f, _, _, _>(requests, cfg, dims, l1, host, current, $tel, ad)
-        };
-    }
-    macro_rules! ml {
-        ($f:literal, $l2:expr, $tlb:expr, $tel:expr) => {
-            replay_ml_batched::<$f, _, _, _, _>(
-                requests, cfg, tables, dims, l1, $l2, host, current, $tlb, $tel, ad,
-            )
-        };
-    }
-    macro_rules! arch {
-        ($f:literal, $tel:expr) => {
-            match (l2, tlb) {
-                (None, _) => pull!($f, $tel),
-                (Some(l2), None) => ml!($f, l2, TlbOff, $tel),
-                (Some(l2), Some(tlb)) => ml!($f, l2, TlbOn(tlb), $tel),
+    type Out = Result<(), EngineError>;
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        lv: Lv,
+        tel: Te,
+        dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) -> Self::Out {
+        let Self {
+            filter,
+            requests,
+            ad,
+        } = self;
+        match filter {
+            FilterMode::Point => {
+                wide_frame_loop::<0, _, _, _, _>(requests, lv, dims, l1, host, current, tel, ad)
             }
-        };
-    }
-    let has_l2 = l2.is_some();
-    macro_rules! levels {
-        ($f:literal) => {
-            match (tel, timing) {
-                (None, None) => arch!($f, TelOff),
-                (Some(t), None) => arch!($f, TelOn(t)),
-                (None, Some(sim)) => arch!($f, Timed::new(TelOff, sim, has_l2)),
-                (Some(t), Some(sim)) => arch!($f, Timed::new(TelOn(t), sim, has_l2)),
+            FilterMode::Bilinear => {
+                wide_frame_loop::<1, _, _, _, _>(requests, lv, dims, l1, host, current, tel, ad)
             }
-        };
-    }
-    match filter {
-        FilterMode::Point => levels!(0),
-        FilterMode::Bilinear => levels!(1),
-        FilterMode::Trilinear => levels!(2),
+            FilterMode::Trilinear => {
+                wide_frame_loop::<2, _, _, _, _>(requests, lv, dims, l1, host, current, tel, ad)
+            }
+        }
     }
 }
 
@@ -599,18 +456,6 @@ impl PreparedFrame {
     pub fn error(&self) -> Option<&EngineError> {
         self.err.as_ref()
     }
-
-    /// `(texture id index, lane count)` per source request — the timed
-    /// replay path reconstructs lookahead fragments from these groups.
-    pub(crate) fn groups(&self) -> &[(u32, u8)] {
-        &self.groups
-    }
-
-    /// Lane `i`'s `(m, u, v)` (the timed replay path re-runs lanes
-    /// through the traced tap body, which recomputes tags itself).
-    pub(crate) fn lane(&self, i: usize) -> (u32, u32, u32) {
-        (self.m[i], self.u[i], self.v[i])
-    }
 }
 
 /// The pipeline's batch-translate stage: expands pixel requests through
@@ -636,13 +481,8 @@ impl FramePrep {
     ///
     /// Panics on L1 geometries [`L1TextureCache::new`] would reject.
     pub fn new(cfg: &EngineConfig, registry: &TextureRegistry) -> Self {
-        let mut dims = vec![None; registry.issued_count()];
-        for (tid, pyr) in registry.iter() {
-            dims[tid.index() as usize] =
-                Some(pyr.iter().map(|l| (l.width(), l.height())).collect());
-        }
         Self {
-            dims,
+            dims: mip_dims(registry),
             map: L1AddressMap::new(cfg.l1),
         }
     }
@@ -693,119 +533,56 @@ impl FramePrep {
     }
 }
 
-/// Replays prepared lanes through the pull architecture. Returns nothing:
-/// the caller (engine dispatch) closes the frame / surfaces the error.
-pub(crate) fn run_prepared_pull<Te>(
-    prepared: &PreparedFrame,
-    cfg: &EngineConfig,
-    l1: &mut L1TextureCache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    mut tel: Te,
-) where
-    Te: TelemetryMode,
-{
-    let l1_bytes = cfg.l1.line_bytes() as u64;
-    let mut off = 0usize;
-    for &(tid, len) in &prepared.groups {
-        let n = len as usize;
-        let (lo, hi) = (off, off + n);
-        off = hi;
-        if l1.access_all_hits(&prepared.tags[lo..hi], &prepared.sets[lo..hi]) {
-            current.l1_accesses += n as u64;
-            current.l1_hits += n as u64;
-            tel.with(|t| {
-                t.l1_hits.add(n as u64);
-                t.on_l1_hit_lanes(
-                    TextureId::from_index(tid),
-                    &prepared.m[lo..hi],
-                    &prepared.u[lo..hi],
-                    &prepared.v[lo..hi],
-                );
-            });
-        } else {
-            let tid = TextureId::from_index(tid);
-            for i in lo..hi {
-                tap_pull(
-                    tid,
-                    prepared.m[i],
-                    prepared.u[i],
-                    prepared.v[i],
-                    l1_bytes,
-                    l1,
-                    host,
-                    current,
-                    &mut tel,
-                    &mut AdmitAll,
-                );
-            }
-        }
-    }
-}
+/// A prepared frame waiting for the prepared-lanes loop: each source
+/// request's lanes probe the L1 as one batch off their precomputed tags and
+/// sets, and replay one by one through [`Levels::tap`] when any misses. One
+/// request group is one lookahead fragment, exactly as in the wide frame
+/// loop, so the same sink hooks time it (the wide commit in its by-lanes
+/// form: nothing here has deduplicated the tags). The caller closes the frame
+/// and surfaces the preparation's error.
+pub(crate) struct PreparedLanes<'a>(pub(crate) &'a PreparedFrame);
 
-/// Replays prepared lanes through the multi-level architecture.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_prepared_ml<Tl, Te>(
-    prepared: &PreparedFrame,
-    cfg: &EngineConfig,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    mut tlb: Tl,
-    mut tel: Te,
-) where
-    Tl: TlbMode,
-    Te: TelemetryMode,
-{
-    let l1_bytes = cfg.l1.line_bytes() as u64;
-    let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
-    let dl_full_miss = if l2.config().sector_mapping {
-        l1_bytes
-    } else {
-        l2_block_bytes
-    };
-    let mut memo = TranslationMemo::default();
-    let mut off = 0usize;
-    for &(tid, len) in &prepared.groups {
-        let n = len as usize;
-        let (lo, hi) = (off, off + n);
-        off = hi;
-        if l1.access_all_hits(&prepared.tags[lo..hi], &prepared.sets[lo..hi]) {
-            current.l1_accesses += n as u64;
-            current.l1_hits += n as u64;
-            tel.with(|t| {
-                t.l1_hits.add(n as u64);
-                t.on_l1_hit_lanes(
-                    TextureId::from_index(tid),
-                    &prepared.m[lo..hi],
-                    &prepared.u[lo..hi],
-                    &prepared.v[lo..hi],
-                );
-            });
-        } else {
+impl Replay for PreparedLanes<'_> {
+    type Out = ();
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        mut lv: Lv,
+        mut tel: Te,
+        _dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) {
+        let prepared = self.0;
+        let mut off = 0usize;
+        for &(tid, len) in &prepared.groups {
+            let n = len as usize;
+            let (lo, hi) = (off, off + n);
+            off = hi;
             let tid = TextureId::from_index(tid);
-            for i in lo..hi {
-                tap_ml(
-                    tid,
-                    prepared.m[i],
-                    prepared.u[i],
-                    prepared.v[i],
-                    l1_bytes,
-                    dl_full_miss,
-                    tables,
-                    &mut memo,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    &mut tlb,
-                    &mut tel,
-                    &mut AdmitAll,
-                );
+            let tags = &prepared.tags[lo..hi];
+            // A single tap has nothing to batch: the scalar body IS the path.
+            if n > 1 && l1.access_all_hits(tags, &prepared.sets[lo..hi]) {
+                current.l1_accesses += n as u64;
+                current.l1_hits += n as u64;
+                tel.wide_commit_lanes(tags);
+                tel.with(|t| {
+                    t.l1_hits.add(n as u64);
+                    t.on_l1_hit_lanes(
+                        tid,
+                        &prepared.m[lo..hi],
+                        &prepared.u[lo..hi],
+                        &prepared.v[lo..hi],
+                    );
+                });
+            } else {
+                tel.before_taps(current);
+                for i in lo..hi {
+                    let (m, u, v) = (prepared.m[i], prepared.u[i], prepared.v[i]);
+                    lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
+                    tel.after_tap(tid, m, u, v, current);
+                }
             }
         }
     }

@@ -1,24 +1,18 @@
 //! The transaction-accurate multi-level cache simulator (paper §3.3, §5.3).
 
-use crate::batch::{
-    replay_frame_wide, replay_ml_batched, replay_pull_batched, run_prepared_ml, run_prepared_pull,
-    PreparedFrame, BATCH_LANES,
-};
+use crate::batch::{dedupe_lanes, PreparedFrame, PreparedLanes, WideFrame, BATCH_LANES};
 use crate::latency::{LatencyModel, TimingSim};
 use crate::tap::{
-    const_filter, degraded_probe, tap_ml, tap_ml_miss, tap_pull, tap_pull_below_l1, AdmitAll,
-    L1Miss, MissLog, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
+    const_filter, AdmitAll, Hierarchy, L1Miss, Levels, MipDims, MissLog, Replay, TelOff,
+    TelemetryMode, Traced,
 };
 use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
     EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config, L2Outcome,
-    Transfer,
 };
 use mltc_cache::RoundRobinTlb;
 use mltc_telemetry::Recorder;
-use mltc_texture::{
-    PageTableLayout, TextureId, TextureRegistry, TilingConfig, TranslationMemo, TranslationTables,
-};
+use mltc_texture::{PageTableLayout, TextureId, TextureRegistry, TilingConfig};
 use mltc_trace::{filter_taps, FilterMode, FrameTrace, PixelRequest};
 
 mod l1pass;
@@ -245,6 +239,17 @@ pub struct AccessTrace {
     pub dropped: bool,
 }
 
+/// Per-texture mip-chain dimensions of `registry`, indexed by texture id
+/// (`None` where an id was issued but its texture is gone): what filter
+/// expansion and the degraded-mip probe read instead of the registry.
+pub(crate) fn mip_dims(registry: &TextureRegistry) -> Vec<Option<Vec<(u32, u32)>>> {
+    let mut dims = vec![None; registry.issued_count()];
+    for (tid, pyr) in registry.iter() {
+        dims[tid.index() as usize] = Some(pyr.iter().map(|l| (l.width(), l.height())).collect());
+    }
+    dims
+}
+
 /// The simulator: one architecture configuration replaying texel accesses.
 ///
 /// Control flow per texel (the paper's Fig. 7): compute the virtual block
@@ -265,8 +270,10 @@ pub struct SimEngine {
     host: HostLink,
     current: FrameCounters,
     frames: Vec<FrameCounters>,
-    /// Telemetry handles; `None` (detached) keeps every dynamic path
-    /// through [`access_texel`](Self::access_texel) at one extra branch.
+    /// Telemetry handles; `None` (detached) selects the `TelOff` sink —
+    /// once per replay call, once per access through
+    /// [`access_texel`](Self::access_texel) — under which the tap body
+    /// carries no telemetry code at all.
     tel: Option<Box<EngineTelemetry>>,
     /// Timing overlay; `None` (detached) keeps the replay paths free of
     /// timing work entirely (attached, the wide frame loops run under a
@@ -307,11 +314,6 @@ impl SimEngine {
         if cfg.l2.is_some() && layout.entry_count() == 0 {
             return Err(EngineError::EmptyPageTable);
         }
-        let mut dims = vec![None; registry.issued_count()];
-        for (tid, pyr) in registry.iter() {
-            dims[tid.index() as usize] =
-                Some(pyr.iter().map(|l| (l.width(), l.height())).collect());
-        }
         let l2 = cfg
             .l2
             .map(|c| L2Cache::new(c, cfg.tiling, layout.entry_count()));
@@ -319,7 +321,7 @@ impl SimEngine {
         Ok(Self {
             cfg,
             layout,
-            dims,
+            dims: mip_dims(registry),
             l1: L1TextureCache::new(cfg.l1),
             l2,
             tlb,
@@ -341,8 +343,9 @@ impl SimEngine {
     /// counters and histograms under `group` (one namespace per workload,
     /// merged across configurations) and a per-frame time series under
     /// `label` (unique per run). A disabled recorder detaches — the engine
-    /// then pays a single not-taken branch per texel, and counters are
-    /// bit-identical either way because telemetry only observes.
+    /// then replays through the telemetry-off instantiation of its loops,
+    /// and counters are bit-identical either way because telemetry only
+    /// observes.
     pub fn attach_telemetry(&mut self, recorder: &Recorder, label: &str, group: &str) {
         self.attach_telemetry_opts(recorder, label, group, TelemetryOpts::default());
     }
@@ -438,7 +441,7 @@ impl SimEngine {
     }
 
     /// Detaches and returns the timing overlay (subsequent replays run
-    /// the untimed fast paths again).
+    /// the untimed instantiations again).
     pub fn detach_timing(&mut self) -> Option<Box<TimingSim>> {
         self.timing.take()
     }
@@ -465,13 +468,16 @@ impl SimEngine {
     /// [`access_texel`](Self::access_texel), additionally reporting what
     /// happened as an [`AccessTrace`] (counters are updated identically —
     /// the plain form merely discards the trace). This is the lockstep
-    /// introspection hook the differential oracle compares against.
+    /// introspection hook the differential oracle compares against: the
+    /// levels and the observers are chosen per call, and the tap runs
+    /// through the one tap body every replay loop shares, under a trace
+    /// sink.
     ///
     /// With timing attached, each access observed here is one fragment of
     /// the lookahead window (the differential harness feeds accesses one
     /// at a time, so per-access fragments keep its stream semantics).
     pub fn access_texel_traced(&mut self, tid: TextureId, m: u32, u: u32, v: u32) -> AccessTrace {
-        let trace = self.access_texel_inner(tid, m, u, v);
+        let trace = self.tap_traced(tid, m, u, v);
         if let Some(t) = &mut self.timing {
             t.open_fragment();
             t.observe(tid, m, u, v, &trace);
@@ -479,196 +485,34 @@ impl SimEngine {
         trace
     }
 
-    /// The behavioral tap body shared by the traced access path and the
-    /// timed replay loops: everything
-    /// [`access_texel_traced`](Self::access_texel_traced) does *except*
-    /// feeding the timing overlay (callers group taps into fragments
-    /// themselves).
-    fn access_texel_inner(&mut self, tid: TextureId, m: u32, u: u32, v: u32) -> AccessTrace {
-        let mut trace = AccessTrace::default();
-        self.current.l1_accesses += 1;
-        if self.l1.access(tid, m, u, v) {
-            self.current.l1_hits += 1;
-            trace.l1_hit = true;
-            if let Some(tel) = &mut self.tel {
-                tel.l1_hits.incr();
-                tel.on_l1_hit(tid, m, u, v);
-            }
-            return trace;
-        }
-        if let Some(tel) = &mut self.tel {
-            tel.on_l1_miss(tid, m, u, v);
-        }
+    /// Everything [`access_texel_traced`](Self::access_texel_traced) does
+    /// *except* feeding the timing overlay (callers group taps into
+    /// fragments themselves).
+    fn tap_traced(&mut self, tid: TextureId, m: u32, u: u32, v: u32) -> AccessTrace {
+        let (h, tel, _) = self.hierarchy();
+        h.replay_observed(tel, OneTap { tid, m, u, v })
+    }
 
-        let l1_bytes = self.cfg.l1.line_bytes() as u64;
-        match &mut self.l2 {
-            None => {
-                // Pull architecture: L1 tile straight from host memory.
-                match self.host.transfer(tid) {
-                    Transfer::Delivered { retries } => {
-                        self.current.retries += retries as u64;
-                        self.current.host_bytes += l1_bytes;
-                        trace.retries = retries;
-                        trace.host_bytes = l1_bytes;
-                        if let Some(tel) = &mut self.tel {
-                            tel.l1_misses.incr();
-                            tel.host_delivered.incr();
-                            tel.host_retries.add(retries as u64);
-                            tel.transfer_bytes.record(l1_bytes);
-                        }
-                    }
-                    Transfer::Failed { retries } => {
-                        // No fallback storage exists without an L2: undo the
-                        // speculative L1 install and drop the tap.
-                        self.current.retries += retries as u64;
-                        self.current.failed_transfers += 1;
-                        self.l1.invalidate(tid, m, u, v);
-                        self.current.dropped_taps += 1;
-                        trace.retries = retries;
-                        trace.failed = true;
-                        trace.dropped = true;
-                        if let Some(tel) = &mut self.tel {
-                            tel.l1_misses.incr();
-                            tel.host_failed.incr();
-                            tel.host_retries.add(retries as u64);
-                            tel.dropped_taps.incr();
-                            tel.on_l1_rollback(tid, m, u, v);
-                        }
-                    }
-                }
-            }
-            Some(l2) => {
-                let addr = self
-                    .layout
-                    .translate(tid, u, v, m)
-                    .expect("texel access to texture unknown to the engine");
-                let pt_index = self.layout.page_table_index(&addr);
-                let mut tlb_hit = None;
-                if let Some(tlb) = &mut self.tlb {
-                    self.current.tlb_accesses += 1;
-                    let hit = tlb.access(pt_index as u64);
-                    if hit {
-                        self.current.tlb_hits += 1;
-                    }
-                    tlb_hit = Some(hit);
-                }
-                trace.tlb_hit = tlb_hit;
-                let l2_block_bytes = self.cfg.tiling.l2().cache_bytes() as u64;
-                let l2_trace = l2.access_traced(pt_index, addr.l1);
-                let outcome = l2_trace.outcome;
-                trace.l2 = Some(outcome);
-                trace.l2_block = Some(l2_trace.block);
-                trace.evicted_page = l2_trace.evicted_page;
-                let dl = match outcome {
-                    L2Outcome::FullHit => {
-                        // Served from local memory; no host transfer at all.
-                        self.current.l2_full_hits += 1;
-                        self.current.l2_local_bytes += l1_bytes;
-                        if let Some(tel) = &mut self.tel {
-                            tel.on_l2_access(
-                                pt_index as u64,
-                                tlb_hit,
-                                outcome,
-                                l2_trace.evicted_page,
-                            );
-                            tel.l2_full_hits.incr();
-                        }
-                        return trace;
-                    }
-                    L2Outcome::PartialHit => {
-                        self.current.l2_partial_hits += 1;
-                        l1_bytes
-                    }
-                    L2Outcome::FullMiss => {
-                        self.current.l2_full_misses += 1;
-                        if l2.config().sector_mapping {
-                            l1_bytes
-                        } else {
-                            l2_block_bytes
-                        }
-                    }
-                };
-                match self.host.transfer(tid) {
-                    Transfer::Delivered { retries } => {
-                        self.current.retries += retries as u64;
-                        // Downloaded into L2 and L1 in parallel (step F).
-                        self.current.host_bytes += dl;
-                        self.current.l2_local_bytes += dl;
-                        trace.retries = retries;
-                        trace.host_bytes = dl;
-                        if let Some(tel) = &mut self.tel {
-                            tel.on_l2_access(
-                                pt_index as u64,
-                                tlb_hit,
-                                outcome,
-                                l2_trace.evicted_page,
-                            );
-                            match outcome {
-                                L2Outcome::PartialHit => tel.l2_partial_hits.incr(),
-                                L2Outcome::FullMiss => {
-                                    tel.l2_full_misses.incr();
-                                    tel.on_full_miss_sweep(l2.clock_stats());
-                                }
-                                L2Outcome::FullHit => unreachable!("full hits return above"),
-                            }
-                            tel.host_delivered.incr();
-                            tel.host_retries.add(retries as u64);
-                            tel.transfer_bytes.record(dl);
-                        }
-                    }
-                    Transfer::Failed { retries } => {
-                        self.current.retries += retries as u64;
-                        self.current.failed_transfers += 1;
-                        trace.retries = retries;
-                        trace.failed = true;
-                        // Roll back the residency the download would have
-                        // backed; failed attempts move no bytes.
-                        l2.fail_download(pt_index, addr.l1);
-                        self.l1.invalidate(tid, m, u, v);
-                        // Graceful degradation: stand in the nearest coarser
-                        // mip texel already resident in L2. The probe is
-                        // read-only so a degraded serve does not perturb
-                        // replacement state.
-                        let served =
-                            degraded_probe(self.layout.tables(), &self.dims, l2, tid, m, u, v);
-                        if served {
-                            self.current.degraded_taps += 1;
-                            self.current.l2_local_bytes += l1_bytes;
-                            trace.degraded = true;
-                        } else {
-                            self.current.dropped_taps += 1;
-                            trace.dropped = true;
-                        }
-                        if let Some(tel) = &mut self.tel {
-                            tel.on_l2_access(
-                                pt_index as u64,
-                                tlb_hit,
-                                outcome,
-                                l2_trace.evicted_page,
-                            );
-                            match outcome {
-                                L2Outcome::PartialHit => tel.l2_partial_hits.incr(),
-                                L2Outcome::FullMiss => {
-                                    tel.l2_full_misses.incr();
-                                    tel.on_full_miss_sweep(l2.clock_stats());
-                                }
-                                L2Outcome::FullHit => unreachable!("full hits return above"),
-                            }
-                            tel.host_failed.incr();
-                            tel.host_retries.add(retries as u64);
-                            if served {
-                                tel.degraded_taps.incr();
-                            } else {
-                                tel.dropped_taps.incr();
-                            }
-                            tel.on_l1_rollback(tid, m, u, v);
-                            tel.on_l2_fault(pt_index as u64);
-                        }
-                    }
-                }
-            }
-        }
-        trace
+    /// The hierarchy, borrowed for one replay, beside the two observers
+    /// that decide its sink.
+    fn hierarchy(
+        &mut self,
+    ) -> (
+        Hierarchy<'_>,
+        Option<&mut EngineTelemetry>,
+        Option<&mut TimingSim>,
+    ) {
+        let h = Hierarchy {
+            cfg: &self.cfg,
+            tables: self.layout.tables(),
+            dims: &self.dims,
+            l1: &mut self.l1,
+            l2: self.l2.as_mut(),
+            tlb: self.tlb.as_mut(),
+            host: &mut self.host,
+            current: &mut self.current,
+        };
+        (h, self.tel.as_deref_mut(), self.timing.as_deref_mut())
     }
 
     /// [`access_texel`](Self::access_texel) with full validation: unknown
@@ -747,9 +591,10 @@ impl SimEngine {
     /// Replays one frame's pixel requests from any source — e.g. a
     /// [`FrameCursor`](mltc_trace::codec::FrameCursor) decoding straight
     /// out of a reused read buffer — expanding taps through `filter` and
-    /// closing the frame. This is the batch fast path: the per-tap dynamic
-    /// branches of [`access_texel_traced`](Self::access_texel_traced) are
-    /// resolved once here and the loop runs monomorphized.
+    /// closing the frame. This is the scalar frame loop: the levels and
+    /// the observers [`access_texel_traced`](Self::access_texel_traced)
+    /// chooses per tap are chosen once here and the loop runs
+    /// monomorphized over them.
     ///
     /// # Errors
     ///
@@ -763,21 +608,20 @@ impl SimEngine {
         I: IntoIterator<Item = PixelRequest>,
     {
         if self.timing.is_some() {
-            // The wide loops are the one timed frame loop; behaviourally
-            // they are bit-identical to the scalar loops below.
+            // The wide loop is the one timed frame loop; behaviourally it
+            // is bit-identical to the scalar loop.
             return self.replay_frame_batched(filter, requests);
         }
-        match filter {
-            FilterMode::Point => self.replay_frame::<0, _>(requests),
-            FilterMode::Bilinear => self.replay_frame::<1, _>(requests),
-            FilterMode::Trilinear => self.replay_frame::<2, _>(requests),
-        }
+        let (h, tel, _) = self.hierarchy();
+        h.replay_observed(tel, ScalarFrame { filter, requests })?;
+        self.end_frame();
+        Ok(())
     }
 
     /// [`try_run_frame_as`](Self::try_run_frame_as) routed tap-by-tap
-    /// through the canonical slow path. Counters, cache state and
-    /// telemetry are bit-identical to the monomorphized fast path — the
-    /// golden replay tests assert exactly that on every committed trace.
+    /// through the per-access entry. Counters, cache state and telemetry
+    /// are bit-identical to the frame loops — the golden replay tests
+    /// assert exactly that on every committed trace.
     ///
     /// With timing attached this is also the overlay's per-tap reference:
     /// each request opens one lookahead fragment and every tap is observed
@@ -804,7 +648,7 @@ impl SimEngine {
                 t.open_fragment();
             }
             for tap in &taps {
-                let trace = self.access_texel_inner(req.tid, tap.m, tap.u, tap.v);
+                let trace = self.tap_traced(req.tid, tap.m, tap.u, tap.v);
                 if let Some(t) = &mut self.timing {
                     t.observe(req.tid, tap.m, tap.u, tap.v, &trace);
                 }
@@ -814,8 +658,8 @@ impl SimEngine {
         Ok(())
     }
 
-    /// Replays pre-expanded `(tid, m, u, v)` taps through the monomorphized
-    /// fast path without closing the frame (the differential oracle's
+    /// Replays pre-expanded `(tid, m, u, v)` taps through the tap-slice
+    /// loop without closing the frame (the differential oracle's
     /// batch-replay hook; call [`end_frame`](Self::end_frame) yourself).
     ///
     /// # Panics
@@ -824,93 +668,17 @@ impl SimEngine {
     /// contract as [`access_texel`](Self::access_texel)).
     pub fn replay_taps(&mut self, taps: &[(u32, u32, u32, u32)]) {
         if self.timing.is_some() {
-            // Timed: the traced path (one fragment per tap, matching the
-            // differential harness's per-access stream semantics).
-            for &(tid, m, u, v) in taps {
-                let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
-            }
-            return;
+            return self.replay_taps_timed(taps);
         }
-        let Self {
-            cfg,
-            layout,
-            dims,
-            l1,
-            l2,
-            tlb,
-            host,
-            current,
-            tel,
-            ..
-        } = self;
-        let tables = layout.tables();
-        let l1_bytes = cfg.l1.line_bytes() as u64;
-        let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
-        macro_rules! pull {
-            ($tel:expr) => {{
-                let mut tel = $tel;
-                for &(tid, m, u, v) in taps {
-                    tap_pull(
-                        TextureId::from_index(tid),
-                        m,
-                        u,
-                        v,
-                        l1_bytes,
-                        l1,
-                        host,
-                        current,
-                        &mut tel,
-                        &mut AdmitAll,
-                    );
-                }
-            }};
-        }
-        macro_rules! ml {
-            ($l2:expr, $tlb:expr, $tel:expr) => {{
-                let (l2, mut tlb, mut tel) = ($l2, $tlb, $tel);
-                let dl_full_miss = if l2.config().sector_mapping {
-                    l1_bytes
-                } else {
-                    l2_block_bytes
-                };
-                let mut memo = TranslationMemo::default();
-                for &(tid, m, u, v) in taps {
-                    tap_ml(
-                        TextureId::from_index(tid),
-                        m,
-                        u,
-                        v,
-                        l1_bytes,
-                        dl_full_miss,
-                        tables,
-                        &mut memo,
-                        dims,
-                        l1,
-                        l2,
-                        host,
-                        current,
-                        &mut tlb,
-                        &mut tel,
-                        &mut AdmitAll,
-                    );
-                }
-            }};
-        }
-        match (l2.as_mut(), tlb.as_mut(), tel.as_deref_mut()) {
-            (None, _, None) => pull!(TelOff),
-            (None, _, Some(t)) => pull!(TelOn(t)),
-            (Some(l2), None, None) => ml!(l2, TlbOff, TelOff),
-            (Some(l2), None, Some(t)) => ml!(l2, TlbOff, TelOn(t)),
-            (Some(l2), Some(tlb), None) => ml!(l2, TlbOn(tlb), TelOff),
-            (Some(l2), Some(tlb), Some(t)) => ml!(l2, TlbOn(tlb), TelOn(t)),
-        }
+        let (h, tel, _) = self.hierarchy();
+        h.replay_observed(tel, Taps(taps));
     }
 
     /// [`replay_taps`](Self::replay_taps) through the wide path: taps are
     /// chunked into fixed-width lane batches (up to [`BATCH_LANES`]),
     /// translated up front, and committed wide when every lane hits the
-    /// L1; any miss drops the whole chunk to the canonical scalar tap
-    /// bodies (`crate::batch` documents the fall-through contract). The
+    /// L1; any miss replays the whole chunk through the tap body
+    /// (`crate::batch` documents the fall-through contract). The
     /// differential oracle runs this as its fourth lockstep model.
     ///
     /// # Panics
@@ -918,143 +686,26 @@ impl SimEngine {
     /// Panics if a tap references a texture unknown to the engine.
     pub fn replay_taps_batched(&mut self, taps: &[(u32, u32, u32, u32)]) {
         if self.timing.is_some() {
-            // Timed: as `replay_taps` — this harness entry keeps its one
-            // fragment per tap, so there is no fragment to commit wide.
-            for &(tid, m, u, v) in taps {
-                let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
-            }
-            return;
+            return self.replay_taps_timed(taps);
         }
-        let Self {
-            cfg,
-            layout,
-            dims,
-            l1,
-            l2,
-            tlb,
-            host,
-            current,
-            tel,
-            ..
-        } = self;
-        let tables = layout.tables();
-        let l1_bytes = cfg.l1.line_bytes() as u64;
-        let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
-        let map = l1.address_map();
-        // Dedupes a chunk's lanes to distinct tags with last-occurrence
-        // lane indices (the shape `access_all_hits_by_tag` consumes);
-        // evaluates to the unique-tag count.
-        macro_rules! lanes {
-            ($chunk:expr, $uniq:ident, $last:ident) => {{
-                let mut k = 0usize;
-                for (i, &(tid, m, u, v)) in $chunk.iter().enumerate() {
-                    let tag = map.tag_of(TextureId::from_index(tid), m, u, v);
-                    let mut j = 0usize;
-                    while j < k && $uniq[j] != tag {
-                        j += 1;
-                    }
-                    $uniq[j] = tag;
-                    $last[j] = i as u32;
-                    k = k.max(j + 1);
-                }
-                k
-            }};
-        }
-        macro_rules! pull {
-            ($tel:expr) => {{
-                let mut tel = $tel;
-                let mut uniq = [0u64; BATCH_LANES];
-                let mut last = [0u32; BATCH_LANES];
-                for chunk in taps.chunks(BATCH_LANES) {
-                    let k = lanes!(chunk, uniq, last);
-                    let n = chunk.len();
-                    if l1.access_all_hits_by_tag(&uniq[..k], &last[..k], n as u32) {
-                        current.l1_accesses += n as u64;
-                        current.l1_hits += n as u64;
-                        tel.with(|t| {
-                            t.l1_hits.add(n as u64);
-                            t.on_l1_hit_taps(chunk);
-                        });
-                    } else {
-                        for &(tid, m, u, v) in chunk {
-                            tap_pull(
-                                TextureId::from_index(tid),
-                                m,
-                                u,
-                                v,
-                                l1_bytes,
-                                l1,
-                                host,
-                                current,
-                                &mut tel,
-                                &mut AdmitAll,
-                            );
-                        }
-                    }
-                }
-            }};
-        }
-        macro_rules! ml {
-            ($l2:expr, $tlb:expr, $tel:expr) => {{
-                let (l2, mut tlb, mut tel) = ($l2, $tlb, $tel);
-                let dl_full_miss = if l2.config().sector_mapping {
-                    l1_bytes
-                } else {
-                    l2_block_bytes
-                };
-                let mut memo = TranslationMemo::default();
-                let mut uniq = [0u64; BATCH_LANES];
-                let mut last = [0u32; BATCH_LANES];
-                for chunk in taps.chunks(BATCH_LANES) {
-                    let k = lanes!(chunk, uniq, last);
-                    let n = chunk.len();
-                    if l1.access_all_hits_by_tag(&uniq[..k], &last[..k], n as u32) {
-                        current.l1_accesses += n as u64;
-                        current.l1_hits += n as u64;
-                        tel.with(|t| {
-                            t.l1_hits.add(n as u64);
-                            t.on_l1_hit_taps(chunk);
-                        });
-                    } else {
-                        for &(tid, m, u, v) in chunk {
-                            tap_ml(
-                                TextureId::from_index(tid),
-                                m,
-                                u,
-                                v,
-                                l1_bytes,
-                                dl_full_miss,
-                                tables,
-                                &mut memo,
-                                dims,
-                                l1,
-                                l2,
-                                host,
-                                current,
-                                &mut tlb,
-                                &mut tel,
-                                &mut AdmitAll,
-                            );
-                        }
-                    }
-                }
-            }};
-        }
-        match (l2.as_mut(), tlb.as_mut(), tel.as_deref_mut()) {
-            (None, _, None) => pull!(TelOff),
-            (None, _, Some(t)) => pull!(TelOn(t)),
-            (Some(l2), None, None) => ml!(l2, TlbOff, TelOff),
-            (Some(l2), None, Some(t)) => ml!(l2, TlbOff, TelOn(t)),
-            (Some(l2), Some(tlb), None) => ml!(l2, TlbOn(tlb), TelOff),
-            (Some(l2), Some(tlb), Some(t)) => ml!(l2, TlbOn(tlb), TelOn(t)),
+        let (h, tel, _) = self.hierarchy();
+        h.replay_observed(tel, TapChunks(taps));
+    }
+
+    /// The `replay_taps*` entries with timing attached: the per-access
+    /// entry, one lookahead fragment per tap (the differential harness's
+    /// per-access stream semantics — there is no fragment to commit wide).
+    fn replay_taps_timed(&mut self, taps: &[(u32, u32, u32, u32)]) {
+        for &(tid, m, u, v) in taps {
+            let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
         }
     }
 
     /// [`try_run_frame_as`](Self::try_run_frame_as) routed through the
     /// wide (batched) tap kernel: each request's taps probe the L1 as one
     /// lane batch and commit wide when they all hit, falling through to
-    /// the canonical scalar bodies otherwise — bit-identical by
-    /// construction and by test (see `crate::batch`).
+    /// the tap body otherwise — bit-identical by construction and by test
+    /// (see `crate::batch`).
     ///
     /// # Errors
     ///
@@ -1172,11 +823,7 @@ impl SimEngine {
             followers.iter().all(|f| f.l1.lines().eq(leader.l1.lines())),
             "members of a shared replay must have replayed the same frames"
         );
-        let replayed = match filter {
-            FilterMode::Point => leader.replay_frame_logged::<0, _>(requests),
-            FilterMode::Bilinear => leader.replay_frame_logged::<1, _>(requests),
-            FilterMode::Trilinear => leader.replay_frame_logged::<2, _>(requests),
-        };
+        let replayed = leader.replay_frame_logged(filter, requests);
         for f in followers.iter_mut() {
             f.replay_l1_misses(leader.miss_log.iter().copied());
             f.current.l1_accesses = leader.current.l1_accesses;
@@ -1207,95 +854,28 @@ impl SimEngine {
         Self::try_run_frame_shared(group, filter, trace.requests.iter().copied())
     }
 
-    /// The leader's half of a shared frame: the telemetry-off arms of
-    /// [`replay_frame_batched`](Self::replay_frame_batched) with the
+    /// The leader's half of a shared frame: the wide frame loop with the
     /// [`MissLog`] sink in place of `TelOff`. The frame stays open.
-    fn replay_frame_logged<const F: u8, I>(&mut self, requests: I) -> Result<(), EngineError>
+    fn replay_frame_logged<I>(&mut self, filter: FilterMode, requests: I) -> Result<(), EngineError>
     where
         I: IntoIterator<Item = PixelRequest>,
     {
-        let Self {
-            cfg,
-            layout,
-            dims,
-            l1,
-            l2,
-            tlb,
-            host,
-            current,
-            miss_log,
-            ..
-        } = self;
-        miss_log.clear();
-        let log = MissLog(miss_log);
-        let tables = layout.tables();
-        match (l2.as_mut(), tlb.as_mut()) {
-            (None, _) => replay_pull_batched::<F, _, _, _>(
-                requests, cfg, dims, l1, host, current, log, AdmitAll,
-            ),
-            (Some(l2), None) => replay_ml_batched::<F, _, _, _, _>(
-                requests, cfg, tables, dims, l1, l2, host, current, TlbOff, log, AdmitAll,
-            ),
-            (Some(l2), Some(tlb)) => replay_ml_batched::<F, _, _, _, _>(
-                requests,
-                cfg,
-                tables,
-                dims,
-                l1,
-                l2,
-                host,
-                current,
-                TlbOn(tlb),
-                log,
-                AdmitAll,
-            ),
-        }
+        let mut log = std::mem::take(&mut self.miss_log);
+        log.clear();
+        let frame = WideFrame {
+            filter,
+            requests,
+            ad: AdmitAll,
+        };
+        let replayed = self.hierarchy().0.replay_under(MissLog(&mut log), frame);
+        self.miss_log = log;
+        replayed
     }
 
     /// A follower's half of a shared frame, and all of a stored pass's:
     /// the leader's L1 misses, in order, through everything below the L1.
     fn replay_l1_misses(&mut self, misses: impl Iterator<Item = L1Miss>) {
-        let Self {
-            cfg,
-            layout,
-            dims,
-            l1,
-            l2,
-            tlb,
-            host,
-            current,
-            ..
-        } = self;
-        let tables = layout.tables();
-        match (l2.as_mut(), tlb.as_mut()) {
-            (None, _) => {
-                let l1_bytes = cfg.l1.line_bytes() as u64;
-                // Internal iteration: a stored pass's misses are a
-                // `flat_map` over texture runs, which `for_each` walks as
-                // the nested loops it is.
-                misses.for_each(|(tid, m, u, v)| {
-                    let tid = TextureId::from_index(tid);
-                    tap_pull_below_l1(
-                        tid,
-                        m,
-                        u,
-                        v,
-                        l1_bytes,
-                        l1,
-                        host,
-                        current,
-                        &mut TelOff,
-                        &mut AdmitAll,
-                    );
-                });
-            }
-            (Some(l2), None) => {
-                replay_misses_ml(misses, cfg, tables, dims, l1, l2, host, current, TlbOff)
-            }
-            (Some(l2), Some(tlb)) => {
-                replay_misses_ml(misses, cfg, tables, dims, l1, l2, host, current, TlbOn(tlb))
-            }
-        }
+        self.hierarchy().0.replay_under(TelOff, Misses(misses));
     }
 
     /// Replays a frame prepared off-engine by [`FramePrep`]: lanes arrive
@@ -1309,89 +889,8 @@ impl SimEngine {
     /// the lanes before it — the frame is left open, exactly like
     /// [`try_run_frame`](Self::try_run_frame) on an unknown texture.
     pub fn try_run_frame_prepared(&mut self, prepared: &PreparedFrame) -> Result<(), EngineError> {
-        if self.timing.is_some() {
-            // Timed: replay the prepared lanes through the traced tap
-            // body, one lookahead fragment per source request group —
-            // the fragment stream of `try_run_frame_as_traced`.
-            let mut lane = 0usize;
-            for &(tid_idx, n) in prepared.groups() {
-                let tid = TextureId::from_index(tid_idx);
-                if let Some(t) = &mut self.timing {
-                    t.open_fragment();
-                }
-                for _ in 0..n {
-                    let (m, u, v) = prepared.lane(lane);
-                    lane += 1;
-                    let trace = self.access_texel_inner(tid, m, u, v);
-                    if let Some(t) = &mut self.timing {
-                        t.observe(tid, m, u, v, &trace);
-                    }
-                }
-            }
-            if let Some(err) = prepared.error() {
-                return Err(err.clone());
-            }
-            self.end_frame();
-            return Ok(());
-        }
-        {
-            let Self {
-                cfg,
-                layout,
-                dims,
-                l1,
-                l2,
-                tlb,
-                host,
-                current,
-                tel,
-                ..
-            } = self;
-            let tables = layout.tables();
-            match (l2.as_mut(), tlb.as_mut(), tel.as_deref_mut()) {
-                (None, _, None) => run_prepared_pull(prepared, cfg, l1, host, current, TelOff),
-                (None, _, Some(t)) => run_prepared_pull(prepared, cfg, l1, host, current, TelOn(t)),
-                (Some(l2), None, None) => run_prepared_ml(
-                    prepared, cfg, tables, dims, l1, l2, host, current, TlbOff, TelOff,
-                ),
-                (Some(l2), None, Some(t)) => run_prepared_ml(
-                    prepared,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOff,
-                    TelOn(t),
-                ),
-                (Some(l2), Some(tlb), None) => run_prepared_ml(
-                    prepared,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOn(tlb),
-                    TelOff,
-                ),
-                (Some(l2), Some(tlb), Some(t)) => run_prepared_ml(
-                    prepared,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOn(tlb),
-                    TelOn(t),
-                ),
-            }
-        }
+        let (h, tel, timing) = self.hierarchy();
+        h.replay(tel, timing, PreparedLanes(prepared));
         if let Some(err) = prepared.error() {
             return Err(err.clone());
         }
@@ -1399,8 +898,7 @@ impl SimEngine {
         Ok(())
     }
 
-    /// The wide-path frame replay: the shared dispatch of
-    /// [`replay_frame_wide`] over this engine's own levels, every tap
+    /// The wide-path frame replay over this engine's own levels, every tap
     /// admitted, under the timing sink when the overlay is attached.
     fn replay_frame_batched<I>(
         &mut self,
@@ -1410,108 +908,13 @@ impl SimEngine {
     where
         I: IntoIterator<Item = PixelRequest>,
     {
-        let Self {
-            cfg,
-            layout,
-            dims,
-            l1,
-            l2,
-            tlb,
-            host,
-            current,
-            tel,
-            timing,
-            ..
-        } = self;
-        replay_frame_wide(
+        let (h, tel, timing) = self.hierarchy();
+        let frame = WideFrame {
             filter,
             requests,
-            cfg,
-            layout.tables(),
-            dims,
-            l1,
-            l2.as_mut(),
-            tlb.as_mut(),
-            host,
-            current,
-            tel.as_deref_mut(),
-            timing.as_deref_mut(),
-            AdmitAll,
-        )?;
-        self.end_frame();
-        Ok(())
-    }
-
-    /// The monomorphized frame replay: one instantiation per
-    /// (filter, L2 present, TLB present, telemetry attached) combination,
-    /// so the million-tap loop carries no dynamic branches. `F` encodes the
-    /// filter mode (0 = point, 1 = bilinear, 2 = trilinear).
-    fn replay_frame<const F: u8, I>(&mut self, requests: I) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
-        {
-            let Self {
-                cfg,
-                layout,
-                dims,
-                l1,
-                l2,
-                tlb,
-                host,
-                current,
-                tel,
-                ..
-            } = self;
-            let tables = layout.tables();
-            match (l2.as_mut(), tlb.as_mut(), tel.as_deref_mut()) {
-                (None, _, None) => {
-                    replay_pull::<F, _, _>(requests, cfg, dims, l1, host, current, TelOff)
-                }
-                (None, _, Some(t)) => {
-                    replay_pull::<F, _, _>(requests, cfg, dims, l1, host, current, TelOn(t))
-                }
-                (Some(l2), None, None) => replay_ml::<F, _, _, _>(
-                    requests, cfg, tables, dims, l1, l2, host, current, TlbOff, TelOff,
-                ),
-                (Some(l2), None, Some(t)) => replay_ml::<F, _, _, _>(
-                    requests,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOff,
-                    TelOn(t),
-                ),
-                (Some(l2), Some(tlb), None) => replay_ml::<F, _, _, _>(
-                    requests,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOn(tlb),
-                    TelOff,
-                ),
-                (Some(l2), Some(tlb), Some(t)) => replay_ml::<F, _, _, _>(
-                    requests,
-                    cfg,
-                    tables,
-                    dims,
-                    l1,
-                    l2,
-                    host,
-                    current,
-                    TlbOn(tlb),
-                    TelOn(t),
-                ),
-            }?;
-        }
+            ad: AdmitAll,
+        };
+        h.replay(tel, timing, frame)?;
         self.end_frame();
         Ok(())
     }
@@ -1583,34 +986,103 @@ impl SimEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Monomorphized replay fast path.
+// The replay loops.
 //
-// `access_texel_traced` above is the canonical per-tap slow path: every
-// dynamic decision (`Option<L2Cache>`, `Option<Tlb>`, attached telemetry,
-// filter mode) is re-examined per texel. The batch replay entry points
-// resolve those decisions once per frame and instantiate a specialized
-// loop per combination; the tap bodies (crate::tap) are shared verbatim
-// between the specializations — and with the multi-client service layer —
-// so counters, cache state, host-link draws and telemetry stay
-// bit-identical to the slow path (the differential oracle and the golden
-// trace tests enforce this).
+// `access_texel_traced` above chooses the levels (`Option<L2Cache>`,
+// `Option<Tlb>`) and the observers (telemetry, the trace) per texel. The
+// replay entry points choose them once per call — `Hierarchy` in
+// `crate::tap` is the one place that happens — and instantiate one loop
+// per combination. Each loop shape below is written once, as a `Replay`
+// generic over the architecture and the sink; the wide frame loop and the
+// prepared-lanes loop live in `crate::batch`. All of them, and the
+// multi-client service layer, drive the one tap body (`Levels::tap`), so
+// counters, cache state, host-link draws and telemetry are bit-identical
+// across entries (the differential oracle and the golden trace tests
+// enforce this).
 // ---------------------------------------------------------------------------
 
-/// Pull-architecture frame loop (no L2, hence no translation and no TLB).
-fn replay_pull<const F: u8, I, Te>(
+/// One tap under the trace sink: the per-access entry.
+struct OneTap {
+    tid: TextureId,
+    m: u32,
+    u: u32,
+    v: u32,
+}
+
+impl Replay for OneTap {
+    type Out = AccessTrace;
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        mut lv: Lv,
+        tel: Te,
+        _dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) -> AccessTrace {
+        let Self { tid, m, u, v } = self;
+        let mut tel = Traced::new(tel);
+        tel.before_taps(current);
+        lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
+        tel.after_tap(tid, m, u, v, current);
+        tel.trace()
+    }
+}
+
+/// The scalar frame loop: every request expanded through the filter and
+/// replayed tap by tap. A loop of its own beside the wide one because it is
+/// what the wide loop is measured against (`engine.batched_over_scalar`).
+/// The frame stays open.
+struct ScalarFrame<I> {
+    filter: FilterMode,
     requests: I,
-    cfg: &EngineConfig,
-    dims: &[Option<Vec<(u32, u32)>>],
+}
+
+impl<I: IntoIterator<Item = PixelRequest>> Replay for ScalarFrame<I> {
+    type Out = Result<(), EngineError>;
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        lv: Lv,
+        tel: Te,
+        dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) -> Self::Out {
+        let requests = self.requests;
+        match self.filter {
+            FilterMode::Point => {
+                scalar_frame_loop::<0, _, _, _>(requests, lv, tel, dims, l1, host, current)
+            }
+            FilterMode::Bilinear => {
+                scalar_frame_loop::<1, _, _, _>(requests, lv, tel, dims, l1, host, current)
+            }
+            FilterMode::Trilinear => {
+                scalar_frame_loop::<2, _, _, _>(requests, lv, tel, dims, l1, host, current)
+            }
+        }
+    }
+}
+
+/// [`ScalarFrame`] with the filter a constant (`F`: 0 = point, 1 =
+/// bilinear, 2 = trilinear), so the million-tap loop carries no dynamic
+/// branches.
+fn scalar_frame_loop<const F: u8, I, Lv, Te>(
+    requests: I,
+    mut lv: Lv,
+    mut tel: Te,
+    dims: &MipDims,
     l1: &mut L1TextureCache,
     host: &mut HostLink,
     current: &mut FrameCounters,
-    mut tel: Te,
 ) -> Result<(), EngineError>
 where
     I: IntoIterator<Item = PixelRequest>,
+    Lv: Levels,
     Te: TelemetryMode,
 {
-    let l1_bytes = cfg.l1.line_bytes() as u64;
     for req in requests {
         let d = dims
             .get(req.tid.index() as usize)
@@ -1619,12 +1091,11 @@ where
         let levels = d.len() as u32;
         let taps = filter_taps(&req, const_filter::<F>(), levels, |m| d[m as usize]);
         for tap in &taps {
-            tap_pull(
+            lv.tap(
                 req.tid,
                 tap.m,
                 tap.u,
                 tap.v,
-                l1_bytes,
                 l1,
                 host,
                 current,
@@ -1636,107 +1107,91 @@ where
     Ok(())
 }
 
-/// Multi-level frame loop: per-frame constants (line/block bytes, full-miss
-/// download size) and the translation memo are hoisted out of the tap loop.
-#[allow(clippy::too_many_arguments)]
-fn replay_ml<const F: u8, I, Tl, Te>(
-    requests: I,
-    cfg: &EngineConfig,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    mut tlb: Tl,
-    mut tel: Te,
-) -> Result<(), EngineError>
-where
-    I: IntoIterator<Item = PixelRequest>,
-    Tl: TlbMode,
-    Te: TelemetryMode,
-{
-    let l1_bytes = cfg.l1.line_bytes() as u64;
-    let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
-    let dl_full_miss = if l2.config().sector_mapping {
-        l1_bytes
-    } else {
-        l2_block_bytes
-    };
-    let mut memo = TranslationMemo::default();
-    for req in requests {
-        let d = dims
-            .get(req.tid.index() as usize)
-            .and_then(|d| d.as_ref())
-            .ok_or(EngineError::UnknownTexture(req.tid))?;
-        let levels = d.len() as u32;
-        let taps = filter_taps(&req, const_filter::<F>(), levels, |m| d[m as usize]);
-        for tap in &taps {
-            tap_ml(
-                req.tid,
-                tap.m,
-                tap.u,
-                tap.v,
-                l1_bytes,
-                dl_full_miss,
-                tables,
-                &mut memo,
-                dims,
-                l1,
-                l2,
-                host,
-                current,
-                &mut tlb,
-                &mut tel,
-                &mut AdmitAll,
-            );
+/// The tap-slice loop of [`SimEngine::replay_taps`].
+struct Taps<'a>(&'a [(u32, u32, u32, u32)]);
+
+impl Replay for Taps<'_> {
+    type Out = ();
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        mut lv: Lv,
+        mut tel: Te,
+        _dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) {
+        for &(tid, m, u, v) in self.0 {
+            let tid = TextureId::from_index(tid);
+            lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
         }
     }
-    Ok(())
 }
 
-/// Multi-level half of [`SimEngine::replay_l1_misses`]: per-frame constants
-/// hoisted exactly as in [`replay_ml`].
-#[allow(clippy::too_many_arguments)]
-fn replay_misses_ml<Tl: TlbMode>(
-    misses: impl Iterator<Item = L1Miss>,
-    cfg: &EngineConfig,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    mut tlb: Tl,
-) {
-    let l1_bytes = cfg.l1.line_bytes() as u64;
-    let l2_block_bytes = cfg.tiling.l2().cache_bytes() as u64;
-    let dl_full_miss = if l2.config().sector_mapping {
-        l1_bytes
-    } else {
-        l2_block_bytes
-    };
-    let mut memo = TranslationMemo::default();
-    misses.for_each(|(tid, m, u, v)| {
-        tap_ml_miss(
-            TextureId::from_index(tid),
-            m,
-            u,
-            v,
-            l1_bytes,
-            dl_full_miss,
-            tables,
-            &mut memo,
-            dims,
-            l1,
-            l2,
-            host,
-            current,
-            &mut tlb,
-            &mut TelOff,
-            &mut AdmitAll,
-        );
-    });
+/// The chunked tap-slice loop of [`SimEngine::replay_taps_batched`].
+struct TapChunks<'a>(&'a [(u32, u32, u32, u32)]);
+
+impl Replay for TapChunks<'_> {
+    type Out = ();
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        mut lv: Lv,
+        mut tel: Te,
+        _dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) {
+        let map = l1.address_map();
+        let mut uniq = [0u64; BATCH_LANES];
+        let mut last = [0u32; BATCH_LANES];
+        for chunk in self.0.chunks(BATCH_LANES) {
+            let tags = chunk
+                .iter()
+                .map(|&(tid, m, u, v)| map.tag_of(TextureId::from_index(tid), m, u, v));
+            let k = dedupe_lanes(tags, &mut uniq, &mut last);
+            let n = chunk.len();
+            if l1.access_all_hits_by_tag(&uniq[..k], &last[..k], n as u32) {
+                current.l1_accesses += n as u64;
+                current.l1_hits += n as u64;
+                tel.with(|t| {
+                    t.l1_hits.add(n as u64);
+                    t.on_l1_hit_taps(chunk);
+                });
+            } else {
+                for &(tid, m, u, v) in chunk {
+                    let tid = TextureId::from_index(tid);
+                    lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
+                }
+            }
+        }
+    }
+}
+
+/// The miss-log loop of [`SimEngine::replay_l1_misses`].
+struct Misses<I>(I);
+
+impl<I: Iterator<Item = L1Miss>> Replay for Misses<I> {
+    type Out = ();
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        mut lv: Lv,
+        mut tel: Te,
+        _dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) {
+        // Internal iteration: a stored pass's misses are a `flat_map` over
+        // texture runs, which `for_each` walks as the nested loops it is.
+        self.0.for_each(|(tid, m, u, v)| {
+            let tid = TextureId::from_index(tid);
+            lv.below_l1(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -39,9 +39,9 @@
 //! [`SharedL2::contention`]; results then genuinely depend on client
 //! interleaving, which is why the conformance gates run partitioned.
 
-use crate::batch::replay_frame_wide;
-use crate::engine::FrameCounters;
-use crate::tap::{AdmitAll, Budgeted};
+use crate::batch::WideFrame;
+use crate::engine::{mip_dims, FrameCounters};
+use crate::tap::{AdmitAll, Budgeted, Hierarchy};
 use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
     EngineConfig, EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config,
@@ -382,11 +382,6 @@ impl TextureService {
         if cfg.l2.is_some() && layout.entry_count() == 0 {
             return Err(EngineError::EmptyPageTable);
         }
-        let mut dims = vec![None; registry.issued_count()];
-        for (tid, pyr) in registry.iter() {
-            dims[tid.index() as usize] =
-                Some(pyr.iter().map(|l| (l.width(), l.height())).collect());
-        }
         let entries = layout.entry_count();
         let (partitions, unified) = match (cfg.l2, cfg.partition) {
             (None, _) => (Vec::new(), false),
@@ -406,7 +401,7 @@ impl TextureService {
             cfg,
             clients,
             layout: Arc::new(layout),
-            dims: Arc::new(dims),
+            dims: Arc::new(mip_dims(registry)),
             l2: SharedL2::new(partitions, unified, clients),
         })
     }
@@ -681,9 +676,9 @@ impl ClientEngine {
         }
     }
 
-    /// The frame body: the dispatch [`SimEngine`](crate::SimEngine)'s
-    /// batched replay uses, over this client's private levels and the L2
-    /// out of the [`SharedL2`] guard.
+    /// The frame body: the wide frame loop [`SimEngine`](crate::SimEngine)'s
+    /// batched replay runs, over this client's private levels and the L2
+    /// out of the [`SharedL2`] guard, under this client's admission mode.
     fn replay(
         &mut self,
         l2: Option<&mut L2Cache>,
@@ -691,41 +686,45 @@ impl ClientEngine {
         filter: FilterMode,
         shed_frame: &mut bool,
     ) -> Result<(), EngineError> {
-        let Self {
-            admission,
-            cfg,
-            layout,
-            dims,
-            l1,
-            tlb,
-            host,
-            current,
-            svc,
-            tel,
-            ..
-        } = self;
         let requests = trace.requests.iter().copied();
-        let (tables, tlb, tel) = (layout.tables(), tlb.as_mut(), tel.as_deref_mut());
+        let admission = self.admission;
+        // Whatever the frame attempted before an unknown texture left it
+        // open still counts against its budgets.
+        let attempted = match l2 {
+            Some(_) => self.current.l2_partial_hits + self.current.l2_full_misses,
+            None => self.current.l1_accesses - self.current.l1_hits,
+        };
+        let h = Hierarchy {
+            cfg: &self.cfg,
+            tables: self.layout.tables(),
+            dims: &self.dims,
+            l1: &mut self.l1,
+            l2,
+            tlb: self.tlb.as_mut(),
+            host: &mut self.host,
+            current: &mut self.current,
+        };
+        let tel = self.tel.as_deref_mut();
         if admission.soft_transfers_per_frame == 0 && admission.hard_transfers_per_frame == 0 {
-            return replay_frame_wide(
-                filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, None,
-                AdmitAll,
-            );
+            let frame = WideFrame {
+                filter,
+                requests,
+                ad: AdmitAll,
+            };
+            return h.replay(tel, None, frame);
         }
-        let budgeted = Budgeted {
-            ctl: *admission,
-            // Whatever the frame attempted before an unknown texture left
-            // it open still counts against its budgets.
-            attempted: match l2 {
-                Some(_) => current.l2_partial_hits + current.l2_full_misses,
-                None => current.l1_accesses - current.l1_hits,
-            },
-            stats: svc,
+        let ad = Budgeted {
+            ctl: admission,
+            attempted,
+            stats: &mut self.svc,
             shed_frame,
         };
-        replay_frame_wide(
-            filter, requests, cfg, tables, dims, l1, l2, tlb, host, current, tel, None, budgeted,
-        )
+        let frame = WideFrame {
+            filter,
+            requests,
+            ad,
+        };
+        h.replay(tel, None, frame)
     }
 
     /// Closes the frame the replay left open and applies the shed-frame
@@ -770,11 +769,19 @@ impl ClientEngine {
 mod reference {
     use super::*;
     use crate::tap::{
-        degraded_probe, tap_ml, tap_pull, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff, TlbOn,
+        degraded_probe, Levels, MultiLevel, Pull, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff,
+        TlbOn,
     };
     use crate::L2Outcome;
     use mltc_texture::{TranslationMemo, TranslationTables};
     use mltc_trace::filter_taps;
+
+    /// The reference loops lend their TLB mode to one tap at a time.
+    impl<Tl: TlbMode> TlbMode for &mut Tl {
+        fn access(&mut self, key: u64) -> Option<bool> {
+            (**self).access(key)
+        }
+    }
 
     impl ClientEngine {
         /// [`run_frame`](Self::run_frame) over the reference loops.
@@ -800,15 +807,14 @@ mod reference {
                 tel,
                 ..
             } = self;
-            let l1_bytes = cfg.l1.line_bytes() as u64;
             let shed = &mut shed_frame;
             match guard.as_deref_mut() {
                 None => {
                     macro_rules! pull {
                         ($tel:expr) => {
                             pull_loop(
-                                trace, filter, admission, dims, l1_bytes, l1, host, current, svc,
-                                shed, $tel,
+                                trace, filter, admission, cfg, dims, l1, host, current, svc, shed,
+                                $tel,
                             )
                         };
                     }
@@ -818,21 +824,15 @@ mod reference {
                     }
                 }
                 Some(l2) => {
-                    let dl_full_miss = if l2.config().sector_mapping {
-                        l1_bytes
-                    } else {
-                        cfg.tiling.l2().cache_bytes() as u64
-                    };
                     macro_rules! ml {
                         ($tlb:expr, $tel:expr) => {
                             ml_loop(
                                 trace,
                                 filter,
                                 admission,
+                                cfg,
                                 layout.tables(),
                                 dims,
-                                l1_bytes,
-                                dl_full_miss,
                                 l1,
                                 l2,
                                 host,
@@ -860,7 +860,7 @@ mod reference {
 
     /// Reference multi-level frame loop with admission tiers, one tap at a
     /// time (the service's own loop before it took the wide path). Under
-    /// budget, every tap is the engine's own [`tap_ml`]. Over the soft
+    /// budget, every tap is the engine's own [`Levels::tap`]. Over the soft
     /// budget, a miss is denied host access: the speculative install is rolled
     /// back exactly like a failed download and the tap is served degraded or
     /// dropped. Over the hard budget, taps are shed outright.
@@ -869,10 +869,9 @@ mod reference {
         trace: &FrameTrace,
         filter: FilterMode,
         admission: &AdmissionControl,
+        cfg: &EngineConfig,
         tables: &TranslationTables,
         dims: &[Option<Vec<(u32, u32)>>],
-        l1_bytes: u64,
-        dl_full_miss: u64,
         l1: &mut L1TextureCache,
         l2: &mut L2Cache,
         host: &mut HostLink,
@@ -882,6 +881,7 @@ mod reference {
         mut tlb: Tl,
         mut tel: Te,
     ) -> Result<(), EngineError> {
+        let l1_bytes = cfg.l1.line_bytes() as u64;
         let mut memo = TranslationMemo::default();
         for req in &trace.requests {
             let d = dims
@@ -970,21 +970,14 @@ mod reference {
                     });
                     continue;
                 }
-                tap_ml(
+                MultiLevel::new(cfg, tables, dims, l2, &mut tlb).tap(
                     req.tid,
                     tap.m,
                     tap.u,
                     tap.v,
-                    l1_bytes,
-                    dl_full_miss,
-                    tables,
-                    &mut memo,
-                    dims,
                     l1,
-                    l2,
                     host,
                     current,
-                    &mut tlb,
                     &mut tel,
                     &mut AdmitAll,
                 );
@@ -1001,8 +994,8 @@ mod reference {
         trace: &FrameTrace,
         filter: FilterMode,
         admission: &AdmissionControl,
+        cfg: &EngineConfig,
         dims: &[Option<Vec<(u32, u32)>>],
-        l1_bytes: u64,
         l1: &mut L1TextureCache,
         host: &mut HostLink,
         current: &mut FrameCounters,
@@ -1050,12 +1043,11 @@ mod reference {
                     });
                     continue;
                 }
-                tap_pull(
+                Pull::new(cfg).tap(
                     req.tid,
                     tap.m,
                     tap.u,
                     tap.v,
-                    l1_bytes,
                     l1,
                     host,
                     current,

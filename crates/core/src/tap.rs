@@ -1,44 +1,64 @@
-//! The shared per-tap bodies of the cache hierarchy.
+//! The per-tap body of the cache hierarchy, and the one place its levels
+//! and its observers are chosen.
 //!
-//! `SimEngine::access_texel_traced` is the canonical per-tap slow path:
-//! every dynamic decision (`Option<L2Cache>`, `Option<Tlb>`, attached
-//! telemetry, filter mode) is re-examined per texel. The batch replay
-//! entry points of [`SimEngine`](crate::SimEngine) — and the per-client
-//! engines of the multi-client [`service`](crate::service) layer — resolve
-//! those decisions once and instantiate a specialized loop per
-//! combination. The tap bodies below are shared **verbatim** between every
-//! consumer, so counters, cache state, host-link draws and telemetry stay
-//! bit-identical across the slow path, the monomorphized fast path and a
-//! partitioned service client (the differential oracle, the golden trace
-//! tests and the multi-client containment tests all enforce this).
+//! The paper specifies the hierarchy as one per-texel control flow (Fig. 7,
+//! steps A–F). [`Levels::tap`] is that flow, written once: the L1 probe,
+//! then — through [`Levels::below_l1`] — whatever the architecture keeps
+//! below it ([`Pull`]: the host link; [`MultiLevel`]: translation, the TLB,
+//! the L2 and the host link behind it). Every entry point of
+//! [`SimEngine`](crate::SimEngine) and every client of the multi-client
+//! [`service`](crate::service) reaches the hierarchy through it, so counters,
+//! cache state, host-link draws and telemetry cannot differ between the
+//! per-access entry the differential oracle drives in lockstep, the scalar
+//! and wide frame loops and a partitioned service client.
+//!
+//! What varies between those consumers is resolved once per replay, at
+//! compile time, by [`Hierarchy`]: `(l2, tlb)` become a [`Levels`] value in
+//! [`Hierarchy::replay_under`], `(telemetry, timing)` become a
+//! [`TelemetryMode`] sink in [`Hierarchy::replay`], and the replay loop —
+//! a [`Replay`] — is instantiated over both. Observers are sinks, never
+//! arms of the body: [`Timed`] and [`Traced`] read a tap's outcome off the
+//! movement of the [`FrameCounters`] around the unedited body.
 
-use crate::batch::BATCH_LANES;
-use crate::engine::FrameCounters;
+use crate::batch::{dedupe_lanes, BATCH_LANES};
+use crate::engine::{AccessTrace, EngineConfig, FrameCounters};
 use crate::latency::{MissOutcome, TimingSim};
 use crate::service::{AdmissionControl, ClientServiceStats, DegradeTier};
 use crate::telemetry::EngineTelemetry;
-use crate::{HostLink, L1TextureCache, L2Cache, L2Outcome, Transfer};
+use crate::{HostLink, L1TextureCache, L2AccessTrace, L2Cache, L2Outcome, Transfer};
 use mltc_cache::RoundRobinTlb;
 use mltc_texture::{TextureId, TranslationMemo, TranslationTables};
 use mltc_trace::FilterMode;
 
+/// Per-texture mip-chain dimensions (`None` = no such texture), indexed by
+/// texture id.
+pub(crate) type MipDims = [Option<Vec<(u32, u32)>>];
+
 /// Compile-time telemetry switch: `TelOn` forwards to the attached
 /// [`EngineTelemetry`], `TelOff` erases the observation closures entirely,
 /// `MissLog` erases them too but records every L1 miss for a shared
-/// replay's followers, and `Timed` wraps any of them to feed the timing
-/// overlay from the wide frame loops.
+/// replay's followers, `Timed` wraps any of them to feed the timing
+/// overlay from the frame loops, and `Traced` wraps any of them to report
+/// one tap as an [`AccessTrace`].
 ///
 /// The hooks below `with` are empty unless a mode fills them, and their
 /// call sites pass nothing that costs anything to evaluate (whole arrays,
-/// never a slice: the bounds check of a slice argument survives in
-/// instantiations whose hook is empty), so every other instantiation
-/// compiles to the code it had without them.
+/// or a slice the loop has taken anyway, never one made for the hook: the
+/// bounds check of a slice argument survives in instantiations whose hook
+/// is empty), so every other instantiation compiles to the code it had
+/// without them.
 pub(crate) trait TelemetryMode {
     fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry));
 
     /// Called once per L1 miss, before anything below the L1 runs.
     #[inline(always)]
     fn l1_miss(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32) {}
+
+    /// Called once per L2 probe with what the L2 reports of it — the
+    /// physical block and the eviction victim are the two facts of a tap
+    /// the counters do not carry.
+    #[inline(always)]
+    fn l2_probed(&mut self, _probe: &L2AccessTrace) {}
 
     /// A pixel request — one lookahead fragment — committed wide: `n` L1
     /// hits over the distinct tags `uniq[..k]`, whose last lanes are
@@ -52,6 +72,12 @@ pub(crate) trait TelemetryMode {
         _n: u64,
     ) {
     }
+
+    /// [`wide_commit`](Self::wide_commit) for a fragment known by its
+    /// lanes' tags, in lane order (the prepared-lanes loop, which holds no
+    /// deduplicated form): the slice is the one the L1 probe already took.
+    #[inline(always)]
+    fn wide_commit_lanes(&mut self, _tags: &[u64]) {}
 
     /// A pixel request — one lookahead fragment — is about to replay as
     /// scalar taps; the counters as they stand.
@@ -125,8 +151,8 @@ impl TapMark {
     }
 }
 
-/// The timing sink of the wide frame loops: telemetry as `Te` has it,
-/// plus the [`TimingSim`] fed one event per wide commit and one per scalar
+/// The timing sink of the frame loops: telemetry as `Te` has it, plus
+/// the [`TimingSim`] fed one event per wide commit and one per scalar
 /// tap. A scalar tap's outcome is the movement of [`TapMark`] around the
 /// unedited tap body, so the bodies carry no timing code.
 pub(crate) struct Timed<'a, Te> {
@@ -159,6 +185,11 @@ impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
     }
 
     #[inline(always)]
+    fn l2_probed(&mut self, probe: &L2AccessTrace) {
+        self.tel.l2_probed(probe);
+    }
+
+    #[inline(always)]
     fn wide_commit(
         &mut self,
         uniq: &[u64; BATCH_LANES],
@@ -168,6 +199,13 @@ impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
     ) {
         self.sim.open_fragment();
         self.sim.commit_hits(uniq, last, k, n);
+    }
+
+    #[inline(always)]
+    fn wide_commit_lanes(&mut self, tags: &[u64]) {
+        let (mut uniq, mut last) = ([0; BATCH_LANES], [0; BATCH_LANES]);
+        let k = dedupe_lanes(tags.iter().copied(), &mut uniq, &mut last);
+        self.wide_commit(&uniq, &last, k, tags.len() as u64);
     }
 
     #[inline(always)]
@@ -203,7 +241,82 @@ impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
     }
 }
 
-/// Compile-time TLB switch mirroring the slow path's `Option<Tlb>` probe:
+/// The trace sink of the per-access entry
+/// ([`SimEngine::access_texel_traced`](crate::SimEngine::access_texel_traced)):
+/// telemetry as `Te` has it, plus an [`AccessTrace`] of the tap between
+/// [`before_taps`](TelemetryMode::before_taps) and
+/// [`after_tap`](TelemetryMode::after_tap). Like [`Timed`] it reads the
+/// outcome off the [`FrameCounters`] the unedited tap body moved; the L2
+/// block and the eviction victim, which no counter carries, arrive through
+/// [`l2_probed`](TelemetryMode::l2_probed).
+pub(crate) struct Traced<Te> {
+    tel: Te,
+    before: FrameCounters,
+    probe: Option<L2AccessTrace>,
+    trace: AccessTrace,
+}
+
+impl<Te> Traced<Te> {
+    pub(crate) fn new(tel: Te) -> Self {
+        Self {
+            tel,
+            before: FrameCounters::default(),
+            probe: None,
+            trace: AccessTrace::default(),
+        }
+    }
+
+    /// What happened to the tap the last `after_tap` closed.
+    pub(crate) fn trace(&self) -> AccessTrace {
+        self.trace
+    }
+}
+
+impl<Te: TelemetryMode> TelemetryMode for Traced<Te> {
+    #[inline(always)]
+    fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry)) {
+        self.tel.with(f);
+    }
+
+    #[inline(always)]
+    fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
+        self.tel.l1_miss(tid, m, u, v);
+    }
+
+    #[inline(always)]
+    fn l2_probed(&mut self, probe: &L2AccessTrace) {
+        self.probe = Some(*probe);
+        self.tel.l2_probed(probe);
+    }
+
+    #[inline(always)]
+    fn before_taps(&mut self, current: &FrameCounters) {
+        self.before = *current;
+        self.tel.before_taps(current);
+    }
+
+    #[inline(always)]
+    fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
+        let was = std::mem::replace(&mut self.before, *current);
+        let now = current;
+        let probe = self.probe.take();
+        self.trace = AccessTrace {
+            l1_hit: now.l1_hits != was.l1_hits,
+            tlb_hit: (now.tlb_accesses != was.tlb_accesses).then_some(now.tlb_hits != was.tlb_hits),
+            l2: probe.map(|p| p.outcome),
+            l2_block: probe.map(|p| p.block),
+            evicted_page: probe.and_then(|p| p.evicted_page),
+            host_bytes: now.host_bytes - was.host_bytes,
+            retries: (now.retries - was.retries) as u32,
+            failed: now.failed_transfers != was.failed_transfers,
+            degraded: now.degraded_taps != was.degraded_taps,
+            dropped: now.dropped_taps != was.dropped_taps,
+        };
+        self.tel.after_tap(tid, m, u, v, current);
+    }
+}
+
+/// Compile-time TLB switch, the engine's `Option<Tlb>` resolved once:
 /// `TlbOff::access` is a constant `None`, so the hit bookkeeping folds away.
 pub(crate) trait TlbMode {
     fn access(&mut self, key: u64) -> Option<bool>;
@@ -311,78 +424,118 @@ pub(crate) const fn const_filter<const F: u8>() -> FilterMode {
     }
 }
 
-/// One pull-architecture tap; mirrors the `None` L2 arm of
-/// [`SimEngine::access_texel_traced`](crate::SimEngine::access_texel_traced)
-/// line for line.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_pull<Te: TelemetryMode, Ad: AdmissionMode>(
-    tid: TextureId,
-    m: u32,
-    u: u32,
-    v: u32,
-    l1_bytes: u64,
-    l1: &mut L1TextureCache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    tel: &mut Te,
-    ad: &mut Ad,
-) {
-    if !ad.admit(1) {
-        return;
+/// The levels below the L1 as a value: the architecture a replay loop is
+/// generic over. [`Pull`] and [`MultiLevel`] are the two the paper compares.
+pub(crate) trait Levels {
+    /// Whether an L2 sits below the L1 (a host download then pays the L2
+    /// fill as its last hop in the timing overlay).
+    const HAS_L2: bool;
+
+    /// Everything a tap does after its L1 miss. A method of its own so a
+    /// shared replay's followers can run it straight off the leader's L1
+    /// miss log.
+    #[allow(clippy::too_many_arguments)]
+    fn below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+        tel: &mut Te,
+        ad: &mut Ad,
+    );
+
+    /// One tap — the paper's Fig. 7 — through the L1 and, on a miss,
+    /// [`below_l1`](Self::below_l1).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn tap<Te: TelemetryMode, Ad: AdmissionMode>(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+        tel: &mut Te,
+        ad: &mut Ad,
+    ) {
+        if !ad.admit(1) {
+            return;
+        }
+        current.l1_accesses += 1;
+        if l1.access(tid, m, u, v) {
+            current.l1_hits += 1;
+            tel.with(|t| {
+                t.l1_hits.incr();
+                t.on_l1_hit(tid, m, u, v);
+            });
+            return;
+        }
+        tel.with(|t| t.on_l1_miss(tid, m, u, v));
+        tel.l1_miss(tid, m, u, v);
+        self.below_l1(tid, m, u, v, l1, host, current, tel, ad);
     }
-    current.l1_accesses += 1;
-    if l1.access(tid, m, u, v) {
-        current.l1_hits += 1;
-        tel.with(|t| {
-            t.l1_hits.incr();
-            t.on_l1_hit(tid, m, u, v);
-        });
-        return;
-    }
-    tel.with(|t| t.on_l1_miss(tid, m, u, v));
-    tel.l1_miss(tid, m, u, v);
-    tap_pull_below_l1(tid, m, u, v, l1_bytes, l1, host, current, tel, ad);
 }
 
-/// The below-L1 half of a pull tap (host transfer → rollback). Split out
-/// so a shared replay's followers can run it straight off the leader's L1
-/// miss log. Without an L2 there is nothing to degrade to, so a failed or
-/// denied transfer drops the tap.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_pull_below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
-    tid: TextureId,
-    m: u32,
-    u: u32,
-    v: u32,
+/// The pull architecture: an L1 miss downloads its L1 tile straight from
+/// host memory (no L2, hence no translation and no TLB).
+pub(crate) struct Pull {
     l1_bytes: u64,
-    l1: &mut L1TextureCache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    tel: &mut Te,
-    ad: &mut Ad,
-) {
-    // A denied transfer is a third outcome beside delivered and failed:
-    // the failed-download rollback, with the link never touched.
-    if !ad.grant_transfer() {
-        return pull_rollback(tid, m, u, v, None, l1, current, tel);
-    }
-    match host.transfer(tid) {
-        Transfer::Delivered { retries } => {
-            current.retries += retries as u64;
-            current.host_bytes += l1_bytes;
-            tel.with(|t| {
-                t.l1_misses.incr();
-                t.host_delivered.incr();
-                t.host_retries.add(retries as u64);
-                t.transfer_bytes.record(l1_bytes);
-            });
+}
+
+impl Pull {
+    pub(crate) fn new(cfg: &EngineConfig) -> Self {
+        Self {
+            l1_bytes: cfg.l1.line_bytes() as u64,
         }
-        Transfer::Failed { retries } => {
-            current.retries += retries as u64;
-            current.failed_transfers += 1;
-            pull_rollback(tid, m, u, v, Some(retries), l1, current, tel);
+    }
+}
+
+impl Levels for Pull {
+    const HAS_L2: bool = false;
+
+    /// Host transfer → rollback. Without an L2 there is nothing to degrade
+    /// to, so a failed or denied transfer drops the tap.
+    #[inline(always)]
+    fn below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+        tel: &mut Te,
+        ad: &mut Ad,
+    ) {
+        // A denied transfer is a third outcome beside delivered and failed:
+        // the failed-download rollback, with the link never touched.
+        if !ad.grant_transfer() {
+            return pull_rollback(tid, m, u, v, None, l1, current, tel);
+        }
+        let l1_bytes = self.l1_bytes;
+        match host.transfer(tid) {
+            Transfer::Delivered { retries } => {
+                current.retries += retries as u64;
+                current.host_bytes += l1_bytes;
+                tel.with(|t| {
+                    t.l1_misses.incr();
+                    t.host_delivered.incr();
+                    t.host_retries.add(retries as u64);
+                    t.transfer_bytes.record(l1_bytes);
+                });
+            }
+            Transfer::Failed { retries } => {
+                current.retries += retries as u64;
+                current.failed_transfers += 1;
+                pull_rollback(tid, m, u, v, Some(retries), l1, current, tel);
+            }
         }
     }
 }
@@ -415,303 +568,314 @@ fn pull_rollback<Te: TelemetryMode>(
     });
 }
 
-/// One multi-level tap; mirrors the `Some(l2)` arm of
-/// [`SimEngine::access_texel_traced`](crate::SimEngine::access_texel_traced)
-/// line for line, with translation served by the shift/mask tables and the
-/// one-entry memo.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_ml<Tl: TlbMode, Te: TelemetryMode, Ad: AdmissionMode>(
-    tid: TextureId,
-    m: u32,
-    u: u32,
-    v: u32,
+/// The proposed multi-level architecture: an L1 miss is translated (the
+/// shift/mask tables behind a one-entry memo), probes the TLB when one is
+/// modelled, and is served from the L2 or downloaded into L2 and L1 in
+/// parallel. Per-replay constants (line bytes, the full-miss download
+/// size) are worked out once, here.
+pub(crate) struct MultiLevel<'a, Tl> {
     l1_bytes: u64,
     dl_full_miss: u64,
-    tables: &TranslationTables,
-    memo: &mut TranslationMemo,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    tlb: &mut Tl,
-    tel: &mut Te,
-    ad: &mut Ad,
-) {
-    if !ad.admit(1) {
-        return;
-    }
-    current.l1_accesses += 1;
-    if l1.access(tid, m, u, v) {
-        current.l1_hits += 1;
-        tel.with(|t| {
-            t.l1_hits.incr();
-            t.on_l1_hit(tid, m, u, v);
-        });
-        return;
-    }
-    tel.with(|t| t.on_l1_miss(tid, m, u, v));
-    tel.l1_miss(tid, m, u, v);
-    tap_ml_miss(
-        tid,
-        m,
-        u,
-        v,
-        l1_bytes,
-        dl_full_miss,
-        tables,
-        memo,
-        dims,
-        l1,
-        l2,
-        host,
-        current,
-        tlb,
-        tel,
-        ad,
-    );
+    tables: &'a TranslationTables,
+    memo: TranslationMemo,
+    dims: &'a MipDims,
+    l2: &'a mut L2Cache,
+    tlb: Tl,
 }
 
-/// Everything a multi-level tap does after its L1 miss: translation, the
-/// TLB probe and the below-L1 half. Split out so a shared replay's
-/// followers can run it straight off the leader's L1 miss log.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_ml_miss<Tl: TlbMode, Te: TelemetryMode, Ad: AdmissionMode>(
-    tid: TextureId,
-    m: u32,
-    u: u32,
-    v: u32,
-    l1_bytes: u64,
-    dl_full_miss: u64,
-    tables: &TranslationTables,
-    memo: &mut TranslationMemo,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    tlb: &mut Tl,
-    tel: &mut Te,
-    ad: &mut Ad,
-) {
-    let (pt_index, l1_sub) = tables.lookup(memo, tid.index(), m, u, v);
-    let tlb_hit = tlb.access(pt_index as u64);
-    if let Some(hit) = tlb_hit {
-        current.tlb_accesses += 1;
-        current.tlb_hits += hit as u64;
-    }
-    tap_ml_below_l1(
-        tid,
-        m,
-        u,
-        v,
-        pt_index,
-        l1_sub,
-        tlb_hit,
-        l1_bytes,
-        dl_full_miss,
-        tables,
-        dims,
-        l1,
-        l2,
-        host,
-        current,
-        tel,
-        ad,
-    );
-}
+impl<Tl: TlbMode> Levels for MultiLevel<'_, Tl> {
+    const HAS_L2: bool = true;
 
-/// The below-L1 half of a multi-level tap (L2 probe → host transfer →
-/// rollback / degradation), after translation and the TLB probe. A
-/// transfer the admission mode denies takes the failed-download rollback
-/// — the speculative installs are torn down and the tap is served from a
-/// resident coarser mip or dropped — minus the link statistics.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tap_ml_below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
-    tid: TextureId,
-    m: u32,
-    u: u32,
-    v: u32,
-    pt_index: u32,
-    l1_sub: u16,
-    tlb_hit: Option<bool>,
-    l1_bytes: u64,
-    dl_full_miss: u64,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    host: &mut HostLink,
-    current: &mut FrameCounters,
-    tel: &mut Te,
-    ad: &mut Ad,
-) {
-    let l2_trace = l2.access_traced(pt_index, l1_sub);
-    let outcome = l2_trace.outcome;
-    let evicted_page = l2_trace.evicted_page;
-    let dl = match outcome {
-        L2Outcome::FullHit => {
-            current.l2_full_hits += 1;
-            current.l2_local_bytes += l1_bytes;
-            tel.with(|t| {
-                t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                t.l2_full_hits.incr();
-            });
-            return;
+    /// Translation → TLB probe → L2 probe → host transfer → rollback /
+    /// degradation. A transfer the admission mode denies takes the
+    /// failed-download rollback — the speculative installs are torn down
+    /// and the tap is served from a resident coarser mip or dropped —
+    /// minus the link statistics.
+    #[inline(always)]
+    fn below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+        tel: &mut Te,
+        ad: &mut Ad,
+    ) {
+        let (pt_index, l1_sub) = self.tables.lookup(&mut self.memo, tid.index(), m, u, v);
+        let tlb_hit = self.tlb.access(pt_index as u64);
+        if let Some(hit) = tlb_hit {
+            current.tlb_accesses += 1;
+            current.tlb_hits += hit as u64;
         }
-        L2Outcome::PartialHit => {
-            current.l2_partial_hits += 1;
-            l1_bytes
-        }
-        L2Outcome::FullMiss => {
-            current.l2_full_misses += 1;
-            dl_full_miss
-        }
-    };
-    // A denied transfer is a third outcome beside delivered and failed:
-    // the failed-download rollback, with the link never touched.
-    if !ad.grant_transfer() {
-        return ml_rollback(
-            tid,
-            m,
-            u,
-            v,
-            pt_index,
-            l1_sub,
-            tlb_hit,
-            outcome,
-            evicted_page,
-            None,
-            l1_bytes,
-            tables,
-            dims,
-            l1,
-            l2,
-            current,
-            tel,
-        );
-    }
-    match host.transfer(tid) {
-        Transfer::Delivered { retries } => {
-            current.retries += retries as u64;
-            current.host_bytes += dl;
-            current.l2_local_bytes += dl;
-            tel.with(|t| {
-                t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                match outcome {
-                    L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-                    L2Outcome::FullMiss => {
-                        t.l2_full_misses.incr();
-                        t.on_full_miss_sweep(l2.clock_stats());
-                    }
-                    L2Outcome::FullHit => unreachable!("full hits return above"),
-                }
-                t.host_delivered.incr();
-                t.host_retries.add(retries as u64);
-                t.transfer_bytes.record(dl);
-            });
-        }
-        Transfer::Failed { retries } => {
-            current.retries += retries as u64;
-            current.failed_transfers += 1;
-            ml_rollback(
-                tid,
-                m,
-                u,
-                v,
-                pt_index,
-                l1_sub,
-                tlb_hit,
-                outcome,
-                evicted_page,
-                Some(retries),
-                l1_bytes,
-                tables,
-                dims,
-                l1,
-                l2,
-                current,
-                tel,
+        let l1_bytes = self.l1_bytes;
+        let probe = self.l2.access_traced(pt_index, l1_sub);
+        tel.l2_probed(&probe);
+        let outcome = probe.outcome;
+        let evicted_page = probe.evicted_page;
+        let dl = match outcome {
+            L2Outcome::FullHit => {
+                current.l2_full_hits += 1;
+                current.l2_local_bytes += l1_bytes;
+                tel.with(|t| {
+                    t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
+                    t.l2_full_hits.incr();
+                });
+                return;
+            }
+            L2Outcome::PartialHit => {
+                current.l2_partial_hits += 1;
+                l1_bytes
+            }
+            L2Outcome::FullMiss => {
+                current.l2_full_misses += 1;
+                self.dl_full_miss
+            }
+        };
+        // A denied transfer is a third outcome beside delivered and failed:
+        // the failed-download rollback, with the link never touched.
+        if !ad.grant_transfer() {
+            return self.rollback(
+                tid, m, u, v, pt_index, l1_sub, tlb_hit, &probe, None, l1, current, tel,
             );
         }
+        match host.transfer(tid) {
+            Transfer::Delivered { retries } => {
+                current.retries += retries as u64;
+                current.host_bytes += dl;
+                current.l2_local_bytes += dl;
+                tel.with(|t| {
+                    t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
+                    match outcome {
+                        L2Outcome::PartialHit => t.l2_partial_hits.incr(),
+                        L2Outcome::FullMiss => {
+                            t.l2_full_misses.incr();
+                            t.on_full_miss_sweep(self.l2.clock_stats());
+                        }
+                        L2Outcome::FullHit => unreachable!("full hits return above"),
+                    }
+                    t.host_delivered.incr();
+                    t.host_retries.add(retries as u64);
+                    t.transfer_bytes.record(dl);
+                });
+            }
+            Transfer::Failed { retries } => {
+                current.retries += retries as u64;
+                current.failed_transfers += 1;
+                self.rollback(
+                    tid,
+                    m,
+                    u,
+                    v,
+                    pt_index,
+                    l1_sub,
+                    tlb_hit,
+                    &probe,
+                    Some(retries),
+                    l1,
+                    current,
+                    tel,
+                );
+            }
+        }
     }
 }
 
-/// A multi-level tap whose download did not arrive — the link `failed`
-/// it after that many retries, or admission denied it (`None`): both
-/// speculative installs are torn down and the tap is served from a
-/// resident coarser mip (degraded) or dropped.
-///
-/// A function of its own rather than a shared tail of the transfer
-/// `match`: with the rollback out of the way of the delivered arm,
-/// `city_miss_path` (every fifth tap misses the L1) replays ≈ 20 %
-/// faster than with the two arms folded into one `Option<Transfer>`
-/// match (DESIGN.md §9, measured).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn ml_rollback<Te: TelemetryMode>(
-    tid: TextureId,
-    m: u32,
-    u: u32,
-    v: u32,
-    pt_index: u32,
-    l1_sub: u16,
-    tlb_hit: Option<bool>,
-    outcome: L2Outcome,
-    evicted_page: Option<u32>,
-    failed: Option<u32>,
-    l1_bytes: u64,
-    tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
-    l1: &mut L1TextureCache,
-    l2: &mut L2Cache,
-    current: &mut FrameCounters,
-    tel: &mut Te,
-) {
-    l2.fail_download(pt_index, l1_sub);
-    l1.invalidate(tid, m, u, v);
-    let served = degraded_probe(tables, dims, l2, tid, m, u, v);
-    if served {
-        current.degraded_taps += 1;
-        current.l2_local_bytes += l1_bytes;
-    } else {
-        current.dropped_taps += 1;
+impl<'a, Tl: TlbMode> MultiLevel<'a, Tl> {
+    pub(crate) fn new(
+        cfg: &EngineConfig,
+        tables: &'a TranslationTables,
+        dims: &'a MipDims,
+        l2: &'a mut L2Cache,
+        tlb: Tl,
+    ) -> Self {
+        let l1_bytes = cfg.l1.line_bytes() as u64;
+        Self {
+            l1_bytes,
+            dl_full_miss: if l2.config().sector_mapping {
+                l1_bytes
+            } else {
+                cfg.tiling.l2().cache_bytes() as u64
+            },
+            tables,
+            memo: TranslationMemo::default(),
+            dims,
+            l2,
+            tlb,
+        }
     }
-    tel.with(|t| {
-        t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-        match outcome {
-            L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-            L2Outcome::FullMiss => {
-                t.l2_full_misses.incr();
-                t.on_full_miss_sweep(l2.clock_stats());
-            }
-            L2Outcome::FullHit => unreachable!("full hits return above"),
-        }
-        if let Some(retries) = failed {
-            t.host_failed.incr();
-            t.host_retries.add(retries as u64);
-        }
+
+    /// A multi-level tap whose download did not arrive — the link `failed`
+    /// it after that many retries, or admission denied it (`None`): both
+    /// speculative installs are torn down and the tap is served from a
+    /// resident coarser mip (degraded) or dropped.
+    ///
+    /// A function of its own rather than a shared tail of the transfer
+    /// `match`: with the rollback out of the way of the delivered arm,
+    /// `city_miss_path` (every fifth tap misses the L1) replays ≈ 20 %
+    /// faster than with the two arms folded into one `Option<Transfer>`
+    /// match (DESIGN.md §9, measured).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn rollback<Te: TelemetryMode>(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        pt_index: u32,
+        l1_sub: u16,
+        tlb_hit: Option<bool>,
+        probe: &L2AccessTrace,
+        failed: Option<u32>,
+        l1: &mut L1TextureCache,
+        current: &mut FrameCounters,
+        tel: &mut Te,
+    ) {
+        self.l2.fail_download(pt_index, l1_sub);
+        l1.invalidate(tid, m, u, v);
+        let served = degraded_probe(self.tables, self.dims, self.l2, tid, m, u, v);
         if served {
-            t.degraded_taps.incr();
+            current.degraded_taps += 1;
+            current.l2_local_bytes += self.l1_bytes;
         } else {
-            t.dropped_taps.incr();
+            current.dropped_taps += 1;
         }
-        t.on_l1_rollback(tid, m, u, v);
-        t.on_l2_fault(pt_index as u64);
-    });
+        tel.with(|t| {
+            t.on_l2_access(pt_index as u64, tlb_hit, probe.outcome, probe.evicted_page);
+            match probe.outcome {
+                L2Outcome::PartialHit => t.l2_partial_hits.incr(),
+                L2Outcome::FullMiss => {
+                    t.l2_full_misses.incr();
+                    t.on_full_miss_sweep(self.l2.clock_stats());
+                }
+                L2Outcome::FullHit => unreachable!("full hits return above"),
+            }
+            if let Some(retries) = failed {
+                t.host_failed.incr();
+                t.host_retries.add(retries as u64);
+            }
+            if served {
+                t.degraded_taps.incr();
+            } else {
+                t.dropped_taps.incr();
+            }
+            t.on_l1_rollback(tid, m, u, v);
+            t.on_l2_fault(pt_index as u64);
+        });
+    }
+}
+
+/// A replay loop waiting for its levels and its sink: what [`Hierarchy`]
+/// instantiates once it has resolved both. Each loop shape is written
+/// once, generic over the architecture and the observers.
+pub(crate) trait Replay {
+    type Out;
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        lv: Lv,
+        tel: Te,
+        dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) -> Self::Out;
+}
+
+/// One engine's — or one service client's — hierarchy, borrowed for a
+/// replay: the dynamic form (`Option<L2>`, `Option<Tlb>`) that
+/// [`replay_under`](Self::replay_under) resolves into a [`Levels`] value.
+pub(crate) struct Hierarchy<'a> {
+    pub(crate) cfg: &'a EngineConfig,
+    pub(crate) tables: &'a TranslationTables,
+    pub(crate) dims: &'a MipDims,
+    pub(crate) l1: &'a mut L1TextureCache,
+    pub(crate) l2: Option<&'a mut L2Cache>,
+    pub(crate) tlb: Option<&'a mut RoundRobinTlb>,
+    pub(crate) host: &'a mut HostLink,
+    pub(crate) current: &'a mut FrameCounters,
+}
+
+impl Hierarchy<'_> {
+    /// Runs `replay` over this hierarchy under the sink `tel`: the one
+    /// place `(l2, tlb)` become a [`Levels`] value.
+    pub(crate) fn replay_under<Te: TelemetryMode, R: Replay>(self, tel: Te, replay: R) -> R::Out {
+        let (cfg, tables, dims) = (self.cfg, self.tables, self.dims);
+        match (self.l2, self.tlb) {
+            (None, _) => replay.run(Pull::new(cfg), tel, dims, self.l1, self.host, self.current),
+            (Some(l2), None) => {
+                let lv = MultiLevel::new(cfg, tables, dims, l2, TlbOff);
+                replay.run(lv, tel, dims, self.l1, self.host, self.current)
+            }
+            (Some(l2), Some(tlb)) => {
+                let lv = MultiLevel::new(cfg, tables, dims, l2, TlbOn(tlb));
+                replay.run(lv, tel, dims, self.l1, self.host, self.current)
+            }
+        }
+    }
+
+    /// Runs `replay` with telemetry attached or not, untimed.
+    pub(crate) fn replay_observed<R: Replay>(
+        self,
+        tel: Option<&mut EngineTelemetry>,
+        replay: R,
+    ) -> R::Out {
+        match tel {
+            None => self.replay_under(TelOff, replay),
+            Some(t) => self.replay_under(TelOn(t), replay),
+        }
+    }
+
+    /// Runs `replay` under the sink the attached observers call for: with
+    /// [`replay_observed`](Self::replay_observed), the one place
+    /// `(telemetry, timing)` become a [`TelemetryMode`].
+    pub(crate) fn replay<R: Replay>(
+        self,
+        tel: Option<&mut EngineTelemetry>,
+        timing: Option<&mut TimingSim>,
+        replay: R,
+    ) -> R::Out {
+        match timing {
+            None => self.replay_observed(tel, replay),
+            Some(sim) => self.replay_observed(tel, UnderTimed { sim, replay }),
+        }
+    }
+}
+
+/// `replay` with its sink wrapped in [`Timed`].
+struct UnderTimed<'a, R> {
+    sim: &'a mut TimingSim,
+    replay: R,
+}
+
+impl<R: Replay> Replay for UnderTimed<'_, R> {
+    type Out = R::Out;
+
+    fn run<Lv: Levels, Te: TelemetryMode>(
+        self,
+        lv: Lv,
+        tel: Te,
+        dims: &MipDims,
+        l1: &mut L1TextureCache,
+        host: &mut HostLink,
+        current: &mut FrameCounters,
+    ) -> R::Out {
+        let tel = Timed::new(tel, self.sim, Lv::HAS_L2);
+        self.replay.run(lv, tel, dims, l1, host, current)
+    }
 }
 
 /// Read-only search for the nearest coarser mip level whose covering texel
-/// is resident in L2 (graceful degradation after a failed download). Shared
-/// by the slow and fast paths; geometry comes from the precomputed layout
-/// tables instead of a full `translate` per candidate level.
+/// is resident in L2 (graceful degradation after a failed download);
+/// geometry comes from the precomputed layout tables instead of a full
+/// `translate` per candidate level.
 #[inline]
 pub(crate) fn degraded_probe(
     tables: &TranslationTables,
-    dims: &[Option<Vec<(u32, u32)>>],
+    dims: &MipDims,
     l2: &L2Cache,
     tid: TextureId,
     m: u32,

@@ -2,9 +2,11 @@
 //! records into when a [`Recorder`] is attached.
 //!
 //! The overhead contract (see `mltc-telemetry`): the engine stores
-//! `Option<Box<EngineTelemetry>>`, so with telemetry detached every dynamic
-//! path through `access_texel` pays exactly one not-taken branch, and
-//! attached or not, telemetry only *observes* — `FrameCounters`, cache and
+//! `Option<Box<EngineTelemetry>>`, resolved into a compile-time sink
+//! (`crate::tap`: `TelOn` / `TelOff`) once per replay call — once per
+//! access on the per-access entry — so with telemetry detached the tap
+//! body carries no telemetry code, and attached or not, telemetry only
+//! *observes* — `FrameCounters`, cache and
 //! RNG state are bit-identical either way.
 //!
 //! Naming: histograms are keyed per workload *group* (so the parallel

@@ -1,8 +1,9 @@
 //! Property tests for the non-blocking timing overlay: MSHR invariants,
 //! link byte conservation, bandwidth accounting, prefetch bookkeeping,
 //! — the contract everything else rests on — behavioral bit-identity
-//! with the untimed engine, and cycle-for-cycle identity of the wide frame
-//! loops' timing sink with the per-tap reference feed.
+//! with the untimed engine, and cycle-for-cycle identity of the frame
+//! loops' timing sink (wide and prepared entries) with the per-tap
+//! reference feed.
 //!
 //! Streams are shaped from raw integer tuples exactly like the oracle
 //! property suite (the vendored proptest supports basic strategies
@@ -10,7 +11,8 @@
 //! (lockstep, blocking, bandwidth-starved, deep lookahead).
 
 use mltc_core::{
-    EngineConfig, FaultPlan, L1Config, L2Config, LatencyModel, ReplacementPolicy, SimEngine,
+    EngineConfig, FaultPlan, FramePrep, L1Config, L2Config, LatencyModel, PreparedFrame,
+    ReplacementPolicy, SimEngine,
 };
 use mltc_texture::{synth, MipPyramid, TextureId, TextureRegistry};
 use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
@@ -161,9 +163,10 @@ fn sink_config(levels: u8, lossy: bool) -> EngineConfig {
 }
 
 /// Replays `frames` timed through the per-tap reference
-/// (`try_run_frame_as_traced`) and through both entry points that ride the
-/// wide frame loops, requires every timing statistic to agree, and returns
-/// the reference's `(l1_merges, l2_merges, structural stalls)`.
+/// (`try_run_frame_as_traced`) and through every entry point that runs
+/// under the timing sink — the two that ride the wide frame loop and the
+/// prepared-lanes loop — requires every timing statistic to agree, and
+/// returns the reference's `(l1_merges, l2_merges, structural stalls)`.
 fn sink_equals_reference(
     cfg: EngineConfig,
     model: LatencyModel,
@@ -171,7 +174,8 @@ fn sink_equals_reference(
     frames: &[FrameTrace],
 ) -> Result<(u64, u64, u64), TestCaseError> {
     let reg = registry();
-    let run = |entry: fn(&mut SimEngine, &FrameTrace, FilterMode)| {
+    let prep = FramePrep::new(&cfg, &reg);
+    let run = |entry: &dyn Fn(&mut SimEngine, &FrameTrace, FilterMode)| {
         let mut e = SimEngine::new(cfg, &reg);
         e.attach_timing(model);
         for t in frames {
@@ -179,11 +183,16 @@ fn sink_equals_reference(
         }
         e
     };
-    let reference = run(|e, t, f| e.try_run_frame_as_traced(t, f).unwrap());
+    let reference = run(&|e, t, f| e.try_run_frame_as_traced(t, f).unwrap());
     let rt = reference.timing().expect("timing attached");
     for wide in [
-        run(|e, t, f| e.try_run_frame_as(t, f).unwrap()),
-        run(|e, t, f| e.try_run_frame_as_batched(t, f).unwrap()),
+        run(&|e, t, f| e.try_run_frame_as(t, f).unwrap()),
+        run(&|e, t, f| e.try_run_frame_as_batched(t, f).unwrap()),
+        run(&|e, t, f| {
+            let mut lanes = PreparedFrame::default();
+            prep.prepare(f, t.requests.iter().copied(), &mut lanes);
+            e.try_run_frame_prepared(&lanes).unwrap()
+        }),
     ] {
         let wt = wide.timing().expect("timing attached");
         prop_assert_eq!(wide.frames(), reference.frames());
@@ -240,8 +249,9 @@ fn sink_harness_reaches_merges_and_structural_stalls() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// With timing attached the frame entry points hand the overlay whole
-    /// all-hit fragments and coalesced hit runs; the per-tap reference
+    /// With timing attached the frame entry points — wide and prepared —
+    /// hand the overlay whole all-hit fragments and coalesced hit runs; the
+    /// per-tap reference
     /// packs, scans and queues every tap on its own. Whatever the model,
     /// hierarchy, link and filter, the two agree on every timing
     /// statistic: totals, per-frame deltas, peak and mean occupancy,

@@ -8,9 +8,10 @@
 
 use mltc_core::{
     AccessTrace, EngineConfig, FaultPlan, FrameCounters, L1Config, L2Config, L2Outcome,
-    LatencyModel, ReplacementPolicy, SimEngine,
+    LatencyModel, ReplacementPolicy, SimEngine, TelemetryOpts,
 };
 use mltc_oracle::{expand_frame, DiffHarness, OracleEngine, TexelAccess};
+use mltc_telemetry::Recorder;
 use mltc_texture::{synth, MipPyramid, TextureId, TextureRegistry};
 use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
 use proptest::prelude::*;
@@ -438,6 +439,79 @@ proptest! {
         let harness = DiffHarness::new(cfg, &reg).unwrap().with_timing(model);
         if let Err(div) = harness.replay(&stream) {
             prop_assert!(false, "timing divergence under {}: {div}", model.label());
+        }
+    }
+
+    /// Observers stacked on the per-access entry stay observe-only. The
+    /// harness drives `access_texel_traced` bare or timed, never with
+    /// telemetry, so this is where the trace sink wraps a recording sink:
+    /// over a pull, a multi-level and a fault-injected configuration with
+    /// counters and 3C attribution attached, timed and untimed, every
+    /// per-tap trace equals the oracle's and the bare engine's, and the
+    /// recorder ends up holding what `replay_taps` — the tap-slice loop, no
+    /// trace sink — records of the same stream.
+    #[test]
+    fn stacked_observers_stay_observe_only_on_the_per_access_entry(
+        raw in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..100),
+        retouch in any::<bool>(),
+        policy_sel in any::<u8>(),
+        tlb_sel in any::<u8>(),
+        sector in any::<bool>(),
+        model_sel in any::<u8>(),
+        latency_raw in any::<u8>(),
+        depth_raw in any::<u8>(),
+    ) {
+        let reg = registry();
+        let stream = shape_stream(&raw, retouch);
+        let taps: Vec<(u32, u32, u32, u32)> = stream.iter().map(|a| (a.tid, a.m, a.u, a.v)).collect();
+        let model = timing_model(model_sel, latency_raw, depth_raw);
+        let observed = |cfg, rec: &Recorder| {
+            let mut e = SimEngine::new(cfg, &reg);
+            let opts = TelemetryOpts { attribution: true, ..TelemetryOpts::default() };
+            e.attach_telemetry_opts(rec, "stacked", "prop", opts);
+            e
+        };
+        for (l2_sel, fault_sel) in [(0, 0), (1, 0), (2, 1)] {
+            let cfg = config(l2_sel, policy_sel, tlb_sel, sector, fault_sel);
+            let mut bare = SimEngine::new(cfg, &reg);
+            let mut oracle = OracleEngine::new(cfg, &reg);
+            let want: Vec<AccessTrace> = stream
+                .iter()
+                .map(|a| {
+                    let tid = TextureId::from_index(a.tid);
+                    let t = bare.access_texel_traced(tid, a.m, a.u, a.v);
+                    assert_eq!(t, oracle.access_texel(tid, a.m, a.u, a.v), "bare engine vs oracle");
+                    t
+                })
+                .collect();
+            bare.end_frame();
+            let rec_taps = Recorder::enabled();
+            let mut by_taps = observed(cfg, &rec_taps);
+            by_taps.replay_taps(&taps);
+            by_taps.end_frame();
+            let want_rec = rec_taps.snapshot();
+            prop_assert_eq!(want_rec.counters["engine/prop/l1_hits"], bare.totals().l1_hits);
+
+            for timed in [false, true] {
+                let rec = Recorder::enabled();
+                let mut e = observed(cfg, &rec);
+                if timed {
+                    e.attach_timing(model);
+                }
+                for (i, a) in stream.iter().enumerate() {
+                    let t = e.access_texel_traced(TextureId::from_index(a.tid), a.m, a.u, a.v);
+                    prop_assert_eq!(t, want[i], "access {} under {:?}, timed {}", i, cfg, timed);
+                }
+                e.end_frame();
+                prop_assert_eq!(e.frames(), bare.frames());
+                let got = rec.snapshot();
+                prop_assert_eq!(&got.counters, &want_rec.counters, "counters, timed {}", timed);
+                prop_assert_eq!(&got.hists, &want_rec.hists, "histograms, timed {}", timed);
+                prop_assert_eq!(&got.heatmaps, &want_rec.heatmaps, "heat maps, timed {}", timed);
+                prop_assert_eq!(&got.gauges, &want_rec.gauges, "gauges, timed {}", timed);
+                prop_assert_eq!(&got.series, &want_rec.series, "per-frame series, timed {}", timed);
+            }
         }
     }
 }

@@ -3,14 +3,27 @@
 #
 #   scripts/kernel_identity.sh <parent-binary> <change-binary>
 #
-# Disassembles both binaries, normalises every instantiation of
-# `replay_ml_batched` / `replay_pull_batched` (addresses, symbol hashes,
-# rip-relative operands and trailing alignment padding removed) and
-# compares the two sets of bodies. Symbol hashes differ between checkouts,
-# so instantiations are matched by body, not by name: a parent body that
-# appears in the change is identical; the rest are paired by instruction
-# count within their kind and listed with their instruction delta.
-# Instantiations only the change has (a new mode) are counted as added.
+# Disassembles both binaries, normalises every instantiation of the wide
+# frame loop (addresses, symbol hashes, rip-relative operands and trailing
+# alignment padding removed) and compares the two sets of bodies. The loop
+# is `batch::wide_frame_loop`, generic over the architecture; before the
+# two architectures shared one loop it was the pair `replay_ml_batched` /
+# `replay_pull_batched`, and a binary of either vintage is understood.
+#
+# The legacy symbol mangling drops type parameters, so each instantiation
+# is named from the `DW_AT_name` its debug info gives the symbol and
+# reduced to the same five facts whichever vintage it is: filter, request
+# iterator, levels (`pull`, `ml TlbOff`, `ml TlbOn` — the old pair's name
+# plus its TLB parameter, or the merged loop's `tap::Pull` /
+# `tap::MultiLevel<..>` parameter), sink and admission mode. Symbol hashes
+# differ between checkouts, so identity is decided by body, not by name: a
+# parent body that appears in the change is identical. The rest are paired
+# with the change's instantiation of the same five facts — so a pull loop
+# is only ever compared with a pull loop, a `Timed<TelOn>` one with a
+# `Timed<TelOn>` one — and listed with their instruction delta; a symbol
+# without debug info falls back to its kind (pull or multi-level) and the
+# nearest instruction count. Instantiations only the change has (a new
+# mode) are counted as added.
 #
 # Exit status: 0 when every parent instantiation has an identical body in
 # the change, 1 otherwise, 2 on usage errors. ROADMAP item 1 makes this an
@@ -25,10 +38,17 @@ fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-objdump -d --no-show-raw-insn "$1" >"$tmp/parent.s"
-objdump -d --no-show-raw-insn "$2" >"$tmp/change.s"
+kernels='replay_ml_batched\|replay_pull_batched\|wide_frame_loop'
+for side in parent change; do
+    objdump -d --no-show-raw-insn "$1" >"$tmp/$side.s"
+    # `DW_AT_linkage_name` is followed by `DW_AT_name`, which spells the
+    # type parameters out.
+    objdump --dwarf=info "$1" 2>/dev/null |
+        grep -A1 "DW_AT_linkage_name.*\($kernels\)17h" >"$tmp/$side.dwarf" || true
+    shift
+done
 
-python3 - "$tmp/parent.s" "$tmp/change.s" <<'EOF'
+python3 - "$tmp/parent" "$tmp/change" <<'EOF'
 import collections
 import re
 import signal
@@ -36,16 +56,58 @@ import sys
 
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # `| head` is not an error
 
-KERNELS = ("replay_ml_batched", "replay_pull_batched")
+# Symbol-name fragment -> kind; `None` = the levels parameter says.
+KERNELS = {"replay_ml_batched": "ml", "replay_pull_batched": "pull", "wide_frame_loop": None}
 HEAD = re.compile(r"^[0-9a-f]+ <(.+)>:$")
 # Per-build symbol decoration: the legacy mangling's hash and the suffix
 # thin LTO gives a promoted local symbol.
 HASH = re.compile(r"17h[0-9a-f]{16}E|\.llvm\.[0-9]+")
+LTO_SUFFIX = re.compile(r"\.llvm\.[0-9]+")
 PADDING = re.compile(r"^(nop|int3|xchg\s+%ax,%ax|(data16 |cs )*nopw?\b.*)$")
+PATH = re.compile(r"\b(?:\w+::)+")
 
 
-def kernels(path):
-    """(kind, normalised body) of every wide-loop instantiation in `path`."""
+def type_parameters(name):
+    """Top-level generic arguments of a `DW_AT_name`, module paths dropped."""
+    args, depth, start = [], 0, name.index("<") + 1
+    for i, c in enumerate(name):
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+            if depth == 0:
+                args.append(name[start:i])
+        elif c == "," and depth == 1:
+            args.append(name[start:i])
+            start = i + 1
+    return [PATH.sub("", a.strip()) for a in args]
+
+
+def instantiations(path):
+    """Mangled symbol -> (kind, instantiation), from the debug info."""
+    found, symbol = {}, None
+    for line in open(path, errors="replace"):
+        value = line.rsplit("): ", 1)[-1].strip()
+        if "DW_AT_linkage_name" in line:
+            symbol = value
+        elif "DW_AT_name" in line and symbol and "<" in value:
+            args = type_parameters(value)
+            kind = next(v for k, v in KERNELS.items() if k in symbol)
+            if kind == "pull":  # <F, I, Te, Ad>
+                levels, rest = "pull", args[2:]
+            elif kind == "ml":  # <F, I, Tl, Te, Ad>
+                levels, rest = "ml " + args[2], args[3:]
+            else:  # <F, I, Lv, Te, Ad>
+                inner = re.fullmatch(r"MultiLevel<(.+)>", args[2])
+                levels, rest = ("ml " + inner.group(1) if inner else "pull"), args[3:]
+            found[symbol] = (levels.split()[0], (args[0], args[1], levels, *rest))
+            symbol = None
+    return found
+
+
+def kernels(stem):
+    """(kind, instantiation or None, body) of every wide-loop symbol of a side."""
+    named = instantiations(stem + ".dwarf")
     out, name, body = [], None, []
 
     def close():
@@ -53,10 +115,13 @@ def kernels(path):
             return
         while body and PADDING.match(body[-1]):
             body.pop()
-        kind = next(k for k in KERNELS if k in name)
-        out.append((kind, tuple(body)))
+        kind, inst = named.get(LTO_SUFFIX.sub("", name), (None, None))
+        kind = kind or next(v for k, v in KERNELS.items() if k in name)
+        if kind is None:
+            sys.exit(f"no debug info names the type parameters of {name}")
+        out.append((kind, inst, tuple(body)))
 
-    for line in open(path, errors="replace"):
+    for line in open(stem + ".s", errors="replace"):
         line = line.rstrip("\n")
         m = HEAD.match(line)
         if m:
@@ -79,33 +144,47 @@ def kernels(path):
 
 parent, change = kernels(sys.argv[1]), kernels(sys.argv[2])
 if not parent or not change:
-    sys.exit("no replay_ml_batched/replay_pull_batched symbols found (stripped binary?)")
+    sys.exit("no wide frame loop symbols found (stripped binary?)")
 
-left = collections.Counter(change)
+left = collections.Counter(body for _, _, body in change)
 differing = []
 for k in parent:
-    if left[k] > 0:
-        left[k] -= 1
+    if left[k[2]] > 0:
+        left[k[2]] -= 1
     else:
         differing.append(k)
 identical = len(parent) - len(differing)
-unmatched = sorted((kind, len(body)) for (kind, body), n in left.items() for _ in range(n))
+unmatched = []
+for k in change:
+    if left[k[2]] > 0:
+        left[k[2]] -= 1
+        unmatched.append(k)
+
+
+def label(kind, inst):
+    return f"<{', '.join(inst)}>" if inst else kind
+
 
 print(f"wide-loop instantiations: parent {len(parent)}, change {len(change)}")
 print(f"identical to the parent's: {identical} of {len(parent)}")
 print(f"differing: {len(differing)}")
-for kind, body in sorted(differing, key=lambda k: (k[0], len(k[1]))):
-    # Nearest unmatched change body of the same kind, by instruction count.
+for kind, inst, body in sorted(differing, key=lambda k: (k[0], k[1] or (), len(k[2]))):
+    # The change's instantiation of the same facts; failing that, the
+    # nearest unmatched one of the same kind by instruction count.
+    same = [u for u in unmatched if inst and u[1] == inst]
     near = min(
-        (u for u in unmatched if u[0] == kind),
-        key=lambda u: abs(u[1] - len(body)),
+        same or (u for u in unmatched if u[0] == kind and not (inst and u[1])),
+        key=lambda u: abs(len(u[2]) - len(body)),
         default=None,
     )
     if near is None:
-        print(f"  {kind}: {len(body)} instructions -> gone")
+        print(f"  {label(kind, inst)}: {len(body)} instructions -> gone")
         continue
     unmatched.remove(near)
-    print(f"  {kind}: {len(body)} -> {near[1]} instructions ({near[1] - len(body):+d})")
+    n = len(near[2])
+    print(f"  {label(kind, inst)}: {len(body)} -> {n} instructions ({n - len(body):+d})")
 print(f"added by the change: {len(unmatched)}")
+for kind, inst, body in sorted(unmatched, key=lambda k: (k[0], k[1] or (), len(k[2]))):
+    print(f"  {label(kind, inst)}: {len(body)} instructions")
 sys.exit(1 if differing else 0)
 EOF
