@@ -32,7 +32,7 @@
 //! malformed current report or bad usage — CI must notice when the run
 //! under test stopped producing bench records at all.
 
-use mltc_oracle::Json;
+use mltc_telemetry::Json;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -68,20 +68,23 @@ struct Run {
 }
 
 impl Run {
-    fn json(&self) -> String {
-        let model = self
-            .model_err
-            .map(|e| format!(",\"model_mean_abs_err\":{e:.6}"))
-            .unwrap_or_default();
-        let reused = self
-            .passes_reused
-            .map(|n| format!(",\"l1_passes_reused\":{n:.0}"))
-            .unwrap_or_default();
-        format!(
-            "{{\"taps_per_sec\":{:.0},\"wall_seconds\":{:.3},\"scale\":\"{}\"{reused}{model}}}",
-            self.taps_per_sec, self.wall_seconds, self.scale
-        )
+    fn json(&self) -> Json {
+        let mut fields = vec![
+            ("taps_per_sec", Json::fixed(self.taps_per_sec, 0)),
+            ("wall_seconds", Json::fixed(self.wall_seconds, 3)),
+            ("scale", Json::Str(self.scale.clone())),
+        ];
+        let reused = self.passes_reused.map(|n| Json::fixed(n, 0));
+        fields.extend(reused.map(|n| ("l1_passes_reused", n)));
+        let model_err = self.model_err.map(|e| Json::fixed(e, 6));
+        fields.extend(model_err.map(|e| ("model_mean_abs_err", e)));
+        Json::obj(fields)
     }
+}
+
+/// A verdict's (or one of its fragments') `"verdict"` field.
+fn verdict(word: &str) -> (&'static str, Json) {
+    ("verdict", Json::Str(word.to_string()))
 }
 
 /// Parses every run of one bench report. Any shape problem is reported as
@@ -124,10 +127,13 @@ fn parse_runs(path: &str) -> Result<Vec<Run>, String> {
     Ok(out)
 }
 
-fn emit(verdict: &str, out: Option<&str>) {
-    println!("{verdict}");
+/// Prints the verdict object as one line and, with `--out`, writes the same
+/// line to a file.
+fn emit(verdict: Json, out: Option<&str>) {
+    let line = verdict.render_compact();
+    println!("{line}");
     if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, format!("{verdict}\n")) {
+        if let Err(e) = std::fs::write(path, format!("{line}\n")) {
             eprintln!("bench-sentinel: writing {path}: {e}");
         }
     }
@@ -179,7 +185,7 @@ fn main() -> ExitCode {
         Ok(mut runs) => runs.pop().expect("parse_runs rejects empty"),
         Err(e) => {
             emit(
-                &format!("{{\"verdict\":\"error\",\"reason\":\"{}\"}}", esc(&e)),
+                Json::obj([verdict("error"), ("reason", Json::Str(e))]),
                 out.as_deref(),
             );
             return ExitCode::from(2);
@@ -191,11 +197,11 @@ fn main() -> ExitCode {
         Ok(runs) => runs,
         Err(e) => {
             emit(
-                &format!(
-                    "{{\"verdict\":\"no-baseline\",\"reason\":\"{}\",\"current\":{}}}",
-                    esc(&e),
-                    cur.json()
-                ),
+                Json::obj([
+                    verdict("no-baseline"),
+                    ("reason", Json::Str(e)),
+                    ("current", cur.json()),
+                ]),
                 out.as_deref(),
             );
             return ExitCode::SUCCESS;
@@ -227,40 +233,37 @@ fn main() -> ExitCode {
             let ok = growth_pp <= model_threshold;
             (
                 ok,
-                format!(
-                    ",\"model\":{{\"verdict\":\"{}\",\"mean_abs_err\":{:.6},\
-                     \"baseline_err\":{:.6},\"growth_pp\":{:.3},\"threshold_pp\":{:.3}}}",
-                    if ok { "pass" } else { "regression" },
-                    c,
-                    b,
-                    growth_pp,
-                    model_threshold
-                ),
+                Json::obj([
+                    verdict(if ok { "pass" } else { "regression" }),
+                    ("mean_abs_err", Json::fixed(c, 6)),
+                    ("baseline_err", Json::fixed(b, 6)),
+                    ("growth_pp", Json::fixed(growth_pp, 3)),
+                    ("threshold_pp", Json::fixed(model_threshold, 3)),
+                ]),
             )
         }
         (Some(c), None) => (
             true,
-            format!(",\"model\":{{\"verdict\":\"no-baseline\",\"mean_abs_err\":{c:.6}}}"),
+            Json::obj([verdict("no-baseline"), ("mean_abs_err", Json::fixed(c, 6))]),
         ),
         (None, _) => {
             eprintln!("bench-sentinel: current run carries no model fragment (explore not run)");
-            (true, ",\"model\":{\"verdict\":\"skipped\"}".to_string())
+            (true, Json::obj([verdict("skipped")]))
         }
     };
     emit(
-        &format!(
-            "{{\"verdict\":\"{}\",\"delta_pct\":{:.1},\"threshold_pct\":{:.1},\
-             \"baseline\":{},\"current\":{}{model_json}}}",
-            if pass && model_verdict {
+        Json::obj([
+            verdict(if pass && model_verdict {
                 "pass"
             } else {
                 "regression"
-            },
-            delta,
-            threshold,
-            base.json(),
-            cur.json()
-        ),
+            }),
+            ("delta_pct", Json::fixed(delta, 1)),
+            ("threshold_pct", Json::fixed(threshold, 1)),
+            ("baseline", base.json()),
+            ("current", cur.json()),
+            ("model", model_json),
+        ]),
         out.as_deref(),
     );
     if !pass {
@@ -285,9 +288,4 @@ fn main() -> ExitCode {
 fn err_usage(msg: &str) -> ExitCode {
     eprintln!("bench-sentinel: {msg}");
     usage()
-}
-
-/// Minimal JSON string escape for embedding error text in the verdict.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }

@@ -21,7 +21,8 @@ use mltc_experiments::{
     TraceStore, EXPERIMENTS,
 };
 use mltc_raster::Traversal;
-use mltc_telemetry::{export, Recorder};
+use mltc_telemetry::{export, Json, Recorder};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -302,11 +303,8 @@ fn main() -> ExitCode {
             }
         }
         if let Some(file) = &trace_events {
-            let written = std::fs::File::create(file).and_then(|f| {
-                let mut w = std::io::BufWriter::new(f);
-                export::write_chrome_trace(&snap, &mut w)
-            });
-            match written {
+            let events = mltc_telemetry::chrome_trace_json(&snap.spans);
+            match std::fs::write(file, events.render_compact()) {
                 Ok(()) => println!(
                     "### trace events: {} ({} spans, {} dropped) — load in chrome://tracing",
                     file.display(),
@@ -319,26 +317,26 @@ fn main() -> ExitCode {
         export::summaries_json(&snap)
     });
     // The explore experiment writes model_summary.json next to its CSVs;
-    // embed it (minified) only when explore actually ran this invocation,
-    // so a stale file from an earlier run can never masquerade as fresh.
+    // embed it only when explore actually ran this invocation, so a stale
+    // file from an earlier run can never masquerade as fresh.
     let model_json = timings
         .iter()
         .any(|(id, _)| id == "explore")
         .then(|| std::fs::read_to_string(Path::new(&out_dir).join("model_summary.json")).ok())
         .flatten()
-        .map(|s| s.chars().filter(|c| !c.is_whitespace()).collect::<String>());
+        .and_then(|s| Json::parse(&s).ok());
     let bench = Path::new(&out_dir).join("BENCH_experiments.json");
-    if let Err(e) = append_bench_run(
-        &bench,
+    let run = bench_run(
         &scale,
         wall,
         path_name,
         &timings,
         &stats,
         (frag_rate, tap_rate),
-        telemetry_json.as_deref(),
-        model_json.as_deref(),
-    ) {
+        telemetry_json,
+        model_json,
+    );
+    if let Err(e) = append_bench_run(&bench, run) {
         eprintln!("could not write {}: {e}", bench.display());
     } else {
         println!("### bench report: {}", bench.display());
@@ -462,91 +460,92 @@ fn prefetch_for(store: &TraceStore, scale: &Scale, id: &str) {
     }
 }
 
-/// Appends one run record to `BENCH_experiments.json`, a hand-rolled
-/// `{"schema":1,"runs":[...]}` document (the repo has no JSON dependency).
-/// `rates` carries the already-computed `(fragments_per_sec,
-/// taps_per_sec)` so the record can never disagree with the printed
-/// summary.
+/// One run record of `BENCH_experiments.json`. `rates` carries the
+/// already-computed `(fragments_per_sec, taps_per_sec)` so the record can
+/// never disagree with the printed summary.
 #[allow(clippy::too_many_arguments)]
-fn append_bench_run(
-    path: &Path,
+fn bench_run(
     scale: &Scale,
     wall_seconds: f64,
     replay_path: &str,
     timings: &[(String, f64)],
     stats: &mltc_experiments::StoreStats,
     rates: (f64, f64),
-    telemetry_json: Option<&str>,
-    model_json: Option<&str>,
-) -> std::io::Result<()> {
+    telemetry: Option<Json>,
+    model: Option<Json>,
+) -> Json {
     let (frag_rate, tap_rate) = rates;
-    let mut run = format!(
-        "{{\"scale\":\"{}\",\"wall_seconds\":{:.3},\"replay_path\":\"{}\",\"experiments\":[",
-        scale.name, wall_seconds, replay_path
-    );
-    for (i, (id, secs)) in timings.iter().enumerate() {
-        if i > 0 {
-            run.push(',');
-        }
-        run.push_str(&format!("{{\"id\":\"{id}\",\"seconds\":{secs:.3}}}"));
-    }
-    run.push_str(&format!(
-        "],\"store\":{{\"renders\":{},\"mem_hits\":{},\"disk_hits\":{},\
-         \"frames_rendered\":{},\"fragments_rasterized\":{},\
-         \"fragments_per_sec\":{:.0},\"render_seconds\":{:.3},\
-         \"taps_simulated\":{},\"taps_per_sec\":{:.0},\"sim_seconds\":{:.3},\
-         \"taps_counted\":\"answered (configurations x trace taps)\",\
-         \"l1_passes\":{},\"l1_shared_members\":{},\
-         \"l1_passes_reused\":{},\"pass_bytes\":{},\
-         \"bytes_written\":{},\"bytes_read\":{},\"corrupt_files\":{},\
-         \"stale_files\":{},\"io_errors\":{},\"evictions\":{},\"spills\":{},\
-         \"resident_bytes\":{},\"healed_files\":{},\"build_stalls\":{}}}",
-        stats.renders,
-        stats.mem_hits,
-        stats.disk_hits,
-        stats.frames_rendered,
-        stats.fragments_rasterized,
-        frag_rate,
-        stats.render_nanos as f64 / 1e9,
-        stats.taps_simulated,
-        tap_rate,
-        stats.sim_nanos as f64 / 1e9,
-        stats.l1_passes,
-        stats.l1_shared_members,
-        stats.l1_passes_reused,
-        stats.pass_bytes,
-        stats.bytes_written,
-        stats.bytes_read,
-        stats.corrupt_files,
-        stats.stale_files,
-        stats.io_errors,
-        stats.evictions,
-        stats.spills,
-        stats.resident_bytes,
-        stats.healed_files,
-        stats.build_stalls,
-    ));
-    if let Some(summary) = telemetry_json {
-        run.push_str(&format!(",\"telemetry\":{summary}"));
-    }
-    if let Some(model) = model_json {
-        run.push_str(&format!(",\"model\":{model}"));
-    }
-    run.push('}');
-
-    const HEAD: &str = "{\"schema\":1,\"runs\":[";
-    const TAIL: &str = "]}";
-    let content = match std::fs::read_to_string(path) {
-        Ok(s) if s.starts_with(HEAD) && s.trim_end().ends_with(TAIL) => {
-            let trimmed = s.trim_end();
-            let body = &trimmed[..trimmed.len() - TAIL.len()];
-            if body.ends_with('[') {
-                format!("{body}{run}{TAIL}")
-            } else {
-                format!("{body},{run}{TAIL}")
-            }
-        }
-        _ => format!("{HEAD}{run}{TAIL}"),
+    let (n, str) = (Json::Num, |s: &str| Json::Str(s.to_string()));
+    let secs = |nanos: u64| Json::fixed(nanos as f64 / 1e9, 3);
+    let timing = |(id, secs): &(String, f64)| {
+        Json::obj([("id", str(id)), ("seconds", Json::fixed(*secs, 3))])
     };
-    std::fs::write(path, content)
+    let counted = str("answered (configurations x trace taps)");
+    let store = Json::obj([
+        ("renders", n(stats.renders)),
+        ("mem_hits", n(stats.mem_hits)),
+        ("disk_hits", n(stats.disk_hits)),
+        ("frames_rendered", n(stats.frames_rendered)),
+        ("fragments_rasterized", n(stats.fragments_rasterized)),
+        ("fragments_per_sec", Json::fixed(frag_rate, 0)),
+        ("render_seconds", secs(stats.render_nanos)),
+        ("taps_simulated", n(stats.taps_simulated)),
+        ("taps_per_sec", Json::fixed(tap_rate, 0)),
+        ("sim_seconds", secs(stats.sim_nanos)),
+        ("taps_counted", counted),
+        ("l1_passes", n(stats.l1_passes)),
+        ("l1_shared_members", n(stats.l1_shared_members)),
+        ("l1_passes_reused", n(stats.l1_passes_reused)),
+        ("pass_bytes", n(stats.pass_bytes)),
+        ("bytes_written", n(stats.bytes_written)),
+        ("bytes_read", n(stats.bytes_read)),
+        ("corrupt_files", n(stats.corrupt_files)),
+        ("stale_files", n(stats.stale_files)),
+        ("io_errors", n(stats.io_errors)),
+        ("evictions", n(stats.evictions)),
+        ("spills", n(stats.spills)),
+        ("resident_bytes", n(stats.resident_bytes)),
+        ("healed_files", n(stats.healed_files)),
+        ("build_stalls", n(stats.build_stalls)),
+    ]);
+    let experiments = Json::Arr(timings.iter().map(timing).collect());
+    let mut fields = vec![
+        ("scale", str(scale.name)),
+        ("wall_seconds", Json::fixed(wall_seconds, 3)),
+        ("replay_path", str(replay_path)),
+        ("experiments", experiments),
+        ("store", store),
+    ];
+    fields.extend(telemetry.map(|t| ("telemetry", t)));
+    fields.extend(model.map(|m| ("model", m)));
+    Json::obj(fields)
+}
+
+/// Appends `run` to the report at `path` (`{"schema":1,"runs":[...]}`). A
+/// report that parses keeps its runs and every other top-level key it
+/// carries (the committed file's `note`); anything else found there is
+/// reported on stderr and replaced.
+fn append_bench_run(path: &Path, run: Json) -> std::io::Result<()> {
+    let fresh = || {
+        let fields = [("schema", Json::Num(1)), ("runs", Json::Arr(vec![]))];
+        BTreeMap::from(fields.map(|(k, v)| (k.to_string(), v)))
+    };
+    let found = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Json::Obj(fresh())),
+        Err(e) => Err(e.to_string()),
+        Ok(text) => Json::parse(&text).map_err(|e| e.to_string()),
+    };
+    let mut report = match found {
+        Ok(Json::Obj(m)) if matches!(m.get("runs"), Some(Json::Arr(_))) => m,
+        other => {
+            let why = other.err().unwrap_or("no \"runs\" array".to_string());
+            let name = path.display();
+            eprintln!("{name}: not a bench report ({why}); replacing it");
+            fresh()
+        }
+    };
+    if let Some(Json::Arr(runs)) = report.get_mut("runs") {
+        runs.push(run);
+    }
+    std::fs::write(path, Json::Obj(report).render())
 }

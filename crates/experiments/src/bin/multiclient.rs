@@ -26,9 +26,10 @@
 use mltc_core::{FaultPlan, L2PartitionMode, ServiceConfig};
 use mltc_experiments::{
     collect_frames, experiment_service_config, run_multi_client, solo_baseline,
-    solo_baseline_scalar, ClientSpec, MultiClientConfig, Scale, TraceStore,
+    solo_baseline_scalar, ClientReport, ClientSpec, MultiClientConfig, MultiClientReport, Scale,
+    TraceStore,
 };
-use mltc_telemetry::{export, Recorder};
+use mltc_telemetry::{export, Json, Recorder};
 use mltc_trace::FilterMode;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -61,8 +62,44 @@ fn burst_plan() -> FaultPlan {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The machine-readable summary (`multiclient_chaos.json`). A healthy
+/// client has no `quarantined` field.
+fn chaos_summary(
+    scale: &str,
+    partition: L2PartitionMode,
+    report: &MultiClientReport,
+    divergent: &[u32],
+    gate_failures: &[String],
+) -> Json {
+    let ids = |ids: &[u32]| Json::Arr(ids.iter().map(|&i| Json::Num(i.into())).collect());
+    let client = |c: &ClientReport| {
+        let mut fields = vec![
+            ("id", Json::Num(c.id.into())),
+            ("frames", Json::Num(c.frames.len() as u64)),
+            ("local_rate", Json::fixed(c.local_rate(), 6)),
+            ("host_bytes", Json::Num(c.totals.host_bytes)),
+            ("denied", Json::Num(c.service.denied_transfers)),
+            ("shed_taps", Json::Num(c.service.shed_taps)),
+            ("stalls", Json::Num(c.queue_stalls)),
+        ];
+        let reason = c.quarantined.as_ref().map(|q| Json::Str(q.to_string()));
+        fields.extend(reason.map(|q| ("quarantined", q)));
+        Json::obj(fields)
+    };
+    let failures = Json::Arr(gate_failures.iter().cloned().map(Json::Str).collect());
+    let clients = Json::Arr(report.clients.iter().map(client).collect());
+    Json::obj([
+        ("scale", Json::Str(scale.to_string())),
+        ("clients", Json::Num(report.clients.len() as u64)),
+        ("partition", Json::Str(format!("{partition:?}"))),
+        ("fairness", Json::fixed(report.fairness, 6)),
+        ("contended", Json::Num(report.contention.contended)),
+        ("acquisitions", Json::Num(report.contention.acquisitions)),
+        ("quarantined", ids(&report.quarantined_ids())),
+        ("divergent", ids(divergent)),
+        ("gate_failures", failures),
+        ("client_reports", clients),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -244,49 +281,10 @@ fn main() -> ExitCode {
         );
     }
 
-    // Hand-rolled JSON summary (no serde in the workspace by design).
-    let clients_json: Vec<String> = report
-        .clients
-        .iter()
-        .map(|c| {
-            format!(
-                r#"{{"id":{},"frames":{},"local_rate":{:.6},"host_bytes":{},"denied":{},"shed_taps":{},"stalls":{},"quarantined":{}}}"#,
-                c.id,
-                c.frames.len(),
-                c.local_rate(),
-                c.totals.host_bytes,
-                c.service.denied_transfers,
-                c.service.shed_taps,
-                c.queue_stalls,
-                c.quarantined
-                    .as_ref()
-                    .map(|q| format!(r#""{}""#, json_escape(&q.to_string())))
-                    .unwrap_or_else(|| "null".to_string()),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"clients\": {},\n  \"partition\": \"{:?}\",\n  \
-         \"fairness\": {:.6},\n  \"contended\": {},\n  \"acquisitions\": {},\n  \
-         \"quarantined\": {:?},\n  \"divergent\": {:?},\n  \"gate_failures\": [{}],\n  \
-         \"client_reports\": [\n    {}\n  ]\n}}\n",
-        scale.name,
-        clients,
-        partition,
-        report.fairness,
-        report.contention.contended,
-        report.contention.acquisitions,
-        report.quarantined_ids(),
-        divergent,
-        gate_failures
-            .iter()
-            .map(|f| format!(r#""{}""#, json_escape(f)))
-            .collect::<Vec<_>>()
-            .join(", "),
-        clients_json.join(",\n    "),
-    );
+    let summary = chaos_summary(scale.name, partition, &report, &divergent, &gate_failures);
     let out_path = PathBuf::from(&out_dir).join("multiclient_chaos.json");
-    if let Err(e) = std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&out_path, json))
+    if let Err(e) =
+        std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&out_path, summary.render()))
     {
         eprintln!("failed to write {}: {e}", out_path.display());
         return ExitCode::from(3);
@@ -315,4 +313,42 @@ fn main() -> ExitCode {
     }
     println!("gate: OK");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mltc_core::QuarantineReason;
+
+    #[test]
+    fn summary_reads_back_whatever_the_reasons_say() {
+        let reason = QuarantineReason::Panicked("index \"7\"\nout of range".into());
+        let client = |id, quarantined| ClientReport {
+            id,
+            frames: Vec::new(),
+            totals: Default::default(),
+            service: Default::default(),
+            quarantined,
+            error: None,
+            queue_stalls: 3,
+        };
+        let report = MultiClientReport {
+            clients: vec![client(0, None), client(1, Some(reason.clone()))],
+            contention: Default::default(),
+            fairness: 0.5,
+            steps: 4,
+        };
+        let failures = [format!("client 1 unexpectedly quarantined: {reason}")];
+        let scale = "tiny \"scale\"";
+        let summary = chaos_summary(scale, L2PartitionMode::Unified, &report, &[], &failures);
+        let doc = Json::parse(&summary.render()).expect("the summary is JSON");
+        assert_eq!(doc, summary);
+        let clients = doc.get("client_reports").and_then(Json::as_arr).unwrap();
+        assert_eq!(clients[0].get("quarantined"), None, "healthy: no field");
+        let said = clients[1].get("quarantined").and_then(Json::as_str);
+        assert_eq!(said, Some(&*reason.to_string()));
+        assert_eq!(doc.get("scale").and_then(Json::as_str), Some(scale));
+        let gate = doc.get("gate_failures").and_then(Json::as_arr).unwrap();
+        assert_eq!(gate[0].as_str(), Some(&*failures[0]));
+    }
 }

@@ -33,7 +33,7 @@ use crate::store::TraceStore;
 use crate::{collect_frames, Outputs, Scale, TextTable};
 use mltc_core::{EngineConfig, L1Config, ReplacementPolicy, SimEngine, TelemetryOpts};
 use mltc_model::{default_grid, predict, DesignPoint, LocalityProfile, Policy};
-use mltc_telemetry::Recorder;
+use mltc_telemetry::{Json, Recorder};
 use mltc_texture::TextureRegistry;
 use mltc_trace::{FilterMode, FrameTrace};
 use std::fmt::Write as _;
@@ -270,17 +270,19 @@ pub fn explore(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(), R
         p99 * 100.0
     ));
 
-    let summary = format!(
-        "{{\n  \"schema\": 1,\n  \"traces\": 2,\n  \"configs\": {},\n  \"deltas\": {},\n  \"mean_abs_err\": {:.6},\n  \"p99_abs_err\": {:.6},\n  \"sweep_points\": {},\n  \"sweep_seconds\": {:.4},\n  \"capture_seconds\": {:.4}\n}}\n",
-        matrix.len(),
-        deltas.len(),
-        mean,
-        p99,
-        sweep_points_total,
-        sweep_seconds_max,
-        capture_seconds_max,
-    );
-    std::fs::write(out.artefact_path("model_summary.json"), summary).expect("write model summary");
+    let summary = Json::obj([
+        ("schema", Json::Num(1)),
+        ("traces", Json::Num(2)),
+        ("configs", Json::Num(matrix.len() as u64)),
+        ("deltas", Json::Num(deltas.len() as u64)),
+        ("mean_abs_err", Json::fixed(mean, 6)),
+        ("p99_abs_err", Json::fixed(p99, 6)),
+        ("sweep_points", Json::Num(sweep_points_total as u64)),
+        ("sweep_seconds", Json::fixed(sweep_seconds_max, 4)),
+        ("capture_seconds", Json::fixed(capture_seconds_max, 4)),
+    ]);
+    std::fs::write(out.artefact_path("model_summary.json"), summary.render())
+        .expect("write model summary");
     Ok(())
 }
 
@@ -307,12 +309,10 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + 2 * 19);
 
         let summary = std::fs::read_to_string(dir.join("model_summary.json")).unwrap();
+        let doc = Json::parse(&summary).unwrap();
         let field = |k: &str| -> f64 {
-            summary
-                .lines()
-                .find(|l| l.contains(k))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().trim_end_matches(',').parse().unwrap())
+            doc.get(k)
+                .and_then(Json::as_f64)
                 .unwrap_or_else(|| panic!("missing {k} in {summary}"))
         };
         // The ISSUE acceptance bound: mean absolute hit-rate error <= 2 %.

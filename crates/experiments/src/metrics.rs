@@ -20,8 +20,7 @@
 //! the exported file always reflects the completed run.
 
 use mltc_telemetry::export::{summaries_json, PromMetrics};
-use mltc_telemetry::Recorder;
-use std::fmt::Write as _;
+use mltc_telemetry::{Json, Recorder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -126,15 +125,12 @@ impl MetricsExport {
                 let tmp = prom.with_extension("prom.tmp");
                 std::fs::write(&tmp, &text)?;
                 std::fs::rename(&tmp, prom)?;
-                let mut line = String::with_capacity(256);
-                let _ = write!(
-                    line,
-                    "{{\"elapsed_seconds\":{:.3},\"summary\":{}}}",
-                    elapsed.as_secs_f64(),
-                    summaries_json(&snap)
-                );
+                let line = Json::obj([
+                    ("elapsed_seconds", Json::fixed(elapsed.as_secs_f64(), 3)),
+                    ("summary", summaries_json(&snap)),
+                ]);
                 let mut f = std::fs::OpenOptions::new().append(true).open(ndjson)?;
-                writeln!(f, "{line}")?;
+                writeln!(f, "{}", line.render_compact())?;
             }
             Mode::Serve { latest, .. } => {
                 *latest.lock().unwrap_or_else(PoisonError::into_inner) = text;
@@ -221,10 +217,12 @@ mod tests {
         assert!(prom.contains("mltc_counter{name=\"c0/engine/mc/l1_hits\"} 8"));
         assert!(prom.contains("mltc_gauge{name=\"c0/service/p99_frame_miss_rate\"} 0.25"));
         let ndjson = std::fs::read_to_string(dir.join("out.prom.ndjson")).unwrap();
-        let lines: Vec<&str> = ndjson.lines().collect();
-        assert_eq!(lines.len(), 2, "one line per tick, one for the final flush");
-        assert!(lines[0].starts_with("{\"elapsed_seconds\":1.500,"));
-        assert!(lines[1].contains("\"c0/engine/mc/l1_hits\":8"));
+        let ticks: Vec<Json> = ndjson.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(ticks.len(), 2, "one line per tick, one for the final flush");
+        assert_eq!(ticks[0].get("elapsed_seconds"), Some(&Json::Float(1.5)));
+        let counters = ticks[1].get("summary").and_then(|s| s.get("counters"));
+        let hits = counters.and_then(|c| c.get("c0/engine/mc/l1_hits"));
+        assert_eq!(hits, Some(&Json::Num(8)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

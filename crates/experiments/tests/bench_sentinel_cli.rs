@@ -4,6 +4,7 @@
 //! (new branches only warn), and a genuine throughput regression must
 //! exit 1.
 
+use mltc_telemetry::Json;
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,6 +18,17 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The verdict a run printed: its one stdout line, parsed.
+fn verdict_of(out: &std::process::Output) -> Json {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    Json::parse(stdout.trim_end()).unwrap_or_else(|e| panic!("verdict {stdout:?}: {e}"))
+}
+
+/// `doc.a.b` as a string, for `verdict` / `model.verdict` lookups.
+fn word<'a>(doc: &'a Json, path: &[&str]) -> Option<&'a str> {
+    path.iter().try_fold(doc, |j, k| j.get(k))?.as_str()
 }
 
 fn report(taps: &[f64]) -> String {
@@ -35,7 +47,8 @@ fn report(taps: &[f64]) -> String {
 fn malformed_current_report_exits_2() {
     let dir = scratch("malformed");
     let base = dir.join("baseline.json");
-    let cur = dir.join("current.json");
+    // The reason names the file: quotes and a newline must not break it.
+    let cur = dir.join("cur \"rent\"\n.json");
     fs::write(&base, report(&[1000.0])).unwrap();
     for bad in [
         "not json at all",
@@ -55,11 +68,10 @@ fn malformed_current_report_exits_2() {
             "current report {bad:?} must exit 2, stdout: {}",
             String::from_utf8_lossy(&out.stdout)
         );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains("\"verdict\":\"error\""),
-            "verdict must be error, got {stdout}"
-        );
+        let verdict = verdict_of(&out);
+        assert_eq!(word(&verdict, &["verdict"]), Some("error"));
+        let reason = word(&verdict, &["reason"]).unwrap();
+        assert!(reason.starts_with(cur.to_str().unwrap()), "got {reason:?}");
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -78,10 +90,11 @@ fn missing_baseline_warns_but_exits_0() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "no baseline must pass");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("\"verdict\":\"no-baseline\""),
-        "verdict must flag the missing baseline, got {stdout}"
+    let verdict = verdict_of(&out);
+    assert_eq!(word(&verdict, &["verdict"]), Some("no-baseline"));
+    assert_eq!(
+        verdict.get("current").and_then(|c| c.get("taps_per_sec")),
+        Some(&Json::Num(1000))
     );
 }
 
@@ -102,12 +115,10 @@ fn regression_beyond_threshold_exits_1_and_writes_verdict() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "regression must exit 1");
-    let written = fs::read_to_string(&verdict).unwrap();
-    assert!(
-        written.contains("\"verdict\":\"regression\""),
-        "verdict file must record the regression, got {written}"
-    );
-    assert!(written.contains("\"delta_pct\":-75.0"), "got {written}");
+    let written = Json::parse(&fs::read_to_string(&verdict).unwrap()).unwrap();
+    assert_eq!(written, verdict_of(&out), "file and stdout agree");
+    assert_eq!(word(&written, &["verdict"]), Some("regression"));
+    assert_eq!(written.get("delta_pct"), Some(&Json::Float(-75.0)));
 
     // The same pair passes with a wider gate: the threshold is the knob.
     let out = sentinel()
@@ -149,11 +160,10 @@ fn model_error_regression_exits_1_and_absent_fragment_skips() {
     };
     let out = sentinel().args(args(&base, &cur)).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "model regression must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("\"model\":{\"verdict\":\"regression\""),
-        "model dimension must flag the regression, got {stdout}"
-    );
+    let verdict = verdict_of(&out);
+    assert_eq!(word(&verdict, &["model", "verdict"]), Some("regression"));
+    let growth = verdict.get("model").and_then(|m| m.get("growth_pp"));
+    assert_eq!(growth, Some(&Json::Float(1.6)));
 
     // The same pair passes with a wider model gate.
     let out = sentinel()
@@ -167,10 +177,10 @@ fn model_error_regression_exits_1_and_absent_fragment_skips() {
     fs::write(&cur, report_with_model(1000.0, None)).unwrap();
     let out = sentinel().args(args(&base, &cur)).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "missing fragment must skip");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("\"model\":{\"verdict\":\"skipped\"}"),
-        "skip must be visible in the verdict, got {stdout}"
+    assert_eq!(
+        verdict_of(&out).get("model"),
+        Some(&Json::obj([("verdict", Json::Str("skipped".into()))])),
+        "skip must be visible in the verdict"
     );
 
     // A baseline without model history arms the gate without failing.
@@ -178,10 +188,9 @@ fn model_error_regression_exits_1_and_absent_fragment_skips() {
     fs::write(&cur, report_with_model(1000.0, Some(0.004))).unwrap();
     let out = sentinel().args(args(&base, &cur)).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "no model baseline must pass");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("\"model\":{\"verdict\":\"no-baseline\""),
-        "got {stdout}"
+    assert_eq!(
+        word(&verdict_of(&out), &["model", "verdict"]),
+        Some("no-baseline")
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -195,9 +204,9 @@ fn records_with_and_without_stored_pass_fields_compare() {
     // answered 84 configurations from them, and the other way round.
     let with = "{\"runs\":[{\"scale\":\"quick\",\"wall_seconds\":1.0,\"store\":\
                 {\"taps_per_sec\":4000,\"l1_passes_reused\":84,\"pass_bytes\":27000000}}]}";
-    for (b, c, said) in [
-        (report(&[2000.0]), with.to_string(), "\"current\":{"),
-        (with.to_string(), report(&[3000.0]), "\"baseline\":{"),
+    for (b, c, said, silent) in [
+        (report(&[2000.0]), with.to_string(), "current", "baseline"),
+        (with.to_string(), report(&[3000.0]), "baseline", "current"),
     ] {
         fs::write(&base, b).unwrap();
         fs::write(&cur, c).unwrap();
@@ -207,14 +216,11 @@ fn records_with_and_without_stored_pass_fields_compare() {
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(0));
-        let stdout = String::from_utf8_lossy(&out.stdout);
         // The verdict says which side reused passes, and only that side.
-        assert_eq!(stdout.matches("\"l1_passes_reused\":84").count(), 1);
-        let side = &stdout[stdout.find(said).expect("side present")..];
-        assert!(
-            side[..side.find('}').unwrap()].contains("\"l1_passes_reused\":84"),
-            "got {stdout}"
-        );
+        let verdict = verdict_of(&out);
+        let reused = |side: &str| verdict.get(side).unwrap().get("l1_passes_reused");
+        assert_eq!(reused(said), Some(&Json::Num(84)));
+        assert_eq!(reused(silent), None);
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
 //! The finalized, immutable locality profile — what one instrumented
 //! replay distills a trace into, and all the evaluator ever reads.
 
+use mltc_telemetry::Json;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -201,86 +202,61 @@ impl LocalityProfile {
         }
     }
 
-    /// Serializes the full profile as JSON (hand-rolled: the workspace is
-    /// offline and vendors no serde). Curves are `[value, cumulative]`
+    /// The full profile as a JSON value. Curves are `[value, cumulative]`
     /// pairs; everything the evaluator reads is present, so a dumped
     /// profile is a complete model artefact.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let curve = |c: &CumCurve| {
-            let pts: Vec<String> = c
-                .points()
-                .iter()
-                .map(|(v, n)| format!("[{v},{n}]"))
-                .collect();
-            format!("[{}]", pts.join(","))
+            let pair = |&(v, n): &(u64, u64)| Json::Arr(vec![Json::Num(v), Json::Num(n)]);
+            Json::Arr(c.points().iter().map(pair).collect())
         };
-        let mut s = String::with_capacity(4096);
-        s.push_str(&format!(
-            "{{\"taps\":{},\"l1_hits\":{},\"l1_misses\":{},\"l1_lines\":{},\
-             \"l1_line_bytes\":{},\"tile_shift\":{},\"blocks\":[",
-            self.taps,
-            self.l1_hits,
-            self.l1_misses,
-            self.l1_lines_instrumented,
-            self.l1_line_bytes,
-            self.tile_shift
-        ));
-        for (i, b) in self.blocks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"shift\":{},\"accesses\":{},\"cold\":{},\"distinct\":{},\"curve\":{}}}",
-                b.shift,
-                b.accesses,
-                b.cold,
-                b.distinct,
-                curve(&b.curve)
-            ));
-        }
-        s.push_str("],\"pages\":[");
-        for (i, p) in self.pages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"shift\":{},\"accesses\":{},\"cold\":{},\"distinct\":{},\
-                 \"resident\":{},\"sector_full\":{},\"minis\":[",
-                p.shift,
-                p.accesses,
-                p.cold,
-                p.distinct,
-                curve(&p.resident),
-                curve(&p.sector_full)
-            ));
-            for (j, m) in p.minis.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"policy\":\"{}\",\"cap_blocks\":{},\"full_hits_on\":{},\
-                     \"partial_hits_on\":{},\"full_hits_off\":{},\"full_misses\":{}}}",
-                    m.policy,
-                    m.cap_blocks,
-                    m.full_hits_on,
-                    m.partial_hits_on,
-                    m.full_hits_off,
-                    m.full_misses
-                ));
-            }
-            s.push_str("],\"tlbs\":[");
-            for (j, t) in p.tlbs.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"entries\":{},\"accesses\":{},\"hits\":{}}}",
-                    t.entries, t.accesses, t.hits
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
+        let block = |b: &BlockProfile| {
+            Json::obj([
+                ("shift", Json::Num(b.shift.into())),
+                ("accesses", Json::Num(b.accesses)),
+                ("cold", Json::Num(b.cold)),
+                ("distinct", Json::Num(b.distinct)),
+                ("curve", curve(&b.curve)),
+            ])
+        };
+        let mini = |m: &MiniPoint| {
+            Json::obj([
+                ("policy", Json::Str(m.policy.to_string())),
+                ("cap_blocks", Json::Num(m.cap_blocks)),
+                ("full_hits_on", Json::Num(m.full_hits_on)),
+                ("partial_hits_on", Json::Num(m.partial_hits_on)),
+                ("full_hits_off", Json::Num(m.full_hits_off)),
+                ("full_misses", Json::Num(m.full_misses)),
+            ])
+        };
+        let tlb = |t: &TlbPoint| {
+            Json::obj([
+                ("entries", Json::Num(t.entries as u64)),
+                ("accesses", Json::Num(t.accesses)),
+                ("hits", Json::Num(t.hits)),
+            ])
+        };
+        let page = |p: &PageProfile| {
+            Json::obj([
+                ("shift", Json::Num(p.shift.into())),
+                ("accesses", Json::Num(p.accesses)),
+                ("cold", Json::Num(p.cold)),
+                ("distinct", Json::Num(p.distinct)),
+                ("resident", curve(&p.resident)),
+                ("sector_full", curve(&p.sector_full)),
+                ("minis", Json::Arr(p.minis.iter().map(mini).collect())),
+                ("tlbs", Json::Arr(p.tlbs.iter().map(tlb).collect())),
+            ])
+        };
+        Json::obj([
+            ("taps", Json::Num(self.taps)),
+            ("l1_hits", Json::Num(self.l1_hits)),
+            ("l1_misses", Json::Num(self.l1_misses)),
+            ("l1_lines", Json::Num(self.l1_lines_instrumented)),
+            ("l1_line_bytes", Json::Num(self.l1_line_bytes)),
+            ("tile_shift", Json::Num(self.tile_shift.into())),
+            ("blocks", Json::Arr(self.blocks.iter().map(block).collect())),
+            ("pages", Json::Arr(self.pages.iter().map(page).collect())),
+        ])
     }
 }

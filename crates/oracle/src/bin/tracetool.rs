@@ -279,7 +279,8 @@ fn run_model(path: &str, out: Option<&str>, profile_out: Option<&str>) -> Result
         .locality_profile()
         .expect("locality capture attached");
     if let Some(f) = profile_out {
-        std::fs::write(f, profile.to_json()).map_err(|e| format!("cannot write {f}: {e}"))?;
+        std::fs::write(f, profile.to_json().render())
+            .map_err(|e| format!("cannot write {f}: {e}"))?;
         eprintln!("wrote {f}");
     }
 
@@ -377,7 +378,7 @@ fn metrics_main(args: &[String]) -> ExitCode {
 /// Parses the `summary.json` shape (`summaries_json`) back into the shared
 /// [`PromMetrics`] exposition set.
 fn summary_to_prom(text: &str) -> Result<PromMetrics, String> {
-    let doc = Json::parse(text)?;
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
     let obj = |key: &str| match doc.get(key) {
         None => Ok(None),
         Some(Json::Obj(m)) => Ok(Some(m)),
@@ -509,7 +510,7 @@ fn load_config(arg: &str) -> Result<mltc_core::EngineConfig, String> {
     } else {
         arg.to_string()
     };
-    let doc = Json::parse(&text)?;
+    let doc = Json::parse(&text).map_err(|e| e.to_string())?;
     let config_doc = doc.get("config").unwrap_or(&doc);
     config_from_json(config_doc)
 }

@@ -30,7 +30,6 @@
 //! rendering.
 
 mod diff;
-mod json;
 mod key;
 mod model;
 mod reader;
@@ -38,8 +37,9 @@ mod repro;
 mod timing;
 
 pub use diff::{expand_frame, replay_pair, DiffHarness, Divergence, TexelAccess};
-pub use json::Json;
 pub use key::TraceKey;
+/// The workspace's JSON value lives in the leaf crate; repro and benchmark code name it here.
+pub use mltc_telemetry::Json;
 pub use model::OracleEngine;
 pub use reader::AnyReader;
 pub use repro::{config_from_json, config_to_json, Repro};

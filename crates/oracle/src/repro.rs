@@ -10,12 +10,11 @@
 //! dimensions and rebuilt as flat-colour images.
 
 use crate::diff::TexelAccess;
-use crate::json::Json;
+use crate::Json;
 use mltc_core::{
     EngineConfig, FaultPlan, L1Config, L2Config, ReplacementPolicy, StorageFormat, TextureBlackout,
 };
 use mltc_texture::{Image, MipPyramid, TexelFormat, TextureRegistry, TileSize, TilingConfig};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -86,43 +85,25 @@ impl Repro {
 
     /// Serializes to the repro JSON schema.
     pub fn to_json(&self) -> Json {
-        let mut root = BTreeMap::new();
-        root.insert("note".into(), Json::Str(self.note.clone()));
-        root.insert("config".into(), config_to_json(&self.config));
-        root.insert(
-            "textures".into(),
-            Json::Arr(
-                self.textures
-                    .iter()
-                    .map(|slot| match slot {
-                        Some((w, h)) => Json::Arr(vec![Json::Num(*w as u64), Json::Num(*h as u64)]),
-                        None => Json::Arr(vec![]),
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "accesses".into(),
-            Json::Arr(
-                self.accesses
-                    .iter()
-                    .map(|a| {
-                        Json::Arr(vec![
-                            Json::Num(a.tid as u64),
-                            Json::Num(a.m as u64),
-                            Json::Num(a.u as u64),
-                            Json::Num(a.v as u64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        Json::Obj(root)
+        let nums = |ns: &[u64]| Json::Arr(ns.iter().map(|&n| Json::Num(n)).collect());
+        let texture = |slot: &Option<(u32, u32)>| match slot {
+            Some((w, h)) => nums(&[*w as u64, *h as u64]),
+            None => nums(&[]),
+        };
+        let access = |a: &TexelAccess| nums(&[a.tid as u64, a.m as u64, a.u as u64, a.v as u64]);
+        let textures = Json::Arr(self.textures.iter().map(texture).collect());
+        let accesses = Json::Arr(self.accesses.iter().map(access).collect());
+        Json::obj([
+            ("note", Json::Str(self.note.clone())),
+            ("config", config_to_json(&self.config)),
+            ("textures", textures),
+            ("accesses", accesses),
+        ])
     }
 
     /// Parses the repro JSON schema.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text)?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let note = doc
             .get("note")
             .and_then(Json::as_str)
@@ -211,66 +192,49 @@ fn tile_from_json(j: &Json, what: &str) -> Result<TileSize, String> {
 /// Serializes an [`EngineConfig`] (flat schema, omitting absent L2 / default
 /// fault plans).
 pub fn config_to_json(cfg: &EngineConfig) -> Json {
-    let mut root = BTreeMap::new();
-
-    let mut l1 = BTreeMap::new();
-    l1.insert("bytes".into(), Json::Num(cfg.l1.size_bytes as u64));
-    l1.insert("ways".into(), Json::Num(cfg.l1.ways as u64));
-    l1.insert("tile".into(), tile_to_json(cfg.l1.tile));
-    l1.insert(
-        "storage".into(),
-        Json::Str(
-            match cfg.l1.storage {
-                StorageFormat::Tiled => "tiled",
-                StorageFormat::Linear => "linear",
-            }
-            .into(),
-        ),
-    );
-    root.insert("l1".into(), Json::Obj(l1));
-
-    if let Some(l2) = cfg.l2 {
-        let mut o = BTreeMap::new();
-        o.insert("bytes".into(), Json::Num(l2.size_bytes as u64));
-        o.insert("policy".into(), Json::Str(l2.policy.to_string()));
-        o.insert("sector".into(), Json::Bool(l2.sector_mapping));
-        root.insert("l2".into(), Json::Obj(o));
-    }
-
-    root.insert("tlb_entries".into(), Json::Num(cfg.tlb_entries as u64));
-
-    let mut tiling = BTreeMap::new();
-    tiling.insert("l2".into(), tile_to_json(cfg.tiling.l2()));
-    tiling.insert("l1".into(), tile_to_json(cfg.tiling.l1()));
-    root.insert("tiling".into(), Json::Obj(tiling));
-
+    let storage = match cfg.l1.storage {
+        StorageFormat::Tiled => "tiled",
+        StorageFormat::Linear => "linear",
+    };
+    let l1 = Json::obj([
+        ("bytes", Json::Num(cfg.l1.size_bytes as u64)),
+        ("ways", Json::Num(cfg.l1.ways as u64)),
+        ("tile", tile_to_json(cfg.l1.tile)),
+        ("storage", Json::Str(storage.into())),
+    ]);
+    let tiling = Json::obj([
+        ("l2", tile_to_json(cfg.tiling.l2())),
+        ("l1", tile_to_json(cfg.tiling.l1())),
+    ]);
+    let mut root = vec![
+        ("l1", l1),
+        ("tlb_entries", Json::Num(cfg.tlb_entries as u64)),
+        ("tiling", tiling),
+    ];
+    root.extend(cfg.l2.map(|l2| {
+        let fields = [
+            ("bytes", Json::Num(l2.size_bytes as u64)),
+            ("policy", Json::Str(l2.policy.to_string())),
+            ("sector", Json::Bool(l2.sector_mapping)),
+        ];
+        ("l2", Json::obj(fields))
+    }));
     if !cfg.fault.is_none() {
-        let mut f = BTreeMap::new();
-        f.insert("seed".into(), Json::Num(cfg.fault.seed));
-        f.insert("fail_ppm".into(), Json::Num(cfg.fault.fail_ppm as u64));
-        f.insert(
-            "max_attempts".into(),
-            Json::Num(cfg.fault.max_attempts as u64),
-        );
-        f.insert(
-            "burst_period".into(),
-            Json::Num(cfg.fault.burst_period as u64),
-        );
-        f.insert("burst_len".into(), Json::Num(cfg.fault.burst_len as u64));
-        if let Some(b) = cfg.fault.blackout {
-            f.insert(
-                "blackout".into(),
-                Json::Arr(vec![
-                    Json::Num(b.tid as u64),
-                    Json::Num(b.from),
-                    Json::Num(b.until),
-                ]),
-            );
-        }
-        root.insert("fault".into(), Json::Obj(f));
+        let f = &cfg.fault;
+        let mut fault = vec![
+            ("seed", Json::Num(f.seed)),
+            ("fail_ppm", Json::Num(f.fail_ppm as u64)),
+            ("max_attempts", Json::Num(f.max_attempts as u64)),
+            ("burst_period", Json::Num(f.burst_period as u64)),
+            ("burst_len", Json::Num(f.burst_len as u64)),
+        ];
+        fault.extend(f.blackout.map(|b| {
+            let window = [b.tid as u64, b.from, b.until].map(Json::Num);
+            ("blackout", Json::Arr(window.to_vec()))
+        }));
+        root.push(("fault", Json::obj(fault)));
     }
-
-    Json::Obj(root)
+    Json::obj(root)
 }
 
 /// Parses the flat [`EngineConfig`] schema produced by [`config_to_json`].

@@ -1,36 +1,34 @@
 //! Exporters: JSONL / CSV time series, histogram summaries as a JSON
 //! fragment for `BENCH_experiments.json`, and Chrome trace-event files.
 //!
-//! All JSON is hand-rolled (the workspace carries no serde); strings go
-//! through one escaping routine and numbers are plain `u64`/`f64`
-//! formatting, so the output is loadable by any JSON parser and by
+//! Every JSON document is a [`Json`] value (the workspace carries no
+//! serde) rendered by the one writer in [`crate::json`], so the output is
+//! loadable by any JSON parser — the workspace's own included — and by
 //! `chrome://tracing` / Perfetto for the span file.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
+use crate::hist::HistSnapshot;
 use crate::recorder::{SeriesSnapshot, TelemetrySnapshot};
-use crate::span::{chrome_trace_json, json_string};
+use crate::span::chrome_trace_json;
+use crate::Json;
 
 /// Writes one JSON object per row: series label, row sequence number, then
 /// each column. One physical line per row (JSONL).
 pub fn write_series_jsonl(series: &[SeriesSnapshot], out: &mut impl Write) -> io::Result<()> {
     for s in series {
         for (seq, row) in s.rows.iter().enumerate() {
-            let mut line = String::with_capacity(64 + 16 * row.len());
-            let _ = write!(
-                line,
-                "{{\"series\":{},\"seq\":{}",
-                json_string(&s.label),
-                seq
-            );
-            for (col, v) in s.columns.iter().zip(row) {
-                let _ = write!(line, ",{}:{}", json_string(col), v);
-            }
-            line.push('}');
-            writeln!(out, "{line}")?;
+            let head = [
+                ("series".to_string(), Json::Str(s.label.clone())),
+                ("seq".to_string(), Json::Num(seq as u64)),
+            ];
+            let cells = row.iter().map(|&v| Json::Num(v));
+            let line = Json::obj(head.into_iter().chain(s.columns.iter().cloned().zip(cells)));
+            writeln!(out, "{}", line.render_compact())?;
         }
     }
     Ok(())
@@ -101,67 +99,35 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Renders counter values, histogram summaries (count/mean/min/max and
+/// Counter values, histogram summaries (count/mean/min/max and
 /// p50/p90/p99), gauges and heat maps as one JSON object — the fragment
-/// the experiments binary merges into each `BENCH_experiments.json` run
+/// the experiments binary puts into each `BENCH_experiments.json` run
 /// record, and the body of `summary.json`.
-pub fn summaries_json(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{}", json_string(name), v);
+pub fn summaries_json(snap: &TelemetrySnapshot) -> Json {
+    fn by_name<T>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> Json) -> Json {
+        Json::obj(map.iter().map(|(name, v)| (name.clone(), value(v))))
     }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snap.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let min = if h.count == 0 { 0 } else { h.min };
-        let _ = write!(
-            out,
-            "{}:{{\"count\":{},\"mean\":{:.3},\"min\":{},\"max\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{}}}",
-            json_string(name),
-            h.count,
-            h.mean(),
-            min,
-            h.max,
-            h.p50(),
-            h.p90(),
-            h.p99()
-        );
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let v = if v.is_finite() { *v } else { 0.0 };
-        let _ = write!(out, "{}:{:.6}", json_string(name), v);
-    }
-    out.push_str("},\"heatmaps\":{");
-    for (i, (name, bins)) in snap.heatmaps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:[", json_string(name));
-        for (j, b) in bins.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push(']');
-    }
-    let _ = write!(
-        out,
-        "}},\"spans\":{},\"dropped_spans\":{}}}",
-        snap.spans.len(),
-        snap.dropped_spans
-    );
-    out
+    let hist = |h: &HistSnapshot| {
+        let h = HistSummary::of(h);
+        Json::obj([
+            ("count", Json::Num(h.count)),
+            ("mean", Json::fixed(h.mean, 3)),
+            ("min", Json::Num(h.min)),
+            ("max", Json::Num(h.max)),
+            ("p50", Json::Num(h.p50)),
+            ("p90", Json::Num(h.p90)),
+            ("p99", Json::Num(h.p99)),
+        ])
+    };
+    let bins = |b: &Vec<u64>| Json::Arr(b.iter().map(|&n| Json::Num(n)).collect());
+    Json::obj([
+        ("counters", by_name(&snap.counters, |&v| Json::Num(v))),
+        ("histograms", by_name(&snap.hists, hist)),
+        ("gauges", by_name(&snap.gauges, |&v| Json::fixed(v, 6))),
+        ("heatmaps", by_name(&snap.heatmaps, bins)),
+        ("spans", Json::Num(snap.spans.len() as u64)),
+        ("dropped_spans", Json::Num(snap.dropped_spans)),
+    ])
 }
 
 /// One histogram's summary statistics, as exported into `summary.json`
@@ -183,6 +149,21 @@ pub struct HistSummary {
     pub p90: u64,
     /// 99th percentile.
     pub p99: u64,
+}
+
+impl HistSummary {
+    /// The statistics `summary.json` and the exposition keep of `h`.
+    pub fn of(h: &HistSnapshot) -> Self {
+        Self {
+            count: h.count,
+            mean: h.mean(),
+            min: if h.count == 0 { 0 } else { h.min },
+            max: h.max,
+            p50: h.p50(),
+            p90: h.p90(),
+            p99: h.p99(),
+        }
+    }
 }
 
 /// The one intermediate both metric exports flow through: live snapshots
@@ -211,20 +192,7 @@ impl PromMetrics {
             hists: snap
                 .hists
                 .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistSummary {
-                            count: h.count,
-                            mean: h.mean(),
-                            min: if h.count == 0 { 0 } else { h.min },
-                            max: h.max,
-                            p50: h.p50(),
-                            p90: h.p90(),
-                            p99: h.p99(),
-                        },
-                    )
-                })
+                .map(|(k, h)| (k.clone(), HistSummary::of(h)))
                 .collect(),
             heatmaps: snap
                 .heatmaps
@@ -304,7 +272,7 @@ fn prom_label(s: &str) -> String {
 /// the shape the multi-client experiment drops next to `multiclient.csv`
 /// for plotting per-set pressure.
 pub fn write_heatmaps_csv(
-    heatmaps: &std::collections::BTreeMap<String, Vec<u64>>,
+    heatmaps: &BTreeMap<String, Vec<u64>>,
     out: &mut impl Write,
 ) -> io::Result<()> {
     writeln!(out, "heatmap,bin,count")?;
@@ -314,11 +282,6 @@ pub fn write_heatmaps_csv(
         }
     }
     Ok(())
-}
-
-/// Writes the span ring as a Chrome trace-event JSON file.
-pub fn write_chrome_trace(snap: &TelemetrySnapshot, out: &mut impl Write) -> io::Result<()> {
-    out.write_all(chrome_trace_json(&snap.spans).as_bytes())
 }
 
 /// Writes the full snapshot into `dir`: `metrics.jsonl`, `metrics.csv`,
@@ -333,7 +296,7 @@ pub fn export_dir(snap: &TelemetrySnapshot, dir: &Path) -> io::Result<()> {
     let mut csv = io::BufWriter::new(fs::File::create(dir.join("metrics.csv"))?);
     write_series_csv(&snap.series, &mut csv)?;
     csv.flush()?;
-    fs::write(dir.join("summary.json"), summaries_json(snap))?;
+    fs::write(dir.join("summary.json"), summaries_json(snap).render())?;
     fs::write(
         dir.join("summary.prom"),
         PromMetrics::from_snapshot(snap).encode(),
@@ -341,9 +304,11 @@ pub fn export_dir(snap: &TelemetrySnapshot, dir: &Path) -> io::Result<()> {
     let mut heat = io::BufWriter::new(fs::File::create(dir.join("heatmaps.csv"))?);
     write_heatmaps_csv(&snap.heatmaps, &mut heat)?;
     heat.flush()?;
-    let mut trace = io::BufWriter::new(fs::File::create(dir.join("trace_events.json"))?);
-    write_chrome_trace(snap, &mut trace)?;
-    trace.flush()
+    // One line: the ring holds up to 65 536 events and only tools read it.
+    fs::write(
+        dir.join("trace_events.json"),
+        chrome_trace_json(&snap.spans).render_compact(),
+    )
 }
 
 #[cfg(test)]
@@ -378,14 +343,12 @@ mod tests {
         let mut buf = Vec::new();
         write_series_jsonl(&snap.series, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("{\"series\":\"runA\",\"seq\":0"));
-        assert!(lines[0].contains("\"hits\":10"));
-        assert!(lines[2].contains("\"misses\":3"));
-        for l in lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
+        let rows: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].get("series").and_then(Json::as_str), Some("runA"));
+        assert_eq!(rows[0].get("seq").and_then(Json::as_u64), Some(0));
+        assert_eq!(rows[0].get("hits").and_then(Json::as_u64), Some(10));
+        assert_eq!(rows[2].get("misses").and_then(Json::as_u64), Some(3));
     }
 
     #[test]
@@ -413,14 +376,15 @@ mod tests {
     #[test]
     fn summaries_json_carries_percentiles() {
         let snap = sample_snapshot();
-        let json = summaries_json(&snap);
-        assert!(json.contains("\"counters\":{\"renders\":2}"));
-        assert!(json.contains("\"lat\":{\"count\":3"));
-        assert!(json.contains("\"p50\":1"));
-        assert!(json.contains("\"spans\":1"));
-        assert!(json.contains("\"gauges\":{\"c0/miss_rate\":0.125000}"));
-        assert!(json.contains("\"heatmaps\":{\"c0/l1/sets\":[1,0,2]}"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = Json::parse(&summaries_json(&snap).render()).unwrap();
+        let at = |path: &[&str]| path.iter().fold(&json, |j, k| j.get(k).unwrap());
+        assert_eq!(at(&["counters"]), &Json::obj([("renders", Json::Num(2))]));
+        assert_eq!(at(&["histograms", "lat", "count"]).as_u64(), Some(3));
+        assert_eq!(at(&["histograms", "lat", "p50"]).as_u64(), Some(1));
+        assert_eq!(at(&["spans"]).as_u64(), Some(1));
+        assert_eq!(at(&["gauges", "c0/miss_rate"]).as_f64(), Some(0.125));
+        let bins = Json::Arr([1, 0, 2].map(Json::Num).to_vec());
+        assert_eq!(at(&["heatmaps", "c0/l1/sets"]), &bins);
     }
 
     #[test]
@@ -476,7 +440,7 @@ mod tests {
             assert!(dir.join(f).is_file(), "{f} missing");
         }
         let trace = std::fs::read_to_string(dir.join("trace_events.json")).unwrap();
-        assert!(trace.contains("\"traceEvents\""));
+        assert!(Json::parse(&trace).unwrap().get("traceEvents").is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

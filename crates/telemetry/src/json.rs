@@ -1,6 +1,7 @@
 //! A minimal hand-rolled JSON subset: objects, arrays, strings, numbers
-//! and booleans. That is all the repro format needs and serde is not
-//! available offline. Numbers that are plain unsigned integers stay
+//! and booleans. That is all the workspace's artefacts need and serde is
+//! not available offline; every JSON file it writes is a [`Json`] value
+//! rendered here (one escaper, one parser). Plain unsigned integers stay
 //! [`Json::Num`] (`u64`, lossless — 64-bit fault seeds never round-trip
 //! through `f64`); anything signed, fractional or exponent-bearing parses
 //! as [`Json::Float`] (gauges, rates, benchmark timings).
@@ -26,7 +27,47 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] follows (serde_json's
+/// default): the parser recurses per level, and reports come from outside.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why a document did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Nested deeper than [`MAX_DEPTH`]; the byte where that happened.
+    TooDeep(usize),
+    /// Any other malformation, described with its byte position.
+    Syntax(String),
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::TooDeep(at) => write!(f, "over {MAX_DEPTH} levels deep at byte {at}"),
+            JsonError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Syntax(msg)
+    }
+}
+
 impl Json {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `x` as [`parse`](Self::parse) reads `format!("{x:.places$}")` back —
+    /// the rounding the reports apply to timings and rates (a whole
+    /// non-negative result is a [`Json::Num`]; NaN and infinities are 0).
+    pub fn fixed(x: f64, places: usize) -> Json {
+        Json::parse(&format!("{x:.places$}")).unwrap_or(Json::Num(0))
+    }
+
     /// The value as an integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -81,14 +122,27 @@ impl Json {
     /// Serializes with stable key order and 2-space indentation.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.render_into(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close_pad = "  ".repeat(indent);
+    /// Serializes on one physical line without whitespace — what a
+    /// line-oriented file (JSONL, NDJSON) needs.
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, None);
+        out
+    }
+
+    /// The one writer: `indent` is the nesting level of an indented
+    /// rendering, `None` for the one-line form.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
+        let (newline, comma, colon, pad, close_pad) = match indent {
+            Some(level) => ("\n", ", ", ": ", "  ".repeat(level + 1), "  ".repeat(level)),
+            None => ("", ",", ":", String::new(), String::new()),
+        };
+        let deeper = indent.map(|level| level + 1);
         match self {
             Json::Num(n) => {
                 let _ = write!(out, "{n}");
@@ -111,23 +165,16 @@ impl Json {
                 let _ = write!(out, "{b}");
             }
             Json::Str(s) => render_string(out, s),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Json::Obj(map) if map.is_empty() => out.push_str("{}"),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 // Arrays of scalars render on one line; nested ones wrap.
-                let scalar = items.iter().all(|i| {
-                    matches!(
-                        i,
-                        Json::Num(_) | Json::Float(_) | Json::Bool(_) | Json::Str(_)
-                    )
-                });
-                if scalar {
+                let nested = |i: &Json| matches!(i, Json::Arr(_) | Json::Obj(_));
+                if indent.is_none() || !items.iter().any(nested) {
                     out.push('[');
                     for (i, item) in items.iter().enumerate() {
                         if i > 0 {
-                            out.push_str(", ");
+                            out.push_str(comma);
                         }
                         item.render_into(out, indent);
                     }
@@ -136,7 +183,7 @@ impl Json {
                     out.push_str("[\n");
                     for (i, item) in items.iter().enumerate() {
                         out.push_str(&pad);
-                        item.render_into(out, indent + 1);
+                        item.render_into(out, deeper);
                         if i + 1 < items.len() {
                             out.push(',');
                         }
@@ -147,20 +194,17 @@ impl Json {
                 }
             }
             Json::Obj(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
+                out.push('{');
+                out.push_str(newline);
                 for (i, (k, v)) in map.iter().enumerate() {
                     out.push_str(&pad);
                     render_string(out, k);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
+                    out.push_str(colon);
+                    v.render_into(out, deeper);
                     if i + 1 < map.len() {
                         out.push(',');
                     }
-                    out.push('\n');
+                    out.push_str(newline);
                 }
                 out.push_str(&close_pad);
                 out.push('}');
@@ -169,13 +213,12 @@ impl Json {
     }
 
     /// Parses a JSON document (of the supported subset).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
+            return Err(format!("trailing data at byte {pos}").into());
         }
         Ok(value)
     }
@@ -205,25 +248,29 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
+fn expected(what: &str, b: &[u8], pos: usize) -> String {
+    let found = b.get(pos).map(|&x| x as char);
+    format!("expected {what} at byte {pos} (found {found:?})")
+}
+
 fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     skip_ws(b, pos);
     if *pos < b.len() && b[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!(
-            "expected '{}' at byte {} (found {:?})",
-            c as char,
-            *pos,
-            b.get(*pos).map(|&x| x as char)
-        ))
+        Err(expected(&format!("'{}'", c as char), b, *pos))
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if depth > MAX_DEPTH {
+        return Err(JsonError::TooDeep(*pos));
+    }
     match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
+        None => Err("unexpected end of input".to_string().into()),
         Some(b'{') => {
             *pos += 1;
             let mut map = BTreeMap::new();
@@ -234,9 +281,9 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -245,13 +292,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Obj(map));
                     }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or '}}' at byte {pos} (found {:?})",
-                            other.map(|&x| x as char),
-                            pos = *pos
-                        ))
-                    }
+                    _ => return Err(expected("',' or '}'", b, *pos).into()),
                 }
             }
         }
@@ -264,7 +305,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -272,31 +313,18 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or ']' at byte {pos} (found {:?})",
-                            other.map(|&x| x as char),
-                            pos = *pos
-                        ))
-                    }
+                    _ => return Err(expected("',' or ']'", b, *pos).into()),
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => {
-            if b[*pos..].starts_with(b"true") {
-                *pos += 4;
-                Ok(Json::Bool(true))
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
+        Some(&c @ (b't' | b'f')) => {
+            let word = if c == b't' { "true" } else { "false" };
+            if b[*pos..].starts_with(word.as_bytes()) {
+                *pos += word.len();
+                Ok(Json::Bool(c == b't'))
             } else {
-                Err(format!("bad literal at byte {pos}", pos = *pos))
-            }
-        }
-        Some(b'f') => {
-            if b[*pos..].starts_with(b"false") {
-                *pos += 5;
-                Ok(Json::Bool(false))
-            } else {
-                Err(format!("bad literal at byte {pos}", pos = *pos))
+                Err(format!("bad literal at byte {pos}", pos = *pos).into())
             }
         }
         Some(&c) if c.is_ascii_digit() || c == b'-' => {
@@ -311,26 +339,24 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&b[start..*pos]).unwrap();
+            let text = &text[start..*pos];
             if integral {
                 text.parse::<u64>()
                     .map(Json::Num)
-                    .map_err(|e| format!("bad number {text:?}: {e}"))
+                    .map_err(|e| format!("bad number {text:?}: {e}").into())
             } else {
                 match text.parse::<f64>() {
                     Ok(x) if x.is_finite() => Ok(Json::Float(x)),
-                    _ => Err(format!("bad number {text:?}")),
+                    _ => Err(format!("bad number {text:?}").into()),
                 }
             }
         }
-        Some(&c) => Err(format!(
-            "unexpected character {:?} at byte {}",
-            c as char, *pos
-        )),
+        Some(&c) => Err(format!("unexpected character {:?} at byte {}", c as char, *pos).into()),
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -366,13 +392,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&c) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap_or(c as char);
-                out.push(ch);
-                *pos += ch.len_utf8();
+            Some(_) => {
+                // Copy the run up to the next quote or backslash in one
+                // piece: both are ASCII, so the run ends on a char boundary
+                // of the `&str` it came from (multi-byte sequences pass
+                // through unchanged) and parsing stays linear.
+                let start = *pos;
+                while b.get(*pos).is_some_and(|c| !matches!(c, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&text[start..*pos]);
             }
         }
     }
@@ -395,9 +424,20 @@ mod tests {
                 Json::Arr(vec![]),
             ]),
         );
+        obj.insert(
+            "ctl \u{1} \\ é".into(),
+            Json::obj([("k", Json::Float(-0.5))]),
+        );
         let doc = Json::Obj(obj);
         let text = doc.render();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+        // The one-line form is the same document without the layout.
+        let line = doc.render_compact();
+        assert!(line.starts_with(
+            "{\"ctl \\u0001 \\\\ é\":{\"k\":-0.5},\"name\":\"a \\\"quoted\\\"\\nline\","
+        ));
+        assert!(!line.contains('\n'), "{line}");
+        assert_eq!(Json::parse(&line).unwrap(), doc);
     }
 
     #[test]
@@ -431,5 +471,11 @@ mod tests {
         assert_eq!(Json::parse(&text).unwrap(), Json::Float(12.0));
         assert_eq!(Json::Num(3).as_f64(), Some(3.0));
         assert_eq!(Json::Float(f64::NAN).render().trim(), "0");
+        // `fixed` is the reports' `{:.N}` read back: same rounding, and a
+        // whole count stays a count.
+        assert_eq!(Json::fixed(1.5, 3), Json::Float(1.5));
+        assert_eq!(Json::fixed(0.1234565, 6), Json::Float(0.123456));
+        assert_eq!(Json::fixed(12_345_678.5, 0), Json::Num(12_345_678));
+        assert_eq!(Json::fixed(f64::NAN, 3), Json::Num(0));
     }
 }

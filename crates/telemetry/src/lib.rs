@@ -4,7 +4,8 @@
 //! per-frame time series for the MLTC simulator, with three exporters:
 //! JSONL/CSV time series, histogram summaries (p50/p90/p99, mean) as a JSON
 //! fragment for `BENCH_experiments.json`, and Chrome trace-event JSON
-//! loadable in `chrome://tracing`.
+//! loadable in `chrome://tracing`. Those, and every other JSON artefact of
+//! the workspace, are [`Json`] values: [`json`] holds the one writer and parser.
 //!
 //! ## The overhead contract
 //!
@@ -12,8 +13,8 @@
 //! [`Span`] — is an `Option` around shared state. A **disabled** handle is
 //! `None`, so each operation on it compiles to a single predictable
 //! not-taken branch; the simulator's per-texel path pays exactly one such
-//! branch per dynamic exit (guarded by a criterion bench and an assertion
-//! test in the workspace). An **enabled** handle records with relaxed
+//! branch per dynamic exit (priced by the `telemetry.counters_ns_per_tap`
+//! ledger row of `BENCHMARK.json`, guarded by an assertion test). An **enabled** handle records with relaxed
 //! atomics; the only mutexes are taken on span close and series row push —
 //! per frame or per store operation, never per texel. Telemetry only
 //! observes: simulator counters are bit-identical with recording on or off.
@@ -37,7 +38,7 @@
 //! assert_eq!(snap.counters["l1_hits"], 7);
 //! assert_eq!(snap.spans.len(), 1);
 //! let json = export::summaries_json(&snap);
-//! assert!(json.contains("\"l1_hits\":7"));
+//! assert_eq!(json.get("counters").unwrap().get("l1_hits").unwrap().as_u64(), Some(7));
 //! ```
 //!
 //! [`ReuseDistance`] is the odd one out: it is *not* thread-shared (the
@@ -48,6 +49,7 @@ mod attrib;
 pub mod export;
 mod heat;
 mod hist;
+pub mod json;
 mod recorder;
 mod reuse;
 mod span;
@@ -56,6 +58,7 @@ mod stackdist;
 pub use attrib::{EvictionCause, MissAttribution, MissClass};
 pub use heat::HeatMap;
 pub use hist::{bucket_of, bucket_upper_bound, HistSnapshot, Histogram, BUCKETS};
+pub use json::{Json, JsonError};
 pub use recorder::{Counter, Gauge, Recorder, Series, SeriesSnapshot, Span, TelemetrySnapshot};
 pub use reuse::ReuseDistance;
 pub use span::{chrome_trace_json, current_span_depth, SpanEvent, DEFAULT_SPAN_CAPACITY};

@@ -14,6 +14,7 @@
 //! underflow or panic — the child simply records at its captured depth and
 //! the counter re-converges to zero once every guard is gone.
 
+use crate::Json;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -108,46 +109,26 @@ pub fn current_span_depth() -> u32 {
     SPAN_DEPTH.with(|c| c.get())
 }
 
-/// Renders events as a Chrome trace-event JSON document that
-/// `chrome://tracing` / Perfetto load directly (complete `"X"` events).
-pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":{},\"cat\":\"mltc\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"depth\":{}}}}}",
-            json_string(&ev.name),
-            ev.start_us,
-            ev.dur_us,
-            ev.tid,
-            ev.depth
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Builds the Chrome trace-event document that `chrome://tracing` /
+/// Perfetto load directly (complete `"X"` events).
+pub fn chrome_trace_json(events: &[SpanEvent]) -> Json {
+    let str = |s: &str| Json::Str(s.to_string());
+    let event = |ev: &SpanEvent| {
+        Json::obj([
+            ("name", str(&ev.name)),
+            ("cat", str("mltc")),
+            ("ph", str("X")),
+            ("ts", Json::Num(ev.start_us)),
+            ("dur", Json::Num(ev.dur_us)),
+            ("pid", Json::Num(1)),
+            ("tid", Json::Num(ev.tid.into())),
+            ("args", Json::obj([("depth", Json::Num(ev.depth.into()))])),
+        ])
+    };
+    Json::obj([
+        ("displayTimeUnit", str("ms")),
+        ("traceEvents", Json::Arr(events.iter().map(event).collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -194,16 +175,19 @@ mod tests {
             tid: 3,
             depth: 1,
         };
-        let json = chrome_trace_json(&[ev]);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\\\"name\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":10"));
-        // Balanced braces — a cheap structural sanity check.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+        let text = chrome_trace_json(std::slice::from_ref(&ev)).render_compact();
+        assert!(text.contains("\\\"name\\\"") && text.contains("\\n"));
+        let doc = Json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].get("name").and_then(Json::as_str),
+            Some(&*ev.name)
+        );
+        assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("X"));
+        assert_eq!(events[0].get("ts").and_then(Json::as_u64), Some(10));
+        let depth = events[0].get("args").and_then(|a| a.get("depth"));
+        assert_eq!(depth.and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mltc::core::{
 };
 use mltc::raster::FilterMode;
 use mltc::scene::{Workload, WorkloadParams};
-use mltc::telemetry::{export, Recorder, TelemetrySnapshot};
+use mltc::telemetry::{export, Json, Recorder, TelemetrySnapshot};
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -30,15 +30,9 @@ fn run_animation(engine: &mut SimEngine, w: &Workload, filter: FilterMode) {
     }
 }
 
-/// Pulls `"key":<int>` out of one JSONL line.
-fn field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// An integer column of one parsed JSONL row.
+fn field(row: &Json, key: &str) -> Option<u64> {
+    row.get(key)?.as_u64()
 }
 
 /// Golden round-trip: export the per-frame series as JSONL, parse it back,
@@ -57,15 +51,16 @@ fn jsonl_export_round_trips_engine_totals() {
     export::write_series_jsonl(&snap.series, &mut jsonl).unwrap();
     let jsonl = String::from_utf8(jsonl).unwrap();
 
-    let rows: Vec<&str> = jsonl
+    let rows: Vec<Json> = jsonl
         .lines()
-        .filter(|l| l.contains("\"series\":\"golden-run\""))
+        .map(|l| Json::parse(l).expect("every line is one JSON object"))
+        .filter(|row| row.get("series").and_then(Json::as_str) == Some("golden-run"))
         .collect();
     assert_eq!(rows.len(), w.frame_count as usize, "one line per frame");
 
     let sum = |key: &str| -> u64 {
         rows.iter()
-            .map(|l| field(l, key).unwrap_or_else(|| panic!("no {key} in {l}")))
+            .map(|l| field(l, key).unwrap_or_else(|| panic!("no {key} in {l:?}")))
             .sum()
     };
     assert_eq!(sum("l1_accesses"), totals.l1_accesses);
