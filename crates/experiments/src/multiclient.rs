@@ -25,7 +25,7 @@
 //!   producer drops its sender and keeps feeding the survivors.
 
 use crate::runner::{mb, panic_message, pct, RunError};
-use crate::store::{stream_trace_file_raw, TraceHandle, TraceStore};
+use crate::store::TraceStore;
 use crate::{Outputs, Scale, TextTable};
 use mltc_cache::jain_fairness;
 use mltc_core::{
@@ -36,9 +36,7 @@ use mltc_core::{
 use mltc_scene::Workload;
 use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
-use mltc_trace::codec::frame_cursor;
 use mltc_trace::{FilterMode, FrameTrace};
-use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -490,35 +488,12 @@ fn solo_replay(
 }
 
 /// Materialises the workload's trace as shared in-memory frames whatever
-/// the store's handle state (memory / disk / uncached).
+/// the store's handle state (memory / disk / uncached): a visitor of the
+/// store's feed, so a damaged persisted file is healed on the way. It
+/// cannot fail; the `Result` is the signature its callers compile against.
 pub fn collect_frames(store: &TraceStore, w: &Workload) -> Result<Vec<Arc<FrameTrace>>, RunError> {
-    match store.get_or_render(w, false, mltc_raster::Traversal::Scanline) {
-        TraceHandle::Memory(set) => Ok(set.frames.clone()),
-        TraceHandle::Disk(path) => {
-            let mut frames = Vec::new();
-            let mut bad = None;
-            stream_trace_file_raw(&path, |bytes| match frame_cursor(bytes) {
-                Ok((cursor, _)) => {
-                    frames.push(Arc::new(cursor.into_frame()));
-                    ControlFlow::Continue(())
-                }
-                Err(e) => {
-                    bad = Some(e);
-                    ControlFlow::Break(())
-                }
-            })
-            .map_err(|e| RunError::Trace(format!("{}: {e}", path.display())))?;
-            match bad {
-                Some(e) => Err(RunError::Trace(format!("{}: {e}", path.display()))),
-                None => Ok(frames),
-            }
-        }
-        TraceHandle::Uncached => {
-            let mut frames = Vec::new();
-            w.render_animation(FilterMode::Point, false, |t| frames.push(Arc::new(t)));
-            Ok(frames)
-        }
-    }
+    let scanline = mltc_raster::Traversal::Scanline;
+    Ok(store.fold_frames(w, false, scanline, Vec::new, |frames, t| frames.push(t)))
 }
 
 /// `--clients` override for the `multiclient` experiment; `0` = sweep.

@@ -1,48 +1,52 @@
 //! Shared run machinery: look up (or render once) a trace, replay it
 //! through many cache configurations.
 //!
-//! Every entry point asks the [`TraceStore`] for the trace and *replays*
-//! it. Three replay paths cover the store's handle states:
+//! There is one way from the [`TraceStore`]'s answer to an engine:
 //!
-//! * **memory** ([`TraceHandle::Memory`]): each worker iterates the shared
-//!   frames directly — no channels, no copies — or, where an earlier run
-//!   left its L1 pass beside them, that pass instead of the frames;
-//! * **disk** ([`TraceHandle::Disk`]): one reader streams frames out of
-//!   the persisted file and fans them out over bounded channels;
-//! * **uncached** ([`TraceHandle::Uncached`]): the workload renders live,
-//!   exactly the pre-store behaviour.
+//! * the store's *feed* (`TraceStore::feed`) alone turns a [`TraceHandle`],
+//!   whichever of its three states it is in, into frames, each a
+//!   [`FedFrame`]: decoded and shared (a resident trace, a live
+//!   rasterization) or the validated encoded bytes of a disk stream;
+//! * one group-worker loop ([`Replay::run_group`]) replays them: a [`Gate`]
+//!   permit per frame, then the frame on the selected [`ReplayPath`] — the
+//!   one place an engine entry point is chosen. Decoded frames go through
+//!   the engine's non-generic `_as` forms; encoded ones are decoded in
+//!   place through the generic forms, so a streamed frame never becomes a
+//!   `Vec<PixelRequest>`. Stored traces are point-sampled, so the requested
+//!   filter is applied here ([`SimEngine::try_run_frame_as`]);
+//! * two drivers put frames in front of that loop. Over a resident trace
+//!   ([`TraceHandle::Memory`]) every worker walks the shared slice itself —
+//!   no channel, no producer ([`replay_resident`]). Anything else is
+//!   *producer-fed* ([`replay_fed`]): the feed runs once on the calling
+//!   thread and fans each frame out over one bounded channel per group.
 //!
-//! Because stored traces are point-sampled (filter-independent — see the
-//! [store docs](crate::store)), replays apply the requested filter via
-//! [`SimEngine::try_run_frame_as`].
-//!
-//! A worker replays one *group*: whichever of the three the frames come
-//! from, configurations whose engines share an L1
-//! ([`SimEngine::shares_l1_with`]) make one L1 pass per frame between
-//! them ([`SimEngine::try_run_frame_shared`]); everything else is a group
-//! of one. Each configuration still gets its own `Result`.
+//! A worker replays one *group*: wherever the frames come from,
+//! configurations whose engines share an L1 ([`SimEngine::shares_l1_with`])
+//! make one L1 pass per frame between them
+//! ([`SimEngine::try_run_frame_shared`]); everything else is a group of one.
+//! Each configuration still gets its own `Result`.
 //!
 //! From memory the pass outlives the call: a run in which every
 //! configuration succeeded leaves each group's [`L1Pass`] beside the
 //! resident trace ([`TraceStore::keep_pass`]), and a later group on the same
 //! L1 — in any `engine_run*` call over that store — replays the stored pass,
 //! each member on a worker of its own, instead of the frames (DESIGN.md
-//! §14, "Stored passes"). Disk streams and live renders neither keep nor
-//! find passes.
+//! §14, "Stored passes"). Producer-fed replays neither keep nor find passes.
+//!
+//! A streamed file found damaged mid-replay fails that replay — its engines
+//! saw a prefix — with [`RunError::Trace`] on every configuration; the feed
+//! has told the store, so the next `engine_run*` re-renders, heals the file
+//! and succeeds.
 
-use crate::store::{
-    stream_trace_file_raw, trav_tag, StatsBundle, TraceHandle, TraceSet, TraceStore,
-};
+use crate::store::{trav_tag, FedFrame, StatsBundle, TraceHandle, TraceSet, TraceStore};
 use mltc_core::{EngineConfig, EngineError, FramePrep, L1Pass, PreparedFrame, SimEngine};
 use mltc_scene::Workload;
 use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
-use mltc_trace::codec::frame_cursor;
 use mltc_trace::{FilterMode, FrameTrace};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -75,9 +79,7 @@ pub enum ReplayPath {
     /// simulates frame N ([`SimEngine::try_run_frame_prepared`]). Both
     /// stages take [`Gate`] permits per frame, so the `--jobs` budget
     /// still bounds concurrent CPU burn; with `--jobs 1` the stages
-    /// simply alternate. Live (uncached) replays fall back to
-    /// [`Batched`](Self::Batched) — there the renderer already overlaps
-    /// the simulation.
+    /// simply alternate.
     Pipelined,
 }
 
@@ -145,11 +147,11 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A counting semaphore bounding how many configuration workers simulate
 /// a frame at any instant (the `--jobs` cap).
 ///
-/// Every worker thread is still spawned up front — the producer side
-/// (disk streamer, live renderer) runs exactly once and fans frames out
-/// to all of them — but workers take a permit per *frame*, so at most
-/// `jobs` of them burn CPU simultaneously while the rest sit parked in
-/// `acquire` or on their bounded channel. Gating per frame (not per
+/// Every worker thread is still spawned up front — the producer side (the
+/// store's feed: a disk stream, a live render) runs exactly once and fans
+/// frames out to all of them — but workers take a permit per *frame*, so
+/// at most `jobs` of them burn CPU simultaneously while the rest sit parked
+/// in `acquire` or on their bounded channel. Gating per frame (not per
 /// whole replay) is what keeps the single producer safe: an ungated
 /// worker whose channel filled up would block the producer, which the
 /// permit holders are waiting on.
@@ -194,11 +196,10 @@ impl Drop for GateGuard<'_> {
 const PIPELINE_DEPTH: usize = 2;
 
 /// One configuration's frame-pipelined replay: a prep thread turns each
-/// item (a shared in-memory frame, or a raw encoded frame straight off
-/// the disk streamer) into a [`PreparedFrame`] — decode plus filter
-/// expansion plus L1 address translation, no cache state — while the
-/// engine simulates the previous frame. Prepared buffers recycle through
-/// a return channel, so after warm-up no allocation happens per frame.
+/// fed frame (`fill`) into a [`PreparedFrame`] — decode plus filter
+/// expansion plus L1 address translation, no cache state — while the engine
+/// simulates the previous frame. Prepared buffers recycle through a return
+/// channel, so after warm-up no allocation happens per frame.
 ///
 /// Both stages take a [`Gate`] permit per frame and neither blocks on a
 /// channel while holding one (the prep side grabs its recycled buffer
@@ -206,20 +207,17 @@ const PIPELINE_DEPTH: usize = 2;
 /// returns never block), so the `--jobs` budget bounds concurrent CPU
 /// burn without deadlock even at one permit.
 ///
-/// Errors surface exactly like the unpipelined worker loop: an engine
-/// error (unknown texture) stops the replay on that frame with the frame
-/// left open, and a prep-side failure (frame re-decode) taints the
-/// replay as [`RunError::Trace`]. An engine error wins when both stop.
-fn replay_pipelined<I, F>(
+/// An engine error (unknown texture) stops the replay on that frame with
+/// the frame left open, exactly like the unpipelined worker loop.
+fn replay_pipelined<I>(
     engine: &mut SimEngine,
     gate: &Gate,
-    items: I,
-    fill: F,
+    frames: I,
+    fill: impl Fn(I::Item, &mut PreparedFrame) + Send,
 ) -> Result<(), RunError>
 where
     I: IntoIterator + Send,
     I::Item: Send,
-    F: Fn(I::Item, &mut PreparedFrame) -> Result<(), RunError> + Send,
 {
     let (ptx, prx) = sync_channel::<PreparedFrame>(PIPELINE_DEPTH);
     let (rtx, rrx) = sync_channel::<PreparedFrame>(PIPELINE_DEPTH + 2);
@@ -227,18 +225,17 @@ where
         let _ = rtx.send(PreparedFrame::default());
     }
     std::thread::scope(|scope| {
-        let prep_worker = scope.spawn(move || -> Result<(), RunError> {
-            for item in items {
+        let prep_worker = scope.spawn(move || {
+            for frame in frames {
                 let mut buf = rrx.recv().unwrap_or_default();
                 {
                     let _permit = gate.acquire();
-                    fill(item, &mut buf)?;
+                    fill(frame, &mut buf);
                 }
                 if ptx.send(buf).is_err() {
                     break; // engine side bailed; it reports the error
                 }
             }
-            Ok(())
         });
         let mut sim_result = Ok(());
         for buf in &prx {
@@ -254,11 +251,10 @@ where
         // engine error) before joining it.
         drop(prx);
         drop(rtx);
-        let prep_result = match prep_worker.join() {
-            Ok(r) => r,
-            Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
-        };
-        sim_result.and(prep_result)
+        let prepped = prep_worker
+            .join()
+            .map_err(|payload| RunError::Panicked(panic_message(payload.as_ref())));
+        sim_result.and(prepped)
     })
 }
 
@@ -333,7 +329,7 @@ pub fn replay_run(
     let plan = plan_replay(registry, configs, &|_, cfg, reg| {
         SimEngine::try_new(cfg, reg)
     });
-    replay_with(registry, frames, filter, plan, &Recorder::disabled()).0
+    replay_resident(registry, frames, filter, plan, &Recorder::disabled()).0
 }
 
 /// Looks up (or renders once) the workload's trace and replays it through
@@ -606,7 +602,7 @@ fn engine_run_traversal_with(
     store.note_l1_passes(run, shared, reused);
     let results = match &handle {
         TraceHandle::Memory(set) => {
-            let (results, passes) = replay_with(registry, &set.frames, filter, plan, &rec);
+            let (results, passes) = replay_resident(registry, &set.frames, filter, plan, &rec);
             // Only a run in which nothing failed leaves its passes behind.
             if results.iter().all(Result::is_ok) {
                 for pass in passes {
@@ -615,8 +611,9 @@ fn engine_run_traversal_with(
             }
             results
         }
-        TraceHandle::Disk(path) => stream_replay_with(registry, path, filter, plan, &rec),
-        TraceHandle::Uncached => run_live(workload, filter, plan, zprepass, traversal, &rec),
+        streamed => replay_fed(registry, filter, plan, &rec, |visit| {
+            store.feed(streamed, workload, zprepass, traversal, visit)
+        }),
     };
     // Taps answered: a member that shared its leader's L1 pass, or replayed
     // a stored one, counts the pass's taps again, exactly as its solo
@@ -630,107 +627,132 @@ fn engine_run_traversal_with(
     results
 }
 
-/// Memory-resident replay: no frame channels — every group's worker walks
-/// the shared frame list at its own pace, taking a [`Gate`] permit per
-/// frame so at most [`max_replay_jobs`] groups simulate at any instant.
-/// The [`replay_path`] selects the engine entry point; the pipelined path
-/// adds one prep thread per configuration (still permit-gated per frame).
+/// What the group workers of one replay share.
+struct Replay<'a> {
+    registry: &'a TextureRegistry,
+    filter: FilterMode,
+    path: ReplayPath,
+    gate: Gate,
+    rec: &'a Recorder,
+    /// Whether groups record their L1 pass, and where those that recorded
+    /// to the end leave it.
+    record: bool,
+    recorded: Mutex<Vec<L1Pass>>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(registry: &'a TextureRegistry, filter: FilterMode, rec: &'a Recorder) -> Self {
+        Self {
+            registry,
+            filter,
+            path: replay_path(),
+            gate: Gate::new(max_replay_jobs()),
+            rec,
+            record: false,
+            recorded: Mutex::default(),
+        }
+    }
+
+    /// The group-worker loop, the same whether `frames` is the resident
+    /// slice or a channel: a [`Gate`] permit per frame, so at most
+    /// [`max_replay_jobs`] groups simulate at any instant, then the frame on
+    /// the replay path. `engines[0]` leads; on the batched path the others
+    /// replay its miss log, so a leader's error fails exactly its group.
+    fn run_group<I>(&self, group: Group, frames: I) -> Result<Vec<SimEngine>, RunError>
+    where
+        I: IntoIterator<Item = FedFrame> + Send,
+    {
+        let _span = self.rec.span(&format!("replay/{}", group.label));
+        let (filter, mut engines) = (self.filter, group.engines);
+        if self.path == ReplayPath::Pipelined {
+            // One more thread for the group, still permit-gated per frame.
+            let prep = FramePrep::new(&engines[0].config(), self.registry);
+            let fill = |frame: FedFrame, buf: &mut PreparedFrame| match frame {
+                FedFrame::Decoded(t) => prep.prepare(filter, t.requests.iter().copied(), buf),
+                FedFrame::Encoded(bytes) => prep.prepare(filter, bytes.cursor().requests(), buf),
+            };
+            replay_pipelined(&mut engines[0], &self.gate, frames, fill)?;
+            return Ok(engines);
+        }
+        let mut pass = self.record.then(|| engines[0].record_l1_pass(filter));
+        for frame in frames {
+            let _permit = self.gate.acquire();
+            match (self.path, &frame) {
+                (ReplayPath::Scalar, FedFrame::Decoded(t)) => {
+                    engines[0].try_run_frame_as(t, filter)?
+                }
+                (ReplayPath::Scalar, FedFrame::Encoded(bytes)) => {
+                    engines[0].try_run_frame_requests(filter, bytes.cursor().requests())?
+                }
+                // The batched path; a pipelined group went its way above.
+                (_, FedFrame::Decoded(t)) => match &mut pass {
+                    Some(pass) => SimEngine::try_run_frame_recorded_as(&mut engines, t, pass)?,
+                    None => SimEngine::try_run_frame_shared_as(&mut engines, t, filter)?,
+                },
+                (_, FedFrame::Encoded(bytes)) => SimEngine::try_run_frame_shared(
+                    &mut engines,
+                    filter,
+                    bytes.cursor().requests(),
+                )?,
+            }
+        }
+        if let Some(pass) = pass {
+            lock_clean(&self.recorded).extend(pass.finish(&engines[0]));
+        }
+        Ok(engines)
+    }
+}
+
+/// Resident replay: no channel, no producer — every group's worker walks
+/// the shared frame list at its own pace.
 ///
 /// A group with a stored pass has no frames to walk and no leader: its
 /// members are independent once the miss stream exists, so each replays
 /// the pass on a worker of its own, under the same per-frame permits.
 /// Returns the passes the other groups recorded to the end, when the plan
 /// asks for them, beside the results.
-fn replay_with(
+fn replay_resident(
     registry: &TextureRegistry,
     frames: &[Arc<FrameTrace>],
     filter: FilterMode,
     plan: Plan,
     rec: &Recorder,
 ) -> (Vec<Result<SimEngine, RunError>>, Vec<L1Pass>) {
-    let gate = Gate::new(max_replay_jobs());
-    let path = replay_path();
-    let record = plan.record;
-    let recorded = Mutex::new(Vec::new());
+    let mut replay = Replay::new(registry, filter, rec);
+    replay.record = plan.record;
     let results = std::thread::scope(|scope| {
+        let replay = &replay;
         let workers = plan
             .groups
             .into_iter()
-            .flat_map(|group| {
-                let Group {
-                    slots,
-                    mut engines,
-                    label,
-                    stored,
-                } = group;
-                let (gate, recorded) = (&gate, &recorded);
-                if let Some(pass) = stored {
-                    // No spans: a recorded run attaches telemetry to every
-                    // engine, and a stored pass answers no observed engine.
-                    return slots
-                        .into_iter()
-                        .zip(engines)
-                        .map(|(slot, mut engine)| {
-                            let pass = pass.clone();
-                            let worker = scope.spawn(move || {
-                                for frame in 0..pass.frame_count() {
-                                    let _permit = gate.acquire();
-                                    engine.replay_pass_frame(&pass, frame);
-                                }
-                                Ok(vec![engine])
-                            });
-                            (vec![slot], worker)
-                        })
-                        .collect();
-                }
-                let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
-                    let _span = rec.span(&format!("replay/{label}"));
-                    match path {
-                        ReplayPath::Scalar => {
-                            for trace in frames {
-                                let _permit = gate.acquire();
-                                engines[0].try_run_frame_as(trace, filter)?;
+            .flat_map(|mut group| {
+                let slots = std::mem::take(&mut group.slots);
+                let Some(pass) = group.stored.take() else {
+                    let walk = frames.iter().cloned().map(FedFrame::Decoded);
+                    let worker = scope.spawn(move || replay.run_group(group, walk));
+                    return vec![(slots, worker)];
+                };
+                // No spans: a recorded run attaches telemetry to every
+                // engine, and a stored pass answers no observed engine.
+                let members = slots.into_iter().zip(group.engines);
+                members
+                    .map(|(slot, mut engine)| {
+                        let pass = pass.clone();
+                        let worker = scope.spawn(move || {
+                            for frame in 0..pass.frame_count() {
+                                let _permit = replay.gate.acquire();
+                                engine.replay_pass_frame(&pass, frame);
                             }
-                        }
-                        ReplayPath::Batched if record => {
-                            let mut pass = engines[0].record_l1_pass(filter);
-                            for trace in frames {
-                                let _permit = gate.acquire();
-                                SimEngine::try_run_frame_recorded_as(
-                                    &mut engines,
-                                    trace,
-                                    &mut pass,
-                                )?;
-                            }
-                            lock_clean(recorded).extend(pass.finish(&engines[0]));
-                        }
-                        ReplayPath::Batched => {
-                            for trace in frames {
-                                let _permit = gate.acquire();
-                                SimEngine::try_run_frame_shared_as(&mut engines, trace, filter)?;
-                            }
-                        }
-                        ReplayPath::Pipelined => {
-                            let prep = FramePrep::new(&engines[0].config(), registry);
-                            replay_pipelined(
-                                &mut engines[0],
-                                gate,
-                                frames.iter(),
-                                |trace, buf| {
-                                    prep.prepare(filter, trace.requests.iter().copied(), buf);
-                                    Ok(())
-                                },
-                            )?;
-                        }
-                    }
-                    Ok(engines)
-                });
-                vec![(slots, worker)]
+                            Ok(vec![engine])
+                        });
+                        (vec![slot], worker)
+                    })
+                    .collect()
             })
             .collect();
         join_groups(plan.failed, workers)
     });
-    let recorded = recorded.into_inner();
+    let recorded = replay.recorded.into_inner();
     (results, recorded.unwrap_or_else(PoisonError::into_inner))
 }
 
@@ -750,163 +772,56 @@ fn fan_out<T: Clone>(senders: &mut [Option<SyncSender<T>>], item: &T) -> Control
     flow
 }
 
-/// Disk streaming replay: one reader validates each encoded frame and fans
-/// the *raw bytes* out over bounded channels, one per group; workers
-/// decode in place with [`frame_cursor`] and feed the borrowed request
-/// iterator straight into the engine — no per-frame `Vec<PixelRequest>` is
-/// ever materialized, and the reader recycles frame buffers once every
-/// worker drops them.
+/// Producer-fed replay, for a trace that is not resident: `feed` (the
+/// store's, over the handle) runs once on this thread — the file is streamed
+/// and validated, or the animation rasterized, once however many
+/// configurations consume it — and each frame is fanned out over one bounded
+/// channel per group, until no worker is left to read for.
 ///
-/// A group's leader reads the frames and its followers replay its miss log
-/// ([`SimEngine::try_run_frame_shared`]), so a leader's error fails exactly
-/// its group, and a codec failure mid-stream taints every still-successful
-/// configuration with [`RunError::Trace`] — their engines only saw a prefix
-/// of the animation. The file is streamed and validated exactly once no
-/// matter how many configurations replay it, and no further once no worker
-/// is left to read for; the [`Gate`] keeps at most [`max_replay_jobs`]
-/// groups simulating at any instant. An enabled recorder also gets the
-/// frames read (`replay/stream_frames`) and how long the reader sat in
-/// sends to full channels (`replay/stream_reader_blocked_us`).
-fn stream_replay_with(
+/// A feed that fails mid-stream (a damaged file) taints every
+/// still-successful configuration with its error: their engines saw a
+/// prefix of the animation. An enabled recorder gets the frames delivered
+/// (`replay/stream_frames`) and how long the producer sat in sends to full
+/// channels (`replay/stream_reader_blocked_us`).
+fn replay_fed(
     registry: &TextureRegistry,
-    path: &Path,
     filter: FilterMode,
     plan: Plan,
     rec: &Recorder,
+    feed: impl FnOnce(&mut dyn FnMut(&FedFrame) -> ControlFlow<()>) -> Result<(), RunError>,
 ) -> Vec<Result<SimEngine, RunError>> {
-    let gate = Gate::new(max_replay_jobs());
-    let rpath = replay_path();
+    let replay = &Replay::new(registry, filter, rec);
     std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(plan.groups.len());
-        let mut workers = Vec::with_capacity(plan.groups.len());
-        for group in plan.groups {
-            let Group {
-                slots,
-                mut engines,
-                label,
-                ..
-            } = group;
-            let (tx, rx) = sync_channel::<Arc<Vec<u8>>>(4);
-            senders.push(Some(tx));
-            let gate = &gate;
-            let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
-                let _span = rec.span(&format!("replay/{label}"));
-                // The streamer already validated each frame end to end,
-                // so a decode error here is a logic bug, but report it
-                // as a tainted replay rather than panic.
-                let decode_err = |e| RunError::Trace(format!("re-decode: {e}"));
-                match rpath {
-                    ReplayPath::Scalar => {
-                        for bytes in rx {
-                            let _permit = gate.acquire();
-                            let (cursor, _) = frame_cursor(&bytes).map_err(decode_err)?;
-                            engines[0].try_run_frame_requests(filter, cursor.requests())?;
-                        }
-                    }
-                    ReplayPath::Batched => {
-                        for bytes in rx {
-                            let _permit = gate.acquire();
-                            let (cursor, _) = frame_cursor(&bytes).map_err(decode_err)?;
-                            SimEngine::try_run_frame_shared(
-                                &mut engines,
-                                filter,
-                                cursor.requests(),
-                            )?;
-                        }
-                    }
-                    ReplayPath::Pipelined => {
-                        let prep = FramePrep::new(&engines[0].config(), registry);
-                        replay_pipelined(&mut engines[0], gate, rx, |bytes, buf| {
-                            let (cursor, _) = frame_cursor(&bytes).map_err(decode_err)?;
-                            prep.prepare(filter, cursor.requests(), buf);
-                            Ok(())
-                        })?;
-                    }
-                }
-                Ok(engines)
-            });
-            workers.push((slots, worker));
-        }
-        let stream_span = rec.span("replay/disk-stream");
-        let mut blocked = Duration::ZERO;
-        let streamed = stream_trace_file_raw(path, |shared| {
+        let workers = plan
+            .groups
+            .into_iter()
+            .map(|mut group| {
+                let (tx, rx) = sync_channel::<FedFrame>(4);
+                senders.push(Some(tx));
+                let slots = std::mem::take(&mut group.slots);
+                (slots, scope.spawn(|| replay.run_group(group, rx)))
+            })
+            .collect();
+        let (mut frames, mut blocked) = (0u64, Duration::ZERO);
+        let fed = feed(&mut |frame| {
+            frames += 1;
             let sending = rec.is_enabled().then(Instant::now);
-            let flow = fan_out(&mut senders, shared);
+            let flow = fan_out(&mut senders, frame);
             blocked += sending.map_or(Duration::ZERO, |t| t.elapsed());
             flow
         });
-        stream_span.end();
-        rec.counter("replay/stream_frames")
-            .add(streamed.as_ref().map_or(0, |&n| u64::from(n)));
+        rec.counter("replay/stream_frames").add(frames);
         rec.counter("replay/stream_reader_blocked_us")
             .add(blocked.as_micros() as u64);
         drop(senders);
         let mut results = join_groups(plan.failed, workers);
-        if let Err(e) = streamed {
-            let msg = format!("{}: {e}", path.display());
-            for r in &mut results {
-                if r.is_ok() {
-                    *r = Err(RunError::Trace(msg.clone()));
-                }
+        if let Err(e) = fed {
+            for r in results.iter_mut().filter(|r| r.is_ok()) {
+                *r = Err(e.clone());
             }
         }
         results
-    })
-}
-
-/// Live-render replay for uncached traces: the pre-store code path,
-/// rendering with the requested filter and streaming frames to the group
-/// workers as they finish. The animation is rasterized exactly once no
-/// matter how many configurations consume it; the [`Gate`] keeps at most
-/// [`max_replay_jobs`] groups simulating at any instant.
-fn run_live(
-    workload: &Workload,
-    filter: FilterMode,
-    plan: Plan,
-    zprepass: bool,
-    traversal: mltc_raster::Traversal,
-    rec: &Recorder,
-) -> Vec<Result<SimEngine, RunError>> {
-    let gate = Gate::new(max_replay_jobs());
-    // Live replays have no decode/translate stage worth pipelining — the
-    // renderer already overlaps the simulation — so the pipelined path
-    // falls back to the wide kernel here.
-    let scalar = replay_path() == ReplayPath::Scalar;
-    std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(plan.groups.len());
-        let mut workers = Vec::with_capacity(plan.groups.len());
-        for group in plan.groups {
-            let Group {
-                slots,
-                mut engines,
-                label,
-                ..
-            } = group;
-            let (tx, rx) = sync_channel::<Arc<FrameTrace>>(4);
-            senders.push(Some(tx));
-            let gate = &gate;
-            let worker = scope.spawn(move || -> Result<Vec<SimEngine>, RunError> {
-                let _span = rec.span(&format!("replay/{label}"));
-                for trace in rx {
-                    let _permit = gate.acquire();
-                    if scalar {
-                        engines[0].try_run_frame(&trace)?;
-                    } else {
-                        SimEngine::try_run_frame_shared_as(&mut engines, &trace, trace.filter)?;
-                    }
-                }
-                Ok(engines)
-            });
-            workers.push((slots, worker));
-        }
-        let render_span = rec.span("replay/live-render");
-        // The renderer cannot be stopped early: it renders on for nobody.
-        workload.render_animation_traversal(filter, zprepass, traversal, |t| {
-            let _ = fan_out(&mut senders, &Arc::new(t));
-        });
-        render_span.end();
-        drop(senders);
-        join_groups(plan.failed, workers)
     })
 }
 

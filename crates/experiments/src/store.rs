@@ -31,15 +31,26 @@
 //! * within budget, a trace lives in memory ([`TraceHandle::Memory`]) and
 //!   replays at full speed;
 //! * over budget, least-recently-used traces are demoted — to their disk
-//!   file when one exists ([`TraceHandle::Disk`], replayed by streaming),
-//!   otherwise dropped for on-demand re-render;
+//!   file when one exists ([`TraceHandle::Disk`]), otherwise dropped for
+//!   on-demand re-render;
 //! * a trace too large to hold that also could not be persisted degrades
-//!   to [`TraceHandle::Uncached`]: callers render live, which is exactly
-//!   the pre-store behaviour.
+//!   to [`TraceHandle::Uncached`], which is rasterized again per use.
+//!
+//! One function turns a handle into frames, whichever of the three it is:
+//! the crate-private *feed* (`TraceStore::feed`). Resident frames are handed
+//! out as they are, a file is streamed by the one file streamer as validated
+//! encoded frames, an uncached trace is rasterized live — and counted as
+//! the render it is. Replays ([`crate::runner`]),
+//! [`TraceStore::stats_bundle`], [`TraceStore::mean_depth_complexity`] and
+//! [`crate::collect_frames`] are its visitors.
 //!
 //! Corrupt, truncated, or wrong-version files are never fatal: the codec
-//! reports a typed [`CodecError`], the store counts it and silently
-//! re-renders.
+//! reports a typed [`CodecError`], the store counts it and re-renders, which
+//! rewrites the file (a *heal*). A file small enough to load is checked as
+//! it loads. One that is streamed can only be found damaged mid-stream, by
+//! the feed, which then forgets the handle: the visitor that met the damage
+//! fails (a replay) or starts over (the others), and the key's next
+//! [`TraceStore::get_or_render`] is the healing render.
 //!
 //! # Stored L1 passes
 //!
@@ -53,12 +64,12 @@
 //! [`TraceHandle::Uncached`] trace. Nothing is persisted: a pass costs one
 //! replay to make again.
 
-use crate::runner::lock_clean;
+use crate::runner::{lock_clean, RunError};
 use mltc_core::{L1Pass, SimEngine};
 use mltc_raster::Traversal;
 use mltc_scene::{Workload, WorkloadKind, WorkloadParams};
 use mltc_telemetry::Recorder;
-use mltc_trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
+use mltc_trace::codec::{frame_cursor, CodecError, FrameCursor, TraceFileReader, TraceFileWriter};
 use mltc_trace::{FilterMode, FrameStatsCollector, FrameTrace, FrameWorkingSet, WorkloadSummary};
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -171,6 +182,39 @@ pub enum TraceHandle {
     Uncached,
 }
 
+/// One frame as the feed ([`TraceStore::feed`]) delivers it: the one type
+/// that hides whether the trace was resident, rasterized live (decoded,
+/// shared) or streamed from its file (still encoded).
+#[derive(Debug, Clone)]
+pub(crate) enum FedFrame {
+    Decoded(Arc<FrameTrace>),
+    Encoded(EncodedFrame),
+}
+
+impl FedFrame {
+    /// The frame decoded: the shared one, or materialized from the bytes.
+    pub(crate) fn decoded(&self) -> Arc<FrameTrace> {
+        match self {
+            FedFrame::Decoded(t) => t.clone(),
+            FedFrame::Encoded(bytes) => Arc::new(bytes.cursor().into_frame()),
+        }
+    }
+}
+
+/// One frame of a disk stream, encoded. Only [`stream_trace_file_raw`] makes
+/// one, from bytes the container reader has validated end to end — so
+/// decoding it again cannot fail, and consumers decode in place instead of
+/// materializing a `Vec<PixelRequest>` per frame.
+#[derive(Debug, Clone)]
+pub(crate) struct EncodedFrame(Arc<Vec<u8>>);
+
+impl EncodedFrame {
+    /// The frame's header, and its requests left in the buffer.
+    pub(crate) fn cursor(&self) -> FrameCursor<'_> {
+        frame_cursor(&self.0).expect("validated by the streamer").0
+    }
+}
+
 /// Approximate decoded footprint of one frame (requests + fixed overhead).
 fn frame_cost(t: &FrameTrace) -> u64 {
     (t.requests.len() * std::mem::size_of::<mltc_trace::PixelRequest>()) as u64 + 96
@@ -180,6 +224,9 @@ enum CellState {
     Empty,
     Building,
     Ready(TraceHandle),
+    /// The feed found the key's streamed file damaged: the next request
+    /// re-renders over it (a heal) instead of trusting the file again.
+    Damaged,
 }
 
 /// What [`TraceStore::try_load`] found on disk.
@@ -265,17 +312,19 @@ struct Counters {
 /// into reports ([`TraceStore::snapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Animations rendered from scratch this process.
+    /// Animations rendered from scratch this process: once per key, plus
+    /// once per use of a [`TraceHandle::Uncached`] trace.
     pub renders: u64,
     /// Requests served from a resident [`TraceHandle::Memory`].
     pub mem_hits: u64,
     /// Requests served from a persisted file (loaded or streamed).
     pub disk_hits: u64,
-    /// Frames rasterized (cold renders only).
+    /// Frames rasterized.
     pub frames_rendered: u64,
-    /// Textured fragments rasterized (cold renders only).
+    /// Textured fragments rasterized.
     pub fragments_rasterized: u64,
-    /// Wall time spent rasterizing, in nanoseconds.
+    /// Wall time spent rasterizing, in nanoseconds — what took the frames
+    /// (persisting them, or a live replay's channels) included.
     pub render_nanos: u64,
     /// Texture taps replayed through cache simulations.
     pub taps_simulated: u64,
@@ -554,7 +603,7 @@ impl TraceStore {
         };
         cell.last_used
             .store(self.inner.clock.fetch_add(1, Relaxed) + 1, Relaxed);
-        {
+        let known_damaged = {
             let mut st = lock_clean(&cell.state);
             let mut stalled = false;
             loop {
@@ -582,18 +631,29 @@ impl TraceStore {
                         }
                         st = cell.cv.wait(st).unwrap_or_else(PoisonError::into_inner)
                     }
-                    CellState::Empty => {
+                    CellState::Empty | CellState::Damaged => {
+                        let damaged = matches!(&*st, CellState::Damaged);
                         *st = CellState::Building;
-                        break;
+                        break damaged;
                     }
                 }
             }
-        }
+        };
         let mut guard = BuildGuard {
             cell: &cell,
             armed: true,
         };
-        let handle = self.produce(&key, w);
+        let found = if known_damaged {
+            LoadResult::Damaged
+        } else {
+            self.try_load(&key)
+        };
+        let handle = match found {
+            LoadResult::Loaded(h) => h,
+            LoadResult::Missing => self.render(&key, w, false),
+            // The render re-persists over the damaged file: the heal.
+            LoadResult::Damaged => self.render(&key, w, true),
+        };
         *lock_clean(&cell.state) = CellState::Ready(handle.clone());
         guard.armed = false;
         drop(guard);
@@ -626,26 +686,13 @@ impl TraceStore {
         if let Some(b) = lock_clean(&self.inner.bundles).get(&id) {
             return b.clone();
         }
-        let handle = self.get_or_render(w, false, Traversal::Scanline);
-        let collector = FrameStatsCollector::new(w.registry());
-        let frames = Vec::with_capacity(w.frame_count as usize);
-        let mut state = (collector, frames);
-        self.visit_or_rerender(
-            &handle,
+        let (_, frames) = self.fold_frames(
             w,
             false,
             Traversal::Scanline,
-            |t, s: &mut (FrameStatsCollector, Vec<FrameWorkingSet>)| {
-                let ws = s.0.process_frame(t);
-                s.1.push(ws);
-            },
-            |s| {
-                s.0.reset();
-                s.1.clear();
-            },
-            &mut state,
+            || (FrameStatsCollector::new(w.registry()), Vec::new()),
+            |(collector, frames), t| frames.push(collector.process_frame(&t)),
         );
-        let frames = state.1;
         let summary = WorkloadSummary::from_frames(&frames, w.width, w.height);
         let bundle = Arc::new(StatsBundle { frames, summary });
         lock_clean(&self.inner.bundles)
@@ -659,78 +706,132 @@ impl TraceStore {
     /// result is bit-identical to the historical per-frame re-render
     /// loop).
     pub fn mean_depth_complexity(&self, w: &Workload, zprepass: bool) -> f64 {
-        let handle = self.get_or_render(w, zprepass, Traversal::Scanline);
-        let mut acc = (0.0f64, 0u64);
-        self.visit_or_rerender(
-            &handle,
+        let (sum, frames) = self.fold_frames(
             w,
             zprepass,
             Traversal::Scanline,
-            |t, acc: &mut (f64, u64)| {
+            || (0.0f64, 0u64),
+            |acc, t| {
                 acc.0 += t.depth_complexity();
                 acc.1 += 1;
             },
-            |acc| *acc = (0.0, 0),
-            &mut acc,
         );
-        if acc.1 == 0 {
+        if frames == 0 {
             0.0
         } else {
-            acc.0 / acc.1 as f64
+            sum / frames as f64
         }
     }
 
-    /// Visits every frame of `handle` in order, threading `state` through
-    /// the visitor. A disk stream that turns out corrupt mid-flight calls
-    /// `reset` and re-renders from scratch, so accumulators never see a
-    /// frame twice.
-    #[allow(clippy::too_many_arguments)]
-    fn visit_or_rerender<S>(
+    /// Folds every frame of the trace, decoded and in order, into a `fresh`
+    /// accumulator. A disk stream that turns out damaged has been reported
+    /// by the [feed](Self::feed): the fold starts over on what
+    /// [`get_or_render`](Self::get_or_render) makes of the key next — the
+    /// healing render — so no accumulator sees a frame twice.
+    pub(crate) fn fold_frames<S>(
+        &self,
+        w: &Workload,
+        zprepass: bool,
+        traversal: Traversal,
+        fresh: impl Fn() -> S,
+        mut step: impl FnMut(&mut S, Arc<FrameTrace>),
+    ) -> S {
+        loop {
+            let handle = self.get_or_render(w, zprepass, traversal);
+            let mut acc = fresh();
+            let fed = self.feed(&handle, w, zprepass, traversal, |frame| {
+                step(&mut acc, frame.decoded());
+                ControlFlow::Continue(())
+            });
+            if fed.is_ok() {
+                return acc;
+            }
+        }
+    }
+
+    /// Delivers every frame of the trace behind `handle` — what
+    /// [`get_or_render`](Self::get_or_render) answered for `w` under these
+    /// render options — to `visit`, in order, until it breaks: the one place
+    /// a handle's three states turn into frames. An uncached trace is
+    /// rasterized to the end regardless (a renderer cannot be stopped early).
+    ///
+    /// # Errors
+    ///
+    /// A streamed file found damaged ends the feed in [`RunError::Trace`] —
+    /// `visit` has seen a prefix of the animation — after the store has
+    /// counted it and forgotten the handle.
+    pub(crate) fn feed(
         &self,
         handle: &TraceHandle,
         w: &Workload,
         zprepass: bool,
         traversal: Traversal,
-        mut visit: impl FnMut(&FrameTrace, &mut S),
-        reset: impl FnOnce(&mut S),
-        state: &mut S,
-    ) {
+        mut visit: impl FnMut(&FedFrame) -> ControlFlow<()>,
+    ) -> Result<(), RunError> {
+        let key = TraceKey::of(w, zprepass, traversal);
         match handle {
             TraceHandle::Memory(set) => {
-                for t in &set.frames {
-                    visit(t, state);
-                }
+                let _ = set
+                    .frames
+                    .iter()
+                    .try_for_each(|t| visit(&FedFrame::Decoded(t.clone())));
             }
             TraceHandle::Disk(path) => {
                 let rec = self.recorder();
-                let span = rec.span(&format!("store/disk-stream/{}", w.kind.name()));
-                let streamed = stream_trace_file(path, |t| visit(&t, state));
-                span.end();
-                if streamed.is_err() {
-                    self.inner.counters.corrupt_files.fetch_add(1, Relaxed);
-                    reset(state);
-                    let _span = rec.span(&format!("store/render/{}", w.kind.name()));
-                    w.render_animation_traversal(FilterMode::Point, zprepass, traversal, |t| {
-                        visit(&t, state)
-                    });
-                }
+                let _span = rec.span(&format!("store/disk-stream/{}", key.kind.name()));
+                stream_trace_file_raw(path, |bytes| visit(&FedFrame::Encoded(bytes.clone())))
+                    .map_err(|e| {
+                        self.forget_damaged(&key);
+                        RunError::Trace(format!("{}: {e}", path.display()))
+                    })?;
             }
-            TraceHandle::Uncached => {
-                w.render_animation_traversal(FilterMode::Point, zprepass, traversal, |t| {
-                    visit(&t, state)
-                });
-            }
+            TraceHandle::Uncached => self.rasterize(&key, w, "render", |t| {
+                let _ = visit(&FedFrame::Decoded(Arc::new(t)));
+                None
+            }),
+        }
+        Ok(())
+    }
+
+    /// The feed found `key`'s streamed file damaged: count it, and stop
+    /// serving the handle — the key's next request re-renders over the file.
+    fn forget_damaged(&self, key: &TraceKey) {
+        let cell = lock_clean(&self.inner.entries).get(key).cloned();
+        let Some(cell) = cell else { return };
+        let mut st = lock_clean(&cell.state);
+        // Concurrent visitors of one damaged file report it once.
+        if matches!(&*st, CellState::Ready(TraceHandle::Disk(_))) {
+            *st = CellState::Damaged;
+            self.inner.counters.corrupt_files.fetch_add(1, Relaxed);
         }
     }
 
-    fn produce(&self, key: &TraceKey, w: &Workload) -> TraceHandle {
-        match self.try_load(key) {
-            LoadResult::Loaded(h) => h,
-            LoadResult::Missing => self.render(key, w, false),
-            // A damaged file exists on disk: the render below re-persists
-            // over it, which is the heal.
-            LoadResult::Damaged => self.render(key, w, true),
-        }
+    /// Rasterizes `key`'s animation into `sink` (which may hand a request
+    /// buffer back for the next frame): the one place the store renders, so
+    /// the one place a render is counted and timed.
+    fn rasterize(
+        &self,
+        key: &TraceKey,
+        w: &Workload,
+        why: &str,
+        mut sink: impl FnMut(FrameTrace) -> Option<Vec<mltc_trace::PixelRequest>>,
+    ) {
+        let rec = self.recorder();
+        let _span = rec.span(&format!("store/{why}/{}", key.kind.name()));
+        rec.counter("store/renders").incr();
+        let c = &self.inner.counters;
+        c.renders.fetch_add(1, Relaxed);
+        let start = Instant::now();
+        let (mut frames, mut fragments) = (0u64, 0u64);
+        w.render_animation_feed(FilterMode::Point, key.zprepass, key.traversal, |t| {
+            frames += 1;
+            fragments += t.pixels_rendered;
+            sink(t)
+        });
+        c.frames_rendered.fetch_add(frames, Relaxed);
+        c.fragments_rasterized.fetch_add(fragments, Relaxed);
+        c.render_nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
     }
 
     /// Attempts to serve `key` from its persisted file. Any codec error —
@@ -789,15 +890,7 @@ impl TraceStore {
     /// re-persisting then counts as a heal.
     fn render(&self, key: &TraceKey, w: &Workload, healing: bool) -> TraceHandle {
         let rec = self.recorder();
-        let _span = rec.span(&format!(
-            "store/{}/{}",
-            if healing { "heal" } else { "render" },
-            key.kind.name()
-        ));
-        rec.counter("store/renders").incr();
         let c = &self.inner.counters;
-        c.renders.fetch_add(1, Relaxed);
-        let start = Instant::now();
         let budget = self.inner.budget.load(Relaxed);
         let mut final_path = self.file_path(key);
 
@@ -828,20 +921,12 @@ impl TraceStore {
         let mut frames: Vec<Arc<FrameTrace>> = Vec::with_capacity(w.frame_count as usize);
         let mut bytes = 0u64;
         let mut keep_in_memory = true;
-        let mut frames_rendered = 0u64;
-        let mut fragments = 0u64;
-        w.render_animation_feed(FilterMode::Point, key.zprepass, key.traversal, |t| {
-            frames_rendered += 1;
-            fragments += t.pixels_rendered;
-            let mut write_failed = false;
+        self.rasterize(key, w, if healing { "heal" } else { "render" }, |t| {
             if let Some(wr) = writer.as_mut() {
                 if wr.write_frame(&t).is_err() {
-                    write_failed = true;
+                    c.io_errors.fetch_add(1, Relaxed);
+                    writer = None;
                 }
-            }
-            if write_failed {
-                c.io_errors.fetch_add(1, Relaxed);
-                writer = None;
             }
             let cost = frame_cost(&t);
             if keep_in_memory && bytes + cost > budget {
@@ -861,10 +946,6 @@ impl TraceStore {
                 Some(t.requests)
             }
         });
-        c.frames_rendered.fetch_add(frames_rendered, Relaxed);
-        c.fragments_rasterized.fetch_add(fragments, Relaxed);
-        c.render_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
 
         // A writer only exists alongside its tmp and final paths (set as
         // one unit above), so destructure the trio instead of unwrapping.
@@ -949,49 +1030,29 @@ impl TraceStore {
     }
 }
 
-/// Streams every frame of a persisted trace file through `visit`.
-/// Crate-internal: the replay machinery uses this for over-budget traces.
-/// One scratch buffer holds each encoded frame in turn; only the decoded
-/// [`FrameTrace`] handed to `visit` is allocated per frame.
-pub(crate) fn stream_trace_file(
-    path: &Path,
-    mut visit: impl FnMut(FrameTrace),
-) -> Result<u32, CodecError> {
-    let file = File::open(path).map_err(CodecError::Io)?;
-    let mut reader = TraceFileReader::new(BufReader::new(file))?;
-    let n = reader.frame_count();
-    let mut scratch = Vec::new();
-    for _ in 0..n {
-        visit(reader.read_frame_into(&mut scratch)?.into_frame());
-    }
-    Ok(n)
-}
-
-/// [`stream_trace_file`] without materializing frames at all: `visit`
-/// receives each frame's raw encoded bytes (already validated end to end),
-/// to be decoded in place by [`mltc_trace::codec::frame_cursor`] wherever
-/// they are consumed, and ends the stream by breaking — the rest of the
-/// file is then neither read nor validated. Returns the frames visited.
-/// Buffers are recycled through a small pool once every holder of a
-/// frame's `Arc` drops it, so a replay that keeps up allocates a handful
-/// of buffers total instead of one per frame.
+/// Streams a persisted trace file through `visit`, one validated
+/// [`EncodedFrame`] at a time — nothing is materialized; consumers decode in
+/// place — until `visit` breaks: the rest of the file is then neither read
+/// nor validated. Returns the frames visited. Buffers are recycled through a
+/// small pool once every holder of a frame drops it, so a consumer that
+/// keeps up allocates a handful of buffers total instead of one per frame.
 pub(crate) fn stream_trace_file_raw(
     path: &Path,
-    mut visit: impl FnMut(&Arc<Vec<u8>>) -> ControlFlow<()>,
+    mut visit: impl FnMut(&EncodedFrame) -> ControlFlow<()>,
 ) -> Result<u32, CodecError> {
     let file = File::open(path).map_err(CodecError::Io)?;
     let mut reader = TraceFileReader::new(BufReader::new(file))?;
     let n = reader.frame_count();
-    let mut pool: Vec<Arc<Vec<u8>>> = Vec::new();
+    let mut pool: Vec<EncodedFrame> = Vec::new();
     for visited in 0..n {
         // Reclaim a buffer nobody else holds any more, if there is one.
-        let mut buf = match pool.iter().position(|a| Arc::strong_count(a) == 1) {
+        let mut buf = match pool.iter().position(|f| Arc::strong_count(&f.0) == 1) {
             // A lost race on the refcount just costs one pooled buffer.
-            Some(i) => Arc::try_unwrap(pool.swap_remove(i)).unwrap_or_default(),
+            Some(i) => Arc::try_unwrap(pool.swap_remove(i).0).unwrap_or_default(),
             None => Vec::new(),
         };
         reader.read_frame_into(&mut buf)?;
-        let shared = Arc::new(buf);
+        let shared = EncodedFrame(Arc::new(buf));
         if visit(&shared).is_break() {
             return Ok(visited + 1);
         }
@@ -1202,8 +1263,7 @@ mod tests {
         let h = store.get_or_render(&w, false, Traversal::Scanline);
         match &h {
             TraceHandle::Disk(path) => {
-                let mut n = 0;
-                stream_trace_file(path, |_| n += 1).unwrap();
+                let n = stream_trace_file_raw(path, |_| ControlFlow::Continue(())).unwrap();
                 assert_eq!(n, w.frame_count);
             }
             other => panic!("expected a disk handle, got {other:?}"),

@@ -257,19 +257,14 @@ impl Iterator for FrameRequests<'_> {
 
 impl ExactSizeIterator for FrameRequests<'_> {}
 
-/// Decodes one frame's header from the front of `buf`, returning a borrowed
-/// [`FrameCursor`] over its request payload plus the remainder of `buf`
-/// after the frame. Validation is identical to [`decode_frame`]; nothing is
-/// allocated.
-///
-/// # Errors
-///
-/// Same contract as [`decode_frame`].
-pub fn frame_cursor(buf: &[u8]) -> Result<(FrameCursor<'_>, &[u8]), CodecError> {
-    if buf.len() < 29 {
+/// The one parser of a frame's fixed 29-byte header: magic, filter byte and
+/// the [`MAX_FRAME_REQUESTS`] cap are checked here and nowhere else. Returns
+/// the header as a cursor over no requests yet, and the request count the
+/// payload must hold.
+fn frame_header(buf: &[u8]) -> Result<(FrameCursor<'static>, usize), CodecError> {
+    let Some(mut header) = buf.get(..29) else {
         return Err(CodecError::Truncated);
-    }
-    let (mut header, body) = buf.split_at(29);
+    };
     let magic = header.get_u32_le();
     if magic != MAGIC {
         return Err(CodecError::BadMagic(magic));
@@ -279,81 +274,56 @@ pub fn frame_cursor(buf: &[u8]) -> Result<(FrameCursor<'_>, &[u8]), CodecError> 
     let height = header.get_u32_le();
     let filter = filter_from_byte(header.get_u8())?;
     let pixels_rendered = header.get_u64_le();
-    let raw_count = header.get_u32_le();
-    if raw_count > MAX_FRAME_REQUESTS {
+    let count = header.get_u32_le();
+    if count > MAX_FRAME_REQUESTS {
         return Err(CodecError::Oversized {
-            count: raw_count,
+            count,
             max: MAX_FRAME_REQUESTS,
         });
     }
-    // u64 math: count * 16 could wrap on a 32-bit usize.
-    if (body.len() as u64) < raw_count as u64 * 16 {
-        return Err(CodecError::Truncated);
-    }
-    let (payload, rest) = body.split_at(raw_count as usize * 16);
-    Ok((
-        FrameCursor {
-            frame,
-            width,
-            height,
-            filter,
-            pixels_rendered,
-            payload,
-        },
-        rest,
-    ))
-}
-
-/// Decodes one frame from the front of `buf`, advancing it.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if `buf` ends mid-frame,
-/// [`CodecError::BadMagic`]/[`CodecError::BadFilter`] on corrupt headers,
-/// and [`CodecError::Oversized`] — before allocating anything — when the
-/// header claims more than [`MAX_FRAME_REQUESTS`] requests.
-pub fn decode_frame(buf: &mut impl Buf) -> Result<FrameTrace, CodecError> {
-    if buf.remaining() < 29 {
-        return Err(CodecError::Truncated);
-    }
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic(magic));
-    }
-    let frame = buf.get_u32_le();
-    let width = buf.get_u32_le();
-    let height = buf.get_u32_le();
-    let filter = filter_from_byte(buf.get_u8())?;
-    let pixels_rendered = buf.get_u64_le();
-    let raw_count = buf.get_u32_le();
-    if raw_count > MAX_FRAME_REQUESTS {
-        return Err(CodecError::Oversized {
-            count: raw_count,
-            max: MAX_FRAME_REQUESTS,
-        });
-    }
-    let count = raw_count as usize;
-    // u64 math: count * 16 could wrap on a 32-bit usize.
-    if (buf.remaining() as u64) < raw_count as u64 * 16 {
-        return Err(CodecError::Truncated);
-    }
-    let mut requests = Vec::with_capacity(count);
-    for _ in 0..count {
-        requests.push(PixelRequest {
-            tid: TextureId::from_index(buf.get_u32_le()),
-            u: buf.get_f32_le(),
-            v: buf.get_f32_le(),
-            lod: buf.get_f32_le(),
-        });
-    }
-    Ok(FrameTrace {
+    let cursor = FrameCursor {
         frame,
         width,
         height,
         filter,
         pixels_rendered,
-        requests,
-    })
+        payload: &[],
+    };
+    // The cap keeps `count * 16` far inside a 32-bit usize.
+    Ok((cursor, count as usize))
+}
+
+/// Decodes one frame's header from the front of `buf`, returning a borrowed
+/// [`FrameCursor`] over its request payload plus the remainder of `buf`
+/// after the frame. Nothing is allocated. Every other frame decoder
+/// ([`decode_frame`], [`TraceReader::read_frame`],
+/// [`TraceFileReader::read_frame_into`]) goes through this one.
+///
+/// # Errors
+///
+/// Returns [`CodecError::Truncated`] if `buf` ends mid-frame,
+/// [`CodecError::BadMagic`]/[`CodecError::BadFilter`] on corrupt headers,
+/// and [`CodecError::Oversized`] when the header claims more than
+/// [`MAX_FRAME_REQUESTS`] requests.
+pub fn frame_cursor(buf: &[u8]) -> Result<(FrameCursor<'_>, &[u8]), CodecError> {
+    let (header, count) = frame_header(buf)?;
+    let Some((payload, rest)) = buf[29..].split_at_checked(count * 16) else {
+        return Err(CodecError::Truncated);
+    };
+    Ok((FrameCursor { payload, ..header }, rest))
+}
+
+/// Decodes one frame from the front of `buf`, advancing it past the frame
+/// (an error leaves `buf` where it was).
+///
+/// # Errors
+///
+/// Same contract as [`frame_cursor`]; [`CodecError::Oversized`] is reported
+/// before anything is allocated.
+pub fn decode_frame(buf: &mut &[u8]) -> Result<FrameTrace, CodecError> {
+    let (cursor, rest) = frame_cursor(buf)?;
+    *buf = rest;
+    Ok(cursor.into_frame())
 }
 
 /// Streams frames to a writer.
@@ -413,60 +383,20 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`] if the stream ends mid-frame, plus
-    /// the header/I-O errors of [`decode_frame`].
+    /// the header errors of [`frame_cursor`] and the reader's I/O errors.
     pub fn read_frame(&mut self) -> Result<Option<FrameTrace>, CodecError> {
-        let mut header = [0u8; 29];
-        match read_exact_or_eof(&mut self.inner, &mut header)? {
+        let mut buf = vec![0u8; 29];
+        match read_exact_or_eof(&mut self.inner, &mut buf)? {
             0 => return Ok(None),
             29 => {}
             _ => return Err(CodecError::Truncated),
         }
-        let mut hdr = &header[..];
-        // Re-parse the fixed header through the shared decoder path by
-        // reading the count, then pulling the request payload.
-        let magic = hdr.get_u32_le();
-        if magic != MAGIC {
-            return Err(CodecError::BadMagic(magic));
-        }
-        let frame = hdr.get_u32_le();
-        let width = hdr.get_u32_le();
-        let height = hdr.get_u32_le();
-        let filter = filter_from_byte(hdr.get_u8())?;
-        let pixels_rendered = hdr.get_u64_le();
-        let raw_count = hdr.get_u32_le();
-        if raw_count > MAX_FRAME_REQUESTS {
-            return Err(CodecError::Oversized {
-                count: raw_count,
-                max: MAX_FRAME_REQUESTS,
-            });
-        }
-        let count = raw_count as usize;
-        let mut payload = vec![0u8; count * 16];
-        self.inner.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                CodecError::Truncated
-            } else {
-                CodecError::Io(e)
-            }
-        })?;
-        let mut body = payload.as_slice();
-        let mut requests = Vec::with_capacity(count);
-        for _ in 0..count {
-            requests.push(PixelRequest {
-                tid: TextureId::from_index(body.get_u32_le()),
-                u: body.get_f32_le(),
-                v: body.get_f32_le(),
-                lod: body.get_f32_le(),
-            });
-        }
-        Ok(Some(FrameTrace {
-            frame,
-            width,
-            height,
-            filter,
-            pixels_rendered,
-            requests,
-        }))
+        // The header first, so an oversized count is rejected before the
+        // payload is allocated.
+        let (_, count) = frame_header(&buf)?;
+        buf.resize(29 + count * 16, 0);
+        read_full(&mut self.inner, &mut buf[29..])?;
+        frame_cursor(&buf).map(|(cursor, _)| Some(cursor.into_frame()))
     }
 }
 
@@ -588,9 +518,7 @@ impl<R: Read> TraceFileReader<R> {
     /// incomplete, and I/O errors from the reader.
     pub fn new(mut inner: R) -> Result<Self, CodecError> {
         let mut fixed = [0u8; 10];
-        if read_exact_or_eof(&mut inner, &mut fixed)? != fixed.len() {
-            return Err(CodecError::Truncated);
-        }
+        read_full(&mut inner, &mut fixed)?;
         let mut hdr = &fixed[..];
         let magic = hdr.get_u32_le();
         if magic != FILE_MAGIC {
@@ -605,9 +533,7 @@ impl<R: Read> TraceFileReader<R> {
         }
         let key_len = u16::from_le_bytes([hdr.get_u8(), hdr.get_u8()]) as usize;
         let mut key_bytes = vec![0u8; key_len];
-        if read_exact_or_eof(&mut inner, &mut key_bytes)? != key_len {
-            return Err(CodecError::Truncated);
-        }
+        read_full(&mut inner, &mut key_bytes)?;
         let key = String::from_utf8(key_bytes).map_err(|_| {
             CodecError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -615,9 +541,7 @@ impl<R: Read> TraceFileReader<R> {
             ))
         })?;
         let mut count = [0u8; 4];
-        if read_exact_or_eof(&mut inner, &mut count)? != count.len() {
-            return Err(CodecError::Truncated);
-        }
+        read_full(&mut inner, &mut count)?;
         Ok(Self {
             inner,
             key,
@@ -674,9 +598,7 @@ impl<R: Read> TraceFileReader<R> {
             return Err(CodecError::Truncated);
         }
         let mut len = [0u8; 4];
-        if read_exact_or_eof(&mut self.inner, &mut len)? != len.len() {
-            return Err(CodecError::Truncated);
-        }
+        read_full(&mut self.inner, &mut len)?;
         let declared = u32::from_le_bytes(len);
         if !(29..=MAX_FRAME_BYTES).contains(&declared) {
             return Err(CodecError::BadFrameLength {
@@ -686,9 +608,7 @@ impl<R: Read> TraceFileReader<R> {
         }
         scratch.clear();
         scratch.resize(declared as usize, 0);
-        if read_exact_or_eof(&mut self.inner, scratch)? != scratch.len() {
-            return Err(CodecError::Truncated);
-        }
+        read_full(&mut self.inner, scratch)?;
         let (cursor, rest) = frame_cursor(scratch)?;
         if !rest.is_empty() {
             return Err(CodecError::FrameLengthMismatch {
@@ -714,6 +634,14 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, CodecE
         }
     }
     Ok(filled)
+}
+
+/// Fills `buf`; a stream that ends first is [`CodecError::Truncated`].
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), CodecError> {
+    if read_exact_or_eof(r, buf)? != buf.len() {
+        return Err(CodecError::Truncated);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -746,8 +674,8 @@ mod tests {
     #[test]
     fn roundtrip_empty_frame() {
         let t = FrameTrace::new(0, 1, 1, FilterMode::Point);
-        let mut buf = encode_frame(&t);
-        assert_eq!(decode_frame(&mut buf).unwrap(), t);
+        let buf = encode_frame(&t);
+        assert_eq!(decode_frame(&mut &buf[..]).unwrap(), t);
     }
 
     #[test]

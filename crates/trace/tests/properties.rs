@@ -1,7 +1,9 @@
 //! Property-based tests for filtering and the trace codec.
 
 use mltc_texture::TextureId;
-use mltc_trace::codec::{decode_frame, encode_frame, CodecError, MAX_FRAME_REQUESTS};
+use mltc_trace::codec::{
+    decode_frame, encode_frame, frame_cursor, CodecError, TraceReader, MAX_FRAME_REQUESTS,
+};
 use mltc_trace::{filter_taps, FilterMode, FrameTrace, PixelRequest};
 use proptest::prelude::*;
 
@@ -30,6 +32,24 @@ fn requests() -> impl Strategy<Value = PixelRequest> {
 
 fn square_dims(base: u32) -> impl Fn(u32) -> (u32, u32) {
     move |m| ((base >> m).max(1), (base >> m).max(1))
+}
+
+/// `frame_cursor`, `decode_frame` and `TraceReader::read_frame` make the same
+/// thing of `bytes`: the same frame (compared re-encoded, so a NaN coordinate
+/// equals itself) or the same `CodecError` variant. The reader's clean end of
+/// stream is what the slice decoders call a truncated frame.
+fn assert_decoders_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let outcome = |r: Result<FrameTrace, CodecError>| {
+        r.map(|t| encode_frame(&t))
+            .map_err(|e| std::mem::discriminant(&e))
+    };
+    let cursor = outcome(frame_cursor(bytes).map(|(c, _)| c.into_frame()));
+    let slice = outcome(decode_frame(&mut &bytes[..]));
+    let read = TraceReader::new(bytes).read_frame();
+    let reader = outcome(read.transpose().unwrap_or(Err(CodecError::Truncated)));
+    prop_assert_eq!(&cursor, &slice, "frame_cursor vs decode_frame");
+    prop_assert_eq!(&cursor, &reader, "frame_cursor vs TraceReader");
+    Ok(())
 }
 
 proptest! {
@@ -124,12 +144,32 @@ proptest! {
         prop_assert!(decode_frame(&mut buf).is_err());
     }
 
-    /// Arbitrary bytes never panic the decoder: every input yields either a
-    /// frame or a typed error.
+    /// Arbitrary bytes never panic a decoder, and the three agree on them:
+    /// the same frame or the same error.
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut buf = bytes.as_slice();
-        let _ = decode_frame(&mut buf);
+    fn decoders_agree_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        assert_decoders_agree(&bytes)?;
+    }
+
+    /// So they do on a valid frame with one byte changed — whichever header
+    /// field or request it lands in — and with its tail cut off.
+    #[test]
+    fn decoders_agree_on_a_damaged_frame(
+        reqs in proptest::collection::vec(requests(), 0..20),
+        filter in filters(),
+        at in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        let mut t = FrameTrace::new(3, 64, 48, filter);
+        for r in reqs {
+            t.push(r);
+        }
+        let mut bytes = encode_frame(&t).to_vec();
+        assert_decoders_agree(&bytes)?;
+        let at = (at * bytes.len() as f64) as usize;
+        bytes[at] ^= flip;
+        assert_decoders_agree(&bytes)?;
+        assert_decoders_agree(&bytes[..at])?;
     }
 
     /// A header claiming more than [`MAX_FRAME_REQUESTS`] requests is

@@ -8,19 +8,22 @@
 //! treatment at `--jobs 2`, where its prep thread genuinely overlaps the
 //! simulation. And the runner's shared-L1 replay — one L1 pass per group
 //! of configurations on the same L1 — must leave every member in the state
-//! its solo replay reaches, from every trace-handle kind.
+//! its solo replay reaches, from every trace-handle kind — the three states
+//! the store's one feed serves, whose other visitors (`collect_frames`,
+//! `stats_bundle`) must see the same frames the engines did.
 
 use mltc_core::{
     EngineConfig, FramePrep, L1Config, L2Config, PreparedFrame, ReplacementPolicy, SimEngine,
     TelemetryOpts,
 };
 use mltc_experiments::{
-    engine_run, replay_run, set_max_replay_jobs, set_replay_path, ReplayPath, TraceStore,
+    collect_frames, engine_run, replay_run, set_max_replay_jobs, set_replay_path, ReplayPath,
+    TraceStore,
 };
 use mltc_oracle::TraceKey;
 use mltc_telemetry::Recorder;
 use mltc_trace::codec::TraceFileReader;
-use mltc_trace::{FilterMode, FrameTrace};
+use mltc_trace::{FilterMode, FrameStatsCollector, FrameTrace};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -332,6 +335,8 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
     let mut runs = sweep_sets();
     runs.push(runs[0].clone());
     for (name, workload, frames) in committed_traces() {
+        let mut collector = FrameStatsCollector::new(workload.registry());
+        let working_sets: Vec<_> = frames.iter().map(|t| collector.process_frame(t)).collect();
         for filter in [
             FilterMode::Point,
             FilterMode::Bilinear,
@@ -407,6 +412,18 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
                             assert!(got.l1().lines().eq(want.l1().lines()), "{ctx}: L1 contents");
                         }
                     }
+                    // The engines saw the committed frames; so do the feed's
+                    // other two visitors, whatever state the handle is in.
+                    let fed = collect_frames(&store, &workload).expect("the feed cannot fail");
+                    assert!(
+                        fed.iter().map(|t| &**t).eq(&frames),
+                        "{name} / {handle}: collect_frames"
+                    );
+                    assert_eq!(
+                        store.stats_bundle(&workload).frames,
+                        working_sets,
+                        "{name} / {handle}: stats_bundle"
+                    );
                 }
             }
         }

@@ -2,11 +2,12 @@
 //! reloaded by a fresh store must drive the simulator to bit-identical
 //! counters, and damaged files — truncated, corrupted, or written by a
 //! different format version — must be rejected with a re-render, never a
-//! panic. And the L1 passes replays leave beside a resident trace live and
-//! die with it, inside the same byte budget.
+//! panic — also when the file is larger than the budget, so only a replay
+//! streaming it can find the damage. And the L1 passes replays leave beside a
+//! resident trace live and die with it, inside the same byte budget.
 
 use mltc::core::{EngineConfig, FrameCounters, L1Config, L2Config};
-use mltc::experiments::{engine_run_all, TraceHandle, TraceStore};
+use mltc::experiments::{engine_run, engine_run_all, RunError, TraceHandle, TraceStore};
 use mltc::raster::Traversal;
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::trace::FilterMode;
@@ -231,6 +232,69 @@ fn sweep(store: &TraceStore, w: &Workload) -> Vec<FrameCounters> {
         .iter()
         .map(|e| e.totals())
         .collect()
+}
+
+/// Cuts seven bytes off the tail of every persisted trace.
+fn tear_trace_files(dir: &Path) {
+    for f in trace_files(dir) {
+        let bytes = std::fs::read(&f).unwrap();
+        std::fs::write(&f, &bytes[..bytes.len() - 7]).unwrap();
+    }
+}
+
+#[test]
+fn a_streamed_file_found_damaged_mid_replay_heals_on_the_next_request() {
+    let dir = temp_dir("stream_heal");
+    let w = tiny_village();
+    let (from_memory, _) = run_totals(&dir, &w);
+    tear_trace_files(&dir);
+
+    // Larger than the budget, the file is streamed, never loaded: its header
+    // is sound, so only the replay that reaches the torn tail can tell.
+    let store = TraceStore::persistent(&dir).with_budget(64);
+    let tainted = engine_run(&store, &w, FilterMode::Trilinear, &configs(), false);
+    for r in &tainted {
+        assert!(matches!(r, Err(RunError::Trace(_))), "{r:?}");
+    }
+    let s = store.snapshot();
+    assert_eq!((s.corrupt_files, s.renders, s.healed_files), (1, 0, 0));
+
+    // The next request for the key is the healing render.
+    assert_eq!(sweep(&store, &w), from_memory);
+    let s = store.snapshot();
+    assert_eq!((s.corrupt_files, s.renders, s.healed_files), (1, 1, 1));
+    let fresh = TraceStore::persistent(&dir).with_budget(64);
+    assert_eq!(sweep(&fresh, &w), from_memory);
+    let s = fresh.snapshot();
+    assert_eq!((s.corrupt_files, s.renders, s.disk_hits), (0, 0, 1));
+
+    // A statistics visitor that meets the same damage starts over on the
+    // healed trace: one render, not one per call.
+    tear_trace_files(&dir);
+    let store = TraceStore::persistent(&dir).with_budget(64);
+    let want = TraceStore::in_memory().mean_depth_complexity(&w, false);
+    for _ in 0..2 {
+        let got = store.mean_depth_complexity(&w, false);
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+    let s = store.snapshot();
+    assert_eq!((s.corrupt_files, s.renders, s.healed_files), (1, 1, 1));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_rasterizations_of_an_uncached_trace_are_counted() {
+    // Nowhere to keep the trace and nowhere to persist it: every use
+    // rasterizes it again.
+    let store = TraceStore::in_memory().with_budget(64);
+    let w = tiny_village();
+    let first = sweep(&store, &w);
+    assert_eq!(sweep(&store, &w), first);
+    let s = store.snapshot();
+    assert_eq!(s.renders, 3, "one by get_or_render, one per replay");
+    assert_eq!(s.frames_rendered, 3 * u64::from(w.frame_count));
+    assert_eq!(s.fragments_rasterized % 3, 0);
 }
 
 #[test]
