@@ -1,6 +1,6 @@
 //! The transaction-accurate multi-level cache simulator (paper §3.3, §5.3).
 
-use crate::batch::{dedupe_lanes, PreparedFrame, PreparedLanes, WideFrame, BATCH_LANES};
+use crate::batch::{PreparedFrame, PreparedLanes, WideFrame};
 use crate::latency::{LatencyModel, TimingSim};
 use crate::tap::{
     const_filter, AdmitAll, Hierarchy, L1Miss, Levels, MipDims, MissLog, Replay, TelOff,
@@ -10,7 +10,7 @@ use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
     EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config, L2Outcome,
 };
-use mltc_cache::RoundRobinTlb;
+use mltc_cache::{ClockStats, RoundRobinTlb};
 use mltc_telemetry::Recorder;
 use mltc_texture::{PageTableLayout, TextureId, TextureRegistry, TilingConfig};
 use mltc_trace::{filter_taps, FilterMode, FrameTrace, PixelRequest};
@@ -71,9 +71,9 @@ impl EngineConfig {
         }
     }
 
-    /// Validates the cache geometry (shared by [`SimEngine::try_new`] and
-    /// the multi-client [`TextureService`](crate::TextureService), which
-    /// applies it to each per-client L2 partition).
+    /// Validates the cache geometry (what [`SimEngine::try_new`] checks
+    /// first — for a [`TextureService`](crate::TextureService), of each
+    /// client's slice of the hierarchy).
     ///
     /// # Errors
     ///
@@ -309,19 +309,49 @@ impl SimEngine {
     /// block; [`EngineError::EmptyPageTable`] when an L2 is configured but
     /// the registry holds no textures.
     pub fn try_new(cfg: EngineConfig, registry: &TextureRegistry) -> Result<Self, EngineError> {
+        Self::try_build(cfg, registry, true)
+    }
+
+    /// [`try_new`](Self::try_new); without `own_l2` the engine builds no
+    /// L2 even when `cfg` has one, and its multi-level replays borrow one
+    /// per frame (a unified service client, [`hierarchy`](Self::hierarchy)).
+    pub(crate) fn try_build(
+        cfg: EngineConfig,
+        registry: &TextureRegistry,
+        own_l2: bool,
+    ) -> Result<Self, EngineError> {
         cfg.validate_geometry()?;
         let layout = PageTableLayout::new(registry, cfg.tiling);
         if cfg.l2.is_some() && layout.entry_count() == 0 {
             return Err(EngineError::EmptyPageTable);
         }
+        Ok(Self::over(cfg, layout, mip_dims(registry), own_l2))
+    }
+
+    /// A fresh engine over this one's textures and configuration but for
+    /// its fault plan: what [`try_build`](Self::try_build) builds from the
+    /// registry this engine was built from (a service client, derived from
+    /// the service's template).
+    pub(crate) fn sibling(&self, fault: FaultPlan, own_l2: bool) -> Self {
+        let cfg = EngineConfig { fault, ..self.cfg };
+        Self::over(cfg, self.layout.clone(), self.dims.clone(), own_l2)
+    }
+
+    fn over(
+        cfg: EngineConfig,
+        layout: PageTableLayout,
+        dims: Vec<Option<Vec<(u32, u32)>>>,
+        own_l2: bool,
+    ) -> Self {
         let l2 = cfg
             .l2
+            .filter(|_| own_l2)
             .map(|c| L2Cache::new(c, cfg.tiling, layout.entry_count()));
         let tlb = (cfg.tlb_entries > 0).then(|| RoundRobinTlb::new(cfg.tlb_entries));
-        Ok(Self {
+        Self {
             cfg,
             layout,
-            dims: mip_dims(registry),
+            dims,
             l1: L1TextureCache::new(cfg.l1),
             l2,
             tlb,
@@ -331,7 +361,13 @@ impl SimEngine {
             tel: None,
             timing: None,
             miss_log: Vec::new(),
-        })
+        }
+    }
+
+    /// Hands this engine's L2 out (the service's unified cache is built
+    /// here, by the constructor every other L2 comes from).
+    pub(crate) fn take_l2(&mut self) -> Option<L2Cache> {
+        self.l2.take()
     }
 
     /// The configuration.
@@ -489,25 +525,27 @@ impl SimEngine {
     /// *except* feeding the timing overlay (callers group taps into
     /// fragments themselves).
     fn tap_traced(&mut self, tid: TextureId, m: u32, u: u32, v: u32) -> AccessTrace {
-        let (h, tel, _) = self.hierarchy();
+        let (h, tel, _) = self.hierarchy(None);
         h.replay_observed(tel, OneTap { tid, m, u, v })
     }
 
     /// The hierarchy, borrowed for one replay, beside the two observers
-    /// that decide its sink.
-    fn hierarchy(
-        &mut self,
+    /// that decide its sink. `borrowed` stands in for the engine's own L2
+    /// when it has none (a unified service client's frame).
+    pub(crate) fn hierarchy<'a>(
+        &'a mut self,
+        borrowed: Option<&'a mut L2Cache>,
     ) -> (
-        Hierarchy<'_>,
-        Option<&mut EngineTelemetry>,
-        Option<&mut TimingSim>,
+        Hierarchy<'a>,
+        Option<&'a mut EngineTelemetry>,
+        Option<&'a mut TimingSim>,
     ) {
         let h = Hierarchy {
             cfg: &self.cfg,
             tables: self.layout.tables(),
             dims: &self.dims,
             l1: &mut self.l1,
-            l2: self.l2.as_mut(),
+            l2: borrowed.or(self.l2.as_mut()),
             tlb: self.tlb.as_mut(),
             host: &mut self.host,
             current: &mut self.current,
@@ -612,7 +650,7 @@ impl SimEngine {
             // is bit-identical to the scalar loop.
             return self.replay_frame_batched(filter, requests);
         }
-        let (h, tel, _) = self.hierarchy();
+        let (h, tel, _) = self.hierarchy(None);
         h.replay_observed(tel, ScalarFrame { filter, requests })?;
         self.end_frame();
         Ok(())
@@ -668,37 +706,16 @@ impl SimEngine {
     /// contract as [`access_texel`](Self::access_texel)).
     pub fn replay_taps(&mut self, taps: &[(u32, u32, u32, u32)]) {
         if self.timing.is_some() {
-            return self.replay_taps_timed(taps);
+            // The per-access entry, one lookahead fragment per tap (the
+            // differential harness's per-access stream semantics — there
+            // is no fragment to commit wide).
+            for &(tid, m, u, v) in taps {
+                let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
+            }
+            return;
         }
-        let (h, tel, _) = self.hierarchy();
+        let (h, tel, _) = self.hierarchy(None);
         h.replay_observed(tel, Taps(taps));
-    }
-
-    /// [`replay_taps`](Self::replay_taps) through the wide path: taps are
-    /// chunked into fixed-width lane batches (up to [`BATCH_LANES`]),
-    /// translated up front, and committed wide when every lane hits the
-    /// L1; any miss replays the whole chunk through the tap body
-    /// (`crate::batch` documents the fall-through contract). The
-    /// differential oracle runs this as its fourth lockstep model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tap references a texture unknown to the engine.
-    pub fn replay_taps_batched(&mut self, taps: &[(u32, u32, u32, u32)]) {
-        if self.timing.is_some() {
-            return self.replay_taps_timed(taps);
-        }
-        let (h, tel, _) = self.hierarchy();
-        h.replay_observed(tel, TapChunks(taps));
-    }
-
-    /// The `replay_taps*` entries with timing attached: the per-access
-    /// entry, one lookahead fragment per tap (the differential harness's
-    /// per-access stream semantics — there is no fragment to commit wide).
-    fn replay_taps_timed(&mut self, taps: &[(u32, u32, u32, u32)]) {
-        for &(tid, m, u, v) in taps {
-            let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
-        }
     }
 
     /// [`try_run_frame_as`](Self::try_run_frame_as) routed through the
@@ -867,7 +884,10 @@ impl SimEngine {
             requests,
             ad: AdmitAll,
         };
-        let replayed = self.hierarchy().0.replay_under(MissLog(&mut log), frame);
+        let replayed = self
+            .hierarchy(None)
+            .0
+            .replay_under(MissLog(&mut log), frame);
         self.miss_log = log;
         replayed
     }
@@ -875,7 +895,7 @@ impl SimEngine {
     /// A follower's half of a shared frame, and all of a stored pass's:
     /// the leader's L1 misses, in order, through everything below the L1.
     fn replay_l1_misses(&mut self, misses: impl Iterator<Item = L1Miss>) {
-        self.hierarchy().0.replay_under(TelOff, Misses(misses));
+        self.hierarchy(None).0.replay_under(TelOff, Misses(misses));
     }
 
     /// Replays a frame prepared off-engine by [`FramePrep`]: lanes arrive
@@ -889,7 +909,7 @@ impl SimEngine {
     /// the lanes before it — the frame is left open, exactly like
     /// [`try_run_frame`](Self::try_run_frame) on an unknown texture.
     pub fn try_run_frame_prepared(&mut self, prepared: &PreparedFrame) -> Result<(), EngineError> {
-        let (h, tel, timing) = self.hierarchy();
+        let (h, tel, timing) = self.hierarchy(None);
         h.replay(tel, timing, PreparedLanes(prepared));
         if let Some(err) = prepared.error() {
             return Err(err.clone());
@@ -908,7 +928,7 @@ impl SimEngine {
     where
         I: IntoIterator<Item = PixelRequest>,
     {
-        let (h, tel, timing) = self.hierarchy();
+        let (h, tel, timing) = self.hierarchy(None);
         let frame = WideFrame {
             filter,
             requests,
@@ -924,11 +944,18 @@ impl SimEngine {
     /// window (fills must land before the frame's cycle count closes) and
     /// records the frame's timing delta.
     pub fn end_frame(&mut self) {
+        self.close_frame(None);
+    }
+
+    /// [`end_frame`](Self::end_frame) of a frame replayed over a borrowed
+    /// L2, whose clock stats `borrowed` are (`None`: the engine's own L2's,
+    /// if it has one).
+    pub(crate) fn close_frame(&mut self, borrowed: Option<ClockStats>) {
         if let Some(t) = &mut self.timing {
             t.end_frame();
         }
         if let Some(tel) = &mut self.tel {
-            let clock = self.l2.as_ref().map(|l2| l2.clock_stats());
+            let clock = borrowed.or_else(|| self.l2.as_ref().map(|l2| l2.clock_stats()));
             tel.on_frame_end(self.frames.len() as u64, &self.current, clock);
         }
         self.frames.push(self.current);
@@ -1125,47 +1152,6 @@ impl Replay for Taps<'_> {
         for &(tid, m, u, v) in self.0 {
             let tid = TextureId::from_index(tid);
             lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
-        }
-    }
-}
-
-/// The chunked tap-slice loop of [`SimEngine::replay_taps_batched`].
-struct TapChunks<'a>(&'a [(u32, u32, u32, u32)]);
-
-impl Replay for TapChunks<'_> {
-    type Out = ();
-
-    fn run<Lv: Levels, Te: TelemetryMode>(
-        self,
-        mut lv: Lv,
-        mut tel: Te,
-        _dims: &MipDims,
-        l1: &mut L1TextureCache,
-        host: &mut HostLink,
-        current: &mut FrameCounters,
-    ) {
-        let map = l1.address_map();
-        let mut uniq = [0u64; BATCH_LANES];
-        let mut last = [0u32; BATCH_LANES];
-        for chunk in self.0.chunks(BATCH_LANES) {
-            let tags = chunk
-                .iter()
-                .map(|&(tid, m, u, v)| map.tag_of(TextureId::from_index(tid), m, u, v));
-            let k = dedupe_lanes(tags, &mut uniq, &mut last);
-            let n = chunk.len();
-            if l1.access_all_hits_by_tag(&uniq[..k], &last[..k], n as u32) {
-                current.l1_accesses += n as u64;
-                current.l1_hits += n as u64;
-                tel.with(|t| {
-                    t.l1_hits.add(n as u64);
-                    t.on_l1_hit_taps(chunk);
-                });
-            } else {
-                for &(tid, m, u, v) in chunk {
-                    let tid = TextureId::from_index(tid);
-                    lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
-                }
-            }
         }
     }
 }
@@ -1413,28 +1399,6 @@ mod tests {
                 assert_eq!(scalar.host().transfers(), pipelined.host().transfers());
             }
         }
-    }
-
-    #[test]
-    fn replay_taps_batched_matches_scalar_replay_taps() {
-        let reg = registry(3, 128);
-        let cfg = EngineConfig {
-            l1: L1Config::kb(2),
-            l2: Some(L2Config::mb(2)),
-            tlb_entries: 4,
-            ..EngineConfig::default()
-        };
-        let taps: Vec<(u32, u32, u32, u32)> = (0..5000u32)
-            .map(|i| (i % 3, i % 4, (i * 13) % 16, (i * 7) % 16))
-            .collect();
-        let mut a = SimEngine::new(cfg, &reg);
-        let mut b = SimEngine::new(cfg, &reg);
-        a.replay_taps(&taps);
-        b.replay_taps_batched(&taps);
-        a.end_frame();
-        b.end_frame();
-        assert_eq!(a.frames(), b.frames());
-        assert_eq!(a.host().transfers(), b.host().transfers());
     }
 
     #[test]

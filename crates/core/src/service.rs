@@ -5,8 +5,10 @@
 //! streams through one shared L2. This module is the shardable core of
 //! that service: per-client L1s (and TLBs) in front of a shared,
 //! partition-configurable L2, with per-client host-link fault scoping and
-//! admission control. Everything here is `Send`, so a service layer can
-//! hand each [`ClientEngine`] to its own worker thread.
+//! admission control. A [`ClientEngine`] is a [`SimEngine`] plus the
+//! client's admission policy — one copy of the per-engine state. Everything
+//! here is `Send`, so a service layer can hand each client to its own
+//! worker thread.
 //!
 //! # Containment contract
 //!
@@ -15,13 +17,12 @@
 //!   `(base plan, client id)` and the client's own transfer ordinals,
 //!   never on how clients interleave.
 //! * **Partitioned isolation** — under
-//!   [`L2PartitionMode::Partitioned`] each client owns a private L2
-//!   partition; a client's counters are then bit-identical to a solo
-//!   [`SimEngine`](crate::SimEngine) run of
-//!   [`TextureService::solo_config`] (the client runs the engine's own
-//!   wide frame loops and tap bodies — there is no service copy of the
-//!   hierarchy), no matter what other clients do — including panicking
-//!   or running a 100 %-failure fault plan.
+//!   [`L2PartitionMode::Partitioned`] a client's engine *is* the solo
+//!   [`SimEngine`] of [`TextureService::solo_config`]: it owns its `total/N`
+//!   L2 share, which no other client can reach, so it runs without a lock
+//!   and its counters are bit-identical to a solo run by construction, no
+//!   matter what other clients do — including panicking or running a
+//!   100 %-failure fault plan.
 //! * **Graceful degradation tiers** — [`AdmissionControl`] bounds each
 //!   client's per-frame host transfers: over the soft budget the client's
 //!   misses are served read-degraded from resident L2 data instead of
@@ -34,29 +35,27 @@
 //!   of their own: `AdmitAll` when no budget is set, which compiles to the
 //!   engine's code, and `Budgeted` below otherwise.
 //!
-//! [`L2PartitionMode::Unified`] shares one L2 (and one page table) among
-//! all clients behind a single arbitration point, measured by
-//! [`SharedL2::contention`]; results then genuinely depend on client
-//! interleaving, which is why the conformance gates run partitioned.
+//! [`L2PartitionMode::Unified`] shares one L2 among all clients behind a
+//! single lock, which each client's engine borrows for a frame; results
+//! then genuinely depend on client interleaving, which is why the
+//! conformance gates run partitioned. That lock is the only one left, so
+//! [`SharedL2::contention`] and the per-client lock gauges count unified
+//! frames only: a partitioned run reports zero acquisitions.
 
 use crate::batch::WideFrame;
-use crate::engine::{mip_dims, FrameCounters};
-use crate::tap::{AdmitAll, Budgeted, Hierarchy};
-use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
+use crate::engine::FrameCounters;
+use crate::tap::{AdmitAll, Budgeted};
+use crate::telemetry::TelemetryOpts;
 use crate::{
-    EngineConfig, EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config,
+    EngineConfig, EngineError, FaultPlan, HostLink, L1Config, L2Cache, L2Config, SimEngine,
 };
-use mltc_cache::{ClockStats, RoundRobinTlb};
+use mltc_cache::ClockStats;
 use mltc_telemetry::Recorder;
-use mltc_texture::{PageTableLayout, TextureRegistry, TilingConfig};
+use mltc_texture::{TextureRegistry, TilingConfig};
 use mltc_trace::{FilterMode, FrameTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
-
-/// Mip-chain dimensions per texture id (`None` where no texture is
-/// registered), shared read-only by every client of a service.
-type SharedMipDims = Arc<Vec<Option<Vec<(u32, u32)>>>>;
 
 /// How the shared L2 capacity is divided among clients.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -232,31 +231,31 @@ impl ClientServiceStats {
     }
 }
 
-/// Cross-client contention on the shared L2 arbitration point.
+/// Cross-client contention on the unified L2's lock. Only a unified
+/// service has one: a partitioned client owns its L2 share and takes no
+/// lock, so a partitioned run reports all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedL2Contention {
-    /// Lock acquisitions (one per frame per client).
+    /// Lock acquisitions (one per frame per client, unified only).
     pub acquisitions: u64,
     /// Acquisitions that found the lock held.
     pub contended: u64,
-    /// Nanoseconds spent waiting on held locks (wall clock; observe-only,
-    /// never fed back into simulation state).
+    /// Nanoseconds spent waiting on the held lock (wall clock;
+    /// observe-only, never fed back into simulation state).
     pub contended_nanos: u64,
-    /// Nanoseconds the locks were held, summed over all frames of all
-    /// clients (wall clock; observe-only). In unified mode this is the
-    /// serial section of the service.
+    /// Nanoseconds the lock was held, summed over all frames of all
+    /// clients (wall clock; observe-only): the serial section of a unified
+    /// service.
     pub held_nanos: u64,
 }
 
-/// The shared L2 level: one [`L2Cache`] per partition (or a single unified
-/// one), each behind its own mutex. Lock poisoning is deliberately
-/// recovered — a panicked client must never wedge the survivors — and in
-/// partitioned mode a poisoned partition belongs only to the client that
-/// poisoned it.
+/// The shared L2 level: in unified mode the one [`L2Cache`] every client
+/// borrows per frame, behind a mutex; nothing otherwise (a partitioned
+/// client's engine owns its share). Lock poisoning is deliberately
+/// recovered — a panicked client must never wedge the survivors.
 #[derive(Debug)]
 pub struct SharedL2 {
-    partitions: Vec<Mutex<L2Cache>>,
-    unified: bool,
+    unified: Option<Mutex<L2Cache>>,
     acquisitions: AtomicU64,
     contended: AtomicU64,
     contended_nanos: AtomicU64,
@@ -267,10 +266,9 @@ pub struct SharedL2 {
 }
 
 impl SharedL2 {
-    fn new(partitions: Vec<Mutex<L2Cache>>, unified: bool, clients: u32) -> Self {
+    fn new(unified: Option<L2Cache>, clients: u32) -> Self {
         Self {
-            partitions,
-            unified,
+            unified: unified.map(Mutex::new),
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             contended_nanos: AtomicU64::new(0),
@@ -279,28 +277,15 @@ impl SharedL2 {
         }
     }
 
-    /// Number of partitions (`0` = no L2 at all, `1` = unified).
-    pub fn partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Whether all clients share one cache.
     pub fn is_unified(&self) -> bool {
-        self.unified
+        self.unified.is_some()
     }
 
-    /// Locks the partition serving `client` (`None` without an L2),
+    /// Locks the unified cache for `client` (`None` when there is none),
     /// recovering from poisoning and accounting contention.
-    pub fn lock_for(&self, client: u32) -> Option<MutexGuard<'_, L2Cache>> {
-        if self.partitions.is_empty() {
-            return None;
-        }
-        let idx = if self.unified {
-            0
-        } else {
-            client as usize % self.partitions.len()
-        };
-        let m = &self.partitions[idx];
+    fn lock(&self, client: u32) -> Option<MutexGuard<'_, L2Cache>> {
+        let m = self.unified.as_ref()?;
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         match m.try_lock() {
             Ok(g) => Some(g),
@@ -339,14 +324,15 @@ impl SharedL2 {
 }
 
 /// Factory for a fixed population of [`ClientEngine`]s over one texture
-/// registry: owns the shared L2 and the (read-only, shared) page-table
-/// layout. `Sync`, so worker threads borrow it directly.
+/// registry: owns the unified L2, if any, and the template every client's
+/// engine is derived from. `Sync`, so worker threads borrow it directly.
 #[derive(Debug)]
 pub struct TextureService {
     cfg: ServiceConfig,
     clients: u32,
-    layout: Arc<PageTableLayout>,
-    dims: SharedMipDims,
+    /// Every client's engine but for its fault plan: the engine of
+    /// [`solo_config`](Self::solo_config) under the base plan, owning no L2.
+    template: SimEngine,
     l2: SharedL2,
 }
 
@@ -369,52 +355,29 @@ impl TextureService {
                 "service needs at least one client".into(),
             ));
         }
-        let share = Self::client_l2(&cfg, clients);
-        EngineConfig {
+        let unified = cfg.partition == L2PartitionMode::Unified;
+        // A client's L2: its `total/N` share when partitioned, the full
+        // cache when unified (a unified client can in principle use all of
+        // it).
+        let l2 = cfg.l2.map(|total| L2Config {
+            size_bytes: total.size_bytes / if unified { 1 } else { clients as usize },
+            ..total
+        });
+        let solo = EngineConfig {
             l1: cfg.l1,
-            l2: share,
+            l2,
             tlb_entries: cfg.tlb_entries,
             tiling: cfg.tiling,
             fault: cfg.fault,
-        }
-        .validate_geometry()?;
-        let layout = PageTableLayout::new(registry, cfg.tiling);
-        if cfg.l2.is_some() && layout.entry_count() == 0 {
-            return Err(EngineError::EmptyPageTable);
-        }
-        let entries = layout.entry_count();
-        let (partitions, unified) = match (cfg.l2, cfg.partition) {
-            (None, _) => (Vec::new(), false),
-            (Some(_), L2PartitionMode::Partitioned) => {
-                let share = share.expect("partition share exists when l2 does");
-                let parts = (0..clients)
-                    .map(|_| Mutex::new(L2Cache::new(share, cfg.tiling, entries)))
-                    .collect();
-                (parts, false)
-            }
-            (Some(total), L2PartitionMode::Unified) => (
-                vec![Mutex::new(L2Cache::new(total, cfg.tiling, entries))],
-                true,
-            ),
         };
+        // Unified, the template builds the one shared L2 and hands it over.
+        let mut template = SimEngine::try_build(solo, registry, unified)?;
+        let l2 = SharedL2::new(template.take_l2(), clients);
         Ok(Self {
             cfg,
             clients,
-            layout: Arc::new(layout),
-            dims: Arc::new(mip_dims(registry)),
-            l2: SharedL2::new(partitions, unified, clients),
-        })
-    }
-
-    /// The per-client L2 share: `total/N` when partitioned, the full cache
-    /// when unified (a unified client can in principle use all of it).
-    fn client_l2(cfg: &ServiceConfig, clients: u32) -> Option<L2Config> {
-        cfg.l2.map(|total| match cfg.partition {
-            L2PartitionMode::Partitioned => L2Config {
-                size_bytes: total.size_bytes / clients as usize,
-                ..total
-            },
-            L2PartitionMode::Unified => total,
+            template,
+            l2,
         })
     }
 
@@ -434,16 +397,14 @@ impl TextureService {
     }
 
     /// The solo-baseline engine configuration for `client`: the exact
-    /// [`EngineConfig`] under which a plain [`SimEngine`](crate::SimEngine)
-    /// reproduces this client's partitioned counters bit for bit (its L2
-    /// share, its scoped fault plan). This is the containment oracle.
+    /// [`EngineConfig`] under which a plain [`SimEngine`] reproduces this
+    /// client's partitioned counters bit for bit (its L2 share, its scoped
+    /// fault plan) — a partitioned client's engine is built from it. This
+    /// is the containment oracle.
     pub fn solo_config(&self, client: u32) -> EngineConfig {
         EngineConfig {
-            l1: self.cfg.l1,
-            l2: Self::client_l2(&self.cfg, self.clients),
-            tlb_entries: self.cfg.tlb_entries,
-            tiling: self.cfg.tiling,
             fault: self.cfg.fault.for_client(client),
+            ..self.template.config()
         }
     }
 
@@ -476,53 +437,35 @@ impl TextureService {
                 self.clients
             )));
         }
-        let cfg = EngineConfig {
-            fault,
-            ..self.solo_config(client)
-        };
         Ok(ClientEngine {
             id: client,
             admission: self.cfg.admission,
-            cfg,
-            layout: Arc::clone(&self.layout),
-            dims: Arc::clone(&self.dims),
-            l1: L1TextureCache::new(cfg.l1),
-            tlb: (cfg.tlb_entries > 0).then(|| RoundRobinTlb::new(cfg.tlb_entries)),
-            host: HostLink::new(fault),
-            current: FrameCounters::default(),
-            frames: Vec::new(),
+            engine: self.template.sibling(fault, !self.l2.is_unified()),
             svc: ClientServiceStats::default(),
             consecutive_shed: 0,
             quarantine: None,
             l2_held_nanos: 0,
-            tel: None,
         })
     }
 }
 
-/// One client's private half of the hierarchy: its L1, TLB, scoped host
-/// link and counters. `Send` — hand it to a worker thread and drive it
-/// with [`run_frame`](Self::run_frame) against the service's [`SharedL2`].
+/// One client: an engine — its L1, TLB, scoped host link, counters and,
+/// partitioned, its L2 share — and the admission policy that drives it.
+/// `Send` — hand it to a worker thread and drive it with
+/// [`run_frame`](Self::run_frame) against the service's [`SharedL2`].
 #[derive(Debug)]
 pub struct ClientEngine {
     id: u32,
     admission: AdmissionControl,
-    /// This client's slice of the hierarchy as an engine configuration:
-    /// [`TextureService::solo_config`] with the client's fault plan.
-    cfg: EngineConfig,
-    layout: Arc<PageTableLayout>,
-    dims: SharedMipDims,
-    l1: L1TextureCache,
-    tlb: Option<RoundRobinTlb>,
-    host: HostLink,
-    current: FrameCounters,
-    frames: Vec<FrameCounters>,
+    /// [`TextureService::solo_config`] with the client's fault plan;
+    /// unified, it owns no L2 and borrows the shared one per frame.
+    engine: SimEngine,
     svc: ClientServiceStats,
     consecutive_shed: u32,
     quarantine: Option<QuarantineReason>,
-    /// Nanoseconds this client held its L2 lock (wall clock; observe-only).
+    /// Nanoseconds this client held the unified L2's lock (wall clock;
+    /// observe-only).
     l2_held_nanos: u64,
-    tel: Option<Box<EngineTelemetry>>,
 }
 
 impl ClientEngine {
@@ -532,10 +475,10 @@ impl ClientEngine {
     }
 
     /// Attaches per-client telemetry (see
-    /// [`SimEngine::attach_telemetry`](crate::SimEngine::attach_telemetry);
-    /// pass a [`Recorder::scoped`] recorder to key everything per client).
+    /// [`SimEngine::attach_telemetry`]; pass a [`Recorder::scoped`]
+    /// recorder to key everything per client).
     pub fn attach_telemetry(&mut self, recorder: &Recorder, label: &str, group: &str) {
-        self.attach_telemetry_opts(recorder, label, group, TelemetryOpts::default());
+        self.engine.attach_telemetry(recorder, label, group);
     }
 
     /// [`attach_telemetry`](Self::attach_telemetry) with options; with
@@ -549,22 +492,17 @@ impl ClientEngine {
         group: &str,
         opts: TelemetryOpts,
     ) {
-        self.tel = recorder.is_enabled().then(|| {
-            let mut tel = EngineTelemetry::new(recorder, label, group);
-            if opts.attribution {
-                let params = AttributionParams::of(&self.cfg, self.l1.address_map());
-                tel.enable_attribution(recorder, group, params);
-            }
-            Box::new(tel)
-        });
+        self.engine
+            .attach_telemetry_opts(recorder, label, group, opts);
     }
 
     /// Publishes this client's service-scoped health metrics as gauges
     /// (`service/…` under the recorder's scope — pass the same
     /// [`Recorder::scoped`] recorder used for
     /// [`attach_telemetry`](Self::attach_telemetry)): shed/denied/degraded
-    /// work, queue and L2-lock stalls, the time this client held its L2
-    /// lock, and the p99 per-frame L1 miss rate.
+    /// work, queue stalls, the unified L2 lock's stalls and the time this
+    /// client held it (both zero when partitioned: there is no lock), and
+    /// the p99 per-frame L1 miss rate.
     /// Last write wins, so call it after the client's final frame.
     pub fn publish_metrics(&self, recorder: &Recorder, shared: &SharedL2, queue_stalls: u64) {
         if !recorder.is_enabled() {
@@ -583,32 +521,27 @@ impl ClientEngine {
         g("l2_lock_held_ms", self.l2_held_nanos as f64 / 1e6);
         g("peak_tier", self.svc.peak_tier as u64 as f64);
         let mut rates: Vec<f64> = self
-            .frames
+            .frames()
             .iter()
             .filter(|f| f.l1_accesses > 0)
-            .map(|f| (f.l1_accesses - f.l1_hits) as f64 / f.l1_accesses as f64)
+            .map(FrameCounters::l1_miss_rate)
             .collect();
-        rates.sort_by(|a, b| a.partial_cmp(b).expect("miss rates are finite"));
-        let p99 = if rates.is_empty() {
-            0.0
-        } else {
-            rates[(rates.len() - 1) * 99 / 100]
-        };
+        rates.sort_by(f64::total_cmp);
+        // Nearest rank, the rule of `multiclient`'s `p99_frame_miss_pct`:
+        // the ⌈0.99·n⌉-th smallest.
+        let rank = (rates.len() as f64 * 0.99).ceil() as usize;
+        let p99 = rates.get(rank.max(1) - 1).copied().unwrap_or(0.0);
         g("p99_frame_miss_rate", p99);
     }
 
     /// Per-frame counters for all completed frames.
     pub fn frames(&self) -> &[FrameCounters] {
-        &self.frames
+        self.engine.frames()
     }
 
     /// Sum of all completed frames.
     pub fn totals(&self) -> FrameCounters {
-        let mut t = FrameCounters::default();
-        for f in &self.frames {
-            t.merge(f);
-        }
-        t
+        self.engine.totals()
     }
 
     /// Service-level statistics (tiers, shed/denied work).
@@ -618,7 +551,7 @@ impl ClientEngine {
 
     /// The host link (for fault statistics).
     pub fn host(&self) -> &HostLink {
-        &self.host
+        self.engine.host()
     }
 
     /// Why this client is quarantined, if it is.
@@ -633,17 +566,17 @@ impl ClientEngine {
         self.quarantine = Some(reason);
     }
 
-    /// Replays one frame through this client's slice of the hierarchy —
-    /// the engine's wide frame loops under this client's admission mode —
-    /// holding the client's L2 partition lock for the duration of the
-    /// replay, then closes the frame.
+    /// Replays one frame through this client's engine — its wide frame
+    /// loop under this client's admission mode — then closes the frame. A
+    /// unified client holds the shared L2's lock for the replay; a
+    /// partitioned one takes no lock.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Quarantined`] when the client is (or just became)
     /// quarantined; [`ServiceError::Engine`] for unknown textures — in
     /// that case the frame is left open, exactly like
-    /// [`SimEngine::try_run_frame`](crate::SimEngine::try_run_frame).
+    /// [`SimEngine::try_run_frame`].
     pub fn run_frame(
         &mut self,
         shared: &SharedL2,
@@ -652,10 +585,10 @@ impl ClientEngine {
     ) -> Result<(), ServiceError> {
         self.check_quarantine()?;
         let mut shed_frame = false;
-        let mut guard = shared.lock_for(self.id);
+        let mut guard = shared.lock(self.id);
         let locked = Instant::now();
         let replayed = self.replay(guard.as_deref_mut(), trace, filter, &mut shed_frame);
-        let clock = guard.as_deref().map(|l2| l2.clock_stats());
+        let clock = guard.as_deref().map(L2Cache::clock_stats);
         if let Some(guard) = guard {
             drop(guard);
             let held = locked.elapsed().as_nanos() as u64;
@@ -676,9 +609,8 @@ impl ClientEngine {
         }
     }
 
-    /// The frame body: the wide frame loop [`SimEngine`](crate::SimEngine)'s
-    /// batched replay runs, over this client's private levels and the L2
-    /// out of the [`SharedL2`] guard, under this client's admission mode.
+    /// The frame body: the engine's wide frame loop under this client's
+    /// admission mode, over the borrowed `l2` when unified.
     fn replay(
         &mut self,
         l2: Option<&mut L2Cache>,
@@ -687,34 +619,25 @@ impl ClientEngine {
         shed_frame: &mut bool,
     ) -> Result<(), EngineError> {
         let requests = trace.requests.iter().copied();
-        let admission = self.admission;
-        // Whatever the frame attempted before an unknown texture left it
-        // open still counts against its budgets.
-        let attempted = match l2 {
-            Some(_) => self.current.l2_partial_hits + self.current.l2_full_misses,
-            None => self.current.l1_accesses - self.current.l1_hits,
-        };
-        let h = Hierarchy {
-            cfg: &self.cfg,
-            tables: self.layout.tables(),
-            dims: &self.dims,
-            l1: &mut self.l1,
-            l2,
-            tlb: self.tlb.as_mut(),
-            host: &mut self.host,
-            current: &mut self.current,
-        };
-        let tel = self.tel.as_deref_mut();
-        if admission.soft_transfers_per_frame == 0 && admission.hard_transfers_per_frame == 0 {
+        let ctl = self.admission;
+        let (h, tel, timing) = self.engine.hierarchy(l2);
+        if ctl.soft_transfers_per_frame == 0 && ctl.hard_transfers_per_frame == 0 {
             let frame = WideFrame {
                 filter,
                 requests,
                 ad: AdmitAll,
             };
-            return h.replay(tel, None, frame);
+            return h.replay(tel, timing, frame);
         }
+        // Whatever the frame attempted before an unknown texture left it
+        // open still counts against its budgets.
+        let c = &h.current;
+        let attempted = match h.l2 {
+            Some(_) => c.l2_partial_hits + c.l2_full_misses,
+            None => c.l1_accesses - c.l1_hits,
+        };
         let ad = Budgeted {
-            ctl: admission,
+            ctl,
             attempted,
             stats: &mut self.svc,
             shed_frame,
@@ -724,21 +647,18 @@ impl ClientEngine {
             requests,
             ad,
         };
-        h.replay(tel, None, frame)
+        h.replay(tel, timing, frame)
     }
 
-    /// Closes the frame the replay left open and applies the shed-frame
-    /// policy (tiers 2 and 3).
+    /// Closes the frame the replay left open — with the borrowed L2's
+    /// `clock` stats when unified — and applies the shed-frame policy
+    /// (tiers 2 and 3).
     fn close_frame(
         &mut self,
         clock: Option<ClockStats>,
         shed_frame: bool,
     ) -> Result<(), ServiceError> {
-        if let Some(tel) = &mut self.tel {
-            tel.on_frame_end(self.frames.len() as u64, &self.current, clock);
-        }
-        self.frames.push(self.current);
-        self.current = FrameCounters::default();
+        self.engine.close_frame(clock);
         self.svc.frames_run += 1;
         if shed_frame {
             self.svc.shed_frames += 1;
@@ -769,10 +689,10 @@ impl ClientEngine {
 mod reference {
     use super::*;
     use crate::tap::{
-        degraded_probe, Levels, MultiLevel, Pull, TelOff, TelOn, TelemetryMode, TlbMode, TlbOff,
-        TlbOn,
+        degraded_probe, Hierarchy, Levels, MultiLevel, Pull, TelOff, TelOn, TelemetryMode, TlbMode,
+        TlbOff, TlbOn,
     };
-    use crate::L2Outcome;
+    use crate::{L1TextureCache, L2Outcome};
     use mltc_texture::{TranslationMemo, TranslationTables};
     use mltc_trace::filter_taps;
 
@@ -793,22 +713,26 @@ mod reference {
         ) -> Result<(), ServiceError> {
             self.check_quarantine()?;
             let mut shed_frame = false;
-            let mut guard = shared.lock_for(self.id);
+            let mut guard = shared.lock(self.id);
             let Self {
                 admission,
+                engine,
+                svc,
+                ..
+            } = self;
+            let (h, tel, _) = engine.hierarchy(guard.as_deref_mut());
+            let Hierarchy {
                 cfg,
-                layout,
+                tables,
                 dims,
                 l1,
+                l2,
                 tlb,
                 host,
                 current,
-                svc,
-                tel,
-                ..
-            } = self;
+            } = h;
             let shed = &mut shed_frame;
-            match guard.as_deref_mut() {
+            match l2 {
                 None => {
                     macro_rules! pull {
                         ($tel:expr) => {
@@ -818,7 +742,7 @@ mod reference {
                             )
                         };
                     }
-                    match tel.as_deref_mut() {
+                    match tel {
                         None => pull!(TelOff),
                         Some(t) => pull!(TelOn(t)),
                     }
@@ -827,24 +751,12 @@ mod reference {
                     macro_rules! ml {
                         ($tlb:expr, $tel:expr) => {
                             ml_loop(
-                                trace,
-                                filter,
-                                admission,
-                                cfg,
-                                layout.tables(),
-                                dims,
-                                l1,
-                                l2,
-                                host,
-                                current,
-                                svc,
-                                shed,
-                                $tlb,
-                                $tel,
+                                trace, filter, admission, cfg, tables, dims, l1, l2, host, current,
+                                svc, shed, $tlb, $tel,
                             )
                         };
                     }
-                    match (tlb.as_mut(), tel.as_deref_mut()) {
+                    match (tlb, tel) {
                         (None, None) => ml!(TlbOff, TelOff),
                         (None, Some(t)) => ml!(TlbOff, TelOn(t)),
                         (Some(tlb), None) => ml!(TlbOn(tlb), TelOff),
@@ -1156,10 +1068,15 @@ mod tests {
             }
             assert_eq!(client.frames(), scalar.frames(), "client {c} vs scalar");
             assert_eq!(client.frames(), batched.frames(), "client {c} vs batched");
-            assert!(client.l1.lines().eq(scalar.l1().lines()), "client {c} L1");
-            assert_eq!(client.host.transfers(), scalar.host().transfers());
+            assert!(
+                client.engine.l1().lines().eq(scalar.l1().lines()),
+                "client {c} L1"
+            );
+            assert_eq!(client.host().transfers(), scalar.host().transfers());
             assert!(client.totals().retries > 0, "fault plan must have fired");
         }
+        // Each client owned its share: no lock was ever taken.
+        assert_eq!(svc.shared_l2().contention(), SharedL2Contention::default());
     }
 
     #[test]
@@ -1183,7 +1100,6 @@ mod tests {
         };
         let svc = TextureService::try_new(cfg, &reg, 3).unwrap();
         assert!(svc.shared_l2().is_unified());
-        assert_eq!(svc.shared_l2().partitions(), 1);
         let stream = frames(7, 2, 200, 2, 64);
         for c in 0..3 {
             let mut client = svc.client(c).unwrap();
@@ -1242,7 +1158,7 @@ mod tests {
             );
         }
         assert_eq!(
-            client.totals().host_bytes / client.cfg.l1.line_bytes() as u64,
+            client.totals().host_bytes / client.engine.config().l1.line_bytes() as u64,
             client
                 .frames()
                 .iter()
@@ -1293,7 +1209,7 @@ mod tests {
         assert!(s.denied_transfers > 0);
         assert_eq!(s.denied_transfers, client.totals().dropped_taps);
         assert_eq!(
-            client.totals().host_bytes / client.cfg.l1.line_bytes() as u64,
+            client.totals().host_bytes / client.engine.config().l1.line_bytes() as u64,
             4,
             "only the admitted transfers moved bytes"
         );
@@ -1347,6 +1263,46 @@ mod tests {
         );
     }
 
+    /// The p99 gauge is the nearest rank, as `multiclient`'s CSV computes
+    /// it: over 50 frames of distinct miss rates, the 50th smallest.
+    #[test]
+    fn p99_frame_miss_rate_is_the_nearest_rank() {
+        let reg = registry(1, 64);
+        let cfg = ServiceConfig {
+            l1: L1Config::kb(2),
+            ..ServiceConfig::default()
+        };
+        let svc = TextureService::try_new(cfg, &reg, 1).unwrap();
+        let mut client = svc.client(0).unwrap();
+        // Frame i: one tap on a tile never touched before, then i taps
+        // on the same texel — a miss rate of 1/(i+1), distinct per frame.
+        for i in 0..50u32 {
+            let mut t = FrameTrace::new(i, 64, 64, FilterMode::Point);
+            let (u, v) = ((i % 16 * 4) as f32 + 1.5, (i / 16 * 4) as f32 + 1.5);
+            for _ in 0..=i {
+                t.push(PixelRequest {
+                    tid: TextureId::from_index(0),
+                    u,
+                    v,
+                    lod: 0.0,
+                });
+            }
+            client
+                .run_frame(svc.shared_l2(), &t, FilterMode::Point)
+                .unwrap();
+        }
+        let mut rates: Vec<f64> = client.frames().iter().map(|f| f.l1_miss_rate()).collect();
+        rates.sort_by(f64::total_cmp);
+        rates.dedup();
+        assert_eq!(rates.len(), 50, "distinct per-frame miss rates");
+        let rec = Recorder::enabled();
+        client.publish_metrics(&rec, svc.shared_l2(), 0);
+        assert_eq!(
+            rec.snapshot().gauges["service/p99_frame_miss_rate"],
+            rates[49]
+        );
+    }
+
     /// Hit-and-miss-mixing synthetic frames: drifting coordinates over
     /// three textures and a lod sweep, strides drawn from `seed`.
     fn wavy_frames(seed: u64, n_frames: u32, per_frame: u32) -> Vec<FrameTrace> {
@@ -1373,8 +1329,7 @@ mod tests {
     /// the RNG state and the transfer ordinal).
     #[allow(clippy::type_complexity)]
     fn observable_state(
-        c: &ClientEngine,
-        shared: &SharedL2,
+        c: &mut ClientEngine,
     ) -> (
         Vec<FrameCounters>,
         FrameCounters,
@@ -1384,16 +1339,17 @@ mod tests {
         Option<(ClockStats, Option<usize>, usize)>,
         String,
     ) {
+        let current = *c.engine.hierarchy(None).0.current;
+        let e = &c.engine;
         (
-            c.frames.clone(),
-            c.current,
+            e.frames().to_vec(),
+            current,
             c.svc,
             c.quarantine.clone(),
-            c.l1.lines().collect(),
-            shared
-                .lock_for(c.id)
+            e.l1().lines().collect(),
+            e.l2()
                 .map(|l2| (l2.clock_stats(), l2.clock_hand(), l2.blocks_in_use())),
-            format!("{:?}", c.host),
+            format!("{:?}", e.host()),
         )
     }
 
@@ -1457,8 +1413,8 @@ mod tests {
                             let want = reference.run_frame_reference(svc_ref.shared_l2(), f, filter);
                             prop_assert_eq!(got, want, "{}: frame {} result", ctx, f.frame);
                             prop_assert_eq!(
-                                observable_state(&new, svc_new.shared_l2()),
-                                observable_state(&reference, svc_ref.shared_l2()),
+                                observable_state(&mut new),
+                                observable_state(&mut reference),
                                 "{}: frame {}", ctx, f.frame
                             );
                         }

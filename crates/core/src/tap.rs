@@ -785,9 +785,10 @@ pub(crate) trait Replay {
     ) -> Self::Out;
 }
 
-/// One engine's — or one service client's — hierarchy, borrowed for a
-/// replay: the dynamic form (`Option<L2>`, `Option<Tlb>`) that
-/// [`replay_under`](Self::replay_under) resolves into a [`Levels`] value.
+/// One engine's hierarchy — a service client's is its engine's, with a
+/// unified service's L2 borrowed in — for a replay: the dynamic form
+/// (`Option<L2>`, `Option<Tlb>`) that [`replay_under`](Self::replay_under)
+/// resolves into a [`Levels`] value.
 pub(crate) struct Hierarchy<'a> {
     pub(crate) cfg: &'a EngineConfig,
     pub(crate) tables: &'a TranslationTables,

@@ -132,8 +132,8 @@ pub(crate) struct AttributionParams {
 }
 
 impl AttributionParams {
-    /// The geometry of `cfg` — an engine's own configuration, or a service
-    /// client's slice of the hierarchy (its L1 and its L2 *share*).
+    /// The geometry of an engine's `cfg` (for a service client, its slice
+    /// of the hierarchy: its L1 and its L2 *share*).
     pub(crate) fn of(cfg: &EngineConfig, l1_map: L1AddressMap) -> Self {
         Self {
             l1_map,
@@ -278,17 +278,6 @@ impl EngineTelemetry {
             c.on_hit(t, m, xb, ya);
             c.on_hit(t, m, xa, yb);
             c.on_hit(t, m, xb, yb);
-        }
-    }
-
-    /// A wide all-hit chunk commit of raw `(tid, m, u, v)` taps: feeds
-    /// every lane in chunk order (= scalar replay order).
-    #[inline]
-    pub(crate) fn on_l1_hit_taps(&mut self, taps: &[(u32, u32, u32, u32)]) {
-        if let Some(c) = &mut self.locality {
-            for &(tid, m, u, v) in taps {
-                c.on_hit(tid, m, u, v);
-            }
         }
     }
 

@@ -152,9 +152,8 @@ impl<'a> DiffHarness<'a> {
     /// Replays `accesses` in lockstep; returns the first divergence
     /// (boxed: the two embedded traces make it a large payload for the hot
     /// `Ok` path). Also replays the same stream through the engine's
-    /// monomorphized batch fast path ([`SimEngine::replay_taps`]) and the
-    /// wide tap kernel ([`SimEngine::replay_taps_batched`]) and checks
-    /// both against the per-access traced replay — four models, one
+    /// monomorphized tap-slice fast path ([`SimEngine::replay_taps`]) and
+    /// checks it against the per-access traced replay — three models, one
     /// verdict.
     pub fn replay(&self, accesses: &[TexelAccess]) -> Result<(), Box<Divergence>> {
         self.replay_mode(accesses, true)
@@ -261,13 +260,11 @@ impl<'a> DiffHarness<'a> {
         Ok(())
     }
 
-    /// Replays `accesses` through two more engines — one via the batch
-    /// fast path, one via the wide (batched) tap kernel — and compares
-    /// each end state (frame counters, clock hand, host-link draw count)
-    /// to `traced`, whose state was built tap by tap through
-    /// [`SimEngine::access_texel_traced`]. The paths share their scalar
-    /// tap bodies, so any mismatch is a specialization (or wide-commit)
-    /// bug.
+    /// Replays `accesses` through one more engine via the tap-slice fast
+    /// path and compares its end state (frame counters, clock hand,
+    /// host-link draw count) to `traced`, whose state was built tap by tap
+    /// through [`SimEngine::access_texel_traced`]. The paths share their
+    /// scalar tap body, so any mismatch is a specialization bug.
     fn check_fast_path(
         &self,
         traced: &mut SimEngine,
@@ -276,54 +273,48 @@ impl<'a> DiffHarness<'a> {
         let taps: Vec<(u32, u32, u32, u32)> =
             accesses.iter().map(|a| (a.tid, a.m, a.u, a.v)).collect();
         traced.end_frame();
-        for (label, batched) in [("fast", false), ("batched", true)] {
-            let mut fast = SimEngine::try_new(self.cfg, self.registry)
-                .expect("config was validated in DiffHarness::new");
-            if batched {
-                fast.replay_taps_batched(&taps);
-            } else {
-                fast.replay_taps(&taps);
-            }
-            fast.end_frame();
-            let mismatch = if fast.frames() != traced.frames() {
-                Some(format!(
-                    "frame counters: {label} {:?} vs traced {:?}",
-                    fast.frames().last(),
-                    traced.frames().last()
-                ))
-            } else if fast.l2().and_then(|l2| l2.clock_hand())
-                != traced.l2().and_then(|l2| l2.clock_hand())
-            {
-                Some(format!(
-                    "clock hand: {label} {:?} vs traced {:?}",
-                    fast.l2().and_then(|l2| l2.clock_hand()),
-                    traced.l2().and_then(|l2| l2.clock_hand())
-                ))
-            } else if fast.host().transfers() != traced.host().transfers() {
-                Some(format!(
-                    "host transfers: {label} {} vs traced {}",
-                    fast.host().transfers(),
-                    traced.host().transfers()
-                ))
-            } else {
-                None
-            };
-            if let Some(detail) = mismatch {
-                return Err(Box::new(Divergence {
-                    index: accesses.len(),
-                    access: accesses.last().copied().unwrap_or(TexelAccess {
-                        tid: 0,
-                        m: 0,
-                        u: 0,
-                        v: 0,
-                    }),
-                    engine: AccessTrace::default(),
-                    oracle: AccessTrace::default(),
-                    detail: format!("{label}-path replay diverged: {detail}"),
-                }));
-            }
+        let mut fast = SimEngine::try_new(self.cfg, self.registry)
+            .expect("config was validated in DiffHarness::new");
+        fast.replay_taps(&taps);
+        fast.end_frame();
+        let mismatch = if fast.frames() != traced.frames() {
+            Some(format!(
+                "frame counters: fast {:?} vs traced {:?}",
+                fast.frames().last(),
+                traced.frames().last()
+            ))
+        } else if fast.l2().and_then(|l2| l2.clock_hand())
+            != traced.l2().and_then(|l2| l2.clock_hand())
+        {
+            Some(format!(
+                "clock hand: fast {:?} vs traced {:?}",
+                fast.l2().and_then(|l2| l2.clock_hand()),
+                traced.l2().and_then(|l2| l2.clock_hand())
+            ))
+        } else if fast.host().transfers() != traced.host().transfers() {
+            Some(format!(
+                "host transfers: fast {} vs traced {}",
+                fast.host().transfers(),
+                traced.host().transfers()
+            ))
+        } else {
+            None
+        };
+        match mismatch {
+            None => Ok(()),
+            Some(detail) => Err(Box::new(Divergence {
+                index: accesses.len(),
+                access: accesses.last().copied().unwrap_or(TexelAccess {
+                    tid: 0,
+                    m: 0,
+                    u: 0,
+                    v: 0,
+                }),
+                engine: AccessTrace::default(),
+                oracle: AccessTrace::default(),
+                detail: format!("fast-path replay diverged: {detail}"),
+            })),
         }
-        Ok(())
     }
 
     /// Delta-minimizes a diverging stream: returns the smallest sub-stream

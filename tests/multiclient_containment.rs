@@ -4,9 +4,14 @@
 //! every transfer — must be quarantined and reported, while every
 //! survivor replays bit-identically to a solo engine given the same
 //! per-client slice of the hierarchy — replayed wide, as the service
-//! client itself runs, and replayed one scalar tap at a time.
+//! client itself runs, and replayed one scalar tap at a time. A client of
+//! one is its solo engine in either partition mode, the unified one's
+//! borrowed L2 included.
 
-use mltc::core::{FaultPlan, L2PartitionMode, QuarantineReason, ServiceConfig};
+use mltc::core::{
+    EngineConfig, FaultPlan, L2Config, L2PartitionMode, QuarantineReason, ServiceConfig, SimEngine,
+    TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
+};
 use mltc::experiments::{
     collect_frames, experiment_service_config, run_multi_client, solo_baseline,
     solo_baseline_scalar, ClientReport, ClientSpec, MultiClientConfig, TraceStore,
@@ -122,4 +127,100 @@ fn total_link_failure_is_scoped_to_the_faulted_client() {
         faulted.totals.l2_full_misses > 0 || faulted.service.denied_transfers > 0,
         "the fault plan must actually bite"
     );
+}
+
+/// Unified mode's reference beyond run-to-run determinism: a client alone
+/// in a service — borrowing the one shared L2 per frame when unified,
+/// owning it when partitioned — is a solo engine with the full L2, under a
+/// lossy link and with 3C attribution watching. Frame counters, the L2's
+/// clock (read off the per-frame series, whose sweep columns a frame
+/// closed with the wrong clock stats gets wrong), host-link transfers and
+/// every recorder export must agree.
+#[test]
+fn a_lone_client_is_its_solo_engine_in_either_partition_mode() {
+    let w = tiny_village();
+    let frames = collect_frames(&TraceStore::in_memory(), &w).expect("tiny trace renders");
+    let filter = FilterMode::Trilinear;
+    let opts = TelemetryOpts {
+        attribution: true,
+        ..TelemetryOpts::default()
+    };
+    for mode in [L2PartitionMode::Unified, L2PartitionMode::Partitioned] {
+        let cfg = ServiceConfig {
+            // Small enough that the clock sweeps.
+            l2: Some(L2Config {
+                size_bytes: 64 << 10,
+                ..L2Config::mb(4)
+            }),
+            fault: FaultPlan {
+                burst_period: 10,
+                burst_len: 2,
+                ..FaultPlan::with_rate(0x4d4c_5443, 50_000)
+            },
+            ..experiment_service_config(mode)
+        };
+        let svc = TextureService::try_new(cfg, w.registry(), 1).expect("service constructs");
+        assert_eq!(
+            svc.shared_l2().is_unified(),
+            mode == L2PartitionMode::Unified
+        );
+        let rec_client = Recorder::enabled();
+        let mut client = svc.client(0).expect("client 0 exists");
+        client.attach_telemetry_opts(&rec_client, "run", "village", opts);
+
+        let solo_cfg = EngineConfig {
+            l1: cfg.l1,
+            l2: cfg.l2,
+            tlb_entries: cfg.tlb_entries,
+            tiling: cfg.tiling,
+            fault: cfg.fault,
+        };
+        let rec_solo = Recorder::enabled();
+        let mut solo = SimEngine::try_new(solo_cfg, w.registry()).expect("solo engine builds");
+        solo.attach_telemetry_opts(&rec_solo, "run", "village", opts);
+
+        for trace in &frames {
+            client
+                .run_frame(svc.shared_l2(), trace, filter)
+                .expect("client replays");
+            solo.try_run_frame_as_batched(trace, filter)
+                .expect("solo replays");
+        }
+        let ctx = format!("{mode:?}");
+        assert_eq!(client.frames(), solo.frames(), "{ctx}: frame counters");
+        assert!(
+            client.totals().failed_transfers > 0,
+            "{ctx}: the link must bite"
+        );
+        assert_eq!(
+            client.host().transfers(),
+            solo.host().transfers(),
+            "{ctx}: host transfers"
+        );
+
+        let (got, want) = (rec_client.snapshot(), rec_solo.snapshot());
+        let series = got
+            .series
+            .iter()
+            .find(|s| s.label == "run")
+            .expect("client series");
+        let column = |name: &str| {
+            let i = FRAME_SERIES_COLUMNS
+                .iter()
+                .position(|c| *c == name)
+                .unwrap();
+            series.rows.iter().map(|r| r[i]).sum::<u64>()
+        };
+        let clock = solo.l2().expect("solo has an L2").clock_stats();
+        assert!(clock.searches > 0, "{ctx}: the clock must sweep");
+        assert_eq!(
+            (column("sweep_searches"), column("sweep_entries")),
+            (clock.searches, clock.entries_examined),
+            "{ctx}: L2 clock stats"
+        );
+        assert_eq!(got.counters, want.counters, "{ctx}: counters");
+        assert_eq!(got.hists, want.hists, "{ctx}: histograms");
+        assert_eq!(got.series, want.series, "{ctx}: per-frame series");
+        assert_eq!(got.heatmaps, want.heatmaps, "{ctx}: heat maps");
+    }
 }
