@@ -2,7 +2,7 @@
 
 use crate::HitStats;
 
-/// Widest batch [`SetAssocCache::access_all_hits`] accepts: one
+/// Widest batch [`SetAssocCache::access_all_hits_by_tag`] accepts: one
 /// fragment's worth of filter taps (trilinear = 8 texel addresses).
 pub const MAX_BATCH_LANES: usize = 8;
 
@@ -172,90 +172,29 @@ impl SetAssocCache {
         }
     }
 
-    /// Batched all-hit probe/commit over up to [`MAX_BATCH_LANES`] lanes.
+    /// Batched all-hit probe/commit over one fragment's lanes, given as
+    /// their distinct tags.
     ///
-    /// Phase 1 probes every `(tag, set)` lane without mutating anything:
-    /// each lane runs a branch-free way scan over the flat tag/stamp
-    /// arrays (consecutive lanes with the same tag reuse the previous
-    /// lane's slot — filter-tap batches usually land in one or two L1
-    /// tiles). Phase 2 commits only if **every** lane is resident:
-    /// stamps are rewritten in lane order off one tick base, the counters
-    /// take one batched update, and the last-slot memo points at the last
-    /// lane — bit-identical to calling [`access`](Self::access) per lane,
-    /// because hits never change tag residency, so each lane's outcome is
-    /// independent of the lanes before it.
-    ///
-    /// Returns `true` (batch committed) or `false` (no state changed —
-    /// the caller must replay every lane through the scalar path).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the slices differ in length, exceed
-    /// [`MAX_BATCH_LANES`] lanes, or name an out-of-range set.
-    #[inline]
-    pub fn access_all_hits(&mut self, tags: &[u64], sets: &[u32]) -> bool {
-        debug_assert_eq!(tags.len(), sets.len());
-        debug_assert!(tags.len() <= MAX_BATCH_LANES, "batch wider than 8 lanes");
-        let n = tags.len();
-        if n == 0 {
-            return true;
-        }
-        let mut slots = [usize::MAX; MAX_BATCH_LANES];
-        let mut all_hit = true;
-        for i in 0..n {
-            // Intra-batch dedupe: same tag as the previous lane resolves
-            // to the same slot (set index is a pure function of the tag's
-            // coordinates, so equal tags share a set).
-            if i > 0 && tags[i] == tags[i - 1] {
-                slots[i] = slots[i - 1];
-                continue;
-            }
-            let set = sets[i] as usize;
-            debug_assert!(set < self.sets, "set index {set} out of range");
-            let base = set * self.ways;
-            let mut slot = usize::MAX;
-            for w in 0..self.ways {
-                let idx = base + w;
-                // Branch-free: boolean fold instead of early-out, so the
-                // scan is a fixed-trip compare/select chain per lane.
-                let hit = (self.stamps[idx] != 0) & (self.tags[idx] == tags[i]);
-                slot = if hit { idx } else { slot };
-            }
-            slots[i] = slot;
-            all_hit &= slot != usize::MAX;
-        }
-        if !all_hit {
-            return false;
-        }
-        // Commit: identical end state to n sequential hitting accesses.
-        for (i, &slot) in slots[..n].iter().enumerate() {
-            self.stamps[slot] = self.tick + 1 + i as u64;
-        }
-        self.tick += n as u64;
-        self.stats.record_hits(n as u64);
-        self.last_slot = slots[n - 1];
-        true
-    }
-
-    /// Deduplicated, lazily-indexed variant of
-    /// [`access_all_hits`](Self::access_all_hits) for callers that have
-    /// already collapsed a batch's lanes to its distinct tags.
-    ///
-    /// `tags` holds the batch's unique tags (first-occurrence order) and
-    /// `last_lane[j]` the batch lane index of `tags[j]`'s *last*
-    /// occurrence; `lane_count` is the original lane total. `set_of` maps
-    /// a tag to its home set and is invoked only for tags the last-slot
-    /// memo cannot resolve: tags are only ever installed at their home
-    /// set, so a valid tag match at the memo slot *is* proof of residency
-    /// — no set computation needed.
+    /// `tags` holds the batch's unique tags (first-occurrence order, at
+    /// most [`MAX_BATCH_LANES`]) and `last_lane[j]` the batch lane index of
+    /// `tags[j]`'s *last* occurrence; `lane_count` is the original lane
+    /// total. Nothing is mutated until every tag is known to be resident.
+    /// A tag's slot is found, cheapest first, through the previous
+    /// committed batch's tag → slot pairs, the last-slot memo, or a way
+    /// scan of its home set, which `set_of` computes from the tag and is
+    /// invoked only when the first two fail: tags are only ever installed
+    /// at their home set, so a valid tag match at a remembered slot *is*
+    /// proof of residency.
     ///
     /// On success the commit is bit-identical to `lane_count` sequential
-    /// hitting [`access`](Self::access) calls: a unique tag's final stamp
-    /// is `tick + last_lane + 1` (a duplicated tag's earlier touches are
-    /// overwritten by its last one), the tick advances by `lane_count`,
-    /// the counters record `lane_count` hits, and the memo lands on the
-    /// final lane's slot. If any tag is absent, nothing is mutated and
-    /// the caller must replay every lane through the scalar path.
+    /// hitting [`access`](Self::access) calls — hits never change tag
+    /// residency, so each lane's outcome is independent of the lanes
+    /// before it: a unique tag's final stamp is `tick + last_lane + 1` (a
+    /// duplicated tag's earlier touches are overwritten by its last one),
+    /// the tick advances by `lane_count`, the counters record `lane_count`
+    /// hits, and the memo lands on the final lane's slot. Returns `true`
+    /// (batch committed) or `false` (some tag absent, no state changed —
+    /// the caller must replay every lane through the scalar path).
     ///
     /// # Panics
     ///
@@ -536,53 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_all_hits_commits_identically_to_sequential() {
-        let mut seq = SetAssocCache::new(4, 2);
-        // Warm both caches identically.
-        let warm = [(7u64, 1u32), (8, 1), (3, 0), (9, 2), (3, 0)];
-        for &(t, s) in &warm {
-            seq.access(t, s as usize);
-        }
-        let mut wide = seq.clone();
-        // All-resident batch with an intra-batch duplicate run.
-        let tags = [3u64, 3, 7, 8, 9];
-        let sets = [0u32, 0, 1, 1, 2];
-        assert!(wide.access_all_hits(&tags, &sets));
-        for (&t, &s) in tags.iter().zip(&sets) {
-            assert!(seq.access(t, s as usize).hit);
-        }
-        assert_eq!(wide.stats(), seq.stats());
-        assert_eq!(wide.tags, seq.tags);
-        assert_eq!(wide.stamps, seq.stamps);
-        assert_eq!(wide.tick, seq.tick);
-        assert_eq!(wide.last_slot, seq.last_slot);
-        // A later eviction decision (LRU order) must agree too.
-        assert_eq!(wide.access(99, 1).evicted, seq.access(99, 1).evicted);
-    }
-
-    #[test]
-    fn batch_with_any_absent_lane_mutates_nothing() {
-        let mut c = SetAssocCache::new(4, 2);
-        c.access(7, 1);
-        c.access(3, 0);
-        let before = c.clone();
-        // Lane 2 (tag 42) is not resident → whole batch declined.
-        assert!(!c.access_all_hits(&[7, 3, 42], &[1, 0, 2]));
-        assert_eq!(c.tags, before.tags);
-        assert_eq!(c.stamps, before.stamps);
-        assert_eq!(c.tick, before.tick);
-        assert_eq!(c.stats(), before.stats());
-        assert_eq!(c.last_slot, before.last_slot);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop_hit() {
-        let mut c = SetAssocCache::new(2, 2);
-        assert!(c.access_all_hits(&[], &[]));
-        assert_eq!(c.stats().accesses, 0);
-    }
-
-    #[test]
     fn by_tag_batch_commits_identically_to_sequential() {
         let mut seq = SetAssocCache::new(4, 2);
         let warm = [(7u64, 1u32), (8, 1), (3, 0), (9, 2), (3, 0)];
@@ -685,7 +577,13 @@ mod tests {
         c.access(7, 1);
         c.access(3, 0);
         let before = c.clone();
-        assert!(!c.access_all_hits_by_tag(&[7, 42], &[0, 1], 2, |t| if t == 42 { 2 } else { 1 }));
+        // Tag 42 sits between two resident tags: the whole batch declines.
+        let set_of = |t| match t {
+            3 => 0,
+            42 => 2,
+            _ => 1,
+        };
+        assert!(!c.access_all_hits_by_tag(&[7, 42, 3], &[0, 1, 2], 3, set_of));
         assert_eq!(c.tags, before.tags);
         assert_eq!(c.stamps, before.stamps);
         assert_eq!(c.tick, before.tick);

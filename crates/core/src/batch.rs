@@ -5,9 +5,10 @@
 //! taps (trilinear = 8 texel addresses) as a fixed-width lane batch
 //! instead:
 //!
-//! 1. **Expand** the request address-only
-//!    ([`filter_tap_lanes`](mltc_trace::filter_tap_lanes)): the blend
-//!    weights the cache simulation never reads are skipped entirely;
+//! 1. **Expand** the request address-only, to its corner-quad footprint
+//!    ([`FootprintBlock`], [`filter_footprint`](mltc_trace::filter_footprint)'s
+//!    math): the blend weights the cache simulation never reads are skipped
+//!    entirely;
 //! 2. **Dedupe** the lanes to their distinct L1 tags (cheap shift/OR
 //!    [`L1BlockKey`](mltc_texture::L1BlockKey) packs — a bilinear
 //!    footprint usually sits inside one or two 4×4 tiles, so eight lanes
@@ -46,19 +47,18 @@
 //! (DESIGN.md §12). Every other instantiation compiles to the code it had
 //! without the sink's hooks (`scripts/kernel_identity.sh`).
 //!
-//! [`FramePrep`] additionally lets the tap expansion + translation of
-//! steps 1–2 run *off-engine* (on a pipeline prep thread) into a
-//! [`PreparedFrame`] of lanes that the engine later replays
-//! ([`PreparedLanes`]), overlapping frame N+1's decode/translate with
-//! frame N's cache simulation.
+//! [`FramePrep`] is the decode stage a frame pipeline runs in front of
+//! this loop: a prep thread collects frame N+1's requests into a
+//! [`PreparedFrame`] while the engine replays frame N, and the engine
+//! replays a prepared frame through the same wide frame loop.
 
-use crate::engine::{mip_dims, EngineConfig, FrameCounters};
-use crate::tap::{const_filter, AdmissionMode, AdmitAll, Levels, MipDims, Replay, TelemetryMode};
+use crate::engine::{EngineConfig, FrameCounters};
+use crate::tap::{const_filter, AdmissionMode, Levels, MipDims, Replay, TelemetryMode};
 use crate::{EngineError, HostLink, L1AddressMap, L1TextureCache};
 use mltc_texture::{L1BlockKey, TextureId, TextureRegistry};
 use mltc_trace::{
-    filter_tap_lanes, FilterMode, Footprint, FootprintBlock, LevelQuad, PixelRequest,
-    FOOTPRINT_BLOCK, MAX_FILTER_TAPS,
+    FilterMode, Footprint, FootprintBlock, LevelQuad, PixelRequest, FOOTPRINT_BLOCK,
+    MAX_FILTER_TAPS,
 };
 
 /// Batch width: one fragment's worth of taps. Mirrors
@@ -217,30 +217,6 @@ pub(crate) fn lanes_of_tag(last: &[u32; BATCH_LANES], k: usize, j: usize) -> u64
     let level = last[j] / 4;
     let tags = last[..k].iter().filter(|&&l| l / 4 == level).count();
     4 / tags as u64
-}
-
-/// Dedupes `tags` — one fragment's lanes, in lane order — to its distinct
-/// tags in first-occurrence order with each tag's last-occurrence lane (the
-/// shape [`SetAssocCache::access_all_hits_by_tag`]
-/// (mltc_cache::SetAssocCache::access_all_hits_by_tag) and the timing
-/// sink's `wide_commit` consume); returns the distinct-tag count.
-#[inline(always)]
-pub(crate) fn dedupe_lanes(
-    tags: impl Iterator<Item = u64>,
-    uniq: &mut [u64; BATCH_LANES],
-    last: &mut [u32; BATCH_LANES],
-) -> usize {
-    let mut k = 0usize;
-    for (i, tag) in tags.enumerate() {
-        let mut j = 0usize;
-        while j < k && uniq[j] != tag {
-            j += 1;
-        }
-        uniq[j] = tag;
-        last[j] = i as u32;
-        k = k.max(j + 1);
-    }
-    k
 }
 
 /// The wide frame loop: every request's taps probe the L1 as one lane
@@ -405,185 +381,41 @@ where
     }
 }
 
-/// One frame's taps expanded and L1-translated off-engine, grouped per
-/// source pixel request, ready for [`SimEngine::try_run_frame_prepared`]
-/// (crate::SimEngine::try_run_frame_prepared).
-///
-/// Structure-of-arrays so the engine consumes contiguous lanes; the
-/// buffers are reused across frames ([`clear`](Self::clear)) — the
-/// pipelined runner recycles `PreparedFrame`s through a return channel,
-/// keeping the steady state allocation-free.
+/// One frame decoded off-engine — its filter and its pixel requests —
+/// ready for
+/// [`SimEngine::try_run_frame_prepared`](crate::SimEngine::try_run_frame_prepared),
+/// which replays it through the wide frame loop. The pipelined runner
+/// recycles `PreparedFrame`s through a return channel, so the request
+/// buffer keeps its capacity and the steady state allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct PreparedFrame {
-    /// `(texture id index, lane count)` per source pixel request, in
-    /// request order.
-    groups: Vec<(u32, u8)>,
-    /// Per-lane mip level.
-    m: Vec<u32>,
-    /// Per-lane texel column.
-    u: Vec<u32>,
-    /// Per-lane texel row.
-    v: Vec<u32>,
-    /// Per-lane packed L1 tag.
-    tags: Vec<u64>,
-    /// Per-lane L1 set index.
-    sets: Vec<u32>,
-    /// Error hit while preparing (unknown texture): lanes before the
-    /// offending request are kept, and the engine reports this error
-    /// *after* replaying them — the frame stays open, exactly like the
-    /// unprepared paths.
-    err: Option<EngineError>,
+    pub(crate) filter: FilterMode,
+    pub(crate) requests: Vec<PixelRequest>,
 }
 
-impl PreparedFrame {
-    /// Empties the frame for reuse, keeping the buffers' capacity.
-    pub fn clear(&mut self) {
-        self.groups.clear();
-        self.m.clear();
-        self.u.clear();
-        self.v.clear();
-        self.tags.clear();
-        self.sets.clear();
-        self.err = None;
-    }
-
-    /// Total prepared taps.
-    pub fn tap_count(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// The error the preparation stopped on, if any.
-    pub fn error(&self) -> Option<&EngineError> {
-        self.err.as_ref()
-    }
-}
-
-/// The pipeline's batch-translate stage: expands pixel requests through
-/// the filter and precomputes every lane's L1 tag/set *without any cache
-/// state*, so it can run on a different thread from the engine that will
-/// replay the lanes.
-///
-/// Must be built from the same registry and an L1-identical config as the
-/// engine that replays its frames — [`SimEngine::try_run_frame_prepared`]
-/// (crate::SimEngine::try_run_frame_prepared) trusts the prepared dims.
+/// The pipeline's decode stage: collects a frame's pixel requests into a
+/// [`PreparedFrame`] on a thread other than the engine's. It holds no
+/// state; the wide frame loop expands, translates and checks every request
+/// when the engine replays the frame.
 #[derive(Debug, Clone)]
-pub struct FramePrep {
-    /// Per-tid mip dims for filter expansion (`None` = deleted texture);
-    /// same construction as the engine's own table.
-    dims: Vec<Option<Vec<(u32, u32)>>>,
-    map: L1AddressMap,
-}
+pub struct FramePrep(());
 
 impl FramePrep {
-    /// Builds the prep stage for `cfg`'s L1 over `registry`'s textures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on L1 geometries [`L1TextureCache::new`] would reject.
-    pub fn new(cfg: &EngineConfig, registry: &TextureRegistry) -> Self {
-        Self {
-            dims: mip_dims(registry),
-            map: L1AddressMap::new(cfg.l1),
-        }
+    /// The decode stage for an engine built from `cfg` over `registry`.
+    pub fn new(_cfg: &EngineConfig, _registry: &TextureRegistry) -> Self {
+        Self(())
     }
 
-    /// Expands `requests` through `filter` into `out` (cleared first).
-    ///
-    /// Stops at the first request naming an unknown texture and records
-    /// the error on the frame instead of returning it: the engine replays
-    /// the lanes prepared so far and *then* surfaces the error with the
-    /// frame left open, preserving the unprepared paths' error contract.
+    /// Records `filter` and collects `requests` into `out`, whose previous
+    /// contents are dropped. A request naming an unknown texture is kept:
+    /// the replay reports it with the frame left open, as every other
+    /// entry does.
     pub fn prepare<I>(&self, filter: FilterMode, requests: I, out: &mut PreparedFrame)
     where
         I: IntoIterator<Item = PixelRequest>,
     {
-        out.clear();
-        let mut m = [0u32; BATCH_LANES];
-        let mut u = [0u32; BATCH_LANES];
-        let mut v = [0u32; BATCH_LANES];
-        for req in requests {
-            let Some(d) = self
-                .dims
-                .get(req.tid.index() as usize)
-                .and_then(|d| d.as_ref())
-            else {
-                out.err = Some(EngineError::UnknownTexture(req.tid));
-                return;
-            };
-            let levels = d.len() as u32;
-            let n = filter_tap_lanes(
-                &req,
-                filter,
-                levels,
-                |m| d[m as usize],
-                &mut m,
-                &mut u,
-                &mut v,
-            );
-            out.groups.push((req.tid.index(), n as u8));
-            for i in 0..n {
-                let (tag, set) = self.map.tag_set(req.tid, m[i], u[i], v[i]);
-                out.m.push(m[i]);
-                out.u.push(u[i]);
-                out.v.push(v[i]);
-                out.tags.push(tag);
-                out.sets.push(set);
-            }
-        }
-    }
-}
-
-/// A prepared frame waiting for the prepared-lanes loop: each source
-/// request's lanes probe the L1 as one batch off their precomputed tags and
-/// sets, and replay one by one through [`Levels::tap`] when any misses. One
-/// request group is one lookahead fragment, exactly as in the wide frame
-/// loop, so the same sink hooks time it (the wide commit in its by-lanes
-/// form: nothing here has deduplicated the tags). The caller closes the frame
-/// and surfaces the preparation's error.
-pub(crate) struct PreparedLanes<'a>(pub(crate) &'a PreparedFrame);
-
-impl Replay for PreparedLanes<'_> {
-    type Out = ();
-
-    fn run<Lv: Levels, Te: TelemetryMode>(
-        self,
-        mut lv: Lv,
-        mut tel: Te,
-        _dims: &MipDims,
-        l1: &mut L1TextureCache,
-        host: &mut HostLink,
-        current: &mut FrameCounters,
-    ) {
-        let prepared = self.0;
-        let mut off = 0usize;
-        for &(tid, len) in &prepared.groups {
-            let n = len as usize;
-            let (lo, hi) = (off, off + n);
-            off = hi;
-            let tid = TextureId::from_index(tid);
-            let tags = &prepared.tags[lo..hi];
-            // A single tap has nothing to batch: the scalar body IS the path.
-            if n > 1 && l1.access_all_hits(tags, &prepared.sets[lo..hi]) {
-                current.l1_accesses += n as u64;
-                current.l1_hits += n as u64;
-                tel.wide_commit_lanes(tags);
-                tel.with(|t| {
-                    t.l1_hits.add(n as u64);
-                    t.on_l1_hit_lanes(
-                        tid,
-                        &prepared.m[lo..hi],
-                        &prepared.u[lo..hi],
-                        &prepared.v[lo..hi],
-                    );
-                });
-            } else {
-                tel.before_taps(current);
-                for i in lo..hi {
-                    let (m, u, v) = (prepared.m[i], prepared.u[i], prepared.v[i]);
-                    lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
-                    tel.after_tap(tid, m, u, v, current);
-                }
-            }
-        }
+        out.filter = filter;
+        out.requests.clear();
+        out.requests.extend(requests);
     }
 }

@@ -1,6 +1,6 @@
 //! The transaction-accurate multi-level cache simulator (paper §3.3, §5.3).
 
-use crate::batch::{PreparedFrame, PreparedLanes, WideFrame};
+use crate::batch::{PreparedFrame, WideFrame};
 use crate::latency::{LatencyModel, TimingSim};
 use crate::tap::{
     const_filter, AdmitAll, Hierarchy, L1Miss, Levels, MipDims, MissLog, Replay, TelOff,
@@ -242,7 +242,7 @@ pub struct AccessTrace {
 /// Per-texture mip-chain dimensions of `registry`, indexed by texture id
 /// (`None` where an id was issued but its texture is gone): what filter
 /// expansion and the degraded-mip probe read instead of the registry.
-pub(crate) fn mip_dims(registry: &TextureRegistry) -> Vec<Option<Vec<(u32, u32)>>> {
+fn mip_dims(registry: &TextureRegistry) -> Vec<Option<Vec<(u32, u32)>>> {
     let mut dims = vec![None; registry.issued_count()];
     for (tid, pyr) in registry.iter() {
         dims[tid.index() as usize] = Some(pyr.iter().map(|l| (l.width(), l.height())).collect());
@@ -898,24 +898,15 @@ impl SimEngine {
         self.hierarchy(None).0.replay_under(TelOff, Misses(misses));
     }
 
-    /// Replays a frame prepared off-engine by [`FramePrep`]: lanes arrive
-    /// already expanded and L1-translated (the pipeline's batch-translate
-    /// stage), so this is pure cache simulation. The prep must have been
-    /// built from the same registry and L1 config as this engine.
+    /// Replays a frame decoded off-engine by [`FramePrep`](crate::FramePrep)
+    /// through the wide frame loop of
+    /// [`try_run_frame_as_batched`](Self::try_run_frame_as_batched).
     ///
     /// # Errors
     ///
-    /// Surfaces the error the preparation stopped on *after* replaying
-    /// the lanes before it — the frame is left open, exactly like
-    /// [`try_run_frame`](Self::try_run_frame) on an unknown texture.
+    /// Same contract as [`try_run_frame`](Self::try_run_frame).
     pub fn try_run_frame_prepared(&mut self, prepared: &PreparedFrame) -> Result<(), EngineError> {
-        let (h, tel, timing) = self.hierarchy(None);
-        h.replay(tel, timing, PreparedLanes(prepared));
-        if let Some(err) = prepared.error() {
-            return Err(err.clone());
-        }
-        self.end_frame();
-        Ok(())
+        self.replay_frame_batched(prepared.filter, prepared.requests.iter().copied())
     }
 
     /// The wide-path frame replay over this engine's own levels, every tap
@@ -1020,8 +1011,8 @@ impl SimEngine {
 // replay entry points choose them once per call — `Hierarchy` in
 // `crate::tap` is the one place that happens — and instantiate one loop
 // per combination. Each loop shape below is written once, as a `Replay`
-// generic over the architecture and the sink; the wide frame loop and the
-// prepared-lanes loop live in `crate::batch`. All of them, and the
+// generic over the architecture and the sink; the wide frame loop, which
+// the prepared entry runs too, lives in `crate::batch`. All of them, and the
 // multi-client service layer, drive the one tap body (`Levels::tap`), so
 // counters, cache state, host-link draws and telemetry are bit-identical
 // across entries (the differential oracle and the golden trace tests
@@ -1435,7 +1426,6 @@ mod tests {
         let prep = FramePrep::new(&cfg, &reg);
         let mut pf = PreparedFrame::default();
         prep.prepare(FilterMode::Bilinear, t.requests.iter().copied(), &mut pf);
-        assert_eq!(pf.error(), Some(&expect));
         let mut pipelined = SimEngine::new(cfg, &reg);
         assert_eq!(pipelined.try_run_frame_prepared(&pf), Err(expect));
 
@@ -1449,6 +1439,61 @@ mod tests {
         assert_eq!(scalar.frames(), batched.frames());
         assert_eq!(scalar.frames(), pipelined.frames());
         assert_eq!(scalar.frame_stats().l1_accesses, 4, "one bilinear request");
+    }
+
+    #[test]
+    fn prepared_path_exports_what_the_batched_path_exports() {
+        use mltc_telemetry::export::summaries_json;
+        let reg = registry(3, 128);
+        let cfg = EngineConfig {
+            l1: L1Config::kb(2),
+            l2: Some(L2Config::mb(2)),
+            tlb_entries: 4,
+            ..EngineConfig::default()
+        };
+        let opts = TelemetryOpts {
+            attribution: true,
+            locality: true,
+        };
+        for filter in [
+            FilterMode::Point,
+            FilterMode::Bilinear,
+            FilterMode::Trilinear,
+        ] {
+            let (rec_b, rec_p) = (Recorder::enabled(), Recorder::enabled());
+            let mut batched = SimEngine::new(cfg, &reg);
+            let mut prepared = SimEngine::new(cfg, &reg);
+            batched.attach_telemetry_opts(&rec_b, "run", "g", opts);
+            prepared.attach_telemetry_opts(&rec_p, "run", "g", opts);
+            let prep = FramePrep::new(&cfg, &reg);
+            let mut pf = PreparedFrame::default();
+            for f in 0..3 {
+                let trace = wavy_trace(f);
+                batched.try_run_frame_as_batched(&trace, filter).unwrap();
+                prep.prepare(filter, trace.requests.iter().copied(), &mut pf);
+                prepared.try_run_frame_prepared(&pf).unwrap();
+            }
+            let (b, p) = (rec_b.snapshot(), rec_p.snapshot());
+            // Fast-path efficacy included: both entries run one loop.
+            if filter != FilterMode::Point {
+                let wide = |name: &str| b.counters[&format!("engine/g/{name}")];
+                assert!(
+                    wide("wide_commits") > 0 && wide("wide_declines") > 0,
+                    "{filter}: the stream must commit and decline fragments"
+                );
+            }
+            assert_eq!(
+                summaries_json(&p),
+                summaries_json(&b),
+                "{filter}: summaries"
+            );
+            assert_eq!(p.series, b.series, "{filter}: per-frame series");
+            assert_eq!(
+                prepared.locality_profile().map(|l| l.to_json()),
+                batched.locality_profile().map(|l| l.to_json()),
+                "{filter}: locality profile"
+            );
+        }
     }
 
     /// Configurations that all sit on a 2 KB L1: pull, multi-level with

@@ -97,9 +97,8 @@ fn morton16(x: u32, y: u32) -> u32 {
 }
 
 /// Pure tag/set address computation of the L1 texture cache, split out of
-/// [`L1TextureCache`] so the wide replay path (and the pipeline's
-/// batch-translate stage, which runs on a different thread from the
-/// engine) can compute L1 addresses without touching cache state.
+/// [`L1TextureCache`] so the wide replay path and the attribution shadow
+/// models can compute L1 addresses without touching cache state.
 ///
 /// Bit-for-bit the same mapping the cache itself uses: the cache's
 /// `locate` delegates here, so there is exactly one definition of the
@@ -305,22 +304,14 @@ impl L1TextureCache {
         self.cache.access(tag, set).hit
     }
 
-    /// Batched all-hit probe/commit over precomputed `(tag, set)` lanes
-    /// (see [`SetAssocCache::access_all_hits`]): commits the whole batch
-    /// as hits if every lane is resident (bit-identical to per-lane
-    /// [`access`](Self::access) calls), otherwise mutates nothing and
-    /// returns `false` so the caller replays the lanes scalar. The one-
-    /// entry locate memo is bypassed — it is outcome-neutral by design.
-    #[inline]
-    pub fn access_all_hits(&mut self, tags: &[u64], sets: &[u32]) -> bool {
-        self.cache.access_all_hits(tags, sets)
-    }
-
-    /// Deduplicated wide probe/commit
-    /// ([`SetAssocCache::access_all_hits_by_tag`]): `tags` are the
-    /// batch's unique tags with their last-occurrence lane indices, and
-    /// set indices are recovered lazily from the tag alone — only for
-    /// tags the cache's memo cannot prove resident.
+    /// Wide probe/commit ([`SetAssocCache::access_all_hits_by_tag`]):
+    /// `tags` are the batch's unique tags with their last-occurrence lane
+    /// indices, and set indices are recovered lazily from the tag alone —
+    /// only for tags the cache's memo cannot prove resident. Commits the
+    /// whole batch as hits if every tag is resident (bit-identical to
+    /// per-lane [`access`](Self::access) calls), otherwise mutates nothing
+    /// and returns `false` so the caller replays the lanes scalar. The
+    /// one-entry locate memo is bypassed — it is outcome-neutral by design.
     #[inline]
     pub fn access_all_hits_by_tag(
         &mut self,
@@ -496,14 +487,15 @@ mod tests {
             let mut a = L1TextureCache::new(cfg);
             let mut b = L1TextureCache::new(cfg);
             // Replay a texel walk two ways: scalar accesses vs per-texel
-            // one-lane batches addressed through the standalone map. Every
-            // outcome and the final stats must agree.
+            // one-lane batches tagged through the standalone map, whose
+            // sets the cache recovers from the tag. Every outcome and the
+            // final stats must agree.
             for i in 0..512u32 {
                 let (tid, m) = (t(i % 3), i % 2);
                 let (u, v) = ((i * 7) % 64, (i * 13) % 64);
                 let scalar_hit = a.access(tid, m, u, v);
-                let (tag, set) = map.tag_set(tid, m, u, v);
-                let wide_hit = b.access_all_hits(&[tag], &[set]);
+                let tag = map.tag_of(tid, m, u, v);
+                let wide_hit = b.access_all_hits_by_tag(&[tag], &[0], 1);
                 if !wide_hit {
                     assert!(!b.access(tid, m, u, v), "lane must still miss");
                 }

@@ -20,7 +20,7 @@
 //! arms of the body: [`Timed`] and [`Traced`] read a tap's outcome off the
 //! movement of the [`FrameCounters`] around the unedited body.
 
-use crate::batch::{dedupe_lanes, BATCH_LANES};
+use crate::batch::BATCH_LANES;
 use crate::engine::{AccessTrace, EngineConfig, FrameCounters};
 use crate::latency::{MissOutcome, TimingSim};
 use crate::service::{AdmissionControl, ClientServiceStats, DegradeTier};
@@ -43,10 +43,9 @@ pub(crate) type MipDims = [Option<Vec<(u32, u32)>>];
 ///
 /// The hooks below `with` are empty unless a mode fills them, and their
 /// call sites pass nothing that costs anything to evaluate (whole arrays,
-/// or a slice the loop has taken anyway, never one made for the hook: the
-/// bounds check of a slice argument survives in instantiations whose hook
-/// is empty), so every other instantiation compiles to the code it had
-/// without them.
+/// never a slice made for the hook: the bounds check of a slice argument
+/// survives in instantiations whose hook is empty), so every other
+/// instantiation compiles to the code it had without them.
 pub(crate) trait TelemetryMode {
     fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry));
 
@@ -72,12 +71,6 @@ pub(crate) trait TelemetryMode {
         _n: u64,
     ) {
     }
-
-    /// [`wide_commit`](Self::wide_commit) for a fragment known by its
-    /// lanes' tags, in lane order (the prepared-lanes loop, which holds no
-    /// deduplicated form): the slice is the one the L1 probe already took.
-    #[inline(always)]
-    fn wide_commit_lanes(&mut self, _tags: &[u64]) {}
 
     /// A pixel request — one lookahead fragment — is about to replay as
     /// scalar taps; the counters as they stand.
@@ -199,13 +192,6 @@ impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
     ) {
         self.sim.open_fragment();
         self.sim.commit_hits(uniq, last, k, n);
-    }
-
-    #[inline(always)]
-    fn wide_commit_lanes(&mut self, tags: &[u64]) {
-        let (mut uniq, mut last) = ([0; BATCH_LANES], [0; BATCH_LANES]);
-        let k = dedupe_lanes(tags.iter().copied(), &mut uniq, &mut last);
-        self.wide_commit(&uniq, &last, k, tags.len() as u64);
     }
 
     #[inline(always)]

@@ -86,8 +86,8 @@ pub struct EngineTelemetry {
     /// Fragments the wide frame loops committed as one all-hit L1 batch,
     /// and fragments that declined to the scalar tap bodies: fast-path
     /// efficacy. The only engine counters that depend on the replay path
-    /// (the scalar and prepared paths leave both at zero — except that a
-    /// timed engine's scalar entry rides the wide loops and counts them).
+    /// (the scalar path leaves both at zero — except that a timed
+    /// engine's scalar entry rides the wide loops and counts them).
     pub(crate) wide_commits: Counter,
     pub(crate) wide_declines: Counter,
     /// Host transfer sizes in bytes (per delivered transfer).
@@ -278,18 +278,6 @@ impl EngineTelemetry {
             c.on_hit(t, m, xb, ya);
             c.on_hit(t, m, xa, yb);
             c.on_hit(t, m, xb, yb);
-        }
-    }
-
-    /// A prepared-frame all-hit group commit: feeds every lane in slice
-    /// order (= scalar replay order).
-    #[inline]
-    pub(crate) fn on_l1_hit_lanes(&mut self, tid: TextureId, m: &[u32], u: &[u32], v: &[u32]) {
-        if let Some(c) = &mut self.locality {
-            let t = tid.index();
-            for i in 0..m.len() {
-                c.on_hit(t, m[i], u[i], v[i]);
-            }
         }
     }
 

@@ -164,8 +164,8 @@ fn sink_config(levels: u8, lossy: bool) -> EngineConfig {
 
 /// Replays `frames` timed through the per-tap reference
 /// (`try_run_frame_as_traced`) and through every entry point that runs
-/// under the timing sink — the two that ride the wide frame loop and the
-/// prepared-lanes loop — requires every timing statistic to agree, and
+/// under the timing sink — the three that ride the wide frame loop, the
+/// prepared entry among them — requires every timing statistic to agree, and
 /// returns the reference's `(l1_merges, l2_merges, structural stalls)`.
 fn sink_equals_reference(
     cfg: EngineConfig,

@@ -38,8 +38,9 @@ fn usage() -> ExitCode {
          --jobs <n>           replay at most <n> configurations concurrently\n\
          \x20                    (default: one per available core)\n\
          --replay-path <p>    engine path: scalar, batched (default) or pipelined\n\
-         \x20                    (bit-identical; pipelined overlaps frame prep with\n\
-         \x20                    simulation inside the --jobs budget)\n\
+         \x20                    (bit-identical; pipelined decodes the next frame on a\n\
+         \x20                    second thread while the batched loop replays this one,\n\
+         \x20                    inside the --jobs budget)\n\
          --telemetry <dir>    record spans/counters/histograms; export JSONL, CSV and\n\
          \x20                    summary JSON into <dir>\n\
          --trace-events <f>   write a chrome://tracing (Perfetto) trace-event file\n\

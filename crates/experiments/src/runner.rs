@@ -74,9 +74,9 @@ pub enum ReplayPath {
     /// ([`SimEngine::try_run_frame_as_batched`]). The default.
     #[default]
     Batched,
-    /// The batched kernel fed by a frame pipeline: a prep thread expands
-    /// and L1-translates frame N+1 ([`FramePrep`]) while the engine
-    /// simulates frame N ([`SimEngine::try_run_frame_prepared`]). Both
+    /// The batched kernel fed by a frame pipeline: a prep thread decodes
+    /// frame N+1 ([`FramePrep`]) while the engine runs frame N through the
+    /// wide frame loop ([`SimEngine::try_run_frame_prepared`]). Both
     /// stages take [`Gate`] permits per frame, so the `--jobs` budget
     /// still bounds concurrent CPU burn; with `--jobs 1` the stages
     /// simply alternate.
@@ -195,11 +195,11 @@ impl Drop for GateGuard<'_> {
 /// queue, one at each stage) keeps the steady state allocation-free.
 const PIPELINE_DEPTH: usize = 2;
 
-/// One configuration's frame-pipelined replay: a prep thread turns each
-/// fed frame (`fill`) into a [`PreparedFrame`] — decode plus filter
-/// expansion plus L1 address translation, no cache state — while the engine
-/// simulates the previous frame. Prepared buffers recycle through a return
-/// channel, so after warm-up no allocation happens per frame.
+/// One configuration's frame-pipelined replay: a prep thread decodes each
+/// fed frame (`fill`) into a [`PreparedFrame`] while the engine runs the
+/// previous one through the wide frame loop. Prepared buffers recycle
+/// through a return channel, so after warm-up no allocation happens per
+/// frame.
 ///
 /// Both stages take a [`Gate`] permit per frame and neither blocks on a
 /// channel while holding one (the prep side grabs its recycled buffer

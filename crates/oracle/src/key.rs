@@ -38,13 +38,8 @@ impl TraceKey {
             return Err(format!("not an mltc-trace key: {key:?}"));
         }
         let mut kind = None;
-        let mut params = WorkloadParams {
-            width: 0,
-            height: 0,
-            frames: 0,
-            texture_scale: 0,
-            seed: 0,
-        };
+        let (mut width, mut height, mut frames, mut texture_scale) = (None, None, None, None);
+        let mut seed = None;
         let mut zprepass = None;
         let mut traversal = None;
         for word in words {
@@ -60,16 +55,18 @@ impl TraceKey {
                         other => return Err(format!("unknown workload kind {other:?}")),
                     })
                 }
-                "w" => params.width = parse_u32(name, value)?,
-                "h" => params.height = parse_u32(name, value)?,
-                "frames" => params.frames = parse_u32(name, value)?,
-                "ts" => params.texture_scale = parse_u32(name, value)?,
+                "w" => width = Some(parse_u32(name, value)?),
+                "h" => height = Some(parse_u32(name, value)?),
+                "frames" => frames = Some(parse_u32(name, value)?),
+                "ts" => texture_scale = Some(parse_u32(name, value)?),
                 "seed" => {
                     let hex = value
                         .strip_prefix("0x")
                         .ok_or_else(|| format!("seed must be hex, got {value:?}"))?;
-                    params.seed = u64::from_str_radix(hex, 16)
-                        .map_err(|e| format!("bad seed {value:?}: {e}"))?;
+                    seed = Some(
+                        u64::from_str_radix(hex, 16)
+                            .map_err(|e| format!("bad seed {value:?}: {e}"))?,
+                    );
                 }
                 "zprepass" => {
                     zprepass = Some(match value {
@@ -84,11 +81,21 @@ impl TraceKey {
                 _ => {}
             }
         }
+        // Every field the store writes is required: a missing one must not
+        // default to 0 (`ts=0` rebuilds full-size textures, not the ones
+        // the trace was rendered against).
+        let missing = |name: &str| format!("key missing {name}=");
         Ok(Self {
-            kind: kind.ok_or("key missing kind=")?,
-            params,
-            zprepass: zprepass.ok_or("key missing zprepass=")?,
-            traversal: traversal.ok_or("key missing traversal=")?,
+            kind: kind.ok_or_else(|| missing("kind"))?,
+            params: WorkloadParams {
+                width: width.ok_or_else(|| missing("w"))?,
+                height: height.ok_or_else(|| missing("h"))?,
+                frames: frames.ok_or_else(|| missing("frames"))?,
+                texture_scale: texture_scale.ok_or_else(|| missing("ts"))?,
+                seed: seed.ok_or_else(|| missing("seed"))?,
+            },
+            zprepass: zprepass.ok_or_else(|| missing("zprepass"))?,
+            traversal: traversal.ok_or_else(|| missing("traversal"))?,
         })
     }
 
@@ -128,6 +135,31 @@ mod tests {
             "mltc-trace kind=moon w=1 h=1 frames=1 ts=1 seed=0x0 zprepass=true traversal=scanline"
         )
         .is_err());
+    }
+
+    #[test]
+    fn every_field_the_store_writes_is_required() {
+        let key = "mltc-trace kind=city w=64 h=48 frames=4 ts=8 seed=0x5eed \
+                   zprepass=false traversal=scanline";
+        for field in [
+            "kind",
+            "w",
+            "h",
+            "frames",
+            "ts",
+            "seed",
+            "zprepass",
+            "traversal",
+        ] {
+            let without: Vec<&str> = key
+                .split_whitespace()
+                .filter(|word| !word.starts_with(&format!("{field}=")))
+                .collect();
+            let err = TraceKey::parse(&without.join(" ")).unwrap_err();
+            assert_eq!(err, format!("key missing {field}="), "{field}");
+        }
+        // Fields a newer writer adds are still ignored.
+        assert!(TraceKey::parse(&format!("{key} lanes=8")).is_ok());
     }
 
     #[test]

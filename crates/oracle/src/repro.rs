@@ -18,6 +18,9 @@ use mltc_texture::{Image, MipPyramid, TexelFormat, TextureRegistry, TileSize, Ti
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// Largest texture side an [`Image`] accepts.
+const MAX_TEXTURE_SIDE: u32 = 4096;
+
 /// A minimized, self-contained reproduction of a divergence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repro {
@@ -119,10 +122,7 @@ impl Repro {
             let dims = slot.as_arr().ok_or("texture slot must be an array")?;
             textures.push(match dims {
                 [] => None,
-                [w, h] => Some((
-                    u64_field(w, "texture width")? as u32,
-                    u64_field(h, "texture height")? as u32,
-                )),
+                [w, h] => Some((side(w, "texture width")?, side(h, "texture height")?)),
                 _ => return Err("texture slot must be [] or [w, h]".into()),
             });
         }
@@ -134,10 +134,10 @@ impl Repro {
         {
             match item.as_arr().ok_or("access must be an array")? {
                 [tid, m, u, v] => accesses.push(TexelAccess {
-                    tid: u64_field(tid, "tid")? as u32,
-                    m: u64_field(m, "m")? as u32,
-                    u: u64_field(u, "u")? as u32,
-                    v: u64_field(v, "v")? as u32,
+                    tid: u32_field(tid, "tid")?,
+                    m: u32_field(m, "m")?,
+                    u: u32_field(u, "u")?,
+                    v: u32_field(v, "v")?,
                 }),
                 _ => return Err("access must be [tid, m, u, v]".into()),
             }
@@ -164,6 +164,24 @@ impl Repro {
 
 fn u64_field(j: &Json, what: &str) -> Result<u64, String> {
     j.as_u64().ok_or_else(|| format!("{what} must be a number"))
+}
+
+fn u32_field(j: &Json, what: &str) -> Result<u32, String> {
+    let n = u64_field(j, what)?;
+    u32::try_from(n).map_err(|_| format!("{what} {n} exceeds {}", u32::MAX))
+}
+
+/// A texture side [`Repro::build_registry`] can build: a power of two up to
+/// the image cap.
+fn side(j: &Json, what: &str) -> Result<u32, String> {
+    let n = u32_field(j, what)?;
+    if n.is_power_of_two() && n <= MAX_TEXTURE_SIDE {
+        Ok(n)
+    } else {
+        Err(format!(
+            "{what} {n} is not a power of two in 1..={MAX_TEXTURE_SIDE}"
+        ))
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -406,6 +424,44 @@ mod tests {
             .expect("slot 2 is live");
         let base = p2.iter().next().unwrap();
         assert_eq!((base.width(), base.height()), (128, 32));
+    }
+
+    #[test]
+    fn hostile_numbers_are_errors_and_every_parsed_repro_builds() {
+        let doc = |textures: &str, accesses: &str| {
+            let config = config_to_json(&EngineConfig::default()).render();
+            format!(r#"{{"config":{config},"textures":{textures},"accesses":{accesses}}}"#)
+        };
+        // Each side value as a width and as a height, the other side 1.
+        for n in [
+            0u64,
+            1,
+            2,
+            3,
+            5,
+            12,
+            16,
+            4095,
+            4096,
+            4097,
+            8192,
+            1 << 32,
+            (1 << 32) + 1,
+        ] {
+            let buildable = n.is_power_of_two() && n <= 4096;
+            let text = doc(&format!("[[{n}, 1], [1, {n}], []]"), "[[0, 0, 1, 1]]");
+            match Repro::parse(&text) {
+                Ok(repro) => {
+                    assert!(buildable, "{n} parsed");
+                    assert_eq!(repro.build_registry().issued_count(), 3);
+                }
+                Err(e) => assert!(!buildable, "{n} refused: {e}"),
+            }
+        }
+        for access in ["[4294967297, 0, 0, 0]", "[0, 0, 0, 4294967296]"] {
+            let text = doc("[[4, 4]]", &format!("[{access}]"));
+            assert!(Repro::parse(&text).is_err(), "{access}");
+        }
     }
 
     #[test]

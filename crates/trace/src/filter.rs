@@ -230,9 +230,9 @@ pub enum Footprint {
 }
 
 /// Folds a request to its [`Footprint`] under `filter` — the same
-/// level-selection and corner math as [`filter_taps`], minus the weights
-/// ([`filter_tap_lanes`] unrolls this back into lanes, so all three views
-/// of a request agree bit-for-bit).
+/// level-selection and corner math as [`filter_taps`], minus the weights,
+/// so unrolled in [`LevelQuad`]'s lane order it is [`filter_taps`]'
+/// `(m, u, v)` sequence bit-for-bit.
 #[inline]
 pub fn filter_footprint(
     req: &PixelRequest,
@@ -328,47 +328,6 @@ fn level_quad(
         xb: wrap(x0 + 1, w),
         ya: wrap(y0, h),
         yb: wrap(y0 + 1, h),
-    }
-}
-
-/// Address-only twin of [`filter_taps`] for the wide replay path: writes
-/// each tap's mip level and wrapped texel coordinates into the caller's
-/// lane arrays and returns the lane count, skipping the blend-weight
-/// arithmetic entirely (the cache simulation never reads weights). Lane
-/// order and every coordinate are bit-identical to [`filter_taps`]: both
-/// expansions run the same [`select_levels`] / [`bilinear_footprint`]
-/// math, so the two cannot drift apart.
-#[inline]
-pub fn filter_tap_lanes(
-    req: &PixelRequest,
-    filter: FilterMode,
-    level_count: u32,
-    dims: impl Fn(u32) -> (u32, u32),
-    m_out: &mut [u32; MAX_FILTER_TAPS],
-    u_out: &mut [u32; MAX_FILTER_TAPS],
-    v_out: &mut [u32; MAX_FILTER_TAPS],
-) -> usize {
-    match filter_footprint(req, filter, level_count, dims) {
-        Footprint::Point { m, u, v } => {
-            m_out[0] = m;
-            u_out[0] = u;
-            v_out[0] = v;
-            1
-        }
-        Footprint::Quads { quads, n } => {
-            let mut at = 0;
-            for q in &quads[..n] {
-                let xs = [q.xa, q.xb, q.xa, q.xb];
-                let ys = [q.ya, q.ya, q.yb, q.yb];
-                for i in 0..4 {
-                    m_out[at + i] = q.m;
-                    u_out[at + i] = xs[i];
-                    v_out[at + i] = ys[i];
-                }
-                at += 4;
-            }
-            at
-        }
     }
 }
 
@@ -798,8 +757,10 @@ mod tests {
     fn lane_expansion_matches_filter_taps_exactly() {
         // Non-square pyramid with clamped coarse levels, coordinates far
         // out of range in both directions, lods straddling both clamps:
-        // the address-only lanes must reproduce filter_taps' (m, u, v)
-        // sequence bit-for-bit, lane for lane.
+        // the footprint, unrolled in the wide replay path's corner order
+        // (xa,ya) (xb,ya) (xa,yb) (xb,yb) per level, must reproduce
+        // filter_taps' (m, u, v) sequence bit-for-bit, lane for lane —
+        // the order a declined fragment replays its taps in.
         let rect = |m: u32| ((64u32 >> m).max(1), (16u32 >> m).max(1));
         for mode in [
             FilterMode::Point,
@@ -812,19 +773,21 @@ mod tests {
                     i as f32 * -2.11 + 133.3,
                     i as f32 * 0.043 - 2.0,
                 );
-                let taps = filter_taps(&r, mode, 7, rect);
-                let mut m = [0u32; MAX_FILTER_TAPS];
-                let mut u = [0u32; MAX_FILTER_TAPS];
-                let mut v = [0u32; MAX_FILTER_TAPS];
-                let n = filter_tap_lanes(&r, mode, 7, rect, &mut m, &mut u, &mut v);
-                assert_eq!(n, taps.len(), "{mode:?} req {i} lane count");
-                for (j, t) in taps.iter().enumerate() {
-                    assert_eq!(
-                        (m[j], u[j], v[j]),
-                        (t.m, t.u, t.v),
-                        "{mode:?} req {i} lane {j}"
-                    );
-                }
+                let lanes: Vec<(u32, u32, u32)> = match filter_footprint(&r, mode, 7, rect) {
+                    Footprint::Point { m, u, v } => vec![(m, u, v)],
+                    Footprint::Quads { quads, n } => quads[..n]
+                        .iter()
+                        .flat_map(|q| {
+                            let (m, xa, xb, ya, yb) = (q.m, q.xa, q.xb, q.ya, q.yb);
+                            [(m, xa, ya), (m, xb, ya), (m, xa, yb), (m, xb, yb)]
+                        })
+                        .collect(),
+                };
+                let taps: Vec<(u32, u32, u32)> = filter_taps(&r, mode, 7, rect)
+                    .iter()
+                    .map(|t| (t.m, t.u, t.v))
+                    .collect();
+                assert_eq!(lanes, taps, "{mode:?} req {i}");
             }
         }
     }

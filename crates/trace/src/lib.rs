@@ -25,8 +25,8 @@ mod request;
 mod stats;
 
 pub use filter::{
-    filter_footprint, filter_tap_lanes, filter_taps, FilterMode, Footprint, FootprintBlock,
-    LevelQuad, Tap, TapList, FOOTPRINT_BLOCK, MAX_FILTER_TAPS,
+    filter_footprint, filter_taps, FilterMode, Footprint, FootprintBlock, LevelQuad, Tap, TapList,
+    FOOTPRINT_BLOCK, MAX_FILTER_TAPS,
 };
 pub use request::{FrameTrace, PixelRequest};
 pub use stats::{FrameStatsCollector, FrameWorkingSet, TileClass, WorkloadSummary};
