@@ -6,7 +6,9 @@ use crate::HitStats;
 /// buffer of page-table entries, replaced round-robin. The paper studies
 /// 1–16 entries and reports 36 %–92 % average hit rates.
 ///
-/// Keys are opaque `u64`s (the engine uses the ⟨tid, L2⟩ page key).
+/// Keys are opaque `u64`s (the engine uses the ⟨tid, L2⟩ page key) other
+/// than `u64::MAX`, which marks an empty slot: the slots are one flat
+/// array of keys, searched with plain compares.
 ///
 /// ```
 /// use mltc_cache::RoundRobinTlb;
@@ -19,10 +21,14 @@ use crate::HitStats;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoundRobinTlb {
-    entries: Vec<Option<u64>>,
+    /// Slot keys, [`EMPTY`] when unused.
+    entries: Vec<u64>,
     next: usize,
     stats: HitStats,
 }
+
+/// The key of an empty slot.
+const EMPTY: u64 = u64::MAX;
 
 impl RoundRobinTlb {
     /// Creates a TLB with `entries` slots.
@@ -33,7 +39,7 @@ impl RoundRobinTlb {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "TLB needs at least one entry");
         Self {
-            entries: vec![None; entries],
+            entries: vec![EMPTY; entries],
             next: 0,
             stats: HitStats::default(),
         }
@@ -49,10 +55,15 @@ impl RoundRobinTlb {
     /// Returns whether it hit.
     #[inline]
     pub fn access(&mut self, key: u64) -> bool {
-        let hit = self.entries.contains(&Some(key));
+        let hit = self.probe(key);
         if !hit {
-            self.entries[self.next] = Some(key);
-            self.next = (self.next + 1) % self.entries.len();
+            self.entries[self.next] = key;
+            // A compare, not `%`: a 64-bit divide costs more than the
+            // whole search.
+            self.next += 1;
+            if self.next == self.entries.len() {
+                self.next = 0;
+            }
         }
         self.stats.record(hit);
         hit
@@ -63,21 +74,26 @@ impl RoundRobinTlb {
     /// test a whole tap batch before deciding to take the wide path.
     #[inline]
     pub fn probe(&self, key: u64) -> bool {
-        self.entries.contains(&Some(key))
+        debug_assert_ne!(key, EMPTY, "u64::MAX marks an empty TLB slot");
+        // Every slot compared, no early exit: the loop vectorises, and a
+        // hit's position is as good as random, so an exit branch would
+        // mostly mispredict (so would a last-hit memo checked first:
+        // trilinear misses alternate between two mip levels' pages).
+        self.entries.iter().fold(false, |hit, &e| hit | (e == key))
     }
 
     /// Removes `key` if present (page-table entry deallocated).
     pub fn invalidate(&mut self, key: u64) {
         for e in &mut self.entries {
-            if *e == Some(key) {
-                *e = None;
+            if *e == key {
+                *e = EMPTY;
             }
         }
     }
 
     /// Empties the TLB.
     pub fn flush(&mut self) {
-        self.entries.fill(None);
+        self.entries.fill(EMPTY);
         self.next = 0;
     }
 

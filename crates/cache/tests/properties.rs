@@ -123,17 +123,24 @@ proptest! {
         prop_assert_eq!(owners, expect);
     }
 
-    /// The TLB matches a reference round-robin model exactly.
+    /// The TLB matches a reference round-robin model exactly, probes and
+    /// invalidations included.
     #[test]
     fn tlb_matches_reference(
         entries in 1usize..8,
-        stream in proptest::collection::vec(0u64..12, 1..300),
+        stream in proptest::collection::vec((0u64..12, 0u8..10), 1..300),
     ) {
         let mut tlb = RoundRobinTlb::new(entries);
         let mut slots: Vec<Option<u64>> = vec![None; entries];
         let mut next = 0usize;
-        for key in stream {
+        for (key, op) in stream {
             let want = slots.contains(&Some(key));
+            prop_assert_eq!(tlb.probe(key), want, "probe {}", key);
+            if op == 0 {
+                tlb.invalidate(key);
+                slots.iter_mut().filter(|s| **s == Some(key)).for_each(|s| *s = None);
+                continue;
+            }
             if !want {
                 slots[next] = Some(key);
                 next = (next + 1) % entries;

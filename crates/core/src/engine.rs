@@ -10,7 +10,7 @@ use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
     EngineError, FaultPlan, HostLink, L1Config, L1TextureCache, L2Cache, L2Config, L2Outcome,
 };
-use mltc_cache::{ClockStats, RoundRobinTlb};
+use mltc_cache::RoundRobinTlb;
 use mltc_telemetry::Recorder;
 use mltc_texture::{PageTableLayout, TextureId, TextureRegistry, TilingConfig};
 use mltc_trace::{filter_taps, FilterMode, FrameTrace, PixelRequest};
@@ -531,7 +531,8 @@ impl SimEngine {
 
     /// The hierarchy, borrowed for one replay, beside the two observers
     /// that decide its sink. `borrowed` stands in for the engine's own L2
-    /// when it has none (a unified service client's frame).
+    /// when it has none (a unified service client's frame); telemetry then
+    /// counts clock sweeps from the borrowed L2's stats as they stand.
     pub(crate) fn hierarchy<'a>(
         &'a mut self,
         borrowed: Option<&'a mut L2Cache>,
@@ -540,6 +541,9 @@ impl SimEngine {
         Option<&'a mut EngineTelemetry>,
         Option<&'a mut TimingSim>,
     ) {
+        if let (Some(l2), Some(tel)) = (&borrowed, &mut self.tel) {
+            tel.rebase(l2.clock_stats());
+        }
         let h = Hierarchy {
             cfg: &self.cfg,
             tables: self.layout.tables(),
@@ -935,19 +939,11 @@ impl SimEngine {
     /// window (fills must land before the frame's cycle count closes) and
     /// records the frame's timing delta.
     pub fn end_frame(&mut self) {
-        self.close_frame(None);
-    }
-
-    /// [`end_frame`](Self::end_frame) of a frame replayed over a borrowed
-    /// L2, whose clock stats `borrowed` are (`None`: the engine's own L2's,
-    /// if it has one).
-    pub(crate) fn close_frame(&mut self, borrowed: Option<ClockStats>) {
         if let Some(t) = &mut self.timing {
             t.end_frame();
         }
         if let Some(tel) = &mut self.tel {
-            let clock = borrowed.or_else(|| self.l2.as_ref().map(|l2| l2.clock_stats()));
-            tel.on_frame_end(self.frames.len() as u64, &self.current, clock);
+            tel.on_frame_end(self.frames.len() as u64, &self.current);
         }
         self.frames.push(self.current);
         self.current = FrameCounters::default();

@@ -194,20 +194,31 @@ impl TimingCounters {
     }
 }
 
-/// A run of one fragment's taps waiting in the lookahead window between
-/// tag check and retire. A tap that issued a fill is always a run of its
-/// own; taps that needed none reach the retire stage only through their
-/// number and their latest `ready`, so consecutive ones coalesce.
-#[derive(Debug, Clone, Copy)]
-struct PendingTap {
-    /// Cycle the run's data is consumable (issue-stage clock floor applied).
+/// One fragment in the lookahead window between tag check and retire.
+///
+/// The retire stage reads of most taps only that they are one more tap
+/// and when their data is consumable; only a *prefetched* fill — issued
+/// ahead of the retire point, with a nonzero cost — is also classified
+/// (useful / late / useless) by how long its tap waits. So every other
+/// tap folds into the slot, whatever its order among the fragment's taps,
+/// and only prefetched fills queue in [`TimingSim`]'s `pending`.
+#[derive(Debug, Clone, Copy, Default)]
+struct FragmentSlot {
+    /// Latest `ready` of the folded taps (issue-stage clock floor applied).
     ready: u64,
-    /// Nominal fill cost in cycles (0 = no fill was needed).
+    /// Taps of the fragment, folded or queued.
+    taps: u32,
+    /// Of those, prefetched fills queued in `pending`.
+    fills: u32,
+}
+
+/// A prefetched fill waiting in the lookahead window.
+#[derive(Debug, Clone, Copy)]
+struct PendingFill {
+    /// Cycle its data is consumable (issue-stage clock floor applied).
+    ready: u64,
+    /// Nominal fill cost in cycles (> 0).
     cost: u64,
-    /// The fill was issued ahead of the retire point.
-    prefetched: bool,
-    /// Taps in the run.
-    count: u32,
 }
 
 /// What the overlay reads of one behavioural L1 miss — the part of an
@@ -270,11 +281,11 @@ pub struct TimingSim {
     l1_mshrs: MshrFile,
     l2_mshrs: MshrFile,
     fill_queue: MshrFile,
-    /// Runs of taps checked but not retired, oldest first.
-    pending: VecDeque<PendingTap>,
-    /// Run count of each open fragment, oldest first (`window.len()` is
-    /// the lookahead distance currently in use).
-    window: VecDeque<u32>,
+    /// Prefetched fills checked but not retired, oldest first.
+    pending: VecDeque<PendingFill>,
+    /// Each open fragment, oldest first (`window.len()` is the lookahead
+    /// distance currently in use).
+    window: VecDeque<FragmentSlot>,
     counters: TimingCounters,
     sink: SinkStats,
     /// Totals at the last frame boundary.
@@ -332,7 +343,7 @@ impl TimingSim {
             }
         }
         self.tc += 1;
-        self.window.push_back(0);
+        self.window.push_back(FragmentSlot::default());
     }
 
     /// Observes one behavioral tap of the currently open fragment. Taps of
@@ -340,9 +351,9 @@ impl TimingSim {
     /// only moves within a fragment on structural stalls (no free MSHR or
     /// fill-queue slot — the whole issue stage blocks under the hazard).
     ///
-    /// This is the per-tap reference feed: every tap packs its tag, scans
-    /// the L1 MSHR file and waits in the window as a run of one. The wide
-    /// frame loops' sink ([`commit_hits`](Self::commit_hits),
+    /// This is the per-tap reference feed: every tap packs its tag and
+    /// scans the L1 MSHR file. The wide frame loops' sink
+    /// ([`commit_hits`](Self::commit_hits),
     /// [`observe_hit`](Self::observe_hit),
     /// [`observe_miss`](Self::observe_miss)) is tested against it.
     pub fn observe(&mut self, tid: TextureId, m: u32, u: u32, v: u32, tr: &AccessTrace) {
@@ -363,19 +374,14 @@ impl TimingSim {
             // A tap can never be consumable before its own tag check.
             None => self.tc,
         };
-        self.push_run(PendingTap {
-            ready,
-            cost: 0,
-            prefetched: false,
-            count: 1,
-        });
+        self.push_hits(ready, 1);
     }
 
     /// Sink entry for a fragment the wide kernel committed: `n` L1 hits
     /// over the distinct lines `uniq[..k]`, retired as *one* event. Hits
     /// issue nothing and never move the issue clock, so the fragment's
     /// taps all see the same `tc` and reach the retire stage only through
-    /// their count and their latest `ready` — a single run. With no fill
+    /// their count and their latest `ready` — one fold. With no fill
     /// in flight (one compare) that `ready` is `tc`; otherwise each
     /// distinct line is looked up once on behalf of its lanes, because a
     /// behavioural hit on a line whose fill has not landed still merges
@@ -407,7 +413,7 @@ impl TimingSim {
     /// Sink entry for a scalar tap (of a fragment that declined the wide
     /// commit, or a point-sampled one) that hit the L1:
     /// [`observe`](Self::observe) minus the work a quiet MSHR file makes
-    /// unnecessary, coalesced into the fragment's current run.
+    /// unnecessary.
     #[inline]
     pub(crate) fn observe_hit(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
         self.sink.taps_observed += 1;
@@ -436,39 +442,22 @@ impl TimingSim {
         self.issue_fill(self.map.tag_of(tid, m, u, v), out);
     }
 
-    /// Queues `n` fill-less taps of the open fragment, consumable at
-    /// `ready`: folded into the fragment's newest run when that one carries
-    /// no fill either (retire takes the maximum `ready` and the tap count
-    /// of such runs, nothing else), a new run otherwise.
+    /// Folds `n` taps of the open fragment, consumable at `ready`, into its
+    /// slot.
     #[inline]
     fn push_hits(&mut self, ready: u64, n: u32) {
-        if *self.window.back().expect("fragment is open") > 0 {
-            let back = self.pending.back_mut().expect("window counted this run");
-            if back.cost == 0 {
-                back.ready = back.ready.max(ready);
-                back.count += n;
-                return;
-            }
-        }
-        self.push_run(PendingTap {
-            ready,
-            cost: 0,
-            prefetched: false,
-            count: n,
-        });
-    }
-
-    /// Queues `run` as the open fragment's newest.
-    #[inline]
-    fn push_run(&mut self, run: PendingTap) {
-        self.pending.push_back(run);
-        *self.window.back_mut().expect("fragment is open") += 1;
+        let f = self.window.back_mut().expect("fragment is open");
+        f.ready = f.ready.max(ready);
+        f.taps += n;
     }
 
     /// Issues the fill of one L1 miss — from L2, or a host download
-    /// attempt — and queues the tap as a run of its own.
+    /// attempt — and queues the tap: in `pending` when it is a prefetched
+    /// fill, folded into its fragment's slot otherwise.
     fn issue_fill(&mut self, key: u64, out: MissOutcome) {
-        let prefetched = self.window.len() > 1 || !self.pending.is_empty();
+        // Issued ahead of the retire point: an older fragment, or an older
+        // tap of this one, still waits to retire.
+        let ahead = self.window.len() > 1 || self.window.back().expect("fragment is open").taps > 0;
         let (ready, cost) = if out.l2_full_hit {
             // L2→L1 fill: needs an L1 MSHR only.
             let stalled_from = self.tc;
@@ -526,16 +515,17 @@ impl TimingSim {
             self.fill_queue.insert(key, stalled_from, issue, done);
             (ready, attempts * self.model.host_latency + xfer + l2_fill)
         };
-        if prefetched && cost > 0 {
+        // A tap can never be consumable before its own tag check.
+        let ready = ready.max(self.tc);
+        if ahead && cost > 0 {
             self.counters.prefetch_issued += 1;
+            self.pending.push_back(PendingFill { ready, cost });
+            let f = self.window.back_mut().expect("fragment is open");
+            f.fills += 1;
+            f.taps += 1;
+        } else {
+            self.push_hits(ready, 1);
         }
-        self.push_run(PendingTap {
-            // A tap can never be consumable before its own tag check.
-            ready: ready.max(self.tc),
-            cost,
-            prefetched,
-            count: 1,
-        });
     }
 
     fn note_issue_stall(&mut self, from: u64, to: u64) {
@@ -551,24 +541,22 @@ impl TimingSim {
     /// per cycle (its taps are consumed by parallel tap units), after
     /// waiting for its slowest tap's fill to land.
     fn retire_fragment(&mut self) {
-        let runs = self.window.pop_front().expect("window is non-empty");
+        let f = self.window.pop_front().expect("window is non-empty");
         let arrive = self.rc + 1;
-        let mut fragment_ready = arrive;
-        for _ in 0..runs {
-            let p = self.pending.pop_front().expect("window counted this run");
+        let mut fragment_ready = arrive.max(f.ready);
+        for _ in 0..f.fills {
+            let p = self.pending.pop_front().expect("window counted this fill");
             let wait = p.ready.saturating_sub(arrive);
-            if p.prefetched && p.cost > 0 {
-                if wait == 0 {
-                    self.counters.prefetch_useful += 1;
-                } else if wait < p.cost {
-                    self.counters.prefetch_late += 1;
-                } else {
-                    self.counters.prefetch_useless += 1;
-                }
+            if wait == 0 {
+                self.counters.prefetch_useful += 1;
+            } else if wait < p.cost {
+                self.counters.prefetch_late += 1;
+            } else {
+                self.counters.prefetch_useless += 1;
             }
             fragment_ready = fragment_ready.max(p.ready);
-            self.counters.taps += p.count as u64;
         }
+        self.counters.taps += f.taps as u64;
         self.counters.stall_cycles += fragment_ready - arrive;
         self.rc = fragment_ready;
         self.counters.fragments += 1;
@@ -759,6 +747,75 @@ mod tests {
         assert!(
             cycles[0] >= cycles[1] && cycles[1] >= cycles[2],
             "{cycles:?}"
+        );
+    }
+
+    /// The window's bookkeeping, worked by hand: a fill is prefetched when
+    /// an older fragment or an older tap of its own fragment still waits;
+    /// retire classifies each prefetched fill by its wait and reads of
+    /// every other tap only its `ready` and that it is one more tap.
+    #[test]
+    fn window_slots_retire_as_worked_by_hand() {
+        let model = LatencyModel {
+            host_latency: 10,
+            host_bytes_per_cycle: 0,
+            l2_fill_latency: 5,
+            l1_mshrs: 4,
+            l2_mshrs: 4,
+            fill_queue_depth: 4,
+            prefetch_depth: 4,
+        };
+        let mut t = TimingSim::new(
+            model,
+            crate::L1TextureCache::new(L1Config::kb(2)).address_map(),
+        );
+        let hit = AccessTrace {
+            l1_hit: true,
+            ..AccessTrace::default()
+        };
+        let l2_hit = AccessTrace {
+            l2: Some(L2Outcome::FullHit),
+            ..AccessTrace::default()
+        };
+        let download = AccessTrace {
+            l2: Some(L2Outcome::FullMiss),
+            host_bytes: 64,
+            ..AccessTrace::default()
+        };
+        // Five distinct L1 lines.
+        let tap = |t: &mut TimingSim, line: u32, tr: &AccessTrace| {
+            t.observe(TextureId::from_index(0), 0, line * 4, 0, tr)
+        };
+        t.open_fragment(); // F1, tc 1
+        tap(&mut t, 0, &l2_hit); // first tap of the only fragment: ready 6, not prefetched
+        tap(&mut t, 1, &hit); // ready 1
+        tap(&mut t, 2, &l2_hit); // behind an older tap: prefetched, ready 6, cost 5
+        t.open_fragment(); // F2, tc 2
+        tap(&mut t, 0, &hit); // merges with line 0's fill: ready 6
+        tap(&mut t, 3, &download); // prefetched: ready 2 + 10 + 5 = 17, cost 15
+        t.open_fragment(); // F3, tc 3
+        tap(&mut t, 4, &l2_hit); // prefetched: ready 8, cost 5
+        t.drain();
+        // F1 arrives at 1, waits for 6 (line 2 waited 5 = its cost:
+        // useless); F2 arrives at 7, waits for 17 (10 < 15: late); F3
+        // arrives at 18, line 4 landed at 8 (useful).
+        assert_eq!(
+            *t.totals(),
+            TimingCounters {
+                cycles_total: 18,
+                stall_cycles: 15,
+                issue_stall_cycles: 0,
+                taps: 6,
+                fragments: 3,
+                link_bytes: 64,
+                link_busy_cycles: 0,
+                prefetch_issued: 3,
+                prefetch_useful: 1,
+                prefetch_late: 1,
+                prefetch_useless: 1,
+                l1_merges: 1,
+                l2_merges: 0,
+            }
         );
     }
 

@@ -49,7 +49,6 @@ use crate::telemetry::TelemetryOpts;
 use crate::{
     EngineConfig, EngineError, FaultPlan, HostLink, L1Config, L2Cache, L2Config, SimEngine,
 };
-use mltc_cache::ClockStats;
 use mltc_telemetry::Recorder;
 use mltc_texture::{TextureRegistry, TilingConfig};
 use mltc_trace::{FilterMode, FrameTrace};
@@ -310,6 +309,16 @@ impl SharedL2 {
         self.client_stalls
             .get(client as usize)
             .map_or(0, |s| s.load(Ordering::Relaxed))
+    }
+
+    /// The unified cache's clock statistics (`None` when partitioned).
+    pub fn clock_stats(&self) -> Option<mltc_cache::ClockStats> {
+        let l2 = self.unified.as_ref()?;
+        Some(
+            l2.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clock_stats(),
+        )
     }
 
     /// Contention counters so far.
@@ -588,7 +597,6 @@ impl ClientEngine {
         let mut guard = shared.lock(self.id);
         let locked = Instant::now();
         let replayed = self.replay(guard.as_deref_mut(), trace, filter, &mut shed_frame);
-        let clock = guard.as_deref().map(L2Cache::clock_stats);
         if let Some(guard) = guard {
             drop(guard);
             let held = locked.elapsed().as_nanos() as u64;
@@ -596,7 +604,7 @@ impl ClientEngine {
             shared.held_nanos.fetch_add(held, Ordering::Relaxed);
         }
         replayed?;
-        self.close_frame(clock, shed_frame)
+        self.close_frame(shed_frame)
     }
 
     fn check_quarantine(&self) -> Result<(), ServiceError> {
@@ -650,15 +658,10 @@ impl ClientEngine {
         h.replay(tel, timing, frame)
     }
 
-    /// Closes the frame the replay left open — with the borrowed L2's
-    /// `clock` stats when unified — and applies the shed-frame policy
-    /// (tiers 2 and 3).
-    fn close_frame(
-        &mut self,
-        clock: Option<ClockStats>,
-        shed_frame: bool,
-    ) -> Result<(), ServiceError> {
-        self.engine.close_frame(clock);
+    /// Closes the frame the replay left open and applies the shed-frame
+    /// policy (tiers 2 and 3).
+    fn close_frame(&mut self, shed_frame: bool) -> Result<(), ServiceError> {
+        self.engine.end_frame();
         self.svc.frames_run += 1;
         if shed_frame {
             self.svc.shed_frames += 1;
@@ -764,9 +767,8 @@ mod reference {
                     }
                 }
             }?;
-            let clock = guard.as_deref().map(|l2| l2.clock_stats());
             drop(guard);
-            self.close_frame(clock, shed_frame)
+            self.close_frame(shed_frame)
         }
     }
 
@@ -976,6 +978,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::SimEngine;
+    use mltc_cache::ClockStats;
     use mltc_texture::{synth, MipPyramid, TextureId};
     use mltc_trace::PixelRequest;
     use proptest::prelude::*;

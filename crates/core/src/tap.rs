@@ -83,12 +83,21 @@ pub(crate) trait TelemetryMode {
     fn after_tap(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32, _current: &FrameCounters) {}
 }
 
+/// Telemetry attached: the hooks tally into the [`EngineTelemetry`]'s own
+/// integers, which reach the recorder when the sink is dropped — at the
+/// end of the replay call that built it, on every return path.
 pub(crate) struct TelOn<'a>(pub(crate) &'a mut EngineTelemetry);
 
 impl TelemetryMode for TelOn<'_> {
     #[inline(always)]
     fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry)) {
         f(self.0);
+    }
+}
+
+impl Drop for TelOn<'_> {
+    fn drop(&mut self) {
+        self.0.publish();
     }
 }
 

@@ -7,7 +7,10 @@
 //! access on the per-access entry — so with telemetry detached the tap
 //! body carries no telemetry code, and attached or not, telemetry only
 //! *observes* — `FrameCounters`, cache and
-//! RNG state are bit-identical either way.
+//! RNG state are bit-identical either way. Attached, the handles are
+//! buffered: the tap bodies add to plain integers this struct owns, and
+//! the sink publishes them into the recorder when it is dropped, once per
+//! replay call.
 //!
 //! Naming: histograms are keyed per workload *group* (so the parallel
 //! configs replaying one workload merge into one distribution, and the
@@ -17,7 +20,8 @@
 
 use mltc_cache::ClockStats;
 use mltc_telemetry::{
-    Counter, EvictionCause, Histogram, MissAttribution, Recorder, ReuseDistance, Series,
+    BufferedCounter, BufferedHistogram, EvictionCause, MissAttribution, Recorder, ReuseDistance,
+    Series,
 };
 use mltc_texture::TextureId;
 
@@ -71,39 +75,42 @@ pub const FRAME_SERIES_COLUMNS: [&str; 16] = [
 /// per-miss and per-frame deltas.
 #[derive(Debug)]
 pub struct EngineTelemetry {
-    pub(crate) l1_hits: Counter,
-    pub(crate) l1_misses: Counter,
-    pub(crate) l2_full_hits: Counter,
-    pub(crate) l2_partial_hits: Counter,
-    pub(crate) l2_full_misses: Counter,
-    pub(crate) tlb_hits: Counter,
-    pub(crate) tlb_misses: Counter,
-    pub(crate) host_delivered: Counter,
-    pub(crate) host_failed: Counter,
-    pub(crate) host_retries: Counter,
-    pub(crate) degraded_taps: Counter,
-    pub(crate) dropped_taps: Counter,
+    pub(crate) l1_hits: BufferedCounter,
+    pub(crate) l1_misses: BufferedCounter,
+    pub(crate) l2_full_hits: BufferedCounter,
+    pub(crate) l2_partial_hits: BufferedCounter,
+    pub(crate) l2_full_misses: BufferedCounter,
+    pub(crate) tlb_hits: BufferedCounter,
+    pub(crate) tlb_misses: BufferedCounter,
+    pub(crate) host_delivered: BufferedCounter,
+    pub(crate) host_failed: BufferedCounter,
+    pub(crate) host_retries: BufferedCounter,
+    pub(crate) degraded_taps: BufferedCounter,
+    pub(crate) dropped_taps: BufferedCounter,
     /// Fragments the wide frame loops committed as one all-hit L1 batch,
     /// and fragments that declined to the scalar tap bodies: fast-path
     /// efficacy. The only engine counters that depend on the replay path
     /// (the scalar path leaves both at zero — except that a timed
     /// engine's scalar entry rides the wide loops and counts them).
-    pub(crate) wide_commits: Counter,
-    pub(crate) wide_declines: Counter,
+    pub(crate) wide_commits: BufferedCounter,
+    pub(crate) wide_declines: BufferedCounter,
     /// Host transfer sizes in bytes (per delivered transfer).
-    pub(crate) transfer_bytes: Histogram,
+    pub(crate) transfer_bytes: BufferedHistogram,
     /// Clock sweep length (entries examined) per L2 full miss.
-    pub(crate) sweep_len: Histogram,
+    pub(crate) sweep_len: BufferedHistogram,
     /// L2 reuse distance at page granularity (distinct pages between
     /// consecutive references to the same page).
-    pub(crate) reuse_hist: Histogram,
-    pub(crate) reuse_cold: Counter,
+    pub(crate) reuse_hist: BufferedHistogram,
+    pub(crate) reuse_cold: BufferedCounter,
     reuse: ReuseDistance,
     frame_series: Series,
-    /// Cumulative `entries_examined` at the last observed full miss.
-    miss_base_entries: u64,
-    /// Cumulative clock stats at the last frame close.
-    frame_base: ClockStats,
+    /// The L2's cumulative clock stats as this engine last saw them: at
+    /// its last full miss, or when it borrowed a shared L2 for a replay.
+    clock: ClockStats,
+    /// Clock searches and entries examined by the open frame's full
+    /// misses.
+    frame_searches: u64,
+    frame_entries: u64,
     /// Opt-in miss attribution (3C shadow classifiers + heat maps);
     /// `None` under the plain [`attach_telemetry`]
     /// (crate::SimEngine::attach_telemetry) so the default recording
@@ -168,7 +175,11 @@ impl EngineTelemetry {
     /// series (one per run); `group` keys counters and histograms (shared
     /// by all runs of one workload).
     pub(crate) fn new(recorder: &Recorder, label: &str, group: &str) -> Self {
-        let c = |name: &str| recorder.counter(&format!("engine/{group}/{name}"));
+        let c = |name: &str| {
+            recorder
+                .counter(&format!("engine/{group}/{name}"))
+                .buffered()
+        };
         Self {
             l1_hits: c("l1_hits"),
             l1_misses: c("l1_misses"),
@@ -184,14 +195,21 @@ impl EngineTelemetry {
             dropped_taps: c("dropped_taps"),
             wide_commits: c("wide_commits"),
             wide_declines: c("wide_declines"),
-            transfer_bytes: recorder.histogram(&format!("host_transfer_bytes/{group}")),
-            sweep_len: recorder.histogram(&format!("clock_sweep_len/{group}")),
-            reuse_hist: recorder.histogram(&format!("l2_reuse_pages/{group}")),
+            transfer_bytes: recorder
+                .histogram(&format!("host_transfer_bytes/{group}"))
+                .buffered(),
+            sweep_len: recorder
+                .histogram(&format!("clock_sweep_len/{group}"))
+                .buffered(),
+            reuse_hist: recorder
+                .histogram(&format!("l2_reuse_pages/{group}"))
+                .buffered(),
             reuse_cold: c("l2_reuse_cold"),
             reuse: ReuseDistance::new(),
             frame_series: recorder.series(label, &FRAME_SERIES_COLUMNS),
-            miss_base_entries: 0,
-            frame_base: ClockStats::default(),
+            clock: ClockStats::default(),
+            frame_searches: 0,
+            frame_entries: 0,
             attrib: None,
             locality: None,
         }
@@ -361,24 +379,61 @@ impl EngineTelemetry {
         }
     }
 
-    /// Records the sweep a full miss just ran: the delta of cumulative
-    /// `entries_examined` since the previous full miss (sweeps only happen
-    /// on full misses, so the delta is exactly this miss's search).
+    /// Records the sweep a full miss just ran: the delta of the L2's
+    /// cumulative clock stats since this engine last saw them (sweeps only
+    /// happen on full misses, so the delta is exactly this miss's search).
     #[inline]
     pub(crate) fn on_full_miss_sweep(&mut self, clock: ClockStats) {
-        let delta = clock.entries_examined - self.miss_base_entries;
-        self.miss_base_entries = clock.entries_examined;
-        self.sweep_len.record(delta);
+        let entries = clock.entries_examined - self.clock.entries_examined;
+        self.frame_searches += clock.searches - self.clock.searches;
+        self.frame_entries += entries;
+        self.clock = clock;
+        self.sweep_len.record(entries);
+    }
+
+    /// Takes `clock` — the stats of an L2 this engine shares with others,
+    /// borrowed for one replay — as the base of its next sweep delta, so
+    /// the sweeps other engines ran since this one last held it are not
+    /// counted as this engine's.
+    pub(crate) fn rebase(&mut self, clock: ClockStats) {
+        self.clock = clock;
+    }
+
+    /// Publishes everything tallied since the last publish into the
+    /// recorder. The replay sink (`TelOn`) calls it when it is dropped,
+    /// i.e. when every replay call returns.
+    #[cold]
+    pub(crate) fn publish(&mut self) {
+        for c in [
+            &mut self.l1_hits,
+            &mut self.l1_misses,
+            &mut self.l2_full_hits,
+            &mut self.l2_partial_hits,
+            &mut self.l2_full_misses,
+            &mut self.tlb_hits,
+            &mut self.tlb_misses,
+            &mut self.host_delivered,
+            &mut self.host_failed,
+            &mut self.host_retries,
+            &mut self.degraded_taps,
+            &mut self.dropped_taps,
+            &mut self.wide_commits,
+            &mut self.wide_declines,
+            &mut self.reuse_cold,
+        ] {
+            c.publish();
+        }
+        self.transfer_bytes.publish();
+        self.sweep_len.publish();
+        self.reuse_hist.publish();
+        if let Some(a) = &mut self.attrib {
+            a.l1.publish();
+            a.l2.publish();
+        }
     }
 
     /// Pushes the closing frame's row onto the per-frame series.
-    pub(crate) fn on_frame_end(
-        &mut self,
-        frame: u64,
-        counters: &FrameCounters,
-        clock: Option<ClockStats>,
-    ) {
-        let clock = clock.unwrap_or_default();
+    pub(crate) fn on_frame_end(&mut self, frame: u64, counters: &FrameCounters) {
         let row = [
             frame,
             counters.l1_accesses,
@@ -394,10 +449,9 @@ impl EngineTelemetry {
             counters.failed_transfers,
             counters.degraded_taps,
             counters.dropped_taps,
-            clock.searches - self.frame_base.searches,
-            clock.entries_examined - self.frame_base.entries_examined,
+            std::mem::take(&mut self.frame_searches),
+            std::mem::take(&mut self.frame_entries),
         ];
-        self.frame_base = clock;
         self.frame_series.push_row(&row);
     }
 }

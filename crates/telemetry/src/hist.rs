@@ -4,8 +4,9 @@
 //! bucket 0 holds the value `0`, bucket `k ≥ 1` holds `2^(k-1) ..= 2^k - 1`
 //! (so bucket 64 tops out at `u64::MAX`). Recording is a couple of relaxed
 //! atomic adds — safe to call from replay worker threads without
-//! coordination — and a [`HistSnapshot`] taken later derives count, mean,
-//! min/max and bucket-resolution percentiles.
+//! coordination; a [`BufferedHistogram`] records into plain integers and
+//! merges them in on publish — and a [`HistSnapshot`] taken later derives
+//! count, mean, min/max and bucket-resolution percentiles.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -58,6 +59,31 @@ impl AtomicHistogram {
     pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
+        self.add_sum(v);
+        self.min.fetch_min(v, Relaxed);
+        self.max.fetch_max(v, Relaxed);
+    }
+
+    /// Adds a distribution kept elsewhere: the state recording its samples
+    /// one by one would have left (a saturated sum stays saturated, since
+    /// saturating addition of naturals is `min(total, u64::MAX)` in any
+    /// grouping).
+    pub(crate) fn merge(&self, s: &HistSnapshot) {
+        if s.count == 0 {
+            return;
+        }
+        for i in bucket_of(s.min)..=bucket_of(s.max) {
+            if s.buckets[i] != 0 {
+                self.buckets[i].fetch_add(s.buckets[i], Relaxed);
+            }
+        }
+        self.count.fetch_add(s.count, Relaxed);
+        self.add_sum(s.sum);
+        self.min.fetch_min(s.min, Relaxed);
+        self.max.fetch_max(s.max, Relaxed);
+    }
+
+    fn add_sum(&self, v: u64) {
         // fetch_add would wrap; saturate instead so the mean of huge samples
         // degrades predictably.
         let mut cur = self.sum.load(Relaxed);
@@ -68,8 +94,6 @@ impl AtomicHistogram {
                 Err(seen) => cur = seen,
             }
         }
-        self.min.fetch_min(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> HistSnapshot {
@@ -115,6 +139,56 @@ impl Histogram {
             Some(h) => h.snapshot(),
             None => HistSnapshot::default(),
         }
+    }
+
+    /// This histogram behind a private distribution (see
+    /// [`BufferedHistogram`]).
+    pub fn buffered(self) -> BufferedHistogram {
+        BufferedHistogram {
+            shared: self,
+            local: HistSnapshot::default(),
+        }
+    }
+}
+
+/// A [`Histogram`] with a distribution in front that one owner keeps in
+/// plain integers: [`record`](Self::record) touches no atomic, and
+/// [`publish`](Self::publish) merges the distribution into the shared one
+/// — the totals recording every sample there would have left.
+#[derive(Debug, Default)]
+pub struct BufferedHistogram {
+    shared: Histogram,
+    local: HistSnapshot,
+}
+
+impl BufferedHistogram {
+    /// Records one sample into the private distribution.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        let s = &mut self.local;
+        s.buckets[bucket_of(v)] += 1;
+        s.count += 1;
+        s.sum = s.sum.saturating_add(v);
+        s.min = s.min.min(v);
+        s.max = s.max.max(v);
+    }
+
+    /// Merges the private distribution into the shared histogram and
+    /// clears it.
+    pub fn publish(&mut self) {
+        let s = &mut self.local;
+        if s.count == 0 {
+            return;
+        }
+        if let Some(h) = &self.shared.0 {
+            h.merge(s);
+        }
+        // Only the buckets between the extremes can be non-zero.
+        s.buckets[bucket_of(s.min)..=bucket_of(s.max)].fill(0);
+        s.count = 0;
+        s.sum = 0;
+        s.min = u64::MAX;
+        s.max = 0;
     }
 }
 
@@ -270,6 +344,30 @@ mod tests {
         d.record(42);
         assert!(!d.is_enabled());
         assert_eq!(d.snapshot().count, 0);
+    }
+
+    #[test]
+    fn buffered_records_publish_to_the_direct_totals() {
+        let direct = hist();
+        let shared = hist();
+        let mut buf = shared.clone().buffered();
+        let samples = [7u64, 0, 1 << 40, 3, u64::MAX, 12, 12, 1];
+        for (i, &v) in samples.iter().cycle().take(40).enumerate() {
+            direct.record(v);
+            buf.record(v);
+            if i % 9 == 4 {
+                buf.publish();
+            }
+        }
+        assert_ne!(
+            shared.snapshot(),
+            direct.snapshot(),
+            "a tail is unpublished"
+        );
+        buf.publish();
+        buf.publish();
+        assert_eq!(shared.snapshot(), direct.snapshot());
+        Histogram::disabled().buffered().publish();
     }
 
     #[test]

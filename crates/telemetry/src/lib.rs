@@ -16,8 +16,12 @@
 //! branch per dynamic exit (priced by the `telemetry.counters_ns_per_tap`
 //! ledger row of `BENCHMARK.json`, guarded by an assertion test). An **enabled** handle records with relaxed
 //! atomics; the only mutexes are taken on span close and series row push —
-//! per frame or per store operation, never per texel. Telemetry only
-//! observes: simulator counters are bit-identical with recording on or off.
+//! per frame or per store operation, never per texel. The simulator's
+//! per-texel recording goes further: it tallies into the buffered forms
+//! ([`BufferedCounter`], [`BufferedHistogram`], [`BufferedHeatMap`]) —
+//! plain integers it owns — and publishes them into the shared handles
+//! once per replay call. Telemetry only observes: simulator counters are
+//! bit-identical with recording on or off.
 //!
 //! ## Shape
 //!
@@ -56,10 +60,14 @@ mod span;
 mod stackdist;
 
 pub use attrib::{EvictionCause, MissAttribution, MissClass};
-pub use heat::HeatMap;
-pub use hist::{bucket_of, bucket_upper_bound, HistSnapshot, Histogram, BUCKETS};
+pub use heat::{BufferedHeatMap, HeatMap};
+pub use hist::{
+    bucket_of, bucket_upper_bound, BufferedHistogram, HistSnapshot, Histogram, BUCKETS,
+};
 pub use json::{Json, JsonError};
-pub use recorder::{Counter, Gauge, Recorder, Series, SeriesSnapshot, Span, TelemetrySnapshot};
+pub use recorder::{
+    BufferedCounter, Counter, Gauge, Recorder, Series, SeriesSnapshot, Span, TelemetrySnapshot,
+};
 pub use reuse::ReuseDistance;
 pub use span::{chrome_trace_json, current_span_depth, SpanEvent, DEFAULT_SPAN_CAPACITY};
 pub use stackdist::StackDistance;

@@ -6,7 +6,11 @@
 //! single not-taken branch. Handles are cheap to clone and safe to share
 //! across threads; all hot-path mutation is relaxed atomics, with short
 //! mutexes only on span close, series row push, and registry lookups (done
-//! once at setup, never per texel).
+//! once at setup, never per texel). An owner that records far more often
+//! than anyone reads keeps its counts in the buffered forms
+//! ([`BufferedCounter`], [`BufferedHistogram`](crate::BufferedHistogram),
+//! [`BufferedHeatMap`](crate::BufferedHeatMap)) and publishes them into
+//! the shared handles at points of its choosing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -44,6 +48,45 @@ impl Counter {
     /// Current value (0 when disabled).
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Relaxed))
+    }
+
+    /// This counter behind a private tally (see [`BufferedCounter`]).
+    pub fn buffered(self) -> BufferedCounter {
+        BufferedCounter {
+            shared: self,
+            pending: 0,
+        }
+    }
+}
+
+/// A [`Counter`] with a tally in front that one owner keeps: an increment
+/// is a plain add, and [`publish`](Self::publish) moves the tally into the
+/// shared atomic — one atomic add per publish instead of one per event.
+/// Readers of the recorder see what was published, nothing more.
+#[derive(Debug, Default)]
+pub struct BufferedCounter {
+    shared: Counter,
+    pending: u64,
+}
+
+impl BufferedCounter {
+    /// Adds `n` to the tally.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.pending = self.pending.wrapping_add(n);
+    }
+
+    /// Adds 1 to the tally.
+    #[inline]
+    pub fn incr(&mut self) {
+        self.add(1);
+    }
+
+    /// Adds the tally to the shared counter and clears it.
+    pub fn publish(&mut self) {
+        if self.pending != 0 {
+            self.shared.add(std::mem::take(&mut self.pending));
+        }
     }
 }
 
@@ -501,6 +544,21 @@ mod tests {
         rec.counter("hits").add(3);
         rec.counter("hits").add(4);
         assert_eq!(rec.snapshot().counters["hits"], 7);
+    }
+
+    #[test]
+    fn buffered_counters_reach_the_recorder_on_publish() {
+        let rec = Recorder::enabled();
+        let mut c = rec.counter("hits").buffered();
+        c.incr();
+        c.add(5);
+        assert_eq!(rec.snapshot().counters["hits"], 0);
+        c.publish();
+        c.publish();
+        assert_eq!(rec.snapshot().counters["hits"], 6);
+        let mut off = Recorder::disabled().counter("x").buffered();
+        off.incr();
+        off.publish();
     }
 
     #[test]

@@ -10,11 +10,19 @@
 //!
 //! Implementation: the standard Fenwick-tree formulation. Each key remembers
 //! the timestamp of its latest access; a bit-indexed tree over timestamps
-//! holds a `1` exactly at each key's latest access, so the distance is a
-//! prefix-sum difference — `O(log n)` per access. Timestamps grow with the
-//! stream, so the tree is periodically *compacted*: live keys are re-stamped
-//! in order, which preserves every distance and bounds memory by the number
-//! of distinct keys, not the stream length.
+//! holds a `1` exactly at each key's latest access, so the distance is the
+//! number of live keys less the prefix sum up to the key's previous access
+//! — `O(log n)` per access. Timestamps grow with the stream, so the tree is
+//! periodically *compacted*: live keys are re-stamped in order, which
+//! preserves every distance and bounds memory by the number of distinct
+//! keys, not the stream length.
+//!
+//! Runs are free: an immediate repeat of the previous key has distance 0
+//! and changes nothing — that key is already the most recent, and a repeat
+//! adds no distinct key between any later pair of accesses — so it is
+//! answered before the map or the tree is touched. Texture streams are
+//! made of such runs (consecutive taps to one L1 line, consecutive L1
+//! misses to one L2 page), so the cost follows key *changes*, not accesses.
 
 use std::collections::HashMap;
 
@@ -76,6 +84,8 @@ pub struct StackDistance {
     time: usize,
     /// Cold (first-ever) accesses seen.
     cold: u64,
+    /// The key of the latest access.
+    prev: Option<u64>,
 }
 
 const INITIAL_SLOTS: usize = 1024;
@@ -94,6 +104,7 @@ impl StackDistance {
             bits: Fenwick::new(INITIAL_SLOTS),
             time: 0,
             cold: 0,
+            prev: None,
         }
     }
 
@@ -110,7 +121,17 @@ impl StackDistance {
     /// Records an access to `key`. Returns `None` for the first-ever access
     /// to the key, otherwise `Some(d)` where `d` counts the distinct other
     /// keys accessed since the key's previous access.
+    #[inline]
     pub fn record(&mut self, key: u64) -> Option<u64> {
+        if self.prev == Some(key) {
+            return Some(0);
+        }
+        self.prev = Some(key);
+        self.record_change(key)
+    }
+
+    /// [`record`](Self::record) of a key other than the previous one.
+    fn record_change(&mut self, key: u64) -> Option<u64> {
         if self.time == self.bits.len() {
             self.compact();
         }
@@ -123,8 +144,10 @@ impl StackDistance {
                 None
             }
             Some(prev) => {
-                // Keys whose latest access lies strictly between prev and now.
-                let d = self.bits.prefix(now - 1) - self.bits.prefix(prev);
+                // Keys whose latest access lies after prev: every live key
+                // holds one `1`, and `prefix(prev)` counts those at or
+                // before it (`now` is not set yet).
+                let d = self.last.len() as u64 - self.bits.prefix(prev);
                 self.bits.add(prev, -1);
                 self.bits.add(now, 1);
                 Some(d)
@@ -199,8 +222,36 @@ mod tests {
     fn immediate_reuse_is_distance_zero() {
         let mut sd = StackDistance::new();
         sd.record(1);
+        let time = sd.time;
         assert_eq!(sd.record(1), Some(0));
         assert_eq!(sd.record(1), Some(0));
+        assert_eq!(sd.time, time, "a repeat hands out no timestamp");
+        assert_eq!(sd.record(2), None);
+        assert_eq!(sd.record(1), Some(1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// Long immediate-repeat runs over a few keys, with enough key
+        /// changes (one per run) to compact the tree at least three times.
+        #[test]
+        fn runs_match_the_brute_force_oracle_across_compactions(
+            runs in proptest::collection::vec((1u64..24, 1usize..12), 3200..3300),
+        ) {
+            proptest::prop_assert!(runs.len() > 3 * INITIAL_SLOTS);
+            let mut stream = Vec::new();
+            let mut key = 0u64;
+            for &(step, len) in &runs {
+                // A step in 1..24 over 24 keys always changes the key.
+                key = (key + step) % 24;
+                stream.extend(std::iter::repeat_n(key, len));
+            }
+            let mut sd = StackDistance::new();
+            let got: Vec<Option<u64>> = stream.iter().map(|&k| sd.record(k)).collect();
+            proptest::prop_assert_eq!(got, oracle(&stream));
+            proptest::prop_assert!(sd.bits.len() <= 2 * INITIAL_SLOTS);
+        }
     }
 
     #[test]

@@ -224,3 +224,60 @@ fn a_lone_client_is_its_solo_engine_in_either_partition_mode() {
         assert_eq!(got.heatmaps, want.heatmaps, "{ctx}: heat maps");
     }
 }
+
+/// Unified clients share one clock: each one's sweep telemetry must count
+/// its own sweeps only. Two clients take turns on a 64 KB L2; their
+/// `clock_sweep_len` histogram sums, and their series' `sweep_entries`
+/// columns, must each add up to the shared L2's `entries_examined` — not
+/// each claim nearly all of it.
+#[test]
+fn unified_clients_count_only_their_own_clock_sweeps() {
+    let w = tiny_village();
+    let frames = collect_frames(&TraceStore::in_memory(), &w).expect("tiny trace renders");
+    let cfg = ServiceConfig {
+        l2: Some(L2Config {
+            size_bytes: 64 << 10,
+            ..L2Config::mb(4)
+        }),
+        ..experiment_service_config(L2PartitionMode::Unified)
+    };
+    let svc = TextureService::try_new(cfg, w.registry(), 2).expect("service constructs");
+    let rec = Recorder::enabled();
+    let mut clients: Vec<_> = (0..2)
+        .map(|id| {
+            let mut c = svc.client(id).expect("client exists");
+            c.attach_telemetry(&rec.scoped(&format!("c{id}")), "run", "village");
+            c
+        })
+        .collect();
+    for trace in &frames {
+        for c in &mut clients {
+            c.run_frame(svc.shared_l2(), trace, FilterMode::Trilinear)
+                .expect("client replays");
+        }
+    }
+    let clock = svc.shared_l2().clock_stats().expect("unified L2");
+    let snap = rec.snapshot();
+    let entries_column = FRAME_SERIES_COLUMNS
+        .iter()
+        .position(|c| *c == "sweep_entries")
+        .unwrap();
+    let mut hist_sums = Vec::new();
+    let mut column_sums = Vec::new();
+    for id in 0..2 {
+        hist_sums.push(snap.hists[&format!("c{id}/clock_sweep_len/village")].sum);
+        let series = snap
+            .series
+            .iter()
+            .find(|s| s.label == format!("c{id}/run"))
+            .expect("client series");
+        column_sums.push(series.rows.iter().map(|r| r[entries_column]).sum::<u64>());
+    }
+    assert!(
+        hist_sums.iter().all(|&s| s > 0),
+        "both clients sweep: {hist_sums:?}"
+    );
+    assert_eq!(hist_sums.iter().sum::<u64>(), clock.entries_examined);
+    assert_eq!(column_sums.iter().sum::<u64>(), clock.entries_examined);
+    assert_eq!(hist_sums, column_sums);
+}

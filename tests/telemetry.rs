@@ -2,14 +2,17 @@
 //! of what the engine reports, and a detached recorder costs (next to)
 //! nothing on the texel path.
 
+use mltc::cache::ClockStats;
 use mltc::core::{
-    AdmissionControl, ClientEngine, DegradeTier, EngineConfig, FaultPlan, L1Config, L2Config,
-    LatencyModel, ServiceConfig, ServiceError, SimEngine, TelemetryOpts, TextureService,
-    FRAME_SERIES_COLUMNS,
+    AdmissionControl, ClientEngine, DegradeTier, EngineConfig, EngineError, FaultPlan,
+    FrameCounters, FramePrep, L1Config, L2Config, LatencyModel, PreparedFrame, ServiceConfig,
+    ServiceError, SimEngine, TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
 };
 use mltc::raster::FilterMode;
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::telemetry::{export, Json, Recorder, TelemetrySnapshot};
+use mltc::texture::TextureId;
+use mltc::trace::{filter_taps, FrameTrace};
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -234,6 +237,221 @@ fn attribution_only_adds_counters_never_perturbs() {
     // Heat maps: every miss lands in exactly one bin.
     let l1_heat: u64 = s_on.heatmaps["attrib/village/l1/miss_bins"].iter().sum();
     assert_eq!(l1_heat, t.l1_accesses - t.l1_hits);
+}
+
+/// A hierarchy that exercises every recorded event: a TLB, an L2 small
+/// enough for the clock to sweep, and a link that fails 2 of every 10
+/// transfers.
+fn busy_cfg() -> EngineConfig {
+    EngineConfig {
+        l2: Some(L2Config {
+            size_bytes: 64 << 10,
+            ..L2Config::mb(4)
+        }),
+        tlb_entries: 4,
+        fault: FaultPlan {
+            burst_period: 10,
+            burst_len: 2,
+            ..FaultPlan::with_rate(0x4d4c_5443, 50_000)
+        },
+        ..cfg()
+    }
+}
+
+/// What the recorder must hold of an attributed multi-level engine under
+/// group `g`, derived from the engine's own counters `t` and its L2's
+/// clock (when the caller can see it) rather than from any recording.
+fn assert_published(rec: &Recorder, t: &FrameCounters, clock: Option<ClockStats>, ctx: &str) {
+    let s = rec.snapshot();
+    let c = |n: &str| s.counters[&format!("engine/g/{n}")];
+    let misses = t.l1_accesses - t.l1_hits;
+    assert_eq!(c("l1_hits"), t.l1_hits, "{ctx}: l1_hits");
+    assert_eq!(c("l1_misses"), misses, "{ctx}: l1_misses");
+    assert_eq!(c("l2_full_hits"), t.l2_full_hits, "{ctx}: l2_full_hits");
+    assert_eq!(c("l2_partial_hits"), t.l2_partial_hits, "{ctx}");
+    assert_eq!(c("l2_full_misses"), t.l2_full_misses, "{ctx}");
+    assert_eq!(c("tlb_hits"), t.tlb_hits, "{ctx}: tlb_hits");
+    assert_eq!(c("tlb_misses"), t.tlb_accesses - t.tlb_hits, "{ctx}");
+    assert_eq!(
+        c("host_delivered") + c("host_failed"),
+        t.l2_partial_hits + t.l2_full_misses,
+        "{ctx}: transfers"
+    );
+    assert_eq!(c("host_failed"), t.failed_transfers, "{ctx}: host_failed");
+    assert_eq!(c("host_retries"), t.retries, "{ctx}: host_retries");
+    assert_eq!(c("degraded_taps"), t.degraded_taps, "{ctx}");
+    assert_eq!(c("dropped_taps"), t.dropped_taps, "{ctx}");
+    let h = |n: &str| &s.hists[&format!("{n}/g")];
+    assert_eq!(h("host_transfer_bytes").sum, t.host_bytes, "{ctx}: bytes");
+    assert_eq!(
+        h("l2_reuse_pages").count + c("l2_reuse_cold"),
+        misses,
+        "{ctx}: one reuse distance per L2 access"
+    );
+    if let Some(clock) = clock {
+        assert_eq!(
+            h("clock_sweep_len").sum,
+            clock.entries_examined,
+            "{ctx}: sweeps"
+        );
+    }
+    let classes = |level: &str| {
+        ["compulsory", "capacity", "conflict"]
+            .iter()
+            .map(|n| s.counters[&format!("attrib/g/{level}/{n}")])
+            .sum::<u64>()
+    };
+    assert_eq!(classes("l1"), misses, "{ctx}: L1 3C");
+    assert_eq!(classes("l2"), t.l2_full_misses, "{ctx}: L2 3C");
+    let heat: u64 = s.heatmaps["attrib/g/l1/miss_bins"].iter().sum();
+    assert_eq!(heat, misses, "{ctx}: L1 miss heat");
+}
+
+/// The taps of `trace` under `filter`, as `replay_taps` takes them.
+fn expand_taps(w: &Workload, trace: &FrameTrace, filter: FilterMode) -> Vec<(u32, u32, u32, u32)> {
+    let mut taps = Vec::new();
+    for req in &trace.requests {
+        let p = w.registry().pyramid(req.tid).expect("live texture");
+        let dims = |m: u32| (p.level(m as usize).width(), p.level(m as usize).height());
+        for tap in &filter_taps(req, filter, p.level_count() as u32, dims) {
+            taps.push((req.tid.index(), tap.m, tap.u, tap.v));
+        }
+    }
+    taps
+}
+
+/// Recording is buffered and published when a replay call returns. After
+/// every call of every public entry — per access, each frame loop, the
+/// shared and recorded replays, a timed replay, a service client's frame —
+/// the recorder holds everything the engine's own counters imply, and an
+/// `UnknownTexture` error return publishes what the frame did before it.
+#[test]
+fn every_replay_call_returns_with_its_counts_published() {
+    let w = tiny_village();
+    let reg = w.registry();
+    let filter = FilterMode::Trilinear;
+    let traces: Vec<FrameTrace> = (0..w.frame_count)
+        .map(|i| w.trace_frame(i, filter))
+        .collect();
+    let attached = |rec: &Recorder| {
+        let mut e = SimEngine::new(busy_cfg(), reg);
+        e.attach_telemetry_opts(rec, "run", "g", ATTRIBUTED);
+        e
+    };
+
+    type Entry<'a> = Box<dyn Fn(&mut SimEngine, &FrameTrace) -> Result<(), EngineError> + 'a>;
+    let entries: Vec<(&str, Entry)> = vec![
+        ("scalar", Box::new(|e, t| e.try_run_frame_as(t, filter))),
+        (
+            "batched",
+            Box::new(|e, t| e.try_run_frame_as_batched(t, filter)),
+        ),
+        (
+            "traced",
+            Box::new(|e, t| e.try_run_frame_as_traced(t, filter)),
+        ),
+        (
+            "prepared",
+            Box::new(|e, t| {
+                let mut p = PreparedFrame::default();
+                FramePrep::new(&e.config(), reg).prepare(
+                    filter,
+                    t.requests.iter().copied(),
+                    &mut p,
+                );
+                e.try_run_frame_prepared(&p)
+            }),
+        ),
+        (
+            "shared",
+            Box::new(|e, t| SimEngine::try_run_frame_shared_as(std::slice::from_mut(e), t, filter)),
+        ),
+        (
+            "recorded",
+            Box::new(|e, t| {
+                let mut pass = e.record_l1_pass(filter);
+                SimEngine::try_run_frame_recorded_as(std::slice::from_mut(e), t, &mut pass)
+            }),
+        ),
+        (
+            "replay_taps",
+            Box::new(|e, t| {
+                e.replay_taps(&expand_taps(&w, t, filter));
+                e.end_frame();
+                Ok(())
+            }),
+        ),
+        (
+            "timed",
+            Box::new(|e, t| {
+                if !e.timing_attached() {
+                    e.attach_timing(LatencyModel::default());
+                }
+                e.try_run_frame_as(t, filter)
+            }),
+        ),
+    ];
+    for (name, entry) in &entries {
+        let rec = Recorder::enabled();
+        let mut e = attached(&rec);
+        for (i, t) in traces.iter().enumerate() {
+            entry(&mut e, t).expect("frame names live textures");
+            let clock = e.l2().map(|l2| l2.clock_stats());
+            assert_published(&rec, &e.totals(), clock, &format!("{name} frame {i}"));
+        }
+        assert!(
+            e.totals().failed_transfers > 0,
+            "{name}: the link must bite"
+        );
+        assert!(e.l2().unwrap().clock_stats().searches > 0, "{name}: sweeps");
+    }
+
+    // Per access: every call publishes its one tap.
+    let rec = Recorder::enabled();
+    let mut e = attached(&rec);
+    for (i, &(tid, m, u, v)) in expand_taps(&w, &traces[0], filter).iter().enumerate() {
+        e.access_texel(TextureId::from_index(tid), m, u, v);
+        let s = rec.snapshot();
+        let taps = s.counters["engine/g/l1_hits"] + s.counters["engine/g/l1_misses"];
+        assert_eq!(taps, i as u64 + 1, "access {i}");
+    }
+    e.end_frame();
+    let clock = e.l2().map(|l2| l2.clock_stats());
+    assert_published(&rec, &e.totals(), clock, "access_texel");
+
+    // An error return: everything before the unknown texture is published.
+    let t = &traces[traces.len() / 2];
+    let half = t.requests.len() / 2;
+    let mut bad = t.clone();
+    bad.requests[half].tid = TextureId::from_index(9_999);
+    let mut prefix = t.clone();
+    prefix.requests.truncate(half);
+    let (rec_bad, rec_prefix) = (Recorder::enabled(), Recorder::enabled());
+    let (mut e_bad, mut e_prefix) = (attached(&rec_bad), attached(&rec_prefix));
+    for t in &traces[..traces.len() / 2] {
+        e_bad.try_run_frame_as_batched(t, filter).unwrap();
+        e_prefix.try_run_frame_as_batched(t, filter).unwrap();
+    }
+    assert!(matches!(
+        e_bad.try_run_frame_as_batched(&bad, filter),
+        Err(EngineError::UnknownTexture(_))
+    ));
+    e_prefix.try_run_frame_as_batched(&prefix, filter).unwrap();
+    let (got, want) = (rec_bad.snapshot(), rec_prefix.snapshot());
+    assert!(want.counters["engine/g/l1_misses"] > 0);
+    assert_eq!(got.counters, want.counters, "error return: counters");
+    assert_eq!(got.hists, want.hists, "error return: histograms");
+    assert_eq!(got.heatmaps, want.heatmaps, "error return: heat maps");
+
+    // A service client's frame.
+    let svc = TextureService::try_new(service_cfg(AdmissionControl::unlimited()), reg, 2).unwrap();
+    let rec = Recorder::enabled();
+    let mut client = svc.client(1).unwrap();
+    client.attach_telemetry_opts(&rec, "client", "g", ATTRIBUTED);
+    for (i, t) in traces.iter().enumerate() {
+        client.run_frame(svc.shared_l2(), t, filter).unwrap();
+        assert_published(&rec, &client.totals(), None, &format!("client frame {i}"));
+    }
 }
 
 /// A recorder-enabled sweep never shares an L1 pass: every configuration
