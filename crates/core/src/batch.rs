@@ -16,11 +16,13 @@
 //!    last-occurrence lane;
 //! 3. **Probe & commit wide** iff *every* unique tag is resident
 //!    ([`SetAssocCache::access_all_hits_by_tag`]
-//!    (mltc_cache::SetAssocCache::access_all_hits_by_tag)): the
-//!    Morton-interleaved XOR-folded set hash runs *lazily*, only for
-//!    unique tags the cache's last-slot memo cannot already prove
-//!    resident — a valid tag match at the memo slot is proof of
-//!    residency, because tags are only ever installed at their home set.
+//!    (mltc_cache::SetAssocCache::access_all_hits_by_tag)): a tag's home
+//!    set — unpacked from the tag, Morton-interleaved and folded in
+//!    closed form — and the way scan behind it run *lazily*, only for
+//!    unique tags the previous batch's slots and the cache's last-slot
+//!    memo cannot already prove resident — a valid tag match at a
+//!    remembered slot is proof of residency, because tags are only ever
+//!    installed at their home set.
 //!    The commit (stamps, tick, counters, memo) is bit-identical to
 //!    replaying the lanes one at a time: L1 hits never change tag
 //!    residency and never consult anything below L1.

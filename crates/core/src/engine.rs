@@ -59,15 +59,19 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Short human-readable description (used as series labels in the
-    /// experiment harness). L2 sizes below 1 MB print in KB.
+    /// experiment harness). L1 sizes below 1 KB print in bytes, L2 sizes
+    /// below 1 MB in KB.
     pub fn label(&self) -> String {
-        let l1kb = self.l1.size_bytes / 1024;
+        let l1 = match self.l1.size_bytes {
+            b if b < 1 << 10 => format!("{b} B"),
+            b => format!("{} KB", b >> 10),
+        };
         match self.l2 {
-            None => format!("{l1kb} KB L1, no L2"),
+            None => format!("{l1} L1, no L2"),
             Some(l2) if l2.size_bytes < 1 << 20 => {
-                format!("{l1kb} KB L1, {} KB L2", l2.size_bytes >> 10)
+                format!("{l1} L1, {} KB L2", l2.size_bytes >> 10)
             }
-            Some(l2) => format!("{l1kb} KB L1, {} MB L2", l2.size_bytes >> 20),
+            Some(l2) => format!("{l1} L1, {} MB L2", l2.size_bytes >> 20),
         }
     }
 
@@ -2157,5 +2161,14 @@ mod tests {
             ..ml
         };
         assert_eq!(small.label(), "2 KB L1, 64 KB L2");
+        let tiny = |size_bytes| EngineConfig {
+            l1: L1Config {
+                size_bytes,
+                ..L1Config::kb(2)
+            },
+            ..small
+        };
+        assert_eq!(tiny(128).label(), "128 B L1, 64 KB L2");
+        assert_eq!(tiny(512).label(), "512 B L1, 64 KB L2");
     }
 }

@@ -96,6 +96,19 @@ fn morton16(x: u32, y: u32) -> u32 {
     spread(x) | (spread(y) << 1)
 }
 
+/// The set hash's serial XOR fold: `h ^= h >> k·bits` for `k = 1, 2, …`
+/// while the shift stays below 32. [`L1AddressMap`] never runs it per
+/// probe; its constructor runs it on unit vectors to derive the closed
+/// form (see [`L1AddressMap::new`]).
+fn serial_fold(mut h: u32, bits: u32) -> u32 {
+    let mut shift = bits;
+    while shift < 32 {
+        h ^= h >> shift;
+        shift += bits;
+    }
+    h
+}
+
 /// Pure tag/set address computation of the L1 texture cache, split out of
 /// [`L1TextureCache`] so the wide replay path and the attribution shadow
 /// models can compute L1 addresses without touching cache state.
@@ -106,12 +119,28 @@ fn morton16(x: u32, y: u32) -> u32 {
 #[derive(Debug, Clone, Copy)]
 pub struct L1AddressMap {
     set_mask: u32,
+    /// Width of a fold chunk: `log2(sets)`, at least 1.
+    set_bits: u32,
+    /// The pre-fold hash bits the fold carries into the set index: a
+    /// union of whole `set_bits`-wide chunks (0 for a one-set cache).
+    chunk_mask: u32,
+    /// First XOR-halving shift of the closed form, `set_bits · 2^t`
+    /// with `2^(t+1)` chunks covering `chunk_mask`; below `set_bits`
+    /// when the mask fits the low chunk and no shift is needed.
+    top_shift: u32,
     tile_shift: u32,
     linear: bool,
 }
 
 impl L1AddressMap {
     /// Builds the map for `cfg`.
+    ///
+    /// Derives the closed form of the set hash's fold once: every fold
+    /// step `h ^= h >> k·b` is linear over GF(2) and the steps commute,
+    /// so the fold's low `b = log2(sets)` bits are the XOR of a fixed
+    /// subset of `h`'s `b`-bit chunks. Bit `k` of `h` belongs to that
+    /// subset iff the fold maps the unit vector `1 << k` to a non-zero
+    /// set — exact by linearity.
     ///
     /// # Panics
     ///
@@ -124,8 +153,20 @@ impl L1AddressMap {
             sets.is_power_of_two(),
             "L1 set count {sets} must be a power of two"
         );
+        let set_mask = sets as u32 - 1;
+        let set_bits = sets.trailing_zeros().max(1);
+        let chunk_mask = (0..32)
+            .filter(|&k| serial_fold(1 << k, set_bits) & set_mask != 0)
+            .fold(0u32, |mask, k| mask | 1 << k);
+        // `n` halvings, `b·2^(n-1)` down to `b`, XOR chunks 0..2^n into
+        // chunk 0; `n` is the bit length of the top kept chunk's index.
+        let top_chunk = chunk_mask.checked_ilog2().unwrap_or(0) / set_bits;
+        let halvings = u32::BITS - top_chunk.leading_zeros();
         Self {
-            set_mask: sets as u32 - 1,
+            set_mask,
+            set_bits,
+            chunk_mask,
+            top_shift: (set_bits << halvings) >> 1,
             tile_shift: cfg.tile.shift(),
             linear: matches!(cfg.storage, StorageFormat::Linear),
         }
@@ -153,16 +194,24 @@ impl L1AddressMap {
         // Mip level and texture id are multiplicatively spread over all bits
         // so coincident tiles of different levels/textures don't pile into
         // neighbouring sets.
-        let mut h = morton16(bx, by)
+        let h = morton16(bx, by)
             ^ m.wrapping_mul(0x85eb_ca6b)
             ^ tid.index().wrapping_mul(0x9e37_79b1).rotate_right(16);
-        let bits = (self.set_mask + 1).trailing_zeros().max(1);
-        let mut shift = bits;
-        while shift < 32 {
-            h ^= h >> shift;
-            shift += bits;
+        self.fold(h) as usize
+    }
+
+    /// The serial fold's set bits in closed form: XOR the chunks the fold
+    /// keeps into the low chunk by halving shifts (at most 5, none for a
+    /// one-set cache).
+    #[inline]
+    fn fold(&self, h: u32) -> u32 {
+        let mut x = h & self.chunk_mask;
+        let mut shift = self.top_shift;
+        while shift >= self.set_bits {
+            x ^= x >> shift;
+            shift >>= 1;
         }
-        (h & self.set_mask) as usize
+        x & self.set_mask
     }
 
     /// Tag and set of the line holding texel `(u, v)` of level `m` of
@@ -243,8 +292,10 @@ pub struct L1TextureCache {
     /// One-entry tag → set memo: the packed key of the most recently
     /// located line and its set. `last_set == usize::MAX` until the first
     /// access. The key → set mapping is a pure function, so a key match
-    /// can reuse the set without rehashing (Morton interleave + XOR fold
-    /// skipped) — consecutive filter taps hit the same tile constantly.
+    /// can reuse the set without rehashing — consecutive filter taps hit
+    /// the same tile constantly. Since the fold is closed-form the hash
+    /// is mostly the Morton interleave and two multiplies; the memo still
+    /// pays for its compare on the miss path (DESIGN.md §8).
     last_key: u64,
     last_set: usize,
 }
@@ -519,6 +570,34 @@ mod tests {
                 let (tag, set) = map.tag_set(tid, m, u, v);
                 assert_eq!(map.tag_of(tid, m, u, v), tag);
                 assert_eq!(map.set_of_tag(tag), set, "access {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_fold_equals_the_serial_fold_at_every_set_count() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for log_sets in 0..=16u32 {
+            let sets = 1usize << log_sets;
+            let map = L1AddressMap::new(L1Config {
+                size_bytes: sets * 64,
+                ways: 1,
+                ..L1Config::kb(2)
+            });
+            let (bits, mask) = (log_sets.max(1), sets as u32 - 1);
+            let units = (0..32).map(|k| 1u32 << k);
+            let random = (0..4096).map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 32) as u32
+            });
+            for h in units.chain(random) {
+                assert_eq!(
+                    map.fold(h),
+                    serial_fold(h, bits) & mask,
+                    "{sets} sets, h = {h:#010x}"
+                );
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use mltc_core::{
     AccessTrace, EngineConfig, FaultPlan, FrameCounters, L1Config, L2Config, L2Outcome,
-    LatencyModel, ReplacementPolicy, SimEngine, TelemetryOpts,
+    LatencyModel, ReplacementPolicy, SimEngine, StorageFormat, TelemetryOpts,
 };
 use mltc_oracle::{expand_frame, DiffHarness, OracleEngine, TexelAccess};
 use mltc_telemetry::Recorder;
@@ -63,7 +63,28 @@ fn shape_stream(raw: &[(u8, u8, u32, u32, u8)], retouch: bool) -> Vec<TexelAcces
     stream
 }
 
-fn config(l2_sel: u8, policy_sel: u8, tlb_sel: u8, sector: bool, fault_sel: u8) -> EngineConfig {
+/// Shapes a raw selector into an L1 geometry: 1…512 sets of 1, 2 or 4
+/// ways, tiled or linear lines — every set count the set hash folds to.
+fn l1_config(sel: u16) -> L1Config {
+    let sets = 1usize << (sel % 10);
+    let ways = [1usize, 2, 4][(sel / 10 % 3) as usize];
+    let storage = [StorageFormat::Tiled, StorageFormat::Linear][(sel / 30 % 2) as usize];
+    L1Config {
+        size_bytes: sets * ways * L1Config::kb(2).line_bytes(),
+        ways,
+        storage,
+        ..L1Config::kb(2)
+    }
+}
+
+fn config(
+    l1_sel: u16,
+    l2_sel: u8,
+    policy_sel: u8,
+    tlb_sel: u8,
+    sector: bool,
+    fault_sel: u8,
+) -> EngineConfig {
     // Small L2 sizes keep eviction pressure high: 4 KB is 4 blocks.
     let l2 = match l2_sel % 4 {
         0 => None,
@@ -86,7 +107,7 @@ fn config(l2_sel: u8, policy_sel: u8, tlb_sel: u8, sector: bool, fault_sel: u8) 
         },
     };
     EngineConfig {
-        l1: L1Config::kb(2),
+        l1: l1_config(l1_sel),
         l2: l2.map(|size_bytes| L2Config {
             size_bytes,
             policy,
@@ -179,10 +200,11 @@ proptest! {
         sector in any::<bool>(),
         fault_sel in any::<u8>(),
         check_fast in any::<bool>(),
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
-        let cfg = config(l2_sel, policy_sel, tlb_sel, sector, fault_sel);
+        let cfg = config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, fault_sel);
         let harness = DiffHarness::new(cfg, &reg).expect("generated configs are valid");
         if let Err(div) = harness.replay_mode(&stream, check_fast) {
             let shrunk = harness.shrink(&stream);
@@ -202,6 +224,7 @@ proptest! {
         members in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 2..6),
         filter_sel in any::<u8>(),
         frame_count in 1usize..4,
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let filter = [FilterMode::Point, FilterMode::Bilinear, FilterMode::Trilinear]
@@ -223,7 +246,7 @@ proptest! {
             .collect();
         let configs: Vec<EngineConfig> = members
             .iter()
-            .map(|&(l2_sel, policy_sel, tlb_sel, sector)| config(l2_sel, policy_sel, tlb_sel, sector, 0))
+            .map(|&(l2_sel, policy_sel, tlb_sel, sector)| config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, 0))
             .collect();
         let mut group: Vec<SimEngine> = configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
         let mut oracles: Vec<OracleEngine> =
@@ -287,6 +310,7 @@ proptest! {
         retouch in any::<bool>(),
         sector in any::<bool>(),
         tlb_sel in any::<u8>(),
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
@@ -294,7 +318,7 @@ proptest! {
         let mut prev = None;
         for size in sizes {
             let cfg = EngineConfig {
-                l1: L1Config::kb(2),
+                l1: l1_config(l1_sel),
                 l2: Some(L2Config {
                     size_bytes: size,
                     policy: ReplacementPolicy::Lru,
@@ -325,10 +349,11 @@ proptest! {
         policy_sel in any::<u8>(),
         sector in any::<bool>(),
         fault_sel in any::<u8>(),
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, false);
-        let cfg = config(l2_sel, policy_sel, 0, sector, fault_sel);
+        let cfg = config(l1_sel, l2_sel, policy_sel, 0, sector, fault_sel);
         let mut oracle = OracleEngine::new(cfg, &reg);
         for a in &stream {
             oracle.access_texel(TextureId::from_index(a.tid), a.m, a.u, a.v);
@@ -351,10 +376,11 @@ proptest! {
         policy_sel in any::<u8>(),
         tlb_sel in any::<u8>(),
         sector in any::<bool>(),
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
-        let cfg = config(l2_sel, policy_sel, tlb_sel, sector, 0);
+        let cfg = config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, 0);
         let line = cfg.l1.line_bytes() as u64;
         let block = cfg.tiling.l2().cache_bytes() as u64;
         let mut engine = SimEngine::new(cfg, &reg);
@@ -390,10 +416,11 @@ proptest! {
         tlb_sel in any::<u8>(),
         sector in any::<bool>(),
         fault_sel in any::<u8>(),
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
-        let cfg = config(l2_sel, policy_sel, tlb_sel, sector, fault_sel);
+        let cfg = config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, fault_sel);
         let mut engine = SimEngine::new(cfg, &reg);
         for a in &stream {
             engine.access_texel_traced(TextureId::from_index(a.tid), a.m, a.u, a.v);
@@ -431,9 +458,10 @@ proptest! {
         model_sel in any::<u8>(),
         latency_raw in any::<u8>(),
         depth_raw in any::<u8>(),
+        l1_sel in any::<u16>(),
     ) {
         let stream = shape_stream(&raw, retouch);
-        let cfg = config(l2_sel, policy_sel, tlb_sel, sector, fault_sel);
+        let cfg = config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, fault_sel);
         let model = timing_model(model_sel, latency_raw, depth_raw);
         let reg = registry();
         let harness = DiffHarness::new(cfg, &reg).unwrap().with_timing(model);
@@ -461,6 +489,7 @@ proptest! {
         model_sel in any::<u8>(),
         latency_raw in any::<u8>(),
         depth_raw in any::<u8>(),
+        l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
@@ -473,7 +502,7 @@ proptest! {
             e
         };
         for (l2_sel, fault_sel) in [(0, 0), (1, 0), (2, 1)] {
-            let cfg = config(l2_sel, policy_sel, tlb_sel, sector, fault_sel);
+            let cfg = config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, fault_sel);
             let mut bare = SimEngine::new(cfg, &reg);
             let mut oracle = OracleEngine::new(cfg, &reg);
             let want: Vec<AccessTrace> = stream

@@ -2,7 +2,7 @@
 //! differential oracle, plus the divergence/shrink/repro pipeline driven
 //! with a deliberately mismatched model pair.
 
-use mltc_core::{EngineConfig, L1Config, L2Config, ReplacementPolicy, SimEngine};
+use mltc_core::{EngineConfig, L1Config, L2Config, ReplacementPolicy, SimEngine, StorageFormat};
 use mltc_oracle::{
     expand_frame, replay_pair, DiffHarness, OracleEngine, Repro, TexelAccess, TraceKey,
 };
@@ -82,6 +82,56 @@ fn committed_village_trace_conforms_without_l2() {
     };
     let harness = DiffHarness::new(cfg, workload.scene().registry()).unwrap();
     harness.replay(&stream).expect("pull architecture conforms");
+}
+
+/// The engine's closed-form set index against the oracle's serial fold
+/// at L1 shapes from one set to 256: 128 B (1 set), 256 B (2 sets),
+/// 256 B direct-mapped (4 sets, the one here whose fold keeps hash bit
+/// 31), 512 B direct-mapped (8 sets), 16 KB (128 sets) and 64 KB 4-way
+/// (256 sets), tiled and linear, with and without an L2. Small caches
+/// conflict constantly, so a line placed in another set than the
+/// oracle's shows as a hit/miss divergence.
+#[test]
+fn committed_traces_conform_across_l1_geometries() {
+    let geometries = [
+        (128, 2),
+        (256, 2),
+        (256, 1),
+        (512, 1),
+        (16 << 10, 2),
+        (64 << 10, 4),
+    ];
+    for name in [
+        "city-64x48-f4-ts8-s5eed-late-scanline.mltct",
+        "village-64x48-f4-ts8-s5eed-late-scanline.mltct",
+    ] {
+        let (workload, stream) = load(name);
+        let registry = workload.scene().registry();
+        for (size_bytes, ways) in geometries {
+            for storage in [StorageFormat::Tiled, StorageFormat::Linear] {
+                let l1 = L1Config {
+                    size_bytes,
+                    ways,
+                    storage,
+                    ..L1Config::kb(2)
+                };
+                let multi_level = EngineConfig {
+                    l1,
+                    ..stress_cfg(ReplacementPolicy::Clock)
+                };
+                let pull = EngineConfig {
+                    l1,
+                    ..EngineConfig::default()
+                };
+                for cfg in [pull, multi_level] {
+                    let harness = DiffHarness::new(cfg, registry).unwrap();
+                    if let Err(div) = harness.replay(&stream) {
+                        panic!("{name}, {} {ways}-way {storage:?}: {div}", cfg.label());
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The full divergence pipeline on a deliberately mismatched pair: an
