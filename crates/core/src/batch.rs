@@ -258,17 +258,10 @@ where
                     Some(n) => {
                         current.l1_accesses += n;
                         current.l1_hits += n;
-                        tel.wide_commit(&kern.uniq, &kern.last, kern.k, n);
-                        tel.with(|t| {
-                            t.wide_commits.incr();
-                            t.l1_hits.add(n);
-                            for q in &$quads[..$nq] {
-                                t.on_l1_hit_quad($tid, q.m, q.xa, q.xb, q.ya, q.yb);
-                            }
-                        });
+                        tel.wide_commit($tid, &$quads, $nq, &kern.uniq, &kern.last, kern.k, n);
                     }
                     None => {
-                        tel.with(|t| t.wide_declines.incr());
+                        tel.wide_decline();
                         tel.before_taps(current);
                         for q in &$quads[..$nq] {
                             let xs = [q.xa, q.xb, q.xa, q.xb];

@@ -1044,7 +1044,7 @@ impl Replay for OneTap {
         tel.before_taps(current);
         lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
         tel.after_tap(tid, m, u, v, current);
-        tel.trace()
+        tel.trace
     }
 }
 
@@ -1108,18 +1108,11 @@ where
             .ok_or(EngineError::UnknownTexture(req.tid))?;
         let levels = d.len() as u32;
         let taps = filter_taps(&req, const_filter::<F>(), levels, |m| d[m as usize]);
+        tel.before_taps(current);
         for tap in &taps {
-            lv.tap(
-                req.tid,
-                tap.m,
-                tap.u,
-                tap.v,
-                l1,
-                host,
-                current,
-                &mut tel,
-                &mut AdmitAll,
-            );
+            let (tid, m, u, v) = (req.tid, tap.m, tap.u, tap.v);
+            lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
+            tel.after_tap(tid, m, u, v, current);
         }
     }
     Ok(())
@@ -1140,9 +1133,11 @@ impl Replay for Taps<'_> {
         host: &mut HostLink,
         current: &mut FrameCounters,
     ) {
+        tel.before_taps(current);
         for &(tid, m, u, v) in self.0 {
             let tid = TextureId::from_index(tid);
             lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
+            tel.after_tap(tid, m, u, v, current);
         }
     }
 }

@@ -222,8 +222,9 @@ struct PendingFill {
 }
 
 /// What the overlay reads of one behavioural L1 miss — the part of an
-/// [`AccessTrace`] that moves a clock. The wide frame loops build it from
-/// the tap's `FrameCounters` delta instead of a trace.
+/// [`AccessTrace`] that moves a clock. The frame loops' timing sink builds
+/// it from the trace its outcome reader reads off the tap's
+/// `FrameCounters` delta.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MissOutcome {
     /// Served by an L2→L1 fill; otherwise a host download was attempted.
@@ -236,7 +237,7 @@ pub(crate) struct MissOutcome {
 }
 
 impl MissOutcome {
-    fn of(tr: &AccessTrace) -> Self {
+    pub(crate) fn of(tr: &AccessTrace) -> Self {
         Self {
             l2_full_hit: tr.l2 == Some(L2Outcome::FullHit),
             has_l2: tr.l2.is_some(),

@@ -747,7 +747,7 @@ mod reference {
                     }
                     match tel {
                         None => pull!(TelOff),
-                        Some(t) => pull!(TelOn(t)),
+                        Some(t) => pull!(TelOn::new(t)),
                     }
                 }
                 Some(l2) => {
@@ -761,9 +761,9 @@ mod reference {
                     }
                     match (tlb, tel) {
                         (None, None) => ml!(TlbOff, TelOff),
-                        (None, Some(t)) => ml!(TlbOff, TelOn(t)),
+                        (None, Some(t)) => ml!(TlbOff, TelOn::new(t)),
                         (Some(tlb), None) => ml!(TlbOn(tlb), TelOff),
-                        (Some(tlb), Some(t)) => ml!(TlbOn(tlb), TelOn(t)),
+                        (Some(tlb), Some(t)) => ml!(TlbOn(tlb), TelOn::new(t)),
                     }
                 }
             }?;
@@ -804,97 +804,70 @@ mod reference {
                 .ok_or(EngineError::UnknownTexture(req.tid))?;
             let levels = d.len() as u32;
             let taps = filter_taps(req, filter, levels, |m| d[m as usize]);
+            tel.before_taps(current);
             for tap in &taps {
-                let transfers = current.l2_partial_hits + current.l2_full_misses;
-                if admission.hard_transfers_per_frame > 0
-                    && transfers >= admission.hard_transfers_per_frame
-                {
-                    svc.shed_taps += 1;
-                    *shed_frame = true;
-                    continue;
-                }
-                if admission.soft_transfers_per_frame > 0
-                    && transfers >= admission.soft_transfers_per_frame
-                {
-                    svc.bump_tier(DegradeTier::DegradedTaps);
-                    current.l1_accesses += 1;
-                    if l1.access(req.tid, tap.m, tap.u, tap.v) {
-                        current.l1_hits += 1;
-                        tel.with(|t| {
-                            t.l1_hits.incr();
-                            t.on_l1_hit(req.tid, tap.m, tap.u, tap.v);
-                        });
-                        continue;
+                'tap: {
+                    let transfers = current.l2_partial_hits + current.l2_full_misses;
+                    if admission.hard_transfers_per_frame > 0
+                        && transfers >= admission.hard_transfers_per_frame
+                    {
+                        svc.shed_taps += 1;
+                        *shed_frame = true;
+                        break 'tap;
                     }
-                    tel.with(|t| t.on_l1_miss(req.tid, tap.m, tap.u, tap.v));
-                    let (pt_index, l1_sub) =
-                        tables.lookup(&mut memo, req.tid.index(), tap.m, tap.u, tap.v);
-                    let tlb_hit = tlb.access(pt_index as u64);
-                    if let Some(hit) = tlb_hit {
-                        current.tlb_accesses += 1;
-                        current.tlb_hits += hit as u64;
-                    }
-                    let l2_trace = l2.access_traced(pt_index, l1_sub);
-                    let outcome = l2_trace.outcome;
-                    let evicted_page = l2_trace.evicted_page;
-                    if outcome == L2Outcome::FullHit {
-                        current.l2_full_hits += 1;
-                        current.l2_local_bytes += l1_bytes;
-                        tel.with(|t| {
-                            t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                            t.l2_full_hits.incr();
-                        });
-                        continue;
-                    }
-                    // The transfer the miss needs is denied: roll back the
-                    // speculative install exactly like a failed download and
-                    // fall back to resident coarser data.
-                    match outcome {
-                        L2Outcome::PartialHit => current.l2_partial_hits += 1,
-                        L2Outcome::FullMiss => current.l2_full_misses += 1,
-                        L2Outcome::FullHit => unreachable!("full hits continue above"),
-                    }
-                    svc.denied_transfers += 1;
-                    l2.fail_download(pt_index, l1_sub);
-                    l1.invalidate(req.tid, tap.m, tap.u, tap.v);
-                    let served = degraded_probe(tables, dims, l2, req.tid, tap.m, tap.u, tap.v);
-                    if served {
-                        current.degraded_taps += 1;
-                        current.l2_local_bytes += l1_bytes;
-                    } else {
-                        current.dropped_taps += 1;
-                    }
-                    tel.with(|t| {
-                        t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                        match outcome {
-                            L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-                            L2Outcome::FullMiss => {
-                                t.l2_full_misses.incr();
-                                t.on_full_miss_sweep(l2.clock_stats());
+                    if admission.soft_transfers_per_frame > 0
+                        && transfers >= admission.soft_transfers_per_frame
+                    {
+                        svc.bump_tier(DegradeTier::DegradedTaps);
+                        current.l1_accesses += 1;
+                        if l1.access(req.tid, tap.m, tap.u, tap.v) {
+                            current.l1_hits += 1;
+                            break 'tap;
+                        }
+                        let (pt_index, l1_sub) =
+                            tables.lookup(&mut memo, req.tid.index(), tap.m, tap.u, tap.v);
+                        if let Some(hit) = tlb.access(pt_index as u64) {
+                            current.tlb_accesses += 1;
+                            current.tlb_hits += hit as u64;
+                        }
+                        let l2_trace = l2.access_traced(pt_index, l1_sub);
+                        tel.l2_probed(&l2_trace, pt_index, l2);
+                        // The transfer the miss needs is denied: roll back
+                        // the speculative install exactly like a failed
+                        // download and fall back to resident coarser data.
+                        match l2_trace.outcome {
+                            L2Outcome::FullHit => {
+                                current.l2_full_hits += 1;
+                                current.l2_local_bytes += l1_bytes;
+                                break 'tap;
                             }
-                            L2Outcome::FullHit => unreachable!("full hits continue above"),
+                            L2Outcome::PartialHit => current.l2_partial_hits += 1,
+                            L2Outcome::FullMiss => current.l2_full_misses += 1,
                         }
-                        if served {
-                            t.degraded_taps.incr();
+                        svc.denied_transfers += 1;
+                        l2.fail_download(pt_index, l1_sub);
+                        l1.invalidate(req.tid, tap.m, tap.u, tap.v);
+                        if degraded_probe(tables, dims, l2, req.tid, tap.m, tap.u, tap.v) {
+                            current.degraded_taps += 1;
+                            current.l2_local_bytes += l1_bytes;
                         } else {
-                            t.dropped_taps.incr();
+                            current.dropped_taps += 1;
                         }
-                        t.on_l1_rollback(req.tid, tap.m, tap.u, tap.v);
-                        t.on_l2_fault(pt_index as u64);
-                    });
-                    continue;
+                        break 'tap;
+                    }
+                    MultiLevel::new(cfg, tables, dims, l2, &mut tlb).tap(
+                        req.tid,
+                        tap.m,
+                        tap.u,
+                        tap.v,
+                        l1,
+                        host,
+                        current,
+                        &mut tel,
+                        &mut AdmitAll,
+                    );
                 }
-                MultiLevel::new(cfg, tables, dims, l2, &mut tlb).tap(
-                    req.tid,
-                    tap.m,
-                    tap.u,
-                    tap.v,
-                    l1,
-                    host,
-                    current,
-                    &mut tel,
-                    &mut AdmitAll,
-                );
+                tel.after_tap(req.tid, tap.m, tap.u, tap.v, current);
             }
         }
         Ok(())
@@ -924,50 +897,44 @@ mod reference {
                 .ok_or(EngineError::UnknownTexture(req.tid))?;
             let levels = d.len() as u32;
             let taps = filter_taps(req, filter, levels, |m| d[m as usize]);
+            tel.before_taps(current);
             for tap in &taps {
-                let transfers = current.l1_accesses - current.l1_hits;
-                if admission.hard_transfers_per_frame > 0
-                    && transfers >= admission.hard_transfers_per_frame
-                {
-                    svc.shed_taps += 1;
-                    *shed_frame = true;
-                    continue;
-                }
-                if admission.soft_transfers_per_frame > 0
-                    && transfers >= admission.soft_transfers_per_frame
-                {
-                    svc.bump_tier(DegradeTier::DegradedTaps);
-                    current.l1_accesses += 1;
-                    if l1.access(req.tid, tap.m, tap.u, tap.v) {
-                        current.l1_hits += 1;
-                        tel.with(|t| {
-                            t.l1_hits.incr();
-                            t.on_l1_hit(req.tid, tap.m, tap.u, tap.v);
-                        });
-                        continue;
+                'tap: {
+                    let transfers = current.l1_accesses - current.l1_hits;
+                    if admission.hard_transfers_per_frame > 0
+                        && transfers >= admission.hard_transfers_per_frame
+                    {
+                        svc.shed_taps += 1;
+                        *shed_frame = true;
+                        break 'tap;
                     }
-                    tel.with(|t| t.on_l1_miss(req.tid, tap.m, tap.u, tap.v));
-                    svc.denied_transfers += 1;
-                    l1.invalidate(req.tid, tap.m, tap.u, tap.v);
-                    current.dropped_taps += 1;
-                    tel.with(|t| {
-                        t.l1_misses.incr();
-                        t.dropped_taps.incr();
-                        t.on_l1_rollback(req.tid, tap.m, tap.u, tap.v);
-                    });
-                    continue;
+                    if admission.soft_transfers_per_frame > 0
+                        && transfers >= admission.soft_transfers_per_frame
+                    {
+                        svc.bump_tier(DegradeTier::DegradedTaps);
+                        current.l1_accesses += 1;
+                        if l1.access(req.tid, tap.m, tap.u, tap.v) {
+                            current.l1_hits += 1;
+                            break 'tap;
+                        }
+                        svc.denied_transfers += 1;
+                        l1.invalidate(req.tid, tap.m, tap.u, tap.v);
+                        current.dropped_taps += 1;
+                        break 'tap;
+                    }
+                    Pull::new(cfg).tap(
+                        req.tid,
+                        tap.m,
+                        tap.u,
+                        tap.v,
+                        l1,
+                        host,
+                        current,
+                        &mut tel,
+                        &mut AdmitAll,
+                    );
                 }
-                Pull::new(cfg).tap(
-                    req.tid,
-                    tap.m,
-                    tap.u,
-                    tap.v,
-                    l1,
-                    host,
-                    current,
-                    &mut tel,
-                    &mut AdmitAll,
-                );
+                tel.after_tap(req.tid, tap.m, tap.u, tap.v, current);
             }
         }
         Ok(())

@@ -17,8 +17,14 @@
 //! [`Hierarchy::replay_under`], `(telemetry, timing)` become a
 //! [`TelemetryMode`] sink in [`Hierarchy::replay`], and the replay loop —
 //! a [`Replay`] — is instantiated over both. Observers are sinks, never
-//! arms of the body: [`Timed`] and [`Traced`] read a tap's outcome off the
-//! movement of the [`FrameCounters`] around the unedited body.
+//! arms of the body: the bodies update the caches, the host link and the
+//! [`FrameCounters`] and nothing else, and [`TelOn`], [`Timed`] and
+//! [`Traced`] each learn what a tap did from one outcome reader,
+//! [`TapReader`], which reads it off the movement of the counters around
+//! the unedited body. The two facts no counter carries — the page an L1
+//! miss probed in the L2 and the L2's clock statistics after it — reach
+//! the sinks through [`TelemetryMode::l2_probed`], with the block and the
+//! eviction victim.
 
 use crate::batch::BATCH_LANES;
 use crate::engine::{AccessTrace, EngineConfig, FrameCounters};
@@ -26,51 +32,58 @@ use crate::latency::{MissOutcome, TimingSim};
 use crate::service::{AdmissionControl, ClientServiceStats, DegradeTier};
 use crate::telemetry::EngineTelemetry;
 use crate::{HostLink, L1TextureCache, L2AccessTrace, L2Cache, L2Outcome, Transfer};
-use mltc_cache::RoundRobinTlb;
+use mltc_cache::{ClockStats, RoundRobinTlb};
 use mltc_texture::{TextureId, TranslationMemo, TranslationTables};
-use mltc_trace::FilterMode;
+use mltc_trace::{FilterMode, LevelQuad};
 
 /// Per-texture mip-chain dimensions (`None` = no such texture), indexed by
 /// texture id.
 pub(crate) type MipDims = [Option<Vec<(u32, u32)>>];
 
-/// Compile-time telemetry switch: `TelOn` forwards to the attached
-/// [`EngineTelemetry`], `TelOff` erases the observation closures entirely,
-/// `MissLog` erases them too but records every L1 miss for a shared
-/// replay's followers, `Timed` wraps any of them to feed the timing
-/// overlay from the frame loops, and `Traced` wraps any of them to report
-/// one tap as an [`AccessTrace`].
+/// Compile-time telemetry switch: `TelOn` tallies what each tap did into
+/// the attached [`EngineTelemetry`], `TelOff` observes nothing, `MissLog`
+/// records every L1 miss for a shared replay's followers, `Timed` wraps
+/// any of them to feed the timing overlay from the frame loops, and
+/// `Traced` wraps any of them to report one tap as an [`AccessTrace`].
 ///
-/// The hooks below `with` are empty unless a mode fills them, and their
-/// call sites pass nothing that costs anything to evaluate (whole arrays,
-/// never a slice made for the hook: the bounds check of a slice argument
-/// survives in instantiations whose hook is empty), so every other
-/// instantiation compiles to the code it had without them.
+/// Every hook is empty unless a mode fills it, and the call sites pass
+/// nothing that costs anything to evaluate (values the body already holds,
+/// whole arrays, never a slice made for the hook: the bounds check of a
+/// slice argument survives in instantiations whose hook is empty), so
+/// `TelOff` and `MissLog` compile to the bare hierarchy.
 pub(crate) trait TelemetryMode {
-    fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry));
-
     /// Called once per L1 miss, before anything below the L1 runs.
     #[inline(always)]
     fn l1_miss(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32) {}
 
-    /// Called once per L2 probe with what the L2 reports of it — the
-    /// physical block and the eviction victim are the two facts of a tap
-    /// the counters do not carry.
+    /// Called once per L2 probe with what the L2 reports of it, the page
+    /// it probed and the L2 itself: the physical block, the eviction
+    /// victim, the page and the clock's cumulative sweep statistics are
+    /// the facts of a tap the counters do not carry.
     #[inline(always)]
-    fn l2_probed(&mut self, _probe: &L2AccessTrace) {}
+    fn l2_probed(&mut self, _probe: &L2AccessTrace, _pt_index: u32, _l2: &L2Cache) {}
 
     /// A pixel request — one lookahead fragment — committed wide: `n` L1
-    /// hits over the distinct tags `uniq[..k]`, whose last lanes are
-    /// `last[..k]`.
+    /// hits on `tid` over the corner quads `quads[..nq]`, whose distinct
+    /// tags are `uniq[..k]` with last lanes `last[..k]`.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn wide_commit(
         &mut self,
+        _tid: TextureId,
+        _quads: &[LevelQuad; 2],
+        _nq: usize,
         _uniq: &[u64; BATCH_LANES],
         _last: &[u32; BATCH_LANES],
         _k: usize,
         _n: u64,
     ) {
     }
+
+    /// A pixel request declined the wide commit: its taps replay as scalar
+    /// taps next.
+    #[inline(always)]
+    fn wide_decline(&mut self) {}
 
     /// A pixel request — one lookahead fragment — is about to replay as
     /// scalar taps; the counters as they stand.
@@ -83,30 +96,133 @@ pub(crate) trait TelemetryMode {
     fn after_tap(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32, _current: &FrameCounters) {}
 }
 
-/// Telemetry attached: the hooks tally into the [`EngineTelemetry`]'s own
-/// integers, which reach the recorder when the sink is dropped — at the
-/// end of the replay call that built it, on every return path.
-pub(crate) struct TelOn<'a>(pub(crate) &'a mut EngineTelemetry);
+/// What an L2 probe reported beyond the counters, as
+/// [`l2_probed`](TelemetryMode::l2_probed) hands it over.
+#[derive(Clone, Copy)]
+pub(crate) struct L2Probe {
+    pub(crate) trace: L2AccessTrace,
+    pub(crate) pt_index: u32,
+    /// The L2's cumulative clock statistics after the probe: a full miss's
+    /// sweep has run.
+    pub(crate) clock: ClockStats,
+}
+
+/// The one outcome reader: what a scalar tap did, read off the movement of
+/// the [`FrameCounters`] around the unedited tap body plus what its L2 probe
+/// reported. Every sink that observes taps — [`TelOn`], [`Timed`],
+/// [`Traced`] — keeps one and learns a tap's outcome only through it.
+#[derive(Default)]
+pub(crate) struct TapReader {
+    before: FrameCounters,
+    probe: Option<L2Probe>,
+}
+
+impl TapReader {
+    #[inline(always)]
+    fn before_taps(&mut self, current: &FrameCounters) {
+        self.before = *current;
+    }
+
+    #[inline(always)]
+    fn l2_probed(&mut self, trace: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
+        self.probe = Some(L2Probe {
+            trace: *trace,
+            pt_index,
+            clock: l2.clock_stats(),
+        });
+    }
+
+    /// The tap that moved the counters from where the previous tap (or
+    /// `before_taps`) left them to `now`, with its L2 probe; `None` for a
+    /// tap the admission mode shed, which never reached the L1.
+    #[inline(always)]
+    fn after_tap(&mut self, now: &FrameCounters) -> Option<(AccessTrace, Option<L2Probe>)> {
+        let was = std::mem::replace(&mut self.before, *now);
+        let probe = self.probe.take();
+        if now.l1_accesses == was.l1_accesses {
+            return None;
+        }
+        let trace = AccessTrace {
+            l1_hit: now.l1_hits != was.l1_hits,
+            tlb_hit: (now.tlb_accesses != was.tlb_accesses).then_some(now.tlb_hits != was.tlb_hits),
+            l2: probe.map(|p| p.trace.outcome),
+            l2_block: probe.map(|p| p.trace.block),
+            evicted_page: probe.and_then(|p| p.trace.evicted_page),
+            host_bytes: now.host_bytes - was.host_bytes,
+            retries: (now.retries - was.retries) as u32,
+            failed: now.failed_transfers != was.failed_transfers,
+            degraded: now.degraded_taps != was.degraded_taps,
+            dropped: now.dropped_taps != was.dropped_taps,
+        };
+        Some((trace, probe))
+    }
+}
+
+/// Telemetry attached: each tap's outcome, as the [`TapReader`] reads it,
+/// and each wide commit are tallied into the [`EngineTelemetry`], which
+/// publishes into the recorder when the sink is dropped — at the end of
+/// the replay call that built it, on every return path.
+pub(crate) struct TelOn<'a> {
+    tel: &'a mut EngineTelemetry,
+    reader: TapReader,
+}
+
+impl<'a> TelOn<'a> {
+    pub(crate) fn new(tel: &'a mut EngineTelemetry) -> Self {
+        Self {
+            tel,
+            reader: TapReader::default(),
+        }
+    }
+}
 
 impl TelemetryMode for TelOn<'_> {
     #[inline(always)]
-    fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry)) {
-        f(self.0);
+    fn l2_probed(&mut self, probe: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
+        self.reader.l2_probed(probe, pt_index, l2);
+    }
+
+    #[inline(always)]
+    fn wide_commit(
+        &mut self,
+        tid: TextureId,
+        quads: &[LevelQuad; 2],
+        nq: usize,
+        _uniq: &[u64; BATCH_LANES],
+        _last: &[u32; BATCH_LANES],
+        _k: usize,
+        n: u64,
+    ) {
+        self.tel.on_wide_commit(tid, quads, nq, n);
+    }
+
+    #[inline(always)]
+    fn wide_decline(&mut self) {
+        self.tel.wide_declines.incr();
+    }
+
+    #[inline(always)]
+    fn before_taps(&mut self, current: &FrameCounters) {
+        self.reader.before_taps(current);
+    }
+
+    #[inline(always)]
+    fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
+        if let Some((trace, probe)) = self.reader.after_tap(current) {
+            self.tel.on_tap(tid, m, u, v, &trace, probe.as_ref());
+        }
     }
 }
 
 impl Drop for TelOn<'_> {
     fn drop(&mut self) {
-        self.0.publish();
+        self.tel.publish();
     }
 }
 
 pub(crate) struct TelOff;
 
-impl TelemetryMode for TelOff {
-    #[inline(always)]
-    fn with(&mut self, _f: impl FnOnce(&mut EngineTelemetry)) {}
-}
+impl TelemetryMode for TelOff {}
 
 /// One L1 miss `(texture index, m, u, v)` as the leader of a shared replay
 /// logs it.
@@ -119,81 +235,49 @@ pub(crate) struct MissLog<'a>(pub(crate) &'a mut Vec<L1Miss>);
 
 impl TelemetryMode for MissLog<'_> {
     #[inline(always)]
-    fn with(&mut self, _f: impl FnOnce(&mut EngineTelemetry)) {}
-
-    #[inline(always)]
     fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
         self.0.push((tid.index(), m, u, v));
     }
 }
 
-/// The `FrameCounters` fields whose movement across one tap body is what
-/// the timing overlay reads of that tap.
-#[derive(Clone, Copy, Default)]
-struct TapMark {
-    l1_accesses: u64,
-    l1_hits: u64,
-    l2_full_hits: u64,
-    host_bytes: u64,
-    retries: u64,
-    failed_transfers: u64,
-}
-
-impl TapMark {
-    #[inline(always)]
-    fn of(c: &FrameCounters) -> Self {
-        Self {
-            l1_accesses: c.l1_accesses,
-            l1_hits: c.l1_hits,
-            l2_full_hits: c.l2_full_hits,
-            host_bytes: c.host_bytes,
-            retries: c.retries,
-            failed_transfers: c.failed_transfers,
-        }
-    }
-}
-
 /// The timing sink of the frame loops: telemetry as `Te` has it, plus
 /// the [`TimingSim`] fed one event per wide commit and one per scalar
-/// tap. A scalar tap's outcome is the movement of [`TapMark`] around the
-/// unedited tap body, so the bodies carry no timing code.
+/// tap, whose outcome the [`TapReader`] reads, so the bodies carry no
+/// timing code.
 pub(crate) struct Timed<'a, Te> {
     tel: Te,
     sim: &'a mut TimingSim,
-    has_l2: bool,
-    mark: TapMark,
+    reader: TapReader,
 }
 
 impl<'a, Te> Timed<'a, Te> {
-    pub(crate) fn new(tel: Te, sim: &'a mut TimingSim, has_l2: bool) -> Self {
+    pub(crate) fn new(tel: Te, sim: &'a mut TimingSim) -> Self {
         Self {
             tel,
             sim,
-            has_l2,
-            mark: TapMark::default(),
+            reader: TapReader::default(),
         }
     }
 }
 
 impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
     #[inline(always)]
-    fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry)) {
-        self.tel.with(f);
-    }
-
-    #[inline(always)]
     fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
         self.tel.l1_miss(tid, m, u, v);
     }
 
     #[inline(always)]
-    fn l2_probed(&mut self, probe: &L2AccessTrace) {
-        self.tel.l2_probed(probe);
+    fn l2_probed(&mut self, probe: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
+        self.reader.l2_probed(probe, pt_index, l2);
+        self.tel.l2_probed(probe, pt_index, l2);
     }
 
     #[inline(always)]
     fn wide_commit(
         &mut self,
+        tid: TextureId,
+        quads: &[LevelQuad; 2],
+        nq: usize,
         uniq: &[u64; BATCH_LANES],
         last: &[u32; BATCH_LANES],
         k: usize,
@@ -201,112 +285,78 @@ impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
     ) {
         self.sim.open_fragment();
         self.sim.commit_hits(uniq, last, k, n);
+        self.tel.wide_commit(tid, quads, nq, uniq, last, k, n);
+    }
+
+    #[inline(always)]
+    fn wide_decline(&mut self) {
+        self.tel.wide_decline();
     }
 
     #[inline(always)]
     fn before_taps(&mut self, current: &FrameCounters) {
         self.sim.open_fragment();
-        self.mark = TapMark::of(current);
+        self.reader.before_taps(current);
+        self.tel.before_taps(current);
     }
 
     #[inline(always)]
     fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
-        let was = std::mem::replace(&mut self.mark, TapMark::of(current));
-        let now = &self.mark;
-        if now.l1_hits != was.l1_hits {
-            return self.sim.observe_hit(tid, m, u, v);
+        match self.reader.after_tap(current) {
+            Some((trace, _)) if trace.l1_hit => self.sim.observe_hit(tid, m, u, v),
+            Some((trace, _)) => self.sim.observe_miss(tid, m, u, v, MissOutcome::of(&trace)),
+            None => {}
         }
-        // A tap the admission mode shed never reached the L1.
-        if now.l1_accesses == was.l1_accesses {
-            return;
-        }
-        self.sim.observe_miss(
-            tid,
-            m,
-            u,
-            v,
-            MissOutcome {
-                l2_full_hit: now.l2_full_hits != was.l2_full_hits,
-                has_l2: self.has_l2,
-                host_bytes: now.host_bytes - was.host_bytes,
-                retries: now.retries - was.retries,
-                failed: now.failed_transfers != was.failed_transfers,
-            },
-        );
+        self.tel.after_tap(tid, m, u, v, current);
     }
 }
 
 /// The trace sink of the per-access entry
 /// ([`SimEngine::access_texel_traced`](crate::SimEngine::access_texel_traced)):
-/// telemetry as `Te` has it, plus an [`AccessTrace`] of the tap between
-/// [`before_taps`](TelemetryMode::before_taps) and
-/// [`after_tap`](TelemetryMode::after_tap). Like [`Timed`] it reads the
-/// outcome off the [`FrameCounters`] the unedited tap body moved; the L2
-/// block and the eviction victim, which no counter carries, arrive through
-/// [`l2_probed`](TelemetryMode::l2_probed).
+/// telemetry as `Te` has it, plus the [`AccessTrace`] the [`TapReader`]
+/// reads of the tap between [`before_taps`](TelemetryMode::before_taps)
+/// and [`after_tap`](TelemetryMode::after_tap).
 pub(crate) struct Traced<Te> {
     tel: Te,
-    before: FrameCounters,
-    probe: Option<L2AccessTrace>,
-    trace: AccessTrace,
+    reader: TapReader,
+    /// What happened to the tap the last `after_tap` closed.
+    pub(crate) trace: AccessTrace,
 }
 
 impl<Te> Traced<Te> {
     pub(crate) fn new(tel: Te) -> Self {
         Self {
             tel,
-            before: FrameCounters::default(),
-            probe: None,
+            reader: TapReader::default(),
             trace: AccessTrace::default(),
         }
-    }
-
-    /// What happened to the tap the last `after_tap` closed.
-    pub(crate) fn trace(&self) -> AccessTrace {
-        self.trace
     }
 }
 
 impl<Te: TelemetryMode> TelemetryMode for Traced<Te> {
-    #[inline(always)]
-    fn with(&mut self, f: impl FnOnce(&mut EngineTelemetry)) {
-        self.tel.with(f);
-    }
-
     #[inline(always)]
     fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
         self.tel.l1_miss(tid, m, u, v);
     }
 
     #[inline(always)]
-    fn l2_probed(&mut self, probe: &L2AccessTrace) {
-        self.probe = Some(*probe);
-        self.tel.l2_probed(probe);
+    fn l2_probed(&mut self, probe: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
+        self.reader.l2_probed(probe, pt_index, l2);
+        self.tel.l2_probed(probe, pt_index, l2);
     }
 
     #[inline(always)]
     fn before_taps(&mut self, current: &FrameCounters) {
-        self.before = *current;
+        self.reader.before_taps(current);
         self.tel.before_taps(current);
     }
 
     #[inline(always)]
     fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
-        let was = std::mem::replace(&mut self.before, *current);
-        let now = current;
-        let probe = self.probe.take();
-        self.trace = AccessTrace {
-            l1_hit: now.l1_hits != was.l1_hits,
-            tlb_hit: (now.tlb_accesses != was.tlb_accesses).then_some(now.tlb_hits != was.tlb_hits),
-            l2: probe.map(|p| p.outcome),
-            l2_block: probe.map(|p| p.block),
-            evicted_page: probe.and_then(|p| p.evicted_page),
-            host_bytes: now.host_bytes - was.host_bytes,
-            retries: (now.retries - was.retries) as u32,
-            failed: now.failed_transfers != was.failed_transfers,
-            degraded: now.degraded_taps != was.degraded_taps,
-            dropped: now.dropped_taps != was.dropped_taps,
-        };
+        self.trace = self
+            .reader
+            .after_tap(current)
+            .map_or_else(AccessTrace::default, |t| t.0);
         self.tel.after_tap(tid, m, u, v, current);
     }
 }
@@ -422,10 +472,6 @@ pub(crate) const fn const_filter<const F: u8>() -> FilterMode {
 /// The levels below the L1 as a value: the architecture a replay loop is
 /// generic over. [`Pull`] and [`MultiLevel`] are the two the paper compares.
 pub(crate) trait Levels {
-    /// Whether an L2 sits below the L1 (a host download then pays the L2
-    /// fill as its last hop in the timing overlay).
-    const HAS_L2: bool;
-
     /// Everything a tap does after its L1 miss. A method of its own so a
     /// shared replay's followers can run it straight off the leader's L1
     /// miss log.
@@ -465,13 +511,8 @@ pub(crate) trait Levels {
         current.l1_accesses += 1;
         if l1.access(tid, m, u, v) {
             current.l1_hits += 1;
-            tel.with(|t| {
-                t.l1_hits.incr();
-                t.on_l1_hit(tid, m, u, v);
-            });
             return;
         }
-        tel.with(|t| t.on_l1_miss(tid, m, u, v));
         tel.l1_miss(tid, m, u, v);
         self.below_l1(tid, m, u, v, l1, host, current, tel, ad);
     }
@@ -492,10 +533,9 @@ impl Pull {
 }
 
 impl Levels for Pull {
-    const HAS_L2: bool = false;
-
     /// Host transfer → rollback. Without an L2 there is nothing to degrade
-    /// to, so a failed or denied transfer drops the tap.
+    /// to, so a failed or denied transfer drops the tap, and nothing to
+    /// tell the sink that the counters do not.
     #[inline(always)]
     fn below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
         &mut self,
@@ -506,61 +546,42 @@ impl Levels for Pull {
         l1: &mut L1TextureCache,
         host: &mut HostLink,
         current: &mut FrameCounters,
-        tel: &mut Te,
+        _tel: &mut Te,
         ad: &mut Ad,
     ) {
         // A denied transfer is a third outcome beside delivered and failed:
         // the failed-download rollback, with the link never touched.
         if !ad.grant_transfer() {
-            return pull_rollback(tid, m, u, v, None, l1, current, tel);
+            return pull_rollback(tid, m, u, v, l1, current);
         }
-        let l1_bytes = self.l1_bytes;
         match host.transfer(tid) {
             Transfer::Delivered { retries } => {
                 current.retries += retries as u64;
-                current.host_bytes += l1_bytes;
-                tel.with(|t| {
-                    t.l1_misses.incr();
-                    t.host_delivered.incr();
-                    t.host_retries.add(retries as u64);
-                    t.transfer_bytes.record(l1_bytes);
-                });
+                current.host_bytes += self.l1_bytes;
             }
             Transfer::Failed { retries } => {
                 current.retries += retries as u64;
                 current.failed_transfers += 1;
-                pull_rollback(tid, m, u, v, Some(retries), l1, current, tel);
+                pull_rollback(tid, m, u, v, l1, current);
             }
         }
     }
 }
 
-/// A pull tap whose download did not arrive — the link `failed` it after
-/// that many retries, or admission denied it (`None`): the speculative L1
-/// install is rolled back and, with no L2 to degrade to, the tap dropped.
+/// A pull tap whose download did not arrive — the link failed it or
+/// admission denied it: the speculative L1 install is rolled back and, with
+/// no L2 to degrade to, the tap dropped.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn pull_rollback<Te: TelemetryMode>(
+fn pull_rollback(
     tid: TextureId,
     m: u32,
     u: u32,
     v: u32,
-    failed: Option<u32>,
     l1: &mut L1TextureCache,
     current: &mut FrameCounters,
-    tel: &mut Te,
 ) {
     l1.invalidate(tid, m, u, v);
     current.dropped_taps += 1;
-    tel.with(|t| {
-        t.l1_misses.incr();
-        if let Some(retries) = failed {
-            t.host_failed.incr();
-            t.host_retries.add(retries as u64);
-        }
-        t.dropped_taps.incr();
-        t.on_l1_rollback(tid, m, u, v);
-    });
 }
 
 /// The proposed multi-level architecture: an L1 miss is translated (the
@@ -579,8 +600,6 @@ pub(crate) struct MultiLevel<'a, Tl> {
 }
 
 impl<Tl: TlbMode> Levels for MultiLevel<'_, Tl> {
-    const HAS_L2: bool = true;
-
     /// Translation → TLB probe → L2 probe → host transfer → rollback /
     /// degradation. A transfer the admission mode denies takes the
     /// failed-download rollback — the speculative installs are torn down
@@ -607,17 +626,11 @@ impl<Tl: TlbMode> Levels for MultiLevel<'_, Tl> {
         }
         let l1_bytes = self.l1_bytes;
         let probe = self.l2.access_traced(pt_index, l1_sub);
-        tel.l2_probed(&probe);
-        let outcome = probe.outcome;
-        let evicted_page = probe.evicted_page;
-        let dl = match outcome {
+        tel.l2_probed(&probe, pt_index, self.l2);
+        let dl = match probe.outcome {
             L2Outcome::FullHit => {
                 current.l2_full_hits += 1;
                 current.l2_local_bytes += l1_bytes;
-                tel.with(|t| {
-                    t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                    t.l2_full_hits.incr();
-                });
                 return;
             }
             L2Outcome::PartialHit => {
@@ -632,47 +645,18 @@ impl<Tl: TlbMode> Levels for MultiLevel<'_, Tl> {
         // A denied transfer is a third outcome beside delivered and failed:
         // the failed-download rollback, with the link never touched.
         if !ad.grant_transfer() {
-            return self.rollback(
-                tid, m, u, v, pt_index, l1_sub, tlb_hit, &probe, None, l1, current, tel,
-            );
+            return self.rollback(tid, m, u, v, pt_index, l1_sub, l1, current);
         }
         match host.transfer(tid) {
             Transfer::Delivered { retries } => {
                 current.retries += retries as u64;
                 current.host_bytes += dl;
                 current.l2_local_bytes += dl;
-                tel.with(|t| {
-                    t.on_l2_access(pt_index as u64, tlb_hit, outcome, evicted_page);
-                    match outcome {
-                        L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-                        L2Outcome::FullMiss => {
-                            t.l2_full_misses.incr();
-                            t.on_full_miss_sweep(self.l2.clock_stats());
-                        }
-                        L2Outcome::FullHit => unreachable!("full hits return above"),
-                    }
-                    t.host_delivered.incr();
-                    t.host_retries.add(retries as u64);
-                    t.transfer_bytes.record(dl);
-                });
             }
             Transfer::Failed { retries } => {
                 current.retries += retries as u64;
                 current.failed_transfers += 1;
-                self.rollback(
-                    tid,
-                    m,
-                    u,
-                    v,
-                    pt_index,
-                    l1_sub,
-                    tlb_hit,
-                    &probe,
-                    Some(retries),
-                    l1,
-                    current,
-                    tel,
-                );
+                self.rollback(tid, m, u, v, pt_index, l1_sub, l1, current);
             }
         }
     }
@@ -702,10 +686,10 @@ impl<'a, Tl: TlbMode> MultiLevel<'a, Tl> {
         }
     }
 
-    /// A multi-level tap whose download did not arrive — the link `failed`
-    /// it after that many retries, or admission denied it (`None`): both
-    /// speculative installs are torn down and the tap is served from a
-    /// resident coarser mip (degraded) or dropped.
+    /// A multi-level tap whose download did not arrive — the link failed
+    /// it or admission denied it: both speculative installs are torn down
+    /// and the tap is served from a resident coarser mip (degraded) or
+    /// dropped.
     ///
     /// A function of its own rather than a shared tail of the transfer
     /// `match`: with the rollback out of the way of the delivered arm,
@@ -714,7 +698,7 @@ impl<'a, Tl: TlbMode> MultiLevel<'a, Tl> {
     /// match (DESIGN.md §9, measured).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn rollback<Te: TelemetryMode>(
+    fn rollback(
         &mut self,
         tid: TextureId,
         m: u32,
@@ -722,44 +706,17 @@ impl<'a, Tl: TlbMode> MultiLevel<'a, Tl> {
         v: u32,
         pt_index: u32,
         l1_sub: u16,
-        tlb_hit: Option<bool>,
-        probe: &L2AccessTrace,
-        failed: Option<u32>,
         l1: &mut L1TextureCache,
         current: &mut FrameCounters,
-        tel: &mut Te,
     ) {
         self.l2.fail_download(pt_index, l1_sub);
         l1.invalidate(tid, m, u, v);
-        let served = degraded_probe(self.tables, self.dims, self.l2, tid, m, u, v);
-        if served {
+        if degraded_probe(self.tables, self.dims, self.l2, tid, m, u, v) {
             current.degraded_taps += 1;
             current.l2_local_bytes += self.l1_bytes;
         } else {
             current.dropped_taps += 1;
         }
-        tel.with(|t| {
-            t.on_l2_access(pt_index as u64, tlb_hit, probe.outcome, probe.evicted_page);
-            match probe.outcome {
-                L2Outcome::PartialHit => t.l2_partial_hits.incr(),
-                L2Outcome::FullMiss => {
-                    t.l2_full_misses.incr();
-                    t.on_full_miss_sweep(self.l2.clock_stats());
-                }
-                L2Outcome::FullHit => unreachable!("full hits return above"),
-            }
-            if let Some(retries) = failed {
-                t.host_failed.incr();
-                t.host_retries.add(retries as u64);
-            }
-            if served {
-                t.degraded_taps.incr();
-            } else {
-                t.dropped_taps.incr();
-            }
-            t.on_l1_rollback(tid, m, u, v);
-            t.on_l2_fault(pt_index as u64);
-        });
     }
 }
 
@@ -821,7 +778,7 @@ impl Hierarchy<'_> {
     ) -> R::Out {
         match tel {
             None => self.replay_under(TelOff, replay),
-            Some(t) => self.replay_under(TelOn(t), replay),
+            Some(t) => self.replay_under(TelOn::new(t), replay),
         }
     }
 
@@ -859,7 +816,7 @@ impl<R: Replay> Replay for UnderTimed<'_, R> {
         host: &mut HostLink,
         current: &mut FrameCounters,
     ) -> R::Out {
-        let tel = Timed::new(tel, self.sim, Lv::HAS_L2);
+        let tel = Timed::new(tel, self.sim);
         self.replay.run(lv, tel, dims, l1, host, current)
     }
 }

@@ -4,13 +4,14 @@
 //! The overhead contract (see `mltc-telemetry`): the engine stores
 //! `Option<Box<EngineTelemetry>>`, resolved into a compile-time sink
 //! (`crate::tap`: `TelOn` / `TelOff`) once per replay call — once per
-//! access on the per-access entry — so with telemetry detached the tap
-//! body carries no telemetry code, and attached or not, telemetry only
-//! *observes* — `FrameCounters`, cache and
-//! RNG state are bit-identical either way. Attached, the handles are
-//! buffered: the tap bodies add to plain integers this struct owns, and
-//! the sink publishes them into the recorder when it is dropped, once per
-//! replay call.
+//! access on the per-access entry. The tap bodies carry no telemetry code
+//! either way: `TelOn` is a sink like the timing and trace ones, reading
+//! each tap's outcome off the `FrameCounters` the body moved, so telemetry
+//! only *observes* — `FrameCounters`, cache and RNG state are bit-identical
+//! attached or not. Attached, what the sink reads lands in plain integers
+//! this struct owns — one tally shaped like `FrameCounters` for the engine
+//! counters, buffered handles for the rest — and the sink publishes them
+//! into the recorder when it is dropped, once per replay call.
 //!
 //! Naming: histograms are keyed per workload *group* (so the parallel
 //! configs replaying one workload merge into one distribution, and the
@@ -19,13 +20,16 @@
 //! configurations never interleave.
 
 use mltc_cache::ClockStats;
+use mltc_model::LocalityCapture;
 use mltc_telemetry::{
-    BufferedCounter, BufferedHistogram, EvictionCause, MissAttribution, Recorder, ReuseDistance,
-    Series,
+    BufferedCounter, BufferedHistogram, Counter, EvictionCause, MissAttribution, Recorder, Series,
+    StackDistance,
 };
 use mltc_texture::TextureId;
+use mltc_trace::LevelQuad;
 
-use crate::{EngineConfig, FrameCounters, L1AddressMap, L2Outcome};
+use crate::tap::L2Probe;
+use crate::{AccessTrace, EngineConfig, FrameCounters, L1AddressMap, L2Outcome};
 
 /// Bin count the L2 page heat maps fold onto (pages can number in the
 /// thousands; per-set L1 maps use the true set count).
@@ -44,9 +48,9 @@ pub struct TelemetryOpts {
     /// stack-distance curves, sector-survival curve, replacement mini
     /// ladders and TLB rungs, for the one-pass design-space explorer.
     /// Off by default. Like attribution, capture only observes — engine
-    /// counters are bit-identical with it on or off — and it is fed from
-    /// the shared scalar tap bodies plus the wide commits' per-lane
-    /// replays, so every replay path produces the same profile.
+    /// counters are bit-identical with it on or off — and it is fed every
+    /// scalar tap's outcome plus the wide commits' per-lane replays, so
+    /// every replay path produces the same profile.
     pub locality: bool,
 }
 
@@ -70,39 +74,54 @@ pub const FRAME_SERIES_COLUMNS: [&str; 16] = [
     "sweep_entries",
 ];
 
+/// The `engine/{group}/…` counters a tally `t` of engine counters and
+/// `delivered` transfers publish, each with its value.
+fn tally_counts(t: &FrameCounters, delivered: u64) -> [(&'static str, u64); 12] {
+    [
+        ("l1_hits", t.l1_hits),
+        ("l1_misses", t.l1_accesses - t.l1_hits),
+        ("l2_full_hits", t.l2_full_hits),
+        ("l2_partial_hits", t.l2_partial_hits),
+        ("l2_full_misses", t.l2_full_misses),
+        ("tlb_hits", t.tlb_hits),
+        ("tlb_misses", t.tlb_accesses - t.tlb_hits),
+        ("host_delivered", delivered),
+        ("host_failed", t.failed_transfers),
+        ("host_retries", t.retries),
+        ("degraded_taps", t.degraded_taps),
+        ("dropped_taps", t.dropped_taps),
+    ]
+}
+
 /// All recording handles an instrumented engine holds, plus the small
 /// amount of state needed to turn cumulative clock statistics into
 /// per-miss and per-frame deltas.
 #[derive(Debug)]
 pub struct EngineTelemetry {
-    pub(crate) l1_hits: BufferedCounter,
-    pub(crate) l1_misses: BufferedCounter,
-    pub(crate) l2_full_hits: BufferedCounter,
-    pub(crate) l2_partial_hits: BufferedCounter,
-    pub(crate) l2_full_misses: BufferedCounter,
-    pub(crate) tlb_hits: BufferedCounter,
-    pub(crate) tlb_misses: BufferedCounter,
-    pub(crate) host_delivered: BufferedCounter,
-    pub(crate) host_failed: BufferedCounter,
-    pub(crate) host_retries: BufferedCounter,
-    pub(crate) degraded_taps: BufferedCounter,
-    pub(crate) dropped_taps: BufferedCounter,
+    /// What the taps and wide commits observed since the last publish
+    /// moved the engine's counters by (its two byte counts stay zero: no
+    /// counter publishes them), and the delivered transfers among them,
+    /// which no `FrameCounters` field counts.
+    tally: FrameCounters,
+    delivered: u64,
+    /// The handles [`tally_counts`] publishes into, in its order.
+    tally_counters: [Counter; 12],
     /// Fragments the wide frame loops committed as one all-hit L1 batch,
     /// and fragments that declined to the scalar tap bodies: fast-path
     /// efficacy. The only engine counters that depend on the replay path
     /// (the scalar path leaves both at zero — except that a timed
     /// engine's scalar entry rides the wide loops and counts them).
-    pub(crate) wide_commits: BufferedCounter,
+    wide_commits: BufferedCounter,
     pub(crate) wide_declines: BufferedCounter,
     /// Host transfer sizes in bytes (per delivered transfer).
-    pub(crate) transfer_bytes: BufferedHistogram,
+    transfer_bytes: BufferedHistogram,
     /// Clock sweep length (entries examined) per L2 full miss.
-    pub(crate) sweep_len: BufferedHistogram,
+    sweep_len: BufferedHistogram,
     /// L2 reuse distance at page granularity (distinct pages between
     /// consecutive references to the same page).
-    pub(crate) reuse_hist: BufferedHistogram,
-    pub(crate) reuse_cold: BufferedCounter,
-    reuse: ReuseDistance,
+    reuse_hist: BufferedHistogram,
+    reuse_cold: BufferedCounter,
+    reuse: StackDistance,
     frame_series: Series,
     /// The L2's cumulative clock stats as this engine last saw them: at
     /// its last full miss, or when it borrowed a shared L2 for a replay.
@@ -118,7 +137,7 @@ pub struct EngineTelemetry {
     attrib: Option<AttributionState>,
     /// Opt-in locality-profile capture for the analytic design-space
     /// model; `None` unless [`TelemetryOpts::locality`] asked for it.
-    locality: Option<Box<mltc_model::LocalityCapture>>,
+    locality: Option<Box<LocalityCapture>>,
 }
 
 /// Cache geometry the attribution shadow models need, captured at attach
@@ -154,6 +173,20 @@ impl AttributionParams {
     }
 }
 
+/// A wide commit's lanes fed to locality capture in the order the scalar
+/// fallback would replay them, each quad's corners a/b × a/b. Out of line:
+/// the frame loops that inline the sink carry none of the capture's code.
+#[inline(never)]
+fn capture_quad_hits(c: &mut LocalityCapture, tid: TextureId, quads: &[LevelQuad; 2], nq: usize) {
+    let t = tid.index();
+    for q in &quads[..nq] {
+        c.on_hit(t, q.m, q.xa, q.ya);
+        c.on_hit(t, q.m, q.xb, q.ya);
+        c.on_hit(t, q.m, q.xa, q.yb);
+        c.on_hit(t, q.m, q.xb, q.yb);
+    }
+}
+
 /// Per-engine attribution state: one [`MissAttribution`] per cache level
 /// plus the L1 per-set occupancy model that turns installs into
 /// capacity-eviction events.
@@ -181,18 +214,10 @@ impl EngineTelemetry {
                 .buffered()
         };
         Self {
-            l1_hits: c("l1_hits"),
-            l1_misses: c("l1_misses"),
-            l2_full_hits: c("l2_full_hits"),
-            l2_partial_hits: c("l2_partial_hits"),
-            l2_full_misses: c("l2_full_misses"),
-            tlb_hits: c("tlb_hits"),
-            tlb_misses: c("tlb_misses"),
-            host_delivered: c("host_delivered"),
-            host_failed: c("host_failed"),
-            host_retries: c("host_retries"),
-            degraded_taps: c("degraded_taps"),
-            dropped_taps: c("dropped_taps"),
+            tally: FrameCounters::default(),
+            delivered: 0,
+            tally_counters: tally_counts(&FrameCounters::default(), 0)
+                .map(|(name, _)| recorder.counter(&format!("engine/{group}/{name}"))),
             wide_commits: c("wide_commits"),
             wide_declines: c("wide_declines"),
             transfer_bytes: recorder
@@ -205,7 +230,7 @@ impl EngineTelemetry {
                 .histogram(&format!("l2_reuse_pages/{group}"))
                 .buffered(),
             reuse_cold: c("l2_reuse_cold"),
-            reuse: ReuseDistance::new(),
+            reuse: StackDistance::new(),
             frame_series: recorder.series(label, &FRAME_SERIES_COLUMNS),
             clock: ClockStats::default(),
             frame_searches: 0,
@@ -255,7 +280,7 @@ impl EngineTelemetry {
     /// model. Capture only observes the tap stream; engine counters stay
     /// bit-identical.
     pub(crate) fn enable_locality(&mut self, cfg: mltc_model::CaptureConfig) {
-        self.locality = Some(Box::new(mltc_model::LocalityCapture::new(cfg)));
+        self.locality = Some(Box::new(LocalityCapture::new(cfg)));
     }
 
     /// Whether locality capture is recording.
@@ -268,48 +293,70 @@ impl EngineTelemetry {
         self.locality.as_ref().map(|c| c.finalize())
     }
 
-    /// One L1 hit, with the tap's coordinates. Only locality capture
-    /// consumes the hit stream; the `l1_hits` counter is bumped by the
-    /// tap bodies themselves (including wide all-hit commits).
-    #[inline]
-    pub(crate) fn on_l1_hit(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
+    /// A wide all-hit commit of `n` taps on `tid` over the corner quads
+    /// `quads[..nq]`.
+    #[inline(always)]
+    pub(crate) fn on_wide_commit(
+        &mut self,
+        tid: TextureId,
+        quads: &[LevelQuad; 2],
+        nq: usize,
+        n: u64,
+    ) {
+        self.wide_commits.incr();
+        self.tally.l1_accesses += n;
+        self.tally.l1_hits += n;
         if let Some(c) = &mut self.locality {
-            c.on_hit(tid.index(), m, u, v);
+            capture_quad_hits(c, tid, quads, nq);
         }
     }
 
-    /// A wide all-hit quad commit: feeds the 4 lanes in the exact order
-    /// the scalar fallback would replay them (corner order a/b × a/b).
-    #[inline]
-    pub(crate) fn on_l1_hit_quad(
+    /// One scalar tap at `(tid, m, u, v)` as the sink read it: `trace`,
+    /// and `probe` when it reached an L2. The tally advances by what the
+    /// tap moved, and every stateful consumer sees the tap's events in the
+    /// order the tap body ran them — the L1 hit or miss, the L2 access,
+    /// the clock sweep, the host transfer, the rollback — so attribution
+    /// and locality capture stay exact on every replay path.
+    #[inline(always)]
+    pub(crate) fn on_tap(
         &mut self,
         tid: TextureId,
         m: u32,
-        xa: u32,
-        xb: u32,
-        ya: u32,
-        yb: u32,
+        u: u32,
+        v: u32,
+        trace: &AccessTrace,
+        probe: Option<&L2Probe>,
     ) {
-        if let Some(c) = &mut self.locality {
-            let t = tid.index();
-            c.on_hit(t, m, xa, ya);
-            c.on_hit(t, m, xb, ya);
-            c.on_hit(t, m, xa, yb);
-            c.on_hit(t, m, xb, yb);
+        self.tally.l1_accesses += 1;
+        if trace.l1_hit {
+            self.tally.l1_hits += 1;
+            if let Some(c) = &mut self.locality {
+                c.on_hit(tid.index(), m, u, v);
+            }
+            return;
         }
+        self.on_miss_tap(tid, m, u, v, trace, probe);
     }
 
-    /// One L1 miss: classifies it against the block-granular shadow LRU
-    /// and advances the per-set occupancy model (a miss into a full set
-    /// displaces a victim). Call once per miss, at the miss site —
-    /// batched all-hit commits never reach here, which is what keeps
-    /// attribution exact on every replay path.
-    #[inline]
-    pub(crate) fn on_l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
+    /// [`on_tap`](Self::on_tap) for a tap that missed the L1, out of line
+    /// so the frame loops keep only the hit path.
+    #[inline(never)]
+    fn on_miss_tap(
+        &mut self,
+        tid: TextureId,
+        m: u32,
+        u: u32,
+        v: u32,
+        trace: &AccessTrace,
+        probe: Option<&L2Probe>,
+    ) {
+        // The L1 miss: locality capture, and with attribution its 3C class
+        // against the block-granular shadow LRU and the per-set occupancy
+        // model (a miss into a full set displaces a victim).
         if let Some(c) = &mut self.locality {
             c.on_miss(tid.index(), m, u, v);
         }
-        if let Some(a) = &mut self.attrib {
+        let l1_set = self.attrib.as_mut().map(|a| {
             let (tag, set) = a.map.tag_set(tid, m, u, v);
             let set = set as usize;
             a.l1.record_miss(tag, set);
@@ -319,76 +366,70 @@ impl EngineTelemetry {
             } else {
                 *occ += 1;
             }
+            set
+        });
+        // The L2 access behind the TLB: its outcome, the page reuse
+        // distance and — with attribution on — a full miss's 3C class (the
+        // same exact stack distance drives the histogram and the class, so
+        // the L2 shadow costs no extra memory), page heat and the victim.
+        if let Some(hit) = trace.tlb_hit {
+            self.tally.tlb_accesses += 1;
+            self.tally.tlb_hits += hit as u64;
         }
-    }
-
-    /// The rollback of a speculative L1 install after a failed download:
-    /// the just-installed line is invalidated, an invalidation eviction.
-    #[inline]
-    pub(crate) fn on_l1_rollback(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
-        if let Some(a) = &mut self.attrib {
-            let (_, set) = a.map.tag_set(tid, m, u, v);
-            let set = set as usize;
-            let occ = &mut a.occupancy[set];
-            *occ = occ.saturating_sub(1);
-            a.l1.record_eviction(set, EvictionCause::Invalidation);
-        }
-    }
-
-    /// Common bookkeeping for every L2 access (one per L1 miss): the L1
-    /// miss itself, the TLB outcome when a TLB is modelled, the page
-    /// reuse distance, and — with attribution on — the 3C class of a
-    /// full miss (the same exact stack distance drives both the reuse
-    /// histogram and the classification, so the L2 shadow model costs no
-    /// extra memory) plus page heat and the replacement victim.
-    #[inline]
-    pub(crate) fn on_l2_access(
-        &mut self,
-        pt_index: u64,
-        tlb_hit: Option<bool>,
-        outcome: L2Outcome,
-        evicted_page: Option<u32>,
-    ) {
-        self.l1_misses.incr();
-        match tlb_hit {
-            Some(true) => self.tlb_hits.incr(),
-            Some(false) => self.tlb_misses.incr(),
-            None => {}
-        }
-        let d = self.reuse.record(pt_index);
-        match d {
-            Some(d) => self.reuse_hist.record(d),
-            None => self.reuse_cold.incr(),
-        }
-        if let Some(a) = &mut self.attrib {
-            if matches!(outcome, L2Outcome::FullMiss) {
-                a.l2.record_miss_with_distance(d, pt_index as usize % a.l2_bins);
+        if let Some(p) = probe {
+            let full_miss = p.trace.outcome == L2Outcome::FullMiss;
+            match p.trace.outcome {
+                L2Outcome::FullHit => self.tally.l2_full_hits += 1,
+                L2Outcome::PartialHit => self.tally.l2_partial_hits += 1,
+                L2Outcome::FullMiss => self.tally.l2_full_misses += 1,
             }
-            if let Some(p) = evicted_page {
-                a.l2.record_eviction(p as usize % a.l2_bins, EvictionCause::Capacity);
+            let d = self.reuse.record(p.pt_index as u64);
+            match d {
+                Some(d) => self.reuse_hist.record(d),
+                None => self.reuse_cold.incr(),
+            }
+            if let Some(a) = &mut self.attrib {
+                if full_miss {
+                    a.l2.record_miss_with_distance(d, p.pt_index as usize % a.l2_bins);
+                }
+                if let Some(victim) = p.trace.evicted_page {
+                    a.l2.record_eviction(victim as usize % a.l2_bins, EvictionCause::Capacity);
+                }
+            }
+            // The sweep: only full misses search, so the delta of the
+            // cumulative stats since this engine last saw them is exactly
+            // this miss's search.
+            if full_miss {
+                let entries = p.clock.entries_examined - self.clock.entries_examined;
+                self.frame_searches += p.clock.searches - self.clock.searches;
+                self.frame_entries += entries;
+                self.clock = p.clock;
+                self.sweep_len.record(entries);
             }
         }
-    }
-
-    /// A failed download tore down the L2 residency it had speculatively
-    /// installed (`fail_download`): a fault eviction on that page.
-    #[inline]
-    pub(crate) fn on_l2_fault(&mut self, pt_index: u64) {
-        if let Some(a) = &mut self.attrib {
-            a.l2.record_eviction(pt_index as usize % a.l2_bins, EvictionCause::Fault);
+        // The host transfer: only a delivered one moves the host bytes.
+        self.tally.retries += trace.retries as u64;
+        self.tally.failed_transfers += trace.failed as u64;
+        if trace.host_bytes != 0 {
+            self.delivered += 1;
+            self.transfer_bytes.record(trace.host_bytes);
         }
-    }
-
-    /// Records the sweep a full miss just ran: the delta of the L2's
-    /// cumulative clock stats since this engine last saw them (sweeps only
-    /// happen on full misses, so the delta is exactly this miss's search).
-    #[inline]
-    pub(crate) fn on_full_miss_sweep(&mut self, clock: ClockStats) {
-        let entries = clock.entries_examined - self.clock.entries_examined;
-        self.frame_searches += clock.searches - self.clock.searches;
-        self.frame_entries += entries;
-        self.clock = clock;
-        self.sweep_len.record(entries);
+        // The rollback of a failed or denied download: the line the miss
+        // installed is invalidated (an invalidation eviction) and, below a
+        // multi-level miss, the L2 residency it claimed is torn down (a
+        // fault eviction on its page).
+        if trace.degraded || trace.dropped {
+            self.tally.degraded_taps += trace.degraded as u64;
+            self.tally.dropped_taps += trace.dropped as u64;
+            if let (Some(a), Some(set)) = (&mut self.attrib, l1_set) {
+                let occ = &mut a.occupancy[set];
+                *occ = occ.saturating_sub(1);
+                a.l1.record_eviction(set, EvictionCause::Invalidation);
+                if let Some(p) = probe {
+                    a.l2.record_eviction(p.pt_index as usize % a.l2_bins, EvictionCause::Fault);
+                }
+            }
+        }
     }
 
     /// Takes `clock` — the stats of an L2 this engine shares with others,
@@ -404,19 +445,16 @@ impl EngineTelemetry {
     /// i.e. when every replay call returns.
     #[cold]
     pub(crate) fn publish(&mut self) {
+        let counts = tally_counts(
+            &std::mem::take(&mut self.tally),
+            std::mem::take(&mut self.delivered),
+        );
+        for (c, (_, n)) in self.tally_counters.iter().zip(counts) {
+            if n != 0 {
+                c.add(n);
+            }
+        }
         for c in [
-            &mut self.l1_hits,
-            &mut self.l1_misses,
-            &mut self.l2_full_hits,
-            &mut self.l2_partial_hits,
-            &mut self.l2_full_misses,
-            &mut self.tlb_hits,
-            &mut self.tlb_misses,
-            &mut self.host_delivered,
-            &mut self.host_failed,
-            &mut self.host_retries,
-            &mut self.degraded_taps,
-            &mut self.dropped_taps,
             &mut self.wide_commits,
             &mut self.wide_declines,
             &mut self.reuse_cold,

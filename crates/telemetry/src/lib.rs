@@ -12,15 +12,19 @@
 //! Every handle — [`Recorder`], [`Counter`], [`Histogram`], [`Series`],
 //! [`Span`] — is an `Option` around shared state. A **disabled** handle is
 //! `None`, so each operation on it compiles to a single predictable
-//! not-taken branch; the simulator's per-texel path pays exactly one such
-//! branch per dynamic exit (priced by the `telemetry.counters_ns_per_tap`
-//! ledger row of `BENCHMARK.json`, guarded by an assertion test). An **enabled** handle records with relaxed
-//! atomics; the only mutexes are taken on span close and series row push —
-//! per frame or per store operation, never per texel. The simulator's
-//! per-texel recording goes further: it tallies into the buffered forms
-//! ([`BufferedCounter`], [`BufferedHistogram`], [`BufferedHeatMap`]) —
-//! plain integers it owns — and publishes them into the shared handles
-//! once per replay call. Telemetry only observes: simulator counters are
+//! not-taken branch. The simulator's per-texel path pays not even that: a
+//! disabled recorder refuses attachment, and a detached engine replays
+//! under a sink that compiles to nothing, so its tap bodies carry no
+//! telemetry code at all (an attached recorder is priced by the
+//! `telemetry.counters_ns_per_tap` ledger row of `BENCHMARK.json`, and the
+//! detached path is guarded by an assertion test). An **enabled** handle
+//! records with relaxed atomics; the only mutexes are taken on span close
+//! and series row push — per frame or per store operation, never per
+//! texel. The simulator's per-texel recording goes further: it tallies into
+//! plain integers it owns — one tally of its engine counters, and the
+//! buffered forms ([`BufferedCounter`], [`BufferedHistogram`],
+//! [`BufferedHeatMap`]) — and publishes them into the shared handles once
+//! per replay call. Telemetry only observes: simulator counters are
 //! bit-identical with recording on or off.
 //!
 //! ## Shape
@@ -44,10 +48,6 @@
 //! let json = export::summaries_json(&snap);
 //! assert_eq!(json.get("counters").unwrap().get("l1_hits").unwrap().as_u64(), Some(7));
 //! ```
-//!
-//! [`ReuseDistance`] is the odd one out: it is *not* thread-shared (the
-//! engine owns one per instance) and always computes when present — the
-//! enable/disable decision is whether the engine holds one at all.
 
 mod attrib;
 pub mod export;
@@ -55,7 +55,6 @@ mod heat;
 mod hist;
 pub mod json;
 mod recorder;
-mod reuse;
 mod span;
 mod stackdist;
 
@@ -68,6 +67,5 @@ pub use json::{Json, JsonError};
 pub use recorder::{
     BufferedCounter, Counter, Gauge, Recorder, Series, SeriesSnapshot, Span, TelemetrySnapshot,
 };
-pub use reuse::ReuseDistance;
 pub use span::{chrome_trace_json, current_span_depth, SpanEvent, DEFAULT_SPAN_CAPACITY};
 pub use stackdist::StackDistance;

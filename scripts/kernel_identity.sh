@@ -23,7 +23,9 @@
 # `Timed<TelOn>` one — and listed with their instruction delta; a symbol
 # without debug info falls back to its kind (pull or multi-level) and the
 # nearest instruction count. Instantiations only the change has (a new
-# mode) are counted as added.
+# mode) are counted as added. Last comes one line per sink parameter
+# (`TelOff`, `MissLog`, `TelOn`, `Timed<..>`) with how many of the parent's
+# instantiations under it are identical and how many differ.
 #
 # Exit status: 0 when every parent instantiation has an identical body in
 # the change, 1 otherwise, 2 on usage errors. ROADMAP item 1 makes this an
@@ -148,11 +150,15 @@ if not parent or not change:
 
 left = collections.Counter(body for _, _, body in change)
 differing = []
+# Sink parameter -> [identical, differing] parent instantiations.
+by_sink = collections.defaultdict(lambda: [0, 0])
 for k in parent:
-    if left[k[2]] > 0:
+    same = left[k[2]] > 0
+    if same:
         left[k[2]] -= 1
     else:
         differing.append(k)
+    by_sink[k[1][3] if k[1] else "(no debug info)"][0 if same else 1] += 1
 identical = len(parent) - len(differing)
 unmatched = []
 for k in change:
@@ -186,5 +192,8 @@ for kind, inst, body in sorted(differing, key=lambda k: (k[0], k[1] or (), len(k
 print(f"added by the change: {len(unmatched)}")
 for kind, inst, body in sorted(unmatched, key=lambda k: (k[0], k[1] or (), len(k[2]))):
     print(f"  {label(kind, inst)}: {len(body)} instructions")
+print("by sink (parent instantiations):")
+for sink, (same, diff) in sorted(by_sink.items()):
+    print(f"  {sink}: {same} identical, {diff} differing")
 sys.exit(1 if differing else 0)
 EOF

@@ -12,7 +12,9 @@ use mltc::raster::FilterMode;
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::telemetry::{export, Json, Recorder, TelemetrySnapshot};
 use mltc::texture::TextureId;
+use mltc::trace::codec::TraceFileReader;
 use mltc::trace::{filter_taps, FrameTrace};
+use mltc_oracle::TraceKey;
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -258,10 +260,27 @@ fn busy_cfg() -> EngineConfig {
     }
 }
 
-/// What the recorder must hold of an attributed multi-level engine under
-/// group `g`, derived from the engine's own counters `t` and its L2's
-/// clock (when the caller can see it) rather than from any recording.
-fn assert_published(rec: &Recorder, t: &FrameCounters, clock: Option<ClockStats>, ctx: &str) {
+/// The link of [`busy_cfg`] on a pull engine: every L1 miss is a host
+/// transfer, and a failed one drops its tap.
+fn busy_pull_cfg() -> EngineConfig {
+    EngineConfig {
+        l2: None,
+        tlb_entries: 0,
+        ..busy_cfg()
+    }
+}
+
+/// What the recorder must hold of an attributed engine under group `g`, in
+/// either architecture, derived from the engine's own counters `t`, the
+/// transfers admission `denied` and its L2's clock (when the caller can
+/// see it) rather than from any recording.
+fn assert_published(
+    rec: &Recorder,
+    t: &FrameCounters,
+    denied: u64,
+    clock: Option<ClockStats>,
+    ctx: &str,
+) {
     let s = rec.snapshot();
     let c = |n: &str| s.counters[&format!("engine/g/{n}")];
     let misses = t.l1_accesses - t.l1_hits;
@@ -272,9 +291,11 @@ fn assert_published(rec: &Recorder, t: &FrameCounters, clock: Option<ClockStats>
     assert_eq!(c("l2_full_misses"), t.l2_full_misses, "{ctx}");
     assert_eq!(c("tlb_hits"), t.tlb_hits, "{ctx}: tlb_hits");
     assert_eq!(c("tlb_misses"), t.tlb_accesses - t.tlb_hits, "{ctx}");
+    // Every miss an L2 does not serve needs the host — all of them in the
+    // pull architecture — and is delivered, failed or denied.
     assert_eq!(
-        c("host_delivered") + c("host_failed"),
-        t.l2_partial_hits + t.l2_full_misses,
+        c("host_delivered") + c("host_failed") + denied,
+        misses - t.l2_full_hits,
         "{ctx}: transfers"
     );
     assert_eq!(c("host_failed"), t.failed_transfers, "{ctx}: host_failed");
@@ -285,9 +306,16 @@ fn assert_published(rec: &Recorder, t: &FrameCounters, clock: Option<ClockStats>
     assert_eq!(h("host_transfer_bytes").sum, t.host_bytes, "{ctx}: bytes");
     assert_eq!(
         h("l2_reuse_pages").count + c("l2_reuse_cold"),
-        misses,
+        t.l2_accesses(),
         "{ctx}: one reuse distance per L2 access"
     );
+    // Every rollback — a failed or a denied transfer — invalidates its L1
+    // line, and a multi-level one tears down its L2 residency too.
+    let a = |n: &str| s.counters[&format!("attrib/g/{n}")];
+    let rollbacks = t.degraded_taps + t.dropped_taps;
+    assert_eq!(a("l1/evict_invalidation"), rollbacks, "{ctx}: L1 rollbacks");
+    let l2_rollbacks = if t.l2_accesses() > 0 { rollbacks } else { 0 };
+    assert_eq!(a("l2/evict_fault"), l2_rollbacks, "{ctx}: L2 rollbacks");
     if let Some(clock) = clock {
         assert_eq!(
             h("clock_sweep_len").sum,
@@ -323,8 +351,10 @@ fn expand_taps(w: &Workload, trace: &FrameTrace, filter: FilterMode) -> Vec<(u32
 /// Recording is buffered and published when a replay call returns. After
 /// every call of every public entry — per access, each frame loop, the
 /// shared and recorded replays, a timed replay, a service client's frame —
-/// the recorder holds everything the engine's own counters imply, and an
-/// `UnknownTexture` error return publishes what the frame did before it.
+/// in either architecture, the recorder holds everything the engine's own
+/// counters imply, and an `UnknownTexture` error return publishes what the
+/// frame did before it. A service client under a budget adds the one
+/// rollback no link statistic shows: the transfer admission denied.
 #[test]
 fn every_replay_call_returns_with_its_counts_published() {
     let w = tiny_village();
@@ -333,11 +363,12 @@ fn every_replay_call_returns_with_its_counts_published() {
     let traces: Vec<FrameTrace> = (0..w.frame_count)
         .map(|i| w.trace_frame(i, filter))
         .collect();
-    let attached = |rec: &Recorder| {
-        let mut e = SimEngine::new(busy_cfg(), reg);
+    let attached_as = |cfg: EngineConfig, rec: &Recorder| {
+        let mut e = SimEngine::new(cfg, reg);
         e.attach_telemetry_opts(rec, "run", "g", ATTRIBUTED);
         e
     };
+    let attached = |rec: &Recorder| attached_as(busy_cfg(), rec);
 
     type Entry<'a> = Box<dyn Fn(&mut SimEngine, &FrameTrace) -> Result<(), EngineError> + 'a>;
     let entries: Vec<(&str, Entry)> = vec![
@@ -391,19 +422,24 @@ fn every_replay_call_returns_with_its_counts_published() {
             }),
         ),
     ];
-    for (name, entry) in &entries {
-        let rec = Recorder::enabled();
-        let mut e = attached(&rec);
-        for (i, t) in traces.iter().enumerate() {
-            entry(&mut e, t).expect("frame names live textures");
-            let clock = e.l2().map(|l2| l2.clock_stats());
-            assert_published(&rec, &e.totals(), clock, &format!("{name} frame {i}"));
+    for (arch, cfg) in [("multi-level", busy_cfg()), ("pull", busy_pull_cfg())] {
+        for (name, entry) in &entries {
+            let rec = Recorder::enabled();
+            let mut e = attached_as(cfg, &rec);
+            for (i, t) in traces.iter().enumerate() {
+                entry(&mut e, t).expect("frame names live textures");
+                let clock = e.l2().map(|l2| l2.clock_stats());
+                let ctx = format!("{arch} {name} frame {i}");
+                assert_published(&rec, &e.totals(), 0, clock, &ctx);
+            }
+            assert!(
+                e.totals().failed_transfers > 0,
+                "{arch} {name}: the link must bite"
+            );
+            if let Some(l2) = e.l2() {
+                assert!(l2.clock_stats().searches > 0, "{name}: sweeps");
+            }
         }
-        assert!(
-            e.totals().failed_transfers > 0,
-            "{name}: the link must bite"
-        );
-        assert!(e.l2().unwrap().clock_stats().searches > 0, "{name}: sweeps");
     }
 
     // Per access: every call publishes its one tap.
@@ -417,7 +453,7 @@ fn every_replay_call_returns_with_its_counts_published() {
     }
     e.end_frame();
     let clock = e.l2().map(|l2| l2.clock_stats());
-    assert_published(&rec, &e.totals(), clock, "access_texel");
+    assert_published(&rec, &e.totals(), 0, clock, "access_texel");
 
     // An error return: everything before the unknown texture is published.
     let t = &traces[traces.len() / 2];
@@ -443,15 +479,134 @@ fn every_replay_call_returns_with_its_counts_published() {
     assert_eq!(got.hists, want.hists, "error return: histograms");
     assert_eq!(got.heatmaps, want.heatmaps, "error return: heat maps");
 
-    // A service client's frame.
-    let svc = TextureService::try_new(service_cfg(AdmissionControl::unlimited()), reg, 2).unwrap();
-    let rec = Recorder::enabled();
-    let mut client = svc.client(1).unwrap();
-    client.attach_telemetry_opts(&rec, "client", "g", ATTRIBUTED);
-    for (i, t) in traces.iter().enumerate() {
-        client.run_frame(svc.shared_l2(), t, filter).unwrap();
-        assert_published(&rec, &client.totals(), None, &format!("client frame {i}"));
+    // A service client's frame, every tap admitted or under a budget that
+    // denies transfers and sheds taps, in either architecture.
+    let budget = AdmissionControl {
+        soft_transfers_per_frame: 8,
+        hard_transfers_per_frame: 64,
+        quarantine_after_shed_frames: 0,
+    };
+    for admission in [AdmissionControl::unlimited(), budget] {
+        let ml = service_cfg(admission);
+        let pull = ServiceConfig {
+            l2: None,
+            tlb_entries: 0,
+            ..ml
+        };
+        for (arch, cfg) in [("multi-level", ml), ("pull", pull)] {
+            let svc = TextureService::try_new(cfg, reg, 2).unwrap();
+            let rec = Recorder::enabled();
+            let mut client = svc.client(1).unwrap();
+            client.attach_telemetry_opts(&rec, "client", "g", ATTRIBUTED);
+            for (i, t) in traces.iter().enumerate() {
+                client.run_frame(svc.shared_l2(), t, filter).unwrap();
+                let denied = client.service_stats().denied_transfers;
+                let ctx = format!("{arch} client {admission:?} frame {i}");
+                assert_published(&rec, &client.totals(), denied, None, &ctx);
+            }
+            let s = client.service_stats();
+            if admission == budget {
+                assert!(s.denied_transfers > 0 && s.shed_taps > 0, "{arch}: {s:?}");
+            }
+        }
     }
+}
+
+/// FNV-1a, the digest [`golden_digest`] folds a snapshot into.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One digest of everything a recorder holds but its spans (wall-clock
+/// times): every counter, histogram bucket, gauge, heat-map bin and series
+/// row, plus the captured locality profile's JSON.
+fn golden_digest(rec: &Recorder, profile: Option<&mltc_model::LocalityProfile>) -> u64 {
+    let s = rec.snapshot();
+    let profile = profile.map(|p| p.to_json().render_compact());
+    let text = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{profile:?}",
+        s.counters, s.hists, s.gauges, s.heatmaps, s.series
+    );
+    fnv1a(text.as_bytes())
+}
+
+/// Golden telemetry: the absolute values every recorder export holds, not
+/// just one replay path against another. Each committed trace replays
+/// trilinear through the wide frame loop of a busy multi-level engine and
+/// of a pull engine on the same faulty link, with attribution and locality
+/// capture on; the digest of everything recorded must match the one taken
+/// when these values were last reviewed. A sink that shifted every path's
+/// reuse histogram, heat maps or 3C classes the same way fails here.
+#[test]
+fn recorder_exports_match_their_golden_digests() {
+    const GOLDEN: [(&str, &str, u64); 4] = [
+        ("city", "multi-level", 0xc43f_0a00_ad65_1a9f),
+        ("city", "pull", 0x3783_0162_4cbe_e2d9),
+        ("village", "multi-level", 0x503b_3684_0c3b_2341),
+        ("village", "pull", 0xec53_2ec0_35b9_4e6f),
+    ];
+    let mut got = Vec::new();
+    for (name, w, frames) in committed_traces() {
+        for (arch, cfg) in [("multi-level", busy_cfg()), ("pull", busy_pull_cfg())] {
+            let rec = Recorder::enabled();
+            let mut e = SimEngine::new(cfg, w.registry());
+            let opts = TelemetryOpts {
+                attribution: true,
+                locality: true,
+            };
+            e.attach_telemetry_opts(&rec, "golden", "g", opts);
+            for f in &frames {
+                e.try_run_frame_as_batched(f, FilterMode::Trilinear)
+                    .unwrap();
+            }
+            assert!(e.totals().failed_transfers > 0, "{name} {arch}: faults");
+            let scene = name.split('-').next().unwrap().to_owned();
+            got.push((
+                scene,
+                arch,
+                golden_digest(&rec, e.locality_profile().as_ref()),
+            ));
+        }
+    }
+    let want: Vec<_> = GOLDEN
+        .iter()
+        .map(|&(s, a, d)| (s.to_owned(), a, d))
+        .collect();
+    assert_eq!(
+        got,
+        want,
+        "digests as {:#018x?}",
+        got.iter().map(|g| g.2).collect::<Vec<_>>()
+    );
+}
+
+/// Every committed `.mltct` trace (file name, rebuilt workload, frames),
+/// in file-name order.
+fn committed_traces() -> Vec<(String, Workload, Vec<FrameTrace>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/traces");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("committed traces directory exists")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mltct"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no committed traces");
+    paths
+        .into_iter()
+        .map(|path| {
+            let file = std::fs::File::open(&path).unwrap();
+            let mut reader = TraceFileReader::new(std::io::BufReader::new(file)).unwrap();
+            let key = TraceKey::parse(reader.key()).expect("committed trace has a key");
+            let frames = (0..reader.frame_count())
+                .map(|_| reader.read_frame().expect("committed trace decodes"))
+                .collect();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, key.workload(), frames)
+        })
+        .collect()
 }
 
 /// A recorder-enabled sweep never shares an L1 pass: every configuration
