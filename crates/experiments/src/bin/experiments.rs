@@ -17,12 +17,13 @@
 use mltc_core::L2PartitionMode;
 use mltc_experiments::{
     find_experiment, replay_path, set_max_replay_jobs, set_multiclient_clients,
-    set_multiclient_partition, set_replay_path, MetricsExport, Outputs, ReplayPath, Scale,
-    TraceStore, EXPERIMENTS,
+    set_multiclient_partition, set_replay_path, Outputs, ReplayPath, Scale, TraceStore,
+    EXPERIMENTS,
 };
 use mltc_raster::Traversal;
 use mltc_telemetry::{export, Json, Recorder};
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -41,14 +42,10 @@ fn usage() -> ExitCode {
          \x20                    (bit-identical; pipelined decodes the next frame on a\n\
          \x20                    second thread while the batched loop replays this one,\n\
          \x20                    inside the --jobs budget)\n\
-         --telemetry <dir>    record spans/counters/histograms; export JSONL, CSV and\n\
-         \x20                    summary JSON into <dir>\n\
+         --telemetry <dir>    record spans/counters/histograms; export JSONL, CSV,\n\
+         \x20                    summary JSON and its Prometheus text into <dir>\n\
          --trace-events <f>   write a chrome://tracing (Perfetto) trace-event file\n\
          --heartbeat <secs>   print store throughput every <secs> seconds\n\
-         --metrics <f|addr>   live Prometheus exposition: a file (rewritten atomically\n\
-         \x20                    each heartbeat, with an NDJSON sidecar) or an address\n\
-         \x20                    to serve scrapes on; implies telemetry recording and\n\
-         \x20                    defaults ids to \"all\"\n\
          --clients <n>        pin the multiclient experiment to one population\n\
          --partition <m>      multiclient L2 mode: partitioned, unified or both\n\
          \n\
@@ -75,7 +72,6 @@ fn main() -> ExitCode {
     let mut telemetry_dir: Option<PathBuf> = None;
     let mut trace_events: Option<PathBuf> = None;
     let mut heartbeat_secs: u64 = 0;
-    let mut metrics_spec: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -109,10 +105,6 @@ fn main() -> ExitCode {
                 Some(secs) => heartbeat_secs = secs,
                 None => return usage(),
             },
-            "--metrics" => match it.next() {
-                Some(spec) => metrics_spec = Some(spec),
-                None => return usage(),
-            },
             "--clients" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n > 0 => set_multiclient_clients(n),
                 _ => return usage(),
@@ -136,13 +128,7 @@ fn main() -> ExitCode {
         }
     }
     if ids.is_empty() {
-        if metrics_spec.is_some() {
-            // A metrics destination with no ids means "export the suite":
-            // scrape targets want every series, not a usage error.
-            ids.push("all".to_string());
-        } else {
-            return usage();
-        }
+        return usage();
     }
 
     let outputs = Outputs::new(&out_dir);
@@ -150,7 +136,7 @@ fn main() -> ExitCode {
     // engine counters, store spans and per-frame series all land in one
     // snapshot. Left disabled (a single not-taken branch per texel) unless
     // an export destination was asked for.
-    let recorder = if telemetry_dir.is_some() || trace_events.is_some() || metrics_spec.is_some() {
+    let recorder = if telemetry_dir.is_some() || trace_events.is_some() {
         Recorder::enabled()
     } else {
         Recorder::disabled()
@@ -165,20 +151,7 @@ fn main() -> ExitCode {
         "# mltc experiments — scale: {} ({}x{})",
         scale.name, scale.params.width, scale.params.height
     );
-    let metrics = match &metrics_spec {
-        Some(spec) => match MetricsExport::new(spec, &recorder) {
-            Ok(m) => {
-                println!("### metrics: {}", m.describe());
-                Some(m)
-            }
-            Err(e) => {
-                eprintln!("cannot open metrics destination {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let heartbeat = Heartbeat::start(&store, heartbeat_secs, metrics.clone());
+    let heartbeat = Heartbeat::start(&store, heartbeat_secs);
 
     let run_list: Vec<&str> = if ids.iter().any(|i| i == "all") {
         EXPERIMENTS
@@ -246,14 +219,6 @@ fn main() -> ExitCode {
 
     let wall = suite_start.elapsed().as_secs_f64();
     heartbeat.stop();
-    if let Some(m) = &metrics {
-        // Final flush after the last experiment, so the exported file (or
-        // the last scrape) covers the completed run.
-        match m.finish(suite_start.elapsed()) {
-            Ok(()) => println!("### metrics: {} (final)", m.describe()),
-            Err(e) => eprintln!("could not flush metrics: {e}"),
-        }
-    }
     let stats = store.snapshot();
     // One snapshot, one rate computation: the summary line and the bench
     // record must agree, so derive each rate exactly once per report.
@@ -370,7 +335,7 @@ struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn start(store: &TraceStore, secs: u64, metrics: Option<MetricsExport>) -> Self {
+    fn start(store: &TraceStore, secs: u64) -> Self {
         if secs == 0 {
             return Heartbeat {
                 stop_tx: None,
@@ -398,11 +363,6 @@ impl Heartbeat {
                 s.l1_passes_reused,
                 s.pass_bytes as f64 / 1e6,
             );
-            if let Some(m) = &metrics {
-                if let Err(e) = m.tick(elapsed) {
-                    eprintln!("metrics tick failed: {e}");
-                }
-            }
         };
         let handle = std::thread::spawn(move || loop {
             match stop_rx.recv_timeout(Duration::from_secs(secs)) {
@@ -524,8 +484,10 @@ fn bench_run(
 
 /// Appends `run` to the report at `path` (`{"schema":1,"runs":[...]}`). A
 /// report that parses keeps its runs and every other top-level key it
-/// carries (the committed file's `note`); anything else found there is
-/// reported on stderr and replaced.
+/// carries (a hand-written `note`, say); anything else found there is
+/// reported on stderr and replaced. The report is written to a temporary
+/// file and renamed over `path`, so an interrupted run leaves the previous
+/// report whole instead of a torn one the next run would replace.
 fn append_bench_run(path: &Path, run: Json) -> std::io::Result<()> {
     let fresh = || {
         let fields = [("schema", Json::Num(1)), ("runs", Json::Arr(vec![]))];
@@ -548,5 +510,13 @@ fn append_bench_run(path: &Path, run: Json) -> std::io::Result<()> {
     if let Some(Json::Arr(runs)) = report.get_mut("runs") {
         runs.push(run);
     }
-    std::fs::write(path, Json::Obj(report).render())
+    let tmp = path.with_extension("json.tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(Json::Obj(report).render().as_bytes())?;
+    // Durable before the rename, and the rename durable once the directory
+    // entry is: a crash leaves either report whole, never an empty one.
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }

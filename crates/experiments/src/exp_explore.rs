@@ -24,8 +24,9 @@
 //!
 //! Artefacts: `model_validation.csv` (the graded matrix),
 //! `explore_sweep_<workload>.csv` (the full grid), and
-//! `model_summary.json` (aggregate error + sweep timing, consumed by
-//! the bench harness and gated by `bench-sentinel`).
+//! `model_summary.json` (aggregate error + sweep timing, embedded in the
+//! run's `BENCH_experiments.json` record and gated by CI's explorer
+//! smoke step).
 
 use crate::matrix::conformance_matrix;
 use crate::runner::{pct, replay_run, RunError};
@@ -315,9 +316,12 @@ mod tests {
                 .and_then(Json::as_f64)
                 .unwrap_or_else(|| panic!("missing {k} in {summary}"))
         };
-        // The ISSUE acceptance bound: mean absolute hit-rate error <= 2 %.
+        // Mean absolute hit-rate error at most the best recorded (0.001622)
+        // plus 0.5 pp. The model is exact on fault-free configurations, so
+        // growth past that is a capture or evaluator bug, not noise; the
+        // tiny run is deterministic.
         assert!(
-            field("mean_abs_err") <= 0.02,
+            field("mean_abs_err") <= 0.006622,
             "model error too high:\n{summary}"
         );
         assert!(

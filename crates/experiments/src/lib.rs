@@ -47,7 +47,6 @@ mod exp_stats;
 mod exp_tlb;
 mod exp_visual;
 mod matrix;
-mod metrics;
 mod multiclient;
 mod outputs;
 mod runner;
@@ -67,7 +66,6 @@ pub use exp_stats::{calibrate, fig4, fig5, fig6, table1};
 pub use exp_tlb::{fig11, table8};
 pub use exp_visual::fig12;
 pub use matrix::conformance_matrix;
-pub use metrics::MetricsExport;
 pub use multiclient::{
     collect_frames, experiment_service_config, multiclient, run_multi_client,
     set_multiclient_clients, set_multiclient_partition, solo_baseline, solo_baseline_scalar,

@@ -5,7 +5,6 @@
 //! tracetool stats <trace-file> [--per-frame] [--out <file>]
 //! tracetool model <trace-file> [--out <csv>] [--profile-out <json>]
 //! tracetool shrink <trace-file> --config <json|file> [--out <dir>] [--filter <mode>]
-//! tracetool metrics <telemetry-dir|summary.json> [--out <file>]
 //! ```
 //!
 //! The bare form prints a human summary. `stats` is machine-oriented: with
@@ -22,11 +21,6 @@
 //! for the price of a single replay. `stats` and `model` share one
 //! container-discovery path ([`mltc_oracle::AnyReader`]).
 //!
-//! `metrics` re-encodes a recorded telemetry export (`summary.json`, as
-//! written by `export_dir` / the experiments binary) as Prometheus text
-//! exposition, through the same `PromMetrics` encoder the live exporter
-//! uses — so scraped and post-hoc series are byte-compatible.
-//!
 //! `shrink` replays a cached `.mltct` trace through the differential
 //! harness under the given engine configuration (inline JSON, a path to a
 //! config file, or a previously written repro file, whose embedded config
@@ -39,7 +33,6 @@ use mltc_model::{default_grid, predict};
 use mltc_oracle::{
     config_from_json, expand_frame, AnyReader, DiffHarness, Json, Repro, TexelAccess, TraceKey,
 };
-use mltc_telemetry::export::{HistSummary, PromMetrics};
 use mltc_telemetry::{export, Recorder, SeriesSnapshot};
 use mltc_trace::codec::TraceFileReader;
 use mltc_trace::FilterMode;
@@ -55,8 +48,7 @@ fn usage() -> ExitCode {
         "usage: tracetool <trace-file> [--per-frame]\n\
          \x20      tracetool stats <trace-file> [--per-frame] [--out <file>]\n\
          \x20      tracetool model <trace-file> [--out <csv>] [--profile-out <json>]\n\
-         \x20      tracetool shrink <trace-file> --config <json|file> [--out <dir>] [--filter <mode>]\n\
-         \x20      tracetool metrics <telemetry-dir|summary.json> [--out <file>]"
+         \x20      tracetool shrink <trace-file> --config <json|file> [--out <dir>] [--filter <mode>]"
     );
     ExitCode::from(2)
 }
@@ -67,7 +59,6 @@ fn main() -> ExitCode {
         Some("stats") => return stats_main(&args[1..]),
         Some("model") => return model_main(&args[1..]),
         Some("shrink") => return shrink_main(&args[1..]),
-        Some("metrics") => return metrics_main(&args[1..]),
         _ => {}
     }
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
@@ -318,129 +309,6 @@ fn run_model(path: &str, out: Option<&str>, profile_out: Option<&str>) -> Result
         grid.len()
     );
     Ok(())
-}
-
-/// `tracetool metrics`: re-encode a recorded `summary.json` as Prometheus
-/// text exposition.
-fn metrics_main(args: &[String]) -> ExitCode {
-    let mut path = None;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(f) => out = Some(f.clone()),
-                None => return usage(),
-            },
-            other if !other.starts_with("--") && path.is_none() => path = Some(other.to_string()),
-            _ => return usage(),
-        }
-    }
-    let Some(path) = path else {
-        return usage();
-    };
-    let file = {
-        let p = std::path::Path::new(&path);
-        if p.is_dir() {
-            p.join("summary.json")
-        } else {
-            p.to_path_buf()
-        }
-    };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let prom = match summary_to_prom(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let encoded = prom.encode();
-    match out {
-        Some(f) => match std::fs::write(&f, encoded) {
-            Ok(()) => eprintln!("wrote {f}"),
-            Err(e) => {
-                eprintln!("cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => print!("{encoded}"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the `summary.json` shape (`summaries_json`) back into the shared
-/// [`PromMetrics`] exposition set.
-fn summary_to_prom(text: &str) -> Result<PromMetrics, String> {
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    let obj = |key: &str| match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Obj(m)) => Ok(Some(m)),
-        Some(_) => Err(format!("\"{key}\" is not an object")),
-    };
-    let mut prom = PromMetrics::default();
-    if let Some(m) = obj("counters")? {
-        for (k, v) in m {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("counter {k:?} not a u64"))?;
-            prom.counters.push((k.clone(), v));
-        }
-    }
-    if let Some(m) = obj("gauges")? {
-        for (k, v) in m {
-            let v = v
-                .as_f64()
-                .ok_or_else(|| format!("gauge {k:?} not a number"))?;
-            prom.gauges.push((k.clone(), v));
-        }
-    }
-    if let Some(m) = obj("histograms")? {
-        for (k, h) in m {
-            let u = |f: &str| {
-                h.get(f)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("histogram {k:?} field {f:?} not a u64"))
-            };
-            let mean = h
-                .get("mean")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("histogram {k:?} has no mean"))?;
-            prom.hists.push((
-                k.clone(),
-                HistSummary {
-                    count: u("count")?,
-                    mean,
-                    min: u("min")?,
-                    max: u("max")?,
-                    p50: u("p50")?,
-                    p90: u("p90")?,
-                    p99: u("p99")?,
-                },
-            ));
-        }
-    }
-    if let Some(m) = obj("heatmaps")? {
-        for (k, bins) in m {
-            let bins = bins
-                .as_arr()
-                .ok_or_else(|| format!("heatmap {k:?} not an array"))?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .ok_or_else(|| format!("heatmap {k:?} bin not a u64"))
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-            prom.heatmaps.push((k.clone(), bins));
-        }
-    }
-    Ok(prom)
 }
 
 /// `tracetool shrink`: differential replay + delta minimization.

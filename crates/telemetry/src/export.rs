@@ -1,5 +1,8 @@
 //! Exporters: JSONL / CSV time series, histogram summaries as a JSON
 //! fragment for `BENCH_experiments.json`, and Chrome trace-event files.
+//! [`export_dir`] writes them all from one snapshot, with the summary's
+//! Prometheus text exposition (`summary.prom`) beside it: the workspace's
+//! only metrics export.
 //!
 //! Every JSON document is a [`Json`] value (the workspace carries no
 //! serde) rendered by the one writer in [`crate::json`], so the output is
@@ -130,30 +133,22 @@ pub fn summaries_json(snap: &TelemetrySnapshot) -> Json {
     ])
 }
 
-/// One histogram's summary statistics, as exported into `summary.json`
-/// (full bucket arrays are not persisted, so this is the granularity both
-/// the live exporter and `tracetool metrics` share).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistSummary {
-    /// Total samples.
-    pub count: u64,
-    /// Exact mean.
-    pub mean: f64,
+/// One histogram's summary statistics: all `summary.json` and
+/// `summary.prom` keep of it (full bucket arrays are not persisted).
+struct HistSummary {
+    count: u64,
+    mean: f64,
     /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Median (bucket resolution).
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
+    min: u64,
+    max: u64,
+    /// Percentiles at bucket resolution.
+    p50: u64,
+    p90: u64,
+    p99: u64,
 }
 
 impl HistSummary {
-    /// The statistics `summary.json` and the exposition keep of `h`.
-    pub fn of(h: &HistSnapshot) -> Self {
+    fn of(h: &HistSnapshot) -> Self {
         Self {
             count: h.count,
             mean: h.mean(),
@@ -166,89 +161,53 @@ impl HistSummary {
     }
 }
 
-/// The one intermediate both metric exports flow through: live snapshots
-/// ([`PromMetrics::from_snapshot`]) and recorded `summary.json` artifacts
-/// (`tracetool metrics` parses the JSON and fills the same fields), so
-/// there is exactly one Prometheus encoder ([`PromMetrics::encode`]) in
-/// the workspace.
-#[derive(Debug, Clone, Default)]
-pub struct PromMetrics {
-    /// Monotonic counters, name-sorted.
-    pub counters: Vec<(String, u64)>,
-    /// Gauges, name-sorted.
-    pub gauges: Vec<(String, f64)>,
-    /// Histogram summaries, name-sorted.
-    pub hists: Vec<(String, HistSummary)>,
-    /// Heat maps, name-sorted.
-    pub heatmaps: Vec<(String, Vec<u64>)>,
-}
-
-impl PromMetrics {
-    /// Builds the exposition set from a live snapshot.
-    pub fn from_snapshot(snap: &TelemetrySnapshot) -> Self {
-        Self {
-            counters: snap.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: snap.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            hists: snap
-                .hists
-                .iter()
-                .map(|(k, h)| (k.clone(), HistSummary::of(h)))
-                .collect(),
-            heatmaps: snap
-                .heatmaps
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+/// The snapshot as Prometheus text exposition format (version 0.0.4), the
+/// body of `summary.prom`. Recorder names contain `/`, which is illegal
+/// in a metric name, so every sample is emitted under a fixed family with
+/// the recorder name carried as a `name` label value (heat maps add a
+/// `bin` label; histogram summaries a `stat` label).
+fn prom_exposition(snap: &TelemetrySnapshot) -> String {
+    let mut out = String::new();
+    out.push_str("# HELP mltc_counter Monotonic counter from the mltc recorder.\n");
+    out.push_str("# TYPE mltc_counter counter\n");
+    for (name, v) in &snap.counters {
+        let _ = writeln!(out, "mltc_counter{{name={}}} {v}", prom_label(name));
+    }
+    out.push_str("# HELP mltc_gauge Last-write-wins gauge from the mltc recorder.\n");
+    out.push_str("# TYPE mltc_gauge gauge\n");
+    for (name, v) in &snap.gauges {
+        let v = if v.is_finite() { *v } else { 0.0 };
+        let _ = writeln!(out, "mltc_gauge{{name={}}} {v}", prom_label(name));
+    }
+    out.push_str(
+        "# HELP mltc_histogram Histogram summary statistic (count/mean/min/max/p50/p90/p99).\n",
+    );
+    out.push_str("# TYPE mltc_histogram gauge\n");
+    for (name, h) in &snap.hists {
+        let n = prom_label(name);
+        let h = HistSummary::of(h);
+        let stats: [(&str, f64); 7] = [
+            ("count", h.count as f64),
+            ("mean", h.mean),
+            ("min", h.min as f64),
+            ("max", h.max as f64),
+            ("p50", h.p50 as f64),
+            ("p90", h.p90 as f64),
+            ("p99", h.p99 as f64),
+        ];
+        for (stat, v) in stats {
+            let _ = writeln!(out, "mltc_histogram{{name={n},stat=\"{stat}\"}} {v}");
         }
     }
-
-    /// Encodes the set as Prometheus text exposition format (version
-    /// 0.0.4). Recorder names contain `/`, which is illegal in a metric
-    /// name, so every sample is emitted under a fixed family with the
-    /// recorder name carried as a `name` label value (heat maps add a
-    /// `bin` label; histogram summaries a `stat` label).
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# HELP mltc_counter Monotonic counter from the mltc recorder.\n");
-        out.push_str("# TYPE mltc_counter counter\n");
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "mltc_counter{{name={}}} {v}", prom_label(name));
+    out.push_str("# HELP mltc_heatmap Per-bin heat-map count from the mltc recorder.\n");
+    out.push_str("# TYPE mltc_heatmap counter\n");
+    for (name, bins) in &snap.heatmaps {
+        let n = prom_label(name);
+        for (bin, v) in bins.iter().enumerate() {
+            let _ = writeln!(out, "mltc_heatmap{{name={n},bin=\"{bin}\"}} {v}");
         }
-        out.push_str("# HELP mltc_gauge Last-write-wins gauge from the mltc recorder.\n");
-        out.push_str("# TYPE mltc_gauge gauge\n");
-        for (name, v) in &self.gauges {
-            let v = if v.is_finite() { *v } else { 0.0 };
-            let _ = writeln!(out, "mltc_gauge{{name={}}} {v}", prom_label(name));
-        }
-        out.push_str(
-            "# HELP mltc_histogram Histogram summary statistic (count/mean/min/max/p50/p90/p99).\n",
-        );
-        out.push_str("# TYPE mltc_histogram gauge\n");
-        for (name, h) in &self.hists {
-            let n = prom_label(name);
-            let stats: [(&str, f64); 7] = [
-                ("count", h.count as f64),
-                ("mean", h.mean),
-                ("min", h.min as f64),
-                ("max", h.max as f64),
-                ("p50", h.p50 as f64),
-                ("p90", h.p90 as f64),
-                ("p99", h.p99 as f64),
-            ];
-            for (stat, v) in stats {
-                let _ = writeln!(out, "mltc_histogram{{name={n},stat=\"{stat}\"}} {v}");
-            }
-        }
-        out.push_str("# HELP mltc_heatmap Per-bin heat-map count from the mltc recorder.\n");
-        out.push_str("# TYPE mltc_heatmap counter\n");
-        for (name, bins) in &self.heatmaps {
-            let n = prom_label(name);
-            for (bin, v) in bins.iter().enumerate() {
-                let _ = writeln!(out, "mltc_heatmap{{name={n},bin=\"{bin}\"}} {v}");
-            }
-        }
-        out
     }
+    out
 }
 
 /// A Prometheus label value: double-quoted with `\\`, `\"` and `\n`
@@ -297,10 +256,7 @@ pub fn export_dir(snap: &TelemetrySnapshot, dir: &Path) -> io::Result<()> {
     write_series_csv(&snap.series, &mut csv)?;
     csv.flush()?;
     fs::write(dir.join("summary.json"), summaries_json(snap).render())?;
-    fs::write(
-        dir.join("summary.prom"),
-        PromMetrics::from_snapshot(snap).encode(),
-    )?;
+    fs::write(dir.join("summary.prom"), prom_exposition(snap))?;
     let mut heat = io::BufWriter::new(fs::File::create(dir.join("heatmaps.csv"))?);
     write_heatmaps_csv(&snap.heatmaps, &mut heat)?;
     heat.flush()?;
@@ -390,7 +346,7 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_labelled_and_typed() {
         let snap = sample_snapshot();
-        let text = PromMetrics::from_snapshot(&snap).encode();
+        let text = prom_exposition(&snap);
         assert!(text.contains("# TYPE mltc_counter counter\n"));
         assert!(text.contains("mltc_counter{name=\"renders\"} 2\n"));
         assert!(text.contains("mltc_gauge{name=\"c0/miss_rate\"} 0.125\n"));

@@ -3,9 +3,11 @@
 //! Counters, log2-bucketed histograms, hierarchical timed spans and
 //! per-frame time series for the MLTC simulator, with three exporters:
 //! JSONL/CSV time series, histogram summaries (p50/p90/p99, mean) as a JSON
-//! fragment for `BENCH_experiments.json`, and Chrome trace-event JSON
-//! loadable in `chrome://tracing`. Those, and every other JSON artefact of
-//! the workspace, are [`Json`] values: [`json`] holds the one writer and parser.
+//! fragment for `BENCH_experiments.json` and as Prometheus text, and Chrome
+//! trace-event JSON loadable in `chrome://tracing`; [`export::export_dir`]
+//! writes them all from one snapshot. The JSON ones, and every other JSON
+//! artefact of the workspace, are [`Json`] values: [`json`] holds the one
+//! writer and parser.
 //!
 //! ## The overhead contract
 //!

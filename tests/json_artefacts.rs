@@ -1,9 +1,9 @@
 //! The workspace's one JSON reader against what reaches it: every artefact
 //! a `--tiny` run writes parses (`mltc_telemetry::Json`), a bench report
-//! keeps what it held when a run is appended, `tracetool metrics` re-encodes
-//! the recorded `summary.json` to the Prometheus text the live exporter
-//! wrote beside it, and hostile documents — a megabyte of strings, a tower
-//! of brackets — cost linear time and an `Err`.
+//! keeps what it held when a run is appended, the telemetry export's
+//! `summary.prom` carries the counters, histograms and heat maps of the
+//! `summary.json` beside it, and hostile documents — a megabyte of
+//! strings, a tower of brackets — cost linear time and an `Err`.
 //!
 //! The artefacts come from the real binaries: the test has the cargo that
 //! is running it build them in its own profile (they land next to it in
@@ -12,6 +12,7 @@
 
 use mltc::telemetry::json::MAX_DEPTH;
 use mltc::telemetry::{Json, JsonError};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -61,45 +62,62 @@ fn parse(path: &Path) -> Json {
     Json::parse(&read(path)).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// One value per line of a JSONL / NDJSON file.
+/// One value per line of a JSONL file.
 fn parse_lines(path: &Path) -> Vec<Json> {
     let parse = |(i, l)| Json::parse(l).unwrap_or_else(|e| panic!("{}:{i}: {e}", path.display()));
     read(path).lines().enumerate().map(parse).collect()
 }
 
+/// A report no binary wrote: pretty-printed, with one run and a `note`.
+const SEEDED_REPORT: &str = r#"{
+  "note": "hand-written: a key and a run no binary writes",
+  "runs": [
+    {
+      "scale": "quick",
+      "wall_seconds": 1.5
+    }
+  ],
+  "schema": 1
+}
+"#;
+
+/// The `name` label and value of each `family{name="…"…} value` sample in
+/// a Prometheus exposition.
+fn prom_samples<'a>(text: &'a str, family: &str) -> Vec<(&'a str, &'a str)> {
+    let head = format!("{family}{{name=\"");
+    let sample = |line: &'a str| {
+        let rest = line.strip_prefix(head.as_str())?;
+        let (name, rest) = rest.split_once('"')?;
+        let (_, value) = rest.rsplit_once(' ')?;
+        assert!(!name.contains('\\'), "escaped label {line}");
+        Some((name, value))
+    };
+    text.lines().filter_map(sample).collect()
+}
+
 #[test]
-fn every_artefact_of_a_tiny_run_parses_and_the_summary_reencodes() {
+fn every_artefact_of_a_tiny_run_parses_and_the_exports_agree() {
     let bins = build_bins();
     let dir = std::env::temp_dir().join(format!("mltc_json_artefacts_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    // The out directory already holds a report: the committed one, which is
-    // pretty-printed and carries a `note` no binary writes.
-    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_experiments.json");
-    std::fs::copy(committed, dir.join("committed.json")).unwrap();
-    std::fs::copy(committed, dir.join("BENCH_experiments.json")).unwrap();
-    let committed = parse(&dir.join("committed.json"));
-    let kept = committed.get("runs").and_then(Json::as_arr).expect("runs");
+    // The out directory already holds a report the runs append to.
+    std::fs::write(dir.join("BENCH_experiments.json"), SEEDED_REPORT).unwrap();
+    let seeded = Json::parse(SEEDED_REPORT).unwrap();
+    let kept = seeded.get("runs").and_then(Json::as_arr).expect("runs");
 
-    // The suite, recorded: telemetry export, trace events, live metrics,
-    // the explorer's summary, and the bench report appended to twice.
+    // The suite, recorded: telemetry export, trace events, the explorer's
+    // summary, and the bench report appended to twice.
     let recorded = "all --tiny --out . --telemetry telemetry \
-                    --trace-events telemetry/trace_events.json --metrics metrics.prom";
+                    --trace-events telemetry/trace_events.json";
     run(&bins, &dir, "experiments", recorded);
     run(&bins, &dir, "experiments", "fig10 --tiny --out .");
     // One panicked client of four: a quarantine reason in the summary.
     let chaos = "--tiny --clients 4 --inject-panic 2 --out chaos";
     run(&bins, &dir, "multiclient", chaos);
-    // The committed report is the baseline; the thresholds are wide open,
-    // since a debug build at tiny scale is no throughput statement.
-    let judged = "--baseline committed.json --current BENCH_experiments.json \
-                  --threshold -100 --model-threshold 100 --out bench_verdict.json";
-    run(&bins, &dir, "bench-sentinel", judged);
     let dumped = "model traces/village-64x48-f4-ts8-s5eed-late-scanline.mltct \
                   --out grid.csv --profile-out profile.json";
     run(&bins, &dir, "tracetool", dumped);
-    let reencode = "metrics telemetry --out reencoded.prom";
-    run(&bins, &dir, "tracetool", reencode);
 
     let summary = parse(&dir.join("telemetry/summary.json"));
     let renders = summary.get("counters").and_then(|c| c.get("store/renders"));
@@ -111,17 +129,14 @@ fn every_artefact_of_a_tiny_run_parses_and_the_summary_reencodes() {
     let events = parse(&dir.join("telemetry/trace_events.json"));
     let events = events.get("traceEvents").and_then(Json::as_arr);
     assert!(events.is_some_and(|e| !e.is_empty()));
-    let ticks = parse_lines(&dir.join("metrics.prom.ndjson"));
-    let last = ticks.last().expect("the final flush ticks once");
-    assert!(last.get("elapsed_seconds").and_then(Json::as_f64).is_some());
-    let gauges = last.get("summary").and_then(|s| s.get("gauges"));
-    assert!(gauges.is_some());
 
     // Both invocations appended, and the report kept what it held. The
     // first new record carries the very summary and model fragment the
     // suite wrote beside it.
     let bench = parse(&dir.join("BENCH_experiments.json"));
-    assert_eq!(bench.get("note"), committed.get("note"));
+    let tmp = dir.join("BENCH_experiments.json.tmp");
+    assert!(!tmp.exists(), "the report is renamed into place");
+    assert_eq!(bench.get("note"), seeded.get("note"));
     assert_eq!(bench.get("schema"), Some(&Json::Num(1)));
     let runs = bench.get("runs").and_then(Json::as_arr).expect("runs");
     let (old, new) = runs.split_at(kept.len());
@@ -146,25 +161,30 @@ fn every_artefact_of_a_tiny_run_parses_and_the_summary_reencodes() {
     let profile = parse(&dir.join("profile.json"));
     let pages = profile.get("pages").and_then(Json::as_arr);
     assert!(pages.is_some_and(|p| !p.is_empty()));
-    let verdict = parse(&dir.join("bench_verdict.json"));
-    assert_eq!(verdict.get("verdict").and_then(Json::as_str), Some("pass"));
 
-    // summary.json keeps gauges to 6 and histogram means to 3 decimals, so
-    // the re-encoding is the live exposition up to that rounding.
-    let live = read(&dir.join("telemetry/summary.prom"));
-    let reencoded = read(&dir.join("reencoded.prom"));
-    assert_eq!(live.lines().count(), reencoded.lines().count());
-    for (a, b) in live.lines().zip(reencoded.lines()) {
-        if a.starts_with('#') {
-            assert_eq!(a, b, "HELP and TYPE lines are verbatim");
-            continue;
-        }
-        let (name_a, x) = a.rsplit_once(' ').expect("a sample line");
-        let (name_b, y) = b.rsplit_once(' ').expect("a sample line");
-        let (x, y): (f64, f64) = (x.parse().unwrap(), y.parse().unwrap());
-        let same = name_a == name_b && (x - y).abs() <= 5e-4;
-        assert!(same, "{a} re-encoded as {b}");
-    }
+    // summary.prom and summary.json come from one snapshot: the same
+    // counters with the same values, and as many histograms and heat maps.
+    let prom = read(&dir.join("telemetry/summary.prom"));
+    let of = |key: &str| match summary.get(key) {
+        Some(Json::Obj(m)) => m,
+        other => panic!("summary.json {key}: {other:?}"),
+    };
+    let counters: BTreeMap<&str, u64> = prom_samples(&prom, "mltc_counter")
+        .into_iter()
+        .map(|(name, v)| (name, v.parse().unwrap_or_else(|_| panic!("{name} {v}"))))
+        .collect();
+    let recorded: BTreeMap<&str, u64> = of("counters")
+        .iter()
+        .map(|(name, v)| (name.as_str(), v.as_u64().expect("a u64 counter")))
+        .collect();
+    assert!(!counters.is_empty());
+    assert_eq!(counters, recorded);
+    let names = |family| -> BTreeSet<&str> {
+        let samples = prom_samples(&prom, family).into_iter();
+        samples.map(|(name, _)| name).collect()
+    };
+    assert_eq!(names("mltc_histogram").len(), of("histograms").len());
+    assert_eq!(names("mltc_heatmap").len(), of("heatmaps").len());
 
     // What is there and is not a report is named on stderr, then replaced.
     for torn in ["{\"schema\":1,\"runs\":[{", "{\"runs\": 3}"] {
