@@ -3,8 +3,7 @@
 use crate::batch::{PreparedFrame, WideFrame};
 use crate::latency::{LatencyModel, TimingSim};
 use crate::tap::{
-    const_filter, AdmitAll, Hierarchy, L1Miss, Levels, MipDims, MissLog, Replay, TelOff,
-    TelemetryMode, Traced,
+    const_filter, AdmitAll, Hierarchy, L1Miss, Levels, MipDims, Replay, TelemetryMode, Traced,
 };
 use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
@@ -286,11 +285,6 @@ pub struct SimEngine {
     /// never mutates cache state, so behavioral results are bit-identical
     /// with and without it.
     timing: Option<Box<TimingSim>>,
-    /// The last frame's L1 misses in tap order, filled only while this
-    /// engine leads a [`try_run_frame_shared`](Self::try_run_frame_shared)
-    /// group or records an [`L1Pass`] (kept here so the buffer is reused
-    /// from frame to frame).
-    miss_log: Vec<L1Miss>,
 }
 
 impl SimEngine {
@@ -364,7 +358,6 @@ impl SimEngine {
             frames: Vec::new(),
             tel: None,
             timing: None,
-            miss_log: Vec::new(),
         }
     }
 
@@ -761,22 +754,26 @@ impl SimEngine {
         self.replay_frame_batched(filter, requests)
     }
 
-    /// Whether `self` and `other` may replay as one
-    /// [`try_run_frame_shared`](Self::try_run_frame_shared) group: their
-    /// L1s see the same taps and nothing below either L1 can reach back
-    /// up into it. That takes equal L1 geometry and tiling over the same
-    /// textures, a fault-free host link on both (a failed download rolls
-    /// its L1 line back, so L1 state would depend on the link), and
-    /// neither telemetry nor timing attached: a follower sees only the
+    /// Whether `self` and `other` may share one [`L1Pass`]: one of them
+    /// records it and the other replays it
+    /// ([`replay_pass_frame`](Self::replay_pass_frame)). Their L1s see the
+    /// same taps and nothing below either L1 can reach back up into it.
+    /// That takes equal L1 geometry and tiling over the same textures, a
+    /// fault-free host link on both (a failed download rolls its L1 line
+    /// back, so L1 state would depend on the link), and neither telemetry
+    /// nor timing attached: a member replaying the pass sees only the
     /// leader's L1 misses, while telemetry records L1 hits too and the
     /// timing overlay needs every fragment and every hit's tag (a hit on
-    /// a line whose fill is still in flight waits).
+    /// a line whose fill is still in flight waits). The textures must also
+    /// be ones whose every miss packs into a pass's word, so a recording
+    /// leader never meets a miss it cannot keep.
     pub fn shares_l1_with(&self, other: &SimEngine) -> bool {
         self.l1_stands_alone()
             && other.l1_stands_alone()
             && self.cfg.l1 == other.cfg.l1
             && self.cfg.tiling == other.cfg.tiling
             && self.dims == other.dims
+            && l1pass::packs_every_miss(&self.dims)
     }
 
     /// The per-engine half of [`shares_l1_with`](Self::shares_l1_with):
@@ -784,126 +781,6 @@ impl SimEngine {
     /// and neither telemetry nor timing watching its hits.
     fn l1_stands_alone(&self) -> bool {
         self.cfg.fault.is_none() && self.tel.is_none() && self.timing.is_none()
-    }
-
-    /// Replays one frame through every engine of `group` with a single L1
-    /// pass. `group[0]` leads: it runs the wide frame loop of
-    /// [`try_run_frame_requests_batched`](Self::try_run_frame_requests_batched)
-    /// and logs its L1 misses in tap order. Every other member replays
-    /// that log through its own TLB, L2 and host link, then adopts the
-    /// leader's L1 counters and a clone of its L1. The hierarchy is
-    /// non-inclusive and everything below the L1 is conditional on an L1
-    /// miss (paper §5.4), so with a fault-free link each member ends the
-    /// frame state-identical to a solo batched replay. A group of one *is*
-    /// that solo replay — here; under
-    /// [`try_run_frame_recorded_as`](Self::try_run_frame_recorded_as) it
-    /// runs the logging loop too, so the pass it makes can be kept.
-    ///
-    /// Every member must [share its L1](Self::shares_l1_with) with the
-    /// leader and have replayed the same frames so far.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_run_frame`](Self::try_run_frame), for every
-    /// member: on an unknown texture each one keeps the frame open with
-    /// the counters its solo replay would hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is empty or a member does not share the leader's
-    /// L1.
-    pub fn try_run_frame_shared<I>(
-        group: &mut [SimEngine],
-        filter: FilterMode,
-        requests: I,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
-        Self::run_frame_shared(group, filter, requests, false)
-    }
-
-    /// [`try_run_frame_shared`](Self::try_run_frame_shared); with
-    /// `log_alone` a leader without followers logs its misses too.
-    fn run_frame_shared<I>(
-        group: &mut [SimEngine],
-        filter: FilterMode,
-        requests: I,
-        log_alone: bool,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
-        let (leader, followers) = group
-            .split_first_mut()
-            .expect("a shared replay needs at least one engine");
-        if followers.is_empty() && !log_alone {
-            return leader.try_run_frame_requests_batched(filter, requests);
-        }
-        assert!(
-            followers.iter().all(|f| leader.shares_l1_with(f)),
-            "every member of a shared replay must share the leader's L1"
-        );
-        debug_assert!(
-            followers.iter().all(|f| f.l1.lines().eq(leader.l1.lines())),
-            "members of a shared replay must have replayed the same frames"
-        );
-        let replayed = leader.replay_frame_logged(filter, requests);
-        for f in followers.iter_mut() {
-            f.replay_l1_misses(leader.miss_log.iter().copied());
-            f.current.l1_accesses = leader.current.l1_accesses;
-            f.current.l1_hits = leader.current.l1_hits;
-            f.l1.clone_from(&leader.l1);
-        }
-        replayed?;
-        for e in group {
-            e.end_frame();
-        }
-        Ok(())
-    }
-
-    /// [`try_run_frame_shared`](Self::try_run_frame_shared) over a decoded
-    /// trace, as [`try_run_frame_as_batched`](Self::try_run_frame_as_batched)
-    /// is to its `_requests` form: callers replaying in-memory frames share
-    /// this crate's copy of the frame loops instead of instantiating their
-    /// own.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_run_frame_shared`](Self::try_run_frame_shared).
-    pub fn try_run_frame_shared_as(
-        group: &mut [SimEngine],
-        trace: &FrameTrace,
-        filter: FilterMode,
-    ) -> Result<(), EngineError> {
-        Self::try_run_frame_shared(group, filter, trace.requests.iter().copied())
-    }
-
-    /// The leader's half of a shared frame: the wide frame loop with the
-    /// [`MissLog`] sink in place of `TelOff`. The frame stays open.
-    fn replay_frame_logged<I>(&mut self, filter: FilterMode, requests: I) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
-        let mut log = std::mem::take(&mut self.miss_log);
-        log.clear();
-        let frame = WideFrame {
-            filter,
-            requests,
-            ad: AdmitAll,
-        };
-        let replayed = self
-            .hierarchy(None)
-            .0
-            .replay_under(MissLog(&mut log), frame);
-        self.miss_log = log;
-        replayed
-    }
-
-    /// A follower's half of a shared frame, and all of a stored pass's:
-    /// the leader's L1 misses, in order, through everything below the L1.
-    fn replay_l1_misses(&mut self, misses: impl Iterator<Item = L1Miss>) {
-        self.hierarchy(None).0.replay_under(TelOff, Misses(misses));
     }
 
     /// Replays a frame decoded off-engine by [`FramePrep`](crate::FramePrep)
@@ -1142,7 +1019,8 @@ impl Replay for Taps<'_> {
     }
 }
 
-/// The miss-log loop of [`SimEngine::replay_l1_misses`].
+/// The below-L1 loop of [`SimEngine::replay_pass_frame`]: a pass's L1
+/// misses, in order, through everything below the engine's L1.
 struct Misses<I>(I);
 
 impl<I: Iterator<Item = L1Miss>> Replay for Misses<I> {
@@ -1530,79 +1408,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_replay_is_state_identical_to_solo_replays() {
-        let reg = registry(3, 128);
-        let configs = shared_l1_configs();
-        for filter in [
-            FilterMode::Point,
-            FilterMode::Bilinear,
-            FilterMode::Trilinear,
-        ] {
-            let mut group: Vec<SimEngine> =
-                configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
-            let mut solo: Vec<SimEngine> =
-                configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
-            for f in 0..3 {
-                let trace = wavy_trace(f);
-                SimEngine::try_run_frame_shared(&mut group, filter, trace.requests.iter().copied())
-                    .unwrap();
-                for (i, e) in solo.iter_mut().enumerate() {
-                    e.try_run_frame_as_batched(&trace, filter).unwrap();
-                    assert_same_state(&group[i], e, &format!("{filter} frame {f} member {i}"));
-                }
-            }
-            let t = group[0].totals();
-            assert!(
-                t.l1_hits > 0 && t.l1_hits < t.l1_accesses,
-                "hits and misses"
-            );
-            assert!(
-                group[2].totals().l2_full_misses > 0,
-                "the small L2 must churn"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_replay_error_contract_matches_solo() {
-        let reg = registry(1, 64);
-        // Enough requests before the unknown texture to cross a footprint
-        // block, so the leader's drain-before-error order matters.
-        let mut t = FrameTrace::new(0, 8, 8, FilterMode::Point);
-        for i in 0..21u32 {
-            t.push(PixelRequest {
-                tid: TextureId::from_index(if i == 19 { 7 } else { 0 }),
-                u: (i * 5) as f32,
-                v: (i * 3) as f32,
-                lod: 0.0,
-            });
-        }
-        let expect = EngineError::UnknownTexture(TextureId::from_index(7));
-        let configs = shared_l1_configs();
-        let mut group: Vec<SimEngine> = configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
-        assert_eq!(
-            SimEngine::try_run_frame_shared(
-                &mut group,
-                FilterMode::Bilinear,
-                t.requests.iter().copied()
-            ),
-            Err(expect.clone())
-        );
-        for (member, &cfg) in group.iter_mut().zip(&configs) {
-            let mut solo = SimEngine::new(cfg, &reg);
-            assert_eq!(
-                solo.try_run_frame_as_batched(&t, FilterMode::Bilinear),
-                Err(expect.clone())
-            );
-            assert_eq!(member.frames().len(), 0, "frame must be left open");
-            member.end_frame();
-            solo.end_frame();
-            assert_same_state(member, &solo, &cfg.label());
-            assert_eq!(member.frame_stats().l1_accesses, 19 * 4);
-        }
-    }
-
-    #[test]
     fn faults_observers_and_other_geometry_do_not_share_an_l1() {
         let reg = registry(1, 64);
         let base = shared_l1_configs()[0];
@@ -1634,23 +1439,6 @@ mod tests {
         assert!(!plain.shares_l1_with(&observed) && !observed.shares_l1_with(&plain));
         // Other textures expand the same requests to other taps.
         assert!(!plain.shares_l1_with(&SimEngine::new(base, &registry(2, 64))));
-    }
-
-    #[test]
-    #[should_panic(expected = "share the leader's L1")]
-    fn shared_replay_rejects_a_member_with_another_l1() {
-        let reg = registry(1, 64);
-        let mut group = vec![
-            SimEngine::new(EngineConfig::default(), &reg),
-            SimEngine::new(
-                EngineConfig {
-                    l1: L1Config::kb(2),
-                    ..EngineConfig::default()
-                },
-                &reg,
-            ),
-        ];
-        let _ = SimEngine::try_run_frame_shared(&mut group, FilterMode::Point, std::iter::empty());
     }
 
     #[test]

@@ -1,37 +1,50 @@
-//! Stored L1 passes: one replay's L1-filtered miss stream, kept so later
-//! configurations on the same L1 replay only what lies below it.
+//! L1 passes: one replay's L1-filtered miss stream, made a value, so every
+//! other configuration on the same L1 replays only what lies below it.
 //!
 //! On a fault-free link everything below the L1 is a function of the L1
-//! miss stream alone (DESIGN.md §14), and
-//! [`try_run_frame_shared`](SimEngine::try_run_frame_shared) already uses
-//! that inside one call: the leader logs its misses, the followers replay
-//! the log. An [`L1Pass`] is that log made a value — per frame the leader's
+//! miss stream alone (DESIGN.md §14). An [`L1Pass`] is that stream as the
+//! leader of a group of configurations sharing an L1
+//! ([`shares_l1_with`](SimEngine::shares_l1_with)) makes it — per frame its
 //! misses in tap order and its `l1_accesses`/`l1_hits`, and at the end a
-//! clone of its L1 — so a configuration that arrives in a *later* call
-//! replays the pass through the same below-L1 loop
-//! (`replay_l1_misses`) and ends state-identical to its solo batched
-//! replay. Nothing here is a new tap body.
+//! clone of its L1 — so every other member, in the same run or in a later
+//! one, replays the pass through the below-L1 loop (`Misses`) and
+//! ends state-identical to its solo batched replay. It is the only way
+//! configurations share an L1, and nothing here is a new tap body.
 
-use super::{FrameCounters, SimEngine};
-use crate::tap::L1Miss;
+use super::{FrameCounters, Misses, SimEngine};
+use crate::batch::WideFrame;
+use crate::tap::{AdmitAll, L1Miss, MissLog, TelOff};
 use crate::{EngineError, L1Config, L1TextureCache};
 use mltc_texture::TilingConfig;
-use mltc_trace::{FilterMode, FrameTrace};
+use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
 
 /// Bits of a packed miss word given to each of `u` and `v`; the mip level
 /// takes the four that remain.
 const COORD_BITS: u32 = 14;
 const COORD_MASK: u32 = (1 << COORD_BITS) - 1;
+const LEVEL_BITS: u32 = 32 - 2 * COORD_BITS;
+
+/// Whether every miss over textures of these mip dimensions packs into a
+/// word: at most 16 levels, none over 16 384 texels on a side (taps are
+/// wrapped into their level). Checked where a group forms and where a
+/// recording starts, so a recording leader never meets a miss it cannot
+/// pack. `mltc_texture::Image` caps a level at 4096 texels today; the check
+/// keeps that an observation rather than an assumption.
+pub(super) fn packs_every_miss(dims: &[Option<Vec<(u32, u32)>>]) -> bool {
+    dims.iter().flatten().all(|levels| {
+        levels.len() <= 1 << LEVEL_BITS
+            && levels
+                .iter()
+                .all(|&(w, h)| w <= COORD_MASK + 1 && h <= COORD_MASK + 1)
+    })
+}
 
 /// One L1 miss as one word, `m << 28 | u << 14 | v` — memory, not time, is
-/// what a stored pass costs. `None` when a field does not fit (a level over
-/// 16 384 texels on a side, a 17th mip level): such a pass is not kept.
-/// `mltc_texture::Image` caps a level at 4096 texels today, so nothing a
-/// registry holds comes near; the check is what keeps that an observation
-/// rather than an assumption.
-fn pack(m: u32, u: u32, v: u32) -> Option<u32> {
-    (m < 1 << (32 - 2 * COORD_BITS) && u <= COORD_MASK && v <= COORD_MASK)
-        .then_some(m << (2 * COORD_BITS) | u << COORD_BITS | v)
+/// what a stored pass costs. Every field fits: the pass's textures passed
+/// [`packs_every_miss`].
+fn pack(m: u32, u: u32, v: u32) -> u32 {
+    debug_assert!(m < 1 << LEVEL_BITS && u <= COORD_MASK && v <= COORD_MASK);
+    m << (2 * COORD_BITS) | u << COORD_BITS | v
 }
 
 fn unpack(tid: u32, word: u32) -> L1Miss {
@@ -56,22 +69,22 @@ struct PassFrame {
 }
 
 impl PassFrame {
-    fn pack(misses: &[L1Miss], counters: &FrameCounters) -> Option<Self> {
+    fn pack(misses: &[L1Miss], counters: &FrameCounters) -> Self {
         let mut words = Vec::with_capacity(misses.len());
         let mut runs: Vec<(u32, u32)> = Vec::new();
         for &(tid, m, u, v) in misses {
-            words.push(pack(m, u, v)?);
+            words.push(pack(m, u, v));
             match runs.last_mut() {
-                Some((t, n)) if *t == tid => *n = n.checked_add(1)?,
+                Some((t, n)) if *t == tid && *n < u32::MAX => *n += 1,
                 _ => runs.push((tid, 1)),
             }
         }
-        Some(Self {
+        Self {
             l1_accesses: counters.l1_accesses,
             l1_hits: counters.l1_hits,
             words: words.into_boxed_slice(),
             runs: runs.into_boxed_slice(),
-        })
+        }
     }
 
     fn misses(&self) -> impl Iterator<Item = L1Miss> + '_ {
@@ -94,8 +107,9 @@ impl PassFrame {
 /// unobserved engine with this filter, L1 geometry and tiling over these
 /// textures would compute above its L2, TLB and host link.
 ///
-/// Recorded by [`SimEngine::try_run_frame_recorded_as`] through an
-/// [`L1PassRecorder`]; replayed by [`SimEngine::replay_pass_frame`].
+/// Recorded by [`SimEngine::try_run_frame_recorded_as`] (or its generic
+/// twin) through an [`L1PassRecorder`]; replayed by
+/// [`SimEngine::replay_pass_frame`].
 #[derive(Debug)]
 pub struct L1Pass {
     filter: FilterMode,
@@ -128,6 +142,8 @@ impl L1Pass {
             && self.dims == other.dims
     }
 
+    /// [`shares_l1_with`](SimEngine::shares_l1_with) against the engine
+    /// the pass was recorded on; its textures passed the word check then.
     fn fits(&self, engine: &SimEngine) -> bool {
         engine.l1_stands_alone()
             && self.l1_cfg == engine.cfg.l1
@@ -163,15 +179,19 @@ impl L1Pass {
 
 /// An [`L1Pass`] in the making: handed to
 /// [`SimEngine::try_run_frame_recorded_as`] with every frame of a replay,
-/// then [`finish`](Self::finish)ed. Recording stops for good — the replay
-/// itself carries on unchanged — the moment the pass could not be exact or
-/// could not be packed: a leader with a fault plan, telemetry or timing, or
-/// one that already replayed something; a frame that ended in an error; a
-/// miss whose coordinates do not fit a word.
+/// then [`finish`](Self::finish)ed. It owns the buffer each frame's misses
+/// are logged into before they are packed. Recording stops for good — the
+/// replay itself carries on unchanged — the moment the pass could not be
+/// exact: a leader with a fault plan, telemetry or timing, over textures
+/// whose misses do not pack, or one that already replayed something; a
+/// frame that ended in an error.
 #[derive(Debug)]
 pub struct L1PassRecorder {
     filter: FilterMode,
     pass: Option<L1Pass>,
+    /// The frame being recorded's L1 misses in tap order (reused from
+    /// frame to frame).
+    log: Vec<L1Miss>,
 }
 
 impl L1PassRecorder {
@@ -185,13 +205,14 @@ impl L1PassRecorder {
 
 impl SimEngine {
     /// Starts recording the L1 pass this engine is about to make under
-    /// `filter` as the leader of
+    /// `filter` with
     /// [`try_run_frame_recorded_as`](Self::try_run_frame_recorded_as).
     pub fn record_l1_pass(&self, filter: FilterMode) -> L1PassRecorder {
         let fresh = self.frames.is_empty() && self.current == FrameCounters::default();
+        let exact = self.l1_stands_alone() && packs_every_miss(&self.dims);
         L1PassRecorder {
             filter,
-            pass: (fresh && self.l1_stands_alone()).then(|| L1Pass {
+            pass: (fresh && exact).then(|| L1Pass {
                 filter,
                 l1_cfg: self.cfg.l1,
                 tiling: self.cfg.tiling,
@@ -199,41 +220,65 @@ impl SimEngine {
                 frames: Vec::new(),
                 l1: self.l1.clone(),
             }),
+            log: Vec::new(),
         }
     }
 
-    /// [`try_run_frame_shared_as`](Self::try_run_frame_shared_as) under the
-    /// recorder's filter, with the frame appended to the pass being
-    /// recorded: while it records, the leader logs its L1 misses even in a
-    /// group of one. Like the `_as` form it is not generic, so callers in
-    /// other crates share this crate's copy of the logging frame loops.
+    /// [`try_run_frame_recorded`](Self::try_run_frame_recorded) over a
+    /// decoded trace, as
+    /// [`try_run_frame_as_batched`](Self::try_run_frame_as_batched) is to
+    /// its `_requests` form: not generic, so callers in other crates share
+    /// this crate's copy of the logging frame loops.
     ///
     /// # Errors
     ///
-    /// Same contract as [`try_run_frame_shared`](Self::try_run_frame_shared);
-    /// a frame that ends in an error ends the recording.
+    /// Same contract as [`try_run_frame_recorded`](Self::try_run_frame_recorded).
     pub fn try_run_frame_recorded_as(
-        group: &mut [SimEngine],
+        &mut self,
         trace: &FrameTrace,
         recorder: &mut L1PassRecorder,
     ) -> Result<(), EngineError> {
-        let recording = recorder
-            .pass
-            .take()
-            .filter(|p| group.first().is_some_and(|l| p.follows(l)));
-        let requests = trace.requests.iter().copied();
-        let ran = Self::run_frame_shared(group, recorder.filter, requests, recording.is_some());
-        if let (Some(mut pass), Ok(())) = (recording, &ran) {
-            let leader = &group[0];
-            recorder.pass = PassFrame::pack(&leader.miss_log, leader.frame_stats()).map(|frame| {
-                pass.frames.push(frame);
-                pass
-            });
-        }
-        ran
+        self.try_run_frame_recorded(trace.requests.iter().copied(), recorder)
     }
 
-    /// Replays frame `frame` of a stored pass: its L1 misses through this
+    /// [`try_run_frame_requests_batched`](Self::try_run_frame_requests_batched)
+    /// under the recorder's filter, with the frame appended to the pass
+    /// being recorded: the wide frame loop runs with the `MissLog` sink in
+    /// place of `TelOff`, and the misses it logs are packed when the frame
+    /// closes.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`try_run_frame`](Self::try_run_frame); a frame
+    /// that ends in an error ends the recording.
+    pub fn try_run_frame_recorded<I>(
+        &mut self,
+        requests: I,
+        recorder: &mut L1PassRecorder,
+    ) -> Result<(), EngineError>
+    where
+        I: IntoIterator<Item = PixelRequest>,
+    {
+        let filter = recorder.filter;
+        let Some(mut pass) = recorder.pass.take().filter(|p| p.follows(self)) else {
+            return self.replay_frame_batched(filter, requests);
+        };
+        recorder.log.clear();
+        let frame = WideFrame {
+            filter,
+            requests,
+            ad: AdmitAll,
+        };
+        let log = MissLog(&mut recorder.log);
+        self.hierarchy(None).0.replay_under(log, frame)?;
+        pass.frames
+            .push(PassFrame::pack(&recorder.log, &self.current));
+        recorder.pass = Some(pass);
+        self.end_frame();
+        Ok(())
+    }
+
+    /// Replays frame `frame` of a pass: its L1 misses through this
     /// engine's own TLB, L2 and host link, its L1 counters adopted and —
     /// with the last frame — a clone of the L1 the pass ended on. Frames
     /// replay in order on a fresh engine, which then ends every frame
@@ -248,14 +293,15 @@ impl SimEngine {
     pub fn replay_pass_frame(&mut self, pass: &L1Pass, frame: usize) {
         assert!(
             pass.fits(self),
-            "a stored pass replays only on an engine that shares its L1"
+            "an L1 pass replays only on an engine that shares its L1"
         );
         assert!(
             self.frames.len() == frame && self.current == FrameCounters::default(),
-            "a stored pass replays frame by frame on a fresh engine"
+            "an L1 pass replays frame by frame on a fresh engine"
         );
         let stored = &pass.frames[frame];
-        self.replay_l1_misses(stored.misses());
+        let misses = Misses(stored.misses());
+        self.hierarchy(None).0.replay_under(TelOff, misses);
         self.current.l1_accesses = stored.l1_accesses;
         self.current.l1_hits = stored.l1_hits;
         if frame + 1 == pass.frames.len() {
@@ -272,7 +318,6 @@ mod tests {
     use crate::{EngineConfig, FaultPlan, LatencyModel};
     use mltc_telemetry::Recorder;
     use mltc_texture::{Image, MipPyramid, TexelFormat, TextureId, TextureRegistry};
-    use mltc_trace::PixelRequest;
 
     const FILTERS: [FilterMode; 3] = [
         FilterMode::Point,
@@ -293,18 +338,14 @@ mod tests {
         t
     }
 
-    /// Replays `frames` through `group`, recording; the pass if one came
+    /// Replays `frames` through `leader`, recording; the pass if one came
     /// out of it.
-    fn record(
-        group: &mut [SimEngine],
-        frames: &[FrameTrace],
-        filter: FilterMode,
-    ) -> Option<L1Pass> {
-        let mut recorder = group[0].record_l1_pass(filter);
+    fn record(leader: &mut SimEngine, frames: &[FrameTrace], filter: FilterMode) -> Option<L1Pass> {
+        let mut recorder = leader.record_l1_pass(filter);
         for t in frames {
-            SimEngine::try_run_frame_recorded_as(group, t, &mut recorder).unwrap();
+            leader.try_run_frame_recorded_as(t, &mut recorder).unwrap();
         }
-        recorder.finish(&group[0])
+        recorder.finish(leader)
     }
 
     fn solo(
@@ -332,37 +373,76 @@ mod tests {
         e
     }
 
+    /// Replays `pass` into a fresh `cfg` engine beside that engine's solo
+    /// batched replay of `frames`, holding the two together frame by frame;
+    /// the L1 is adopted with the last frame, so it is compared at the end.
+    /// The solo replay is returned.
+    fn assert_replays_as_solo(
+        cfg: EngineConfig,
+        reg: &TextureRegistry,
+        pass: &L1Pass,
+        frames: &[FrameTrace],
+        filter: FilterMode,
+        ctx: &str,
+    ) -> SimEngine {
+        let mut want = SimEngine::new(cfg, reg);
+        let mut got = SimEngine::new(cfg, reg);
+        for (f, t) in frames.iter().enumerate() {
+            want.try_run_frame_as_batched(t, filter).unwrap();
+            got.replay_pass_frame(pass, f);
+            let ctx = format!("{ctx} frame {f}");
+            assert_eq!(got.frames(), want.frames(), "{ctx}: frame counters");
+            assert_eq!(
+                got.l2().map(|l2| (l2.clock_hand(), l2.clock_stats())),
+                want.l2().map(|l2| (l2.clock_hand(), l2.clock_stats())),
+                "{ctx}: clock state"
+            );
+            assert_eq!(
+                got.host().transfers(),
+                want.host().transfers(),
+                "{ctx}: host"
+            );
+        }
+        assert_same_state(&got, &want, ctx);
+        want
+    }
+
     #[test]
     fn stored_pass_replay_is_state_identical_to_solo_replays() {
         let reg = registry(3, 128);
         let configs = shared_l1_configs();
         let frames: Vec<FrameTrace> = (0..3).map(wavy_trace).collect();
         for filter in FILTERS {
-            // Recorded by a leader on its own, and by one with followers.
-            let mut alone = vec![SimEngine::new(configs[0], &reg)];
-            let mut group: Vec<SimEngine> =
-                configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
-            let passes = [
-                record(&mut alone, &frames, filter).expect("a plain leader records"),
-                record(&mut group, &frames, filter).expect("so does a group's"),
-            ];
-            assert!(passes[0].same_l1_as(&passes[1]));
-            assert_eq!(miss_count(&passes[0]), miss_count(&passes[1]));
-            for (i, &cfg) in configs.iter().enumerate() {
-                let want = solo(cfg, &reg, &frames, filter);
-                let ctx = format!("{filter} member {i}");
-                assert_same_state(&group[i], &want, &format!("{ctx}, recording run"));
-                for pass in &passes {
+            // Each of the five below-L1 shapes leads once: every leader
+            // makes the same pass, and every member replaying it — the
+            // leader's own shape included — holds its solo replay's state
+            // frame by frame.
+            let mut passes = Vec::new();
+            for (lead, &cfg) in configs.iter().enumerate() {
+                let mut leader = SimEngine::new(cfg, &reg);
+                let pass = record(&mut leader, &frames, filter).expect("a plain leader records");
+                let ctx = format!("{filter} led by {lead}");
+                assert_same_state(&leader, &solo(cfg, &reg, &frames, filter), &ctx);
+                let t = leader.totals();
+                assert_eq!(miss_count(&pass), t.l1_accesses - t.l1_hits, "{ctx}");
+                assert!(
+                    t.l1_hits > 0 && miss_count(&pass) > 0,
+                    "{ctx}: hits and misses"
+                );
+                passes.push(pass);
+            }
+            for (lead, pass) in passes.iter().enumerate() {
+                assert!(pass.same_l1_as(&passes[0]), "{filter} led by {lead}");
+                assert_eq!(miss_count(pass), miss_count(&passes[0]));
+                for (i, &cfg) in configs.iter().enumerate() {
                     assert!(pass.answers(&SimEngine::new(cfg, &reg), filter));
-                    assert_same_state(&from_pass(cfg, &reg, pass), &want, &ctx);
+                    let ctx = format!("{filter} led by {lead}, member {i}");
+                    let want = assert_replays_as_solo(cfg, &reg, pass, &frames, filter, &ctx);
+                    if i == 2 {
+                        assert!(want.totals().l2_full_misses > 0, "the small L2 must churn");
+                    }
                 }
             }
-            let t = alone[0].totals();
-            assert_eq!(miss_count(&passes[0]), t.l1_accesses - t.l1_hits);
-            assert!(
-                t.l1_hits > 0 && miss_count(&passes[0]) > 0,
-                "hits and misses"
-            );
         }
     }
 
@@ -386,10 +466,10 @@ mod tests {
             frame(2, &[]),
             frame(3, &[texels(0, 49, 50), texels(0, 49, 50)].concat()),
         ];
-        // A pull-only group: no L2 anywhere, leader or follower.
+        // A pull-only leader: no L2 anywhere, leader or member.
         for frames in [&animation[..], &animation[..1]] {
-            let mut group = vec![SimEngine::new(pull, &reg), SimEngine::new(pull, &reg)];
-            let pass = record(&mut group, frames, FilterMode::Point).expect("recorded");
+            let pass = record(&mut SimEngine::new(pull, &reg), frames, FilterMode::Point)
+                .expect("recorded");
             assert_eq!(pass.frame_count(), frames.len());
             for cfg in [pull, shared_l1_configs()[2]] {
                 let want = solo(cfg, &reg, frames, FilterMode::Point);
@@ -413,10 +493,12 @@ mod tests {
         let cfg = shared_l1_configs()[0];
         let good = frame(0, &[(0, 1.0, 1.0, 0.0)]);
         let bad = frame(1, &[(0, 9.0, 9.0, 0.0), (7, 1.0, 1.0, 0.0)]);
-        let mut group = vec![SimEngine::new(cfg, &reg), SimEngine::new(cfg, &reg)];
-        let mut recorder = group[0].record_l1_pass(FilterMode::Bilinear);
-        SimEngine::try_run_frame_recorded_as(&mut group, &good, &mut recorder).unwrap();
-        let err = SimEngine::try_run_frame_recorded_as(&mut group, &bad, &mut recorder);
+        let mut leader = SimEngine::new(cfg, &reg);
+        let mut recorder = leader.record_l1_pass(FilterMode::Bilinear);
+        leader
+            .try_run_frame_recorded_as(&good, &mut recorder)
+            .unwrap();
+        let err = leader.try_run_frame_recorded_as(&bad, &mut recorder);
         let mut want = SimEngine::new(cfg, &reg);
         want.try_run_frame_as_batched(&good, FilterMode::Bilinear)
             .unwrap();
@@ -426,16 +508,16 @@ mod tests {
         );
         assert!(matches!(err, Err(EngineError::UnknownTexture(_))));
         // Even if the caller carried on with a good frame.
-        for e in group.iter_mut().chain([&mut want]) {
+        for e in [&mut leader, &mut want] {
             e.end_frame();
         }
-        SimEngine::try_run_frame_recorded_as(&mut group, &good, &mut recorder).unwrap();
+        leader
+            .try_run_frame_recorded_as(&good, &mut recorder)
+            .unwrap();
         want.try_run_frame_as_batched(&good, FilterMode::Bilinear)
             .unwrap();
-        assert!(recorder.finish(&group[0]).is_none());
-        for member in &group {
-            assert_same_state(member, &want, "open-frame counters and all");
-        }
+        assert!(recorder.finish(&leader).is_none());
+        assert_same_state(&leader, &want, "open-frame counters and all");
     }
 
     #[test]
@@ -448,24 +530,42 @@ mod tests {
         reg.load("wide", MipPyramid::from_image(base));
         let cfg = shared_l1_configs()[0];
         let frames = [frame(0, &[(0, 3.0, 1.0, 0.0), (0, 4095.0, 7.0, 0.0)])];
-        let mut group = vec![SimEngine::new(cfg, &reg), SimEngine::new(cfg, &reg)];
-        let pass = record(&mut group, &frames, FilterMode::Point).expect("4095 fits a word");
+        let pass = record(&mut SimEngine::new(cfg, &reg), &frames, FilterMode::Point)
+            .expect("4095 fits a word");
         let want = solo(cfg, &reg, &frames, FilterMode::Point);
         assert_eq!(want.totals().l1_hits, 0, "both taps miss");
         assert_same_state(&from_pass(cfg, &reg, &pass), &want, "4096 wide");
-        // ...and the limit itself is checked where a frame is packed: one
-        // miss that does not fit and there is no frame, hence no pass.
+        // ...every field at its limit round-trips through a frame...
         let counters = FrameCounters::default();
         let fits = [(0, 15, COORD_MASK, 0), (0, 0, 0, COORD_MASK), (2, 1, 5, 6)];
-        let packed = PassFrame::pack(&fits, &counters).expect("every field fits");
+        let packed = PassFrame::pack(&fits, &counters);
         assert!(packed.misses().eq(fits));
         assert_eq!(&*packed.runs, [(0, 2), (2, 1)]);
-        for beyond in [
-            (0, 16, 0, 0),
-            (0, 0, COORD_MASK + 1, 0),
-            (0, 0, 0, COORD_MASK + 1),
-        ] {
-            assert!(PassFrame::pack(&[fits[0], beyond], &counters).is_none());
+        // ...and the limit itself is checked where a group forms and where a
+        // recording starts, from the textures' mip dimensions: sixteen
+        // levels of 16 384 texels a side pack, one more level or one more
+        // texel on either side do not, and such an engine shares no L1 and
+        // records no pass.
+        let limit = 16_384;
+        let widest: Vec<(u32, u32)> = (0..16).map(|m| (limit >> m.min(13), limit)).collect();
+        let with_dims = |levels: &[(u32, u32)]| {
+            let mut e = SimEngine::new(cfg, &reg);
+            e.dims = vec![Some(levels.to_vec())];
+            e
+        };
+        let at_limit = with_dims(&widest);
+        assert!(packs_every_miss(&at_limit.dims));
+        assert!(at_limit.shares_l1_with(&with_dims(&widest)));
+        assert!(at_limit.record_l1_pass(FilterMode::Point).pass.is_some());
+        let seventeen = [&widest[..], &[(1, 1)]].concat();
+        for beyond in [seventeen, vec![(limit + 1, 1)], vec![(1, limit + 1)]] {
+            let e = with_dims(&beyond);
+            assert!(!packs_every_miss(&e.dims), "{beyond:?}");
+            assert!(!e.shares_l1_with(&with_dims(&beyond)), "{beyond:?}");
+            assert!(
+                e.record_l1_pass(FilterMode::Point).pass.is_none(),
+                "{beyond:?}"
+            );
         }
     }
 
@@ -475,7 +575,7 @@ mod tests {
         let cfg = shared_l1_configs()[0];
         let frames = [wavy_trace(0), wavy_trace(1)];
         let filter = FilterMode::Trilinear;
-        let pass = record(&mut [SimEngine::new(cfg, &reg)], &frames, filter).unwrap();
+        let pass = record(&mut SimEngine::new(cfg, &reg), &frames, filter).unwrap();
         let faulty = SimEngine::new(
             EngineConfig {
                 fault: FaultPlan::with_rate(7, 100_000),
@@ -489,7 +589,7 @@ mod tests {
         observed.attach_telemetry(&Recorder::enabled(), "observed", "test");
         let mut used = SimEngine::new(cfg, &reg);
         used.try_run_frame_as_batched(&frames[0], filter).unwrap();
-        for (what, engine) in [
+        for (what, mut engine) in [
             ("faulty", faulty),
             ("timed", timed),
             ("observed", observed),
@@ -503,12 +603,11 @@ mod tests {
             if what == "used" {
                 plain.try_run_frame_as_batched(&frames[0], filter).unwrap();
             }
-            let mut group = [engine];
-            assert!(record(&mut group, &frames, filter).is_none(), "{what}");
+            assert!(record(&mut engine, &frames, filter).is_none(), "{what}");
             for t in &frames {
                 plain.try_run_frame_as_batched(t, filter).unwrap();
             }
-            assert_eq!(group[0].frames(), plain.frames(), "{what}");
+            assert_eq!(engine.frames(), plain.frames(), "{what}");
         }
         assert!(!pass.answers(&SimEngine::new(cfg, &reg), FilterMode::Bilinear));
         assert!(!pass.answers(&SimEngine::new(cfg, &registry(2, 128)), filter));
@@ -519,12 +618,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shares its L1")]
     fn replaying_a_pass_on_a_faulty_engine_panics() {
         let reg = registry(3, 128);
         let cfg = shared_l1_configs()[0];
         let pass = record(
-            &mut [SimEngine::new(cfg, &reg)],
+            &mut SimEngine::new(cfg, &reg),
             &[wavy_trace(0)],
             FilterMode::Point,
         )
@@ -533,7 +631,24 @@ mod tests {
             fault: FaultPlan::with_rate(7, 100_000),
             ..cfg
         };
-        SimEngine::new(faulty, &reg).replay_pass_frame(&pass, 0);
+        // An engine with another L1 is refused the same way.
+        let other_l1 = EngineConfig {
+            l1: L1Config::kb(4),
+            ..cfg
+        };
+        for bad in [faulty, other_l1] {
+            let mut engine = SimEngine::new(bad, &reg);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.replay_pass_frame(&pass, 0)
+            }))
+            .expect_err("the replay must panic");
+            let msg = panicked
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panicked.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("shares its L1"), "{bad:?}: {msg}");
+        }
     }
 
     #[test]
@@ -542,7 +657,7 @@ mod tests {
         let reg = registry(3, 128);
         let cfg = shared_l1_configs()[0];
         let frames = [wavy_trace(0), wavy_trace(1)];
-        let pass = record(&mut [SimEngine::new(cfg, &reg)], &frames, FilterMode::Point).unwrap();
+        let pass = record(&mut SimEngine::new(cfg, &reg), &frames, FilterMode::Point).unwrap();
         SimEngine::new(cfg, &reg).replay_pass_frame(&pass, 1);
     }
 }

@@ -42,7 +42,7 @@ pub(crate) type MipDims = [Option<Vec<(u32, u32)>>];
 
 /// Compile-time telemetry switch: `TelOn` tallies what each tap did into
 /// the attached [`EngineTelemetry`], `TelOff` observes nothing, `MissLog`
-/// records every L1 miss for a shared replay's followers, `Timed` wraps
+/// records every L1 miss into an [`L1Pass`](crate::L1Pass), `Timed` wraps
 /// any of them to feed the timing overlay from the frame loops, and
 /// `Traced` wraps any of them to report one tap as an [`AccessTrace`].
 ///
@@ -224,13 +224,13 @@ pub(crate) struct TelOff;
 
 impl TelemetryMode for TelOff {}
 
-/// One L1 miss `(texture index, m, u, v)` as the leader of a shared replay
-/// logs it.
+/// One L1 miss `(texture index, m, u, v)` as a leader recording an
+/// [`L1Pass`](crate::L1Pass) logs it.
 pub(crate) type L1Miss = (u32, u32, u32, u32);
 
-/// The leader's sink in a shared replay
-/// ([`SimEngine::try_run_frame_shared`](crate::SimEngine::try_run_frame_shared)):
-/// telemetry off, L1 misses appended to the log in tap order.
+/// The sink of a leader recording an [`L1Pass`](crate::L1Pass)
+/// ([`SimEngine::try_run_frame_recorded`](crate::SimEngine::try_run_frame_recorded)):
+/// telemetry off, L1 misses appended to the recorder's log in tap order.
 pub(crate) struct MissLog<'a>(pub(crate) &'a mut Vec<L1Miss>);
 
 impl TelemetryMode for MissLog<'_> {
@@ -473,8 +473,8 @@ pub(crate) const fn const_filter<const F: u8>() -> FilterMode {
 /// generic over. [`Pull`] and [`MultiLevel`] are the two the paper compares.
 pub(crate) trait Levels {
     /// Everything a tap does after its L1 miss. A method of its own so a
-    /// shared replay's followers can run it straight off the leader's L1
-    /// miss log.
+    /// member replaying an [`L1Pass`](crate::L1Pass) can run it straight
+    /// off the leader's L1 misses.
     #[allow(clippy::too_many_arguments)]
     fn below_l1<Te: TelemetryMode, Ad: AdmissionMode>(
         &mut self,

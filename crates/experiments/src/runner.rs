@@ -7,14 +7,14 @@
 //!   whichever of its three states it is in, into frames, each a
 //!   [`FedFrame`]: decoded and shared (a resident trace, a live
 //!   rasterization) or the validated encoded bytes of a disk stream;
-//! * one group-worker loop ([`Replay::run_group`]) replays them: a [`Gate`]
-//!   permit per frame, then the frame on the selected [`ReplayPath`] — the
-//!   one place an engine entry point is chosen. Decoded frames go through
+//! * one group routine ([`Replay::run_group`]) replays them: its leader
+//!   takes a [`Gate`] permit per frame, then runs the frame on the selected
+//!   [`ReplayPath`] — the one place an engine entry point is chosen. Decoded frames go through
 //!   the engine's non-generic `_as` forms; encoded ones are decoded in
 //!   place through the generic forms, so a streamed frame never becomes a
 //!   `Vec<PixelRequest>`. Stored traces are point-sampled, so the requested
 //!   filter is applied here ([`SimEngine::try_run_frame_as`]);
-//! * two drivers put frames in front of that loop. Over a resident trace
+//! * two drivers put frames in front of that routine. Over a resident trace
 //!   ([`TraceHandle::Memory`]) every worker walks the shared slice itself —
 //!   no channel, no producer ([`replay_resident`]). Anything else is
 //!   *producer-fed* ([`replay_fed`]): the feed runs once on the calling
@@ -22,16 +22,23 @@
 //!
 //! A worker replays one *group*: wherever the frames come from,
 //! configurations whose engines share an L1 ([`SimEngine::shares_l1_with`])
-//! make one L1 pass per frame between them
-//! ([`SimEngine::try_run_frame_shared`]); everything else is a group of one.
-//! Each configuration still gets its own `Result`.
+//! share one [`L1Pass`], the only way configurations share an L1. The
+//! group's leader walks the frames and records its pass; every other member
+//! replays the pass ([`SimEngine::replay_pass_frame`]), each on a worker of
+//! its own under the same per-frame permits. Everything else is a group of
+//! one. Each configuration still gets its own `Result`: a leader's error is
+//! every member's error, and a member that fails while replaying the pass
+//! fails alone.
 //!
 //! From memory the pass outlives the call: a run in which every
-//! configuration succeeded leaves each group's [`L1Pass`] beside the
-//! resident trace ([`TraceStore::keep_pass`]), and a later group on the same
-//! L1 — in any `engine_run*` call over that store — replays the stored pass,
-//! each member on a worker of its own, instead of the frames (DESIGN.md
-//! §14, "Stored passes"). Producer-fed replays neither keep nor find passes.
+//! configuration succeeded leaves each group's pass beside the resident
+//! trace ([`TraceStore::keep_pass`]) — so over a resident trace even a group
+//! of one records — and a later group on the same L1, in any `engine_run*`
+//! call over that store, has no leader: every member replays the stored
+//! pass (DESIGN.md §14, "Stored passes"). Producer-fed replays keep and
+//! find no pass; their groups' fresh passes, O(misses) bytes outside the
+//! store's budget, live until the stream has ended and the members have
+//! replayed them.
 //!
 //! A streamed file found damaged mid-replay fails that replay — its engines
 //! saw a prefix — with [`RunError::Trace`] on every configuration; the feed
@@ -412,17 +419,17 @@ type EngineFactory<'a> =
     dyn Fn(usize, EngineConfig, &TextureRegistry) -> Result<SimEngine, EngineError> + Sync + 'a;
 
 /// One replay worker's engines: `engines[0]` leads and the rest share its
-/// L1 ([`SimEngine::shares_l1_with`]), so the worker makes one L1 pass per
-/// frame for all of them ([`SimEngine::try_run_frame_shared`]).
-/// `slots[i]` is `engines[i]`'s position in the run's configurations.
+/// L1 ([`SimEngine::shares_l1_with`]), so they replay the [`L1Pass`] it
+/// records. `slots[i]` is `engines[i]`'s position in the run's
+/// configurations.
 struct Group {
     slots: Vec<usize>,
     engines: Vec<SimEngine>,
     /// Telemetry label of the leader's configuration (names the worker's
     /// span).
     label: String,
-    /// A pass an earlier run stored that answers this group's L1: every
-    /// member replays it instead of the frames.
+    /// A pass an earlier run stored that answers this group's L1: nobody
+    /// walks the frames, every member replays the pass.
     stored: Option<Arc<L1Pass>>,
 }
 
@@ -433,22 +440,23 @@ struct Plan {
     groups: Vec<Group>,
     /// Whether configurations sharing an L1 were grouped.
     share: bool,
-    /// Whether the groups that run an L1 pass record it for the store.
-    record: bool,
+    /// Whether the trace is resident, so the passes the groups record are
+    /// kept beside it: then a group of one records too.
+    keep: bool,
 }
 
 impl Plan {
     /// Replays over `set`, a resident trace: groups whose L1 pass an
     /// earlier run left there replay that, the others record theirs.
     fn use_stored_passes(&mut self, set: &TraceSet, filter: FilterMode) {
-        self.record = true;
+        self.keep = true;
         for g in &mut self.groups {
             g.stored = set.stored_pass(&g.engines[0], filter);
         }
     }
 
-    /// How the configurations are answered: L1 passes run, members riding
-    /// on one of those, members replaying a stored pass.
+    /// How the configurations are answered: L1 passes run, members
+    /// replaying one of those, members replaying a stored pass.
     fn l1_passes(&self) -> (u64, u64, u64) {
         let (mut run, mut shared, mut reused) = (0, 0, 0);
         for g in &self.groups {
@@ -519,7 +527,7 @@ fn plan_replay(
         failed,
         groups,
         share,
-        record: false,
+        keep: false,
     }
 }
 
@@ -527,32 +535,23 @@ fn plan_replay(
 /// panicking worker still fails exactly its own members.
 type GroupHandle<'scope> = (
     Vec<usize>,
-    std::thread::ScopedJoinHandle<'scope, Result<Vec<SimEngine>, RunError>>,
+    std::thread::ScopedJoinHandle<'scope, Vec<Result<SimEngine, RunError>>>,
 );
 
-/// Joins the group workers and lays their engines (or their one error,
-/// cloned to every member) back out in configuration order.
+/// Joins the group workers and lays their members' results (a panicked
+/// worker's error cloned to every member) back out in configuration order.
 fn join_groups(
     failed: Vec<Option<RunError>>,
     workers: Vec<GroupHandle<'_>>,
 ) -> Vec<Result<SimEngine, RunError>> {
     let mut results: Vec<_> = failed.into_iter().map(|e| e.map(Err)).collect();
     for (slots, handle) in workers {
-        let joined = match handle.join() {
-            Ok(result) => result,
-            Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
-        };
-        match joined {
-            Ok(engines) => {
-                for (slot, engine) in slots.into_iter().zip(engines) {
-                    results[slot] = Some(Ok(engine));
-                }
-            }
-            Err(e) => {
-                for slot in slots {
-                    results[slot] = Some(Err(e.clone()));
-                }
-            }
+        let members = handle.join().unwrap_or_else(|payload| {
+            let e = RunError::Panicked(panic_message(payload.as_ref()));
+            slots.iter().map(|_| Err(e.clone())).collect()
+        });
+        for (&slot, result) in slots.iter().zip(members) {
+            results[slot] = Some(result);
         }
     }
     results
@@ -634,10 +633,10 @@ struct Replay<'a> {
     path: ReplayPath,
     gate: Gate,
     rec: &'a Recorder,
-    /// Whether groups record their L1 pass, and where those that recorded
-    /// to the end leave it.
-    record: bool,
-    recorded: Mutex<Vec<L1Pass>>,
+    /// Whether every group records its L1 pass for the store (the trace is
+    /// resident), and where those that recorded to the end leave it.
+    keep: bool,
+    kept: Mutex<Vec<Arc<L1Pass>>>,
 }
 
 impl<'a> Replay<'a> {
@@ -648,112 +647,157 @@ impl<'a> Replay<'a> {
             path: replay_path(),
             gate: Gate::new(max_replay_jobs()),
             rec,
-            record: false,
-            recorded: Mutex::default(),
+            keep: false,
+            kept: Mutex::default(),
         }
     }
 
-    /// The group-worker loop, the same whether `frames` is the resident
-    /// slice or a channel: a [`Gate`] permit per frame, so at most
-    /// [`max_replay_jobs`] groups simulate at any instant, then the frame on
-    /// the replay path. `engines[0]` leads; on the batched path the others
-    /// replay its miss log, so a leader's error fails exactly its group.
-    fn run_group<I>(&self, group: Group, frames: I) -> Result<Vec<SimEngine>, RunError>
+    /// The one group routine, the same whether `frames` is the resident
+    /// slice or a channel. Unless a stored pass answers the group, its
+    /// leader walks the frames, recording its pass when the group has
+    /// followers or the trace is resident; then every other member replays
+    /// the pass, each on a worker of its own under the same per-frame
+    /// permits. One result per member, in the group's order: a leader's
+    /// error is every member's, a member that fails replaying the pass
+    /// fails alone.
+    fn run_group<I>(&self, group: Group, frames: I) -> Vec<Result<SimEngine, RunError>>
     where
         I: IntoIterator<Item = FedFrame> + Send,
     {
         let _span = self.rec.span(&format!("replay/{}", group.label));
-        let (filter, mut engines) = (self.filter, group.engines);
+        let (mut members, mut done) = (group.engines, Vec::new());
+        let pass = match group.stored {
+            Some(pass) => pass,
+            None => {
+                let mut leader = members.remove(0);
+                let record = self.keep || !members.is_empty();
+                let pass = match self.lead(&mut leader, frames, record) {
+                    Ok(pass) => pass,
+                    Err(e) => return (0..=members.len()).map(|_| Err(e.clone())).collect(),
+                };
+                done.push(Ok(leader));
+                let Some(pass) = pass else {
+                    assert!(members.is_empty(), "a leader sharing its L1 records a pass");
+                    return done;
+                };
+                let pass = Arc::new(pass);
+                if self.keep {
+                    lock_clean(&self.kept).push(pass.clone());
+                }
+                pass
+            }
+        };
+        done.extend(self.replay_pass(&pass, members));
+        done
+    }
+
+    /// Replays `pass` into each of `members`, each on a worker of its own
+    /// under the same per-frame permits: once the miss stream exists they
+    /// are independent, so one that fails fails alone.
+    fn replay_pass(
+        &self,
+        pass: &L1Pass,
+        members: Vec<SimEngine>,
+    ) -> Vec<Result<SimEngine, RunError>> {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = members
+                .into_iter()
+                .map(|mut engine| {
+                    scope.spawn(move || {
+                        for frame in 0..pass.frame_count() {
+                            let _permit = self.gate.acquire();
+                            engine.replay_pass_frame(pass, frame);
+                        }
+                        engine
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| {
+                    w.join()
+                        .map_err(|payload| RunError::Panicked(panic_message(payload.as_ref())))
+                })
+                .collect()
+        })
+    }
+
+    /// The leader's walk: a [`Gate`] permit per frame, so at most
+    /// [`max_replay_jobs`] workers simulate at any instant, then the frame
+    /// on the replay path; with `record`, the batched path's pass.
+    fn lead<I>(
+        &self,
+        leader: &mut SimEngine,
+        frames: I,
+        record: bool,
+    ) -> Result<Option<L1Pass>, RunError>
+    where
+        I: IntoIterator<Item = FedFrame> + Send,
+    {
+        let filter = self.filter;
         if self.path == ReplayPath::Pipelined {
-            // One more thread for the group, still permit-gated per frame.
-            let prep = FramePrep::new(&engines[0].config(), self.registry);
+            // One more thread for the leader, still permit-gated per frame.
+            let prep = FramePrep::new(&leader.config(), self.registry);
             let fill = |frame: FedFrame, buf: &mut PreparedFrame| match frame {
                 FedFrame::Decoded(t) => prep.prepare(filter, t.requests.iter().copied(), buf),
                 FedFrame::Encoded(bytes) => prep.prepare(filter, bytes.cursor().requests(), buf),
             };
-            replay_pipelined(&mut engines[0], &self.gate, frames, fill)?;
-            return Ok(engines);
+            replay_pipelined(leader, &self.gate, frames, fill)?;
+            return Ok(None);
         }
-        let mut pass = self.record.then(|| engines[0].record_l1_pass(filter));
+        let mut recorder = record.then(|| leader.record_l1_pass(filter));
         for frame in frames {
             let _permit = self.gate.acquire();
-            match (self.path, &frame) {
-                (ReplayPath::Scalar, FedFrame::Decoded(t)) => {
-                    engines[0].try_run_frame_as(t, filter)?
+            match (self.path, &frame, &mut recorder) {
+                (ReplayPath::Scalar, FedFrame::Decoded(t), _) => {
+                    leader.try_run_frame_as(t, filter)?
                 }
-                (ReplayPath::Scalar, FedFrame::Encoded(bytes)) => {
-                    engines[0].try_run_frame_requests(filter, bytes.cursor().requests())?
+                (ReplayPath::Scalar, FedFrame::Encoded(bytes), _) => {
+                    leader.try_run_frame_requests(filter, bytes.cursor().requests())?
                 }
-                // The batched path; a pipelined group went its way above.
-                (_, FedFrame::Decoded(t)) => match &mut pass {
-                    Some(pass) => SimEngine::try_run_frame_recorded_as(&mut engines, t, pass)?,
-                    None => SimEngine::try_run_frame_shared_as(&mut engines, t, filter)?,
-                },
-                (_, FedFrame::Encoded(bytes)) => SimEngine::try_run_frame_shared(
-                    &mut engines,
-                    filter,
-                    bytes.cursor().requests(),
-                )?,
+                // The batched path; a pipelined leader went its way above.
+                (_, FedFrame::Decoded(t), Some(r)) => leader.try_run_frame_recorded_as(t, r)?,
+                (_, FedFrame::Encoded(bytes), Some(r)) => {
+                    leader.try_run_frame_recorded(bytes.cursor().requests(), r)?
+                }
+                (_, FedFrame::Decoded(t), None) => leader.try_run_frame_as_batched(t, filter)?,
+                (_, FedFrame::Encoded(bytes), None) => {
+                    leader.try_run_frame_requests_batched(filter, bytes.cursor().requests())?
+                }
             }
         }
-        if let Some(pass) = pass {
-            lock_clean(&self.recorded).extend(pass.finish(&engines[0]));
-        }
-        Ok(engines)
+        Ok(recorder.and_then(|r| r.finish(leader)))
     }
 }
 
 /// Resident replay: no channel, no producer — every group's worker walks
-/// the shared frame list at its own pace.
-///
-/// A group with a stored pass has no frames to walk and no leader: its
-/// members are independent once the miss stream exists, so each replays
-/// the pass on a worker of its own, under the same per-frame permits.
-/// Returns the passes the other groups recorded to the end, when the plan
-/// asks for them, beside the results.
+/// the shared frame list at its own pace (a group answered by a stored
+/// pass walks nothing). Returns the passes the groups recorded to the
+/// end, when the plan keeps them, beside the results.
 fn replay_resident(
     registry: &TextureRegistry,
     frames: &[Arc<FrameTrace>],
     filter: FilterMode,
     plan: Plan,
     rec: &Recorder,
-) -> (Vec<Result<SimEngine, RunError>>, Vec<L1Pass>) {
+) -> (Vec<Result<SimEngine, RunError>>, Vec<Arc<L1Pass>>) {
     let mut replay = Replay::new(registry, filter, rec);
-    replay.record = plan.record;
+    replay.keep = plan.keep;
     let results = std::thread::scope(|scope| {
         let replay = &replay;
         let workers = plan
             .groups
             .into_iter()
-            .flat_map(|mut group| {
+            .map(|mut group| {
                 let slots = std::mem::take(&mut group.slots);
-                let Some(pass) = group.stored.take() else {
-                    let walk = frames.iter().cloned().map(FedFrame::Decoded);
-                    let worker = scope.spawn(move || replay.run_group(group, walk));
-                    return vec![(slots, worker)];
-                };
-                // No spans: a recorded run attaches telemetry to every
-                // engine, and a stored pass answers no observed engine.
-                let members = slots.into_iter().zip(group.engines);
-                members
-                    .map(|(slot, mut engine)| {
-                        let pass = pass.clone();
-                        let worker = scope.spawn(move || {
-                            for frame in 0..pass.frame_count() {
-                                let _permit = replay.gate.acquire();
-                                engine.replay_pass_frame(&pass, frame);
-                            }
-                            Ok(vec![engine])
-                        });
-                        (vec![slot], worker)
-                    })
-                    .collect()
+                let walk = frames.iter().cloned().map(FedFrame::Decoded);
+                (slots, scope.spawn(move || replay.run_group(group, walk)))
             })
             .collect();
         join_groups(plan.failed, workers)
     });
-    let recorded = replay.recorded.into_inner();
-    (results, recorded.unwrap_or_else(PoisonError::into_inner))
+    let kept = replay.kept.into_inner();
+    (results, kept.unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Sends `item` to every group still listening, and breaks once none is.

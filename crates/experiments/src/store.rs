@@ -60,9 +60,11 @@
 //! is replayed without touching the frames. They hang off the [`TraceSet`],
 //! so they are keyed by [`TraceKey`] for free, count into the same byte
 //! budget (reported apart as [`StoreStats::pass_bytes`]), leave when the
-//! trace is demoted, and never exist for a [`TraceHandle::Disk`] or
-//! [`TraceHandle::Uncached`] trace. Nothing is persisted: a pass costs one
-//! replay to make again.
+//! trace is demoted, and are never kept for a [`TraceHandle::Disk`] or
+//! [`TraceHandle::Uncached`] trace — a replay over one holds its groups'
+//! fresh passes, O(misses) bytes outside the budget, only until the
+//! stream ends. Nothing is persisted: a pass costs one replay to make
+//! again.
 
 use crate::runner::{lock_clean, RunError};
 use mltc_core::{L1Pass, SimEngine};
@@ -176,9 +178,13 @@ impl TraceSet {
 pub enum TraceHandle {
     /// Decoded and resident: replay directly.
     Memory(Arc<TraceSet>),
-    /// Persisted but not resident: stream frames from this file.
+    /// Persisted but not resident: stream frames from this file. A replay
+    /// over it keeps no L1 pass, yet holds each sharing group's fresh pass
+    /// until the stream ends: about 4.1 bytes an L1 miss, outside the byte
+    /// budget (DESIGN.md §14, "What a streamed replay holds").
     Disk(PathBuf),
-    /// Too large to hold and not persisted: render live per use.
+    /// Too large to hold and not persisted: render live per use. A replay
+    /// holds its groups' fresh passes as over [`TraceHandle::Disk`].
     Uncached,
 }
 
@@ -334,8 +340,8 @@ pub struct StoreStats {
     /// that share an L1 and found no stored pass, so one per configuration
     /// when nothing shares and nothing is stored.
     pub l1_passes: u64,
-    /// Configurations that rode on another's L1 pass in the same run
-    /// instead of running their own.
+    /// Configurations that replayed the L1 pass their group's leader
+    /// recorded in the same run instead of running their own.
     pub l1_shared_members: u64,
     /// Configurations that replayed a pass an earlier run had stored
     /// beside the trace (`l1_passes + l1_shared_members +
@@ -532,7 +538,7 @@ impl TraceStore {
     /// never worth a trace: one that does not fit is dropped and evicts
     /// nothing. So are a second pass over the same L1 (two replays raced to
     /// make it) and one whose trace has been demoted meanwhile.
-    pub(crate) fn keep_pass(&self, set: &TraceSet, pass: L1Pass) -> bool {
+    pub(crate) fn keep_pass(&self, set: &TraceSet, pass: Arc<L1Pass>) -> bool {
         let mut shelf = lock_clean(&set.passes);
         if shelf.demoted
             || pass.frame_count() != set.frames.len()
@@ -553,7 +559,7 @@ impl TraceStore {
         }
         self.inner.pass_bytes.fetch_add(bytes, Relaxed);
         self.recorder().counter("store/pass_bytes").add(bytes);
-        shelf.kept.push(Arc::new(pass));
+        shelf.kept.push(pass);
         true
     }
 
@@ -1307,12 +1313,12 @@ mod tests {
             SimEngine::new(cfg, w.registry())
         };
         let record = |kb, frames: &[Arc<FrameTrace>]| {
-            let mut leader = [engine(kb)];
-            let mut recorder = leader[0].record_l1_pass(FilterMode::Bilinear);
+            let mut leader = engine(kb);
+            let mut recorder = leader.record_l1_pass(FilterMode::Bilinear);
             for t in frames {
-                SimEngine::try_run_frame_recorded_as(&mut leader, t, &mut recorder).unwrap();
+                leader.try_run_frame_recorded_as(t, &mut recorder).unwrap();
             }
-            recorder.finish(&leader[0]).expect("a plain leader records")
+            Arc::new(recorder.finish(&leader).expect("a plain leader records"))
         };
         let bytes = record(2, &set.frames).bytes();
         assert!(store.keep_pass(&set, record(2, &set.frames)));

@@ -213,11 +213,11 @@ proptest! {
     }
 
     /// Shared-L1 replay: any set of fault-free configurations on one L1,
-    /// replayed as one group — a single L1 pass, the leader's miss stream
-    /// fed to everyone else — leaves each member's per-frame counters and
-    /// clock hand exactly where the naive model puts that configuration
-    /// replayed on its own. So does replaying the pass the group recorded
-    /// into each configuration afresh, as a later run over a store would.
+    /// replayed as one group — the leader walks the frames and records its
+    /// L1 pass, every other member replays that pass — leaves each
+    /// member's per-frame counters and clock hand exactly where the naive
+    /// model puts that configuration replayed on its own. The leader's own
+    /// configuration, replaying the pass afresh, lands there too.
     #[test]
     fn shared_l1_groups_stay_in_lockstep_with_the_oracle_per_member(
         raw in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..160),
@@ -248,12 +248,12 @@ proptest! {
             .iter()
             .map(|&(l2_sel, policy_sel, tlb_sel, sector)| config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, 0))
             .collect();
-        let mut group: Vec<SimEngine> = configs.iter().map(|&c| SimEngine::new(c, &reg)).collect();
+        let mut leader = SimEngine::new(configs[0], &reg);
         let mut oracles: Vec<OracleEngine> =
             configs.iter().map(|&c| OracleEngine::new(c, &reg)).collect();
         let line_bytes = configs[0].l1.line_bytes() as u64;
         let per_frame = requests.len().div_ceil(frame_count);
-        let mut recorder = group[0].record_l1_pass(filter);
+        let mut recorder = leader.record_l1_pass(filter);
         // Per member, what the oracle says of each frame.
         let mut model = vec![Vec::new(); configs.len()];
         for (f, chunk) in requests.chunks(per_frame).enumerate() {
@@ -261,28 +261,30 @@ proptest! {
             for &req in chunk {
                 trace.push(req);
             }
-            SimEngine::try_run_frame_recorded_as(&mut group, &trace, &mut recorder)
+            leader
+                .try_run_frame_recorded_as(&trace, &mut recorder)
                 .expect("every texture is registered");
             let mut accesses = Vec::new();
             expand_frame(&trace, filter, &reg, &mut accesses).expect("every texture is registered");
-            for (i, (member, oracle)) in group.iter().zip(&mut oracles).enumerate() {
+            for (i, oracle) in oracles.iter_mut().enumerate() {
                 let mut want = FrameCounters::default();
                 for a in &accesses {
                     let t = oracle.access_texel(TextureId::from_index(a.tid), a.m, a.u, a.v);
                     tally(&mut want, &t, line_bytes);
                 }
-                prop_assert_eq!(
-                    member.frames()[f], want,
-                    "member {} ({:?}) frame {} under {:?}", i, configs[i], f, filter
-                );
-                prop_assert_eq!(
-                    member.l2().and_then(|l2| l2.clock_hand()), oracle.clock_hand(),
-                    "member {} clock hand after frame {}", i, f
-                );
                 model[i].push((want, oracle.clock_hand()));
             }
+            let (want, hand) = model[0][f];
+            prop_assert_eq!(
+                leader.frames()[f], want,
+                "leader ({:?}) frame {} under {:?}", configs[0], f, filter
+            );
+            prop_assert_eq!(
+                leader.l2().and_then(|l2| l2.clock_hand()), hand,
+                "leader clock hand after frame {}", f
+            );
         }
-        let pass = recorder.finish(&group[0]).expect("a fault-free group records its pass");
+        let pass = recorder.finish(&leader).expect("a fault-free leader records its pass");
         for (i, (&cfg, frames)) in configs.iter().zip(&model).enumerate() {
             prop_assert!(pass.answers(&SimEngine::new(cfg, &reg), filter));
             let mut member = SimEngine::new(cfg, &reg);
@@ -290,11 +292,11 @@ proptest! {
                 member.replay_pass_frame(&pass, f);
                 prop_assert_eq!(
                     member.frames()[f], want,
-                    "member {} ({:?}) frame {} from the stored pass under {:?}", i, cfg, f, filter
+                    "member {} ({:?}) frame {} from the pass under {:?}", i, cfg, f, filter
                 );
                 prop_assert_eq!(
                     member.l2().and_then(|l2| l2.clock_hand()), hand,
-                    "member {} clock hand after stored frame {}", i, f
+                    "member {} clock hand after pass frame {}", i, f
                 );
             }
         }

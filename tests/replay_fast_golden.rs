@@ -7,7 +7,8 @@
 //! on/off, all three filters). The frame-pipelined runner gets the same
 //! treatment at `--jobs 2`, where its prep thread genuinely overlaps the
 //! simulation. And the runner's shared-L1 replay — one L1 pass per group
-//! of configurations on the same L1 — must leave every member in the state
+//! of configurations on the same L1, recorded by the group's leader and
+//! replayed by every other member — must leave every member in the state
 //! its solo replay reaches, from every trace-handle kind — the three states
 //! the store's one feed serves, whose other visitors (`collect_frames`,
 //! `stats_bundle`) must see the same frames the engines did.
@@ -269,7 +270,9 @@ fn pipelined_runner_at_two_jobs_is_bit_identical_to_traced() {
 
 /// The sweeps whose configurations share an L1: `fig10`'s architecture set
 /// (four of five on a 2 KB L1), `fig11`/`table8`'s five TLB sizes and
-/// `ablate-replacement`'s three policies.
+/// `ablate-replacement`'s three policies; then the L1 extremes, the largest
+/// pass per tap — `city_miss_path`'s one-set 128 B L1 — and the smallest, a
+/// 64 KB 4-way L1.
 fn sweep_sets() -> Vec<(&'static str, Vec<EngineConfig>)> {
     let base = EngineConfig {
         l1: L1Config::kb(2),
@@ -320,6 +323,44 @@ fn sweep_sets() -> Vec<(&'static str, Vec<EngineConfig>)> {
             })
             .collect(),
         ),
+        {
+            let one_set = EngineConfig {
+                l1: L1Config {
+                    size_bytes: 128,
+                    ..L1Config::kb(2)
+                },
+                ..EngineConfig::default()
+            };
+            let l2 = L2Config {
+                size_bytes: 64 << 10,
+                ..L2Config::mb(2)
+            };
+            let ml = |tlb_entries| EngineConfig {
+                l2: Some(l2),
+                tlb_entries,
+                ..one_set
+            };
+            ("one-set 128 B L1", vec![one_set, ml(2), ml(0)])
+        },
+        {
+            let wide = EngineConfig {
+                l1: L1Config {
+                    size_bytes: 64 << 10,
+                    ways: 4,
+                    ..L1Config::kb(2)
+                },
+                ..EngineConfig::default()
+            };
+            let ml = |l2, tlb_entries| EngineConfig {
+                l2: Some(l2),
+                tlb_entries,
+                ..wide
+            };
+            (
+                "64 KB 4-way L1",
+                vec![wide, ml(L2Config::mb(2), 16), ml(L2Config::mb(4), 0)],
+            )
+        },
     ]
 }
 
@@ -330,8 +371,9 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
         .unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("mltc-golden-shared-{}", std::process::id()));
     // The sweeps in suite order, then the first again: through one store,
-    // every run after the first finds its 2 KB pass already made, and the
-    // last finds the 16 KB one too.
+    // every run on an L1 an earlier run made a pass for finds that pass —
+    // the suite's sweeps after the first their 2 KB one, the last the 16 KB
+    // one too.
     let mut runs = sweep_sets();
     runs.push(runs[0].clone());
     for (name, workload, frames) in committed_traces() {
@@ -366,32 +408,32 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
                     ("disk", TraceStore::persistent(&dir).with_budget(64)),
                     ("uncached", TraceStore::in_memory().with_budget(64)),
                 ] {
-                    let mut reused = 0;
+                    let (mut reused, mut made) = (0, Vec::new());
                     for (run, ((set, configs), solo)) in runs.iter().zip(&solo).enumerate() {
                         let before = store.snapshot();
                         let shared = engine_run(&store, &workload, filter, configs, false);
                         let stats = store.snapshot();
                         let ctx = format!("{name} / {set} (run {run}) / {filter:?} / {handle}");
+                        // From memory, every configuration on an L1 an
+                        // earlier run made the pass for.
+                        let mut from_store = 0;
                         if handle == "memory" {
-                            // Every configuration of every run but the
-                            // first, which made both passes.
-                            if run > 0 {
-                                reused += configs.len() as u64;
-                            }
+                            from_store = configs.iter().filter(|c| made.contains(&c.l1)).count();
+                            made.extend(configs.iter().map(|c| c.l1));
+                            reused += from_store as u64;
                             assert!(stats.pass_bytes > 0, "{ctx}: passes held");
                         } else {
                             assert_eq!(stats.pass_bytes, 0, "{ctx}: nothing to keep a pass beside");
                         }
                         assert_eq!(stats.l1_passes_reused, reused, "{ctx}: stored-pass replays");
                         let shared_now = stats.l1_shared_members - before.l1_shared_members;
-                        match (handle, run) {
-                            ("memory", 1..) => {
-                                assert_eq!(shared_now, 0, "{ctx}: all from the store")
-                            }
-                            _ => assert!(
+                        if from_store == configs.len() {
+                            assert_eq!(shared_now, 0, "{ctx}: all from the store");
+                        } else {
+                            assert!(
                                 shared_now >= 2,
                                 "{ctx}: the sweep must actually share an L1 pass"
-                            ),
+                            );
                         }
                         for (i, (got, want)) in shared.iter().zip(solo).enumerate() {
                             let got = got.as_ref().expect("shared replay succeeds");

@@ -350,7 +350,7 @@ fn expand_taps(w: &Workload, trace: &FrameTrace, filter: FilterMode) -> Vec<(u32
 
 /// Recording is buffered and published when a replay call returns. After
 /// every call of every public entry — per access, each frame loop, the
-/// shared and recorded replays, a timed replay, a service client's frame —
+/// recording replay, a timed replay, a service client's frame —
 /// in either architecture, the recorder holds everything the engine's own
 /// counters imply, and an `UnknownTexture` error return publishes what the
 /// frame did before it. A service client under a budget adds the one
@@ -394,14 +394,10 @@ fn every_replay_call_returns_with_its_counts_published() {
             }),
         ),
         (
-            "shared",
-            Box::new(|e, t| SimEngine::try_run_frame_shared_as(std::slice::from_mut(e), t, filter)),
-        ),
-        (
             "recorded",
             Box::new(|e, t| {
                 let mut pass = e.record_l1_pass(filter);
-                SimEngine::try_run_frame_recorded_as(std::slice::from_mut(e), t, &mut pass)
+                e.try_run_frame_recorded_as(t, &mut pass)
             }),
         ),
         (
