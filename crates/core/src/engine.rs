@@ -616,6 +616,12 @@ impl SimEngine {
     /// is what lets the experiment suite's trace store key traces without
     /// the filter.
     ///
+    /// This is the scalar frame loop: the levels and the observers
+    /// [`access_texel_traced`](Self::access_texel_traced) chooses per tap
+    /// are chosen once here and the loop runs monomorphized over them. The
+    /// entry is not generic, so callers in other crates share this crate's
+    /// copy of the loop.
+    ///
     /// # Errors
     ///
     /// Same contract as [`try_run_frame`](Self::try_run_frame).
@@ -624,33 +630,12 @@ impl SimEngine {
         trace: &FrameTrace,
         filter: FilterMode,
     ) -> Result<(), EngineError> {
-        self.try_run_frame_requests(filter, trace.requests.iter().copied())
-    }
-
-    /// Replays one frame's pixel requests from any source — e.g. a
-    /// [`FrameCursor`](mltc_trace::codec::FrameCursor) decoding straight
-    /// out of a reused read buffer — expanding taps through `filter` and
-    /// closing the frame. This is the scalar frame loop: the levels and
-    /// the observers [`access_texel_traced`](Self::access_texel_traced)
-    /// chooses per tap are chosen once here and the loop runs
-    /// monomorphized over them.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_run_frame`](Self::try_run_frame).
-    pub fn try_run_frame_requests<I>(
-        &mut self,
-        filter: FilterMode,
-        requests: I,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
         if self.timing.is_some() {
             // The wide loop is the one timed frame loop; behaviourally it
             // is bit-identical to the scalar loop.
-            return self.replay_frame_batched(filter, requests);
+            return self.replay_frame_batched(filter, &trace.requests);
         }
+        let requests = trace.requests.iter().copied();
         let (h, tel, _) = self.hierarchy(None);
         h.replay_observed(tel, ScalarFrame { filter, requests })?;
         self.end_frame();
@@ -733,25 +718,7 @@ impl SimEngine {
         trace: &FrameTrace,
         filter: FilterMode,
     ) -> Result<(), EngineError> {
-        self.try_run_frame_requests_batched(filter, trace.requests.iter().copied())
-    }
-
-    /// [`try_run_frame_requests`](Self::try_run_frame_requests) over the
-    /// wide path (see
-    /// [`try_run_frame_as_batched`](Self::try_run_frame_as_batched)).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_run_frame`](Self::try_run_frame).
-    pub fn try_run_frame_requests_batched<I>(
-        &mut self,
-        filter: FilterMode,
-        requests: I,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
-        self.replay_frame_batched(filter, requests)
+        self.replay_frame_batched(filter, &trace.requests)
     }
 
     /// Whether `self` and `other` may share one [`L1Pass`]: one of them
@@ -791,23 +758,20 @@ impl SimEngine {
     ///
     /// Same contract as [`try_run_frame`](Self::try_run_frame).
     pub fn try_run_frame_prepared(&mut self, prepared: &PreparedFrame) -> Result<(), EngineError> {
-        self.replay_frame_batched(prepared.filter, prepared.requests.iter().copied())
+        self.replay_frame_batched(prepared.filter, &prepared.requests)
     }
 
     /// The wide-path frame replay over this engine's own levels, every tap
     /// admitted, under the timing sink when the overlay is attached.
-    fn replay_frame_batched<I>(
+    fn replay_frame_batched(
         &mut self,
         filter: FilterMode,
-        requests: I,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
+        requests: &[PixelRequest],
+    ) -> Result<(), EngineError> {
         let (h, tel, timing) = self.hierarchy(None);
         let frame = WideFrame {
             filter,
-            requests,
+            requests: requests.iter().copied(),
             ad: AdmitAll,
         };
         h.replay(tel, timing, frame)?;

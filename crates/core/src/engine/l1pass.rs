@@ -16,7 +16,7 @@ use crate::batch::WideFrame;
 use crate::tap::{AdmitAll, L1Miss, MissLog, TelOff};
 use crate::{EngineError, L1Config, L1TextureCache};
 use mltc_texture::TilingConfig;
-use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
+use mltc_trace::{FilterMode, FrameTrace};
 
 /// Bits of a packed miss word given to each of `u` and `v`; the mip level
 /// takes the four that remain.
@@ -107,8 +107,8 @@ impl PassFrame {
 /// unobserved engine with this filter, L1 geometry and tiling over these
 /// textures would compute above its L2, TLB and host link.
 ///
-/// Recorded by [`SimEngine::try_run_frame_recorded_as`] (or its generic
-/// twin) through an [`L1PassRecorder`]; replayed by
+/// Recorded by [`SimEngine::try_run_frame_recorded_as`] through an
+/// [`L1PassRecorder`]; replayed by
 /// [`SimEngine::replay_pass_frame`].
 #[derive(Debug)]
 pub struct L1Pass {
@@ -224,49 +224,30 @@ impl SimEngine {
         }
     }
 
-    /// [`try_run_frame_recorded`](Self::try_run_frame_recorded) over a
-    /// decoded trace, as
-    /// [`try_run_frame_as_batched`](Self::try_run_frame_as_batched) is to
-    /// its `_requests` form: not generic, so callers in other crates share
-    /// this crate's copy of the logging frame loops.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_run_frame_recorded`](Self::try_run_frame_recorded).
-    pub fn try_run_frame_recorded_as(
-        &mut self,
-        trace: &FrameTrace,
-        recorder: &mut L1PassRecorder,
-    ) -> Result<(), EngineError> {
-        self.try_run_frame_recorded(trace.requests.iter().copied(), recorder)
-    }
-
-    /// [`try_run_frame_requests_batched`](Self::try_run_frame_requests_batched)
-    /// under the recorder's filter, with the frame appended to the pass
-    /// being recorded: the wide frame loop runs with the `MissLog` sink in
-    /// place of `TelOff`, and the misses it logs are packed when the frame
-    /// closes.
+    /// [`try_run_frame_as_batched`](Self::try_run_frame_as_batched) under
+    /// the recorder's filter, with the frame appended to the pass being
+    /// recorded: the wide frame loop runs with the `MissLog` sink in place
+    /// of `TelOff`, and the misses it logs are packed when the frame
+    /// closes. Not generic, so callers in other crates share this crate's
+    /// copy of the logging frame loops.
     ///
     /// # Errors
     ///
     /// Same contract as [`try_run_frame`](Self::try_run_frame); a frame
     /// that ends in an error ends the recording.
-    pub fn try_run_frame_recorded<I>(
+    pub fn try_run_frame_recorded_as(
         &mut self,
-        requests: I,
+        trace: &FrameTrace,
         recorder: &mut L1PassRecorder,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = PixelRequest>,
-    {
+    ) -> Result<(), EngineError> {
         let filter = recorder.filter;
         let Some(mut pass) = recorder.pass.take().filter(|p| p.follows(self)) else {
-            return self.replay_frame_batched(filter, requests);
+            return self.replay_frame_batched(filter, &trace.requests);
         };
         recorder.log.clear();
         let frame = WideFrame {
             filter,
-            requests,
+            requests: trace.requests.iter().copied(),
             ad: AdmitAll,
         };
         let log = MissLog(&mut recorder.log);
@@ -318,6 +299,7 @@ mod tests {
     use crate::{EngineConfig, FaultPlan, LatencyModel};
     use mltc_telemetry::Recorder;
     use mltc_texture::{Image, MipPyramid, TexelFormat, TextureId, TextureRegistry};
+    use mltc_trace::PixelRequest;
 
     const FILTERS: [FilterMode; 3] = [
         FilterMode::Point,

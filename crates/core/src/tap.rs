@@ -229,7 +229,7 @@ impl TelemetryMode for TelOff {}
 pub(crate) type L1Miss = (u32, u32, u32, u32);
 
 /// The sink of a leader recording an [`L1Pass`](crate::L1Pass)
-/// ([`SimEngine::try_run_frame_recorded`](crate::SimEngine::try_run_frame_recorded)):
+/// ([`SimEngine::try_run_frame_recorded_as`](crate::SimEngine::try_run_frame_recorded_as)):
 /// telemetry off, L1 misses appended to the recorder's log in tap order.
 pub(crate) struct MissLog<'a>(pub(crate) &'a mut Vec<L1Miss>);
 

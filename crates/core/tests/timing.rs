@@ -298,19 +298,16 @@ proptest! {
     ) {
         let reg = registry();
         let cfg = config(l2_sel, fault_sel);
-        let requests = shape_requests(&raw);
+        let mut frame = FrameTrace::new(0, 64, 64, FilterMode::Point);
+        frame.requests = shape_requests(&raw);
         let model = timing_model(model_sel, latency_raw, depth_raw);
 
         let mut plain = SimEngine::new(cfg, &reg);
-        plain
-            .try_run_frame_requests(FilterMode::Trilinear, requests.iter().copied())
-            .unwrap();
+        plain.try_run_frame_as(&frame, FilterMode::Trilinear).unwrap();
 
         let mut timed = SimEngine::new(cfg, &reg);
         timed.attach_timing(model);
-        timed
-            .try_run_frame_requests(FilterMode::Trilinear, requests.iter().copied())
-            .unwrap();
+        timed.try_run_frame_as(&frame, FilterMode::Trilinear).unwrap();
 
         prop_assert_eq!(plain.frames(), timed.frames());
         prop_assert_eq!(plain.totals(), timed.totals());

@@ -32,7 +32,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <id>... [--tiny|--quick|--default|--full] [--out <dir>] \
          [--no-store] [--expect-warm] [--jobs <n>] [--telemetry <dir>] \
-         [--trace-events <file>] [--heartbeat <secs>]\n\
+         [--heartbeat <secs>]\n\
          \n\
          --no-store           do not persist traces under <out>/traces/\n\
          --expect-warm        fail if anything had to be rasterized (CI warm-run check)\n\
@@ -43,8 +43,8 @@ fn usage() -> ExitCode {
          \x20                    second thread while the batched loop replays this one,\n\
          \x20                    inside the --jobs budget)\n\
          --telemetry <dir>    record spans/counters/histograms; export JSONL, CSV,\n\
-         \x20                    summary JSON and its Prometheus text into <dir>\n\
-         --trace-events <f>   write a chrome://tracing (Perfetto) trace-event file\n\
+         \x20                    summary JSON, its Prometheus text and a\n\
+         \x20                    chrome://tracing trace-event file into <dir>\n\
          --heartbeat <secs>   print store throughput every <secs> seconds\n\
          --clients <n>        pin the multiclient experiment to one population\n\
          --partition <m>      multiclient L2 mode: partitioned, unified or both\n\
@@ -70,7 +70,6 @@ fn main() -> ExitCode {
     let mut persist = true;
     let mut expect_warm = false;
     let mut telemetry_dir: Option<PathBuf> = None;
-    let mut trace_events: Option<PathBuf> = None;
     let mut heartbeat_secs: u64 = 0;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -95,10 +94,6 @@ fn main() -> ExitCode {
             },
             "--telemetry" => match it.next() {
                 Some(d) => telemetry_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--trace-events" => match it.next() {
-                Some(f) => trace_events = Some(PathBuf::from(f)),
                 None => return usage(),
             },
             "--heartbeat" => match it.next().and_then(|s| s.parse().ok()) {
@@ -136,7 +131,7 @@ fn main() -> ExitCode {
     // engine counters, store spans and per-frame series all land in one
     // snapshot. Left disabled (a single not-taken branch per texel) unless
     // an export destination was asked for.
-    let recorder = if telemetry_dir.is_some() || trace_events.is_some() {
+    let recorder = if telemetry_dir.is_some() {
         Recorder::enabled()
     } else {
         Recorder::disabled()
@@ -258,39 +253,14 @@ fn main() -> ExitCode {
         );
     }
 
-    // Telemetry exports: one snapshot feeds every destination, so the
-    // JSONL rows, the summary JSON and the bench record always agree.
-    let telemetry_json = recorder.is_enabled().then(|| {
-        let snap = recorder.snapshot();
-        if let Some(dir) = &telemetry_dir {
-            match export::export_dir(&snap, dir) {
-                Ok(()) => println!("### telemetry: {}", dir.display()),
-                Err(e) => eprintln!("could not export telemetry to {}: {e}", dir.display()),
-            }
+    // Telemetry export: one snapshot feeds every file, so the JSONL rows,
+    // the summaries and the trace events always agree.
+    if let Some(dir) = &telemetry_dir {
+        match export::export_dir(&recorder.snapshot(), dir) {
+            Ok(()) => println!("### telemetry: {}", dir.display()),
+            Err(e) => eprintln!("could not export telemetry to {}: {e}", dir.display()),
         }
-        if let Some(file) = &trace_events {
-            let events = mltc_telemetry::chrome_trace_json(&snap.spans);
-            match std::fs::write(file, events.render_compact()) {
-                Ok(()) => println!(
-                    "### trace events: {} ({} spans, {} dropped) — load in chrome://tracing",
-                    file.display(),
-                    snap.spans.len(),
-                    snap.dropped_spans
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", file.display()),
-            }
-        }
-        export::summaries_json(&snap)
-    });
-    // The explore experiment writes model_summary.json next to its CSVs;
-    // embed it only when explore actually ran this invocation, so a stale
-    // file from an earlier run can never masquerade as fresh.
-    let model_json = timings
-        .iter()
-        .any(|(id, _)| id == "explore")
-        .then(|| std::fs::read_to_string(Path::new(&out_dir).join("model_summary.json")).ok())
-        .flatten()
-        .and_then(|s| Json::parse(&s).ok());
+    }
     let bench = Path::new(&out_dir).join("BENCH_experiments.json");
     let run = bench_run(
         &scale,
@@ -299,8 +269,6 @@ fn main() -> ExitCode {
         &timings,
         &stats,
         (frag_rate, tap_rate),
-        telemetry_json,
-        model_json,
     );
     if let Err(e) = append_bench_run(&bench, run) {
         eprintln!("could not write {}: {e}", bench.display());
@@ -423,8 +391,8 @@ fn prefetch_for(store: &TraceStore, scale: &Scale, id: &str) {
 
 /// One run record of `BENCH_experiments.json`. `rates` carries the
 /// already-computed `(fragments_per_sec, taps_per_sec)` so the record can
-/// never disagree with the printed summary.
-#[allow(clippy::too_many_arguments)]
+/// never disagree with the printed summary. The telemetry summaries and
+/// the explorer's `model_summary.json` are files of their own beside it.
 fn bench_run(
     scale: &Scale,
     wall_seconds: f64,
@@ -432,8 +400,6 @@ fn bench_run(
     timings: &[(String, f64)],
     stats: &mltc_experiments::StoreStats,
     rates: (f64, f64),
-    telemetry: Option<Json>,
-    model: Option<Json>,
 ) -> Json {
     let (frag_rate, tap_rate) = rates;
     let (n, str) = (Json::Num, |s: &str| Json::Str(s.to_string()));
@@ -470,16 +436,13 @@ fn bench_run(
         ("build_stalls", n(stats.build_stalls)),
     ]);
     let experiments = Json::Arr(timings.iter().map(timing).collect());
-    let mut fields = vec![
+    Json::obj([
         ("scale", str(scale.name)),
         ("wall_seconds", Json::fixed(wall_seconds, 3)),
         ("replay_path", str(replay_path)),
         ("experiments", experiments),
         ("store", store),
-    ];
-    fields.extend(telemetry.map(|t| ("telemetry", t)));
-    fields.extend(model.map(|m| ("model", m)));
-    Json::obj(fields)
+    ])
 }
 
 /// Appends `run` to the report at `path` (`{"schema":1,"runs":[...]}`). A

@@ -24,9 +24,8 @@
 //!
 //! Artefacts: `model_validation.csv` (the graded matrix),
 //! `explore_sweep_<workload>.csv` (the full grid), and
-//! `model_summary.json` (aggregate error + sweep timing, embedded in the
-//! run's `BENCH_experiments.json` record and gated by CI's explorer
-//! smoke step).
+//! `model_summary.json` (aggregate error + sweep timing, gated by CI's
+//! explorer smoke step).
 
 use crate::matrix::conformance_matrix;
 use crate::runner::{pct, replay_run, RunError};

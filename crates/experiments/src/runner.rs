@@ -4,16 +4,16 @@
 //! There is one way from the [`TraceStore`]'s answer to an engine:
 //!
 //! * the store's *feed* (`TraceStore::feed`) alone turns a [`TraceHandle`],
-//!   whichever of its three states it is in, into frames, each a
-//!   [`FedFrame`]: decoded and shared (a resident trace, a live
-//!   rasterization) or the validated encoded bytes of a disk stream;
+//!   whichever of its three states it is in, into frames, each a decoded,
+//!   shared `Arc<FrameTrace>`: a resident trace's own, a live
+//!   rasterization's, or one a disk stream decoded once on the feed's
+//!   thread;
 //! * one group routine ([`Replay::run_group`]) replays them: its leader
 //!   takes a [`Gate`] permit per frame, then runs the frame on the selected
-//!   [`ReplayPath`] — the one place an engine entry point is chosen. Decoded frames go through
-//!   the engine's non-generic `_as` forms; encoded ones are decoded in
-//!   place through the generic forms, so a streamed frame never becomes a
-//!   `Vec<PixelRequest>`. Stored traces are point-sampled, so the requested
-//!   filter is applied here ([`SimEngine::try_run_frame_as`]);
+//!   [`ReplayPath`] through the engine's non-generic `_as` entries — the
+//!   one place an entry point is chosen. Stored traces are point-sampled,
+//!   so the requested filter is applied here
+//!   ([`SimEngine::try_run_frame_as`]);
 //! * two drivers put frames in front of that routine. Over a resident trace
 //!   ([`TraceHandle::Memory`]) every worker walks the shared slice itself —
 //!   no channel, no producer ([`replay_resident`]). Anything else is
@@ -45,7 +45,7 @@
 //! has told the store, so the next `engine_run*` re-renders, heals the file
 //! and succeeds.
 
-use crate::store::{trav_tag, FedFrame, StatsBundle, TraceHandle, TraceSet, TraceStore};
+use crate::store::{trav_tag, StatsBundle, TraceHandle, TraceSet, TraceStore};
 use mltc_core::{EngineConfig, EngineError, FramePrep, L1Pass, PreparedFrame, SimEngine};
 use mltc_scene::Workload;
 use mltc_telemetry::Recorder;
@@ -202,11 +202,11 @@ impl Drop for GateGuard<'_> {
 /// queue, one at each stage) keeps the steady state allocation-free.
 const PIPELINE_DEPTH: usize = 2;
 
-/// One configuration's frame-pipelined replay: a prep thread decodes each
-/// fed frame (`fill`) into a [`PreparedFrame`] while the engine runs the
-/// previous one through the wide frame loop. Prepared buffers recycle
-/// through a return channel, so after warm-up no allocation happens per
-/// frame.
+/// One configuration's frame-pipelined replay: a prep thread collects each
+/// fed frame's requests ([`FramePrep`]) into a [`PreparedFrame`] under
+/// `filter` while the engine runs the previous one through the wide frame
+/// loop. Prepared buffers recycle through a return channel, so after
+/// warm-up no allocation happens per frame.
 ///
 /// Both stages take a [`Gate`] permit per frame and neither blocks on a
 /// channel while holding one (the prep side grabs its recycled buffer
@@ -216,16 +216,14 @@ const PIPELINE_DEPTH: usize = 2;
 ///
 /// An engine error (unknown texture) stops the replay on that frame with
 /// the frame left open, exactly like the unpipelined worker loop.
-fn replay_pipelined<I>(
+fn replay_pipelined(
     engine: &mut SimEngine,
+    registry: &TextureRegistry,
     gate: &Gate,
-    frames: I,
-    fill: impl Fn(I::Item, &mut PreparedFrame) + Send,
-) -> Result<(), RunError>
-where
-    I: IntoIterator + Send,
-    I::Item: Send,
-{
+    frames: impl IntoIterator<Item = Arc<FrameTrace>> + Send,
+    filter: FilterMode,
+) -> Result<(), RunError> {
+    let prep = FramePrep::new(&engine.config(), registry);
     let (ptx, prx) = sync_channel::<PreparedFrame>(PIPELINE_DEPTH);
     let (rtx, rrx) = sync_channel::<PreparedFrame>(PIPELINE_DEPTH + 2);
     for _ in 0..PIPELINE_DEPTH + 2 {
@@ -237,7 +235,7 @@ where
                 let mut buf = rrx.recv().unwrap_or_default();
                 {
                     let _permit = gate.acquire();
-                    fill(frame, &mut buf);
+                    prep.prepare(filter, frame.requests.iter().copied(), &mut buf);
                 }
                 if ptx.send(buf).is_err() {
                     break; // engine side bailed; it reports the error
@@ -662,7 +660,7 @@ impl<'a> Replay<'a> {
     /// fails alone.
     fn run_group<I>(&self, group: Group, frames: I) -> Vec<Result<SimEngine, RunError>>
     where
-        I: IntoIterator<Item = FedFrame> + Send,
+        I: IntoIterator<Item = Arc<FrameTrace>> + Send,
     {
         let _span = self.rec.span(&format!("replay/{}", group.label));
         let (mut members, mut done) = (group.engines, Vec::new());
@@ -732,38 +730,22 @@ impl<'a> Replay<'a> {
         record: bool,
     ) -> Result<Option<L1Pass>, RunError>
     where
-        I: IntoIterator<Item = FedFrame> + Send,
+        I: IntoIterator<Item = Arc<FrameTrace>> + Send,
     {
         let filter = self.filter;
         if self.path == ReplayPath::Pipelined {
             // One more thread for the leader, still permit-gated per frame.
-            let prep = FramePrep::new(&leader.config(), self.registry);
-            let fill = |frame: FedFrame, buf: &mut PreparedFrame| match frame {
-                FedFrame::Decoded(t) => prep.prepare(filter, t.requests.iter().copied(), buf),
-                FedFrame::Encoded(bytes) => prep.prepare(filter, bytes.cursor().requests(), buf),
-            };
-            replay_pipelined(leader, &self.gate, frames, fill)?;
+            replay_pipelined(leader, self.registry, &self.gate, frames, filter)?;
             return Ok(None);
         }
         let mut recorder = record.then(|| leader.record_l1_pass(filter));
         for frame in frames {
             let _permit = self.gate.acquire();
-            match (self.path, &frame, &mut recorder) {
-                (ReplayPath::Scalar, FedFrame::Decoded(t), _) => {
-                    leader.try_run_frame_as(t, filter)?
-                }
-                (ReplayPath::Scalar, FedFrame::Encoded(bytes), _) => {
-                    leader.try_run_frame_requests(filter, bytes.cursor().requests())?
-                }
+            match (self.path, &mut recorder) {
+                (ReplayPath::Scalar, _) => leader.try_run_frame_as(&frame, filter)?,
                 // The batched path; a pipelined leader went its way above.
-                (_, FedFrame::Decoded(t), Some(r)) => leader.try_run_frame_recorded_as(t, r)?,
-                (_, FedFrame::Encoded(bytes), Some(r)) => {
-                    leader.try_run_frame_recorded(bytes.cursor().requests(), r)?
-                }
-                (_, FedFrame::Decoded(t), None) => leader.try_run_frame_as_batched(t, filter)?,
-                (_, FedFrame::Encoded(bytes), None) => {
-                    leader.try_run_frame_requests_batched(filter, bytes.cursor().requests())?
-                }
+                (_, Some(r)) => leader.try_run_frame_recorded_as(&frame, r)?,
+                (_, None) => leader.try_run_frame_as_batched(&frame, filter)?,
             }
         }
         Ok(recorder.and_then(|r| r.finish(leader)))
@@ -790,7 +772,7 @@ fn replay_resident(
             .into_iter()
             .map(|mut group| {
                 let slots = std::mem::take(&mut group.slots);
-                let walk = frames.iter().cloned().map(FedFrame::Decoded);
+                let walk = frames.iter().cloned();
                 (slots, scope.spawn(move || replay.run_group(group, walk)))
             })
             .collect();
@@ -817,10 +799,10 @@ fn fan_out<T: Clone>(senders: &mut [Option<SyncSender<T>>], item: &T) -> Control
 }
 
 /// Producer-fed replay, for a trace that is not resident: `feed` (the
-/// store's, over the handle) runs once on this thread — the file is streamed
-/// and validated, or the animation rasterized, once however many
-/// configurations consume it — and each frame is fanned out over one bounded
-/// channel per group, until no worker is left to read for.
+/// store's, over the handle) runs once on this thread — the file is streamed,
+/// validated and each frame decoded, or the animation rasterized, once
+/// however many configurations consume it — and each frame is fanned out
+/// over one bounded channel per group, until no worker is left to read for.
 ///
 /// A feed that fails mid-stream (a damaged file) taints every
 /// still-successful configuration with its error: their engines saw a
@@ -832,7 +814,7 @@ fn replay_fed(
     filter: FilterMode,
     plan: Plan,
     rec: &Recorder,
-    feed: impl FnOnce(&mut dyn FnMut(&FedFrame) -> ControlFlow<()>) -> Result<(), RunError>,
+    feed: impl FnOnce(&mut dyn FnMut(&Arc<FrameTrace>) -> ControlFlow<()>) -> Result<(), RunError>,
 ) -> Vec<Result<SimEngine, RunError>> {
     let replay = &Replay::new(registry, filter, rec);
     std::thread::scope(|scope| {
@@ -841,7 +823,7 @@ fn replay_fed(
             .groups
             .into_iter()
             .map(|mut group| {
-                let (tx, rx) = sync_channel::<FedFrame>(4);
+                let (tx, rx) = sync_channel::<Arc<FrameTrace>>(4);
                 senders.push(Some(tx));
                 let slots = std::mem::take(&mut group.slots);
                 (slots, scope.spawn(|| replay.run_group(group, rx)))

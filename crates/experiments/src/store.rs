@@ -37,10 +37,12 @@
 //!   to [`TraceHandle::Uncached`], which is rasterized again per use.
 //!
 //! One function turns a handle into frames, whichever of the three it is:
-//! the crate-private *feed* (`TraceStore::feed`). Resident frames are handed
-//! out as they are, a file is streamed by the one file streamer as validated
-//! encoded frames, an uncached trace is rasterized live — and counted as
-//! the render it is. Replays ([`crate::runner`]),
+//! the crate-private *feed* (`TraceStore::feed`), and every frame it hands
+//! out is a decoded, shared [`FrameTrace`]. Resident frames are handed out
+//! as they are; a file is read frame by frame into one reused buffer and
+//! each frame decoded once, on the feed's thread; an uncached trace is
+//! rasterized live — and counted as the render it is. Replays
+//! ([`crate::runner`]),
 //! [`TraceStore::stats_bundle`], [`TraceStore::mean_depth_complexity`] and
 //! [`crate::collect_frames`] are its visitors.
 //!
@@ -71,7 +73,7 @@ use mltc_core::{L1Pass, SimEngine};
 use mltc_raster::Traversal;
 use mltc_scene::{Workload, WorkloadKind, WorkloadParams};
 use mltc_telemetry::Recorder;
-use mltc_trace::codec::{frame_cursor, CodecError, FrameCursor, TraceFileReader, TraceFileWriter};
+use mltc_trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
 use mltc_trace::{FilterMode, FrameStatsCollector, FrameTrace, FrameWorkingSet, WorkloadSummary};
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -186,39 +188,6 @@ pub enum TraceHandle {
     /// Too large to hold and not persisted: render live per use. A replay
     /// holds its groups' fresh passes as over [`TraceHandle::Disk`].
     Uncached,
-}
-
-/// One frame as the feed ([`TraceStore::feed`]) delivers it: the one type
-/// that hides whether the trace was resident, rasterized live (decoded,
-/// shared) or streamed from its file (still encoded).
-#[derive(Debug, Clone)]
-pub(crate) enum FedFrame {
-    Decoded(Arc<FrameTrace>),
-    Encoded(EncodedFrame),
-}
-
-impl FedFrame {
-    /// The frame decoded: the shared one, or materialized from the bytes.
-    pub(crate) fn decoded(&self) -> Arc<FrameTrace> {
-        match self {
-            FedFrame::Decoded(t) => t.clone(),
-            FedFrame::Encoded(bytes) => Arc::new(bytes.cursor().into_frame()),
-        }
-    }
-}
-
-/// One frame of a disk stream, encoded. Only [`stream_trace_file_raw`] makes
-/// one, from bytes the container reader has validated end to end — so
-/// decoding it again cannot fail, and consumers decode in place instead of
-/// materializing a `Vec<PixelRequest>` per frame.
-#[derive(Debug, Clone)]
-pub(crate) struct EncodedFrame(Arc<Vec<u8>>);
-
-impl EncodedFrame {
-    /// The frame's header, and its requests left in the buffer.
-    pub(crate) fn cursor(&self) -> FrameCursor<'_> {
-        frame_cursor(&self.0).expect("validated by the streamer").0
-    }
 }
 
 /// Approximate decoded footprint of one frame (requests + fixed overhead).
@@ -615,16 +584,7 @@ impl TraceStore {
             loop {
                 match &*st {
                     CellState::Ready(h) => {
-                        match h {
-                            TraceHandle::Memory(_) => {
-                                self.inner.counters.mem_hits.fetch_add(1, Relaxed);
-                                self.recorder().counter("store/mem_hits").incr();
-                            }
-                            TraceHandle::Disk(_) | TraceHandle::Uncached => {
-                                self.inner.counters.disk_hits.fetch_add(1, Relaxed);
-                                self.recorder().counter("store/disk_hits").incr();
-                            }
-                        };
+                        self.count_hit(!matches!(h, TraceHandle::Memory(_)));
                         return h.clone();
                     }
                     CellState::Building => {
@@ -746,7 +706,7 @@ impl TraceStore {
             let handle = self.get_or_render(w, zprepass, traversal);
             let mut acc = fresh();
             let fed = self.feed(&handle, w, zprepass, traversal, |frame| {
-                step(&mut acc, frame.decoded());
+                step(&mut acc, frame.clone());
                 ControlFlow::Continue(())
             });
             if fed.is_ok() {
@@ -757,9 +717,12 @@ impl TraceStore {
 
     /// Delivers every frame of the trace behind `handle` — what
     /// [`get_or_render`](Self::get_or_render) answered for `w` under these
-    /// render options — to `visit`, in order, until it breaks: the one place
-    /// a handle's three states turn into frames. An uncached trace is
-    /// rasterized to the end regardless (a renderer cannot be stopped early).
+    /// render options — to `visit`, decoded and in order, until it breaks:
+    /// the one place a handle's three states turn into frames. A file is
+    /// read through one reused buffer and each frame decoded once, here, to
+    /// be shared by every consumer; the rest of the file is neither read nor
+    /// validated once `visit` breaks. An uncached trace is rasterized to the
+    /// end regardless (a renderer cannot be stopped early).
     ///
     /// # Errors
     ///
@@ -772,31 +735,41 @@ impl TraceStore {
         w: &Workload,
         zprepass: bool,
         traversal: Traversal,
-        mut visit: impl FnMut(&FedFrame) -> ControlFlow<()>,
+        mut visit: impl FnMut(&Arc<FrameTrace>) -> ControlFlow<()>,
     ) -> Result<(), RunError> {
         let key = TraceKey::of(w, zprepass, traversal);
         match handle {
             TraceHandle::Memory(set) => {
-                let _ = set
-                    .frames
-                    .iter()
-                    .try_for_each(|t| visit(&FedFrame::Decoded(t.clone())));
+                let _ = set.frames.iter().try_for_each(visit);
             }
             TraceHandle::Disk(path) => {
                 let rec = self.recorder();
                 let _span = rec.span(&format!("store/disk-stream/{}", key.kind.name()));
-                stream_trace_file_raw(path, |bytes| visit(&FedFrame::Encoded(bytes.clone())))
-                    .map_err(|e| {
-                        self.forget_damaged(&key);
-                        RunError::Trace(format!("{}: {e}", path.display()))
-                    })?;
+                stream_file(path, visit).map_err(|e| {
+                    self.forget_damaged(&key);
+                    RunError::Trace(format!("{}: {e}", path.display()))
+                })?;
             }
             TraceHandle::Uncached => self.rasterize(&key, w, "render", |t| {
-                let _ = visit(&FedFrame::Decoded(Arc::new(t)));
+                let _ = visit(&Arc::new(t));
                 None
             }),
         }
         Ok(())
+    }
+
+    /// A request answered without a render, from memory (`mem_hits`) or
+    /// from a file (`disk_hits`): the one place a hit is counted, in the
+    /// store's stats and its recorder alike.
+    fn count_hit(&self, from_disk: bool) {
+        let c = &self.inner.counters;
+        let (tally, name) = if from_disk {
+            (&c.disk_hits, "store/disk_hits")
+        } else {
+            (&c.mem_hits, "store/mem_hits")
+        };
+        tally.fetch_add(1, Relaxed);
+        self.recorder().counter(name).incr();
     }
 
     /// The feed found `key`'s streamed file damaged: count it, and stop
@@ -866,7 +839,7 @@ impl TraceStore {
         }
         if file_len > self.inner.budget.load(Relaxed) {
             // Too big to decode into memory: stream it per replay.
-            c.disk_hits.fetch_add(1, Relaxed);
+            self.count_hit(true);
             return LoadResult::Loaded(TraceHandle::Disk(path));
         }
         let mut frames = Vec::with_capacity(reader.frame_count() as usize);
@@ -883,7 +856,7 @@ impl TraceStore {
                 }
             }
         }
-        c.disk_hits.fetch_add(1, Relaxed);
+        self.count_hit(true);
         c.bytes_read.fetch_add(file_len, Relaxed);
         LoadResult::Loaded(TraceHandle::Memory(Arc::new(TraceSet::new(frames, bytes))))
     }
@@ -1036,35 +1009,21 @@ impl TraceStore {
     }
 }
 
-/// Streams a persisted trace file through `visit`, one validated
-/// [`EncodedFrame`] at a time — nothing is materialized; consumers decode in
-/// place — until `visit` breaks: the rest of the file is then neither read
-/// nor validated. Returns the frames visited. Buffers are recycled through a
-/// small pool once every holder of a frame drops it, so a consumer that
-/// keeps up allocates a handful of buffers total instead of one per frame.
-pub(crate) fn stream_trace_file_raw(
+/// The feed's disk arm: reads `path` frame by frame into one reused
+/// buffer, decodes each frame once and hands it to `visit` until it breaks.
+fn stream_file(
     path: &Path,
-    mut visit: impl FnMut(&EncodedFrame) -> ControlFlow<()>,
-) -> Result<u32, CodecError> {
-    let file = File::open(path).map_err(CodecError::Io)?;
-    let mut reader = TraceFileReader::new(BufReader::new(file))?;
-    let n = reader.frame_count();
-    let mut pool: Vec<EncodedFrame> = Vec::new();
-    for visited in 0..n {
-        // Reclaim a buffer nobody else holds any more, if there is one.
-        let mut buf = match pool.iter().position(|f| Arc::strong_count(&f.0) == 1) {
-            // A lost race on the refcount just costs one pooled buffer.
-            Some(i) => Arc::try_unwrap(pool.swap_remove(i).0).unwrap_or_default(),
-            None => Vec::new(),
-        };
-        reader.read_frame_into(&mut buf)?;
-        let shared = EncodedFrame(Arc::new(buf));
-        if visit(&shared).is_break() {
-            return Ok(visited + 1);
+    mut visit: impl FnMut(&Arc<FrameTrace>) -> ControlFlow<()>,
+) -> Result<(), CodecError> {
+    let mut reader = TraceFileReader::new(BufReader::new(File::open(path)?))?;
+    let mut scratch = Vec::new();
+    for _ in 0..reader.frame_count() {
+        let frame = Arc::new(reader.read_frame_into(&mut scratch)?.into_frame());
+        if visit(&frame).is_break() {
+            break;
         }
-        pool.push(shared);
     }
-    Ok(n)
+    Ok(())
 }
 
 pub(crate) fn trav_tag(t: Traversal) -> String {
@@ -1242,10 +1201,34 @@ mod tests {
             "render span recorded, got {:?}",
             snap.spans
         );
-        // And the store's own counters agree with the recorder's.
-        let stats = store.snapshot();
-        assert_eq!(stats.renders, snap.counters["store/renders"]);
-        assert_eq!(stats.mem_hits, snap.counters["store/mem_hits"]);
+        // And the store's own counters agree with the recorder's, also for
+        // the hits a fresh store answers from the files of an earlier one.
+        let agree = |store: &TraceStore, rec: &Recorder| {
+            let snap = rec.snapshot();
+            let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+            let stats = store.snapshot();
+            assert_eq!(stats.renders, counter("store/renders"));
+            assert_eq!(stats.mem_hits, counter("store/mem_hits"));
+            assert_eq!(stats.disk_hits, counter("store/disk_hits"));
+            assert_eq!(stats.build_stalls, counter("store/build_stalls"));
+            assert_eq!(stats.healed_files, counter("store/healed_files"));
+        };
+        agree(&store, &rec);
+
+        let dir = std::env::temp_dir().join(format!("mltc-store-rec-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cold_rec = Recorder::enabled();
+        let cold = TraceStore::persistent(&dir).with_recorder(cold_rec.clone());
+        cold.get_or_render(&w, false, Traversal::Scanline);
+        agree(&cold, &cold_rec);
+        let warm_rec = Recorder::enabled();
+        let warm = TraceStore::persistent(&dir).with_recorder(warm_rec.clone());
+        warm.get_or_render(&w, false, Traversal::Scanline);
+        warm.get_or_render(&w, false, Traversal::Scanline);
+        let stats = warm.snapshot();
+        assert_eq!((stats.renders, stats.disk_hits, stats.mem_hits), (0, 1, 1));
+        agree(&warm, &warm_rec);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1268,8 +1251,13 @@ mod tests {
         let w = tiny_village();
         let h = store.get_or_render(&w, false, Traversal::Scanline);
         match &h {
-            TraceHandle::Disk(path) => {
-                let n = stream_trace_file_raw(path, |_| ControlFlow::Continue(())).unwrap();
+            TraceHandle::Disk(_) => {
+                let mut n = 0;
+                let fed = store.feed(&h, &w, false, Traversal::Scanline, |_| {
+                    n += 1;
+                    ControlFlow::Continue(())
+                });
+                assert!(fed.is_ok());
                 assert_eq!(n, w.frame_count);
             }
             other => panic!("expected a disk handle, got {other:?}"),

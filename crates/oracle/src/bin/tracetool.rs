@@ -13,13 +13,18 @@
 //! the shared `mltc-telemetry` time-series exporter, so the columns match
 //! the engine's own telemetry exports byte for byte.
 //!
+//! Every form reads one kind of file, the versioned `.mltct` trace file
+//! (`MLTS` container, [`mltc_trace::codec`]) the experiment suite's trace
+//! store and `examples/record_replay.rs` write. The store's key names the
+//! workload that recorded the trace, which `model` and `shrink` rebuild to
+//! get the recording scene's textures.
+//!
 //! `model` runs the one-pass analytic design-space explorer (DESIGN.md
-//! §13) over a `.mltct` container: one instrumented replay captures a
+//! §13) over a trace file: one instrumented replay captures a
 //! locality profile, then the full default design grid (L1 size × L2
 //! size × page size × policy × sector mode × TLB entries) is predicted
 //! analytically and dumped as CSV — thousands of cache configurations
-//! for the price of a single replay. `stats` and `model` share one
-//! container-discovery path ([`mltc_oracle::AnyReader`]).
+//! for the price of a single replay.
 //!
 //! `shrink` replays a cached `.mltct` trace through the differential
 //! harness under the given engine configuration (inline JSON, a path to a
@@ -31,7 +36,7 @@
 use mltc_core::{EngineConfig, L1Config, SimEngine, TelemetryOpts};
 use mltc_model::{default_grid, predict};
 use mltc_oracle::{
-    config_from_json, expand_frame, AnyReader, DiffHarness, Json, Repro, TexelAccess, TraceKey,
+    config_from_json, expand_frame, DiffHarness, Json, Repro, TexelAccess, TraceKey,
 };
 use mltc_telemetry::{export, Recorder, SeriesSnapshot};
 use mltc_trace::codec::TraceFileReader;
@@ -66,7 +71,7 @@ fn main() -> ExitCode {
     };
     let per_frame = args.iter().any(|a| a == "--per-frame");
 
-    let mut reader = match AnyReader::open(path) {
+    let mut reader = match open(path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot open {path}: {e}");
@@ -86,9 +91,9 @@ fn main() -> ExitCode {
     if per_frame {
         println!("{:>6} {:>10} {:>8}", "frame", "requests", "d");
     }
-    loop {
+    for _ in 0..reader.frame_count() {
         match reader.read_frame() {
-            Ok(Some(t)) => {
+            Ok(t) => {
                 frames += 1;
                 requests += t.requests.len() as u64;
                 depth_sum += t.depth_complexity();
@@ -108,7 +113,6 @@ fn main() -> ExitCode {
                     );
                 }
             }
-            Ok(None) => break,
             Err(e) => {
                 eprintln!("corrupt trace after {frames} frames: {e}");
                 return ExitCode::FAILURE;
@@ -232,14 +236,10 @@ fn model_main(args: &[String]) -> ExitCode {
 }
 
 fn run_model(path: &str, out: Option<&str>, profile_out: Option<&str>) -> Result<(), String> {
-    let mut reader = AnyReader::open(path).map_err(|e| e.to_string())?;
+    let mut reader = open(path)?;
     // The profile is captured by replaying against the recording scene's
     // texture registry, which only the container key can reconstruct.
-    let key = reader
-        .key()
-        .ok_or("bare frame stream carries no workload key; model needs a .mltct container")?
-        .to_string();
-    let key = TraceKey::parse(&key)?;
+    let key = TraceKey::parse(reader.key())?;
     let workload = key.workload();
     let registry = workload.scene().registry();
 
@@ -259,12 +259,12 @@ fn run_model(path: &str, out: Option<&str>, profile_out: Option<&str>) -> Result
             ..TelemetryOpts::default()
         },
     );
-    let mut frames = 0u64;
-    while let Some(f) = reader.read_frame().map_err(|e| e.to_string())? {
+    let frames = reader.frame_count();
+    for _ in 0..frames {
+        let f = reader.read_frame().map_err(|e| e.to_string())?;
         engine
             .try_run_frame_as(&f, FilterMode::Trilinear)
             .map_err(|e| e.to_string())?;
-        frames += 1;
     }
     let profile = engine
         .locality_profile()
@@ -389,9 +389,7 @@ fn run_shrink(
     filter_override: Option<FilterMode>,
     out_dir: &std::path::Path,
 ) -> Result<Option<(String, usize, PathBuf)>, String> {
-    let mut reader =
-        TraceFileReader::new(BufReader::new(File::open(path).map_err(|e| e.to_string())?))
-            .map_err(|e| format!("not a .mltct container: {e}"))?;
+    let mut reader = open(path)?;
     let key = TraceKey::parse(reader.key())?;
     let workload = key.workload();
     let registry = workload.scene().registry();
@@ -423,7 +421,7 @@ fn run_shrink(
 /// Decodes `path` into one row per frame: request count, nominal tap count
 /// (requests × the filter mode's maximum taps — point 1, bilinear 4,
 /// trilinear 8), and distinct textures touched.
-fn per_frame_series(path: &str) -> std::io::Result<SeriesSnapshot> {
+fn per_frame_series(path: &str) -> Result<SeriesSnapshot, String> {
     let mut series = SeriesSnapshot {
         label: path.to_string(),
         columns: ["frame", "requests", "taps", "distinct_textures"]
@@ -432,8 +430,9 @@ fn per_frame_series(path: &str) -> std::io::Result<SeriesSnapshot> {
             .collect(),
         rows: Vec::new(),
     };
-    let mut reader = AnyReader::open(path)?;
-    while let Some(t) = reader.read_frame()? {
+    let mut reader = open(path)?;
+    for _ in 0..reader.frame_count() {
+        let t = reader.read_frame().map_err(|e| e.to_string())?;
         let requests = t.requests.len() as u64;
         let tids: BTreeSet<u32> = t.requests.iter().map(|r| r.tid.index()).collect();
         series.rows.push(vec![
@@ -444,4 +443,10 @@ fn per_frame_series(path: &str) -> std::io::Result<SeriesSnapshot> {
         ]);
     }
     Ok(series)
+}
+
+/// Opens the trace file at `path`, its header parsed.
+fn open(path: &str) -> Result<TraceFileReader<BufReader<File>>, String> {
+    let file = File::open(path).map_err(|e| e.to_string())?;
+    TraceFileReader::new(BufReader::new(file)).map_err(|e| format!("not a .mltct trace file: {e}"))
 }

@@ -27,12 +27,13 @@
 //! replays every cached `.mltct` trace through this harness across a
 //! configuration matrix; [`TraceKey`] rebuilds each trace's workload from
 //! the key string embedded in the file, so conformance runs need no
-//! rendering.
+//! rendering. That file is the one trace format there is, read with
+//! `mltc_trace::codec::TraceFileReader` by the conformance front-end and by
+//! every `tracetool` subcommand alike.
 
 mod diff;
 mod key;
 mod model;
-mod reader;
 mod repro;
 mod timing;
 
@@ -41,6 +42,5 @@ pub use key::TraceKey;
 /// The workspace's JSON value lives in the leaf crate; repro and benchmark code name it here.
 pub use mltc_telemetry::Json;
 pub use model::OracleEngine;
-pub use reader::AnyReader;
 pub use repro::{config_from_json, config_to_json, Repro};
 pub use timing::NaiveTiming;

@@ -1,30 +1,30 @@
 //! Compact binary trace format for record/replay.
 //!
-//! A trace stream is a sequence of independently-encoded frames. Recording
-//! an animation once and replaying it through many cache configurations is
-//! the paper's methodology; the on-disk format additionally lets experiments
-//! skip re-rendering entirely.
+//! A recorded trace is one versioned *trace file*: a header naming the
+//! trace, then its frames, each encoded on its own. Recording an animation
+//! once and replaying it through many cache configurations is the paper's
+//! methodology; the file lets experiments skip re-rendering entirely.
+//! [`TraceFileWriter`] writes one and [`TraceFileReader`] reads it back;
+//! the experiment suite's persistent trace store and `tracetool` use
+//! nothing else.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
+//! file    := fmagic:u32 ("MLTS") version:u32 key_len:u16 key_bytes
+//!            frame_count:u32 (frame_len:u32 frame)*frame_count
 //! frame   := magic:u32 ("MLTC") frame:u32 width:u32 height:u32
 //!            filter:u8 pixels_rendered:u64 count:u32 request*count
 //! request := tid:u32 u:f32 v:f32 lod:f32
 //! ```
 //!
-//! On top of the raw frame stream sits the versioned *trace file* container
-//! used by the experiment suite's persistent trace store
-//! ([`TraceFileWriter`] / [`TraceFileReader`]):
-//!
-//! ```text
-//! file    := fmagic:u32 ("MLTS") version:u32 key_len:u16 key_bytes
-//!            frame_count:u32 (frame_len:u32 frame)*frame_count
-//! ```
-//!
 //! `key` is an opaque caller-defined identity string (the trace store encodes
 //! the workload, its parameters and the render settings there) verified on
 //! load, so a stale or mislabeled file is never silently replayed.
+//!
+//! One parser reads a frame, [`frame_cursor`]; [`decode_frame`] and the
+//! file reader go through it. [`encode_frame`] and [`decode_frame`] are the
+//! in-memory halves for a caller that frames the bytes itself.
 
 use crate::{FilterMode, FrameTrace, PixelRequest};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -34,8 +34,8 @@ use std::io::{Read, Write};
 
 const MAGIC: u32 = u32::from_le_bytes(*b"MLTC");
 
-/// Magic number opening a versioned trace *file* (as opposed to a bare
-/// frame stream).
+/// Magic number opening a versioned trace *file* (each frame inside it
+/// opens with a magic of its own, `MLTC`).
 pub const FILE_MAGIC: u32 = u32::from_le_bytes(*b"MLTS");
 
 /// Current trace-file format version. Bump on any layout change; readers
@@ -55,7 +55,7 @@ pub const MAX_FRAME_BYTES: u32 = 29 + MAX_FRAME_REQUESTS * 16;
 /// [`CodecError::Oversized`] *before* any allocation happens.
 pub const MAX_FRAME_REQUESTS: u32 = 1 << 22;
 
-/// Error decoding a trace stream.
+/// Error decoding a trace file or frame.
 #[derive(Debug)]
 pub enum CodecError {
     /// Underlying I/O failure.
@@ -64,7 +64,7 @@ pub enum CodecError {
     BadMagic(u32),
     /// Unknown filter-mode byte.
     BadFilter(u8),
-    /// The stream ended inside a frame.
+    /// The bytes ended inside a frame or the file header.
     Truncated,
     /// The header's request count exceeds [`MAX_FRAME_REQUESTS`].
     Oversized {
@@ -180,9 +180,9 @@ pub fn encode_frame(t: &FrameTrace) -> Bytes {
 
 /// Borrowed view of one encoded frame: header fields decoded, request
 /// payload left in place and decoded lazily by [`requests`]
-/// (`FrameCursor::requests`). This is the zero-allocation decode path — a
-/// caller replaying a trace streams requests straight out of its reusable
-/// read buffer and never materializes a `Vec<PixelRequest>` per frame.
+/// (`FrameCursor::requests`). Decoding a frame allocates nothing until
+/// [`into_frame`](Self::into_frame) collects the requests — once per frame
+/// read from a trace file, however many consumers share the result.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameCursor<'a> {
     /// Frame number.
@@ -257,11 +257,20 @@ impl Iterator for FrameRequests<'_> {
 
 impl ExactSizeIterator for FrameRequests<'_> {}
 
-/// The one parser of a frame's fixed 29-byte header: magic, filter byte and
-/// the [`MAX_FRAME_REQUESTS`] cap are checked here and nowhere else. Returns
-/// the header as a cursor over no requests yet, and the request count the
-/// payload must hold.
-fn frame_header(buf: &[u8]) -> Result<(FrameCursor<'static>, usize), CodecError> {
+/// Decodes one frame's header from the front of `buf`, returning a borrowed
+/// [`FrameCursor`] over its request payload plus the remainder of `buf`
+/// after the frame. Nothing is allocated. This is the one frame parser —
+/// magic, filter byte and the [`MAX_FRAME_REQUESTS`] cap are checked here
+/// and nowhere else — and every other frame decoder ([`decode_frame`],
+/// [`TraceFileReader::read_frame_into`]) goes through it.
+///
+/// # Errors
+///
+/// Returns [`CodecError::Truncated`] if `buf` ends mid-frame,
+/// [`CodecError::BadMagic`]/[`CodecError::BadFilter`] on corrupt headers,
+/// and [`CodecError::Oversized`] when the header claims more than
+/// [`MAX_FRAME_REQUESTS`] requests.
+pub fn frame_cursor(buf: &[u8]) -> Result<(FrameCursor<'_>, &[u8]), CodecError> {
     let Some(mut header) = buf.get(..29) else {
         return Err(CodecError::Truncated);
     };
@@ -281,36 +290,19 @@ fn frame_header(buf: &[u8]) -> Result<(FrameCursor<'static>, usize), CodecError>
             max: MAX_FRAME_REQUESTS,
         });
     }
+    // The cap keeps `count * 16` far inside a 32-bit usize.
+    let Some((payload, rest)) = buf[29..].split_at_checked(count as usize * 16) else {
+        return Err(CodecError::Truncated);
+    };
     let cursor = FrameCursor {
         frame,
         width,
         height,
         filter,
         pixels_rendered,
-        payload: &[],
+        payload,
     };
-    // The cap keeps `count * 16` far inside a 32-bit usize.
-    Ok((cursor, count as usize))
-}
-
-/// Decodes one frame's header from the front of `buf`, returning a borrowed
-/// [`FrameCursor`] over its request payload plus the remainder of `buf`
-/// after the frame. Nothing is allocated. Every other frame decoder
-/// ([`decode_frame`], [`TraceReader::read_frame`],
-/// [`TraceFileReader::read_frame_into`]) goes through this one.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if `buf` ends mid-frame,
-/// [`CodecError::BadMagic`]/[`CodecError::BadFilter`] on corrupt headers,
-/// and [`CodecError::Oversized`] when the header claims more than
-/// [`MAX_FRAME_REQUESTS`] requests.
-pub fn frame_cursor(buf: &[u8]) -> Result<(FrameCursor<'_>, &[u8]), CodecError> {
-    let (header, count) = frame_header(buf)?;
-    let Some((payload, rest)) = buf[29..].split_at_checked(count * 16) else {
-        return Err(CodecError::Truncated);
-    };
-    Ok((FrameCursor { payload, ..header }, rest))
+    Ok((cursor, rest))
 }
 
 /// Decodes one frame from the front of `buf`, advancing it past the frame
@@ -324,80 +316,6 @@ pub fn decode_frame(buf: &mut &[u8]) -> Result<FrameTrace, CodecError> {
     let (cursor, rest) = frame_cursor(buf)?;
     *buf = rest;
     Ok(cursor.into_frame())
-}
-
-/// Streams frames to a writer.
-///
-/// ```
-/// use mltc_trace::{codec::{TraceReader, TraceWriter}, FilterMode, FrameTrace};
-/// let mut buf = Vec::new();
-/// let mut w = TraceWriter::new(&mut buf);
-/// w.write_frame(&FrameTrace::new(0, 8, 8, FilterMode::Point))?;
-/// drop(w);
-/// let mut r = TraceReader::new(buf.as_slice());
-/// assert_eq!(r.read_frame()?.unwrap().frame, 0);
-/// assert!(r.read_frame()?.is_none());
-/// # Ok::<(), mltc_trace::codec::CodecError>(())
-/// ```
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    inner: W,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a writer.
-    pub fn new(inner: W) -> Self {
-        Self { inner }
-    }
-
-    /// Appends one frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_frame(&mut self, t: &FrameTrace) -> Result<(), CodecError> {
-        self.inner.write_all(&encode_frame(t))?;
-        Ok(())
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-/// Streams frames from a reader.
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    inner: R,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Wraps a reader.
-    pub fn new(inner: R) -> Self {
-        Self { inner }
-    }
-
-    /// Reads the next frame, or `None` at a clean end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Truncated`] if the stream ends mid-frame, plus
-    /// the header errors of [`frame_cursor`] and the reader's I/O errors.
-    pub fn read_frame(&mut self) -> Result<Option<FrameTrace>, CodecError> {
-        let mut buf = vec![0u8; 29];
-        match read_exact_or_eof(&mut self.inner, &mut buf)? {
-            0 => return Ok(None),
-            29 => {}
-            _ => return Err(CodecError::Truncated),
-        }
-        // The header first, so an oversized count is rejected before the
-        // payload is allocated.
-        let (_, count) = frame_header(&buf)?;
-        buf.resize(29 + count * 16, 0);
-        read_full(&mut self.inner, &mut buf[29..])?;
-        frame_cursor(&buf).map(|(cursor, _)| Some(cursor.into_frame()))
-    }
 }
 
 /// Writes a versioned trace *file*: header (magic, version, key, frame
@@ -621,27 +539,12 @@ impl<R: Read> TraceFileReader<R> {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, or 0 at immediate EOF; a partial read
-/// followed by EOF returns the partial count.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, CodecError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(CodecError::Io(e)),
-        }
-    }
-    Ok(filled)
-}
-
 /// Fills `buf`; a stream that ends first is [`CodecError::Truncated`].
 fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), CodecError> {
-    if read_exact_or_eof(r, buf)? != buf.len() {
-        return Err(CodecError::Truncated);
-    }
-    Ok(())
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => CodecError::Truncated,
+        _ => CodecError::Io(e),
+    })
 }
 
 #[cfg(test)]
@@ -678,24 +581,37 @@ mod tests {
         assert_eq!(decode_frame(&mut &buf[..]).unwrap(), t);
     }
 
+    /// A one-frame file with key "k": its frame's bytes start here, after
+    /// the 15-byte header and the 4-byte length prefix.
+    const FRAME_AT: usize = 4 + 4 + 2 + 1 + 4 + 4;
+
+    fn one_frame_file(t: &FrameTrace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = TraceFileWriter::new(&mut buf, "k", 1).unwrap();
+        w.write_frame(t).unwrap();
+        w.finish().unwrap();
+        buf
+    }
+
     #[test]
     fn multi_frame_stream() {
+        let frames: Vec<FrameTrace> = (0..3)
+            .map(|i| FrameTrace {
+                frame: i,
+                ..sample_trace(10 * i as usize)
+            })
+            .collect();
         let mut file = Vec::new();
-        {
-            let mut w = TraceWriter::new(&mut file);
-            for i in 0..3 {
-                let mut t = sample_trace(10 * i);
-                t.frame = i as u32;
-                w.write_frame(&t).unwrap();
-            }
+        let mut w = TraceFileWriter::new(&mut file, "k", 3).unwrap();
+        for t in &frames {
+            w.write_frame(t).unwrap();
         }
-        let mut r = TraceReader::new(file.as_slice());
-        for i in 0..3 {
-            let t = r.read_frame().unwrap().expect("frame present");
-            assert_eq!(t.frame, i);
-            assert_eq!(t.requests.len(), 10 * i as usize);
+        w.finish().unwrap();
+        let mut r = TraceFileReader::new(file.as_slice()).unwrap();
+        for t in &frames {
+            assert_eq!(&r.read_frame().unwrap(), t);
         }
-        assert!(r.read_frame().unwrap().is_none());
+        assert!(matches!(r.read_frame(), Err(CodecError::Truncated)));
     }
 
     #[test]
@@ -728,7 +644,8 @@ mod tests {
         let bytes = encode_frame(&t);
         let mut buf = &bytes[..bytes.len() - 3];
         assert!(matches!(decode_frame(&mut buf), Err(CodecError::Truncated)));
-        let mut r = TraceReader::new(&bytes[..bytes.len() - 3]);
+        let file = one_frame_file(&t);
+        let mut r = TraceFileReader::new(&file[..file.len() - 3]).unwrap();
         assert!(matches!(r.read_frame(), Err(CodecError::Truncated)));
     }
 
@@ -737,14 +654,17 @@ mod tests {
         let t = sample_trace(2);
         let mut bytes = encode_frame(&t).to_vec();
         // The count field sits at offset 25 in the 29-byte header.
-        bytes[25..29].copy_from_slice(&(MAX_FRAME_REQUESTS + 1).to_le_bytes());
+        let oversized = (MAX_FRAME_REQUESTS + 1).to_le_bytes();
+        bytes[25..29].copy_from_slice(&oversized);
         let mut buf = bytes.as_slice();
         assert!(matches!(
             decode_frame(&mut buf),
             Err(CodecError::Oversized { count, max })
                 if count == MAX_FRAME_REQUESTS + 1 && max == MAX_FRAME_REQUESTS
         ));
-        let mut r = TraceReader::new(bytes.as_slice());
+        let mut file = one_frame_file(&t);
+        file[FRAME_AT + 25..FRAME_AT + 29].copy_from_slice(&oversized);
+        let mut r = TraceFileReader::new(file.as_slice()).unwrap();
         assert!(matches!(r.read_frame(), Err(CodecError::Oversized { .. })));
     }
 

@@ -2,10 +2,12 @@
 
 use mltc_texture::TextureId;
 use mltc_trace::codec::{
-    decode_frame, encode_frame, frame_cursor, CodecError, TraceReader, MAX_FRAME_REQUESTS,
+    decode_frame, encode_frame, frame_cursor, CodecError, TraceFileReader, TraceFileWriter,
+    MAX_FRAME_REQUESTS,
 };
 use mltc_trace::{filter_taps, FilterMode, FrameTrace, PixelRequest};
 use proptest::prelude::*;
+use std::mem::discriminant;
 
 fn filters() -> impl Strategy<Value = FilterMode> {
     prop_oneof![
@@ -34,21 +36,45 @@ fn square_dims(base: u32) -> impl Fn(u32) -> (u32, u32) {
     move |m| ((base >> m).max(1), (base >> m).max(1))
 }
 
-/// `frame_cursor`, `decode_frame` and `TraceReader::read_frame` make the same
-/// thing of `bytes`: the same frame (compared re-encoded, so a NaN coordinate
-/// equals itself) or the same `CodecError` variant. The reader's clean end of
-/// stream is what the slice decoders call a truncated frame.
+/// A trace file declaring one frame whose length prefix frames `bytes`.
+fn one_frame_file(bytes: &[u8]) -> Vec<u8> {
+    let mut file = Vec::new();
+    // The header is written as the writer opens; the frame goes in raw.
+    TraceFileWriter::new(&mut file, "", 1).expect("header");
+    file.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    file.extend_from_slice(bytes);
+    file
+}
+
+/// `frame_cursor`, `decode_frame` and the `read_frame` of a one-frame trace
+/// file holding `bytes` make the same thing of them: the same frame
+/// (compared re-encoded, so a NaN coordinate equals itself) or the same
+/// `CodecError` variant. The file's length prefix claims all of `bytes`, so
+/// where the slice decoders find a frame with bytes left over the file
+/// reader reports the mismatch, and where `bytes` is too short for a frame
+/// header it rejects the prefix.
 fn assert_decoders_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
     let outcome = |r: Result<FrameTrace, CodecError>| {
-        r.map(|t| encode_frame(&t))
-            .map_err(|e| std::mem::discriminant(&e))
+        r.map(|t| encode_frame(&t)).map_err(|e| discriminant(&e))
     };
     let cursor = outcome(frame_cursor(bytes).map(|(c, _)| c.into_frame()));
     let slice = outcome(decode_frame(&mut &bytes[..]));
-    let read = TraceReader::new(bytes).read_frame();
-    let reader = outcome(read.transpose().unwrap_or(Err(CodecError::Truncated)));
     prop_assert_eq!(&cursor, &slice, "frame_cursor vs decode_frame");
-    prop_assert_eq!(&cursor, &reader, "frame_cursor vs TraceReader");
+    let left_over = frame_cursor(bytes).map_or(0, |(_, rest)| rest.len());
+    let expected = match cursor {
+        Ok(_) if left_over > 0 => Err(discriminant(&CodecError::FrameLengthMismatch {
+            declared: 0,
+            decoded: 0,
+        })),
+        Err(_) if bytes.len() < 29 => Err(discriminant(&CodecError::BadFrameLength {
+            declared: 0,
+            max: 0,
+        })),
+        decoded => decoded,
+    };
+    let file = one_frame_file(bytes);
+    let read = TraceFileReader::new(file.as_slice()).and_then(|mut r| r.read_frame());
+    prop_assert_eq!(&outcome(read), &expected, "frame_cursor vs TraceFileReader");
     Ok(())
 }
 

@@ -1,6 +1,7 @@
-//! Record a workload's texture-access traces to a binary file, then replay
-//! them through several cache configurations without re-rendering — the
-//! paper's trace-driven methodology as a workflow.
+//! Record a workload's texture-access traces to a trace file (the `MLTS`
+//! container the experiment suite's trace store writes), then replay them
+//! through several cache configurations without re-rendering — the paper's
+//! trace-driven methodology as a workflow.
 //!
 //! ```text
 //! cargo run --release --example record_replay -- [trace_file]
@@ -8,7 +9,7 @@
 
 use mltc::core::{EngineConfig, L1Config, L2Config, SimEngine};
 use mltc::scene::{Workload, WorkloadParams};
-use mltc::trace::codec::{TraceReader, TraceWriter};
+use mltc::trace::codec::{TraceFileReader, TraceFileWriter};
 use mltc::trace::FilterMode;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -16,18 +17,21 @@ use std::io::{BufReader, BufWriter};
 fn main() {
     let path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "village.trace".to_string());
+        .unwrap_or_else(|| "village.mltct".to_string());
     let params = WorkloadParams::quick();
     let village = Workload::village(&params);
 
     // Record: render once, stream every frame to disk.
     let t0 = std::time::Instant::now();
-    {
-        let mut writer = TraceWriter::new(BufWriter::new(File::create(&path).expect("create")));
-        village.render_animation(FilterMode::Trilinear, false, |t| {
-            writer.write_frame(&t).expect("write frame");
-        });
-    }
+    let file = BufWriter::new(File::create(&path).expect("create"));
+    // The key names what was recorded; the trace store's keys also let
+    // `tracetool model` rebuild the scene, this one is only a label.
+    let mut writer = TraceFileWriter::new(file, "village-quick-trilinear", village.frame_count)
+        .expect("write header");
+    village.render_animation(FilterMode::Trilinear, false, |t| {
+        writer.write_frame(&t).expect("write frame");
+    });
+    writer.finish().expect("every frame written");
     let size = std::fs::metadata(&path).expect("stat").len();
     println!(
         "recorded {} frames to {path} ({:.1} MB) in {:.1}s",
@@ -46,9 +50,10 @@ fn main() {
             ..EngineConfig::default()
         };
         let mut engine = SimEngine::new(cfg, village.registry());
-        let mut reader = TraceReader::new(BufReader::new(File::open(&path).expect("open")));
-        while let Some(t) = reader.read_frame().expect("read frame") {
-            engine.run_frame(&t);
+        let file = BufReader::new(File::open(&path).expect("open"));
+        let mut reader = TraceFileReader::new(file).expect("read header");
+        for _ in 0..reader.frame_count() {
+            engine.run_frame(&reader.read_frame().expect("read frame"));
         }
         println!(
             "{:<22} {:>10.2}",
@@ -60,5 +65,7 @@ fn main() {
         "\nreplayed 3 architectures in {:.1}s",
         t1.elapsed().as_secs_f64()
     );
-    println!("inspect the trace with: cargo run --release -p mltc-trace --bin tracetool -- {path}");
+    println!(
+        "inspect the trace with: cargo run --release -p mltc-oracle --bin tracetool -- {path}"
+    );
 }

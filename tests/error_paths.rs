@@ -5,7 +5,7 @@
 use mltc::core::{EngineConfig, EngineError, L1Config, L2Config, SimEngine};
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::texture::{synth, MipPyramid, TextureId, TextureRegistry, TileSize, TilingConfig};
-use mltc::trace::codec::{CodecError, TraceReader};
+use mltc::trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
 use mltc::trace::{FilterMode, FrameTrace, PixelRequest};
 
 fn one_texture_registry() -> TextureRegistry {
@@ -112,25 +112,90 @@ fn tiling_config_rejects_inverted_hierarchy() {
     assert!(err.to_string().contains("smaller"));
 }
 
+/// A trace file of `frames` written under `key`.
+fn trace_file(key: &str, frames: &[FrameTrace]) -> Vec<u8> {
+    let mut file = Vec::new();
+    let mut w = TraceFileWriter::new(&mut file, key, frames.len() as u32).unwrap();
+    for t in frames {
+        w.write_frame(t).unwrap();
+    }
+    w.finish().unwrap();
+    file
+}
+
+/// Opens `bytes` as a trace file and reads every frame its header declares;
+/// the frames read.
+fn read_trace_file(bytes: &[u8]) -> Result<u32, CodecError> {
+    let mut r = TraceFileReader::new(bytes)?;
+    for _ in 0..r.frame_count() {
+        r.read_frame()?;
+    }
+    Ok(r.frames_read())
+}
+
 #[test]
 fn corrupt_trace_stream_reports_precise_errors() {
     let w = Workload::village(&WorkloadParams::tiny());
     let t = w.trace_frame(0, FilterMode::Point);
-    let bytes = mltc::trace::codec::encode_frame(&t);
+    let file = trace_file("village", std::slice::from_ref(&t));
+    // The frame follows the header (magic, version, key length, key, frame
+    // count) and its 4-byte length prefix.
+    let frame_at = 4 + 4 + 2 + "village".len() + 4 + 4;
 
-    // Flip the magic.
-    let mut bad = bytes.to_vec();
-    bad[1] ^= 0x55;
-    let mut r = TraceReader::new(bad.as_slice());
+    // Flip the frame magic.
+    let mut bad = file.clone();
+    bad[frame_at + 1] ^= 0x55;
+    let mut r = TraceFileReader::new(bad.as_slice()).unwrap();
     assert!(matches!(r.read_frame(), Err(CodecError::BadMagic(_))));
 
     // Cut the payload.
-    let mut r = TraceReader::new(&bytes[..bytes.len() / 2]);
+    let cut = &file[..(frame_at + file.len()) / 2];
+    let mut r = TraceFileReader::new(cut).unwrap();
     assert!(matches!(r.read_frame(), Err(CodecError::Truncated)));
 
-    // An empty stream is a clean end, not an error.
-    let mut r = TraceReader::new(&[][..]);
-    assert!(r.read_frame().unwrap().is_none());
+    // Flip the file magic.
+    let mut bad = file.clone();
+    bad[1] ^= 0x55;
+    let opened = TraceFileReader::new(bad.as_slice());
+    assert!(matches!(opened, Err(CodecError::BadFileMagic(_))));
+
+    // Reading past the declared frame count is an error, not a panic.
+    let mut r = TraceFileReader::new(file.as_slice()).unwrap();
+    assert_eq!(r.read_frame().unwrap(), t);
+    assert!(matches!(r.read_frame(), Err(CodecError::Truncated)));
+}
+
+/// Hostile bytes never panic the trace-file reader: a two-frame file cut at
+/// every length and with every single bit flipped reads to `Ok` or a typed
+/// `CodecError`, and no cut reads whole.
+#[test]
+fn every_cut_and_bit_flip_of_a_trace_file_is_ok_or_a_typed_error() {
+    let frames: Vec<FrameTrace> = (0..2)
+        .map(|f| {
+            let mut t = FrameTrace::new(f, 8, 8, FilterMode::Trilinear);
+            for i in 0..3 {
+                t.push(PixelRequest {
+                    tid: TextureId::from_index(i),
+                    u: i as f32 * 0.25,
+                    v: 0.5,
+                    lod: f as f32,
+                });
+            }
+            t
+        })
+        .collect();
+    let file = trace_file("hostile", &frames);
+    assert_eq!(read_trace_file(&file).unwrap(), 2);
+    for cut in 0..file.len() {
+        let read = std::panic::catch_unwind(|| read_trace_file(&file[..cut]));
+        assert!(matches!(read, Ok(Err(_))), "cut at {cut}: {read:?}");
+    }
+    for bit in 0..file.len() * 8 {
+        let mut flipped = file.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let read = std::panic::catch_unwind(|| read_trace_file(&flipped));
+        assert!(read.is_ok(), "bit {bit} flipped panicked the reader");
+    }
 }
 
 #[test]

@@ -1,10 +1,31 @@
-//! Record/replay integration: traces serialised to the binary codec and
+//! Record/replay integration: traces serialised to a trace file and
 //! replayed must drive the caches identically to a live run.
 
 use mltc::core::{EngineConfig, L1Config, L2Config, SimEngine};
 use mltc::scene::{Workload, WorkloadParams};
-use mltc::trace::codec::{TraceReader, TraceWriter};
-use mltc::trace::FilterMode;
+use mltc::trace::codec::{TraceFileReader, TraceFileWriter};
+use mltc::trace::{FilterMode, FrameTrace};
+
+/// Renders `w`'s animation under `filter` into an in-memory trace file,
+/// handing each frame to `live` as it is recorded.
+fn record(w: &Workload, filter: FilterMode, mut live: impl FnMut(&FrameTrace)) -> Vec<u8> {
+    let mut file = Vec::new();
+    let mut writer = TraceFileWriter::new(&mut file, "tiny", w.frame_count).expect("header");
+    w.render_animation(filter, false, |t| {
+        writer.write_frame(&t).expect("record frame");
+        live(&t);
+    });
+    writer.finish().expect("every declared frame written");
+    file
+}
+
+/// Every frame of a trace file, in order.
+fn frames(file: &[u8]) -> Vec<FrameTrace> {
+    let mut reader = TraceFileReader::new(file).expect("header");
+    (0..reader.frame_count())
+        .map(|_| reader.read_frame().expect("read frame"))
+        .collect()
+}
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -21,25 +42,15 @@ fn serialised_replay_matches_live_run() {
 
     // Live run, recording every frame to an in-memory trace file.
     let mut live = SimEngine::new(config(), w.registry());
-    let mut file = Vec::new();
-    {
-        let mut writer = TraceWriter::new(&mut file);
-        w.render_animation(FilterMode::Trilinear, false, |t| {
-            writer.write_frame(&t).expect("record frame");
-            live.run_frame(&t);
-        });
-    }
-    assert!(!file.is_empty());
+    let file = record(&w, FilterMode::Trilinear, |t| live.run_frame(t));
 
     // Replay run from the serialised traces.
     let mut replay = SimEngine::new(config(), w.registry());
-    let mut reader = TraceReader::new(file.as_slice());
-    let mut frames = 0;
-    while let Some(t) = reader.read_frame().expect("read frame") {
-        replay.run_frame(&t);
-        frames += 1;
+    let replayed = frames(&file);
+    assert_eq!(replayed.len(), w.frame_count as usize);
+    for t in &replayed {
+        replay.run_frame(t);
     }
-    assert_eq!(frames, w.frame_count);
 
     // Bit-identical counters, frame by frame.
     assert_eq!(live.frames(), replay.frames());
@@ -51,13 +62,7 @@ fn recorded_traces_are_portable_across_configs() {
     // One recording drives arbitrarily many architectures (the paper's
     // methodology): record once, then sweep.
     let w = Workload::city(&WorkloadParams::tiny());
-    let mut file = Vec::new();
-    {
-        let mut writer = TraceWriter::new(&mut file);
-        w.render_animation(FilterMode::Bilinear, false, |t| {
-            writer.write_frame(&t).expect("record frame");
-        });
-    }
+    let file = record(&w, FilterMode::Bilinear, |_| {});
 
     let mut results = Vec::new();
     for l2 in [None, Some(L2Config::mb(2))] {
@@ -69,8 +74,7 @@ fn recorded_traces_are_portable_across_configs() {
             },
             w.registry(),
         );
-        let mut reader = TraceReader::new(file.as_slice());
-        while let Some(t) = reader.read_frame().unwrap() {
+        for t in frames(&file) {
             engine.run_frame(&t);
         }
         results.push(engine.totals());
