@@ -59,8 +59,9 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Cap on concurrently replaying configurations; `0` means "ask the OS"
-/// (see [`max_replay_jobs`]).
+/// Cap on busy threads: concurrently replaying configurations, and the
+/// store's render threads; `0` means "ask the OS" (see
+/// [`max_replay_jobs`]).
 static MAX_REPLAY_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// The engine path replay workers drive; indexes into [`ReplayPath`]'s
@@ -125,14 +126,18 @@ pub fn replay_path() -> ReplayPath {
     }
 }
 
-/// Caps the number of configurations replayed concurrently (the `--jobs`
-/// flag). `0` restores the default: one worker per available core.
+/// Caps the busy threads a run may use (the `--jobs` flag): the number of
+/// configurations replayed concurrently, and the threads the store
+/// renders a trace on ([`TraceStore`]'s render loop,
+/// [`Workload::render_animation_feed`]). `0` restores the default: one
+/// per available core.
 pub fn set_max_replay_jobs(jobs: usize) {
     MAX_REPLAY_JOBS.store(jobs, Relaxed);
 }
 
-/// The effective concurrency cap: the value of [`set_max_replay_jobs`],
-/// or the machine's available parallelism when unset.
+/// The effective concurrency cap, for replay workers and render threads
+/// alike: the value of [`set_max_replay_jobs`], or the machine's available
+/// parallelism when unset.
 pub fn max_replay_jobs() -> usize {
     match MAX_REPLAY_JOBS.load(Relaxed) {
         0 => std::thread::available_parallelism()

@@ -41,7 +41,10 @@
 //! out is a decoded, shared [`FrameTrace`]. Resident frames are handed out
 //! as they are; a file is read frame by frame into one reused buffer and
 //! each frame decoded once, on the feed's thread; an uncached trace is
-//! rasterized live — and counted as the render it is. Replays
+//! rasterized live — and counted as the render it is — until the visitor
+//! breaks. Every render, keyed or live, runs on up to
+//! [`max_replay_jobs`](crate::max_replay_jobs) threads and delivers its
+//! frames in order, so the `--jobs` cap never changes a trace. Replays
 //! ([`crate::runner`]),
 //! [`TraceStore::stats_bundle`], [`TraceStore::mean_depth_complexity`] and
 //! [`crate::collect_frames`] are its visitors.
@@ -68,13 +71,15 @@
 //! stream ends. Nothing is persisted: a pass costs one replay to make
 //! again.
 
-use crate::runner::{lock_clean, RunError};
+use crate::runner::{lock_clean, max_replay_jobs, RunError};
 use mltc_core::{L1Pass, SimEngine};
 use mltc_raster::Traversal;
 use mltc_scene::{Workload, WorkloadKind, WorkloadParams};
 use mltc_telemetry::Recorder;
 use mltc_trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
-use mltc_trace::{FilterMode, FrameStatsCollector, FrameTrace, FrameWorkingSet, WorkloadSummary};
+use mltc_trace::{
+    FilterMode, FrameStatsCollector, FrameTrace, FrameWorkingSet, PixelRequest, WorkloadSummary,
+};
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter};
@@ -192,7 +197,7 @@ pub enum TraceHandle {
 
 /// Approximate decoded footprint of one frame (requests + fixed overhead).
 fn frame_cost(t: &FrameTrace) -> u64 {
-    (t.requests.len() * std::mem::size_of::<mltc_trace::PixelRequest>()) as u64 + 96
+    (t.requests.len() * std::mem::size_of::<PixelRequest>()) as u64 + 96
 }
 
 enum CellState {
@@ -721,8 +726,10 @@ impl TraceStore {
     /// the one place a handle's three states turn into frames. A file is
     /// read through one reused buffer and each frame decoded once, here, to
     /// be shared by every consumer; the rest of the file is neither read nor
-    /// validated once `visit` breaks. An uncached trace is rasterized to the
-    /// end regardless (a renderer cannot be stopped early).
+    /// validated once `visit` breaks. An uncached trace is rasterized live
+    /// ([`rasterize`](Self::rasterize)), and a `visit` that breaks stops
+    /// that render too: no frame after the one it broke on is delivered or
+    /// counted.
     ///
     /// # Errors
     ///
@@ -751,8 +758,8 @@ impl TraceStore {
                 })?;
             }
             TraceHandle::Uncached => self.rasterize(&key, w, "render", |t| {
-                let _ = visit(&Arc::new(t));
-                None
+                visit(&Arc::new(t))?;
+                ControlFlow::Continue(None)
             }),
         }
         Ok(())
@@ -785,15 +792,18 @@ impl TraceStore {
         }
     }
 
-    /// Rasterizes `key`'s animation into `sink` (which may hand a request
-    /// buffer back for the next frame): the one place the store renders, so
-    /// the one place a render is counted and timed.
+    /// Rasterizes `key`'s animation into `sink`, in frame order, until it
+    /// breaks (it may hand a request buffer back for the next frame): the
+    /// one place the store renders, so the one place a render is counted
+    /// and timed. The render runs on up to [`max_replay_jobs`] threads
+    /// ([`Workload::render_animation_feed`]); `frames_rendered` and
+    /// `fragments_rasterized` count the frames delivered to `sink`.
     fn rasterize(
         &self,
         key: &TraceKey,
         w: &Workload,
         why: &str,
-        mut sink: impl FnMut(FrameTrace) -> Option<Vec<mltc_trace::PixelRequest>>,
+        mut sink: impl FnMut(FrameTrace) -> ControlFlow<(), Option<Vec<PixelRequest>>>,
     ) {
         let rec = self.recorder();
         let _span = rec.span(&format!("store/{why}/{}", key.kind.name()));
@@ -802,11 +812,17 @@ impl TraceStore {
         c.renders.fetch_add(1, Relaxed);
         let start = Instant::now();
         let (mut frames, mut fragments) = (0u64, 0u64);
-        w.render_animation_feed(FilterMode::Point, key.zprepass, key.traversal, |t| {
-            frames += 1;
-            fragments += t.pixels_rendered;
-            sink(t)
-        });
+        w.render_animation_feed(
+            FilterMode::Point,
+            key.zprepass,
+            key.traversal,
+            max_replay_jobs(),
+            |t| {
+                frames += 1;
+                fragments += t.pixels_rendered;
+                sink(t)
+            },
+        );
         c.frames_rendered.fetch_add(frames, Relaxed);
         c.fragments_rasterized.fetch_add(fragments, Relaxed);
         c.render_nanos
@@ -917,13 +933,13 @@ impl TraceStore {
                     c.spills.fetch_add(1, Relaxed);
                 }
             }
-            if keep_in_memory {
+            ControlFlow::Continue(if keep_in_memory {
                 bytes += cost;
                 frames.push(Arc::new(t));
                 None
             } else {
                 Some(t.requests)
-            }
+            })
         });
 
         // A writer only exists alongside its tmp and final paths (set as
@@ -1241,6 +1257,44 @@ mod tests {
         let h2 = store.get_or_render(&w, false, Traversal::Scanline);
         assert!(matches!(h2, TraceHandle::Uncached));
         assert_eq!(store.snapshot().renders, 1);
+    }
+
+    #[test]
+    fn a_live_render_stops_when_its_visitor_breaks() {
+        let w = tiny_village();
+        for jobs in [1, 2] {
+            crate::runner::set_max_replay_jobs(jobs);
+            let store = TraceStore::in_memory();
+            let mut seen = Vec::new();
+            let fed = store.feed(
+                &TraceHandle::Uncached,
+                &w,
+                false,
+                Traversal::Scanline,
+                |t| {
+                    seen.push(t.frame);
+                    ControlFlow::Break(())
+                },
+            );
+            assert!(fed.is_ok());
+            assert_eq!(seen, [0], "jobs {jobs}");
+            let s = store.snapshot();
+            assert_eq!((s.renders, s.frames_rendered), (1, 1), "jobs {jobs}");
+
+            // A visitor that panics reaches the caller as that panic.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = store.feed(
+                    &TraceHandle::Uncached,
+                    &w,
+                    false,
+                    Traversal::Scanline,
+                    |_| panic!("visitor gave up"),
+                );
+            }));
+            let payload = caught.expect_err("the visitor's panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"visitor gave up"));
+        }
+        crate::runner::set_max_replay_jobs(0);
     }
 
     #[test]

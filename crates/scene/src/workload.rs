@@ -3,7 +3,9 @@
 use crate::{city, village, CameraPath, Scene};
 use mltc_raster::{Camera, Framebuffer, RasterMode, Rasterizer, Traversal};
 use mltc_texture::TextureRegistry;
-use mltc_trace::{FilterMode, FrameTrace};
+use mltc_trace::{FilterMode, FrameTrace, PixelRequest};
+use std::ops::ControlFlow;
+use std::sync::mpsc::{channel, sync_channel};
 
 /// Scale parameters for a workload run.
 ///
@@ -273,37 +275,103 @@ impl Workload {
         traversal: Traversal,
         mut sink: impl FnMut(FrameTrace),
     ) {
-        self.render_animation_feed(filter, zprepass, traversal, |t| {
+        self.render_animation_feed(filter, zprepass, traversal, 1, |t| {
             sink(t);
-            None
+            ControlFlow::Continue(None)
         });
     }
 
-    /// Like [`Workload::render_animation_traversal`], but the sink may hand
-    /// a request buffer back (e.g. after serialising the frame to disk);
-    /// the rasterizer reuses its capacity for the next frame, making a
-    /// consume-as-you-go render loop allocation-free in steady state.
+    /// The one render loop: rasterizes the animation on up to `jobs`
+    /// threads and hands `sink` frames `0..frame_count` once each, in
+    /// frame order, on the calling thread, until it breaks.
+    ///
+    /// The calling thread renders frames `0, jobs, 2·jobs, …` on a
+    /// rasterizer of its own; `jobs − 1` scoped workers, one rasterizer
+    /// each, render frames `j, j + jobs, …`. Frames are independent:
+    /// [`Rasterizer::begin_frame`] resets every per-frame field (depth,
+    /// trace, the z-pre-pass state) and [`Workload::camera_at`] is pure, so
+    /// which rasterizer renders a frame never changes its trace, and the
+    /// frames the sink sees are the ones a single rasterizer would make.
+    /// Each worker hands a finished frame over a rendezvous channel, so at
+    /// most one frame per worker waits for the sink. At `jobs <= 1` no
+    /// thread is spawned and the caller renders every frame itself.
+    ///
+    /// The sink may hand a request buffer back (e.g. after serialising the
+    /// frame to disk): it goes to the rasterizer that rendered that frame,
+    /// which reuses its capacity, so a consume-as-you-go loop allocates
+    /// nothing in steady state. A sink that breaks stops the render: the
+    /// workers' next hand-off finds nobody listening and they return. A
+    /// panic in the sink or in a worker reaches the caller as that panic.
     pub fn render_animation_feed(
         &self,
         filter: FilterMode,
         zprepass: bool,
         traversal: Traversal,
-        mut sink: impl FnMut(FrameTrace) -> Option<Vec<mltc_trace::PixelRequest>>,
+        jobs: usize,
+        mut sink: impl FnMut(FrameTrace) -> ControlFlow<(), Option<Vec<PixelRequest>>>,
     ) {
-        let mut raster = Rasterizer::new(
-            self.width,
-            self.height,
-            filter,
-            RasterMode::Trace,
-            self.scene.registry(),
-        );
-        raster.set_traversal(traversal);
-        for frame in 0..self.frame_count {
-            let t = self.trace_into(&mut raster, frame, zprepass);
-            if let Some(buf) = sink(t) {
-                raster.recycle(buf);
+        let frames = self.frame_count as usize;
+        let jobs = jobs.clamp(1, frames.max(1));
+        let rasterizer = || {
+            let mut raster = Rasterizer::new(
+                self.width,
+                self.height,
+                filter,
+                RasterMode::Trace,
+                self.scene.registry(),
+            );
+            raster.set_traversal(traversal);
+            raster
+        };
+        std::thread::scope(|scope| {
+            let mut workers: Vec<_> = (1..jobs)
+                .map(|first| {
+                    let (frame_tx, frame_rx) = sync_channel::<FrameTrace>(0);
+                    let (buf_tx, buf_rx) = channel::<Vec<PixelRequest>>();
+                    let worker = scope.spawn(move || {
+                        let mut raster = rasterizer();
+                        for frame in (first..frames).step_by(jobs) {
+                            while let Ok(buf) = buf_rx.try_recv() {
+                                raster.recycle(buf);
+                            }
+                            let t = self.trace_into(&mut raster, frame as u32, zprepass);
+                            if frame_tx.send(t).is_err() {
+                                return; // the sink broke
+                            }
+                        }
+                    });
+                    (frame_rx, buf_tx, Some(worker))
+                })
+                .collect();
+            let mut raster = rasterizer();
+            for frame in 0..frames {
+                let owner = frame % jobs;
+                let t = if owner == 0 {
+                    self.trace_into(&mut raster, frame as u32, zprepass)
+                } else {
+                    let (frame_rx, _, worker) = &mut workers[owner - 1];
+                    match frame_rx.recv() {
+                        Ok(t) => t,
+                        // The worker hung up without its frame: it panicked.
+                        Err(_) => match worker.take().map(|w| w.join()) {
+                            Some(Err(payload)) => std::panic::resume_unwind(payload),
+                            _ => unreachable!("a render worker stopped before its last frame"),
+                        },
+                    }
+                };
+                match sink(t) {
+                    ControlFlow::Break(()) => break,
+                    ControlFlow::Continue(Some(buf)) if owner == 0 => raster.recycle(buf),
+                    ControlFlow::Continue(Some(buf)) => {
+                        // A worker past its last frame no longer takes buffers.
+                        let _ = workers[owner - 1].1.send(buf);
+                    }
+                    ControlFlow::Continue(None) => {}
+                }
             }
-        }
+            // Dropping the receivers releases any worker still rendering.
+            drop(workers);
+        });
     }
 
     /// Renders a shaded snapshot of one frame (Fig. 12).
@@ -453,9 +521,9 @@ mod tests {
         let mut plain = Vec::new();
         w.render_animation(FilterMode::Point, false, |t| plain.push(t));
         let mut fed = Vec::new();
-        w.render_animation_feed(FilterMode::Point, false, Traversal::Scanline, |t| {
+        w.render_animation_feed(FilterMode::Point, false, Traversal::Scanline, 1, |t| {
             fed.push(t.clone());
-            Some(t.requests) // donate the buffer back every frame
+            ControlFlow::Continue(Some(t.requests)) // donate the buffer back every frame
         });
         assert_eq!(plain, fed, "buffer recycling must not change the trace");
     }

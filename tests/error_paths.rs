@@ -2,11 +2,16 @@
 //! precisely on misuse, and degrades gracefully where the paper's design
 //! says it should.
 
-use mltc::core::{EngineConfig, EngineError, L1Config, L2Config, SimEngine};
+use mltc::core::{
+    EngineConfig, EngineError, FaultPlan, L1Config, L2Config, SimEngine, TextureBlackout,
+};
 use mltc::scene::{Workload, WorkloadParams};
-use mltc::texture::{synth, MipPyramid, TextureId, TextureRegistry, TileSize, TilingConfig};
+use mltc::texture::{
+    synth, Image, MipPyramid, TexelFormat, TextureId, TextureRegistry, TileSize, TilingConfig,
+};
 use mltc::trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
 use mltc::trace::{FilterMode, FrameTrace, PixelRequest};
+use mltc_oracle::{Repro, TexelAccess, TraceKey};
 
 fn one_texture_registry() -> TextureRegistry {
     let mut reg = TextureRegistry::new();
@@ -257,4 +262,95 @@ fn engines_are_send_for_the_parallel_harness() {
     fn assert_send<T: Send>() {}
     assert_send::<SimEngine>();
     assert_send::<FrameTrace>();
+}
+
+/// Characters a hostile edit writes: digits, the key's separators, every
+/// ASCII letter, the JSON punctuation, a NUL and multi-byte UTF-8.
+const HOSTILE: &str = "0123456789=,- xabcdefghijklmnopqrstuvwyzABCDEFGHIJKLMNOPQRSTUVWXYZ\
+                       []{}\":.\0é€";
+
+/// Calls `f` on every truncation of `text`, every single-character deletion
+/// and duplication, and every single-character replacement from
+/// [`HOSTILE`]; returns how many variants it made.
+fn for_each_hostile_edit(text: &str, mut f: impl FnMut(&str)) -> usize {
+    let mut cases = 0;
+    let mut edit = |parts: &[&str]| {
+        f(&parts.concat());
+        cases += 1;
+    };
+    for (at, c) in text.char_indices() {
+        let (head, rest) = (&text[..at], &text[at + c.len_utf8()..]);
+        let c = c.encode_utf8(&mut [0; 4]).to_string();
+        edit(&[head]);
+        edit(&[head, rest]);
+        edit(&[head, &c, &c, rest]);
+        for r in HOSTILE.chars().filter(|r| r.to_string() != c) {
+            edit(&[head, r.encode_utf8(&mut [0; 4]), rest]);
+        }
+    }
+    cases
+}
+
+#[test]
+fn every_hostile_edit_of_a_committed_trace_key_is_ok_or_an_error() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/traces");
+    let mut cases = 0;
+    for name in [
+        "city-64x48-f4-ts8-s5eed-late-scanline.mltct",
+        "village-64x48-f4-ts8-s5eed-late-scanline.mltct",
+    ] {
+        let file = std::fs::File::open(dir.join(name)).expect("committed trace");
+        let reader = TraceFileReader::new(std::io::BufReader::new(file)).expect("valid container");
+        let key = reader.key().to_string();
+        assert!(TraceKey::parse(&key).is_ok(), "{key:?}");
+        cases += for_each_hostile_edit(&key, |text| {
+            let parsed = std::panic::catch_unwind(|| TraceKey::parse(text));
+            assert!(parsed.is_ok(), "TraceKey::parse panicked on {text:?}");
+        });
+    }
+    assert!(cases >= 10_000, "only {cases} cases");
+}
+
+#[test]
+fn every_hostile_edit_of_a_captured_repro_is_ok_or_an_error() {
+    // Small textures: every edit that still parses rebuilds the registry.
+    let flat = |w, h| MipPyramid::from_image(Image::filled(w, h, TexelFormat::Rgb565, [9; 3]));
+    let mut reg = TextureRegistry::new();
+    reg.load("square", flat(4, 4));
+    let gone = reg.load("gone", flat(2, 2));
+    reg.delete(gone);
+    reg.load("wide", flat(8, 2));
+    let config = EngineConfig {
+        l1: L1Config::kb(2),
+        l2: Some(L2Config::mb(2)),
+        tlb_entries: 16,
+        fault: FaultPlan {
+            seed: 7,
+            fail_ppm: 1000,
+            max_attempts: 3,
+            burst_period: 10,
+            burst_len: 2,
+            blackout: Some(TextureBlackout {
+                tid: 2,
+                from: 1,
+                until: 5,
+            }),
+        },
+        ..EngineConfig::default()
+    };
+    let accesses = [(0, 0, 3, 1), (2, 1, 3, 0)].map(|(tid, m, u, v)| TexelAccess { tid, m, u, v });
+    let text = Repro::capture("l1 hit differs at 1", config, &reg, &accesses)
+        .to_json()
+        .render();
+    assert!(Repro::parse(&text).is_ok(), "{text}");
+    let cases = for_each_hostile_edit(&text, |text| {
+        let built = std::panic::catch_unwind(|| {
+            Repro::parse(text).map(|repro| repro.build_registry().issued_count())
+        });
+        assert!(
+            built.is_ok(),
+            "Repro::parse or build_registry panicked on {text:?}"
+        );
+    });
+    assert!(cases >= 10_000, "only {cases} cases");
 }

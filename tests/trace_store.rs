@@ -4,13 +4,15 @@
 //! different format version — must be rejected with a re-render, never a
 //! panic — also when the file is larger than the budget, so only a replay
 //! streaming it can find the damage. And the L1 passes replays leave beside a
-//! resident trace live and die with it, inside the same byte budget.
+//! resident trace live and die with it, inside the same byte budget. And a
+//! render spread over several threads hands out the one-thread render.
 
 use mltc::core::{EngineConfig, FrameCounters, L1Config, L2Config};
 use mltc::experiments::{engine_run, engine_run_all, RunError, TraceHandle, TraceStore};
 use mltc::raster::Traversal;
 use mltc::scene::{Workload, WorkloadParams};
 use mltc::trace::FilterMode;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 fn tiny_village() -> Workload {
@@ -369,4 +371,44 @@ fn concurrent_sweeps_over_one_store_leave_one_pass_counted_once() {
     assert_eq!(s.l1_passes + s.l1_passes_reused / 2, 2);
     assert_eq!(sweep(&store, &w), first);
     assert_eq!(store.snapshot().l1_passes, s.l1_passes);
+}
+
+#[test]
+fn a_parallel_render_is_the_serial_render() {
+    // Frames are independent, so however many rasterizers share the
+    // animation, the sink sees the one-rasterizer trace, frame by frame and
+    // in order — whether it hands every buffer back or keeps them all.
+    let params = WorkloadParams::tiny();
+    for w in [Workload::village(&params), Workload::city(&params)] {
+        for traversal in [Traversal::Scanline, Traversal::Tiled(8)] {
+            for zprepass in [false, true] {
+                for filter in [FilterMode::Point, FilterMode::Trilinear] {
+                    let mut serial = Vec::new();
+                    w.render_animation_traversal(filter, zprepass, traversal, |t| serial.push(t));
+                    assert_eq!(serial.len(), w.frame_count as usize);
+                    for jobs in [1, 2, 3, 4, 7] {
+                        for recycle in [true, false] {
+                            let mut seen = Vec::new();
+                            w.render_animation_feed(filter, zprepass, traversal, jobs, |t| {
+                                let recycled = recycle.then(|| t.requests.clone());
+                                seen.push(t);
+                                ControlFlow::Continue(recycled)
+                            });
+                            let case = format!(
+                                "{} {traversal:?} zprepass {zprepass} {filter:?} \
+                                 jobs {jobs} recycle {recycle}",
+                                w.name
+                            );
+                            let order: Vec<u32> = seen.iter().map(|t| t.frame).collect();
+                            assert_eq!(order, (0..w.frame_count).collect::<Vec<_>>(), "{case}");
+                            assert!(
+                                seen == serial,
+                                "{case}: traces differ from the serial render"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
