@@ -14,13 +14,10 @@
 //! `<out>/BENCH_experiments.json`. Delete `<out>/traces/` to force a
 //! cold re-render (for example after changing the renderer).
 
-use mltc_core::L2PartitionMode;
 use mltc_experiments::{
-    find_experiment, replay_path, set_max_replay_jobs, set_multiclient_clients,
-    set_multiclient_partition, set_replay_path, Outputs, ReplayPath, Scale, TraceStore,
-    EXPERIMENTS,
+    find_experiment, replay_path, set_max_replay_jobs, set_replay_path, Outputs, ReplayPath, Scale,
+    TraceStore, EXPERIMENTS,
 };
-use mltc_raster::Traversal;
 use mltc_telemetry::{export, Json, Recorder};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -47,8 +44,6 @@ fn usage() -> ExitCode {
          \x20                    summary JSON, its Prometheus text and a\n\
          \x20                    chrome://tracing trace-event file into <dir>\n\
          --heartbeat <secs>   print store throughput every <secs> seconds\n\
-         --clients <n>        pin the multiclient experiment to one population\n\
-         --partition <m>      multiclient L2 mode: partitioned, unified or both\n\
          \n\
          ids: all, list, {}",
         EXPERIMENTS
@@ -100,18 +95,6 @@ fn main() -> ExitCode {
             "--heartbeat" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(secs) => heartbeat_secs = secs,
                 None => return usage(),
-            },
-            "--clients" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => set_multiclient_clients(n),
-                _ => return usage(),
-            },
-            "--partition" => match it.next().as_deref() {
-                Some("partitioned") => {
-                    set_multiclient_partition(Some(L2PartitionMode::Partitioned))
-                }
-                Some("unified") => set_multiclient_partition(Some(L2PartitionMode::Unified)),
-                Some("both") => set_multiclient_partition(None),
-                _ => return usage(),
             },
             "list" => {
                 for (n, _) in EXPERIMENTS {
@@ -166,18 +149,9 @@ fn main() -> ExitCode {
     let path_name = replay_path().name();
     let mut failures: Vec<(String, String)> = Vec::new();
     let mut timings: Vec<(String, f64)> = Vec::new();
-    if let Some(first) = run_list.first() {
-        prefetch_for(&store, &scale, first);
-    }
-    for (i, id) in run_list.iter().enumerate() {
+    for id in &run_list {
         match find_experiment(id) {
             Some(f) => {
-                // Overlap: while this experiment replays its (likely
-                // cached) traces, the next experiment's uncached keys
-                // render on background threads.
-                if let Some(next) = run_list.get(i + 1) {
-                    prefetch_for(&store, &scale, next);
-                }
                 let start = std::time::Instant::now();
                 println!("\n### running {id} ...");
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -357,35 +331,6 @@ impl Heartbeat {
         }
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
-        }
-    }
-}
-
-/// Warms the store for one experiment: background threads render (or load)
-/// the traces it is about to ask for.
-fn prefetch_for(store: &TraceStore, scale: &Scale, id: &str) {
-    let p = &scale.params;
-    match id {
-        // Analytic and snapshot experiments touch no traces.
-        "fig3" | "table4" | "fig12" => {}
-        "ablate-zprepass" => {
-            store.prefetch(store.village(p), false, Traversal::Scanline);
-            store.prefetch(store.city(p), false, Traversal::Scanline);
-            store.prefetch(store.village(p), true, Traversal::Scanline);
-            store.prefetch(store.city(p), true, Traversal::Scanline);
-        }
-        "ablate-traversal" => {
-            store.prefetch(store.village(p), false, Traversal::Scanline);
-            store.prefetch(store.village(p), false, Traversal::Tiled(8));
-        }
-        "future-workloads" => {
-            store.prefetch(store.city(p), false, Traversal::Scanline);
-            store.prefetch(store.future_city(p), false, Traversal::Scanline);
-        }
-        // Everything else replays the late-Z scanline animations.
-        _ => {
-            store.prefetch(store.village(p), false, Traversal::Scanline);
-            store.prefetch(store.city(p), false, Traversal::Scanline);
         }
     }
 }

@@ -67,9 +67,8 @@ pub use exp_tlb::{fig11, table8};
 pub use exp_visual::fig12;
 pub use matrix::conformance_matrix;
 pub use multiclient::{
-    collect_frames, experiment_service_config, multiclient, run_multi_client,
-    set_multiclient_clients, set_multiclient_partition, solo_baseline, solo_baseline_scalar,
-    ClientReport, ClientSpec, MultiClientConfig, MultiClientReport,
+    collect_frames, experiment_service_config, multiclient, run_multi_client, solo_baseline,
+    solo_baseline_scalar, ClientReport, ClientSpec, MultiClientConfig, MultiClientReport,
 };
 pub use outputs::{Outputs, TextTable};
 pub use runner::{

@@ -1,5 +1,5 @@
 //! Multi-client texture service simulation: N independent camera streams
-//! replayed through one shared L2 on worker threads.
+//! replayed through one shared L2.
 //!
 //! This is the experiment-harness face of [`mltc_core::TextureService`].
 //! Each client is a [`ClientSpec`]: a filter, a *phase offset* into the
@@ -7,9 +7,12 @@
 //! walking the same scene out of phase), an optional fault-plan override
 //! and an optional injected panic (chaos testing). Frames flow from one
 //! producer over **bounded** per-client queues — [`MultiClientConfig::
-//! queue_depth`] frames of backpressure — into one worker thread per
-//! client; each worker's panics are caught per frame and converted into a
-//! quarantine, so a poisoned client never takes the service down.
+//! queue_depth`] frames of backpressure — to the workers. Clients that
+//! share an L2 share a worker, as configurations that share an L1 do in
+//! the runner: a unified service runs all its clients on one worker, a
+//! partitioned one gives each client a worker of its own. Every frame's
+//! panics are caught and converted into a quarantine, so a poisoned
+//! client never takes the service down.
 //!
 //! Containment contract (enforced by tests here and in `tests/`):
 //!
@@ -17,30 +20,29 @@
 //!   [`SimEngine`] running [`TextureService::solo_config`] — on the wide
 //!   path the client itself runs and on the scalar path — no matter what
 //!   the other clients do (panic, 100 % fault plans, shed frames).
-//! * **Unified** L2: clients share one cache and one page table; a
-//!   [`Turnstile`] serialises frame execution in round-robin client
-//!   order so results are deterministic run to run (they still depend on
-//!   the population — that is the point of the experiment).
-//! * A quarantined client retires from its queue and the turnstile; the
-//!   producer drops its sender and keeps feeding the survivors.
+//! * **Unified** L2: clients share one cache and one page table; their
+//!   worker runs each step's frames round-robin in client-id order, so
+//!   results are deterministic run to run (they still depend on the
+//!   population — that is the point of the experiment).
+//! * A retired client (quarantined, errored or done) drops its queue at
+//!   once; the producer drops its sender and keeps feeding the survivors.
 
 use crate::runner::{mb, panic_message, pct, RunError};
 use crate::store::TraceStore;
 use crate::{Outputs, Scale, TextTable};
 use mltc_cache::jain_fairness;
 use mltc_core::{
-    ClientServiceStats, EngineError, FaultPlan, FrameCounters, L1Config, L2Config, L2PartitionMode,
-    QuarantineReason, ServiceConfig, ServiceError, SharedL2Contention, SimEngine, TelemetryOpts,
-    TextureService,
+    ClientEngine, ClientServiceStats, EngineError, FaultPlan, FrameCounters, L1Config, L2Config,
+    L2PartitionMode, QuarantineReason, ServiceConfig, ServiceError, SharedL2, SharedL2Contention,
+    SimEngine, TelemetryOpts, TextureService,
 };
 use mltc_scene::Workload;
 use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
 use mltc_trace::{FilterMode, FrameTrace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering::Relaxed};
-use std::sync::mpsc::{sync_channel, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
+use std::sync::Arc;
 
 /// One client of the service: which filter it samples with, where in the
 /// shared animation its camera starts, and its chaos knobs.
@@ -175,80 +177,73 @@ impl MultiClientReport {
     }
 }
 
-/// Round-robin frame scheduler for **unified** L2 runs: client `i` may
-/// only run frame `k` after every active client before it in rotation has
-/// run its frame `k`. This pins the interleaving, making unified results
-/// deterministic run to run. Retired (quarantined / finished) clients
-/// drop out of the rotation so survivors keep flowing.
-///
-/// Deadlock-freedom with the bounded queues: the producer feeds clients
-/// in the same round-robin order the turnstile enforces, so with a queue
-/// depth ≥ 1 the turn holder's next frame is always already delivered.
-struct Turnstile {
-    state: Mutex<TurnstileState>,
-    cv: Condvar,
+/// One client on its group's worker: its engine, the queue it is fed
+/// from (`None` once the client retired) and the error it left with.
+struct Seat {
+    id: usize,
+    spec: ClientSpec,
+    engine: ClientEngine,
+    rx: Option<Receiver<Arc<FrameTrace>>>,
+    error: Option<RunError>,
 }
 
-struct TurnstileState {
-    next: usize,
-    active: Vec<bool>,
-}
-
-impl TurnstileState {
-    fn advance(&mut self) {
-        let n = self.active.len();
-        for step in 1..=n {
-            let cand = (self.next + step) % n;
-            if self.active[cand] {
-                self.next = cand;
-                return;
+impl Seat {
+    /// Runs the client's frame of `step`; `false` when the client retires
+    /// (quarantine, engine error, end of stream).
+    fn run_step(&mut self, shared: &SharedL2, step: usize) -> bool {
+        let Some(trace) = self.rx.as_ref().and_then(|rx| rx.recv().ok()) else {
+            return false;
+        };
+        let spec = self.spec;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if spec.panic_at_frame == Some(step) {
+                panic!("injected client panic at frame {step}");
+            }
+            self.engine.run_frame(shared, &trace, spec.filter)
+        }));
+        match outcome {
+            Ok(Ok(())) => return true,
+            Ok(Err(ServiceError::Quarantined { .. })) => {}
+            Ok(Err(ServiceError::Engine(e))) => self.error = Some(RunError::Engine(e)),
+            Err(payload) => {
+                let reason = QuarantineReason::Panicked(panic_message(payload.as_ref()));
+                self.engine.quarantine(reason);
             }
         }
-        self.next = n; // nobody left in rotation
+        false
+    }
+
+    fn report(self, stalls: u64) -> ClientReport {
+        ClientReport {
+            id: self.id as u32,
+            frames: self.engine.frames().to_vec(),
+            totals: self.engine.totals(),
+            service: self.engine.service_stats(),
+            quarantined: self.engine.quarantined().cloned(),
+            error: self.error,
+            queue_stalls: stalls,
+        }
     }
 }
 
-impl Turnstile {
-    fn new(clients: usize) -> Self {
-        Self {
-            state: Mutex::new(TurnstileState {
-                next: 0,
-                active: vec![true; clients],
-            }),
-            cv: Condvar::new(),
+/// A group's worker: at each step, each live client's next frame in id
+/// order. A client that retires drops its queue at once, so the producer
+/// never blocks on a queue nobody reads; deadlock-free because the
+/// producer feeds the clients in the order the worker reads them.
+fn serve(seats: &mut [Seat], shared: &SharedL2, steps: usize) {
+    for step in 0..steps {
+        for seat in seats.iter_mut().filter(|s| s.rx.is_some()) {
+            if !seat.run_step(shared, step) {
+                seat.rx = None;
+            }
         }
-    }
-
-    fn wait_turn(&self, id: usize) {
-        let mut s = self.state.lock().unwrap();
-        while s.next != id {
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-
-    fn done(&self, id: usize) {
-        let mut s = self.state.lock().unwrap();
-        debug_assert_eq!(s.next, id);
-        s.advance();
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Removes `id` from the rotation (idempotent; also yields the turn
-    /// when `id` holds it).
-    fn retire(&self, id: usize) {
-        let mut s = self.state.lock().unwrap();
-        s.active[id] = false;
-        if s.next == id {
-            s.advance();
-        }
-        drop(s);
-        self.cv.notify_all();
     }
 }
 
 /// Replays `specs.len()` phase-offset camera streams over `frames`
-/// through one shared [`TextureService`], one worker thread per client.
+/// through one shared [`TextureService`]: one worker per shared L2, so a
+/// unified service's clients take turns on one thread and a partitioned
+/// service's clients run on a thread each.
 ///
 /// Per-client failures never abort the run: a panicking or shed-budget
 /// client lands in its [`ClientReport`] as quarantined, an engine error
@@ -277,144 +272,121 @@ pub fn run_multi_client(
     }
     let service = TextureService::try_new(cfg.service, registry, specs.len() as u32)?;
     let shared = service.shared_l2();
-    let turnstile = shared.is_unified().then(|| Turnstile::new(specs.len()));
     let steps = cfg.steps.unwrap_or(frames.len());
     let depth = cfg.queue_depth.max(1);
     let mut stalls = vec![0u64; specs.len()];
 
-    let clients = std::thread::scope(|scope| -> Result<Vec<ClientReport>, RunError> {
-        let mut senders = Vec::with_capacity(specs.len());
-        let mut handles = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<FrameTrace>>(depth);
-            senders.push(Some(tx));
-            let mut engine = match spec.fault_override {
-                Some(plan) => service.client_with_fault(i as u32, plan),
-                None => service.client(i as u32),
-            }?;
-            if recorder.is_enabled() {
-                // Attribution on: 3C classification hangs off the L1 miss
-                // site, which every replay path reaches through the same
-                // tap body, so it is exact on the wide path too.
-                engine.attach_telemetry_opts(
-                    &recorder.scoped(&format!("c{i}")),
-                    &format!("c{i}"),
-                    "mc",
-                    TelemetryOpts {
-                        attribution: true,
-                        ..TelemetryOpts::default()
-                    },
-                );
-            }
-            let spec = *spec;
-            let turnstile = turnstile.as_ref();
-            handles.push(scope.spawn(move || {
-                let mut error = None;
-                for (frame_idx, trace) in rx.into_iter().enumerate() {
-                    if let Some(t) = turnstile {
-                        t.wait_turn(i);
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if spec.panic_at_frame == Some(frame_idx) {
-                            panic!("injected client panic at frame {frame_idx}");
-                        }
-                        engine.run_frame(shared, &trace, spec.filter)
-                    }));
-                    match outcome {
-                        Ok(Ok(())) => {
-                            if let Some(t) = turnstile {
-                                t.done(i);
-                            }
-                        }
-                        Ok(Err(ServiceError::Quarantined { .. })) => break,
-                        Ok(Err(ServiceError::Engine(e))) => {
-                            error = Some(RunError::Engine(e));
-                            break;
-                        }
-                        Err(payload) => {
-                            engine.quarantine(QuarantineReason::Panicked(panic_message(
-                                payload.as_ref(),
-                            )));
-                            break;
-                        }
-                    }
-                }
-                // Leaves the rotation on every exit path — including the
-                // break arms above, where the worker still holds its turn.
-                if let Some(t) = turnstile {
-                    t.retire(i);
-                }
-                (engine, error)
-            }));
+    let mut senders = Vec::with_capacity(specs.len());
+    let mut seats = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        let (tx, rx) = sync_channel::<Arc<FrameTrace>>(depth);
+        senders.push(Some(tx));
+        let mut engine = match spec.fault_override {
+            Some(plan) => service.client_with_fault(i as u32, plan),
+            None => service.client(i as u32),
+        }?;
+        if recorder.is_enabled() {
+            // Attribution on: 3C classification hangs off the L1 miss
+            // site, which every replay path reaches through the same
+            // tap body, so it is exact on the wide path too.
+            engine.attach_telemetry_opts(
+                &recorder.scoped(&format!("c{i}")),
+                &format!("c{i}"),
+                "mc",
+                TelemetryOpts {
+                    attribution: true,
+                    ..TelemetryOpts::default()
+                },
+            );
         }
+        seats.push(Seat {
+            id: i,
+            spec: *spec,
+            engine,
+            rx: Some(rx),
+            error: None,
+        });
+    }
+    // Clients that share an L2 share a worker: one group of every client
+    // when unified, one group per client when partitioned.
+    let groups: Vec<Vec<Seat>> = if shared.is_unified() {
+        vec![seats]
+    } else {
+        seats.into_iter().map(|seat| vec![seat]).collect()
+    };
+
+    let clients = std::thread::scope(|scope| {
+        let workers: Vec<_> = groups
+            .into_iter()
+            .map(|mut group| {
+                let ids: Vec<usize> = group.iter().map(|seat| seat.id).collect();
+                let worker = scope.spawn(move || {
+                    serve(&mut group, shared, steps);
+                    group
+                });
+                (ids, worker)
+            })
+            .collect();
 
         // The producer: one pass over the schedule, fanning each client
         // its phase-rotated frame. try_send first so a full queue is
         // observable as a backpressure stall before we block on it.
         for step in 0..steps {
             for (i, spec) in specs.iter().enumerate() {
-                let mut dead = false;
-                if let Some(tx) = &senders[i] {
-                    let f = Arc::clone(&frames[(step + spec.phase_offset) % frames.len()]);
-                    match tx.try_send(f) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(f)) => {
-                            stalls[i] += 1;
-                            dead = tx.send(f).is_err();
-                        }
-                        Err(TrySendError::Disconnected(_)) => dead = true,
+                let Some(tx) = &senders[i] else { continue };
+                let f = Arc::clone(&frames[(step + spec.phase_offset) % frames.len()]);
+                let dead = match tx.try_send(f) {
+                    Ok(()) => false,
+                    Err(TrySendError::Full(f)) => {
+                        stalls[i] += 1;
+                        tx.send(f).is_err()
                     }
-                } else {
-                    continue;
-                }
+                    Err(TrySendError::Disconnected(_)) => true,
+                };
                 if dead {
-                    // Quarantined client: its worker dropped the receiver.
+                    // Retired client: its worker dropped the receiver.
                     senders[i] = None;
                 }
             }
         }
         drop(senders);
 
-        let mut clients = Vec::with_capacity(handles.len());
-        for (i, h) in handles.into_iter().enumerate() {
-            clients.push(match h.join() {
-                Ok((engine, error)) => {
-                    if recorder.is_enabled() {
-                        // Scoped health gauges (`c<id>/service/…`): queue
-                        // and lock stalls, shed/denied work, p99 frame
-                        // miss rate. After the final frame, so the gauges
-                        // describe the whole run.
-                        engine.publish_metrics(
-                            &recorder.scoped(&format!("c{i}")),
-                            shared,
-                            stalls[i],
-                        );
-                    }
-                    ClientReport {
-                        id: i as u32,
-                        frames: engine.frames().to_vec(),
-                        totals: engine.totals(),
-                        service: engine.service_stats(),
-                        quarantined: engine.quarantined().cloned(),
-                        error,
-                        queue_stalls: stalls[i],
+        let mut clients = Vec::with_capacity(specs.len());
+        for (ids, worker) in workers {
+            match worker.join() {
+                Ok(group) => {
+                    for seat in group {
+                        let queue_stalls = stalls[seat.id];
+                        if recorder.is_enabled() {
+                            // Scoped health gauges (`c<id>/service/…`):
+                            // queue and lock stalls, shed/denied work, p99
+                            // frame miss rate. After the final frame, so
+                            // the gauges describe the whole run.
+                            let scoped = recorder.scoped(&format!("c{}", seat.id));
+                            seat.engine.publish_metrics(&scoped, shared, queue_stalls);
+                        }
+                        clients.push(seat.report(queue_stalls));
                     }
                 }
-                // The worker body catches client panics itself; a join
-                // failure would be a harness bug — report, don't unwind.
-                Err(payload) => ClientReport {
-                    id: i as u32,
-                    frames: Vec::new(),
-                    totals: FrameCounters::default(),
-                    service: ClientServiceStats::default(),
-                    quarantined: None,
-                    error: Some(RunError::Panicked(panic_message(payload.as_ref()))),
-                    queue_stalls: stalls[i],
-                },
-            });
+                // The worker catches client panics per frame; one that
+                // dies outside them fails every client of its group, as
+                // the runner's groups do — report, don't unwind.
+                Err(payload) => {
+                    let e = RunError::Panicked(panic_message(payload.as_ref()));
+                    clients.extend(ids.into_iter().map(|i| ClientReport {
+                        id: i as u32,
+                        frames: Vec::new(),
+                        totals: FrameCounters::default(),
+                        service: ClientServiceStats::default(),
+                        quarantined: None,
+                        error: Some(e.clone()),
+                        queue_stalls: stalls[i],
+                    }));
+                }
+            }
         }
-        Ok(clients)
-    })?;
+        clients
+    });
 
     let rates: Vec<f64> = clients
         .iter()
@@ -433,10 +405,9 @@ pub fn run_multi_client(
 /// a plain [`SimEngine`] under [`TextureService::solo_config`], fed the
 /// same phase-rotated stream through the wide (batched) frame loops — the
 /// path the service client itself runs. In partitioned mode the service
-/// client must match this bit for bit — the containment oracle used by
-/// the tests and the `multiclient` chaos binary, which hold every survivor
-/// against [`solo_baseline_scalar`] as well so the gate still covers both
-/// paths.
+/// client must match this bit for bit — the containment oracle of the
+/// tests, which hold every survivor against [`solo_baseline_scalar`] as
+/// well so the gate covers both paths.
 pub fn solo_baseline(
     registry: &TextureRegistry,
     frames: &[Arc<FrameTrace>],
@@ -496,44 +467,13 @@ pub fn collect_frames(store: &TraceStore, w: &Workload) -> Result<Vec<Arc<FrameT
     Ok(store.fold_frames(w, false, scanline, Vec::new, |frames, t| frames.push(t)))
 }
 
-/// `--clients` override for the `multiclient` experiment; `0` = sweep.
-static CLIENTS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// `--partition` override: 0 = both modes, 1 = partitioned, 2 = unified.
-static PARTITION_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// The client populations the `multiclient` experiment sweeps.
+const POPULATIONS: [u32; 4] = [1, 2, 4, 8];
 
-/// Pins the `multiclient` experiment to one population (`0` restores the
-/// default 1/2/4/8 sweep).
-pub fn set_multiclient_clients(n: usize) {
-    CLIENTS_OVERRIDE.store(n, Relaxed);
-}
-
-/// Pins the `multiclient` experiment to one partition mode (`None`
-/// restores the default of running both).
-pub fn set_multiclient_partition(mode: Option<L2PartitionMode>) {
-    PARTITION_OVERRIDE.store(
-        match mode {
-            None => 0,
-            Some(L2PartitionMode::Partitioned) => 1,
-            Some(L2PartitionMode::Unified) => 2,
-        },
-        Relaxed,
-    );
-}
-
-fn populations() -> Vec<u32> {
-    match CLIENTS_OVERRIDE.load(Relaxed) {
-        0 => vec![1, 2, 4, 8],
-        n => vec![n as u32],
-    }
-}
-
-fn partition_modes() -> Vec<L2PartitionMode> {
-    match PARTITION_OVERRIDE.load(Relaxed) {
-        1 => vec![L2PartitionMode::Partitioned],
-        2 => vec![L2PartitionMode::Unified],
-        _ => vec![L2PartitionMode::Partitioned, L2PartitionMode::Unified],
-    }
-}
+/// The L2 organisations the `multiclient` experiment sweeps, each at
+/// every population.
+const PARTITION_MODES: [L2PartitionMode; 2] =
+    [L2PartitionMode::Partitioned, L2PartitionMode::Unified];
 
 /// The service configuration the `multiclient` experiment sweeps: a
 /// fixed **total** L2 budget shared by however many clients run.
@@ -556,14 +496,16 @@ fn p99(mut values: Vec<f64>) -> f64 {
     values[idx.clamp(1, values.len()) - 1]
 }
 
-/// The `multiclient` experiment: contention and fairness of the shared
-/// L2 as the client population grows, for both sharded (partitioned, one
-/// page table per client) and unified (one page table) organisations.
+/// The `multiclient` experiment: service quality and fairness of the
+/// shared L2 as the client population grows, for both sharded
+/// (partitioned, one page table per client) and unified (one page table)
+/// organisations.
 ///
 /// Summary CSV: one row per (population, partition mode) with Jain's
 /// fairness over per-client local-service rates, min/mean/max rates, the
-/// p99 per-frame miss rate and lock contention. Per-client CSV: one row
-/// per client with its rates, traffic and backpressure stalls.
+/// p99 per-frame miss rate, host traffic and backpressure stalls.
+/// Per-client CSV: one row per client with its rates, traffic and
+/// backpressure stalls.
 pub fn multiclient(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(), RunError> {
     let w = scale.village();
     let frames = collect_frames(store, &w)?;
@@ -575,7 +517,6 @@ pub fn multiclient(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
         "mean_rate_pct",
         "max_rate_pct",
         "p99_frame_miss_pct",
-        "contended_pct",
         "host_mb",
         "denied",
         "shed_taps",
@@ -593,8 +534,8 @@ pub fn multiclient(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
         "queue_stalls",
         "quarantined",
     ]);
-    for &n in &populations() {
-        for &mode in &partition_modes() {
+    for n in POPULATIONS {
+        for mode in PARTITION_MODES {
             let specs: Vec<ClientSpec> = (0..n as usize)
                 .map(|i| ClientSpec {
                     phase_offset: i * frames.len() / n as usize,
@@ -632,12 +573,6 @@ pub fn multiclient(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
             let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = rates.iter().cloned().fold(0.0, f64::max);
             let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-            let cont = &report.contention;
-            let contended_pct = if cont.acquisitions == 0 {
-                0.0
-            } else {
-                cont.contended as f64 / cont.acquisitions as f64
-            };
             let host: u64 = report.clients.iter().map(|c| c.totals.host_bytes).sum();
             let denied: u64 = report
                 .clients
@@ -654,7 +589,6 @@ pub fn multiclient(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
                 pct(mean),
                 pct(max),
                 pct(p99(frame_misses)),
-                pct(contended_pct),
                 mb(host),
                 denied.to_string(),
                 shed.to_string(),
@@ -681,7 +615,7 @@ pub fn multiclient(scale: &Scale, out: &Outputs, store: &TraceStore) -> Result<(
     }
     out.table(
         "multiclient",
-        "Shared-L2 contention and fairness vs client population (Village)",
+        "Shared-L2 fairness vs client population (Village)",
         &summary,
     );
     out.table(
@@ -862,7 +796,10 @@ mod tests {
         let b =
             run_multi_client(w.registry(), &frames, &specs, &cfg, &Recorder::disabled()).unwrap();
         for (x, y) in a.clients.iter().zip(&b.clients) {
-            assert_eq!(x.frames, y.frames, "turnstile must pin the interleaving");
+            assert_eq!(
+                x.frames, y.frames,
+                "the round-robin loop must pin the interleaving"
+            );
         }
         assert!(a.contention.acquisitions > 0);
     }

@@ -636,19 +636,6 @@ impl TraceStore {
         handle
     }
 
-    /// Starts rendering (or loading) a trace on a detached background
-    /// thread so it is warm by the time an experiment asks — the overlap
-    /// that keeps the rasterizer busy while replay workers drain the
-    /// previous key.
-    pub fn prefetch(&self, w: Arc<Workload>, zprepass: bool, traversal: Traversal) {
-        let store = self.clone();
-        std::thread::spawn(move || {
-            let rec = store.recorder();
-            let _span = rec.span(&format!("store/prefetch/{}", w.kind.name()));
-            let _ = store.get_or_render(&w, zprepass, traversal);
-        });
-    }
-
     /// The memoized §4 working-set statistics for a workload (computed
     /// from the cached late-depth scanline trace, never a dedicated
     /// render).

@@ -6,6 +6,7 @@ use mltc::core::{
     EngineConfig, EngineError, FaultPlan, L1Config, L2Config, SimEngine, TextureBlackout,
 };
 use mltc::scene::{Workload, WorkloadParams};
+use mltc::telemetry::Json;
 use mltc::texture::{
     synth, Image, MipPyramid, TexelFormat, TextureId, TextureRegistry, TileSize, TilingConfig,
 };
@@ -351,6 +352,64 @@ fn every_hostile_edit_of_a_captured_repro_is_ok_or_an_error() {
             built.is_ok(),
             "Repro::parse or build_registry panicked on {text:?}"
         );
+    });
+    assert!(cases >= 10_000, "only {cases} cases");
+}
+
+#[test]
+fn every_hostile_edit_of_a_json_document_is_ok_or_an_error() {
+    // A report in `Json::render`'s layout holding every variant, plus the
+    // exponent floats that renderer never writes but reports may carry.
+    let text = r#"{
+  "bools": [true, false],
+  "floats": [-2.5, 0.125, 6.02e23, -1.5E-7],
+  "max": 18446744073709551615,
+  "nested": {
+    "cells": [
+      {
+        "empty": [],
+        "tag": "é"
+      },
+      [0, {}]
+    ]
+  },
+  "text": "quote \" slash \\ line\n end"
+}
+"#;
+    let doc = Json::obj([
+        (
+            "bools",
+            Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
+        ),
+        (
+            "floats",
+            Json::Arr([-2.5, 0.125, 6.02e23, -1.5e-7].map(Json::Float).to_vec()),
+        ),
+        ("max", Json::Num(u64::MAX)),
+        (
+            "nested",
+            Json::obj([(
+                "cells",
+                Json::Arr(vec![
+                    Json::obj([("empty", Json::Arr(vec![])), ("tag", Json::Str("é".into()))]),
+                    Json::Arr(vec![Json::Num(0), Json::obj::<&str>([])]),
+                ]),
+            )]),
+        ),
+        ("text", Json::Str("quote \" slash \\ line\n end".into())),
+    ]);
+    assert_eq!(Json::parse(text), Ok(doc.clone()));
+    assert_eq!(Json::parse(&doc.render()), Ok(doc));
+    let cases = for_each_hostile_edit(text, |text| {
+        let parsed = std::panic::catch_unwind(|| Json::parse(text));
+        let Ok(parsed) = parsed else {
+            panic!("Json::parse panicked on {text:?}");
+        };
+        // Whatever parses is a value the writer reproduces exactly.
+        if let Ok(value) = parsed {
+            let again = Json::parse(&value.render());
+            assert_eq!(again.as_ref(), Ok(&value), "{text:?} re-rendered");
+        }
     });
     assert!(cases >= 10_000, "only {cases} cases");
 }

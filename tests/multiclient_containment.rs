@@ -1,16 +1,19 @@
 //! Containment contract for the multi-client texture service, exercised
-//! end-to-end through the public facade: with a partitioned shared L2, a
-//! poisoned client — whether its worker panics or its host link fails
-//! every transfer — must be quarantined and reported, while every
-//! survivor replays bit-identically to a solo engine given the same
-//! per-client slice of the hierarchy — replayed wide, as the service
-//! client itself runs, and replayed one scalar tap at a time. A client of
-//! one is its solo engine in either partition mode, the unified one's
-//! borrowed L2 included.
+//! end-to-end through the public facade, at 4 and 8 clients over a bursty
+//! host link: with a partitioned shared L2, a client whose worker panics
+//! must be quarantined and reported, and one whose host link fails every
+//! transfer must degrade alone, while every survivor replays
+//! bit-identically to a solo engine given the same per-client slice of
+//! the hierarchy — replayed wide, as the service client itself runs, and
+//! replayed one scalar tap at a time. A unified service is the
+//! round-robin loop over its clients and soaks through three passes of
+//! the animation with nobody quarantined, and a client of one is its solo
+//! engine in either partition mode, the unified one's borrowed L2
+//! included.
 
 use mltc::core::{
-    EngineConfig, FaultPlan, L2Config, L2PartitionMode, QuarantineReason, ServiceConfig, SimEngine,
-    TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
+    ClientEngine, EngineConfig, FaultPlan, L2Config, L2PartitionMode, QuarantineReason,
+    ServiceConfig, SimEngine, TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
 };
 use mltc::experiments::{
     collect_frames, experiment_service_config, run_multi_client, solo_baseline,
@@ -36,7 +39,7 @@ fn specs(n: usize, frames: usize) -> Vec<ClientSpec> {
 
 /// A bursty shared link — 2 of every 10 transfers fail all attempts — so
 /// containment is proven under fire, not in a quiet system.
-fn chaos_cfg() -> MultiClientConfig {
+fn chaos_cfg(mode: L2PartitionMode) -> MultiClientConfig {
     MultiClientConfig {
         service: ServiceConfig {
             fault: FaultPlan {
@@ -45,7 +48,7 @@ fn chaos_cfg() -> MultiClientConfig {
                 burst_len: 2,
                 ..FaultPlan::none()
             },
-            ..experiment_service_config(L2PartitionMode::Partitioned)
+            ..experiment_service_config(mode)
         },
         ..MultiClientConfig::default()
     }
@@ -73,31 +76,34 @@ fn panicked_client_is_quarantined_and_survivors_match_solo_baselines() {
     let w = tiny_village();
     let store = TraceStore::in_memory();
     let frames = collect_frames(&store, &w).expect("tiny trace renders");
-    let mut specs = specs(4, frames.len());
-    specs[1].panic_at_frame = Some(1);
-    let cfg = chaos_cfg();
+    let cfg = chaos_cfg(L2PartitionMode::Partitioned);
+    for (n, poisoned) in [(4usize, 1u32), (8, 2)] {
+        let mut specs = specs(n, frames.len());
+        specs[poisoned as usize].panic_at_frame = Some(1);
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = run_multi_client(w.registry(), &frames, &specs, &cfg, &Recorder::disabled())
-        .expect("service constructs");
-    std::panic::set_hook(prev_hook);
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = run_multi_client(w.registry(), &frames, &specs, &cfg, &Recorder::disabled())
+            .expect("service constructs");
+        std::panic::set_hook(prev_hook);
 
-    // The poisoned client is quarantined and reported as such.
-    assert_eq!(report.quarantined_ids(), vec![1]);
-    assert!(matches!(
-        report.clients[1].quarantined,
-        Some(QuarantineReason::Panicked(_))
-    ));
-    assert!(!report.clients[1].is_survivor());
+        // Exactly the poisoned client is quarantined, and reported as such.
+        assert_eq!(report.quarantined_ids(), vec![poisoned], "{n} clients");
+        let victim = &report.clients[poisoned as usize];
+        assert!(matches!(
+            victim.quarantined,
+            Some(QuarantineReason::Panicked(ref m)) if m.contains("injected")
+        ));
+        assert!(!victim.is_survivor());
 
-    // Every survivor completed the run and is bit-identical to a solo
-    // engine over its own partition of the shared L2.
-    for c in report.survivors() {
-        assert_eq!(c.frames.len(), frames.len(), "survivor {} completed", c.id);
-        assert_matches_solo_baselines(c, &w, &frames, &specs, &cfg);
+        // Every survivor completed the run and is bit-identical to a solo
+        // engine over its own partition of the shared L2.
+        for c in report.survivors() {
+            assert_eq!(c.frames.len(), frames.len(), "survivor {} completed", c.id);
+            assert_matches_solo_baselines(c, &w, &frames, &specs, &cfg);
+        }
+        assert_eq!(report.survivors().count(), n - 1);
     }
-    assert_eq!(report.survivors().count(), 3);
 }
 
 #[test]
@@ -105,28 +111,80 @@ fn total_link_failure_is_scoped_to_the_faulted_client() {
     let w = tiny_village();
     let store = TraceStore::in_memory();
     let frames = collect_frames(&store, &w).expect("tiny trace renders");
-    let mut specs = specs(4, frames.len());
-    // Client 3's host link fails 100 % of transfers on the first (only)
-    // attempt; everyone else rides the shared bursty link.
-    specs[3].fault_override = Some(FaultPlan {
-        max_attempts: 1,
-        ..FaultPlan::with_rate(7, 1_000_000)
-    });
-    let cfg = chaos_cfg();
+    let cfg = chaos_cfg(L2PartitionMode::Partitioned);
+    for (n, faulted) in [(4usize, 3usize), (8, 5)] {
+        let mut specs = specs(n, frames.len());
+        // The faulted client's host link fails 100 % of transfers on the
+        // first (only) attempt; everyone else rides the shared bursty link.
+        specs[faulted].fault_override = Some(FaultPlan {
+            max_attempts: 1,
+            ..FaultPlan::with_rate(7, 1_000_000)
+        });
 
-    let report = run_multi_client(w.registry(), &frames, &specs, &cfg, &Recorder::disabled())
-        .expect("service constructs");
+        let report = run_multi_client(w.registry(), &frames, &specs, &cfg, &Recorder::disabled())
+            .expect("service constructs");
 
-    // A failing link degrades the client; it must not poison anyone else.
-    for c in &report.clients {
-        assert!(c.error.is_none(), "client {} errored: {:?}", c.id, c.error);
-        assert_matches_solo_baselines(c, &w, &frames, &specs, &cfg);
+        // A failing link degrades the client; it must not poison anyone
+        // else, and nobody is quarantined for it.
+        assert_eq!(report.quarantined_ids(), Vec::<u32>::new(), "{n} clients");
+        for c in &report.clients {
+            assert!(c.error.is_none(), "client {} errored: {:?}", c.id, c.error);
+            assert_matches_solo_baselines(c, &w, &frames, &specs, &cfg);
+        }
+        let faulted = &report.clients[faulted];
+        assert!(
+            faulted.totals.failed_transfers > 0 && faulted.totals.host_bytes == 0,
+            "the fault plan must actually bite"
+        );
     }
-    let faulted = &report.clients[3];
-    assert!(
-        faulted.totals.l2_full_misses > 0 || faulted.service.denied_transfers > 0,
-        "the fault plan must actually bite"
-    );
+}
+
+/// A unified service is the round-robin loop: engines built by hand from
+/// the same service, each step running every client's phase-rotated frame
+/// in id order on this thread, end where `run_multi_client`'s clients do,
+/// frame for frame. The run is also the unified soak: up to eight clients
+/// share one cache, one page table and the bursty link for three passes
+/// over the animation (each stream wraps around twice), and nobody is
+/// quarantined or errors.
+#[test]
+fn a_unified_run_is_the_round_robin_loop() {
+    let w = tiny_village();
+    let frames = collect_frames(&TraceStore::in_memory(), &w).expect("tiny trace renders");
+    let steps = 3 * frames.len();
+    let cfg = MultiClientConfig {
+        steps: Some(steps),
+        ..chaos_cfg(L2PartitionMode::Unified)
+    };
+    for n in [2usize, 8] {
+        let specs = specs(n, frames.len());
+        let report = run_multi_client(w.registry(), &frames, &specs, &cfg, &Recorder::disabled())
+            .expect("service constructs");
+        assert_eq!(report.steps, steps);
+        for c in &report.clients {
+            let (q, e) = (&c.quarantined, &c.error);
+            assert!(c.is_survivor(), "{n} clients: client {}: {q:?} {e:?}", c.id);
+            assert_eq!(c.frames.len(), steps, "client {} ran every step", c.id);
+        }
+        let bitten = report.clients.iter().any(|c| c.totals.failed_transfers > 0);
+        assert!(bitten, "the bursty link must bite");
+
+        let svc = TextureService::try_new(cfg.service, w.registry(), n as u32)
+            .expect("service constructs");
+        let mut clients: Vec<ClientEngine> = (0..n as u32)
+            .map(|id| svc.client(id).expect("client exists"))
+            .collect();
+        for step in 0..steps {
+            for (client, spec) in clients.iter_mut().zip(&specs) {
+                let trace = &frames[(step + spec.phase_offset) % frames.len()];
+                client
+                    .run_frame(svc.shared_l2(), trace, spec.filter)
+                    .expect("client replays");
+            }
+        }
+        for (got, want) in report.clients.iter().zip(&clients) {
+            assert_eq!(got.frames, want.frames(), "{n} clients: client {}", got.id);
+        }
+    }
 }
 
 /// Unified mode's reference beyond run-to-run determinism: a client alone
