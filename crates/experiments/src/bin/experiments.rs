@@ -23,13 +23,11 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <id>... [--tiny|--quick|--default|--full] [--out <dir>] \
-         [--no-store] [--expect-warm] [--jobs <n>] [--telemetry <dir>] \
-         [--heartbeat <secs>]\n\
+         [--no-store] [--expect-warm] [--jobs <n>] [--telemetry <dir>]\n\
          \n\
          --no-store           do not persist traces under <out>/traces/\n\
          --expect-warm        fail if anything had to be rasterized (CI warm-run check)\n\
@@ -43,7 +41,6 @@ fn usage() -> ExitCode {
          --telemetry <dir>    record spans/counters/histograms; export JSONL, CSV,\n\
          \x20                    summary JSON, its Prometheus text and a\n\
          \x20                    chrome://tracing trace-event file into <dir>\n\
-         --heartbeat <secs>   print store throughput every <secs> seconds\n\
          \n\
          ids: all, list, {}",
         EXPERIMENTS
@@ -66,7 +63,6 @@ fn main() -> ExitCode {
     let mut persist = true;
     let mut expect_warm = false;
     let mut telemetry_dir: Option<PathBuf> = None;
-    let mut heartbeat_secs: u64 = 0;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -90,10 +86,6 @@ fn main() -> ExitCode {
             },
             "--telemetry" => match it.next() {
                 Some(d) => telemetry_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--heartbeat" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(secs) => heartbeat_secs = secs,
                 None => return usage(),
             },
             "list" => {
@@ -130,7 +122,6 @@ fn main() -> ExitCode {
         "# mltc experiments — scale: {} ({}x{})",
         scale.name, scale.params.width, scale.params.height
     );
-    let heartbeat = Heartbeat::start(&store, heartbeat_secs);
 
     let run_list: Vec<&str> = if ids.iter().any(|i| i == "all") {
         EXPERIMENTS
@@ -188,7 +179,6 @@ fn main() -> ExitCode {
     }
 
     let wall = suite_start.elapsed().as_secs_f64();
-    heartbeat.stop();
     let stats = store.snapshot();
     // One snapshot, one rate computation: the summary line and the bench
     // record must agree, so derive each rate exactly once per report.
@@ -266,72 +256,6 @@ fn main() -> ExitCode {
             eprintln!("  {id}: {why}");
         }
         ExitCode::FAILURE
-    }
-}
-
-/// A periodic progress printer: every `secs` seconds a background thread
-/// snapshots the trace store and reports cumulative throughput, so long
-/// `--full` runs show signs of life. Disabled (no thread) when `secs` is 0.
-struct Heartbeat {
-    stop_tx: Option<std::sync::mpsc::Sender<()>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn start(store: &TraceStore, secs: u64) -> Self {
-        if secs == 0 {
-            return Heartbeat {
-                stop_tx: None,
-                handle: None,
-            };
-        }
-        let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-        let store = store.clone();
-        let start = std::time::Instant::now();
-        let beat = move |elapsed: Duration| {
-            let s = store.snapshot();
-            eprintln!(
-                "### heartbeat {:>6.0}s: {} renders, {} frames, {:.1} Mfrag/s, \
-                 {} mem hits, {} disk hits, {} healed, {} stalls, {:.1} Mtaps/s, \
-                 {} stored-pass replays, {:.1} MB of passes",
-                elapsed.as_secs_f64(),
-                s.renders,
-                s.frames_rendered,
-                s.fragments_per_sec() / 1e6,
-                s.mem_hits,
-                s.disk_hits,
-                s.healed_files,
-                s.build_stalls,
-                s.taps_per_sec() / 1e6,
-                s.l1_passes_reused,
-                s.pass_bytes as f64 / 1e6,
-            );
-        };
-        let handle = std::thread::spawn(move || loop {
-            match stop_rx.recv_timeout(Duration::from_secs(secs)) {
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => beat(start.elapsed()),
-                Ok(()) => {
-                    // Clean shutdown: flush one final line so the log
-                    // always ends on the finished totals.
-                    beat(start.elapsed());
-                    return;
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        });
-        Heartbeat {
-            stop_tx: Some(stop_tx),
-            handle: Some(handle),
-        }
-    }
-
-    fn stop(mut self) {
-        if let Some(tx) = self.stop_tx.take() {
-            let _ = tx.send(());
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 

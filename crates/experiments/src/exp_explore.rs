@@ -24,8 +24,9 @@
 //!
 //! Artefacts: `model_validation.csv` (the graded matrix),
 //! `explore_sweep_<workload>.csv` (the full grid), and
-//! `model_summary.json` (aggregate error + sweep timing, gated by CI's
-//! explorer smoke step).
+//! `model_summary.json` (aggregate error + sweep timing). The unit test
+//! below gates both: the tiny run's error bound and its whole
+//! `model_validation.csv` against the committed one.
 
 use crate::matrix::conformance_matrix;
 use crate::runner::{pct, replay_run, RunError};
@@ -307,6 +308,17 @@ mod tests {
         let csv = std::fs::read_to_string(dir.join("model_validation.csv")).unwrap();
         // Header + 19 configs x 2 traces.
         assert_eq!(csv.lines().count(), 1 + 2 * 19);
+        // The model's column of the conformance gate, pinned row by row:
+        // the committed table is this tiny run's, exact (0.000 pp) on the
+        // 36 fault-free rows and 9.776 / 12.811 pp on the fault rows.
+        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/model_validation.csv");
+        assert_eq!(
+            csv,
+            std::fs::read_to_string(&committed).unwrap(),
+            "model_validation.csv differs from {}",
+            committed.display()
+        );
 
         let summary = std::fs::read_to_string(dir.join("model_summary.json")).unwrap();
         let doc = Json::parse(&summary).unwrap();

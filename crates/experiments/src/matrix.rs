@@ -1,8 +1,9 @@
 //! The shared conformance configuration matrix.
 //!
-//! One definition serves both consumers: the `conformance` binary replays
-//! every trace through each configuration under the differential oracle
-//! (engine vs naive reference), and the `explore` experiment uses the
+//! One definition serves both consumers: the workspace's conformance test
+//! (`tests/oracle_conformance.rs`) replays both committed traces through
+//! each configuration under the differential oracle (engine vs naive
+//! reference), behaviourally and timed, and the `explore` experiment uses the
 //! same matrix as the *validator* for the one-pass analytic model —
 //! every point gets a predicted-vs-replayed error column. Keeping the
 //! two in one place means the model is always graded against exactly the

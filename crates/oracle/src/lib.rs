@@ -19,16 +19,17 @@
 //!
 //! When the models disagree, [`DiffHarness::shrink`] delta-minimizes the
 //! access stream and [`Repro`] persists it (with the engine configuration
-//! and texture geometry) as a self-contained JSON file under
-//! `results/repros/` — reproducible with `tracetool shrink` or a four-line
-//! test.
+//! and texture geometry) as a self-contained JSON file — reproducible with
+//! `tracetool shrink` or a four-line test.
 //!
-//! The conformance front-end (`conformance` binary in `mltc-experiments`)
-//! replays every cached `.mltct` trace through this harness across a
-//! configuration matrix; [`TraceKey`] rebuilds each trace's workload from
-//! the key string embedded in the file, so conformance runs need no
-//! rendering. That file is the one trace format there is, read with
-//! `mltc_trace::codec::TraceFileReader` by the conformance front-end and by
+//! The workspace's conformance test (`tests/oracle_conformance.rs`)
+//! replays the committed `.mltct` traces through this harness across the
+//! configuration matrix (`mltc_experiments::conformance_matrix`), and
+//! writes a repro of any divergence under `CARGO_TARGET_TMPDIR/repros`;
+//! [`TraceKey`] rebuilds each trace's workload from the key string
+//! embedded in the file, so conformance runs need no rendering. That file
+//! is the one trace format there is, read with
+//! `mltc_trace::codec::TraceFileReader` by the conformance test and by
 //! every `tracetool` subcommand alike.
 
 mod diff;

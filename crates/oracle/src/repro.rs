@@ -3,11 +3,13 @@
 //! When the harness catches the engine and the oracle disagreeing, the
 //! shrunk access stream alone is not enough to reproduce the bug: the
 //! engine configuration and the texture set shape every replacement
-//! decision. A [`Repro`] bundles all three into one JSON file under
-//! `results/repros/`, named by a content hash so re-running a broken build
-//! is idempotent. Texture *content* is irrelevant to cache behaviour (only
-//! level geometry feeds the page table), so textures are recorded as base
-//! dimensions and rebuilt as flat-colour images.
+//! decision. A [`Repro`] bundles all three into one JSON file in a repros
+//! directory (`tracetool shrink` defaults to `results/repros/`, the
+//! conformance test writes under `CARGO_TARGET_TMPDIR/repros`), named by a
+//! content hash so re-running a broken build is idempotent. Texture
+//! *content* is irrelevant to cache behaviour (only level geometry feeds
+//! the page table), so textures are recorded as base dimensions and
+//! rebuilt as flat-colour images.
 
 use crate::diff::TexelAccess;
 use crate::Json;

@@ -212,7 +212,10 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (of the supported subset).
+    /// Parses a JSON document (of the supported subset). Numbers, escapes
+    /// and strings must be as RFC 8259 writes them: no leading zeros, no
+    /// bare `.` or `e`, `\u` with four hex digits, no raw control
+    /// characters.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut pos = 0usize;
         let value = parse_value(text, &mut pos, 0)?;
@@ -328,16 +331,36 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonEr
             }
         }
         Some(&c) if c.is_ascii_digit() || c == b'-' => {
+            // RFC 8259: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
             let start = *pos;
-            let mut integral = c != b'-';
-            *pos += 1;
-            while let Some(&c) = b.get(*pos) {
-                match c {
-                    b'0'..=b'9' => {}
-                    b'.' | b'e' | b'E' | b'+' | b'-' => integral = false,
-                    _ => break,
-                }
+            let negative = c == b'-';
+            if negative {
                 *pos += 1;
+            }
+            match b.get(*pos) {
+                Some(b'0') => *pos += 1,
+                Some(b'1'..=b'9') => {
+                    skip_digits(b, pos);
+                }
+                _ => return Err(expected("a digit", b, *pos).into()),
+            }
+            let mut integral = !negative;
+            if b.get(*pos) == Some(&b'.') {
+                *pos += 1;
+                integral = false;
+                if skip_digits(b, pos) == 0 {
+                    return Err(expected("a fraction digit", b, *pos).into());
+                }
+            }
+            if matches!(b.get(*pos), Some(b'e' | b'E')) {
+                *pos += 1;
+                integral = false;
+                if matches!(b.get(*pos), Some(b'+' | b'-')) {
+                    *pos += 1;
+                }
+                if skip_digits(b, pos) == 0 {
+                    return Err(expected("an exponent digit", b, *pos).into());
+                }
             }
             let text = &text[start..*pos];
             if integral {
@@ -353,6 +376,15 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonEr
         }
         Some(&c) => Err(format!("unexpected character {:?} at byte {}", c as char, *pos).into()),
     }
+}
+
+/// Advances past a run of ASCII digits; returns how many there were.
+fn skip_digits(b: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
 }
 
 fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
@@ -375,14 +407,15 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
                     Some(b'u') => {
+                        // Exactly four hex digits (`from_str_radix` alone
+                        // would also take a leading `+`).
                         let hex = b
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
+                        let code = hex.iter().fold(0, |acc, &h| {
+                            acc << 4 | (h as char).to_digit(16).unwrap_or(0)
+                        });
                         out.push(char::from_u32(code).ok_or("bad \\u escape".to_string())?);
                         *pos += 4;
                     }
@@ -392,13 +425,23 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&c) if c < 0x20 => {
+                return Err(format!(
+                    "raw control character {c:#04x} in string at byte {pos}",
+                    pos = *pos
+                ));
+            }
             Some(_) => {
-                // Copy the run up to the next quote or backslash in one
-                // piece: both are ASCII, so the run ends on a char boundary
-                // of the `&str` it came from (multi-byte sequences pass
-                // through unchanged) and parsing stays linear.
+                // Copy the run up to the next quote, backslash or control
+                // character in one piece: all are ASCII, so the run ends on
+                // a char boundary of the `&str` it came from (multi-byte
+                // sequences pass through unchanged) and parsing stays
+                // linear.
                 let start = *pos;
-                while b.get(*pos).is_some_and(|c| !matches!(c, b'"' | b'\\')) {
+                while b
+                    .get(*pos)
+                    .is_some_and(|&c| !matches!(c, b'"' | b'\\') && c >= 0x20)
+                {
                     *pos += 1;
                 }
                 out.push_str(&text[start..*pos]);
@@ -454,6 +497,41 @@ mod tests {
         assert!(Json::parse("{\"x\": 1} trailing").is_err());
         assert!(Json::parse("1.2.3").is_err());
         assert!(Json::parse("-").is_err());
+    }
+
+    #[test]
+    fn text_outside_rfc_8259_is_an_error() {
+        for text in [
+            "\"\\u+041\"",
+            "\"\\u04\"",
+            "\"\\u 041\"",
+            "1.",
+            "1.e5",
+            "1e",
+            "1e+",
+            ".5",
+            "01",
+            "-01",
+            "-",
+            "+1",
+            "[01]",
+            "\"a\u{1}b\"",
+            "\"\u{0}\"",
+            "\"tab\there\"",
+            "\"\u{1f}\"",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text:?} parsed");
+        }
+        // The grammar's edges that are JSON still parse.
+        assert_eq!(Json::parse("0").unwrap(), Json::Num(0));
+        assert_eq!(Json::parse("-0").unwrap(), Json::Float(-0.0));
+        assert_eq!(Json::parse("10").unwrap(), Json::Num(10));
+        assert_eq!(Json::parse("0.5e-3").unwrap(), Json::Float(0.0005));
+        assert_eq!(Json::parse("1E+2").unwrap(), Json::Float(100.0));
+        assert_eq!(
+            Json::parse("\"\\u0041\\u00e9\"").unwrap(),
+            Json::Str("Aé".into())
+        );
     }
 
     #[test]
