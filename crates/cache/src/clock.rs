@@ -179,11 +179,6 @@ impl ClockList {
     pub fn stats(&self) -> ClockStats {
         self.stats
     }
-
-    /// Resets search statistics (entries untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = ClockStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -249,11 +244,12 @@ mod tests {
             let v = brl.find_victim();
             brl.assign(v, t);
         }
-        brl.reset_stats();
+        let before = brl.stats();
         // All 4 active: the next search examines all 4 entries + wraps to 0.
         let _ = brl.find_victim();
         let s = brl.stats();
-        assert_eq!(s.searches, 1);
+        assert_eq!(s.searches, before.searches + 1);
+        assert_eq!(s.entries_examined, before.entries_examined + 5);
         assert_eq!(s.max_search, 5);
         assert_eq!(s.max_cycles(16), 1);
         assert!(s.mean_search() >= 1.0);

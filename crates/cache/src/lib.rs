@@ -15,13 +15,17 @@
 //!   (§5.2, following the IBM System/360 Model 85);
 //! * [`RoundRobinTlb`] — the small translation look-aside buffer with
 //!   round-robin replacement studied in §5.4.3;
-//! * [`HitStats`] — hit/miss accounting shared by all of the above;
 //! * [`fxhash`] — a fast deterministic hasher for the block-set statistics
 //!   in `mltc-trace`.
 //!
 //! Everything here is policy-parameterised and texture-agnostic; the texture
 //! semantics (virtual block addresses, page tables, block download costs)
 //! live in `mltc-core`.
+//!
+//! The caches hold state, not counts: each `access` returns its outcome
+//! and the caller tallies it (`mltc-core`'s `FrameCounters` is the one hit
+//! tally of a replay). The one statistic kept here is [`ClockStats`], the
+//! clock sweep's search cost, which nothing outside the list can see.
 //!
 //! # Example
 //!
@@ -46,5 +50,5 @@ pub use clock::{ClockList, ClockStats};
 pub use lru::LruList;
 pub use sector::SectorBits;
 pub use setassoc::{AccessResult, SetAssocCache, MAX_BATCH_LANES};
-pub use stats::{jain_fairness, HitStats};
+pub use stats::jain_fairness;
 pub use tlb::RoundRobinTlb;

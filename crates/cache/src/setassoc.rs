@@ -1,7 +1,5 @@
 //! N-way set-associative tag array with per-set LRU replacement.
 
-use crate::HitStats;
-
 /// Widest batch [`SetAssocCache::access_all_hits_by_tag`] accepts: one
 /// fragment's worth of filter taps (trilinear = 8 texel addresses).
 pub const MAX_BATCH_LANES: usize = 8;
@@ -49,7 +47,6 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     tick: u64,
-    stats: HitStats,
     /// Flat index of the most recently touched line (`usize::MAX` before
     /// the first access). Consecutive accesses to the same line — the
     /// common case for filter-tap streams — skip the way scan; the memo
@@ -88,7 +85,6 @@ impl SetAssocCache {
             sets,
             ways,
             tick: 0,
-            stats: HitStats::default(),
             last_slot: usize::MAX,
             batch_slots: [usize::MAX; MAX_BATCH_LANES],
             batch_tags: [0; MAX_BATCH_LANES],
@@ -109,12 +105,6 @@ impl SetAssocCache {
         self.ways
     }
 
-    /// Total line count.
-    #[inline]
-    pub fn line_count(&self) -> usize {
-        self.tags.len()
-    }
-
     /// Looks up `tag` in set `set` and installs it on a miss (LRU victim).
     ///
     /// # Panics
@@ -131,7 +121,6 @@ impl SetAssocCache {
         let ls = self.last_slot;
         if ls.wrapping_sub(base) < self.ways && self.stamps[ls] != 0 && self.tags[ls] == tag {
             self.stamps[ls] = self.tick;
-            self.stats.record(true);
             return AccessResult {
                 hit: true,
                 evicted: None,
@@ -146,7 +135,6 @@ impl SetAssocCache {
             let stamp = stamps[i];
             if stamp != 0 && tags[i] == tag {
                 stamps[i] = self.tick;
-                self.stats.record(true);
                 self.last_slot = base + i;
                 return AccessResult {
                     hit: true,
@@ -164,7 +152,6 @@ impl SetAssocCache {
         let evicted = (stamps[victim] != 0).then_some(tags[victim]);
         tags[victim] = tag;
         stamps[victim] = self.tick;
-        self.stats.record(false);
         self.last_slot = base + victim;
         AccessResult {
             hit: false,
@@ -191,8 +178,8 @@ impl SetAssocCache {
     /// residency, so each lane's outcome is independent of the lanes
     /// before it: a unique tag's final stamp is `tick + last_lane + 1` (a
     /// duplicated tag's earlier touches are overwritten by its last one),
-    /// the tick advances by `lane_count`, the counters record `lane_count`
-    /// hits, and the memo lands on the final lane's slot. Returns `true`
+    /// the tick advances by `lane_count`, and the memo lands on the final
+    /// lane's slot. Returns `true`
     /// (batch committed) or `false` (some tag absent, no state changed —
     /// the caller must replay every lane through the scalar path).
     ///
@@ -265,7 +252,6 @@ impl SetAssocCache {
             }
         }
         self.tick += lane_count as u64;
-        self.stats.record_hits(lane_count as u64);
         self.batch_slots[..k].copy_from_slice(&slots[..k]);
         self.batch_tags[..k].copy_from_slice(tags);
         self.batch_k = k;
@@ -303,7 +289,6 @@ impl SetAssocCache {
         }
         self.tick += lane_count as u64;
         self.batch_tick = self.tick;
-        self.stats.record_hits(lane_count as u64);
         true
     }
 
@@ -338,8 +323,8 @@ impl SetAssocCache {
     }
 
     /// Invalidates `tag` in `set` if resident, returning whether a line was
-    /// dropped. Stats are untouched: this models undoing a speculative fill
-    /// whose download failed, not a cache access.
+    /// dropped. The tick is untouched: this models undoing a speculative
+    /// fill whose download failed, not a cache access.
     pub fn invalidate(&mut self, tag: u64, set: usize) -> bool {
         self.batch_k = 0;
         let base = set * self.ways;
@@ -373,12 +358,6 @@ impl SetAssocCache {
         self.stamps.fill(0);
     }
 
-    /// Lifetime hit/miss counters.
-    #[inline]
-    pub fn stats(&self) -> HitStats {
-        self.stats
-    }
-
     /// The valid lines as `(flat slot, tag, LRU stamp)` in slot order —
     /// everything replacement decisions depend on, for state-equality
     /// checks between two caches.
@@ -386,11 +365,6 @@ impl SetAssocCache {
         (0..self.tags.len())
             .filter(|&i| self.stamps[i] != 0)
             .map(|i| (i, self.tags[i], self.stamps[i]))
-    }
-
-    /// Resets the hit/miss counters (contents untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 }
 
@@ -403,8 +377,7 @@ mod tests {
         let mut c = SetAssocCache::new(4, 2);
         assert!(!c.access(7, 1).hit);
         assert!(c.access(7, 1).hit);
-        assert_eq!(c.stats().accesses, 2);
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.lines().count(), 1);
     }
 
     #[test]
@@ -489,7 +462,6 @@ mod tests {
         for &(t, s) in &[(3u64, 0usize), (3, 0), (7, 1), (8, 1), (9, 2), (3, 0)] {
             assert!(seq.access(t, s).hit);
         }
-        assert_eq!(wide.stats(), seq.stats());
         assert_eq!(wide.tags, seq.tags);
         assert_eq!(wide.stamps, seq.stamps);
         assert_eq!(wide.tick, seq.tick);
@@ -502,7 +474,7 @@ mod tests {
         let mut c = SetAssocCache::new(4, 2);
         c.access(7, 1); // memo now points at tag 7's slot
         assert!(c.access_all_hits_by_tag(&[7], &[2], 3, |_| panic!("memo should have resolved")));
-        assert_eq!(c.stats().hits, 3);
+        assert_eq!(c.tick, 1 + 3);
     }
 
     #[test]
@@ -518,9 +490,8 @@ mod tests {
             assert_ne!(t, 3, "overlap hint should have resolved tag 3");
             2
         }));
-        // The three scalar accesses were installs; only the two wide
-        // batches recorded hits.
-        assert_eq!(c.stats().hits, 2 + 2);
+        // Three scalar installs and two two-lane batches.
+        assert_eq!(c.tick, 3 + 2 + 2);
     }
 
     #[test]
@@ -560,7 +531,6 @@ mod tests {
         assert_eq!(a.stamps, b.stamps);
         assert_eq!(a.tick, b.tick);
         assert_eq!(a.last_slot, b.last_slot);
-        assert_eq!(a.stats(), b.stats());
         // Different set, count, or order: refused, nothing mutated.
         let before = b.clone();
         assert!(!b.recommit_if_same_tags(&[3, 8], &[2, 3], 4));
@@ -568,7 +538,6 @@ mod tests {
         assert!(!b.recommit_if_same_tags(&[7, 3], &[2, 3], 4));
         assert_eq!(b.stamps, before.stamps);
         assert_eq!(b.tick, before.tick);
-        assert_eq!(b.stats(), before.stats());
     }
 
     #[test]
@@ -587,7 +556,6 @@ mod tests {
         assert_eq!(c.tags, before.tags);
         assert_eq!(c.stamps, before.stamps);
         assert_eq!(c.tick, before.tick);
-        assert_eq!(c.stats(), before.stats());
         assert_eq!(c.last_slot, before.last_slot);
     }
 
@@ -606,7 +574,6 @@ mod tests {
         assert_eq!(a.tags, b.tags);
         assert_eq!(a.stamps, b.stamps);
         assert_eq!(a.tick, b.tick);
-        assert_eq!(a.stats(), b.stats());
         assert_eq!(a.last_slot, b.last_slot);
     }
 
@@ -634,7 +601,8 @@ mod tests {
     fn by_tag_empty_batch_is_a_noop_hit() {
         let mut c = SetAssocCache::new(2, 2);
         assert!(c.access_all_hits_by_tag(&[], &[], 0, |_| 0));
-        assert_eq!(c.stats().accesses, 0);
+        assert_eq!(c.tick, 0);
+        assert_eq!(c.lines().count(), 0);
     }
 
     #[test]

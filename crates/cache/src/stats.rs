@@ -1,75 +1,4 @@
-//! Hit/miss accounting.
-
-/// Running hit/miss counters with convenience rate accessors.
-///
-/// ```
-/// let mut s = mltc_cache::HitStats::default();
-/// s.record(true);
-/// s.record(false);
-/// assert_eq!(s.hit_rate(), 0.5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HitStats {
-    /// Total accesses observed.
-    pub accesses: u64,
-    /// Accesses that hit.
-    pub hits: u64,
-}
-
-impl HitStats {
-    /// Records one access.
-    #[inline]
-    pub fn record(&mut self, hit: bool) {
-        self.accesses += 1;
-        self.hits += hit as u64;
-    }
-
-    /// Records `n` hits at once. Equivalent to `n` calls of
-    /// `record(true)`; used by the wide replay path to commit a whole
-    /// all-hit tap batch in one update.
-    #[inline]
-    pub fn record_hits(&mut self, n: u64) {
-        self.accesses += n;
-        self.hits += n;
-    }
-
-    /// Misses observed.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.accesses - self.hits
-    }
-
-    /// Hit rate in `[0, 1]`; zero accesses count as rate 0.
-    #[inline]
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
-    /// Miss rate in `[0, 1]`; zero accesses count as rate 0.
-    #[inline]
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / self.accesses as f64
-        }
-    }
-
-    /// Resets both counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Accumulates another counter into this one.
-    pub fn merge(&mut self, other: &HitStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-    }
-}
+//! Multi-client fairness accounting.
 
 /// Jain's fairness index over per-client allocations:
 /// `(Σxᵢ)² / (n · Σxᵢ²)`, in `(0, 1]`. 1.0 means every client gets the
@@ -94,44 +23,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_rates_are_zero() {
-        let s = HitStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn rates_sum_to_one() {
-        let mut s = HitStats::default();
-        for i in 0..10 {
-            s.record(i % 3 == 0);
-        }
-        assert!((s.hit_rate() + s.miss_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(s.hits, 4);
-        assert_eq!(s.misses(), 6);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = HitStats {
-            accesses: 10,
-            hits: 5,
-        };
-        let b = HitStats {
-            accesses: 2,
-            hits: 2,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            HitStats {
-                accesses: 12,
-                hits: 7
-            }
-        );
-    }
-
-    #[test]
     fn jain_index_bounds_and_known_values() {
         assert_eq!(jain_fairness(&[]), 1.0);
         assert_eq!(jain_fairness(&[0.0, 0.0]), 1.0);
@@ -142,15 +33,5 @@ mod tests {
         assert!((jain_fairness(&[3.0, 3.0, 0.0, 0.0]) - 0.5).abs() < 1e-12);
         let skewed = jain_fairness(&[0.9, 0.8, 0.85, 0.2]);
         assert!(skewed > 0.25 && skewed < 1.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut s = HitStats {
-            accesses: 3,
-            hits: 1,
-        };
-        s.reset();
-        assert_eq!(s, HitStats::default());
     }
 }

@@ -13,6 +13,13 @@ struct LruSetModel {
 }
 
 impl LruSetModel {
+    /// What an access of `tag` would return now, as `(hit, evicted)`.
+    fn predict(&self, tag: u64) -> (bool, Option<u64>) {
+        let hit = self.lines.contains(&tag);
+        let full = self.lines.len() == self.ways;
+        (hit, (!hit && full).then(|| self.lines[0]))
+    }
+
     fn access(&mut self, tag: u64) -> bool {
         if let Some(pos) = self.lines.iter().position(|&t| t == tag) {
             self.lines.remove(pos);
@@ -50,8 +57,10 @@ proptest! {
         }
     }
 
-    /// Hits + misses always equals accesses, and probe agrees with residency
-    /// after the access stream.
+    /// The outcomes every hit counter is built from: each access returns
+    /// the hit and the evicted tag the LRU model predicts from its state
+    /// before that access, and probe agrees with residency after the
+    /// access stream.
     #[test]
     fn setassoc_counters_and_probe(
         stream in proptest::collection::vec(0u64..16, 1..200),
@@ -59,14 +68,13 @@ proptest! {
         let mut cache = SetAssocCache::new(4, 2);
         let mut model: Vec<LruSetModel> =
             (0..4).map(|_| LruSetModel { ways: 2, lines: VecDeque::new() }).collect();
-        for tag in &stream {
+        for (i, tag) in stream.iter().enumerate() {
             let set = (*tag % 4) as usize;
-            cache.access(*tag, set);
+            let (hit, evicted) = model[set].predict(*tag);
+            let got = cache.access(*tag, set);
+            prop_assert_eq!((got.hit, got.evicted), (hit, evicted), "access {} of tag {}", i, tag);
             model[set].access(*tag);
         }
-        let s = cache.stats();
-        prop_assert_eq!(s.accesses, stream.len() as u64);
-        prop_assert_eq!(s.hits + s.misses(), s.accesses);
         for tag in 0u64..16 {
             let set = (tag % 4) as usize;
             prop_assert_eq!(cache.probe(tag, set), model[set].lines.contains(&tag));
@@ -124,7 +132,9 @@ proptest! {
     }
 
     /// The TLB matches a reference round-robin model exactly, probes and
-    /// invalidations included.
+    /// invalidations included: each access returns the hit the model
+    /// predicts from its slots before that access, and afterwards every
+    /// key is resident exactly where the model holds it.
     #[test]
     fn tlb_matches_reference(
         entries in 1usize..8,
@@ -139,13 +149,16 @@ proptest! {
             if op == 0 {
                 tlb.invalidate(key);
                 slots.iter_mut().filter(|s| **s == Some(key)).for_each(|s| *s = None);
-                continue;
+            } else {
+                if !want {
+                    slots[next] = Some(key);
+                    next = (next + 1) % entries;
+                }
+                prop_assert_eq!(tlb.access(key), want, "key {}", key);
             }
-            if !want {
-                slots[next] = Some(key);
-                next = (next + 1) % entries;
+            for k in 0u64..12 {
+                prop_assert_eq!(tlb.probe(k), slots.contains(&Some(k)), "resident {}", k);
             }
-            prop_assert_eq!(tlb.access(key), want, "key {}", key);
         }
     }
 

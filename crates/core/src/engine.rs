@@ -430,16 +430,6 @@ impl SimEngine {
         self.tel.is_some()
     }
 
-    /// Whether miss attribution is currently recording.
-    pub fn attribution_attached(&self) -> bool {
-        self.tel.as_ref().is_some_and(|t| t.attribution_enabled())
-    }
-
-    /// Whether locality-profile capture is currently recording.
-    pub fn locality_attached(&self) -> bool {
-        self.tel.as_ref().is_some_and(|t| t.locality_enabled())
-    }
-
     /// Finalizes and returns the locality profile captured so far, if
     /// [`TelemetryOpts::locality`] was set at attach time. Non-consuming:
     /// the capture keeps recording if more frames are replayed.
@@ -471,12 +461,6 @@ impl SimEngine {
     /// Whether the timing overlay is attached.
     pub fn timing_attached(&self) -> bool {
         self.timing.is_some()
-    }
-
-    /// Detaches and returns the timing overlay (subsequent replays run
-    /// the untimed instantiations again).
-    pub fn detach_timing(&mut self) -> Option<Box<TimingSim>> {
-        self.timing.take()
     }
 
     /// Simulates one texel read: `(u, v)` are in-bounds texel coordinates of
@@ -680,28 +664,6 @@ impl SimEngine {
         }
         self.end_frame();
         Ok(())
-    }
-
-    /// Replays pre-expanded `(tid, m, u, v)` taps through the tap-slice
-    /// loop without closing the frame (the differential oracle's
-    /// batch-replay hook; call [`end_frame`](Self::end_frame) yourself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tap references a texture unknown to the engine (same
-    /// contract as [`access_texel`](Self::access_texel)).
-    pub fn replay_taps(&mut self, taps: &[(u32, u32, u32, u32)]) {
-        if self.timing.is_some() {
-            // The per-access entry, one lookahead fragment per tap (the
-            // differential harness's per-access stream semantics — there
-            // is no fragment to commit wide).
-            for &(tid, m, u, v) in taps {
-                let _ = self.access_texel_traced(TextureId::from_index(tid), m, u, v);
-            }
-            return;
-        }
-        let (h, tel, _) = self.hierarchy(None);
-        h.replay_observed(tel, Taps(taps));
     }
 
     /// [`try_run_frame_as`](Self::try_run_frame_as) routed through the
@@ -957,30 +919,6 @@ where
         }
     }
     Ok(())
-}
-
-/// The tap-slice loop of [`SimEngine::replay_taps`].
-struct Taps<'a>(&'a [(u32, u32, u32, u32)]);
-
-impl Replay for Taps<'_> {
-    type Out = ();
-
-    fn run<Lv: Levels, Te: TelemetryMode>(
-        self,
-        mut lv: Lv,
-        mut tel: Te,
-        _dims: &MipDims,
-        l1: &mut L1TextureCache,
-        host: &mut HostLink,
-        current: &mut FrameCounters,
-    ) {
-        tel.before_taps(current);
-        for &(tid, m, u, v) in self.0 {
-            let tid = TextureId::from_index(tid);
-            lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
-            tel.after_tap(tid, m, u, v, current);
-        }
-    }
 }
 
 /// The below-L1 loop of [`SimEngine::replay_pass_frame`]: a pass's L1
@@ -1367,7 +1305,6 @@ mod tests {
             "{ctx}: clock state"
         );
         assert_eq!(a.host().transfers(), b.host().transfers(), "{ctx}: host");
-        assert_eq!(a.l1().stats(), b.l1().stats(), "{ctx}: L1 stats");
         assert!(a.l1().lines().eq(b.l1().lines()), "{ctx}: L1 contents");
     }
 

@@ -86,43 +86,6 @@ pub enum L2Outcome {
     FullMiss,
 }
 
-/// L2 access counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct L2Stats {
-    /// Full hits.
-    pub full_hits: u64,
-    /// Partial hits (block allocated, sector vacant).
-    pub partial_hits: u64,
-    /// Full misses (block replacement ran).
-    pub full_misses: u64,
-}
-
-impl L2Stats {
-    /// Total accesses (= L1 misses presented to the L2).
-    pub fn accesses(&self) -> u64 {
-        self.full_hits + self.partial_hits + self.full_misses
-    }
-
-    /// Full-hit rate conditioned on an L1 miss having occurred — the paper
-    /// reports L2 rates "as a conditional probability" (§5.4.2, fn. 5).
-    pub fn full_hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.full_hits as f64 / self.accesses() as f64
-        }
-    }
-
-    /// Partial-hit rate conditioned on an L1 miss.
-    pub fn partial_hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.partial_hits as f64 / self.accesses() as f64
-        }
-    }
-}
-
 /// What one [`L2Cache::access`] did, in full: the outcome plus the
 /// replacement decisions behind it. [`L2Cache::access_traced`] returns this
 /// so a reference model can be compared decision-by-decision, not just on
@@ -279,7 +242,6 @@ pub struct L2Cache {
     t_table: Vec<PtEntry>,
     replacer: Replacer,
     blocks: usize,
-    stats: L2Stats,
 }
 
 impl L2Cache {
@@ -307,7 +269,6 @@ impl L2Cache {
             t_table: vec![PtEntry::default(); page_table_entries as usize],
             replacer: Replacer::new(cfg.policy, blocks),
             blocks,
-            stats: L2Stats::default(),
         }
     }
 
@@ -350,8 +311,8 @@ impl L2Cache {
 
     /// [`access`](Self::access) with the replacement decisions exposed:
     /// which physical block served the access and, on a full miss, which
-    /// page (if any) lost its block. Behaviour and counters are identical
-    /// to `access` — this is the introspection hook the differential
+    /// page (if any) lost its block. Behaviour is identical to `access` —
+    /// this is the introspection hook the differential
     /// oracle's lockstep comparison runs on.
     pub fn access_traced(&mut self, pt_index: u32, l1_sub: u16) -> L2AccessTrace {
         assert!(
@@ -367,12 +328,10 @@ impl L2Cache {
             let resident = !self.cfg.sector_mapping || entry.sector.get(l1_sub);
             self.replacer.touch(b);
             let outcome = if resident {
-                self.stats.full_hits += 1;
                 L2Outcome::FullHit
             } else {
                 // Step D no → F: download the missing sub-block.
                 self.t_table[ti].sector.set(l1_sub);
-                self.stats.partial_hits += 1;
                 L2Outcome::PartialHit
             };
             L2AccessTrace {
@@ -399,7 +358,6 @@ impl L2Cache {
                 l2_block: b as u32 + 1,
                 sector,
             };
-            self.stats.full_misses += 1;
             L2AccessTrace {
                 outcome: L2Outcome::FullMiss,
                 block: b as u32,
@@ -410,7 +368,7 @@ impl L2Cache {
 
     /// Read-only residency probe: would `(pt_index, l1_sub)` full-hit right
     /// now? Unlike [`access`](Self::access) this touches neither the
-    /// replacement state nor the counters — the engine uses it to look for
+    /// replacement state nor the page table — the engine uses it to look for
     /// a coarser mip level to degrade to after a failed download, and a
     /// degraded serve must not perturb what the caches would have done.
     pub fn is_resident(&self, pt_index: u32, l1_sub: u16) -> bool {
@@ -454,12 +412,6 @@ impl L2Cache {
         }
     }
 
-    /// Access counters.
-    #[inline]
-    pub fn stats(&self) -> L2Stats {
-        self.stats
-    }
-
     /// Clock victim-search statistics (zeroes for non-clock policies).
     pub fn clock_stats(&self) -> ClockStats {
         match &self.replacer {
@@ -476,14 +428,6 @@ impl L2Cache {
         match &self.replacer {
             Replacer::Clock(c) => Some(c.hand()),
             _ => None,
-        }
-    }
-
-    /// Resets counters (contents untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = L2Stats::default();
-        if let Replacer::Clock(c) = &mut self.replacer {
-            c.reset_stats();
         }
     }
 }
@@ -512,21 +456,18 @@ mod tests {
         assert_eq!(l2.access(0, 0), L2Outcome::FullHit);
         assert_eq!(l2.access(0, 5), L2Outcome::PartialHit);
         assert_eq!(l2.access(0, 5), L2Outcome::FullHit);
-        let s = l2.stats();
-        assert_eq!((s.full_misses, s.partial_hits, s.full_hits), (1, 1, 2));
     }
 
     #[test]
     fn conditional_rates() {
+        // The paper reports L2 rates "as a conditional probability" of an
+        // L1 miss (§5.4.2, fn. 5): each access here stands for one.
         let mut l2 = small_l2(4, ReplacementPolicy::Clock, 16);
-        l2.access(0, 0);
-        l2.access(0, 0);
-        l2.access(0, 1);
-        l2.access(1, 0);
-        let s = l2.stats();
-        assert_eq!(s.accesses(), 4);
-        assert!((s.full_hit_rate() - 0.25).abs() < 1e-12);
-        assert!((s.partial_hit_rate() - 0.25).abs() < 1e-12);
+        let outcomes = [(0, 0), (0, 0), (0, 1), (1, 0)].map(|(pt, sub)| l2.access(pt, sub));
+        let share = |o| outcomes.iter().filter(|&&x| x == o).count() as f64 / 4.0;
+        assert_eq!(share(L2Outcome::FullHit), 0.25);
+        assert_eq!(share(L2Outcome::PartialHit), 0.25);
+        assert_eq!(share(L2Outcome::FullMiss), 0.5);
     }
 
     #[test]
@@ -666,7 +607,6 @@ mod tests {
         assert!(l2.is_resident(0, 0));
         assert!(!l2.is_resident(0, 1), "sector 1 never downloaded");
         assert!(!l2.is_resident(2, 0));
-        let stats_before = l2.stats();
         // Probing pt 0 must not refresh its LRU position...
         for _ in 0..10 {
             l2.is_resident(0, 0);
@@ -674,7 +614,6 @@ mod tests {
         l2.access(2, 0); // ...so pt 0 is still the LRU victim.
         assert_eq!(l2.access(1, 0), L2Outcome::FullHit);
         assert!(!l2.is_resident(0, 0));
-        assert_eq!(stats_before.accesses() + 2, l2.stats().accesses());
     }
 
     #[test]
@@ -728,23 +667,6 @@ mod tests {
         l2.deallocate_texture(0, 1); // free pt 0's block
         l2.access(2, 0); // must take the freed block, not evict pt 1
         assert_eq!(l2.access(1, 0), L2Outcome::FullHit);
-    }
-
-    #[test]
-    fn zero_access_rates_are_zero_not_nan() {
-        // Regression test: with no accesses both conditional rates must be
-        // exactly 0.0 (a plain division would yield NaN and poison every
-        // downstream aggregate).
-        let s = L2Stats::default();
-        assert_eq!(s.accesses(), 0);
-        assert_eq!(s.full_hit_rate(), 0.0);
-        assert_eq!(s.partial_hit_rate(), 0.0);
-        assert!(!s.full_hit_rate().is_nan());
-        assert!(!s.partial_hit_rate().is_nan());
-        // A freshly built cache reports the same.
-        let l2 = small_l2(2, ReplacementPolicy::Clock, 4);
-        assert_eq!(l2.stats().full_hit_rate(), 0.0);
-        assert_eq!(l2.stats().partial_hit_rate(), 0.0);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use engine::{AccessTrace, EngineConfig, FrameCounters, L1Pass, L1PassRecorde
 pub use error::EngineError;
 pub use host_link::{FaultPlan, HostLink, TextureBlackout, Transfer};
 pub use l1::{L1AddressMap, L1Config, L1TextureCache, StorageFormat};
-pub use l2::{L2AccessTrace, L2Cache, L2Config, L2Outcome, L2Stats, ReplacementPolicy};
+pub use l2::{L2AccessTrace, L2Cache, L2Config, L2Outcome, ReplacementPolicy};
 pub use latency::{LatencyModel, SinkStats, TimingCounters, TimingSim};
 pub use mshr::MshrFile;
 pub use push::PushArchitecture;

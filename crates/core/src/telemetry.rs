@@ -271,21 +271,11 @@ impl EngineTelemetry {
         });
     }
 
-    /// Whether attribution is recording.
-    pub(crate) fn attribution_enabled(&self) -> bool {
-        self.attrib.is_some()
-    }
-
     /// Switches on locality-profile capture for the one-pass analytic
     /// model. Capture only observes the tap stream; engine counters stay
     /// bit-identical.
     pub(crate) fn enable_locality(&mut self, cfg: mltc_model::CaptureConfig) {
         self.locality = Some(Box::new(LocalityCapture::new(cfg)));
-    }
-
-    /// Whether locality capture is recording.
-    pub(crate) fn locality_enabled(&self) -> bool {
-        self.locality.is_some()
     }
 
     /// Finalizes the captured locality profile, if capture was on.

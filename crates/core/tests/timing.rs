@@ -117,7 +117,9 @@ fn run_timed(
 ) -> SimEngine {
     let mut engine = SimEngine::new(cfg, reg);
     engine.attach_timing(model);
-    engine.replay_taps(taps);
+    for &(tid, m, u, v) in taps {
+        engine.access_texel(TextureId::from_index(tid), m, u, v);
+    }
     engine.end_frame();
     engine
 }

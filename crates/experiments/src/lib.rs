@@ -76,9 +76,7 @@ pub use runner::{
     replay_path, replay_run, set_max_replay_jobs, set_replay_path, stats_run, ReplayPath, RunError,
 };
 pub use scale::Scale;
-pub use store::{
-    StatsBundle, StoreStats, TraceHandle, TraceKey, TraceSet, TraceStore, DEFAULT_MEM_BUDGET,
-};
+pub use store::{StatsBundle, StoreStats, TraceHandle, TraceSet, TraceStore, DEFAULT_MEM_BUDGET};
 
 /// An experiment entry point. Experiments report run failures instead of
 /// panicking so a suite run can record the failure and move on. The

@@ -39,11 +39,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// CSV form (headers + rows, comma-separated, quotes on demand).
     pub fn csv_string(&self) -> String {
         let esc = |s: &String| {

@@ -45,9 +45,9 @@
 //! has told the store, so the next `engine_run*` re-renders, heals the file
 //! and succeeds.
 
-use crate::store::{trav_tag, StatsBundle, TraceHandle, TraceSet, TraceStore};
+use crate::store::{StatsBundle, TraceHandle, TraceSet, TraceStore};
 use mltc_core::{EngineConfig, EngineError, FramePrep, L1Pass, PreparedFrame, SimEngine};
-use mltc_scene::Workload;
+use mltc_scene::{traversal_tag, Workload};
 use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
 use mltc_trace::{FilterMode, FrameTrace};
@@ -579,7 +579,7 @@ fn engine_run_traversal_with(
         "{}/{}/{}/{:?}",
         workload.kind.name(),
         if zprepass { "zpre" } else { "late" },
-        trav_tag(traversal),
+        traversal_tag(traversal),
         filter
     );
     let _run_span = rec.span(&format!("run/{run_tag}"));

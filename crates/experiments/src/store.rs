@@ -74,7 +74,7 @@
 use crate::runner::{lock_clean, max_replay_jobs, RunError};
 use mltc_core::{L1Pass, SimEngine};
 use mltc_raster::Traversal;
-use mltc_scene::{Workload, WorkloadKind, WorkloadParams};
+use mltc_scene::{traversal_tag, TraceKey, Workload, WorkloadKind, WorkloadParams};
 use mltc_telemetry::Recorder;
 use mltc_trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
 use mltc_trace::{
@@ -91,34 +91,6 @@ use std::time::Instant;
 
 /// Default in-memory budget: 4 GiB of decoded trace data.
 pub const DEFAULT_MEM_BUDGET: u64 = 4 << 30;
-
-/// Identity of one rendered animation trace.
-///
-/// Note the absence of a filter field — see the [module docs](self) for
-/// why traces are filter-independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceKey {
-    /// Which procedural workload.
-    pub kind: WorkloadKind,
-    /// Its scale parameters.
-    pub params: WorkloadParams,
-    /// Whether the §6 z-buffer-before-texture prepass was applied.
-    pub zprepass: bool,
-    /// Fragment traversal order (§2.3 tiled ablation).
-    pub traversal: Traversal,
-}
-
-impl TraceKey {
-    /// The key for a workload's trace under the given render options.
-    pub fn of(w: &Workload, zprepass: bool, traversal: Traversal) -> Self {
-        Self {
-            kind: w.kind,
-            params: w.params,
-            zprepass,
-            traversal,
-        }
-    }
-}
 
 /// A fully decoded animation: every frame behind an [`Arc`] so replay
 /// workers share them without copying.
@@ -836,7 +808,7 @@ impl TraceStore {
                 return LoadResult::Damaged;
             }
         };
-        if reader.key() != key_string(key) {
+        if reader.key() != key.render() {
             c.stale_files.fetch_add(1, Relaxed);
             return LoadResult::Damaged;
         }
@@ -883,7 +855,7 @@ impl TraceStore {
             let tmp = tmp_file_path(path);
             match File::create(&tmp) {
                 Ok(f) => {
-                    match TraceFileWriter::new(BufWriter::new(f), &key_string(key), w.frame_count) {
+                    match TraceFileWriter::new(BufWriter::new(f), &key.render(), w.frame_count) {
                         Ok(wr) => {
                             writer = Some(wr);
                             tmp_path = Some(tmp);
@@ -1029,30 +1001,6 @@ fn stream_file(
     Ok(())
 }
 
-pub(crate) fn trav_tag(t: Traversal) -> String {
-    match t {
-        Traversal::Scanline => "scanline".to_string(),
-        Traversal::Tiled(edge) => format!("tiled{edge}"),
-    }
-}
-
-/// The canonical identity string embedded in (and verified against) every
-/// persisted trace file.
-pub(crate) fn key_string(key: &TraceKey) -> String {
-    let p = &key.params;
-    format!(
-        "mltc-trace kind={} w={} h={} frames={} ts={} seed={:#x} zprepass={} traversal={}",
-        key.kind.name(),
-        p.width,
-        p.height,
-        p.frames,
-        p.texture_scale,
-        p.seed,
-        key.zprepass,
-        trav_tag(key.traversal)
-    )
-}
-
 fn file_name(key: &TraceKey) -> String {
     let p = &key.params;
     format!(
@@ -1064,7 +1012,7 @@ fn file_name(key: &TraceKey) -> String {
         p.texture_scale,
         p.seed,
         if key.zprepass { "zpre" } else { "late" },
-        trav_tag(key.traversal)
+        traversal_tag(key.traversal)
     )
 }
 
@@ -1459,7 +1407,7 @@ mod tests {
             TraceKey::of(&w, false, Traversal::Tiled(8)),
             TraceKey::of(&w, false, Traversal::Tiled(16)),
         ];
-        let mut strings: Vec<String> = keys.iter().map(key_string).collect();
+        let mut strings: Vec<String> = keys.iter().map(TraceKey::render).collect();
         let mut names: Vec<String> = keys.iter().map(file_name).collect();
         strings.sort();
         strings.dedup();

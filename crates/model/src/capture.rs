@@ -313,7 +313,8 @@ struct PageLevel {
     pages: HashMap<u64, PageState>,
     ids: HashMap<u64, u32>,
     minis: Vec<MiniL2>,
-    tlbs: Vec<RoundRobinTlb>,
+    /// One TLB per ladder rung, with the hits its `access` returned.
+    tlbs: Vec<(RoundRobinTlb, u64)>,
 }
 
 impl PageLevel {
@@ -337,7 +338,7 @@ impl PageLevel {
             tlbs: cfg
                 .tlb_rungs
                 .iter()
-                .map(|&e| RoundRobinTlb::new(e))
+                .map(|&e| (RoundRobinTlb::new(e), 0))
                 .collect(),
         }
     }
@@ -379,8 +380,8 @@ impl PageLevel {
         for mini in &mut self.minis {
             mini.access(id, sector);
         }
-        for tlb in &mut self.tlbs {
-            tlb.access(key);
+        for (tlb, hits) in &mut self.tlbs {
+            *hits += tlb.access(key) as u64;
         }
     }
 
@@ -396,10 +397,10 @@ impl PageLevel {
             tlbs: self
                 .tlbs
                 .iter()
-                .map(|t| TlbPoint {
+                .map(|(t, hits)| TlbPoint {
                     entries: t.capacity(),
-                    accesses: t.stats().accesses,
-                    hits: t.stats().hits,
+                    accesses: self.accesses,
+                    hits: *hits,
                 })
                 .collect(),
         }

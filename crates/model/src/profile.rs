@@ -65,11 +65,6 @@ impl CumCurve {
         self.points.last().map_or(0, |&(_, c)| c)
     }
 
-    /// Number of distinct recorded values.
-    pub fn distinct_values(&self) -> usize {
-        self.points.len()
-    }
-
     /// The raw (value, cumulative) points, ascending.
     pub fn points(&self) -> &[(u64, u64)] {
         &self.points

@@ -15,9 +15,10 @@
 //!
 //! Every form reads one kind of file, the versioned `.mltct` trace file
 //! (`MLTS` container, [`mltc_trace::codec`]) the experiment suite's trace
-//! store and `examples/record_replay.rs` write. The store's key names the
-//! workload that recorded the trace, which `model` and `shrink` rebuild to
-//! get the recording scene's textures.
+//! store and `examples/record_replay.rs` write. The file's key
+//! (`mltc_scene::TraceKey`, the one writer and parser of that string)
+//! names the workload that recorded the trace, which `model` and `shrink`
+//! rebuild to get the recording scene's textures.
 //!
 //! `model` runs the one-pass analytic design-space explorer (DESIGN.md
 //! §13) over a trace file: one instrumented replay captures a
@@ -27,7 +28,8 @@
 //! for the price of a single replay.
 //!
 //! `shrink` replays a cached `.mltct` trace through the differential
-//! harness under the given engine configuration (inline JSON, a path to a
+//! harness (engine per access, oracle in lockstep) under the given engine
+//! configuration (inline JSON, a path to a
 //! config file, or a previously written repro file, whose embedded config
 //! is reused). On divergence it delta-minimizes the access stream and
 //! writes a self-contained repro JSON (default `results/repros/`), exiting
@@ -35,9 +37,8 @@
 
 use mltc_core::{EngineConfig, L1Config, SimEngine, TelemetryOpts};
 use mltc_model::{default_grid, predict};
-use mltc_oracle::{
-    config_from_json, expand_frame, DiffHarness, Json, Repro, TexelAccess, TraceKey,
-};
+use mltc_oracle::{config_from_json, expand_frame, DiffHarness, Json, Repro, TexelAccess};
+use mltc_scene::TraceKey;
 use mltc_telemetry::{export, Recorder, SeriesSnapshot};
 use mltc_trace::codec::TraceFileReader;
 use mltc_trace::FilterMode;

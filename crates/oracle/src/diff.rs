@@ -149,24 +149,11 @@ impl<'a> DiffHarness<'a> {
         self.cfg
     }
 
-    /// Replays `accesses` in lockstep; returns the first divergence
-    /// (boxed: the two embedded traces make it a large payload for the hot
-    /// `Ok` path). Also replays the same stream through the engine's
-    /// monomorphized tap-slice fast path ([`SimEngine::replay_taps`]) and
-    /// checks it against the per-access traced replay — three models, one
-    /// verdict.
+    /// Replays `accesses` in lockstep through the engine's per-access
+    /// entry ([`SimEngine::access_texel_traced`]) and the oracle; returns
+    /// the first divergence (boxed: the two embedded traces make it a
+    /// large payload for the hot `Ok` path).
     pub fn replay(&self, accesses: &[TexelAccess]) -> Result<(), Box<Divergence>> {
-        self.replay_mode(accesses, true)
-    }
-
-    /// [`replay`](Self::replay) with the fast-path cross-check optional
-    /// (property tests toggle it so shrinking an oracle divergence does not
-    /// pay for the extra engine on every candidate).
-    pub fn replay_mode(
-        &self,
-        accesses: &[TexelAccess],
-        check_fast: bool,
-    ) -> Result<(), Box<Divergence>> {
         let mut engine = SimEngine::try_new(self.cfg, self.registry)
             .expect("config was validated in DiffHarness::new");
         if let Some(model) = self.timing {
@@ -194,15 +181,9 @@ impl<'a> DiffHarness<'a> {
                 }));
             }
         }
-        if check_fast {
-            self.check_fast_path(&mut engine, accesses)?;
-        }
         if let Some(naive) = naive {
-            // check_fast_path already closed the traced frame (draining
-            // the lookahead window); close it here otherwise.
-            if !check_fast {
-                engine.end_frame();
-            }
+            // Closing the frame drains the lookahead window.
+            engine.end_frame();
             self.check_timing(&engine, &naive, accesses)?;
         }
         Ok(())
@@ -258,63 +239,6 @@ impl<'a> DiffHarness<'a> {
             }));
         }
         Ok(())
-    }
-
-    /// Replays `accesses` through one more engine via the tap-slice fast
-    /// path and compares its end state (frame counters, clock hand,
-    /// host-link draw count) to `traced`, whose state was built tap by tap
-    /// through [`SimEngine::access_texel_traced`]. The paths share their
-    /// scalar tap body, so any mismatch is a specialization bug.
-    fn check_fast_path(
-        &self,
-        traced: &mut SimEngine,
-        accesses: &[TexelAccess],
-    ) -> Result<(), Box<Divergence>> {
-        let taps: Vec<(u32, u32, u32, u32)> =
-            accesses.iter().map(|a| (a.tid, a.m, a.u, a.v)).collect();
-        traced.end_frame();
-        let mut fast = SimEngine::try_new(self.cfg, self.registry)
-            .expect("config was validated in DiffHarness::new");
-        fast.replay_taps(&taps);
-        fast.end_frame();
-        let mismatch = if fast.frames() != traced.frames() {
-            Some(format!(
-                "frame counters: fast {:?} vs traced {:?}",
-                fast.frames().last(),
-                traced.frames().last()
-            ))
-        } else if fast.l2().and_then(|l2| l2.clock_hand())
-            != traced.l2().and_then(|l2| l2.clock_hand())
-        {
-            Some(format!(
-                "clock hand: fast {:?} vs traced {:?}",
-                fast.l2().and_then(|l2| l2.clock_hand()),
-                traced.l2().and_then(|l2| l2.clock_hand())
-            ))
-        } else if fast.host().transfers() != traced.host().transfers() {
-            Some(format!(
-                "host transfers: fast {} vs traced {}",
-                fast.host().transfers(),
-                traced.host().transfers()
-            ))
-        } else {
-            None
-        };
-        match mismatch {
-            None => Ok(()),
-            Some(detail) => Err(Box::new(Divergence {
-                index: accesses.len(),
-                access: accesses.last().copied().unwrap_or(TexelAccess {
-                    tid: 0,
-                    m: 0,
-                    u: 0,
-                    v: 0,
-                }),
-                engine: AccessTrace::default(),
-                oracle: AccessTrace::default(),
-                detail: format!("fast-path replay diverged: {detail}"),
-            })),
-        }
     }
 
     /// Delta-minimizes a diverging stream: returns the smallest sub-stream

@@ -4,8 +4,9 @@
 //! addressing, intrusive replacement lists. This crate holds a second,
 //! deliberately naive implementation of the same architecture — flat maps,
 //! linear scans, textbook replacement policies — and a harness that replays
-//! access streams through **both** models in lockstep, asserting per-access
-//! agreement on:
+//! access streams through **both** models in lockstep (the engine through
+//! its per-access entry, `SimEngine::access_texel_traced`, which runs the
+//! tap body every replay loop shares), asserting per-access agreement on:
 //!
 //! - L1 hit/miss classification,
 //! - TLB hit/miss classification,
@@ -26,20 +27,18 @@
 //! replays the committed `.mltct` traces through this harness across the
 //! configuration matrix (`mltc_experiments::conformance_matrix`), and
 //! writes a repro of any divergence under `CARGO_TARGET_TMPDIR/repros`;
-//! [`TraceKey`] rebuilds each trace's workload from the key string
-//! embedded in the file, so conformance runs need no rendering. That file
+//! `mltc_scene::TraceKey` rebuilds each trace's workload from the key
+//! string embedded in the file, so conformance runs need no rendering. That file
 //! is the one trace format there is, read with
 //! `mltc_trace::codec::TraceFileReader` by the conformance test and by
 //! every `tracetool` subcommand alike.
 
 mod diff;
-mod key;
 mod model;
 mod repro;
 mod timing;
 
 pub use diff::{expand_frame, replay_pair, DiffHarness, Divergence, TexelAccess};
-pub use key::TraceKey;
 /// The workspace's JSON value lives in the leaf crate; repro and benchmark code name it here.
 pub use mltc_telemetry::Json;
 pub use model::OracleEngine;

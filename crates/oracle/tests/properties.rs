@@ -187,9 +187,7 @@ proptest! {
     /// The tentpole invariant: for any configuration in the modelled space
     /// and any shaped access stream, the optimized engine and the naive
     /// oracle agree access-by-access (classification, bytes, victims, clock
-    /// hand) — and, on roughly half the cases, the monomorphized batch fast
-    /// path replays to the same end state as the per-tap traced path. A
-    /// divergence here is a real bug in one of the three models.
+    /// hand). A divergence here is a real bug in one of the two models.
     #[test]
     fn engine_matches_oracle_on_random_configs_and_streams(
         raw in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..120),
@@ -199,14 +197,13 @@ proptest! {
         tlb_sel in any::<u8>(),
         sector in any::<bool>(),
         fault_sel in any::<u8>(),
-        check_fast in any::<bool>(),
         l1_sel in any::<u16>(),
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
         let cfg = config(l1_sel, l2_sel, policy_sel, tlb_sel, sector, fault_sel);
         let harness = DiffHarness::new(cfg, &reg).expect("generated configs are valid");
-        if let Err(div) = harness.replay_mode(&stream, check_fast) {
+        if let Err(div) = harness.replay(&stream) {
             let shrunk = harness.shrink(&stream);
             prop_assert!(false, "{div}\nshrunk to {} accesses", shrunk.len());
         }
@@ -477,9 +474,9 @@ proptest! {
     /// telemetry, so this is where the trace sink wraps a recording sink:
     /// over a pull, a multi-level and a fault-injected configuration with
     /// counters and 3C attribution attached, timed and untimed, every
-    /// per-tap trace equals the oracle's and the bare engine's, and the
-    /// recorder ends up holding what `replay_taps` — the tap-slice loop, no
-    /// trace sink — records of the same stream.
+    /// per-tap trace equals the oracle's and the bare engine's, the
+    /// untimed recorder counts the bare engine's L1 hits, and the timed
+    /// recorder ends up holding exactly what the untimed one holds.
     #[test]
     fn stacked_observers_stay_observe_only_on_the_per_access_entry(
         raw in proptest::collection::vec(
@@ -495,7 +492,6 @@ proptest! {
     ) {
         let reg = registry();
         let stream = shape_stream(&raw, retouch);
-        let taps: Vec<(u32, u32, u32, u32)> = stream.iter().map(|a| (a.tid, a.m, a.u, a.v)).collect();
         let model = timing_model(model_sel, latency_raw, depth_raw);
         let observed = |cfg, rec: &Recorder| {
             let mut e = SimEngine::new(cfg, &reg);
@@ -517,13 +513,8 @@ proptest! {
                 })
                 .collect();
             bare.end_frame();
-            let rec_taps = Recorder::enabled();
-            let mut by_taps = observed(cfg, &rec_taps);
-            by_taps.replay_taps(&taps);
-            by_taps.end_frame();
-            let want_rec = rec_taps.snapshot();
-            prop_assert_eq!(want_rec.counters["engine/prop/l1_hits"], bare.totals().l1_hits);
 
+            let mut reference = None;
             for timed in [false, true] {
                 let rec = Recorder::enabled();
                 let mut e = observed(cfg, &rec);
@@ -537,11 +528,17 @@ proptest! {
                 e.end_frame();
                 prop_assert_eq!(e.frames(), bare.frames());
                 let got = rec.snapshot();
-                prop_assert_eq!(&got.counters, &want_rec.counters, "counters, timed {}", timed);
-                prop_assert_eq!(&got.hists, &want_rec.hists, "histograms, timed {}", timed);
-                prop_assert_eq!(&got.heatmaps, &want_rec.heatmaps, "heat maps, timed {}", timed);
-                prop_assert_eq!(&got.gauges, &want_rec.gauges, "gauges, timed {}", timed);
-                prop_assert_eq!(&got.series, &want_rec.series, "per-frame series, timed {}", timed);
+                // The untimed replay is the recorder's reference.
+                let Some(want_rec) = &reference else {
+                    prop_assert_eq!(got.counters["engine/prop/l1_hits"], bare.totals().l1_hits);
+                    reference = Some(got);
+                    continue;
+                };
+                prop_assert_eq!(&got.counters, &want_rec.counters, "counters under timing");
+                prop_assert_eq!(&got.hists, &want_rec.hists, "histograms under timing");
+                prop_assert_eq!(&got.heatmaps, &want_rec.heatmaps, "heat maps under timing");
+                prop_assert_eq!(&got.gauges, &want_rec.gauges, "gauges under timing");
+                prop_assert_eq!(&got.series, &want_rec.series, "per-frame series under timing");
             }
         }
     }

@@ -15,7 +15,8 @@
 //!
 //! [`Workload`] packages a scene with its scripted camera path and drives
 //! the `mltc-raster` renderer to produce per-frame texture traces or
-//! shaded snapshots.
+//! shaded snapshots; [`TraceKey`] names one rendered trace, and is the one
+//! writer and parser of the key string every `.mltct` file carries.
 //!
 //! # Example
 //!
@@ -30,12 +31,14 @@
 //! ```
 
 pub mod city;
+mod key;
 mod mesh;
 mod object;
 mod path;
 pub mod village;
 mod workload;
 
+pub use key::{traversal_tag, TraceKey};
 pub use mesh::Mesh;
 pub use object::{Object, Scene};
 pub use path::CameraPath;

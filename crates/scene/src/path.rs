@@ -40,11 +40,6 @@ impl CameraPath {
         Self { keys }
     }
 
-    /// Number of keyframes.
-    pub fn key_count(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Evaluates the camera at `t ∈ [0, 1]` (clamped).
     pub fn camera_at(&self, t: f32) -> Camera {
         let t = t.clamp(0.0, 1.0);

@@ -3,13 +3,13 @@
 //! not available offline; every JSON file it writes is a [`Json`] value
 //! rendered here (one escaper, one parser). Plain unsigned integers stay
 //! [`Json::Num`] (`u64`, lossless — 64-bit fault seeds never round-trip
-//! through `f64`); anything signed, fractional or exponent-bearing parses
-//! as [`Json::Float`] (gauges, rates, benchmark timings).
+//! through `f64`); anything signed, fractional, exponent-bearing or above
+//! `u64::MAX` parses as [`Json::Float`] (gauges, rates, benchmark timings).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value (subset: no null, no escapes beyond the basics).
+/// A parsed JSON value (subset: no null).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// Unsigned integer (covers every count the repro schema uses,
@@ -214,8 +214,8 @@ impl Json {
 
     /// Parses a JSON document (of the supported subset). Numbers, escapes
     /// and strings must be as RFC 8259 writes them: no leading zeros, no
-    /// bare `.` or `e`, `\u` with four hex digits, no raw control
-    /// characters.
+    /// bare `.` or `e`, `\u` with four hex digits (a surrogate pair as two
+    /// such escapes), no raw control characters.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut pos = 0usize;
         let value = parse_value(text, &mut pos, 0)?;
@@ -363,19 +363,31 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonEr
                 }
             }
             let text = &text[start..*pos];
-            if integral {
-                text.parse::<u64>()
-                    .map(Json::Num)
-                    .map_err(|e| format!("bad number {text:?}: {e}").into())
-            } else {
-                match text.parse::<f64>() {
+            // The grammar is checked, so an integral text fails `u64` only
+            // by overflow: beyond `u64::MAX` it is a `Float`, like its
+            // negation.
+            match text.parse::<u64>() {
+                Ok(n) if integral => Ok(Json::Num(n)),
+                _ => match text.parse::<f64>() {
                     Ok(x) if x.is_finite() => Ok(Json::Float(x)),
                     _ => Err(format!("bad number {text:?}").into()),
-                }
+                },
             }
         }
         Some(&c) => Err(format!("unexpected character {:?} at byte {}", c as char, *pos).into()),
     }
+}
+
+/// The four hex digits at `at` as a number: exactly four (`from_str_radix`
+/// alone would also take a leading `+`).
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    b.get(at..at + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        .map(|h| {
+            h.iter().fold(0, |acc, &h| {
+                acc << 4 | (h as char).to_digit(16).unwrap_or(0)
+            })
+        })
 }
 
 /// Advances past a run of ASCII digits; returns how many there were.
@@ -406,18 +418,28 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        // Exactly four hex digits (`from_str_radix` alone
-                        // would also take a leading `+`).
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
-                        let code = hex.iter().fold(0, |acc, &h| {
-                            acc << 4 | (h as char).to_digit(16).unwrap_or(0)
-                        });
-                        out.push(char::from_u32(code).ok_or("bad \\u escape".to_string())?);
+                        let at = *pos;
+                        let bad = || format!("bad \\u escape at byte {at}");
+                        let mut code = hex4(b, *pos + 1).ok_or_else(bad)?;
                         *pos += 4;
+                        // A high surrogate and the `\u` low surrogate after
+                        // it spell one character; a lone half is no
+                        // character at all.
+                        if (0xd800..0xdc00).contains(&code) {
+                            let low = b
+                                .get(*pos + 1..*pos + 3)
+                                .filter(|e| *e == b"\\u")
+                                .and_then(|_| hex4(b, *pos + 3))
+                                .filter(|low| (0xdc00..0xe000).contains(low))
+                                .ok_or_else(bad)?;
+                            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                            *pos += 6;
+                        }
+                        out.push(char::from_u32(code).ok_or_else(bad)?);
                     }
                     other => {
                         return Err(format!("bad escape {:?}", other.map(|&x| x as char)));
@@ -532,6 +554,40 @@ mod tests {
             Json::parse("\"\\u0041\\u00e9\"").unwrap(),
             Json::Str("Aé".into())
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_every_escape_and_big_integers_parse() {
+        let str_of = |s: &str| Ok(Json::Str(s.into()));
+        let cases: [(&str, Result<Json, &str>); 12] = [
+            ("\"\\ud83d\\ude00\"", str_of("\u{1f600}")),
+            ("\"a\\ud83d\\ude00b\"", str_of("a\u{1f600}b")),
+            ("\"\\ud83d\"", Err("bad \\u escape")),
+            ("\"\\ude00\"", Err("bad \\u escape")),
+            ("\"\\ud83d\\u0041\"", Err("bad \\u escape")),
+            ("\"\\ud83d\\n\"", Err("bad \\u escape")),
+            ("\"a\\/b\"", str_of("a/b")),
+            ("\"\\b\"", str_of("\u{8}")),
+            ("\"\\f\"", str_of("\u{c}")),
+            (
+                "18446744073709551616",
+                Ok(Json::Float(18446744073709551616.0)),
+            ),
+            (
+                "-18446744073709551616",
+                Ok(Json::Float(-18446744073709551616.0)),
+            ),
+            ("null", Err("unexpected character 'n'")),
+        ];
+        for (text, want) in cases {
+            match (Json::parse(text), want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{text:?}"),
+                (Err(got), Err(want)) => {
+                    assert!(got.to_string().contains(want), "{text:?}: {got}")
+                }
+                (got, want) => panic!("{text:?}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]

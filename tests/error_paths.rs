@@ -5,14 +5,14 @@
 use mltc::core::{
     EngineConfig, EngineError, FaultPlan, L1Config, L2Config, SimEngine, TextureBlackout,
 };
-use mltc::scene::{Workload, WorkloadParams};
+use mltc::scene::{TraceKey, Workload, WorkloadParams};
 use mltc::telemetry::Json;
 use mltc::texture::{
     synth, Image, MipPyramid, TexelFormat, TextureId, TextureRegistry, TileSize, TilingConfig,
 };
 use mltc::trace::codec::{CodecError, TraceFileReader, TraceFileWriter};
 use mltc::trace::{FilterMode, FrameTrace, PixelRequest};
-use mltc_oracle::{Repro, TexelAccess, TraceKey};
+use mltc_oracle::{Repro, TexelAccess};
 
 fn one_texture_registry() -> TextureRegistry {
     let mut reg = TextureRegistry::new();

@@ -20,10 +20,8 @@ use mltc_core::{
     EngineConfig, L1Config, L2Config, LatencyModel, ReplacementPolicy, SimEngine, StorageFormat,
 };
 use mltc_experiments::conformance_matrix;
-use mltc_oracle::{
-    expand_frame, replay_pair, DiffHarness, OracleEngine, Repro, TexelAccess, TraceKey,
-};
-use mltc_scene::Workload;
+use mltc_oracle::{expand_frame, replay_pair, DiffHarness, OracleEngine, Repro, TexelAccess};
+use mltc_scene::{TraceKey, Workload};
 use mltc_trace::codec::TraceFileReader;
 use mltc_trace::FilterMode;
 use std::fs::File;

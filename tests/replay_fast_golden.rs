@@ -21,7 +21,7 @@ use mltc_experiments::{
     collect_frames, engine_run, replay_run, set_max_replay_jobs, set_replay_path, ReplayPath,
     TraceStore,
 };
-use mltc_oracle::TraceKey;
+use mltc_scene::TraceKey;
 use mltc_telemetry::Recorder;
 use mltc_trace::codec::TraceFileReader;
 use mltc_trace::{FilterMode, FrameStatsCollector, FrameTrace};
@@ -450,7 +450,6 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
                                 want.host().transfers(),
                                 "{ctx}: host transfer draws"
                             );
-                            assert_eq!(got.l1().stats(), want.l1().stats(), "{ctx}: L1 stats");
                             assert!(got.l1().lines().eq(want.l1().lines()), "{ctx}: L1 contents");
                         }
                     }

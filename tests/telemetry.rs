@@ -9,12 +9,11 @@ use mltc::core::{
     ServiceError, SimEngine, TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
 };
 use mltc::raster::FilterMode;
-use mltc::scene::{Workload, WorkloadParams};
+use mltc::scene::{TraceKey, Workload, WorkloadParams};
 use mltc::telemetry::{export, Json, Recorder, TelemetrySnapshot};
 use mltc::texture::TextureId;
 use mltc::trace::codec::TraceFileReader;
 use mltc::trace::{filter_taps, FrameTrace};
-use mltc_oracle::TraceKey;
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -335,7 +334,7 @@ fn assert_published(
     assert_eq!(heat, misses, "{ctx}: L1 miss heat");
 }
 
-/// The taps of `trace` under `filter`, as `replay_taps` takes them.
+/// The taps of `trace` under `filter`, as `(tid, m, u, v)`.
 fn expand_taps(w: &Workload, trace: &FrameTrace, filter: FilterMode) -> Vec<(u32, u32, u32, u32)> {
     let mut taps = Vec::new();
     for req in &trace.requests {
@@ -398,14 +397,6 @@ fn every_replay_call_returns_with_its_counts_published() {
             Box::new(|e, t| {
                 let mut pass = e.record_l1_pass(filter);
                 e.try_run_frame_recorded_as(t, &mut pass)
-            }),
-        ),
-        (
-            "replay_taps",
-            Box::new(|e, t| {
-                e.replay_taps(&expand_taps(&w, t, filter));
-                e.end_frame();
-                Ok(())
             }),
         ),
         (
