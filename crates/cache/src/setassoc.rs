@@ -292,27 +292,6 @@ impl SetAssocCache {
         true
     }
 
-    /// [`recommit_last_batch`](Self::recommit_last_batch) for callers
-    /// that *cannot* prove tag equality themselves: the cache compares
-    /// `tags` against the memoized batch and recommits only on an exact
-    /// match (same count, same first-occurrence order). Spatially
-    /// adjacent footprints usually collapse to the same distinct-tag set
-    /// even when their corner coordinates differ, so this turns the
-    /// common steady-state batch into a handful of compares and
-    /// restamps, with no hashing or way scans at all.
-    #[inline]
-    pub fn recommit_if_same_tags(
-        &mut self,
-        tags: &[u64],
-        last_lane: &[u32],
-        lane_count: u32,
-    ) -> bool {
-        if self.batch_k != tags.len() || self.batch_tags[..self.batch_k] != *tags {
-            return false;
-        }
-        self.recommit_last_batch(last_lane, lane_count)
-    }
-
     /// Non-mutating lookup: is `tag` resident in `set`?
     pub fn probe(&self, tag: u64, set: usize) -> bool {
         let base = set * self.ways;
@@ -512,32 +491,6 @@ mod tests {
         // also be re-verified rather than trusted: tag 42 is found by
         // the scan (or memo), not the dangling hint for 7.
         assert!(c.access_all_hits_by_tag(&[42], &[0], 1, |_| 1));
-    }
-
-    #[test]
-    fn tag_compared_recommit_matches_reprobing_and_guards_mismatches() {
-        let mut a = SetAssocCache::new(4, 2);
-        for &(t, s) in &[(7u64, 1usize), (3, 0)] {
-            a.access(t, s);
-        }
-        let set_of = |tag: u64| if tag == 3 { 0u32 } else { 1 };
-        assert!(a.access_all_hits_by_tag(&[3, 7], &[1, 3], 4, set_of));
-        let mut b = a.clone();
-        // Same tag set, different lane layout: b recommits by compare,
-        // a re-probes; the outcomes must be bit-identical.
-        assert!(a.access_all_hits_by_tag(&[3, 7], &[2, 3], 4, set_of));
-        assert!(b.recommit_if_same_tags(&[3, 7], &[2, 3], 4));
-        assert_eq!(a.tags, b.tags);
-        assert_eq!(a.stamps, b.stamps);
-        assert_eq!(a.tick, b.tick);
-        assert_eq!(a.last_slot, b.last_slot);
-        // Different set, count, or order: refused, nothing mutated.
-        let before = b.clone();
-        assert!(!b.recommit_if_same_tags(&[3, 8], &[2, 3], 4));
-        assert!(!b.recommit_if_same_tags(&[3], &[3], 4));
-        assert!(!b.recommit_if_same_tags(&[7, 3], &[2, 3], 4));
-        assert_eq!(b.stamps, before.stamps);
-        assert_eq!(b.tick, before.tick);
     }
 
     #[test]

@@ -384,20 +384,6 @@ impl L1TextureCache {
         self.cache.recommit_last_batch(last_lane, lane_count)
     }
 
-    /// Tag-compared recommit ([`SetAssocCache::recommit_if_same_tags`]):
-    /// commits without probing when `tags` exactly match the previous
-    /// committed batch's.
-    #[inline]
-    pub fn recommit_if_same_tags(
-        &mut self,
-        tags: &[u64],
-        last_lane: &[u32],
-        lane_count: u32,
-    ) -> bool {
-        self.cache
-            .recommit_if_same_tags(tags, last_lane, lane_count)
-    }
-
     /// Invalidates the line holding texel `(u, v)` of level `m` of `tid`,
     /// returning whether a line was dropped. Used to undo the speculative
     /// install of [`access`](Self::access) when the download that was to
