@@ -2,8 +2,10 @@
 
 use crate::batch::{PreparedFrame, WideFrame};
 use crate::latency::{LatencyModel, TimingSim};
+use crate::observe::Observers;
 use crate::tap::{
-    const_filter, AdmitAll, Hierarchy, L1Miss, Levels, MipDims, Replay, TelemetryMode, Traced,
+    const_filter, AdmitAll, Hierarchy, L1Miss, L2Probe, Levels, MipDims, Replay, TelOff,
+    TelemetryMode, Traced,
 };
 use crate::telemetry::{AttributionParams, EngineTelemetry, TelemetryOpts};
 use crate::{
@@ -279,9 +281,9 @@ pub struct SimEngine {
     /// carries no telemetry code at all.
     tel: Option<Box<EngineTelemetry>>,
     /// Timing overlay; `None` (detached) keeps the replay paths free of
-    /// timing work entirely (attached, the wide frame loops run under a
-    /// compile-time sink that feeds it — other instantiations carry no
-    /// timing code). Timing observes the behavioral access stream and
+    /// timing work entirely (attached, the frame loops run under the
+    /// observing sink, whose event log the timing consumer replays into it
+    /// — other instantiations carry no timing code). Timing observes the behavioral access stream and
     /// never mutates cache state, so behavioral results are bit-identical
     /// with and without it.
     timing: Option<Box<TimingSim>>,
@@ -504,10 +506,19 @@ impl SimEngine {
 
     /// Everything [`access_texel_traced`](Self::access_texel_traced) does
     /// *except* feeding the timing overlay (callers group taps into
-    /// fragments themselves).
+    /// fragments themselves): the tap under the trace sink, and its
+    /// outcome straight to the telemetry, inline.
     fn tap_traced(&mut self, tid: TextureId, m: u32, u: u32, v: u32) -> AccessTrace {
         let (h, tel, _) = self.hierarchy(None);
-        h.replay_observed(tel, OneTap { tid, m, u, v })
+        let Some((trace, probe)) = h.replay_under(TelOff, OneTap { tid, m, u, v }) else {
+            return AccessTrace::default();
+        };
+        if let Some(tel) = tel {
+            let mut obs = Observers::of(tel);
+            obs.tap(tid, m, u, v, &trace, probe.as_ref());
+            obs.publish();
+        }
+        trace
     }
 
     /// The hierarchy, borrowed for one replay, beside the two observers
@@ -621,7 +632,7 @@ impl SimEngine {
         }
         let requests = trace.requests.iter().copied();
         let (h, tel, _) = self.hierarchy(None);
-        h.replay_observed(tel, ScalarFrame { filter, requests })?;
+        h.replay(tel, None, ScalarFrame { filter, requests })?;
         self.end_frame();
         Ok(())
     }
@@ -633,8 +644,8 @@ impl SimEngine {
     ///
     /// With timing attached this is also the overlay's per-tap reference:
     /// each request opens one lookahead fragment and every tap is observed
-    /// on its own, the stream the wide loops' sink must reproduce cycle
-    /// for cycle.
+    /// on its own, the stream the wide loops' timing consumer must
+    /// reproduce cycle for cycle.
     ///
     /// # Errors
     ///
@@ -724,7 +735,8 @@ impl SimEngine {
     }
 
     /// The wide-path frame replay over this engine's own levels, every tap
-    /// admitted, under the timing sink when the overlay is attached.
+    /// admitted, under the observing sink when telemetry or the overlay is
+    /// attached.
     fn replay_frame_batched(
         &mut self,
         filter: FilterMode,
@@ -822,7 +834,8 @@ impl SimEngine {
 // enforce this).
 // ---------------------------------------------------------------------------
 
-/// One tap under the trace sink: the per-access entry.
+/// One tap under the trace sink, whatever sink it is handed: the
+/// per-access entry. Its outcome and L2 probe, `None` for a shed tap.
 struct OneTap {
     tid: TextureId,
     m: u32,
@@ -831,23 +844,23 @@ struct OneTap {
 }
 
 impl Replay for OneTap {
-    type Out = AccessTrace;
+    type Out = Option<(AccessTrace, Option<L2Probe>)>;
 
     fn run<Lv: Levels, Te: TelemetryMode>(
         self,
         mut lv: Lv,
-        tel: Te,
+        _tel: Te,
         _dims: &MipDims,
         l1: &mut L1TextureCache,
         host: &mut HostLink,
         current: &mut FrameCounters,
-    ) -> AccessTrace {
+    ) -> Self::Out {
         let Self { tid, m, u, v } = self;
-        let mut tel = Traced::new(tel);
+        let mut tel = Traced::default();
         tel.before_taps(current);
         lv.tap(tid, m, u, v, l1, host, current, &mut tel, &mut AdmitAll);
         tel.after_tap(tid, m, u, v, current);
-        tel.trace
+        tel.tap
     }
 }
 

@@ -10,6 +10,16 @@
 //! accounting on the side; it never touches cache state, so behavioral
 //! results are bit-identical with and without it, by construction.
 //!
+//! The frame loops do not call it: they log what each fragment did to the
+//! observer stream (`crate::observe`), and the timing consumer replays
+//! that log into [`TimingSim::open_fragment`] and the sink entries
+//! ([`commit_hits`](TimingSim::commit_hits),
+//! [`observe_hit`](TimingSim::observe_hit),
+//! [`observe_miss`](TimingSim::observe_miss)) in behavioural order, on a
+//! helper thread when the `--jobs` cap leaves a slot for one and on the
+//! replaying thread otherwise. The per-access entries feed
+//! [`TimingSim::observe`] directly.
+//!
 //! The machine being modelled (after Igehy et al.'s prefetching texture
 //! cache, the architecture the paper's §6 defers to for latency hiding):
 //!
@@ -222,9 +232,9 @@ struct PendingFill {
 }
 
 /// What the overlay reads of one behavioural L1 miss — the part of an
-/// [`AccessTrace`] that moves a clock. The frame loops' timing sink builds
-/// it from the trace its outcome reader reads off the tap's
-/// `FrameCounters` delta.
+/// [`AccessTrace`] that moves a clock. The timing consumer of the frame
+/// loops' event log builds it from the trace their outcome reader read off
+/// the tap's `FrameCounters` delta.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MissOutcome {
     /// Served by an L2→L1 fill; otherwise a host download was attempted.
@@ -353,7 +363,7 @@ impl TimingSim {
     /// fill-queue slot — the whole issue stage blocks under the hazard).
     ///
     /// This is the per-tap reference feed: every tap packs its tag and
-    /// scans the L1 MSHR file. The wide frame loops' sink
+    /// scans the L1 MSHR file. The frame loops' timing consumer
     /// ([`commit_hits`](Self::commit_hits),
     /// [`observe_hit`](Self::observe_hit),
     /// [`observe_miss`](Self::observe_miss)) is tested against it.

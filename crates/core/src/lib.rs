@@ -57,11 +57,13 @@ mod batch;
 mod engine;
 mod error;
 mod host_link;
+pub mod jobs;
 mod l1;
 mod l2;
 mod latency;
 pub mod model;
 mod mshr;
+mod observe;
 mod push;
 pub mod service;
 mod tap;
@@ -71,6 +73,7 @@ pub use batch::{FramePrep, PreparedFrame, BATCH_LANES};
 pub use engine::{AccessTrace, EngineConfig, FrameCounters, L1Pass, L1PassRecorder, SimEngine};
 pub use error::EngineError;
 pub use host_link::{FaultPlan, HostLink, TextureBlackout, Transfer};
+pub use jobs::{max_replay_jobs, set_max_replay_jobs};
 pub use l1::{L1AddressMap, L1Config, L1TextureCache, StorageFormat};
 pub use l2::{L2AccessTrace, L2Cache, L2Config, L2Outcome, ReplacementPolicy};
 pub use latency::{LatencyModel, SinkStats, TimingCounters, TimingSim};

@@ -691,9 +691,10 @@ impl ClientEngine {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::observe::{observed_frame, Observers};
     use crate::tap::{
-        degraded_probe, Hierarchy, Levels, MultiLevel, Pull, TelOff, TelOn, TelemetryMode, TlbMode,
-        TlbOff, TlbOn,
+        degraded_probe, Hierarchy, Levels, Logged, MultiLevel, Pull, TelOff, TelemetryMode,
+        TlbMode, TlbOff, TlbOn,
     };
     use crate::{L1TextureCache, L2Outcome};
     use mltc_texture::{TranslationMemo, TranslationTables};
@@ -747,7 +748,7 @@ mod reference {
                     }
                     match tel {
                         None => pull!(TelOff),
-                        Some(t) => pull!(TelOn::new(t)),
+                        Some(t) => observed_frame(Observers::of(t), |log| pull!(Logged::new(log))),
                     }
                 }
                 Some(l2) => {
@@ -761,9 +762,13 @@ mod reference {
                     }
                     match (tlb, tel) {
                         (None, None) => ml!(TlbOff, TelOff),
-                        (None, Some(t)) => ml!(TlbOff, TelOn::new(t)),
+                        (None, Some(t)) => {
+                            observed_frame(Observers::of(t), |log| ml!(TlbOff, Logged::new(log)))
+                        }
                         (Some(tlb), None) => ml!(TlbOn(tlb), TelOff),
-                        (Some(tlb), Some(t)) => ml!(TlbOn(tlb), TelOn::new(t)),
+                        (Some(tlb), Some(t)) => observed_frame(Observers::of(t), |log| {
+                            ml!(TlbOn(tlb), Logged::new(log))
+                        }),
                     }
                 }
             }?;

@@ -14,21 +14,25 @@
 //!
 //! What varies between those consumers is resolved once per replay, at
 //! compile time, by [`Hierarchy`]: `(l2, tlb)` become a [`Levels`] value in
-//! [`Hierarchy::replay_under`], `(telemetry, timing)` become a
-//! [`TelemetryMode`] sink in [`Hierarchy::replay`], and the replay loop —
-//! a [`Replay`] — is instantiated over both. Observers are sinks, never
-//! arms of the body: the bodies update the caches, the host link and the
-//! [`FrameCounters`] and nothing else, and [`TelOn`], [`Timed`] and
-//! [`Traced`] each learn what a tap did from one outcome reader,
-//! [`TapReader`], which reads it off the movement of the counters around
-//! the unedited body. The two facts no counter carries — the page an L1
-//! miss probed in the L2 and the L2's clock statistics after it — reach
-//! the sinks through [`TelemetryMode::l2_probed`], with the block and the
-//! eviction victim.
+//! [`Hierarchy::replay_under`], and [`Hierarchy::replay`] picks the sink —
+//! [`TelOff`] when nothing observes the replay, [`Logged`] when telemetry
+//! or the timing overlay does — and the replay loop — a [`Replay`] — is
+//! instantiated over both. Observers are never arms of the body: the
+//! bodies update the caches, the host link and the [`FrameCounters`] and
+//! nothing else, and [`Logged`] and [`Traced`] learn what a tap did from
+//! one outcome reader, [`TapReader`], which reads it off the movement of
+//! the counters around the unedited body. The two facts no counter carries
+//! — the page an L1 miss probed in the L2 and the L2's clock statistics
+//! after it — reach the sinks through [`TelemetryMode::l2_probed`], with the
+//! block and the eviction victim. [`Logged`] does not call the observers
+//! either: it appends each event to the observer stream
+//! ([`crate::observe`]), which telemetry and the timing overlay consume on
+//! a helper thread or inline.
 
 use crate::batch::BATCH_LANES;
 use crate::engine::{AccessTrace, EngineConfig, FrameCounters};
-use crate::latency::{MissOutcome, TimingSim};
+use crate::latency::TimingSim;
+use crate::observe::{self, EventLog, Observers};
 use crate::service::{AdmissionControl, ClientServiceStats, DegradeTier};
 use crate::telemetry::EngineTelemetry;
 use crate::{HostLink, L1TextureCache, L2AccessTrace, L2Cache, L2Outcome, Transfer};
@@ -40,11 +44,10 @@ use mltc_trace::{FilterMode, LevelQuad};
 /// texture id.
 pub(crate) type MipDims = [Option<Vec<(u32, u32)>>];
 
-/// Compile-time telemetry switch: `TelOn` tallies what each tap did into
-/// the attached [`EngineTelemetry`], `TelOff` observes nothing, `MissLog`
-/// records every L1 miss into an [`L1Pass`](crate::L1Pass), `Timed` wraps
-/// any of them to feed the timing overlay from the frame loops, and
-/// `Traced` wraps any of them to report one tap as an [`AccessTrace`].
+/// Compile-time observer switch: `TelOff` observes nothing, `MissLog`
+/// records every L1 miss into an [`L1Pass`](crate::L1Pass), `Logged`
+/// logs what each tap and each wide commit did for the attached telemetry
+/// and timing overlay, and `Traced` reports one tap as an [`AccessTrace`].
 ///
 /// Every hook is empty unless a mode fills it, and the call sites pass
 /// nothing that costs anything to evaluate (values the body already holds,
@@ -109,8 +112,8 @@ pub(crate) struct L2Probe {
 
 /// The one outcome reader: what a scalar tap did, read off the movement of
 /// the [`FrameCounters`] around the unedited tap body plus what its L2 probe
-/// reported. Every sink that observes taps — [`TelOn`], [`Timed`],
-/// [`Traced`] — keeps one and learns a tap's outcome only through it.
+/// reported. Every sink that observes taps — [`Logged`], [`Traced`] —
+/// keeps one and learns a tap's outcome only through it.
 #[derive(Default)]
 pub(crate) struct TapReader {
     before: FrameCounters,
@@ -158,25 +161,26 @@ impl TapReader {
     }
 }
 
-/// Telemetry attached: each tap's outcome, as the [`TapReader`] reads it,
-/// and each wide commit are tallied into the [`EngineTelemetry`], which
-/// publishes into the recorder when the sink is dropped — at the end of
-/// the replay call that built it, on every return path.
-pub(crate) struct TelOn<'a> {
-    tel: &'a mut EngineTelemetry,
+/// The observing sink of the frame loops, for telemetry, the timing
+/// overlay or both: each wide commit, decline and fragment opening, and
+/// each scalar tap's outcome as the [`TapReader`] reads it, appended to the
+/// observer stream's [`EventLog`], whose consumer
+/// ([`Observers`](crate::observe::Observers)) feeds them on.
+pub(crate) struct Logged<'l, 'a> {
+    log: &'l mut EventLog<'a>,
     reader: TapReader,
 }
 
-impl<'a> TelOn<'a> {
-    pub(crate) fn new(tel: &'a mut EngineTelemetry) -> Self {
+impl<'l, 'a> Logged<'l, 'a> {
+    pub(crate) fn new(log: &'l mut EventLog<'a>) -> Self {
         Self {
-            tel,
+            log,
             reader: TapReader::default(),
         }
     }
 }
 
-impl TelemetryMode for TelOn<'_> {
+impl TelemetryMode for Logged<'_, '_> {
     #[inline(always)]
     fn l2_probed(&mut self, probe: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
         self.reader.l2_probed(probe, pt_index, l2);
@@ -188,35 +192,30 @@ impl TelemetryMode for TelOn<'_> {
         tid: TextureId,
         quads: &[LevelQuad; 2],
         nq: usize,
-        _uniq: &[u64; BATCH_LANES],
-        _last: &[u32; BATCH_LANES],
-        _k: usize,
-        n: u64,
+        uniq: &[u64; BATCH_LANES],
+        last: &[u32; BATCH_LANES],
+        k: usize,
+        _n: u64,
     ) {
-        self.tel.on_wide_commit(tid, quads, nq, n);
+        self.log.commit(tid, quads, nq, uniq, last, k);
     }
 
     #[inline(always)]
     fn wide_decline(&mut self) {
-        self.tel.wide_declines.incr();
+        self.log.decline();
     }
 
     #[inline(always)]
     fn before_taps(&mut self, current: &FrameCounters) {
         self.reader.before_taps(current);
+        self.log.open();
     }
 
     #[inline(always)]
     fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
         if let Some((trace, probe)) = self.reader.after_tap(current) {
-            self.tel.on_tap(tid, m, u, v, &trace, probe.as_ref());
+            self.log.tap(tid, m, u, v, &trace, probe.as_ref());
         }
-    }
-}
-
-impl Drop for TelOn<'_> {
-    fn drop(&mut self) {
-        self.tel.publish();
     }
 }
 
@@ -240,124 +239,34 @@ impl TelemetryMode for MissLog<'_> {
     }
 }
 
-/// The timing sink of the frame loops: telemetry as `Te` has it, plus
-/// the [`TimingSim`] fed one event per wide commit and one per scalar
-/// tap, whose outcome the [`TapReader`] reads, so the bodies carry no
-/// timing code.
-pub(crate) struct Timed<'a, Te> {
-    tel: Te,
-    sim: &'a mut TimingSim,
-    reader: TapReader,
-}
-
-impl<'a, Te> Timed<'a, Te> {
-    pub(crate) fn new(tel: Te, sim: &'a mut TimingSim) -> Self {
-        Self {
-            tel,
-            sim,
-            reader: TapReader::default(),
-        }
-    }
-}
-
-impl<Te: TelemetryMode> TelemetryMode for Timed<'_, Te> {
-    #[inline(always)]
-    fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
-        self.tel.l1_miss(tid, m, u, v);
-    }
-
-    #[inline(always)]
-    fn l2_probed(&mut self, probe: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
-        self.reader.l2_probed(probe, pt_index, l2);
-        self.tel.l2_probed(probe, pt_index, l2);
-    }
-
-    #[inline(always)]
-    fn wide_commit(
-        &mut self,
-        tid: TextureId,
-        quads: &[LevelQuad; 2],
-        nq: usize,
-        uniq: &[u64; BATCH_LANES],
-        last: &[u32; BATCH_LANES],
-        k: usize,
-        n: u64,
-    ) {
-        self.sim.open_fragment();
-        self.sim.commit_hits(uniq, last, k, n);
-        self.tel.wide_commit(tid, quads, nq, uniq, last, k, n);
-    }
-
-    #[inline(always)]
-    fn wide_decline(&mut self) {
-        self.tel.wide_decline();
-    }
-
-    #[inline(always)]
-    fn before_taps(&mut self, current: &FrameCounters) {
-        self.sim.open_fragment();
-        self.reader.before_taps(current);
-        self.tel.before_taps(current);
-    }
-
-    #[inline(always)]
-    fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
-        match self.reader.after_tap(current) {
-            Some((trace, _)) if trace.l1_hit => self.sim.observe_hit(tid, m, u, v),
-            Some((trace, _)) => self.sim.observe_miss(tid, m, u, v, MissOutcome::of(&trace)),
-            None => {}
-        }
-        self.tel.after_tap(tid, m, u, v, current);
-    }
-}
-
 /// The trace sink of the per-access entry
 /// ([`SimEngine::access_texel_traced`](crate::SimEngine::access_texel_traced)):
-/// telemetry as `Te` has it, plus the [`AccessTrace`] the [`TapReader`]
-/// reads of the tap between [`before_taps`](TelemetryMode::before_taps)
-/// and [`after_tap`](TelemetryMode::after_tap).
-pub(crate) struct Traced<Te> {
-    tel: Te,
+/// the [`AccessTrace`] and the L2 probe the [`TapReader`] reads of the tap
+/// between [`before_taps`](TelemetryMode::before_taps) and
+/// [`after_tap`](TelemetryMode::after_tap), which the entry hands to the
+/// observers itself.
+#[derive(Default)]
+pub(crate) struct Traced {
     reader: TapReader,
-    /// What happened to the tap the last `after_tap` closed.
-    pub(crate) trace: AccessTrace,
+    /// What happened to the tap the last `after_tap` closed, `None` for a
+    /// shed tap.
+    pub(crate) tap: Option<(AccessTrace, Option<L2Probe>)>,
 }
 
-impl<Te> Traced<Te> {
-    pub(crate) fn new(tel: Te) -> Self {
-        Self {
-            tel,
-            reader: TapReader::default(),
-            trace: AccessTrace::default(),
-        }
-    }
-}
-
-impl<Te: TelemetryMode> TelemetryMode for Traced<Te> {
-    #[inline(always)]
-    fn l1_miss(&mut self, tid: TextureId, m: u32, u: u32, v: u32) {
-        self.tel.l1_miss(tid, m, u, v);
-    }
-
+impl TelemetryMode for Traced {
     #[inline(always)]
     fn l2_probed(&mut self, probe: &L2AccessTrace, pt_index: u32, l2: &L2Cache) {
         self.reader.l2_probed(probe, pt_index, l2);
-        self.tel.l2_probed(probe, pt_index, l2);
     }
 
     #[inline(always)]
     fn before_taps(&mut self, current: &FrameCounters) {
         self.reader.before_taps(current);
-        self.tel.before_taps(current);
     }
 
     #[inline(always)]
-    fn after_tap(&mut self, tid: TextureId, m: u32, u: u32, v: u32, current: &FrameCounters) {
-        self.trace = self
-            .reader
-            .after_tap(current)
-            .map_or_else(AccessTrace::default, |t| t.0);
-        self.tel.after_tap(tid, m, u, v, current);
+    fn after_tap(&mut self, _tid: TextureId, _m: u32, _u: u32, _v: u32, current: &FrameCounters) {
+        self.tap = self.reader.after_tap(current);
     }
 }
 
@@ -770,54 +679,24 @@ impl Hierarchy<'_> {
         }
     }
 
-    /// Runs `replay` with telemetry attached or not, untimed.
-    pub(crate) fn replay_observed<R: Replay>(
-        self,
-        tel: Option<&mut EngineTelemetry>,
-        replay: R,
-    ) -> R::Out {
-        match tel {
-            None => self.replay_under(TelOff, replay),
-            Some(t) => self.replay_under(TelOn::new(t), replay),
-        }
-    }
-
-    /// Runs `replay` under the sink the attached observers call for: with
-    /// [`replay_observed`](Self::replay_observed), the one place
-    /// `(telemetry, timing)` become a [`TelemetryMode`].
+    /// Runs `replay` under the sink the attached observers call for — the
+    /// one place `(telemetry, timing)` become a [`TelemetryMode`]: [`TelOff`]
+    /// when neither is attached, otherwise [`Logged`], whose event log the
+    /// observers consume on a helper thread or inline
+    /// ([`observed_frame`](crate::observe::observed_frame)) before this
+    /// returns.
     pub(crate) fn replay<R: Replay>(
         self,
         tel: Option<&mut EngineTelemetry>,
         timing: Option<&mut TimingSim>,
         replay: R,
     ) -> R::Out {
-        match timing {
-            None => self.replay_observed(tel, replay),
-            Some(sim) => self.replay_observed(tel, UnderTimed { sim, replay }),
+        if tel.is_none() && timing.is_none() {
+            return self.replay_under(TelOff, replay);
         }
-    }
-}
-
-/// `replay` with its sink wrapped in [`Timed`].
-struct UnderTimed<'a, R> {
-    sim: &'a mut TimingSim,
-    replay: R,
-}
-
-impl<R: Replay> Replay for UnderTimed<'_, R> {
-    type Out = R::Out;
-
-    fn run<Lv: Levels, Te: TelemetryMode>(
-        self,
-        lv: Lv,
-        tel: Te,
-        dims: &MipDims,
-        l1: &mut L1TextureCache,
-        host: &mut HostLink,
-        current: &mut FrameCounters,
-    ) -> R::Out {
-        let tel = Timed::new(tel, self.sim);
-        self.replay.run(lv, tel, dims, l1, host, current)
+        observe::observed_frame(Observers { tel, timing }, |log| {
+            self.replay_under(Logged::new(log), replay)
+        })
     }
 }
 

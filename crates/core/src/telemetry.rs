@@ -3,15 +3,19 @@
 //!
 //! The overhead contract (see `mltc-telemetry`): the engine stores
 //! `Option<Box<EngineTelemetry>>`, resolved into a compile-time sink
-//! (`crate::tap`: `TelOn` / `TelOff`) once per replay call — once per
-//! access on the per-access entry. The tap bodies carry no telemetry code
-//! either way: `TelOn` is a sink like the timing and trace ones, reading
-//! each tap's outcome off the `FrameCounters` the body moved, so telemetry
-//! only *observes* — `FrameCounters`, cache and RNG state are bit-identical
-//! attached or not. Attached, what the sink reads lands in plain integers
-//! this struct owns — one tally shaped like `FrameCounters` for the engine
-//! counters, buffered handles for the rest — and the sink publishes them
-//! into the recorder when it is dropped, once per replay call.
+//! (`crate::tap`: `Logged` / `TelOff`) once per replay call. The tap bodies
+//! carry no telemetry code either way, and neither do the frame loops:
+//! `Logged` reads each tap's outcome off the `FrameCounters` the body
+//! moved and logs it, with the wide commits, to the observer stream
+//! (`crate::observe`), whose consumer replays it into
+//! [`on_tap`](EngineTelemetry::on_tap) and
+//! [`on_wide_commit`](EngineTelemetry::on_wide_commit) on a helper thread
+//! or inline; the per-access entry calls `on_tap` after its tap. So
+//! telemetry only *observes* — `FrameCounters`, cache and RNG state are
+//! bit-identical attached or not. What the consumer reads lands in plain
+//! integers this struct owns — one tally shaped like `FrameCounters` for
+//! the engine counters, buffered handles for the rest — published into the
+//! recorder once the replay call's last event is consumed, once per call.
 //!
 //! Naming: histograms are keyed per workload *group* (so the parallel
 //! configs replaying one workload merge into one distribution, and the
@@ -278,6 +282,12 @@ impl EngineTelemetry {
         self.locality = Some(Box::new(LocalityCapture::new(cfg)));
     }
 
+    /// Whether locality capture is on: the wide commits' corner quads are
+    /// then part of what it reads.
+    pub(crate) fn captures_locality(&self) -> bool {
+        self.locality.is_some()
+    }
+
     /// Finalizes the captured locality profile, if capture was on.
     pub(crate) fn locality_profile(&self) -> Option<mltc_model::LocalityProfile> {
         self.locality.as_ref().map(|c| c.finalize())
@@ -431,8 +441,8 @@ impl EngineTelemetry {
     }
 
     /// Publishes everything tallied since the last publish into the
-    /// recorder. The replay sink (`TelOn`) calls it when it is dropped,
-    /// i.e. when every replay call returns.
+    /// recorder. The observer stream's schedules call it once a replay
+    /// call's last event is consumed, i.e. when every replay call returns.
     #[cold]
     pub(crate) fn publish(&mut self) {
         let counts = tally_counts(

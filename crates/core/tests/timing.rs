@@ -2,7 +2,7 @@
 //! link byte conservation, bandwidth accounting, prefetch bookkeeping,
 //! — the contract everything else rests on — behavioral bit-identity
 //! with the untimed engine, and cycle-for-cycle identity of the frame
-//! loops' timing sink (wide and prepared entries) with the per-tap
+//! loops' timing consumer (wide and prepared entries) with the per-tap
 //! reference feed.
 //!
 //! Streams are shaped from raw integer tuples exactly like the oracle
@@ -166,7 +166,7 @@ fn sink_config(levels: u8, lossy: bool) -> EngineConfig {
 
 /// Replays `frames` timed through the per-tap reference
 /// (`try_run_frame_as_traced`) and through every entry point that runs
-/// under the timing sink — the three that ride the wide frame loop, the
+/// with the timing consumer — the three that ride the wide frame loop, the
 /// prepared entry among them — requires every timing statistic to agree, and
 /// returns the reference's `(l1_merges, l2_merges, structural stalls)`.
 fn sink_equals_reference(

@@ -31,9 +31,10 @@ fn usage() -> ExitCode {
          \n\
          --no-store           do not persist traces under <out>/traces/\n\
          --expect-warm        fail if anything had to be rasterized (CI warm-run check)\n\
-         --jobs <n>           use at most <n> busy threads: replay at most <n>\n\
-         \x20                    configurations concurrently and render each trace\n\
-         \x20                    on up to <n> threads (default: one per available core)\n\
+         --jobs <n>           use at most <n> busy threads: replay configurations\n\
+         \x20                    and consume their telemetry and timing events on at\n\
+         \x20                    most <n> threads together, and render each trace on\n\
+         \x20                    up to <n> threads (default: one per available core)\n\
          --replay-path <p>    engine path: scalar, batched (default) or pipelined\n\
          \x20                    (bit-identical; pipelined decodes the next frame on a\n\
          \x20                    second thread while the batched loop replays this one,\n\

@@ -9,7 +9,7 @@
 //!   rasterization's, or one a disk stream decoded once on the feed's
 //!   thread;
 //! * one group routine ([`Replay::run_group`]) replays them: its leader
-//!   takes a [`Gate`] permit per frame, then runs the frame on the selected
+//!   takes a [`jobs`] permit per frame, then runs the frame on the selected
 //!   [`ReplayPath`] through the engine's non-generic `_as` entries — the
 //!   one place an entry point is chosen. Stored traces are point-sampled,
 //!   so the requested filter is applied here
@@ -46,7 +46,7 @@
 //! and succeeds.
 
 use crate::store::{StatsBundle, TraceHandle, TraceSet, TraceStore};
-use mltc_core::{EngineConfig, EngineError, FramePrep, L1Pass, PreparedFrame, SimEngine};
+use mltc_core::{jobs, EngineConfig, EngineError, FramePrep, L1Pass, PreparedFrame, SimEngine};
 use mltc_scene::{traversal_tag, Workload};
 use mltc_telemetry::Recorder;
 use mltc_texture::TextureRegistry;
@@ -56,13 +56,10 @@ use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Cap on busy threads: concurrently replaying configurations, and the
-/// store's render threads; `0` means "ask the OS" (see
-/// [`max_replay_jobs`]).
-static MAX_REPLAY_JOBS: AtomicUsize = AtomicUsize::new(0);
+pub use mltc_core::jobs::{max_replay_jobs, set_max_replay_jobs};
 
 /// The engine path replay workers drive; indexes into [`ReplayPath`]'s
 /// discriminants. Defaults to the wide (batched) kernel.
@@ -85,7 +82,7 @@ pub enum ReplayPath {
     /// The batched kernel fed by a frame pipeline: a prep thread decodes
     /// frame N+1 ([`FramePrep`]) while the engine runs frame N through the
     /// wide frame loop ([`SimEngine::try_run_frame_prepared`]). Both
-    /// stages take [`Gate`] permits per frame, so the `--jobs` budget
+    /// stages take [`jobs`] permits per frame, so the `--jobs` budget
     /// still bounds concurrent CPU burn; with `--jobs 1` the stages
     /// simply alternate.
     Pipelined,
@@ -126,79 +123,13 @@ pub fn replay_path() -> ReplayPath {
     }
 }
 
-/// Caps the busy threads a run may use (the `--jobs` flag): the number of
-/// configurations replayed concurrently, and the threads the store
-/// renders a trace on ([`TraceStore`]'s render loop,
-/// [`Workload::render_animation_feed`]). `0` restores the default: one
-/// per available core.
-pub fn set_max_replay_jobs(jobs: usize) {
-    MAX_REPLAY_JOBS.store(jobs, Relaxed);
-}
-
-/// The effective concurrency cap, for replay workers and render threads
-/// alike: the value of [`set_max_replay_jobs`], or the machine's available
-/// parallelism when unset.
-pub fn max_replay_jobs() -> usize {
-    match MAX_REPLAY_JOBS.load(Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
 /// Locks `m`, recovering from poisoning. State under the harness's locks
-/// is plain bookkeeping (permit counts, memo maps, counters) that stays
+/// is plain bookkeeping (memo maps, counters, kept passes) that stays
 /// consistent even when a holder panicked mid-update, and one poisoned
 /// worker must never cascade a panic into every other thread — worker
 /// failures are reported as typed [`RunError`]s instead.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A counting semaphore bounding how many configuration workers simulate
-/// a frame at any instant (the `--jobs` cap).
-///
-/// Every worker thread is still spawned up front — the producer side (the
-/// store's feed: a disk stream, a live render) runs exactly once and fans
-/// frames out to all of them — but workers take a permit per *frame*, so
-/// at most `jobs` of them burn CPU simultaneously while the rest sit parked
-/// in `acquire` or on their bounded channel. Gating per frame (not per
-/// whole replay) is what keeps the single producer safe: an ungated
-/// worker whose channel filled up would block the producer, which the
-/// permit holders are waiting on.
-struct Gate {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new(permits: usize) -> Self {
-        Self {
-            permits: Mutex::new(permits.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is free; the guard returns it on drop (also
-    /// on panic, so a dying worker never strands the others).
-    fn acquire(&self) -> GateGuard<'_> {
-        let mut p = lock_clean(&self.permits);
-        while *p == 0 {
-            p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
-        }
-        *p -= 1;
-        GateGuard(self)
-    }
-}
-
-struct GateGuard<'a>(&'a Gate);
-
-impl Drop for GateGuard<'_> {
-    fn drop(&mut self) {
-        *lock_clean(&self.0.permits) += 1;
-        self.0.cv.notify_one();
-    }
 }
 
 /// Frames the pipelined path keeps in flight between the prep thread and
@@ -213,7 +144,7 @@ const PIPELINE_DEPTH: usize = 2;
 /// loop. Prepared buffers recycle through a return channel, so after
 /// warm-up no allocation happens per frame.
 ///
-/// Both stages take a [`Gate`] permit per frame and neither blocks on a
+/// Both stages take a [`jobs`] permit per frame and neither blocks on a
 /// channel while holding one (the prep side grabs its recycled buffer
 /// *before* acquiring, and the recycle channel is deep enough that
 /// returns never block), so the `--jobs` budget bounds concurrent CPU
@@ -224,7 +155,6 @@ const PIPELINE_DEPTH: usize = 2;
 fn replay_pipelined(
     engine: &mut SimEngine,
     registry: &TextureRegistry,
-    gate: &Gate,
     frames: impl IntoIterator<Item = Arc<FrameTrace>> + Send,
     filter: FilterMode,
 ) -> Result<(), RunError> {
@@ -239,7 +169,7 @@ fn replay_pipelined(
             for frame in frames {
                 let mut buf = rrx.recv().unwrap_or_default();
                 {
-                    let _permit = gate.acquire();
+                    let _permit = jobs::acquire();
                     prep.prepare(filter, frame.requests.iter().copied(), &mut buf);
                 }
                 if ptx.send(buf).is_err() {
@@ -249,7 +179,7 @@ fn replay_pipelined(
         });
         let mut sim_result = Ok(());
         for buf in &prx {
-            let _permit = gate.acquire();
+            let _permit = jobs::acquire();
             let replayed = engine.try_run_frame_prepared(&buf);
             let _ = rtx.send(buf);
             if let Err(e) = replayed {
@@ -634,7 +564,6 @@ struct Replay<'a> {
     registry: &'a TextureRegistry,
     filter: FilterMode,
     path: ReplayPath,
-    gate: Gate,
     rec: &'a Recorder,
     /// Whether every group records its L1 pass for the store (the trace is
     /// resident), and where those that recorded to the end leave it.
@@ -648,7 +577,6 @@ impl<'a> Replay<'a> {
             registry,
             filter,
             path: replay_path(),
-            gate: Gate::new(max_replay_jobs()),
             rec,
             keep: false,
             kept: Mutex::default(),
@@ -708,7 +636,7 @@ impl<'a> Replay<'a> {
                 .map(|mut engine| {
                     scope.spawn(move || {
                         for frame in 0..pass.frame_count() {
-                            let _permit = self.gate.acquire();
+                            let _permit = jobs::acquire();
                             engine.replay_pass_frame(pass, frame);
                         }
                         engine
@@ -725,7 +653,7 @@ impl<'a> Replay<'a> {
         })
     }
 
-    /// The leader's walk: a [`Gate`] permit per frame, so at most
+    /// The leader's walk: a [`jobs`] permit per frame, so at most
     /// [`max_replay_jobs`] workers simulate at any instant, then the frame
     /// on the replay path; with `record`, the batched path's pass.
     fn lead<I>(
@@ -740,12 +668,12 @@ impl<'a> Replay<'a> {
         let filter = self.filter;
         if self.path == ReplayPath::Pipelined {
             // One more thread for the leader, still permit-gated per frame.
-            replay_pipelined(leader, self.registry, &self.gate, frames, filter)?;
+            replay_pipelined(leader, self.registry, frames, filter)?;
             return Ok(None);
         }
         let mut recorder = record.then(|| leader.record_l1_pass(filter));
         for frame in frames {
-            let _permit = self.gate.acquire();
+            let _permit = jobs::acquire();
             match (self.path, &mut recorder) {
                 (ReplayPath::Scalar, _) => leader.try_run_frame_as(&frame, filter)?,
                 // The batched path; a pipelined leader went its way above.

@@ -19,12 +19,13 @@
 # differ between checkouts, so identity is decided by body, not by name: a
 # parent body that appears in the change is identical. The rest are paired
 # with the change's instantiation of the same five facts — so a pull loop
-# is only ever compared with a pull loop, a `Timed<TelOn>` one with a
-# `Timed<TelOn>` one — and listed with their instruction delta; a symbol
+# is only ever compared with a pull loop, a `Logged` one with a `Logged`
+# one — and listed with their instruction delta; a symbol
 # without debug info falls back to its kind (pull or multi-level) and the
 # nearest instruction count. Instantiations only the change has (a new
 # mode) are counted as added. Last comes one line per sink parameter
-# (`TelOff`, `MissLog`, `TelOn`, `Timed<..>`) with how many of the parent's
+# (`TelOff`, `MissLog`, `Logged`; `TelOn` and `Timed<..>` in binaries that
+# predate the observer stream) with how many of the parent's
 # instantiations under it are identical and how many differ.
 #
 # Exit status: 0 when every parent instantiation has an identical body in

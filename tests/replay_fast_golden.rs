@@ -476,7 +476,7 @@ fn shared_l1_runner_is_state_identical_to_solo_replays_from_every_handle() {
 #[test]
 fn timing_overlay_keeps_every_committed_trace_byte_identical() {
     // With the timing overlay attached the frame entry points ride the
-    // wide frame loops under the timing sink — behavioral counters, cache
+    // wide frame loops with the timing consumer — behavioral counters, cache
     // end state and host draws must still match the untimed traced
     // baseline bit-for-bit, while the overlay's own cycle accounting runs
     // on the side.
@@ -529,7 +529,7 @@ fn timing_overlay_keeps_every_committed_trace_byte_identical() {
     }
 }
 
-/// Hierarchies the timing sink is checked on: the shapes of `matrix()`
+/// Hierarchies the timing consumer is checked on: the shapes of `matrix()`
 /// are not enough here, because what the sink can get wrong lives in the
 /// misses — lossy links (retries, failed downloads, rollbacks that re-miss
 /// a line still in flight), a one-set L1 that declines most fragments, and

@@ -3,17 +3,20 @@
 //! nothing on the texel path.
 
 use mltc::cache::ClockStats;
+use mltc::core::set_max_replay_jobs;
 use mltc::core::{
     AdmissionControl, ClientEngine, DegradeTier, EngineConfig, EngineError, FaultPlan,
     FrameCounters, FramePrep, L1Config, L2Config, LatencyModel, PreparedFrame, ServiceConfig,
-    ServiceError, SimEngine, TelemetryOpts, TextureService, FRAME_SERIES_COLUMNS,
+    ServiceError, SimEngine, SinkStats, TelemetryOpts, TextureService, TimingCounters,
+    FRAME_SERIES_COLUMNS,
 };
 use mltc::raster::FilterMode;
 use mltc::scene::{TraceKey, Workload, WorkloadParams};
 use mltc::telemetry::{export, Json, Recorder, TelemetrySnapshot};
 use mltc::texture::TextureId;
 use mltc::trace::codec::TraceFileReader;
-use mltc::trace::{filter_taps, FrameTrace};
+use mltc::trace::FrameTrace;
+use mltc_oracle::expand_frame;
 
 fn tiny_village() -> Workload {
     Workload::village(&WorkloadParams::tiny())
@@ -334,19 +337,6 @@ fn assert_published(
     assert_eq!(heat, misses, "{ctx}: L1 miss heat");
 }
 
-/// The taps of `trace` under `filter`, as `(tid, m, u, v)`.
-fn expand_taps(w: &Workload, trace: &FrameTrace, filter: FilterMode) -> Vec<(u32, u32, u32, u32)> {
-    let mut taps = Vec::new();
-    for req in &trace.requests {
-        let p = w.registry().pyramid(req.tid).expect("live texture");
-        let dims = |m: u32| (p.level(m as usize).width(), p.level(m as usize).height());
-        for tap in &filter_taps(req, filter, p.level_count() as u32, dims) {
-            taps.push((req.tid.index(), tap.m, tap.u, tap.v));
-        }
-    }
-    taps
-}
-
 /// Recording is buffered and published when a replay call returns. After
 /// every call of every public entry — per access, each frame loop, the
 /// recording replay, a timed replay, a service client's frame —
@@ -432,8 +422,10 @@ fn every_replay_call_returns_with_its_counts_published() {
     // Per access: every call publishes its one tap.
     let rec = Recorder::enabled();
     let mut e = attached(&rec);
-    for (i, &(tid, m, u, v)) in expand_taps(&w, &traces[0], filter).iter().enumerate() {
-        e.access_texel(TextureId::from_index(tid), m, u, v);
+    let mut taps = Vec::new();
+    expand_frame(&traces[0], filter, reg, &mut taps).expect("frame names live textures");
+    for (i, a) in taps.iter().enumerate() {
+        e.access_texel(TextureId::from_index(a.tid), a.m, a.u, a.v);
         let s = rec.snapshot();
         let taps = s.counters["engine/g/l1_hits"] + s.counters["engine/g/l1_misses"];
         assert_eq!(taps, i as u64 + 1, "access {i}");
@@ -567,6 +559,89 @@ fn recorder_exports_match_their_golden_digests() {
         "digests as {:#018x?}",
         got.iter().map(|g| g.2).collect::<Vec<_>>()
     );
+}
+
+/// What an observed replay leaves behind: the recorder's digest (as
+/// [`golden_digest`] takes it), the engine's closed frames and the timing
+/// overlay's per-frame counters and feed statistics.
+type Observed = (
+    u64,
+    Vec<FrameCounters>,
+    Option<(Vec<TimingCounters>, SinkStats)>,
+);
+
+/// The observers of a frame call consume its event log on a helper thread
+/// when the `--jobs` cap leaves a slot for one, and inline otherwise: the
+/// two schedules must be one observer. Every committed trace replays
+/// through pull, multi-level and multi-level-with-TLB engines on a faulty
+/// link, trilinear and point-sampled, observed by telemetry with
+/// attribution, by the timing overlay, and by both with locality capture
+/// on, through the wide and the scalar frame loop, at a cap of one (always
+/// inline) and of two. Each replay ends in a frame that names an unknown
+/// texture halfway: on either schedule the events before it are published
+/// and the frame stays open.
+#[test]
+fn observers_on_a_helper_are_the_observers_inline() {
+    type Entry = fn(&mut SimEngine, &FrameTrace, FilterMode) -> Result<(), EngineError>;
+    let batched: Entry = |e, t, f| e.try_run_frame_as_batched(t, f);
+    let scalar: Entry = |e, t, f| e.try_run_frame_as(t, f);
+    let both = TelemetryOpts {
+        attribution: true,
+        locality: true,
+    };
+    let observers = [
+        ("telemetry", Some(ATTRIBUTED), false),
+        ("timing", None, true),
+        ("both", Some(both), true),
+    ];
+    let ml = EngineConfig {
+        tlb_entries: 0,
+        ..busy_cfg()
+    };
+    for (name, w, frames) in committed_traces() {
+        let mut bad = frames[frames.len() / 2].clone();
+        let half = bad.requests.len() / 2;
+        bad.requests[half].tid = TextureId::from_index(9_999);
+        for (arch, cfg) in [
+            ("pull", busy_pull_cfg()),
+            ("ml", ml),
+            ("ml+tlb", busy_cfg()),
+        ] {
+            for filter in [FilterMode::Trilinear, FilterMode::Point] {
+                for (obs, opts, timed) in observers {
+                    for (path, entry) in [("batched", batched), ("scalar", scalar)] {
+                        let run = |jobs: usize| -> Observed {
+                            set_max_replay_jobs(jobs);
+                            let rec = Recorder::enabled();
+                            let mut e = SimEngine::new(cfg, w.registry());
+                            if let Some(opts) = opts {
+                                e.attach_telemetry_opts(&rec, "run", "g", opts);
+                            }
+                            if timed {
+                                e.attach_timing(LatencyModel::default());
+                            }
+                            for f in &frames {
+                                entry(&mut e, f, filter).expect("frame names live textures");
+                            }
+                            let closed = e.frames().len();
+                            let err = entry(&mut e, &bad, filter);
+                            assert!(matches!(err, Err(EngineError::UnknownTexture(_))));
+                            assert_eq!(e.frames().len(), closed, "the frame stays open");
+                            let published = golden_digest(&rec, e.locality_profile().as_ref());
+                            e.end_frame();
+                            let timing = e.timing().map(|t| (t.frames().to_vec(), *t.sink_stats()));
+                            (published, e.frames().to_vec(), timing)
+                        };
+                        let ctx = format!("{name} {arch} {filter:?} {obs} {path}");
+                        let inline = run(1);
+                        let helped = run(2);
+                        set_max_replay_jobs(0);
+                        assert_eq!(inline, helped, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Every committed `.mltct` trace (file name, rebuilt workload, frames),
